@@ -1,7 +1,6 @@
 """Exception types shared across the package.
 
-The command line layer maps these onto process exit codes, so solver and
-parser code should raise the most specific class that applies.
+Solver code should raise the most specific class that applies.
 """
 
 
@@ -21,17 +20,6 @@ class SizeCapError(InputError):
         self.actual = actual
         self.limit = limit
         super().__init__(f"{what}: size {actual} exceeds cap {limit}")
-
-
-class ParseError(InputError):
-    """Malformed input file, with line/column-precise position."""
-
-    def __init__(self, message: str, line: int, col: int = 1, path: str | None = None):
-        self.line = line
-        self.col = col
-        self.path = path
-        where = f"{path or '<input>'}:{line}:{col}"
-        super().__init__(f"{where}: {message}")
 
 
 class InternalError(AssertionError):

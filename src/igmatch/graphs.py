@@ -564,15 +564,6 @@ def find_igm(g: Graph, h: Pattern, k: int,
     return None
 
 
-def brute_force_igm(g: Graph, h: Pattern, k: int) -> Matching | None:
-    """Decision oracle: some induced matching of size k, else None.
-
-    Exhaustive over occurrence subsets; intended for hosts of at most
-    around 16 vertices with small h and k.
-    """
-    return find_igm(g, h, k)
-
-
 def max_igm(g: Graph, h: Pattern, require_touch=(),
             occurrences: list[Occurrence] | None = None) -> list[Occurrence] | None:
     """Maximum-size induced matching, optionally forced to touch vertex sets.
@@ -650,9 +641,18 @@ def brute_force_wis(g: Graph, weights, k_card: int, k_weight,
                     cap: int = WIS_CAP_DEFAULT) -> tuple[bool, tuple[int, ...] | None]:
     """Does g have an independent set with >= k_card vertices and >= k_weight weight?
 
-    Exact clique-cover branch and bound over all independent sets.  Weights
+    Exact branch and bound over a greedy clique partition: clique by clique,
+    take one of its unblocked vertices (in clique order) or none.  Weights
     must be nonnegative (so any partial independent set extends without
     loss).  Returns (answer, witness or None).
+
+    The bound is a forward check (Haralick and Elliott, 1980): at each node,
+    the cliques still to come that keep a vertex outside the blocked set can
+    add at most one vertex each, and at most their heaviest free vertex in
+    weight.  A node is cut when that cannot reach k_card or k_weight.  Blocked
+    sets only grow along a branch, so a cut subtree holds no solution; the
+    search visits the remaining nodes in the same order as a search with any
+    weaker sound bound, and so returns the same first witness.
     """
     if g.n > cap:
         raise SizeCapError("brute_force_wis", g.n, cap)
@@ -664,14 +664,12 @@ def brute_force_wis(g: Graph, weights, k_card: int, k_weight,
     if k_card <= 0 and k_weight <= 0:
         return True, ()
     cliques = greedy_clique_partition(g)
+    heaviest_first = [sorted(c, key=lambda v: -weights[v]) for c in cliques]
+    m = len(cliques)
     nbr = [0] * g.n
     for v in range(g.n):
         for w in g.neighbors(v):
             nbr[v] |= 1 << w
-    maxw = [max(weights[v] for v in c) for c in cliques]
-    suffixw = [0] * (len(cliques) + 1)
-    for i in range(len(cliques) - 1, -1, -1):
-        suffixw[i] = suffixw[i + 1] + maxw[i]
     found: list[int] | None = None
 
     def rec(idx: int, blocked: int, chosen: list[int], size: int, weight) -> bool:
@@ -679,11 +677,14 @@ def brute_force_wis(g: Graph, weights, k_card: int, k_weight,
         if size >= k_card and weight >= k_weight:
             found = list(chosen)
             return True
-        if idx == len(cliques):
-            return False
-        if size + (len(cliques) - idx) < k_card:
-            return False
-        if weight + suffixw[idx] < k_weight:
+        open_cliques, gain = 0, 0
+        for i in range(idx, m):
+            for v in heaviest_first[i]:
+                if not blocked >> v & 1:
+                    open_cliques += 1
+                    gain += weights[v]
+                    break
+        if size + open_cliques < k_card or weight + gain < k_weight:
             return False
         for v in cliques[idx]:
             if blocked >> v & 1:

@@ -16,7 +16,6 @@ the two cut ends with large anchor cliques.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 
 from .errors import InputError, InternalError, SizeCapError
@@ -307,7 +306,6 @@ def solve_igm_long_proper_ca(
     h: Pattern,
     k: int,
     model_h: ArcModel | None = None,
-    threads: int | None = None,
     deviations: list | None = None,
 ) -> Matching | None:
     """Induced H-matching of size k on a long proper circular-arc model.
@@ -329,19 +327,11 @@ def solve_igm_long_proper_ca(
     g = realize(model)
     points = _dedup_points(model)
     best: Matching | None = None
-    if threads and threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(lambda p2: _cut_solve(model, h, k, p2), points))
-        for res in results:  # deterministic reduction: first representative wins
-            if res is not None:
-                best = res
-                break
-    else:
-        for p2 in points:
-            res = _cut_solve(model, h, k, p2)
-            if res is not None:
-                best = res
-                break
+    for p2 in points:
+        res = _cut_solve(model, h, k, p2)
+        if res is not None:
+            best = res
+            break
     if best is None and k == 1:
         if model_h is None:
             raise InputError(

@@ -4,9 +4,14 @@ Everything here is written from first principles on top of the Graph vertex
 and adjacency accessors only, deliberately not reusing the package's own
 search helpers, so that agreement between a solver and its oracle is
 meaningful.  All routines are exponential and sized for test instances.
+
+The one exception is ``wis_reference``: it pins witnesses, not just answers,
+so it must branch over the package's own clique partition.
 """
 
 import itertools
+
+from igmatch.graphs import greedy_clique_partition
 
 
 def independent_sets(g):
@@ -88,6 +93,54 @@ def wis_exhaustive(g, weights, k_card: int, k_weight) -> bool:
         if len(s) >= k_card and sum(weights[v] for v in s) >= k_weight:
             return True
     return False
+
+
+def wis_reference(g, weights, k_card: int, k_weight):
+    """``brute_force_wis`` with its static bounds: (answer, witness or None).
+
+    The same branching over ``greedy_clique_partition(g)``, cut only when
+    one vertex from every remaining clique, or the heaviest vertex of every
+    remaining clique, could not reach the target.  Any sound bound on this
+    search order returns the same first witness, so the solver must match
+    this search exactly.
+    """
+    weights = list(weights)
+    if k_card <= 0 and k_weight <= 0:
+        return True, ()
+    cliques = greedy_clique_partition(g)
+    nbr = [0] * g.n
+    for v in range(g.n):
+        for w in g.neighbors(v):
+            nbr[v] |= 1 << w
+    maxw = [max(weights[v] for v in c) for c in cliques]
+    suffixw = [0] * (len(cliques) + 1)
+    for i in range(len(cliques) - 1, -1, -1):
+        suffixw[i] = suffixw[i + 1] + maxw[i]
+    found = None
+
+    def rec(idx, blocked, chosen, size, weight):
+        nonlocal found
+        if size >= k_card and weight >= k_weight:
+            found = list(chosen)
+            return True
+        if idx == len(cliques):
+            return False
+        if size + (len(cliques) - idx) < k_card:
+            return False
+        if weight + suffixw[idx] < k_weight:
+            return False
+        for v in cliques[idx]:
+            if blocked >> v & 1:
+                continue
+            chosen.append(v)
+            if rec(idx + 1, blocked | nbr[v] | (1 << v), chosen, size + 1,
+                   weight + weights[v]):
+                return True
+            chosen.pop()
+        return rec(idx + 1, blocked, chosen, size, weight)
+
+    ok = rec(0, 0, [], 0, 0)
+    return ok, (tuple(sorted(found)) if ok and found is not None else None)
 
 
 def is_line_graph_exhaustive(g) -> bool:

@@ -9,11 +9,11 @@ from igmatch.graphs import (
     Matching,
     Occurrence,
     Pattern,
-    brute_force_igm,
     brute_force_mis,
     complete_graph,
     cycle_graph,
     disjoint_union,
+    find_igm,
     path_graph,
     star_graph,
 )
@@ -498,7 +498,7 @@ def test_literal_exhaustive_family_reproduces_the_answer(k2):
             Matching(tuple(pool[:1])).check(g, k2)
             successes += 1
     assert successes > 0
-    assert brute_force_igm(g, k2, 1) is not None
+    assert find_igm(g, k2, 1) is not None
 
 
 # ---------------------------------------------------------------------------
@@ -517,7 +517,7 @@ def test_driver_matches_oracle_on_a_long_path_line_graph(k2, k3, p3):
     assert brute_force_mis(g)[0] > 4
     for h in (k2, p3, k3):
         for k in (1, 2):
-            want = brute_force_igm(g, h, k)
+            want = find_igm(g, h, k)
             got = solve_igm_claw_free(g, h, k)
             assert (got is None) == (want is None)
             if got is not None:
@@ -544,7 +544,7 @@ def test_driver_on_a_tree_line_graph_with_spots(k2, k3, p3):
     ss = line_graph_strip_structure(host)
     assert ss is not None
     for h, k in ((k2, 2), (p3, 2), (k3, 1)):
-        want = brute_force_igm(host, h, k)
+        want = find_igm(host, h, k)
         got = solve_igm_claw_free(host, h, k, ss=ss)
         assert (got is None) == (want is None)
         if got is not None:
@@ -562,7 +562,7 @@ def test_driver_hand_structure_on_a_cycle(k2, k3):
     g, ss = c11_two_stripes()
     assert validate_strip_structure(g, ss).ok
     for h, k in ((k2, 1), (k2, 2), (k3, 1)):
-        want = brute_force_igm(g, h, k)
+        want = find_igm(g, h, k)
         got = solve_igm_claw_free(g, h, k, ss=ss)
         assert (got is None) == (want is None)
         if got is not None:
@@ -600,7 +600,7 @@ def test_driver_whole_host_fuzzy_model(k2, p3):
     g = realize(fam)
     assert g == cycle_graph(11)
     for h, k in ((k2, 3), (p3, 2)):
-        want = brute_force_igm(g, h, k)
+        want = find_igm(g, h, k)
         got = solve_igm_claw_free(g, h, k, fuzzy_model=fam)
         assert (got is None) == (want is None)
         if got is not None:
@@ -685,7 +685,7 @@ def test_driver_matches_oracle_on_random_line_graphs(k2, k3, p3):
         ss = line_graph_strip_structure(g)
         for h in (k2, p3, k3):
             for k in (1, 2):
-                want = brute_force_igm(g, h, k)
+                want = find_igm(g, h, k)
                 got = solve_igm_claw_free(g, h, k, ss=ss)
                 assert (got is None) == (want is None)
                 if got is not None:

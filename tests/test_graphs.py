@@ -9,7 +9,6 @@ from igmatch.graphs import (
     Multigraph,
     Occurrence,
     Pattern,
-    brute_force_igm,
     brute_force_mis,
     brute_force_wis,
     compatible,
@@ -150,7 +149,7 @@ def test_igm_decision_matches_exhaustive(k2, p3, k3):
         g = random_graph(rng, rng.randint(0, 8), rng.uniform(0.1, 0.7))
         for h in (k2, p3, k3):
             for k in (1, 2, 3):
-                got = brute_force_igm(g, h, k)
+                got = find_igm(g, h, k)
                 want = igm_exhaustive(g, h.graph, k)
                 assert (got is not None) == want
                 if got is not None:

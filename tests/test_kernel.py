@@ -9,10 +9,12 @@ import pytest
 from igmatch.errors import InputError
 from igmatch.graphs import (
     Graph,
+    Multigraph,
     Pattern,
     brute_force_wis,
     complete_graph,
     cycle_graph,
+    line_graph,
     path_graph,
 )
 from igmatch.kernel import (
@@ -37,7 +39,7 @@ from igmatch.kernel import (
 )
 from igmatch.strips import Strip, StripStructure, classify_strip, validate_strip_structure
 
-from oracles import igm_exhaustive, occurrences_exhaustive
+from oracles import igm_exhaustive, occurrences_exhaustive, wis_reference
 from randgen import random_graph, random_line_graph
 from test_color_coding import c11_two_stripes, two_stripe_p4
 
@@ -183,6 +185,18 @@ def wheel_plus_path():
     edges += [(1, 2), (2, 3), (3, 4), (4, 5), (5, 1)]
     edges += [(6 + i, 7 + i) for i in range(12)]
     return Graph(19, edges)
+
+
+def two_far_claims_host():
+    """The host of test_two_far_claims_on_one_clique_conflict."""
+    return Graph(6, [(0, 2), (0, 3), (0, 4), (0, 5), (1, 2), (1, 3), (1, 5),
+                     (2, 3), (2, 4), (2, 5), (3, 5)])
+
+
+def sunlet_line_graph(r: int) -> Graph:
+    """Line graph of the cycle C_r with a pendant edge at every cycle vertex."""
+    edges = [(i, (i + 1) % r) for i in range(r)] + [(i, r + i) for i in range(r)]
+    return line_graph(Multigraph(2 * r, edges))
 
 
 def wis_answer(inst: WisInstance) -> bool:
@@ -634,8 +648,7 @@ def test_two_far_claims_on_one_clique_conflict(k2):
     """Two spots meeting at a strip-vertex cannot serve copies confined to
     two different far cliques; both bodies sit inside the shared clique, so
     the copies would touch.  This host used to decode to a bogus yes."""
-    g = Graph(6, [(0, 2), (0, 3), (0, 4), (0, 5), (1, 2), (1, 3), (1, 5),
-                  (2, 3), (2, 4), (2, 5), (3, 5)])
+    g = two_far_claims_host()
     ss = derive_strip_structure(g)
     inst = build_wis_instance(g, ss, k2, 2)
     assert igm_exhaustive(g, k2.graph, 2) is False
@@ -684,6 +697,51 @@ def test_full_cardinality_selections_pick_one_per_clique(k2):
     picked = set(chosen)
     for clique in inst.cliques:
         assert len(picked & set(clique)) == 1
+
+
+def test_wis_witnesses_match_the_static_bound_reference(k2, k3):
+    """Same answer and same witness as the static-bound search, on random
+    weighted graphs and on every selection-clique encoding of the fixtures."""
+    questions = []
+    rng = random.Random(2024)
+    for _ in range(1000):
+        g = random_graph(rng, rng.randint(0, 16), rng.uniform(0.05, 0.9))
+        weights = [rng.randint(0, 6) for _ in range(g.n)]
+        questions.append((g, weights, rng.randint(0, 7), rng.randint(0, 25)))
+    # the encodings the tests above build from the hand fixtures ...
+    g = two_far_claims_host()
+    builds = [(*two_stripe_p4(), hp, k) for hp in (k2, k3) for k in (2, 3)]
+    builds += [(*c11_two_stripes(), hp, k) for hp in (k2, k3) for k in (2, 3, 4)]
+    builds += [(*mixed_spot_stripe(), hp, k) for hp in (k2, k3) for k in (2, 3)]
+    builds += [(*five_spot_triangle(), hp, 2) for hp in (k2, k3)]
+    builds += [(*stripes_and_spots_pair(), k2, 2), (g, derive_strip_structure(g), k2, 2)]
+    # ... and from the random line graphs
+    rng = random.Random(991)
+    seen = 0
+    while seen < 15:
+        g, _ = random_line_graph(rng, max_edges=10)
+        if not 0 < g.n <= 12 or any(not g.neighbors(v) for v in range(g.n)):
+            continue
+        ss = derive_strip_structure(g)
+        if ss is None:
+            continue
+        seen += 1
+        builds += [(g, ss, hp, k) for hp in (k2, k3) for k in (2, 3)]
+    for g, ss, hp, k in builds:
+        inst = build_wis_instance(g, ss, hp, k)
+        questions.append((inst.graph, inst.weights, inst.k_card, inst.k_weight))
+    # the benchmark-sized encoding: K2 on the C5 sunlet at its optimum 2 (yes)
+    # and one past it (no), 60 vertices in 15 selection cliques each
+    g = sunlet_line_graph(5)
+    ss = derive_strip_structure(g)
+    for k in (2, 3):
+        inst = build_wis_instance(g, ss, k2, k)
+        assert inst.graph.n == 60 and inst.k_card == 15
+        assert wis_answer(inst) == igm_exhaustive(g, k2.graph, k) == (k == 2)
+        questions.append((inst.graph, inst.weights, inst.k_card, inst.k_weight))
+    for g, weights, k_card, k_weight in questions:
+        want = wis_reference(g, weights, k_card, k_weight)
+        assert brute_force_wis(g, weights, k_card, k_weight) == want, (g.n, k_card, k_weight)
 
 
 def test_build_respects_the_size_ceiling_and_weight_cap(k2, k3):
