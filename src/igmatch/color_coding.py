@@ -49,7 +49,6 @@ from .strips import (
     _fuzzy_cert_consistent,
     classify_strip,
     line_graph_strip_structure,
-    trivial_strip_structure,
     validate_strip_structure,
 )
 
@@ -514,27 +513,21 @@ def _canonical_base_key(base: Base):
     return best
 
 
-def enumerate_bases(h: Pattern, k: int, cap: int = HK_CAP_DEFAULT):
-    """Stream all bases for k groups of h tokens, up to isomorphism.
+def _base_stream(h: Pattern, k: int, budget: dict | None):
+    """Bases of k groups of h tokens, up to isomorphism, lazily.
 
-    Every emitted base assigns all hk tokens, gives every edge at least one
-    token (an edge a matching touches always holds a matching vertex), and
-    satisfies both token conditions.  Generation places tokens one at a time
-    (each constrained by previously placed group neighbors), then glues edge
-    endpoints in all admissible ways; isomorphic duplicates are removed via
-    a canonical key, so the stream is deterministic and duplicate-free.
+    ``budget`` is passed to ``_token_plans`` (None: unrestricted).  The size
+    cap is checked eagerly, on the call itself.
     """
-    if k < 0:
-        raise InputError("k must be non-negative")
     hk = h.h * k
-    if hk > cap:
-        raise SizeCapError("enumerate_bases", hk, cap)
+    if hk > HK_CAP_DEFAULT:
+        raise SizeCapError("enumerate_bases", hk, HK_CAP_DEFAULT)
 
     def gen():
         if hk == 0:
             return  # no tokens, and every base edge must carry one
         seen = set()
-        for plan in _token_plans(h, _token_order(h, k)):
+        for plan in _token_plans(h, _token_order(h, k), budget):
             for base in _glued_bases(plan, h):
                 if not check_condition1(base, h) or not check_condition2(base, h):
                     continue
@@ -547,41 +540,37 @@ def enumerate_bases(h: Pattern, k: int, cap: int = HK_CAP_DEFAULT):
     return gen()
 
 
+def enumerate_bases(h: Pattern, k: int):
+    """Stream all bases for k groups of h tokens, up to isomorphism.
+
+    Every emitted base assigns all hk tokens, gives every edge at least one
+    token (an edge a matching touches always holds a matching vertex), and
+    satisfies both token conditions.  Generation places tokens one at a time
+    (each constrained by previously placed group neighbors), then glues edge
+    endpoints in all admissible ways; isomorphic duplicates are removed via
+    a canonical key, so the stream is deterministic and duplicate-free.
+    Raises a size-cap error when hk exceeds ``HK_CAP_DEFAULT``.
+    """
+    if k < 0:
+        raise InputError("k must be non-negative")
+    return _base_stream(h, k, None)
+
+
 _SHAPED_CACHE: dict = {}
 
 
-def _shaped_bases(h: Pattern, k: int, cap: int, shapes: tuple) -> tuple:
+def _shaped_bases(h: Pattern, k: int, shapes: tuple) -> tuple:
     """Bases restricted to the edge shapes a concrete structure offers.
 
     ``shapes`` is a sorted tuple of ((kind, member count), available count)
     pairs.  Cached: solving many instances over structurally similar inputs
     pays the enumeration once.
     """
-    hk = h.h * k
-    if hk > cap:
-        raise SizeCapError("enumerate_bases", hk, cap)
     key = (h, k, shapes)
     hit = _SHAPED_CACHE.get(key)
-    if hit is not None:
-        return hit
-    if hk == 0:
-        _SHAPED_CACHE[key] = ()
-        return ()
-    budget = dict(shapes)
-    seen = set()
-    out = []
-    for plan in _token_plans(h, _token_order(h, k), budget):
-        for base in _glued_bases(plan, h):
-            if not check_condition1(base, h) or not check_condition2(base, h):
-                continue
-            ckey = _canonical_base_key(base)
-            if ckey in seen:
-                continue
-            seen.add(ckey)
-            out.append(base)
-    result = tuple(out)
-    _SHAPED_CACHE[key] = result
-    return result
+    if hit is None:
+        hit = _SHAPED_CACHE[key] = tuple(_base_stream(h, k, dict(shapes)))
+    return hit
 
 
 # ---------------------------------------------------------------------------
@@ -1052,7 +1041,6 @@ class _RunConfig:
     mode: str
     trials: int | None
     seed: int | None
-    hk_cap: int
 
 
 def _validated(m: Matching, g: Graph, h: Pattern) -> Matching:
@@ -1157,7 +1145,7 @@ def _pipeline(g, h, k, ss, certificates, cfg: _RunConfig, deviations):
     # a plan never creates more than hk edges, so higher supply is equivalent
     hk = h.h * k
     shapes = tuple(sorted((s, min(c, hk)) for s, c in supply.items()))
-    for base in _shaped_bases(h, k, cfg.hk_cap, shapes):
+    for base in _shaped_bases(h, k, shapes):
         if cfg.mode == "exhaustive":
             colorings = (
                 _natural_coloring(base, ss, emb)
@@ -1194,92 +1182,48 @@ def _pipeline(g, h, k, ss, certificates, cfg: _RunConfig, deviations):
     return None
 
 
-def _max_free(g0: Graph, h: Pattern, kmax: int, cert, cfg, deviations) -> list:
-    found: list = []
-    for kk in range(1, kmax + 1):
-        m = _solve_free(g0, h, kk, cert, cfg, deviations)
-        if m is None:
-            break
-        found = list(m.occurrences)
-    return found
-
-
-def _solve_free(g0, h, k0, cert, cfg, deviations):
-    """Solve a chunk with no strip-structure attached, degrading politely.
-
-    Tries the supplied certificate, then per-component: small independence
-    number, then a line-graph structure, then exhaustive search (logged as a
-    deviation).
-    """
-    if k0 == 0:
-        return Matching(())
-    if g0.n < h.h:
-        return None
-    if isinstance(cert, FuzzyArcModel):
-        realized = realize(cert)
-        if realized.n != g0.n or realized.edges != g0.edges:
-            raise InputError("certificate does not realize the strip body")
-        return solve_igm_fuzzy_ca(cert, h, k0)
-    if cert == "alpha4":
-        return solve_igm_small_alpha(g0, h, k0, trust_alpha=True)
-    comps = g0.components()
-    if len(comps) > 1:
-        collected: list = []
-        for comp in comps:
-            cap = k0 - len(collected)
-            if cap <= 0:
-                break
-            sub = g0.induced(comp)
-            occs = _max_free(sub, h, cap, None, cfg, deviations)
-            collected.extend(
-                Occurrence(tuple(comp[v] for v in o.vertices)) for o in occs
-            )
-        if len(collected) >= k0:
-            return Matching(tuple(collected[:k0]))
-        return None
-    alpha, _w = brute_force_mis(g0)
-    if alpha <= 4:
-        return solve_igm_small_alpha(g0, h, k0, trust_alpha=True)
-    if k0 > alpha:
-        return None
-    lg = line_graph_strip_structure(g0)
-    if lg is not None:
-        return _solve_structured(g0, h, k0, lg, None, cfg, deviations)
-    if deviations is not None:
-        deviations.append(
-            f"component of {g0.n} vertices solved exhaustively (no structure found)"
-        )
-    return find_igm(g0, h, k0)
-
-
 def _require_valid_structure(g, ss) -> None:
     report = validate_strip_structure(g, ss)
     if not report.ok:
         bad = next(c for c in report.all_checks() if not c.ok)
         detail = f": {bad.failures[0]}" if bad.failures else ""
         raise InputError(f"invalid strip-structure ({bad.name}{detail})")
-
-
-def _solve_structured(g, h, k, ss, certificates, cfg: _RunConfig, deviations):
-    _require_valid_structure(g, ss)
     _strip_profiles(ss)  # rejects strips that are neither spots nor stripes
-    certs = _validate_certificates(ss, certificates)
 
-    # strip-edges without strip-vertices have no boundaries, hence no edges
-    # to the rest of the host: solve their bodies as free-standing chunks
-    zero = [eid for eid, members in ss.edges if not members]
+
+def _collect(chunks, h, k, cfg, deviations) -> list:
+    """Up to k pattern copies gathered chunk by chunk, in host ids.
+
+    ``chunks`` yields (graph, host id map, certificate) triples for pieces
+    of the host with no edges between them.  Each chunk is asked for 1, 2,
+    ... copies until it fails; its last success is mapped back to the host.
+    """
     collected: list = []
-    for eid in zero:
-        cap = k - len(collected)
-        if cap <= 0:
+    for sub, to_host, cert in chunks:
+        found = ()
+        for kk in range(1, k - len(collected) + 1):
+            m = _route(sub, h, kk, cert, cfg, deviations)
+            if m is None:
+                break
+            found = m.occurrences
+        collected.extend(Occurrence(tuple(to_host[v] for v in o.vertices)) for o in found)
+        if len(collected) >= k:
             break
-        s = ss.strips[eid]
-        occs = _max_free(s.graph, h, cap, certs.get(eid), cfg, deviations)
-        collected.extend(
-            Occurrence(tuple(s.g_map[v] for v in o.vertices)) for o in occs
-        )
+    return collected
+
+
+def _solve_structured(g, h, k, ss, certs, cfg: _RunConfig, deviations):
+    """Run the pipeline over an already validated structure.
+
+    Strip-edges without strip-vertices have no boundaries, hence no edges to
+    the rest of the host: their bodies are solved first as free-standing
+    chunks, and the pipeline covers whatever they leave of k.
+    """
+    zero = [eid for eid, members in ss.edges if not members]
+    chunks = ((ss.strips[e].graph, ss.strips[e].g_map, certs.get(e)) for e in zero)
+    collected = _collect(chunks, h, k, cfg, deviations)
     if len(collected) >= k:
-        return _validated(Matching(tuple(collected[:k])), g, h)
+        return _validated(Matching(tuple(collected)), g, h)
     rest = [(eid, members) for eid, members in ss.edges if members]
     if not rest:
         return None
@@ -1296,40 +1240,57 @@ def _solve_structured(g, h, k, ss, certificates, cfg: _RunConfig, deviations):
     return _validated(Matching(tuple(collected + list(m2.occurrences))), g, h)
 
 
-def _solve_auto(g0, h, k0, cfg: _RunConfig, deviations):
-    comps = g0.components()
-    if len(comps) > 1:
-        collected: list = []
-        for comp in comps:
-            cap = k0 - len(collected)
-            if cap <= 0:
-                break
-            sub = g0.induced(comp)
-            got: list = []
-            for kk in range(1, cap + 1):
-                m = _solve_auto(sub, h, kk, cfg, deviations)
-                if m is None:
-                    break
-                got = list(m.occurrences)
-            collected.extend(
-                Occurrence(tuple(comp[v] for v in o.vertices)) for o in got
-            )
-        if len(collected) >= k0:
-            return Matching(tuple(collected[:k0]))
-        return None
+def _route(g0, h, k0, cert, cfg: _RunConfig, deviations):
+    """Solve one chunk: the host, one of its components, or a strip body.
+
+    ``cert`` is what is known about the chunk: nothing (None), a fuzzy arc
+    model realizing it, the promise "alpha4", or a validated
+    (strip-structure, certificates) pair.  The first step that applies
+    decides:
+
+      1. k0 = 0: the empty matching;
+      2. fewer vertices than the pattern: no matching;
+      3. a fuzzy model: the fuzzy arc solver; "alpha4": bounded search;
+      4. independence number (computed once per chunk) at most 4: bounded
+         search; k0 above it: no matching;
+      5. a supplied structure: the pipeline over it;
+      6. several components: each solved on its own, combined additively;
+      7. a line graph: the pipeline over its strip-structure;
+      8. otherwise exhaustive search, logged to ``deviations``.
+    """
+    if k0 == 0:
+        return Matching(())
     if g0.n < h.h:
         return None
+    if isinstance(cert, FuzzyArcModel):
+        realized = realize(cert)
+        if realized.n != g0.n or realized.edges != g0.edges:
+            raise InputError("fuzzy model does not realize the graph it certifies")
+        return solve_igm_fuzzy_ca(cert, h, k0)
+    if cert == "alpha4":
+        return solve_igm_small_alpha(g0, h, k0, trust_alpha=True)
     alpha, _w = brute_force_mis(g0)
     if alpha <= 4:
         return solve_igm_small_alpha(g0, h, k0, trust_alpha=True)
     if k0 > alpha:
         return None
-    lg = line_graph_strip_structure(g0)
-    if lg is not None:
-        return _solve_structured(g0, h, k0, lg, None, cfg, deviations)
-    return _solve_structured(
-        g0, h, k0, trivial_strip_structure(g0), None, cfg, deviations
-    )
+    if cert is None:
+        comps = g0.components()
+        if len(comps) > 1:
+            chunks = ((g0.induced(c), c, None) for c in comps)
+            found = _collect(chunks, h, k0, cfg, deviations)
+            return Matching(tuple(found)) if len(found) >= k0 else None
+        lg = line_graph_strip_structure(g0)
+        if lg is None:
+            if deviations is not None:
+                deviations.append(
+                    f"component of {g0.n} vertices solved exhaustively (no structure found)"
+                )
+            return find_igm(g0, h, k0)
+        _require_valid_structure(g0, lg)
+        cert = (lg, {})
+    ss, certs = cert
+    return _solve_structured(g0, h, k0, ss, certs, cfg, deviations)
 
 
 def solve_igm_claw_free(
@@ -1337,30 +1298,33 @@ def solve_igm_claw_free(
     h: Pattern,
     k: int,
     ss: StripStructure | None = None,
-    source: str = "auto",
     certificates=None,
     fuzzy_model: FuzzyArcModel | None = None,
     coloring: str = "exhaustive",
     trials: int | None = None,
     seed: int | None = None,
-    hk_cap: int = HK_CAP_DEFAULT,
     deviations: list | None = None,
 ) -> Matching | None:
     """Find k pairwise disjoint, pairwise non-adjacent induced copies of h.
 
-    Dispatch order: hosts with independence number at most 4 go to bounded
-    search; a supplied whole-host fuzzy arc model goes to the arc solver;
-    everything else runs the base-times-coloring pipeline over a
-    strip-structure.  The structure is taken from ``ss`` when given,
-    otherwise per ``source``: "auto" tries a line-graph structure and falls
-    back to the trivial one-strip structure, "line-graph" insists on one,
-    "trivial" always wraps the whole host (accepting exhaustive-search
-    degradation, which is logged to ``deviations``).
+    A supplied ``ss`` (with optional per-strip ``certificates``) is
+    validated up front, so an invalid structure raises on every host.  Then
+    the first rule that applies decides: k = 0 gives the empty matching, a
+    host smaller than h gives None; a whole-host ``fuzzy_model`` goes to the
+    fuzzy arc solver; a host with independence number at most 4 goes to
+    bounded search, and k above that number gives None.  Otherwise the
+    base-times-coloring pipeline runs over ``ss`` when given; its
+    strip-edges without strip-vertices are solved first, each body as a
+    host of its own.  Without ``ss``, a disconnected host is split into
+    components solved the same way and combined additively, a connected
+    line graph uses ``line_graph_strip_structure``, and any other host falls
+    back to exhaustive search, logged once to ``deviations``.  Pass
+    ``ss=trivial_strip_structure(g)`` to wrap the whole host in one strip.
 
     Exhaustive coloring mode is exact; random mode (seeded, ``trials`` draws
-    per base) never reports false positives but may miss.  Disconnected
-    hosts are solved per component and combined additively.  Any returned
-    matching has been re-validated against the host.
+    per base) never reports false positives but may miss.  Bases are capped
+    at ``HK_CAP_DEFAULT`` tokens.  Any matching the pipeline assembles has
+    been re-validated against the host.
     """
     if k < 0:
         raise InputError("k must be non-negative")
@@ -1370,47 +1334,14 @@ def solve_igm_claw_free(
         raise InputError("host graph is not claw-free")
     if coloring not in ("exhaustive", "random"):
         raise InputError(f"unknown coloring mode {coloring!r}")
-    if coloring == "random" and trials is None:
-        raise InputError("random coloring mode needs a trial count")
-    if source not in ("auto", "instance", "trivial", "line-graph"):
-        raise InputError(f"unknown strip-structure source {source!r}")
-    if ss is not None and source not in ("auto", "instance"):
-        raise InputError(
-            f"an explicit strip-structure conflicts with source {source!r}"
-        )
-    if ss is None and source == "instance":
-        raise InputError("source 'instance' needs an explicit strip-structure")
+    if coloring == "random" and (trials is None or trials < 0):
+        raise InputError("random coloring mode needs a non-negative trial count")
+    cert = fuzzy_model
     if ss is not None:
         _require_valid_structure(g, ss)
-        _strip_profiles(ss)
-        _validate_certificates(ss, certificates)
-    if k == 0:
-        return Matching(())
-    cfg = _RunConfig(coloring, trials, seed, hk_cap)
-    if fuzzy_model is not None:
-        realized = realize(fuzzy_model)
-        if realized.n != g.n or realized.edges != g.edges:
-            raise InputError("fuzzy model does not realize the host graph")
-        return solve_igm_fuzzy_ca(fuzzy_model, h, k)
-    if g.n == 0:
-        return None
-    alpha, _w = brute_force_mis(g)
-    if alpha <= 4:
-        return solve_igm_small_alpha(g, h, k, trust_alpha=True)
-    if k > alpha:
-        return None
-    if ss is not None:
-        return _solve_structured(g, h, k, ss, certificates, cfg, deviations)
-    if source == "line-graph":
-        try:
-            lg = line_graph_strip_structure(g)
-        except InputError:
-            lg = None
-        if lg is None:
-            raise InputError("host is not a line graph: needs a strip-structure")
-        return _solve_structured(g, h, k, lg, certificates, cfg, deviations)
-    if source == "trivial":
-        return _solve_structured(
-            g, h, k, trivial_strip_structure(g), certificates, cfg, deviations
-        )
-    return _solve_auto(g, h, k, cfg, deviations)
+        certs = _validate_certificates(ss, certificates)
+        if cert is None:
+            cert = (ss, certs)
+    elif certificates:
+        raise InputError("certificates need an explicit strip-structure")
+    return _route(g, h, k, cert, _RunConfig(coloring, trials, seed), deviations)

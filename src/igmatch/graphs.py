@@ -316,10 +316,11 @@ def compatible(a: Occurrence, b: Occurrence, g: Graph) -> bool:
 # ---------------------------------------------------------------------------
 # predicates
 
-def star_free(g: Graph, t: int) -> bool:
-    """True iff no vertex has t pairwise non-adjacent neighbors.
+def find_star(g: Graph, t: int) -> tuple | None:
+    """A (center, leg, ..., leg) witness of an induced K_{1,t}, or None.
 
-    star_free(g, 3) is claw-freeness, star_free(g, 4) is K_{1,4}-freeness.
+    The first center in vertex order with t pairwise non-adjacent neighbors,
+    and its lexicographically first such legs.
     """
     if t < 1:
         raise InputError("t must be positive")
@@ -332,8 +333,16 @@ def star_free(g: Graph, t: int) -> bool:
                 not g.has_edge(a, b)
                 for a, b in itertools.combinations(combo, 2)
             ):
-                return False
-    return True
+                return (v,) + combo
+    return None
+
+
+def star_free(g: Graph, t: int) -> bool:
+    """True iff no vertex has t pairwise non-adjacent neighbors.
+
+    star_free(g, 3) is claw-freeness, star_free(g, 4) is K_{1,4}-freeness.
+    """
+    return find_star(g, t) is None
 
 
 def is_isomorphic(a: Graph, b: Graph) -> bool:

@@ -201,7 +201,7 @@ def _delete_strips(g: Graph, ss: StripStructure, drop) -> tuple[Graph, StripStru
 
 
 # ---------------------------------------------------------------------------
-# structure provider
+# structure derivation
 
 def derive_strip_structure(g: Graph) -> StripStructure | None:
     """Line-graph strip structure of each component, glued into one.
@@ -300,38 +300,30 @@ def _overloaded_pair(ss: StripStructure, promising: dict, h: Pattern):
     return None
 
 
-def bound_strip_graph(g: Graph, h: Pattern, k: int, provider: str = "line-graph",
+def bound_strip_graph(g: Graph, h: Pattern, k: int,
                       ss: StripStructure | None = None) -> BoundResult:
     """Run the reduction loop until the strip graph is provably small.
 
     Each round prunes useless vertices, tries to settle the answer outright
     (independence number at most 4, a greedy maximal matching of size k, or
     k promising strip-edges), then fires the first applicable rule: clique
-    deletion at high dis-degree, or the parallel-strip reduction step.  The
-    line-graph provider re-derives the structure from scratch after every
-    mutation; the manual provider applies a single round to the supplied
-    structure and stops as soon as a mutation invalidates it.
+    deletion at high dis-degree, or the parallel-strip reduction step.
+    Without ``ss`` the structure is re-derived from the line-graph
+    pre-images (``derive_strip_structure``) after every mutation.  A supplied
+    ``ss`` is validated, gets a single round, and the loop stops as soon as a
+    mutation invalidates it.
     """
     _require_kernel_pattern(h)
     if not isinstance(k, int) or k < 0:
         raise InputError("k must be a nonnegative integer")
-    if provider not in ("line-graph", "manual"):
-        raise InputError(f"unknown structure provider {provider!r}")
-    if provider == "manual" and ss is None:
-        raise InputError("the manual provider needs a strip structure")
-    if provider == "line-graph" and ss is not None:
-        raise InputError(
-            "the line-graph provider derives structures itself; "
-            "pass provider='manual' to use a supplied one"
-        )
-    manual = provider == "manual"
+    supplied = ss is not None
     notes = []
-    if manual:
+    if supplied:
         report = validate_strip_structure(g, ss)
         if not report.ok:
             first = next(m for c in report.all_checks() for m in c.failures)
             raise InputError(f"supplied strip structure invalid: {first}")
-        notes.append("manual structure provider: one bounding round, no re-derivation")
+        notes.append("supplied strip structure: one bounding round, no re-derivation")
 
     for _ in range(g.n + k + 2):
         if k <= 0:
@@ -342,7 +334,7 @@ def bound_strip_graph(g: Graph, h: Pattern, k: int, provider: str = "line-graph"
             g = pruned
             if g.n == 0:
                 return BoundResult("decided", False, None, g, k, None, tuple(notes))
-            if manual:
+            if supplied:
                 notes.append("pruning invalidated the supplied structure; stopping")
                 return BoundResult("partial", None, None, g, k, None, tuple(notes))
             ss = None
@@ -369,7 +361,7 @@ def bound_strip_graph(g: Graph, h: Pattern, k: int, provider: str = "line-graph"
         if big is not None:
             g, k = apply_dis_degree_rule(g, ss, h, k, big)
             notes.append(f"dis-degree rule removed C({big!r}); target now {k}")
-            if manual:
+            if supplied:
                 notes.append("clique deletion invalidated the supplied structure; stopping")
                 return BoundResult("partial", None, None, g, k, None, tuple(notes))
             ss = None
@@ -386,7 +378,7 @@ def bound_strip_graph(g: Graph, h: Pattern, k: int, provider: str = "line-graph"
             x, y = pair
             g, ss = reduction_step_nonpromising(g, ss, x, y, h)
             notes.append(f"reduction step thinned the strips between {x!r} and {y!r}")
-            if manual:
+            if supplied:
                 notes.append("one bounding round applied; stopping")
                 return BoundResult("partial", None, None, g, k, ss, tuple(notes))
             continue
@@ -1044,15 +1036,17 @@ def build_wis_instance(g: Graph, ss: StripStructure, h: Pattern, k: int) -> WisI
 # ---------------------------------------------------------------------------
 # end-to-end pipeline
 
-def kernelize(g: Graph, h: Pattern, k: int, provider: str = "line-graph",
+def kernelize(g: Graph, h: Pattern, k: int,
               ss: StripStructure | None = None) -> WisInstance:
     """Bound the strip graph, then encode the bounded structure.
 
-    Emits a trivial instance when bounding already settles the answer.  A
-    partial bounding outcome that still carries a valid structure (manual
-    provider, single round) is encoded as-is; one without a structure raises.
+    The structure is derived from line-graph pre-images unless ``ss`` is
+    given (see ``bound_strip_graph``).  Emits a trivial instance when
+    bounding already settles the answer.  A partial bounding outcome that
+    still carries a valid structure (a supplied ``ss`` after its single
+    round) is encoded as-is; one without a structure raises.
     """
-    br = bound_strip_graph(g, h, k, provider=provider, ss=ss)
+    br = bound_strip_graph(g, h, k, ss=ss)
     if br.status == "decided":
         if br.answer:
             inst = trivial_yes_wis(k, "bounding settled the answer: yes")

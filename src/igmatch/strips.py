@@ -21,7 +21,6 @@ trivial structure (the whole host as a single boundary-less strip) and the
 line-graph structure (one single-vertex strip per pre-image edge).
 """
 
-import itertools
 from dataclasses import dataclass
 
 from .errors import InputError, SizeCapError
@@ -29,6 +28,7 @@ from .graphs import (
     Graph,
     Matching,
     brute_force_mis,
+    find_star,
     recognize_line_graph,
     star_free,
 )
@@ -285,18 +285,6 @@ def boundary_clique(ss: StripStructure, r) -> frozenset:
 # ---------------------------------------------------------------------------
 # validation
 
-def _find_claw(g: Graph):
-    """A (center, leg, leg, leg) witness of an induced claw, or None."""
-    for v in range(g.n):
-        nb = sorted(g.neighbors(v))
-        for combo in itertools.combinations(nb, 3):
-            if all(
-                not g.has_edge(a, b) for a, b in itertools.combinations(combo, 2)
-            ):
-                return (v,) + combo
-    return None
-
-
 def validate_strip_structure(g: Graph, ss: StripStructure) -> StructureReport:
     """Check the five gluing axioms plus the per-strip invariants.
 
@@ -327,7 +315,7 @@ def validate_strip_structure(g: Graph, ss: StripStructure) -> StructureReport:
     # axiom 2: each J claw-free
     claw_fails = []
     for eid, _ in ss.edges:
-        w = _find_claw(ss.strips[eid].graph)
+        w = find_star(ss.strips[eid].graph, 3)
         if w is not None:
             claw_fails.append(
                 f"strip {eid}: claw at J center {w[0]} with legs {w[1:]}"

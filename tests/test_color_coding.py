@@ -585,11 +585,12 @@ def test_driver_trivial_source_peels_free_components(k2):
     for _ in range(3):
         g = disjoint_union(g, path_graph(2))
     assert g.n == 10 and brute_force_mis(g)[0] == 5
+    ss = trivial_strip_structure(g)
     devs = []
-    m = solve_igm_claw_free(g, k2, 5, source="trivial", deviations=devs)
+    m = solve_igm_claw_free(g, k2, 5, ss=ss, deviations=devs)
     assert m is not None and len(m.occurrences) == 5
     m.check(g, k2)
-    assert solve_igm_claw_free(g, k2, 6, source="trivial") is None
+    assert solve_igm_claw_free(g, k2, 6, ss=ss) is None
     # same through the default source, which splits components itself
     assert solve_igm_claw_free(g, k2, 5) is not None
 
@@ -630,19 +631,15 @@ def test_driver_input_errors(k2, p3):
         solve_igm_claw_free(path_graph(4), k2, 1, coloring="sideways")
     with pytest.raises(InputError):
         solve_igm_claw_free(path_graph(4), k2, 1, coloring="random")  # no trials
-    with pytest.raises(InputError):
-        solve_igm_claw_free(path_graph(4), k2, 1, source="instance")
-    g, ss = two_stripe_p4()
-    with pytest.raises(InputError):
-        solve_igm_claw_free(g, k2, 1, ss=ss, source="trivial")
-
-
-def test_driver_line_graph_source_requires_one(k2):
-    g = disjoint_union(path_graph(2), path_graph(2))
-    for _ in range(3):
-        g = disjoint_union(g, path_graph(2))
     with pytest.raises(InputError, match="strip-structure"):
-        solve_igm_claw_free(g, k2, 1, source="line-graph")
+        solve_igm_claw_free(path_graph(4), k2, 1, certificates={0: "alpha4"})
+
+
+def test_driver_rejects_negative_trials(k2):
+    # small-alpha host (answered before any coloring) and pipeline host alike
+    for g in (path_graph(4), path_graph(12)):
+        with pytest.raises(InputError, match="non-negative trial count"):
+            solve_igm_claw_free(g, k2, 1, coloring="random", trials=-1)
 
 
 def test_driver_size_cap_on_token_count(k3):
@@ -668,6 +665,94 @@ def test_driver_k0_and_small_hosts(k2):
     assert solve_igm_claw_free(path_graph(4), k2, 0) == Matching(())
     assert solve_igm_claw_free(Graph(0, []), k2, 1) is None
     assert solve_igm_claw_free(Graph(1, []), k2, 1) is None
+
+
+# ---------------------------------------------------------------------------
+# pinned witnesses, one case per dispatch route: a change in the order the
+# router tries things shows up here as a different witness
+
+def _square_of_cycle(n):
+    return Graph(n, sorted({tuple(sorted((i, (i + d) % n))) for i in range(n) for d in (1, 2)}))
+
+
+def _c11_fuzzy():
+    arcs = ArcModel(tuple(Arc(i, 20 * i, (20 * i + 25) % 220) for i in range(11)), 220)
+    return FuzzyArcModel(arcs, {})
+
+
+def _pinned_cases(k2, k3, p3):
+    p12 = path_graph(12)
+    c11, c11ss = c11_two_stripes()
+    fam = _c11_fuzzy()
+    return [
+        # independence number at most 4
+        (cycle_graph(9), k2, 3, {}, [(0, 1), (3, 4), (6, 7)]),
+        (cycle_graph(9), p3, 2, {}, [(0, 1, 2), (4, 5, 6)]),
+        # disconnected, independence number above 4
+        (disjoint_union(path_graph(5), path_graph(7)), k2, 3, {}, [(0, 1), (3, 4), (5, 6)]),
+        (disjoint_union(path_graph(3), cycle_graph(11)), k2, 3, {}, [(0, 1), (3, 4), (6, 7)]),
+        (disjoint_union(path_graph(3), cycle_graph(11)), p3, 2, {}, [(0, 1, 2), (3, 4, 5)]),
+        # a connected line graph
+        (p12, k2, 2, {}, [(1, 2), (4, 5)]),
+        (p12, p3, 2, {}, [(1, 2, 3), (5, 6, 7)]),
+        (p12, k3, 1, {}, None),
+        # supplied structures
+        (p12, k2, 2, {"ss": trivial_strip_structure(p12)}, [(1, 2), (4, 5)]),
+        (p12, p3, 2, {"ss": line_graph_strip_structure(p12)}, [(1, 2, 3), (5, 6, 7)]),
+        (c11, k2, 2, {"ss": c11ss}, [(3, 4), (0, 1)]),
+        (c11, p3, 1, {"ss": c11ss}, [(1, 2, 3)]),
+        (path_graph(6), k2, 2, {"ss": path6_stripe()}, [(0, 1), (3, 4)]),
+        # a whole-host fuzzy model, and one certifying the trivial strip
+        (realize(fam), p3, 2, {"fuzzy_model": fam}, [(0, 1, 2), (4, 5, 6)]),
+        (realize(fam), k2, 3, {"ss": trivial_strip_structure(realize(fam)),
+                               "certificates": {0: fam}}, [(0, 1), (3, 4), (6, 7)]),
+    ]
+
+
+def test_driver_pinned_witnesses(k2, k3, p3):
+    for g, h, k, kwargs, want in _pinned_cases(k2, k3, p3):
+        devs = []
+        got = solve_igm_claw_free(g, h, k, deviations=devs, **kwargs)
+        assert (None if got is None else [o.vertices for o in got.occurrences]) == want
+        assert devs == []
+
+
+def test_driver_fallback_logs_one_deviation(k2, k3):
+    g = _square_of_cycle(15)  # independence number 5, not a line graph
+    assert brute_force_mis(g)[0] == 5 and line_graph_strip_structure(g) is None
+    for h, k, want in ((k2, 2, [(0, 1), (4, 5)]), (k3, 2, [(0, 1, 2), (5, 6, 7)])):
+        devs = []
+        got = solve_igm_claw_free(g, h, k, deviations=devs)
+        assert [o.vertices for o in got.occurrences] == want
+        assert len(devs) == 1 and "exhaustively" in devs[0]
+
+
+def _counting(monkeypatch, name):
+    import igmatch.color_coding as cc
+
+    calls = []
+    original = getattr(cc, name)
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(cc, name, counted)
+    return calls
+
+
+def test_driver_tests_independence_once_per_chunk(monkeypatch, k2):
+    calls = _counting(monkeypatch, "brute_force_mis")
+    assert solve_igm_claw_free(path_graph(12), k2, 2) is not None
+    assert len(calls) == 1
+
+
+def test_driver_validates_a_supplied_structure_once(monkeypatch, k2):
+    g = path_graph(12)
+    ss = line_graph_strip_structure(g)
+    calls = _counting(monkeypatch, "validate_strip_structure")
+    assert solve_igm_claw_free(g, k2, 2, ss=ss) is not None
+    assert len(calls) == 1
 
 
 # ---------------------------------------------------------------------------

@@ -19,6 +19,7 @@ from igmatch.graphs import (
     enumerate_occurrences,
     find_igm,
     find_occurrence,
+    find_star,
     greedy_clique_partition,
     is_isomorphic,
     line_graph,
@@ -70,6 +71,9 @@ def test_star_free():
     assert not star_free(star_graph(4), 4)
     assert star_free(path_graph(6), 3)
     assert star_free(complete_graph(5), 2)
+    assert find_star(star_graph(3), 3) == (0, 1, 2, 3)
+    assert find_star(path_graph(3), 2) == (1, 0, 2)
+    assert find_star(path_graph(6), 3) is None
     # claw-freeness of every line graph
     rng = random.Random(7)
     for _ in range(20):

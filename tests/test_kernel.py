@@ -346,15 +346,9 @@ def test_reduction_requires_an_overloaded_pair(k2):
 def test_bound_validates_its_arguments(k2):
     g, ss = two_stripe_p4()
     with pytest.raises(InputError):
-        bound_strip_graph(g, k2, 2, provider="manual")
-    with pytest.raises(InputError):
-        bound_strip_graph(g, k2, 2, ss=ss)
-    with pytest.raises(InputError):
-        bound_strip_graph(g, k2, 2, provider="oracle")
-    with pytest.raises(InputError):
         bound_strip_graph(g, k2, -1)
     with pytest.raises(InputError):
-        bound_strip_graph(cycle_graph(4), k2, 2, provider="manual", ss=ss)
+        bound_strip_graph(cycle_graph(4), k2, 2, ss=ss)
 
 
 def test_bound_decides_target_zero(k2):
@@ -383,7 +377,7 @@ def test_bound_greedy_settles_an_easy_yes(k2):
 
 def test_bound_promising_stock_settles_a_yes(k3):
     g, ss = four_gadget_host()
-    br = bound_strip_graph(g, k3, 3, provider="manual", ss=ss)
+    br = bound_strip_graph(g, k3, 3, ss=ss)
     assert br.status == "decided" and br.answer is True
     assert len(br.witness.occurrences) == 3
     assert any("promising" in n for n in br.notes)
@@ -411,7 +405,7 @@ def test_bound_manual_stops_after_one_mutation(k2):
     edges += [(7 + i, 8 + i) for i in range(8)]
     g = Graph(16, edges)
     ss = derive_strip_structure(g)
-    br = bound_strip_graph(g, k2, 6, provider="manual", ss=ss)
+    br = bound_strip_graph(g, k2, 6, ss=ss)
     assert br.status == "partial"
     assert br.ss is not None
     assert len(br.ss.edges) == len(ss.edges) - 5
@@ -424,7 +418,7 @@ def test_bound_manual_stops_after_one_mutation(k2):
 
 def test_bound_manual_stops_when_pruning_bites(k3):
     g, ss = three_stem_host()
-    br = bound_strip_graph(g, k3, 2, provider="manual", ss=ss)
+    br = bound_strip_graph(g, k3, 2, ss=ss)
     assert br.status == "partial"
     assert br.ss is None
     assert any("pruned" in n for n in br.notes)
@@ -774,11 +768,11 @@ def test_kernelize_passes_through_decided_answers(k2):
 
 def test_kernelize_encodes_a_bounded_manual_structure(k2):
     g, ss = c11_two_stripes()
-    inst = kernelize(g, k2, 4, provider="manual", ss=ss)
+    inst = kernelize(g, k2, 4, ss=ss)
     assert inst.graph.n > 1
     assert wis_answer(inst) is False
     assert igm_exhaustive(g, k2.graph, 4) is False
-    assert any("manual structure provider" in n for n in inst.notes)
+    assert any("supplied strip structure" in n for n in inst.notes)
 
 
 def test_kernelize_raises_when_no_structure_survives(k2, k3):
@@ -786,4 +780,4 @@ def test_kernelize_raises_when_no_structure_survives(k2, k3):
         kernelize(wheel_plus_path(), k2, 7)
     g, ss = three_stem_host()
     with pytest.raises(InputError):
-        kernelize(g, k3, 2, provider="manual", ss=ss)
+        kernelize(g, k3, 2, ss=ss)
