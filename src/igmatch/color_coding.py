@@ -13,18 +13,22 @@ Token groups are numbered 1..k so the assembly step can reuse group ids as
 vertex colors, with 0 meaning "not a realized boundary vertex".
 
 The driver's exhaustive coloring mode does not materialize the full
-palette^elements product.  Colorings that agree on their unblanked part run
-identically, and a run whose surviving surjection strictly contains another
-finds at least as much; so it suffices to try, per base, one coloring for
-each embedding of the base into the strip-graph (everything else painted
-with colors that force blanking).  A successful run of any other coloring
-implies a matching exists, in which case the natural coloring of that
-matching's own base succeeds too; hence the answers coincide with the full
-family while the work stays proportional to the number of embeddings.
+palette^elements product.  A run depends on a coloring only through the
+surjection that blanking leaves of it, and a run whose surjection strictly
+contains another finds at least as much; so it suffices to try, per base,
+the surjection of each embedding of the base into the strip-graph: the one
+blanking leaves of the coloring that paints exactly that embedding.  Those
+surjections are built straight from the embeddings, with no coloring in
+between.  A successful run of any other coloring implies a matching exists,
+in which case the embedding of that matching's own base succeeds too; hence
+the answers coincide with the full family while the work stays proportional
+to the number of embeddings.  Only the seeded random mode draws colorings
+and blanks them.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import random
 from dataclasses import dataclass
@@ -237,6 +241,16 @@ def check_condition1(base: Base, h: Pattern) -> bool:
     return True
 
 
+def _tokens_meet(toks, h: Pattern) -> bool:
+    """Tokens that meet at one point form one group, pairwise adjacent in H."""
+    if len({g for (g, _hv) in toks}) > 1:
+        return False
+    hvs = sorted({hv for (_g, hv) in toks})
+    return all(
+        h.graph.has_edge(u, v) for i, u in enumerate(hvs) for v in hvs[i + 1 :]
+    )
+
+
 def check_condition2(base: Base, h: Pattern) -> bool:
     """Boundary tokens meeting at a vertex form one group and an H-clique."""
     at: dict = {}
@@ -244,15 +258,7 @@ def check_condition2(base: Base, h: Pattern) -> bool:
         for t in fe.tokens():
             for b in fe.boundary_vertices(t):
                 at.setdefault(b, set()).add(t)
-    for toks in at.values():
-        if len({g for (g, _hv) in toks}) > 1:
-            return False
-        hvs = sorted({hv for (_g, hv) in toks})
-        for i, u in enumerate(hvs):
-            for v in hvs[i + 1 :]:
-                if not h.graph.has_edge(u, v):
-                    return False
-    return True
+    return all(_tokens_meet(toks, h) for toks in at.values())
 
 
 # ---------------------------------------------------------------------------
@@ -295,24 +301,14 @@ _SLOT_CHOICES = {
 }
 
 
-def _positions(tok, edge) -> frozenset:
-    if edge["kind"] == "spot":
-        return frozenset((0, 1))
-    return edge["slots"][tok]
-
-
 def _placement_ok(tok, ei, slots, edges, placed, h) -> bool:
     g, hv = tok
     # a same-edge boundary position shared with another token forces, after
     # gluing, a common base vertex: reject group/clique violations right away
-    edge = edges[ei] if ei < len(edges) else None
-    if edge is not None:
-        for tok2 in edge["slots"] if edge["kind"] == "stripe" else ():
-            common = slots & edge["slots"][tok2]
-            if not common:
-                continue
-            g2, hv2 = tok2
-            if g2 != g or not h.graph.has_edge(hv, hv2):
+    # (only stripes are extended; spots are created full)
+    if ei < len(edges):
+        for tok2, slots2 in edges[ei]["slots"].items():
+            if slots & slots2 and not _tokens_meet((tok, tok2), h):
                 return False
     # adjacency constraints against already placed neighbors of the group
     for hv2 in h.graph.neighbors(hv):
@@ -376,27 +372,16 @@ def _token_plans(h: Pattern, order: list, budget: dict | None = None):
     yield from rec(0)
 
 
-def _block_tokens(plan, block) -> set:
-    out = set()
+def _block_ok(plan, block, h) -> bool:
+    """The tokens at a block of glued endpoints may meet there."""
+    toks = set()
     for ei, p in block:
         edge = plan[ei]
         if edge["kind"] == "spot":
-            out.add(edge["token"])
+            toks.add(edge["token"])
         else:
-            out |= {t for t, slots in edge["slots"].items() if p in slots}
-    return out
-
-
-def _block_ok(plan, block, h) -> bool:
-    toks = _block_tokens(plan, block)
-    if len({g for (g, _hv) in toks}) > 1:
-        return False
-    hvs = sorted({hv for (_g, hv) in toks})
-    for i, u in enumerate(hvs):
-        for v in hvs[i + 1 :]:
-            if not h.graph.has_edge(u, v):
-                return False
-    return True
+            toks |= {t for t, slots in edge["slots"].items() if p in slots}
+    return _tokens_meet(toks, h)
 
 
 def _glued_bases(plan, h: Pattern):
@@ -445,71 +430,40 @@ def _glued_bases(plan, h: Pattern):
 
 
 def _canonical_base_key(base: Base):
-    """Label-independent key: minimum over group relabelings and reflections."""
+    """Label-independent key: minimum over group relabelings only.
+
+    Under a relabeling, each base vertex gets a descriptor: the sorted tuple
+    of (edge payload, boundary tokens at this end), one pair per edge end
+    glued there.  The payload is the edge's kind, member count, spot or
+    interior tokens and sorted pair of boundary sets.  The key is the sorted
+    tuple of the vertex descriptors.  No edge order or end flip needs
+    searching: every base edge carries a token and no token sits on two
+    edges, so once groups are relabelled a payload names its edge; the two
+    ends of an edge are distinct vertices, so the edge's members are exactly
+    the vertices whose descriptors hold its payload.  The key thus rebuilds
+    the base up to vertex names, and equal keys mean isomorphic bases.
+    """
     groups = sorted({g for (g, _hv) in base.tokens()})
-    flippable = [i for i, fe in enumerate(base.edges) if len(fe.members) == 2]
     best = None
     for perm in itertools.permutations(groups):
         gmap = {g: i + 1 for i, g in enumerate(perm)}
 
-        def tok(t, gmap=gmap):
-            return (gmap[t[0]], t[1])
+        def toks(ts, gmap=gmap):
+            return tuple(sorted((gmap[g], hv) for (g, hv) in ts))
 
-        descs = []
+        ends: list = [[] for _ in range(base.n_vertices)]
         for fe in base.edges:
             if fe.kind == "spot":
-                payload = ("spot", tok(fe.spot_token) if fe.spot_token else None)
+                at = ((), ())
+                payload = ("spot", 2, toks(fe.tokens()), at)
             else:
-                bnds = tuple(tuple(sorted(map(tok, bd))) for bd in fe.boundaries)
-                payload = (
-                    "stripe",
-                    len(fe.members),
-                    tuple(sorted(map(tok, fe.interior))),
-                    min(bnds, bnds[::-1]),
-                )
-            descs.append(payload)
-        edge_order = sorted(range(len(base.edges)), key=lambda i: descs[i])
-        # token payloads make edges nearly always distinguishable; permute
-        # only within runs of equal descriptors to stay exact
-        runs, start = [], 0
-        for i in range(1, len(edge_order) + 1):
-            if i == len(edge_order) or descs[edge_order[i]] != descs[edge_order[start]]:
-                runs.append(edge_order[start:i])
-                start = i
-        for ordering in itertools.product(*[itertools.permutations(r) for r in runs]):
-            flat = [i for run in ordering for i in run]
-            for flips in itertools.product(
-                (False, True), repeat=len([i for i in flat if i in flippable])
-            ):
-                flippos = iter(flips)
-                names: dict = {}
-                key = []
-                for i in flat:
-                    fe = base.edges[i]
-                    members = fe.members
-                    bnds = fe.boundaries
-                    if len(members) == 2 and next(flippos):
-                        members = members[::-1]
-                        bnds = bnds[::-1]
-                    ids = []
-                    for b in members:
-                        if b not in names:
-                            names[b] = len(names)
-                        ids.append(names[b])
-                    if fe.kind == "spot":
-                        key.append(("spot", tuple(ids), tok(fe.spot_token) if fe.spot_token else None))
-                    else:
-                        key.append(
-                            (
-                                "stripe",
-                                tuple(ids),
-                                tuple(sorted(map(tok, fe.interior))),
-                                tuple(tuple(sorted(map(tok, bd))) for bd in bnds),
-                            )
-                        )
-                cand = tuple(key)
-                if best is None or cand < best:
-                    best = cand
+                at = tuple(toks(bd) for bd in fe.boundaries)
+                payload = ("stripe", len(at), toks(fe.interior), tuple(sorted(at)))
+            for b, bd in zip(fe.members, at):
+                ends[b].append((payload, bd))
+        cand = tuple(sorted(tuple(sorted(e)) for e in ends))
+        if best is None or cand < best:
+            best = cand
     return best
 
 
@@ -547,9 +501,12 @@ def enumerate_bases(h: Pattern, k: int):
     token (an edge a matching touches always holds a matching vertex), and
     satisfies both token conditions.  Generation places tokens one at a time
     (each constrained by previously placed group neighbors), then glues edge
-    endpoints in all admissible ways; isomorphic duplicates are removed via
-    a canonical key, so the stream is deterministic and duplicate-free.
-    Raises a size-cap error when hk exceeds ``HK_CAP_DEFAULT``.
+    endpoints in all admissible ways.  Of each isomorphism class only the
+    first base generated is kept; the class is told by a canonical key that
+    minimises over group relabelings alone, because tokens already name
+    every edge (see ``_canonical_base_key``).  The stream is therefore
+    deterministic and duplicate-free.  Raises a size-cap error when hk
+    exceeds ``HK_CAP_DEFAULT``.
     """
     if k < 0:
         raise InputError("k must be non-negative")
@@ -737,54 +694,30 @@ def blank(f: ElementColoring, ss: StripStructure, base: Base):
     edge_map: dict = {}
     alignment: dict = {}
     colors: dict = {("rv", r): ("v", b) for r, b in vkeep.items()}
-    present = set(colors.values())
     for eid, members in ss.edges:
         kind = classify_strip(ss.strips[eid])
-        if kind == "spot":
-            fi = _edge_color_id(f.color(("spot", eid)), "spotc", base)
-            if fi is None or base.edges[fi].kind != "spot" or len(members) != 2:
-                continue
-            p, q = members
-            pb, qb = base.edges[fi].members
-            got = (vkeep.get(p), vkeep.get(q))
-            if got == (pb, qb):
-                align = {p: pb, q: qb}
-            elif got == (qb, pb):
-                align = {p: qb, q: pb}
-            else:
-                continue
-            edge_map[eid] = fi
-            alignment[eid] = align
-            colors[("spot", eid)] = ("spotc", fi)
-            present.add(("spotc", fi))
-        elif kind == "stripe":
-            fi = _edge_color_id(f.color(("int", eid)), "intc", base)
-            if fi is None:
-                continue
-            fe = base.edges[fi]
-            if fe.kind != "stripe" or len(fe.members) != len(members):
-                continue
-            orders = [fe.members]
-            if len(members) == 2:
-                orders.append(fe.members[::-1])
-            align = None
-            for cand in orders:
-                pairing = dict(zip(members, cand))
-                if all(vkeep.get(r) == b for r, b in pairing.items()) and all(
-                    f.color(("bnd", eid, r)) == ("bndc", fi, b)
-                    for r, b in pairing.items()
-                ):
-                    align = pairing
-                    break
-            if align is None:
-                continue
-            edge_map[eid] = fi
-            alignment[eid] = align
-            colors[("int", eid)] = ("intc", fi)
-            present.add(("intc", fi))
-            for r, b in align.items():
-                colors[("bnd", eid, r)] = ("bndc", fi, b)
-                present.add(("bndc", fi, b))
+        if kind not in ("spot", "stripe"):
+            continue
+        part = ("spot", eid) if kind == "spot" else ("int", eid)
+        fi = _edge_color_id(f.color(part), part[0] + "c", base)
+        if fi is None or base.edges[fi].kind != kind:
+            continue
+        # the surviving vertex colors must spell out the base edge's ends
+        ends = base.edges[fi].members
+        align = {r: vkeep.get(r) for r in members}
+        if len(members) != len(ends) or set(align.values()) != set(ends):
+            continue
+        # and a stripe's boundary elements the colors of those ends
+        bnd = {}
+        if kind == "stripe":
+            bnd = {("bnd", eid, r): ("bndc", fi, b) for r, b in align.items()}
+        if any(f.color(el) != c for el, c in bnd.items()):
+            continue
+        edge_map[eid] = fi
+        alignment[eid] = align
+        colors[part] = (part[0] + "c", fi)
+        colors.update(bnd)
+    present = set(colors.values())
     if any(c not in present for c in base_palette(base)):
         return None
     return ElementColoring(colors), BaseSurjection(vkeep, edge_map, alignment)
@@ -818,6 +751,13 @@ def _validate_certificates(ss: StripStructure, certificates) -> dict:
                 f"certificate for strip-edge {eid} must be a fuzzy arc model or 'alpha4'"
             )
     return certs
+
+
+def _require_fitting(ss: StripStructure, eid, cert: FuzzyArcModel) -> None:
+    """A fuzzy certificate must realize the interior of its strip."""
+    msg = _fuzzy_cert_consistent(ss.strips[eid], cert)
+    if msg is not None:
+        raise InputError(f"certificate for strip-edge {eid}: {msg}")
 
 
 def _sub_fuzzy_model(fam: FuzzyArcModel, positions) -> FuzzyArcModel:
@@ -973,18 +913,14 @@ def solve_strip_interiors(
     """
     certs = _validate_certificates(ss, certificates)
     note = {"deviations": deviations, "braced": set()}
-    checked: set = set()
     out: dict = {}
     kp = 0
     for eid in sorted(surj.edge_map):
         fi = surj.edge_map[eid]
         fe = base.edges[fi]
         cert = certs.get(eid)
-        if isinstance(cert, FuzzyArcModel) and eid not in checked:
-            msg = _fuzzy_cert_consistent(ss.strips[eid], cert)
-            if msg is not None:
-                raise InputError(f"certificate for strip-edge {eid}: {msg}")
-            checked.add(eid)
+        if isinstance(cert, FuzzyArcModel):
+            _require_fitting(ss, eid, cert)
         res = _realize_edge(ss, eid, fe, surj.alignment.get(eid, {}), h, cert, note)
         if res is None:
             continue
@@ -1070,7 +1006,7 @@ def _alignment_options(f_members, e_members):
 
 def _embeddings(base: Base, ss: StripStructure, profiles: dict):
     """Injective shape-preserving maps of the base into the strip-graph."""
-    eids = [eid for eid, _m in ss.edges]
+    members = dict(ss.edges)
     vmap: dict = {}
     emap: dict = {}
     rused: set = set()
@@ -1081,10 +1017,10 @@ def _embeddings(base: Base, ss: StripStructure, profiles: dict):
             return
         fe = base.edges[fi]
         want = (fe.kind, len(fe.members))
-        for eid in eids:
+        for eid in members:
             if eid in emap.values() or profiles[eid] != want:
                 continue
-            for pairs in _alignment_options(fe.members, ss.members(eid)):
+            for pairs in _alignment_options(fe.members, members[eid]):
                 added = []
                 ok = True
                 for b, r in pairs:
@@ -1110,48 +1046,34 @@ def _embeddings(base: Base, ss: StripStructure, profiles: dict):
     yield from rec(0)
 
 
-def _natural_coloring(base: Base, ss: StripStructure, emb) -> ElementColoring:
-    """The coloring whose unblanked part is exactly the given embedding."""
+def _embedded_surjection(base: Base, emb) -> BaseSurjection:
+    """The surjection blanking leaves of the coloring that paints exactly
+    the embedding ``emb`` (every other element gets a color that blanks)."""
     vmap, emap = emb
-    rinv = {r: b for b, r in vmap.items()}
-    einv = {eid: fi for fi, eid in emap.items()}
-    palette = base_palette(base)
-    vblock = next(c for c in palette if c[0] != "v")  # blanks a strip-vertex
-    eblock = ("v", 0)  # never a legal edge-element color
-    colors = {}
-    for el in structure_elements(ss):
-        tag = el[0]
-        if tag == "rv":
-            colors[el] = ("v", rinv[el[1]]) if el[1] in rinv else vblock
-        elif tag == "spot":
-            fi = einv.get(el[1])
-            colors[el] = ("spotc", fi) if fi is not None else eblock
-        elif tag == "int":
-            fi = einv.get(el[1])
-            colors[el] = ("intc", fi) if fi is not None else eblock
-        else:
-            _tag, eid, r = el
-            fi = einv.get(eid)
-            colors[el] = ("bndc", fi, rinv[r]) if fi is not None else eblock
-    return ElementColoring(colors)
+    return BaseSurjection(
+        {r: b for b, r in vmap.items()},
+        {eid: fi for fi, eid in emap.items()},
+        {eid: {vmap[b]: b for b in base.edges[fi].members} for fi, eid in emap.items()},
+    )
 
 
 def _pipeline(g, h, k, ss, certificates, cfg: _RunConfig, deviations):
     profiles = _strip_profiles(ss)
-    elements = structure_elements(ss)
     supply: dict = {}
     for shape in profiles.values():
         supply[shape] = supply.get(shape, 0) + 1
     # a plan never creates more than hk edges, so higher supply is equivalent
     hk = h.h * k
     shapes = tuple(sorted((s, min(c, hk)) for s, c in supply.items()))
+    elements = structure_elements(ss) if cfg.mode == "random" else None
     for base in _shaped_bases(h, k, shapes):
         if cfg.mode == "exhaustive":
-            colorings = (
-                _natural_coloring(base, ss, emb)
-                for emb in _embeddings(base, ss, profiles)
-            )
+            # one surjection per embedding, built directly (module docstring)
+            embs = _embeddings(base, ss, profiles)
+            surjections = (_embedded_surjection(base, emb) for emb in embs)
         else:
+            # the paper's color coding: draw colorings, keep what blanking
+            # leaves of them
             colorings = coloring_family(
                 elements,
                 base_palette(base),
@@ -1159,11 +1081,9 @@ def _pipeline(g, h, k, ss, certificates, cfg: _RunConfig, deviations):
                 trials=cfg.trials,
                 seed=cfg.seed,
             )
-        for f in colorings:
-            blanked = blank(f, ss, base)
-            if blanked is None:
-                continue
-            _f2, surj = blanked
+            blanked = (blank(f, ss, base) for f in colorings)
+            surjections = (out[1] for out in blanked if out is not None)
+        for surj in surjections:
             assignments, kp = solve_strip_interiors(
                 ss, base, surj, h, certificates, deviations
             )
@@ -1191,18 +1111,30 @@ def _require_valid_structure(g, ss) -> None:
     _strip_profiles(ss)  # rejects strips that are neither spots nor stripes
 
 
-def _collect(chunks, h, k, cfg, deviations) -> list:
-    """Up to k pattern copies gathered chunk by chunk, in host ids.
+def _pieces(triples, h, cfg: _RunConfig, deviations) -> list:
+    """(settle, host id map) per (graph, host id map, certificate) triple.
 
-    ``chunks`` yields (graph, host id map, certificate) triples for pieces
-    of the host with no edges between them.  Each chunk is asked for 1, 2,
-    ... copies until it fails; its last success is mapped back to the host.
+    ``settle()`` returns the piece's route, settled on first use and kept,
+    so the rungs of an outer ladder never settle a piece twice.
+    """
+    return [
+        (functools.cache(functools.partial(_route, sub, h, cert, cfg, deviations)), to_host)
+        for sub, to_host, cert in triples
+    ]
+
+
+def _collect(pieces, k) -> list:
+    """Up to k pattern copies gathered piece by piece, in host ids.
+
+    ``pieces`` (from ``_pieces``) are parts of a host with no edges between
+    them.  Each is asked for 1, 2, ... copies until it fails; its last
+    success is mapped back to the host.
     """
     collected: list = []
-    for sub, to_host, cert in chunks:
+    for settle, to_host in pieces:
         found = ()
         for kk in range(1, k - len(collected) + 1):
-            m = _route(sub, h, kk, cert, cfg, deviations)
+            m = settle()(kk)
             if m is None:
                 break
             found = m.occurrences
@@ -1212,85 +1144,93 @@ def _collect(chunks, h, k, cfg, deviations) -> list:
     return collected
 
 
-def _solve_structured(g, h, k, ss, certs, cfg: _RunConfig, deviations):
-    """Run the pipeline over an already validated structure.
+def _assembled(g, h, pieces, ss, certs, cfg: _RunConfig, deviations):
+    """solve(kk): copies from the free-standing ``pieces`` first, then the
+    pipeline over ``ss`` (None: none) for whatever they leave of kk."""
+
+    def solve(kk):
+        collected = _collect(pieces, kk)
+        if len(collected) < kk:
+            m = None
+            if ss is not None:
+                m = _pipeline(g, h, kk - len(collected), ss, certs, cfg, deviations)
+            if m is None:
+                return None
+            collected.extend(m.occurrences)
+        return _validated(Matching(tuple(collected)), g, h)
+
+    return solve
+
+
+def _structured(g, h, ss, certs, cfg: _RunConfig, deviations):
+    """The pipeline over an already validated structure, as solve(kk).
 
     Strip-edges without strip-vertices have no boundaries, hence no edges to
     the rest of the host: their bodies are solved first as free-standing
-    chunks, and the pipeline covers whatever they leave of k.
+    pieces, and the pipeline covers the strip-edges with strip-vertices.
     """
-    zero = [eid for eid, members in ss.edges if not members]
-    chunks = ((ss.strips[e].graph, ss.strips[e].g_map, certs.get(e)) for e in zero)
-    collected = _collect(chunks, h, k, cfg, deviations)
-    if len(collected) >= k:
-        return _validated(Matching(tuple(collected)), g, h)
-    rest = [(eid, members) for eid, members in ss.edges if members]
+    free = [(ss.strips[e].graph, ss.strips[e].g_map, certs.get(e)) for e, m in ss.edges if not m]
+    pieces = _pieces(free, h, cfg, deviations)
+    rest = tuple((e, m) for e, m in ss.edges if m)
     if not rest:
-        return None
-    ss2 = StripStructure(
-        ss.r_vertices,
-        tuple(rest),
-        {eid: ss.strips[eid] for eid, _m in rest},
-        {eid: ss.z_assign[eid] for eid, _m in rest},
-    )
-    sub_certs = {eid: c for eid, c in certs.items() if eid in {e for e, _m in rest}}
-    m2 = _pipeline(g, h, k - len(collected), ss2, sub_certs, cfg, deviations)
-    if m2 is None:
-        return None
-    return _validated(Matching(tuple(collected + list(m2.occurrences))), g, h)
+        return _assembled(g, h, pieces, None, None, cfg, deviations)
+    strips = {e: ss.strips[e] for e, _m in rest}
+    sub = StripStructure(ss.r_vertices, rest, strips, {e: ss.z_assign[e] for e in strips})
+    sub_certs = {e: c for e, c in certs.items() if e in strips}
+    return _assembled(g, h, pieces, sub, sub_certs, cfg, deviations)
 
 
-def _route(g0, h, k0, cert, cfg: _RunConfig, deviations):
-    """Solve one chunk: the host, one of its components, or a strip body.
+def _route(g0, h, cert, cfg: _RunConfig, deviations):
+    """Settle how one chunk is solved: the host, a component, or a strip body.
 
     ``cert`` is what is known about the chunk: nothing (None), a fuzzy arc
-    model realizing it, the promise "alpha4", or a validated
-    (strip-structure, certificates) pair.  The first step that applies
-    decides:
+    model realizing it (checked at entry), the promise "alpha4", or a
+    validated (strip-structure, certificates) pair.  Returns ``solve(kk)``,
+    which finds kk >= 1 copies or returns None; the work that does not
+    depend on kk is done once per chunk, not once per call.  The first step
+    that applies decides:
 
-      1. k0 = 0: the empty matching;
-      2. fewer vertices than the pattern: no matching;
-      3. a fuzzy model: the fuzzy arc solver; "alpha4": bounded search;
-      4. independence number (computed once per chunk) at most 4: bounded
-         search; k0 above it: no matching;
-      5. a supplied structure: the pipeline over it;
-      6. several components: each solved on its own, combined additively;
-      7. a line graph: the pipeline over its strip-structure;
-      8. otherwise exhaustive search, logged to ``deviations``.
+      1. fewer vertices than the pattern: no matching;
+      2. a fuzzy model: the fuzzy arc solver; "alpha4": bounded search;
+      3. independence number at most 4: bounded search; kk above it: no
+         matching;
+      4. a supplied structure: the pipeline over it;
+      5. several components: each settled on its own, combined additively;
+      6. a line graph: the pipeline over its strip-structure;
+      7. otherwise exhaustive search, logged once to ``deviations``.
+
+    Steps 4-7 are settled on the first call with kk at most the
+    independence number, so a count above it costs no structure work.
     """
-    if k0 == 0:
-        return Matching(())
     if g0.n < h.h:
-        return None
+        return lambda kk: None
     if isinstance(cert, FuzzyArcModel):
-        realized = realize(cert)
-        if realized.n != g0.n or realized.edges != g0.edges:
-            raise InputError("fuzzy model does not realize the graph it certifies")
-        return solve_igm_fuzzy_ca(cert, h, k0)
+        return lambda kk: solve_igm_fuzzy_ca(cert, h, kk)
     if cert == "alpha4":
-        return solve_igm_small_alpha(g0, h, k0, trust_alpha=True)
+        return lambda kk: solve_igm_small_alpha(g0, h, kk, trust_alpha=True)
     alpha, _w = brute_force_mis(g0)
     if alpha <= 4:
-        return solve_igm_small_alpha(g0, h, k0, trust_alpha=True)
-    if k0 > alpha:
-        return None
-    if cert is None:
+        return lambda kk: solve_igm_small_alpha(g0, h, kk, trust_alpha=True)
+
+    @functools.cache
+    def settle():
+        if cert is not None:
+            return _structured(g0, h, *cert, cfg, deviations)
         comps = g0.components()
         if len(comps) > 1:
-            chunks = ((g0.induced(c), c, None) for c in comps)
-            found = _collect(chunks, h, k0, cfg, deviations)
-            return Matching(tuple(found)) if len(found) >= k0 else None
+            pieces = _pieces([(g0.induced(c), c, None) for c in comps], h, cfg, deviations)
+            return _assembled(g0, h, pieces, None, None, cfg, deviations)
         lg = line_graph_strip_structure(g0)
         if lg is None:
             if deviations is not None:
                 deviations.append(
                     f"component of {g0.n} vertices solved exhaustively (no structure found)"
                 )
-            return find_igm(g0, h, k0)
+            return lambda kk: find_igm(g0, h, kk)
         _require_valid_structure(g0, lg)
-        cert = (lg, {})
-    ss, certs = cert
-    return _solve_structured(g0, h, k0, ss, certs, cfg, deviations)
+        return _structured(g0, h, lg, {}, cfg, deviations)
+
+    return lambda kk: None if kk > alpha else settle()(kk)
 
 
 def solve_igm_claw_free(
@@ -1307,18 +1247,22 @@ def solve_igm_claw_free(
 ) -> Matching | None:
     """Find k pairwise disjoint, pairwise non-adjacent induced copies of h.
 
-    A supplied ``ss`` (with optional per-strip ``certificates``) is
-    validated up front, so an invalid structure raises on every host.  Then
-    the first rule that applies decides: k = 0 gives the empty matching, a
-    host smaller than h gives None; a whole-host ``fuzzy_model`` goes to the
-    fuzzy arc solver; a host with independence number at most 4 goes to
-    bounded search, and k above that number gives None.  Otherwise the
-    base-times-coloring pipeline runs over ``ss`` when given; its
-    strip-edges without strip-vertices are solved first, each body as a
-    host of its own.  Without ``ss``, a disconnected host is split into
-    components solved the same way and combined additively, a connected
-    line graph uses ``line_graph_strip_structure``, and any other host falls
-    back to exhaustive search, logged once to ``deviations``.  Pass
+    A supplied ``ss`` (with optional per-strip ``certificates``) and a
+    whole-host ``fuzzy_model`` are validated up front, so an invalid
+    structure, or a fuzzy model that does not realize the host or the strip
+    interior it certifies, raises on every host and every k, whether or not
+    the search would reach it.  Then the first rule that applies decides: k = 0
+    gives the empty matching, a host smaller than h gives None; a
+    whole-host ``fuzzy_model`` goes to the fuzzy arc solver; a host with
+    independence number at most 4 goes to bounded search, and k above that
+    number gives None.  Otherwise the base-times-coloring pipeline runs over
+    ``ss`` when given; its strip-edges without strip-vertices are solved
+    first, each body as a host of its own.  Without ``ss``, a disconnected
+    host is split into components solved the same way and combined
+    additively, a connected line graph uses ``line_graph_strip_structure``,
+    and any other host falls back to exhaustive search, logged once to
+    ``deviations``.  A piece of the host that is asked for 1, 2, ... copies
+    in turn settles its route once, not once per count.  Pass
     ``ss=trivial_strip_structure(g)`` to wrap the whole host in one strip.
 
     Exhaustive coloring mode is exact; random mode (seeded, ``trials`` draws
@@ -1337,11 +1281,20 @@ def solve_igm_claw_free(
     if coloring == "random" and (trials is None or trials < 0):
         raise InputError("random coloring mode needs a non-negative trial count")
     cert = fuzzy_model
+    if fuzzy_model is not None:
+        realized = realize(fuzzy_model)
+        if realized.n != g.n or realized.edges != g.edges:
+            raise InputError("fuzzy model does not realize the graph it certifies")
     if ss is not None:
         _require_valid_structure(g, ss)
         certs = _validate_certificates(ss, certificates)
+        for eid, c in certs.items():
+            if isinstance(c, FuzzyArcModel):
+                _require_fitting(ss, eid, c)
         if cert is None:
             cert = (ss, certs)
     elif certificates:
         raise InputError("certificates need an explicit strip-structure")
-    return _route(g, h, k, cert, _RunConfig(coloring, trials, seed), deviations)
+    if k == 0:
+        return Matching(())
+    return _route(g, h, cert, _RunConfig(coloring, trials, seed), deviations)(k)

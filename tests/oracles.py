@@ -5,8 +5,11 @@ and adjacency accessors only, deliberately not reusing the package's own
 search helpers, so that agreement between a solver and its oracle is
 meaningful.  All routines are exponential and sized for test instances.
 
-The one exception is ``wis_reference``: it pins witnesses, not just answers,
-so it must branch over the package's own clique partition.
+The exceptions pin witnesses or streams, not just answers, so they follow
+the package's own search order or data types: ``wis_reference`` branches over
+the package's clique partition, ``canonical_base_key_reference`` keys the
+package's bases, and ``natural_coloring_reference`` paints its structure
+elements.
 """
 
 import itertools
@@ -162,3 +165,95 @@ def is_line_graph_exhaustive(g) -> bool:
         if is_isomorphic(cand, g):
             return True
     return False
+
+
+def canonical_base_key_reference(base):
+    """A complete isomorphism key for color-coding bases, by brute force.
+
+    The minimum over group relabelings, orders of equal edge descriptors
+    and end flips of every two-member edge, of the edge list with vertices
+    named in order of first appearance.  Equal keys mean isomorphic bases,
+    so ``_base_stream`` must keep the same first base of each class under
+    this key as under the package's own.
+    """
+    groups = sorted({g for (g, _hv) in base.tokens()})
+    flippable = [i for i, fe in enumerate(base.edges) if len(fe.members) == 2]
+    best = None
+    for perm in itertools.permutations(groups):
+        gmap = {g: i + 1 for i, g in enumerate(perm)}
+
+        def tok(t, gmap=gmap):
+            return (gmap[t[0]], t[1])
+
+        descs = []
+        for fe in base.edges:
+            if fe.kind == "spot":
+                payload = ("spot", tok(fe.spot_token) if fe.spot_token else None)
+            else:
+                bnds = tuple(tuple(sorted(map(tok, bd))) for bd in fe.boundaries)
+                payload = ("stripe", len(fe.members),
+                           tuple(sorted(map(tok, fe.interior))),
+                           min(bnds, bnds[::-1]))
+            descs.append(payload)
+        edge_order = sorted(range(len(base.edges)), key=lambda i: descs[i])
+        runs, start = [], 0
+        for i in range(1, len(edge_order) + 1):
+            if i == len(edge_order) or descs[edge_order[i]] != descs[edge_order[start]]:
+                runs.append(edge_order[start:i])
+                start = i
+        for ordering in itertools.product(*[itertools.permutations(r) for r in runs]):
+            flat = [i for run in ordering for i in run]
+            nflip = len([i for i in flat if i in flippable])
+            for flips in itertools.product((False, True), repeat=nflip):
+                flippos = iter(flips)
+                names = {}
+                key = []
+                for i in flat:
+                    fe = base.edges[i]
+                    members, bnds = fe.members, fe.boundaries
+                    if len(members) == 2 and next(flippos):
+                        members, bnds = members[::-1], bnds[::-1]
+                    ids = []
+                    for b in members:
+                        names.setdefault(b, len(names))
+                        ids.append(names[b])
+                    if fe.kind == "spot":
+                        key.append(("spot", tuple(ids),
+                                    tok(fe.spot_token) if fe.spot_token else None))
+                    else:
+                        key.append(("stripe", tuple(ids),
+                                    tuple(sorted(map(tok, fe.interior))),
+                                    tuple(tuple(sorted(map(tok, bd))) for bd in bnds)))
+                cand = tuple(key)
+                if best is None or cand < best:
+                    best = cand
+    return best
+
+
+def natural_coloring_reference(base, ss, vmap, emap):
+    """The coloring of ``ss``'s elements that paints exactly one embedding.
+
+    ``vmap`` sends base vertices to strip-vertices and ``emap`` base edge
+    indices to strip-edge ids.  Embedded elements get the matching palette
+    color; every other element gets a color that blanking erases (a
+    non-vertex color on a strip-vertex, a vertex color on an edge part).
+    """
+    from igmatch.color_coding import ElementColoring, base_palette, structure_elements
+
+    rinv = {r: b for b, r in vmap.items()}
+    einv = {eid: fi for fi, eid in emap.items()}
+    vblock = next(c for c in base_palette(base) if c[0] != "v")
+    eblock = ("v", 0)
+    colors = {}
+    for el in structure_elements(ss):
+        tag = el[0]
+        if tag == "rv":
+            colors[el] = ("v", rinv[el[1]]) if el[1] in rinv else vblock
+        elif tag in ("spot", "int"):
+            fi = einv.get(el[1])
+            colors[el] = (tag + "c", fi) if fi is not None else eblock
+        else:
+            _tag, eid, r = el
+            fi = einv.get(eid)
+            colors[el] = ("bndc", fi, rinv[r]) if fi is not None else eblock
+    return ElementColoring(colors)

@@ -1,7 +1,10 @@
 import itertools
 import random
+from collections import Counter
 
 import pytest
+
+import igmatch.color_coding as cc
 
 from igmatch.errors import InputError, SizeCapError
 from igmatch.graphs import (
@@ -44,6 +47,7 @@ from igmatch.color_coding import (
     structure_elements,
     token_set,
 )
+from oracles import canonical_base_key_reference, natural_coloring_reference
 
 
 # ---------------------------------------------------------------------------
@@ -244,6 +248,31 @@ def test_enumerate_bases_cap_and_degenerate_k(k3, k2):
     assert list(enumerate_bases(k2, 0)) == []
 
 
+# (pattern, k, shape budget) cases that stream in under a second under the
+# brute-force reference key; budgets as _shaped_bases receives them.  The
+# last two glue several groups onto two-member stripes, where a key that
+# forgot which end of an edge another edge is glued to would merge classes.
+STREAM_CASES = (
+    ("k2", 2, {("spot", 2): 4}),
+    ("k2", 3, {("spot", 2): 6}),
+    ("p3", 2, {("spot", 2): 6}),
+    ("k2", 1, None),
+    ("p3", 1, None),
+    ("k3", 1, None),
+    ("k1", 2, None),
+    ("k2", 2, {("stripe", 1): 2, ("stripe", 2): 2}),
+)
+
+
+def test_base_stream_matches_the_brute_force_key(monkeypatch, k1, k2, k3, p3):
+    pats = {"k1": k1, "k2": k2, "k3": k3, "p3": p3}
+    got = [list(cc._base_stream(pats[h], k, b)) for h, k, b in STREAM_CASES]
+    monkeypatch.setattr(cc, "_canonical_base_key", canonical_base_key_reference)
+    want = [list(cc._base_stream(pats[h], k, b)) for h, k, b in STREAM_CASES]
+    assert [len(s) for s in got] == [3, 4, 1, 39, 145, 353, 50, 555]
+    assert got == want
+
+
 # ---------------------------------------------------------------------------
 # the two token conditions on hand-built bases
 
@@ -373,6 +402,30 @@ def test_blank_fails_when_a_color_disappears():
         ("bnd", 1, 0): ("v", 0),
     })
     assert blank(swapped, ss, base) is None
+
+
+def test_embedded_surjections_are_what_blanking_leaves(k2, p3):
+    """Exhaustive mode skips colorings: each embedding's surjection must be
+    the one blanking leaves of the coloring that paints exactly it."""
+    structures = (
+        two_stripe_p4()[1],
+        c11_two_stripes()[1],
+        line_graph_strip_structure(path_graph(8)),
+    )
+    runs = 0
+    for ss in structures:
+        profiles = cc._strip_profiles(ss)
+        supply = Counter(profiles.values())
+        for h, k in ((k2, 1), (p3, 1), (k2, 2)):
+            shapes = tuple(sorted((s, min(c, h.h * k)) for s, c in supply.items()))
+            for base in cc._shaped_bases(h, k, shapes):
+                for vmap, emap in cc._embeddings(base, ss, profiles):
+                    f = natural_coloring_reference(base, ss, vmap, emap)
+                    out = blank(f, ss, base)
+                    assert out is not None
+                    assert out[1] == cc._embedded_surjection(base, (vmap, emap))
+                    runs += 1
+    assert runs > 100
 
 
 # ---------------------------------------------------------------------------
@@ -753,6 +806,55 @@ def test_driver_validates_a_supplied_structure_once(monkeypatch, k2):
     calls = _counting(monkeypatch, "validate_strip_structure")
     assert solve_igm_claw_free(g, k2, 2, ss=ss) is not None
     assert len(calls) == 1
+
+
+def test_driver_settles_each_chunk_once(monkeypatch, k2):
+    """The ladder asks a chunk for 1, 2, ... copies; the independence test,
+    structure work and fallback deviation happen once per chunk, not per
+    rung (settling per rung made 4 calls and 3 deviations, 5 calls, and 31
+    calls)."""
+    calls = _counting(monkeypatch, "brute_force_mis")
+    g = _square_of_cycle(15)
+    devs = []
+    got = solve_igm_claw_free(g, k2, 3, ss=trivial_strip_structure(g), deviations=devs)
+    assert [o.vertices for o in got.occurrences] == [(0, 1), (4, 5), (8, 9)]
+    assert len(calls) == 2 and len(devs) == 1
+    del calls[:]
+    got = solve_igm_claw_free(disjoint_union(path_graph(3), cycle_graph(11)), k2, 3)
+    assert [o.vertices for o in got.occurrences] == [(0, 1), (3, 4), (6, 7)]
+    assert len(calls) == 3
+    # a disconnected strip body on the ladder: each component settled once
+    del calls[:]
+    g = path_graph(2)
+    for _ in range(4):
+        g = disjoint_union(g, path_graph(2))
+    got = solve_igm_claw_free(g, k2, 5, ss=trivial_strip_structure(g))
+    assert [o.vertices for o in got.occurrences] == [(0, 1), (2, 3), (4, 5), (6, 7), (8, 9)]
+    assert len(calls) == 2 + 5
+
+
+def test_driver_checks_fuzzy_models_at_entry(k2, k3):
+    # two disjoint arcs realize two isolated vertices, not an edge
+    two_arcs = FuzzyArcModel(ArcModel((Arc(0, 0, 10), Arc(1, 20, 30)), 100), {})
+    assert realize(two_arcs) == Graph(2, [])
+    g = complete_graph(2)
+    with pytest.raises(InputError, match="does not realize"):
+        solve_igm_claw_free(g, k2, 0, fuzzy_model=two_arcs)
+    with pytest.raises(InputError, match="does not realize"):
+        solve_igm_claw_free(g, k3, 1, fuzzy_model=two_arcs)  # host smaller than h
+    # strip certificates too, whether or not the search would reach them:
+    # the body of a strip-edge without strip-vertices at k = 0, a strip of
+    # a host with independence number 2, and one the first witness skips
+    with pytest.raises(InputError, match="certificate for strip-edge 0"):
+        solve_igm_claw_free(g, k2, 0, ss=trivial_strip_structure(g),
+                            certificates={0: two_arcs})
+    stub = FuzzyArcModel(ArcModel((Arc(0, 0, 5),), 100), {})
+    p4, p4ss = two_stripe_p4()
+    with pytest.raises(InputError, match="certificate for strip-edge 0"):
+        solve_igm_claw_free(p4, k2, 1, ss=p4ss, certificates={0: stub})
+    c11, c11ss = c11_two_stripes()
+    with pytest.raises(InputError, match="certificate for strip-edge 1"):
+        solve_igm_claw_free(c11, k2, 1, ss=c11ss, certificates={1: stub})
 
 
 # ---------------------------------------------------------------------------
