@@ -44,6 +44,7 @@ from .graphs import (
     find_igm,
     find_occurrence,
     max_igm,
+    revalidated,
     star_free,
 )
 from .models import Arc, ArcModel, FuzzyArcModel, realize
@@ -979,14 +980,6 @@ class _RunConfig:
     seed: int | None
 
 
-def _validated(m: Matching, g: Graph, h: Pattern) -> Matching:
-    try:
-        m.check(g, h)
-    except InputError as exc:
-        raise InternalError(f"solver assembled an invalid matching: {exc}") from exc
-    return m
-
-
 def _strip_profiles(ss: StripStructure) -> dict:
     prof = {}
     for eid, members in ss.edges:
@@ -1098,7 +1091,7 @@ def _pipeline(g, h, k, ss, certificates, cfg: _RunConfig, deviations):
             pool.extend(extra)
             if len(pool) < k:
                 raise InternalError("assembly produced fewer occurrences than promised")
-            return _validated(Matching(tuple(pool[:k])), g, h)
+            return revalidated(Matching(tuple(pool[:k])), g, h, "assembled matching")
     return None
 
 
@@ -1157,7 +1150,7 @@ def _assembled(g, h, pieces, ss, certs, cfg: _RunConfig, deviations):
             if m is None:
                 return None
             collected.extend(m.occurrences)
-        return _validated(Matching(tuple(collected)), g, h)
+        return revalidated(Matching(tuple(collected)), g, h, "assembled matching")
 
     return solve
 

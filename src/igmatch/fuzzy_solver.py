@@ -22,6 +22,7 @@ from .graphs import (
     compatible,
     enumerate_occurrences,
     find_igm,
+    revalidated,
     _occurrence_masks,
 )
 from .models import FuzzyArcModel, realize
@@ -75,31 +76,23 @@ def _residual_chain(model: FuzzyArcModel, occs, conflict, star: int,
             points.append(r4)
             groups.append([])
         groups[-1].append(i)
-    value: list[list[int]] = [[0]]  # value[0][0] is the fake entry
-    parent: list[list[tuple[int, int]]] = [[(-1, -1)]]
+    # value[0][0] is the fake entry
+    value: list[list[int]] = [[0]] + [[] for _ in groups]
+    parent: list[list[tuple[int, int]]] = [[(-1, -1)]] + [[] for _ in groups]
     best = (0, 0)
-    for gi, group in enumerate(groups, start=1):
-        value.append([])
-        parent.append([])
-        for oi in group:
-            bv, bp = 0, (0, 0)
-            for gi2 in range(1, gi):
-                for j2, oi2 in enumerate(groups[gi2 - 1]):
-                    v2 = value[gi2][j2]
-                    if v2 > bv and not (conflict[oi] >> oi2) & 1:
-                        bv, bp = v2, (gi2, j2)
-            value[gi].append(1 + bv)
-            parent[gi].append(bp)
-            if 1 + bv > value[best[0]][best[1]]:
-                best = (gi, len(value[gi]) - 1)
-                if stop_at is not None and 1 + bv >= stop_at:
-                    chain = []
-                    at = best
-                    while at != (0, 0):
-                        gi3, j3 = at
-                        chain.append(groups[gi3 - 1][j3])
-                        at = parent[gi3][j3]
-                    return 1 + bv, chain[::-1]
+    for gi, oi in ((gi, oi) for gi, group in enumerate(groups, start=1) for oi in group):
+        bv, bp = 0, (0, 0)
+        for gi2 in range(1, gi):
+            for j2, oi2 in enumerate(groups[gi2 - 1]):
+                v2 = value[gi2][j2]
+                if v2 > bv and not (conflict[oi] >> oi2) & 1:
+                    bv, bp = v2, (gi2, j2)
+        value[gi].append(1 + bv)
+        parent[gi].append(bp)
+        if 1 + bv > value[best[0]][best[1]]:
+            best = (gi, len(value[gi]) - 1)
+            if stop_at is not None and 1 + bv >= stop_at:
+                break
     length = value[best[0]][best[1]]
     chain = []
     at = best
@@ -135,11 +128,7 @@ def solve_igm_fuzzy_ca(model: FuzzyArcModel, h: Pattern, k: int) -> Matching | N
         if 1 + length >= k:
             picked = [occs[star]] + [occs[i] for i in chain[: k - 1]]
             matching = Matching(tuple(sorted(picked, key=lambda o: o.vertices)))
-            try:
-                matching.check(g, h)
-            except InputError as exc:
-                raise InternalError(f"fuzzy chain failed validation: {exc}")
-            return matching
+            return revalidated(matching, g, h, "fuzzy chain")
     return None
 
 

@@ -302,6 +302,20 @@ class Matching:
                 )
 
 
+def revalidated(found, g: Graph, h: Pattern, what: str):
+    """Return a solver's own Occurrence or Matching after re-checking it.
+
+    The check raises InputError, which blames the caller; an answer the
+    solver built itself that fails it is a solver bug, so it surfaces as
+    InternalError naming ``what``.
+    """
+    try:
+        found.check(g, h)
+    except InputError as exc:
+        raise InternalError(f"{what} failed validation: {exc}") from exc
+    return found
+
+
 def compatible(a: Occurrence, b: Occurrence, g: Graph) -> bool:
     """True iff a and b share no vertex and no edge of g joins them."""
     sa, sb = set(a.vertices), set(b.vertices)

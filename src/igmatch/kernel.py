@@ -26,6 +26,7 @@ from .graphs import (
     enumerate_occurrences,
     find_occurrence,
     max_igm,
+    revalidated,
 )
 from .strips import (
     Strip,
@@ -347,8 +348,7 @@ def bound_strip_graph(g: Graph, h: Pattern, k: int,
             return BoundResult("decided", m is not None, m, g, k, ss, tuple(notes))
         greedy = _greedy_maximal_matching(g, h)
         if len(greedy) >= k:
-            wit = Matching(tuple(greedy[:k]))
-            wit.check(g, h)
+            wit = revalidated(Matching(tuple(greedy[:k])), g, h, "greedy witness")
             notes.append("greedy maximal matching reached the target")
             return BoundResult("decided", True, wit, g, k, ss, tuple(notes))
         if ss is None:
@@ -369,8 +369,8 @@ def bound_strip_graph(g: Graph, h: Pattern, k: int,
         promising = classify_promising(ss, h)
         prom_ids = [eid for eid, _ in ss.edges if promising[eid]]
         if len(prom_ids) >= k:
-            wit = _promising_witness(ss, h, prom_ids[:k])
-            wit.check(g, h)
+            wit = revalidated(_promising_witness(ss, h, prom_ids[:k]), g, h,
+                              "promising witness")
             notes.append(f"{len(prom_ids)} promising strip-edges certify the target")
             return BoundResult("decided", True, wit, g, k, ss, tuple(notes))
         pair = _overloaded_pair(ss, promising, h)

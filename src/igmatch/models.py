@@ -1,11 +1,11 @@
 """Interval, circular-arc, and fuzzy circular-arc intersection models.
 
 Coordinates are integers.  Arc computations run in *doubled* coordinates
-(every endpoint multiplied by two) so that midpoints between endpoints are
-exact integers; this makes one-point intersection, containment, and circle
-coverage exactly decidable with no floating point anywhere.  Points exposed
-through the public API (equivalence points, cut points) are Fractions whose
-denominator divides two.
+(every endpoint multiplied by two) so that the point just past an endpoint is
+an exact odd integer.  One-point intersection, containment, and circle
+coverage are then decided by testing a few such points for membership, with
+no floating point anywhere.  Points exposed through the public API
+(equivalence points, cut points) are Fractions whose denominator divides two.
 
 An arc (s, t) on a circle of circumference C is the closed set of points
 traversed clockwise (increasing coordinates, wrapping at C) from s to t.
@@ -162,123 +162,62 @@ class CutResult:
 
 
 # ---------------------------------------------------------------------------
-# exact cyclic segment machinery (doubled coordinates)
+# arc geometry (doubled coordinates)
+#
+# Every piece that closed arcs with integer endpoints cut out of the circle
+# starts at an endpoint, and a piece of positive length holds the odd doubled
+# point just past its start.  So probing endpoints and the odd points just
+# past them decides every question below.
 
 
-def _arc_segments(s2: int, t2: int, c2: int) -> tuple[tuple[int, int], ...]:
-    """Closed arc clockwise s->t as non-wrapping segments within [0, c2]."""
-    if s2 < t2:
-        return ((s2, t2),)
-    if t2 == 0:
-        return ((s2, c2),)
-    return ((s2, c2), (0, t2))
-
-
-def _segments_of(model: ArcModel, i: int) -> tuple[tuple[int, int], ...]:
+def point_in_arc(model: ArcModel, i: int, p2: int) -> bool:
+    """Membership of the doubled-coordinate point p2 in closed arc i."""
     a = model.arcs[i]
-    return _arc_segments(2 * a.s, 2 * a.t, 2 * model.circumference)
-
-
-def _canon_cyclic(pieces, c2: int) -> tuple[tuple[int, int], ...]:
-    """Canonical form of a union of closed pieces of the circle.
-
-    Input pieces are (lo, hi) with 0 <= lo <= hi <= c2 (degenerate points
-    allowed).  Returns () for the empty set, ((0, c2),) for the full circle,
-    otherwise maximally merged pieces sorted by start; a piece crossing the
-    origin is represented with hi > c2.  Two unions are equal as point sets
-    iff their canonical forms are equal.
-    """
-    norm = []
-    for lo, hi in pieces:
-        if lo == hi:
-            p = lo % c2
-            norm.append((p, p))
-        else:
-            norm.append((lo, hi))
-    if not norm:
-        return ()
-    norm.sort()
-    merged = [list(norm[0])]
-    for lo, hi in norm[1:]:
-        if lo <= merged[-1][1]:
-            merged[-1][1] = max(merged[-1][1], hi)
-        else:
-            merged.append([lo, hi])
-    if len(merged) >= 2 and merged[0][0] == 0 and merged[-1][1] == c2:
-        first = merged.pop(0)
-        merged[-1][1] = c2 + first[1]
-    if len(merged) == 1 and merged[0][1] - merged[0][0] >= c2:
-        return ((0, c2),)
-    return tuple((lo, hi) for lo, hi in merged)
-
-
-_FULL = "full"
-
-
-def _union_canon(model: ArcModel, ids) -> tuple:
-    pieces = []
-    for i in ids:
-        pieces.extend(_segments_of(model, i))
-    return _canon_cyclic(pieces, 2 * model.circumference)
-
-
-def _intersection_pieces(segs_a, segs_b, c2):
-    # intersect on two unrolled copies of the circle so that touches across
-    # the 0 == c2 seam are not missed, then fold back into [0, c2]
-    ext_a = list(segs_a) + [(lo + c2, hi + c2) for lo, hi in segs_a]
-    ext_b = list(segs_b) + [(lo + c2, hi + c2) for lo, hi in segs_b]
-    out = []
-    for alo, ahi in ext_a:
-        for blo, bhi in ext_b:
-            lo, hi = max(alo, blo), min(ahi, bhi)
-            if lo <= hi:
-                if lo >= c2:
-                    lo, hi = lo - c2, hi - c2
-                if hi > c2:
-                    out.append((lo, c2))
-                    out.append((0, hi - c2))
-                else:
-                    out.append((lo, hi))
-    return out
+    c2 = 2 * model.circumference
+    return (p2 - 2 * a.s) % c2 <= (2 * a.t - 2 * a.s) % c2
 
 
 def intersection_kind(model: ArcModel, i: int, j: int) -> str:
-    """Classify the intersection of two arcs: empty, single-point, or multi."""
-    c2 = 2 * model.circumference
-    canon = _canon_cyclic(
-        _intersection_pieces(_segments_of(model, i), _segments_of(model, j), c2), c2
-    )
-    if not canon:
+    """Classify the intersection of two arcs: empty, single-point, or multi.
+
+    Each piece of the intersection starts at one of the two starts, so the
+    starts that lie in both arcs are the candidate pieces; a piece has
+    positive length iff the point just past its start lies in both too.
+    """
+
+    def in_both(p2: int) -> bool:
+        return point_in_arc(model, i, p2) and point_in_arc(model, j, p2)
+
+    starts = {2 * model.arcs[i].s, 2 * model.arcs[j].s}
+    pieces = [p2 for p2 in starts if in_both(p2)]
+    if not pieces:
         return "empty"
-    if len(canon) == 1 and canon[0][0] == canon[0][1]:
+    if len(pieces) == 1 and not in_both(pieces[0] + 1):
         return "single-point"
     return "multi"
 
 
 def arc_contains(model: ArcModel, i: int, j: int) -> bool:
-    """Point-set containment: arc j a subset of arc i."""
-    c2 = 2 * model.circumference
-    inter = _canon_cyclic(
-        _intersection_pieces(_segments_of(model, i), _segments_of(model, j), c2), c2
+    """Point-set containment: arc j a subset of arc i.
+
+    Once j starts inside i, j leaves i iff it reaches the point just past
+    i's end.
+    """
+    return point_in_arc(model, i, 2 * model.arcs[j].s) and not point_in_arc(
+        model, j, 2 * model.arcs[i].t + 1
     )
-    return inter == _canon_cyclic(list(_segments_of(model, j)), c2)
 
 
 def covers_circle(model: ArcModel, ids=None) -> bool:
-    ids = range(len(model.arcs)) if ids is None else ids
-    return _union_canon(model, ids) == ((0, 2 * model.circumference),)
+    """Whether the arcs ``ids`` (default: all) cover the whole circle.
 
-
-def point_in_arc(model: ArcModel, i: int, p2: int) -> bool:
-    """Membership of the doubled-coordinate point p2 in closed arc i."""
-    c2 = 2 * model.circumference
-    p2 %= c2
-    for lo, hi in _segments_of(model, i):
-        if lo <= p2 <= hi:
-            return True
-        if hi == c2 and p2 == 0:
-            return True
-    return False
+    A gap in the union would begin just past the end of some arc, so the
+    union covers the circle iff it holds the point just past every end.
+    """
+    ids = range(len(model.arcs)) if ids is None else tuple(ids)
+    return bool(ids) and all(
+        any(point_in_arc(model, j, 2 * model.arcs[i].t + 1) for j in ids) for i in ids
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -333,89 +272,61 @@ def realize(model) -> "Graph":
 # validation
 
 
+def _report(ends, contains, long: bool, covers: bool) -> ModelReport:
+    """Flags of a model whose item i has endpoint pair ``ends[i]``.
+
+    ``contains(i, j)`` is point-set containment of item j in item i.
+    """
+    proper = almost_proper = True
+    for i, j in itertools.permutations(range(len(ends)), 2):
+        if contains(i, j):
+            proper = False
+            if ends[i] != ends[j]:
+                almost_proper = False
+    owners: dict[int, set[int]] = {}
+    slots: dict[int, int] = {}
+    groups: dict[tuple[int, int], set[int]] = {}
+    for i, pair in enumerate(ends):
+        for v in pair:
+            owners.setdefault(v, set()).add(i)
+            slots[v] = slots.get(v, 0) + 1
+        groups.setdefault(pair, set()).add(i)
+    almost_strict = not any(
+        len(ids) > 1 and owners[lo] - ids and owners[hi] - ids
+        for (lo, hi), ids in groups.items()
+    )
+    return ModelReport(
+        proper=proper,
+        strict=all(c == 1 for c in slots.values()),
+        almost_proper=almost_proper,
+        almost_strict=almost_strict,
+        long=long,
+        covers_circle=covers,
+    )
+
+
 def validate_interval_model(model: IntervalModel) -> ModelReport:
     """Interval models live on a line: long holds and coverage fails by convention."""
     items = model.items
-    proper = True
-    almost_proper = True
-    for a, b in itertools.permutations(items, 2):
-        if a.l <= b.l and b.r <= a.r:  # b inside a
-            proper = False
-            if (a.l, a.r) != (b.l, b.r):
-                almost_proper = False
-    endpoints = [(it.l, it.id) for it in items] + [(it.r, it.id) for it in items]
-    values: dict[int, set[int]] = {}
-    for v, owner in endpoints:
-        values.setdefault(v, set()).add(owner)
-    strict = all(
-        len([1 for w, _ in endpoints if w == v]) == 1 for v in values
-    )
-    groups: dict[tuple[int, int], list[int]] = {}
-    for it in items:
-        groups.setdefault((it.l, it.r), []).append(it.id)
-    almost_strict = True
-    for (l, r), ids in groups.items():
-        if len(ids) < 2:
-            continue
-        outside_l = values.get(l, set()) - set(ids)
-        outside_r = values.get(r, set()) - set(ids)
-        if outside_l and outside_r:
-            almost_strict = False
-    return ModelReport(
-        proper=proper,
-        strict=strict,
-        almost_proper=almost_proper,
-        almost_strict=almost_strict,
-        long=True,
-        covers_circle=False,
-    )
+
+    def contains(i: int, j: int) -> bool:
+        return items[i].l <= items[j].l and items[j].r <= items[i].r
+
+    return _report([(it.l, it.r) for it in items], contains, True, False)
 
 
 def validate_arc_model(model: ArcModel) -> ModelReport:
     n = len(model.arcs)
-    proper = True
-    almost_proper = True
-    for i in range(n):
-        for j in range(n):
-            if i != j and arc_contains(model, i, j):
-                proper = False
-                a, b = model.arcs[i], model.arcs[j]
-                if (a.s, a.t) != (b.s, b.t):
-                    almost_proper = False
-    endpoint_owners: dict[int, set[int]] = {}
-    total_slots: dict[int, int] = {}
-    for a in model.arcs:
-        for v in (a.s, a.t):
-            endpoint_owners.setdefault(v, set()).add(a.id)
-            total_slots[v] = total_slots.get(v, 0) + 1
-    strict = all(c == 1 for c in total_slots.values())
-    groups: dict[tuple[int, int], list[int]] = {}
-    for a in model.arcs:
-        groups.setdefault((a.s, a.t), []).append(a.id)
-    almost_strict = True
-    for (s, t), ids in groups.items():
-        if len(ids) < 2:
-            continue
-        outside_s = endpoint_owners.get(s, set()) - set(ids)
-        outside_t = endpoint_owners.get(t, set()) - set(ids)
-        if outside_s and outside_t:
-            almost_strict = False
-    long = True
-    for pair in itertools.combinations(range(n), 2):
-        if covers_circle(model, pair):
-            long = False
-    if long:
-        for triple in itertools.combinations(range(n), 3):
-            if covers_circle(model, triple):
-                long = False
-                break
-    return ModelReport(
-        proper=proper,
-        strict=strict,
-        almost_proper=almost_proper,
-        almost_strict=almost_strict,
-        long=long,
-        covers_circle=covers_circle(model),
+    long = not any(
+        covers_circle(model, ids)
+        for size in (2, 3)
+        for ids in itertools.combinations(range(n), size)
+    )
+    return _report(
+        [(a.s, a.t) for a in model.arcs],
+        lambda i, j: arc_contains(model, i, j),
+        long,
+        covers_circle(model),
     )
 
 

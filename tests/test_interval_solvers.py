@@ -5,6 +5,8 @@ import pytest
 from igmatch.errors import InputError, SizeCapError
 from igmatch.graphs import Graph, Pattern, cycle_graph, path_graph
 from igmatch.interval_solvers import (
+    _cut_solve,
+    _dedup_points,
     interval_wis,
     solve_igm_long_proper_ca,
     solve_igm_proper_ca_disconnected,
@@ -34,8 +36,6 @@ K1_ARCS = amodel(6, (0, 2))
 K2_ARCS = amodel(6, (0, 2), (1, 3))
 P3_ARCS = amodel(12, (0, 3), (2, 5), (4, 7))
 K3_ARCS = amodel(12, (0, 4), (2, 6), (3, 8))
-
-H_MODELS = {1: K1_ARCS, 2: K2_ARCS}
 
 
 # ---------------------------------------------------------------------------
@@ -242,34 +242,36 @@ def test_ca_k_zero_and_negative():
 
 def test_ca_single_wrapping_occurrence_needs_fallback():
     # H = C6 occupies the whole circle, so every cut destroys it and only the
-    # augmented-graph fallback can certify k = 1
+    # direct-search fallback can certify k = 1
     h = Pattern.of(cycle_graph(6))
-    got = solve_igm_long_proper_ca(C6_ARCS, h, 1, model_h=C6_ARCS)
+    assert all(_cut_solve(C6_ARCS, h, 1, p2) is None for p2 in _dedup_points(C6_ARCS))
+    got = solve_igm_long_proper_ca(C6_ARCS, h, 1)
     assert got is not None
     assert got.occurrences[0].vertex_set() == set(range(6))
-    assert solve_igm_long_proper_ca(C6_ARCS, h, 2, model_h=C6_ARCS) is None
 
 
-def test_ca_fallback_without_pattern_model_is_an_error():
+def test_ca_wrapping_occurrence_without_pattern_model():
     h = Pattern.of(cycle_graph(6))
-    with pytest.raises(InputError):
-        solve_igm_long_proper_ca(C6_ARCS, h, 1)
+    got = solve_igm_long_proper_ca(C6_ARCS, h, 1)
+    assert got is not None
+    got.check(realize(C6_ARCS), h)
+    assert solve_igm_long_proper_ca(C6_ARCS, h, 2) is None
 
 
 def test_ca_matches_oracle():
     rng = random.Random(67)
     patterns = [
-        (Pattern.of(Graph(1, [])), K1_ARCS),
-        (Pattern.of(path_graph(2)), K2_ARCS),
-        (Pattern.of(path_graph(3)), P3_ARCS),
-        (Pattern.of(cycle_graph(3)), K3_ARCS),
+        Pattern.of(Graph(1, [])),
+        Pattern.of(path_graph(2)),
+        Pattern.of(path_graph(3)),
+        Pattern.of(cycle_graph(3)),
     ]
     for _ in range(25):
         model = random_long_proper_arc_model(rng, rng.randint(1, 9))
         g = realize(model)
-        for h, mh in patterns:
+        for h in patterns:
             for k in (1, 2, 3):
-                got = solve_igm_long_proper_ca(model, h, k, model_h=mh)
+                got = solve_igm_long_proper_ca(model, h, k)
                 assert (got is not None) == igm_exhaustive(g, h.graph, k), (
                     model, h.graph.edges, k)
                 if got is not None:

@@ -6,10 +6,12 @@ import random
 
 import pytest
 
-from igmatch.errors import InputError
+from igmatch import kernel
+from igmatch.errors import InputError, InternalError
 from igmatch.graphs import (
     Graph,
     Multigraph,
+    Occurrence,
     Pattern,
     brute_force_wis,
     complete_graph,
@@ -373,6 +375,14 @@ def test_bound_greedy_settles_an_easy_yes(k2):
     assert br.status == "decided" and br.answer is True
     assert len(br.witness.occurrences) == 2
     assert any("greedy" in n for n in br.notes)
+
+
+def test_bound_faulty_greedy_witness_is_an_internal_error(k2, monkeypatch):
+    # a fault in the solver's own witness must not be blamed on the caller
+    touching = [Occurrence((0, 1)), Occurrence((2, 3))]
+    monkeypatch.setattr(kernel, "_greedy_maximal_matching", lambda g, h: touching)
+    with pytest.raises(InternalError):
+        bound_strip_graph(path_graph(29), k2, 2)
 
 
 def test_bound_promising_stock_settles_a_yes(k3):

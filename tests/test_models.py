@@ -134,6 +134,98 @@ def test_single_point_intersections():
     assert intersection_kind(m, 0, 1) == "multi"
 
 
+def _random_small_arc_model(rng):
+    # circumference 1 to 9 makes shared endpoints, touching ends, duplicate
+    # and wrapping arcs common; circumference 1 admits no arc at all
+    c = rng.randint(1, 9)
+    n = rng.randint(0, 6) if c > 1 else 0
+    arcs_ = []
+    for i in range(n):
+        s = rng.randrange(c)
+        arcs_.append(Arc(i, s, (s + rng.randint(1, c - 1)) % c))
+    return ArcModel(arcs_, c)
+
+
+def _sampled_arc(model, i):
+    c = model.circumference
+    a = model.arcs[i]
+    return frozenset(p2 for p2 in range(2 * c) if _on_arc(p2, a.s, a.t, c))
+
+
+def test_arc_geometry_matches_point_sampling():
+    # pieces cut out by integer endpoints are single even points or hold
+    # at least three doubled points, so the sampled count decides the kind
+    rng = random.Random(2024)
+    kinds = set()
+    wrapped = 0
+    for _ in range(300):
+        m = _random_small_arc_model(rng)
+        n = len(m.arcs)
+        pts = [_sampled_arc(m, i) for i in range(n)]
+        wrapped += sum(a.t < a.s for a in m.arcs)
+        for i, j in itertools.product(range(n), repeat=2):
+            common = len(pts[i] & pts[j])
+            want = "empty" if common == 0 else "single-point" if common == 1 else "multi"
+            assert intersection_kind(m, i, j) == want, (m.arcs, i, j)
+            assert arc_contains(m, i, j) == (pts[j] <= pts[i]), (m.arcs, i, j)
+            kinds.add(want)
+        for size in range(n + 1):
+            for ids in itertools.combinations(range(n), size):
+                assert covers_circle(m, ids) == _covers_all_sample_points(m, ids), (
+                    m.arcs, ids)
+    assert kinds == {"empty", "single-point", "multi"} and wrapped
+
+
+def _flags_by_definition(ends, members):
+    """The four proper/strict flags from endpoint pairs and sampled point sets."""
+    n = len(ends)
+    inside = [(i, j) for i in range(n) for j in range(n)
+              if i != j and members[j] <= members[i]]
+    slots = [v for pair in ends for v in pair]
+    almost_strict = True
+    for pair in set(ends):
+        group = [i for i in range(n) if ends[i] == pair]
+        if len(group) < 2:
+            continue
+        outside = [i for i in range(n) if ends[i] != pair]
+        if (any(pair[0] in ends[i] for i in outside)
+                and any(pair[1] in ends[i] for i in outside)):
+            almost_strict = False
+    return (
+        not inside,
+        len(set(slots)) == len(slots),
+        all(ends[i] == ends[j] for i, j in inside),
+        almost_strict,
+    )
+
+
+def _flags(rep):
+    return rep.proper, rep.strict, rep.almost_proper, rep.almost_strict
+
+
+def test_report_flags_match_definitions():
+    rng = random.Random(77)
+    seen = set()
+    for _ in range(300):
+        m = _random_small_arc_model(rng)
+        ends = [(a.s, a.t) for a in m.arcs]
+        want = _flags_by_definition(ends, [_sampled_arc(m, i) for i in range(len(ends))])
+        assert _flags(validate_arc_model(m)) == want, m.arcs
+        seen.add(want)
+
+        items = []
+        for i in range(rng.randint(0, 6)):
+            l = rng.randint(0, 8)
+            items.append(Interval(i, l, l + rng.randint(1, 4)))
+        ends = [(it.l, it.r) for it in items]
+        members = [frozenset(range(l, r + 1)) for l, r in ends]
+        want = _flags_by_definition(ends, members)
+        assert _flags(validate_interval_model(IntervalModel(items))) == want, items
+        seen.add(want)
+    # every flag is seen both set and cleared
+    assert all({w[f] for w in seen} == {True, False} for f in range(4))
+
+
 def test_fuzzy_realize_follows_resolutions():
     base = arcs(8, (0, 2), (2, 4))
     g0 = realize(FuzzyArcModel(base, {(0, 1): False}))
