@@ -447,18 +447,55 @@ def find_occurrence(g: Graph, h: Pattern, within=None, seed=None) -> Occurrence 
     return None
 
 
+def _connected_sets(g: Graph, size: int) -> list[tuple[int, ...]]:
+    """Every vertex set of g of this size that induces a connected subgraph.
+
+    Sorted ascending as sorted tuples, the order of ``itertools.combinations``.
+    Pairs are the edges; larger sets come from connected extension (ESU,
+    Wernicke, *Efficient detection of network motifs*, 2006): a set grows
+    from its smallest vertex v by vertices above v, and a vertex joins the
+    candidates only when the member just added is the first one adjacent to
+    it, so each set is produced once.
+    """
+    if size == 2:
+        return list(g.edges)
+    nbr = [sum(1 << w for w in g.neighbors(v)) for v in range(g.n)]
+    found: list[tuple[int, ...]] = []
+
+    def extend(members: tuple, closed: int, ext: int, above: int) -> None:
+        if len(members) == size:
+            found.append(tuple(sorted(members)))
+            return
+        while ext:
+            bit = ext & -ext
+            ext ^= bit
+            w = bit.bit_length() - 1
+            extend(members + (w,), closed | nbr[w], ext | (nbr[w] & ~closed & above), above)
+
+    for v in range(g.n):
+        above = -1 << (v + 1)
+        extend((v,), nbr[v] | 1 << v, nbr[v] & above, above)
+    return sorted(found)
+
+
 def enumerate_occurrences(g: Graph, h: Pattern) -> list[Occurrence]:
     """All occurrences of h in g, one per vertex set, in canonical order.
 
-    For each h-subset of host vertices inducing a copy of the pattern the
-    lexicographically smallest witness map is kept.  Runtime is the naive
-    O(n^h * h!) and intended for desk-scale hosts.
+    For each h-subset of host vertices inducing a copy of the pattern, in
+    ascending order, the lexicographically smallest witness map is kept.  A
+    connected pattern only tests the connected h-subsets (``_connected_sets``);
+    any other pattern tests all C(n, h).  Each tested subset costs up to h!
+    maps, so this is meant for small patterns.
     """
     hg = h.graph
     hdeg = sorted(hg.degree(v) for v in range(h.h))
     hedges = len(hg.edges)
+    if h.is_connected:
+        subsets = _connected_sets(g, h.h)
+    else:
+        subsets = itertools.combinations(range(g.n), h.h)
     out = []
-    for sub in itertools.combinations(range(g.n), h.h):
+    for sub in subsets:
         m = 0
         for a, b in itertools.combinations(sub, 2):
             if g.has_edge(a, b):
@@ -528,29 +565,26 @@ def brute_force_mis(g: Graph, cap: int = MIS_CAP_DEFAULT) -> tuple[int, tuple[in
 
 
 def _occurrence_masks(g: Graph, occs: list[Occurrence]):
-    """Bitmask closed neighborhoods and conflict masks for occurrence DFS."""
-    closed = []
-    for o in occs:
-        m = 0
-        for v in o.vertices:
-            m |= 1 << v
-            for w in g.neighbors(v):
-                m |= 1 << w
-        closed.append(m)
+    """Bitmask closed neighborhoods and conflict masks for occurrence DFS.
+
+    Occurrence j conflicts with occurrence i iff a vertex of j lies in the
+    closed neighborhood of i, so i's conflict mask ORs, over that closed
+    neighborhood, the masks of the occurrences through each vertex.
+    """
+    through = [0] * g.n
     vmask = []
-    for o in occs:
+    for i, o in enumerate(occs):
         m = 0
         for v in o.vertices:
             m |= 1 << v
+            through[v] |= 1 << i
         vmask.append(m)
-    # occ i conflicts with occ j iff j's vertices meet i's closed neighborhood
     conflict = []
-    for i in range(len(occs)):
+    for i, o in enumerate(occs):
         ci = 0
-        for j in range(len(occs)):
-            if i != j and closed[i] & vmask[j]:
-                ci |= 1 << j
-        conflict.append(ci)
+        for w in g.closed_neighborhood_of_set(o.vertices):
+            ci |= through[w]
+        conflict.append(ci & ~(1 << i))
     return vmask, conflict
 
 

@@ -6,11 +6,13 @@ represented by one interval spanning from its leftmost interval's left
 endpoint to its rightmost interval's right endpoint, and two occurrences can
 coexist in an induced matching exactly when those spans are disjoint.
 
-For long proper circular-arc hosts the solver cuts the circle open at each
-containment-equivalence representative and solves the resulting proper
-interval instance.  A single occurrence can wrap the whole circle, so that
-every cut destroys it; when the target is one occurrence and every cut
-fails, a direct occurrence search on the realized host settles it.
+For long proper circular-arc hosts the solver enumerates the host's
+occurrences once, cuts the circle open at each containment-equivalence
+representative, and runs the same auxiliary-interval step on the resulting
+proper interval instance with the occurrences that avoid the removed arcs.
+A single occurrence can wrap the whole circle, so that every cut destroys
+it; when the target is one occurrence and every cut fails, a direct
+occurrence search on the realized host settles it.
 """
 
 from __future__ import annotations
@@ -41,6 +43,31 @@ from .models import (
 DISCONNECTED_CAP = 8
 
 
+def _best_weight(items, allowed) -> int:
+    """Max total weight of pairwise disjoint intervals ``items[i]``, i in allowed.
+
+    Each item starts with (l, r, weight); the classic right-endpoint DP.
+    """
+    order = sorted(allowed, key=lambda i: (items[i][1], items[i][0], i))
+    best: list[tuple[int, int]] = []  # (right endpoint, best weight)
+    cur = 0
+    for i in order:
+        l, r, w = items[i][:3]
+        take = w
+        lo, hi = 0, len(best)
+        while lo < hi:  # rightmost entry with endpoint < l
+            mid = (lo + hi) // 2
+            if best[mid][0] < l:
+                lo = mid + 1
+            else:
+                hi = mid
+        if lo:
+            take += best[lo - 1][1]
+        cur = max(cur, take)
+        best.append((r, cur))
+    return cur
+
+
 def interval_wis(intervals) -> tuple[int, int, tuple[int, ...]]:
     """Max-weight independent set of closed intervals ``(l, r, weight)``.
 
@@ -56,39 +83,18 @@ def interval_wis(intervals) -> tuple[int, int, tuple[int, ...]]:
             raise InputError(f"interval {idx} has negative weight")
         items.append((l, r, w, idx))
 
-    def best_weight(allowed: list[int]) -> int:
-        # classic right-endpoint DP over the allowed subset
-        order = sorted(allowed, key=lambda i: (items[i][1], items[i][0], i))
-        best: list[tuple[int, int]] = []  # (right endpoint, best weight)
-        cur = 0
-        for i in order:
-            l, r, w, _ = items[i]
-            take = w
-            lo, hi = 0, len(best)
-            while lo < hi:  # rightmost entry with endpoint < l
-                mid = (lo + hi) // 2
-                if best[mid][0] < l:
-                    lo = mid + 1
-                else:
-                    hi = mid
-            if lo:
-                take += best[lo - 1][1]
-            cur = max(cur, take)
-            best.append((r, cur))
-        return cur
-
     def disjoint(i: int, j: int) -> bool:
         return max(items[i][0], items[j][0]) > min(items[i][1], items[j][1])
 
     n = len(items)
-    opt = best_weight(list(range(n)))
+    opt = _best_weight(items, range(n))
     chosen: list[int] = []
     got = 0
     for i in range(n):
         if any(not disjoint(i, c) for c in chosen):
             continue
         rest = [j for j in range(i + 1, n) if disjoint(j, i) and all(disjoint(j, c) for c in chosen)]
-        if got + items[i][2] + best_weight(rest) == opt:
+        if got + items[i][2] + _best_weight(items, rest) == opt:
             chosen.append(i)
             got += items[i][2]
     if got != opt:
@@ -111,24 +117,34 @@ def solve_igm_proper_interval(model: IntervalModel, h: Pattern, k: int) -> Match
     if k == 0:
         return Matching(())
     g = realize(model)
-    occs = enumerate_occurrences(g, h)
-    if not occs:
+    found = _interval_step(model, enumerate_occurrences(g, h), k)
+    if found is None:
         return None
-    # one auxiliary interval per (leftmost, rightmost) class; occurrences in a
-    # class are interchangeable, keep the first (lexicographically smallest)
+    return revalidated(found, g, h, "auxiliary solution")
+
+
+def _interval_step(model: IntervalModel, occs: list[Occurrence], k: int) -> Matching | None:
+    """An induced matching of k of ``occs`` on a proper interval model, or None.
+
+    One auxiliary interval per (leftmost, rightmost) class spans the class;
+    occurrences in a class are interchangeable, so the first (lexicographically
+    smallest) one stands for it.  The witness is only rebuilt when the
+    optimum reaches k.
+    """
+    lefts = [it.l for it in model.items]
+    rights = [it.r for it in model.items]
     classes: dict[tuple[int, int], Occurrence] = {}
     for occ in occs:
-        lmost = min(occ.vertices, key=lambda v: model.items[v].l)
-        rmost = max(occ.vertices, key=lambda v: model.items[v].r)
+        lmost = min(occ.vertices, key=lefts.__getitem__)
+        rmost = max(occ.vertices, key=rights.__getitem__)
         classes.setdefault((lmost, rmost), occ)
     keys = sorted(classes)
-    aux = [(model.items[lm].l, model.items[rm].r, 1) for lm, rm in keys]
-    weight, _, witness = interval_wis(aux)
-    if weight < k:
+    aux = [(lefts[lm], rights[rm], 1) for lm, rm in keys]
+    if _best_weight(aux, range(len(aux))) < k:
         return None
+    _, _, witness = interval_wis(aux)
     picked = tuple(classes[keys[i]] for i in witness[:k])
-    matching = Matching(tuple(sorted(picked, key=lambda o: o.vertices)))
-    return revalidated(matching, g, h, "auxiliary solution")
+    return Matching(tuple(sorted(picked, key=lambda o: o.vertices)))
 
 
 def _dedup_points(model: ArcModel) -> list[int]:
@@ -165,10 +181,24 @@ def solve_isi_long_proper_ca(model_g: ArcModel, model_h: ArcModel) -> Occurrence
     return find_occurrence(realize(model_g), Pattern.of(realize(model_h)))
 
 
-def _cut_solve(model: ArcModel, h: Pattern, k: int, p2: int) -> Matching | None:
-    """Solve on the interval instance obtained by cutting the circle at p2."""
+def _cut_solve(model: ArcModel, k: int, p2: int, occs: list[Occurrence]) -> Matching | None:
+    """Solve on the interval instance obtained by cutting the circle at p2.
+
+    ``occs`` are the host's occurrences.  The cut graph is the host minus the
+    removed arcs, renumbered in ascending id order, so the occurrences that
+    avoid the removed arcs, renumbered the same way, are exactly the cut
+    graph's own occurrences, in the same order with the same maps.  Every cut
+    of a proper model is proper: unrolling keeps each kept arc's point set.
+    """
     cut = cut_at_point(model, Fraction(p2, 2))
-    sub = solve_igm_proper_interval(cut.intervals, h, k)
+    removed = set(cut.removed_ids)
+    new_id = {v: i for i, v in enumerate(cut.kept_ids)}.__getitem__
+    kept = [
+        Occurrence(tuple(map(new_id, occ.vertices)))
+        for occ in occs
+        if removed.isdisjoint(occ.vertices)
+    ]
+    sub = _interval_step(cut.intervals, kept, k)
     if sub is None:
         return None
     back = tuple(
@@ -181,10 +211,11 @@ def _cut_solve(model: ArcModel, h: Pattern, k: int, p2: int) -> Matching | None:
 def solve_igm_long_proper_ca(model: ArcModel, h: Pattern, k: int) -> Matching | None:
     """Induced H-matching of size k on a long proper circular-arc model.
 
-    Cuts the circle at every containment-equivalence representative and
-    solves the proper interval instance; for k = 1, if every cut fails (the
-    only occurrences wrap the circle), falls back to a direct occurrence
-    search on the realized host.
+    Enumerates the host's occurrences once, then cuts the circle at every
+    containment-equivalence representative and solves the proper interval
+    instance with the occurrences the cut leaves; for k = 1, if every cut
+    fails (the only occurrences wrap the circle), falls back to a direct
+    occurrence search on the realized host.
     """
     rep = validate_arc_model(model)
     if not (rep.proper and rep.long):
@@ -196,10 +227,10 @@ def solve_igm_long_proper_ca(model: ArcModel, h: Pattern, k: int) -> Matching | 
     if k == 0:
         return Matching(())
     g = realize(model)
-    points = _dedup_points(model)
+    occs = enumerate_occurrences(g, h)
     best: Matching | None = None
-    for p2 in points:
-        res = _cut_solve(model, h, k, p2)
+    for p2 in _dedup_points(model):
+        res = _cut_solve(model, k, p2, occs)
         if res is not None:
             best = res
             break

@@ -316,16 +316,34 @@ def validate_interval_model(model: IntervalModel) -> ModelReport:
 
 
 def validate_arc_model(model: ArcModel) -> ModelReport:
-    n = len(model.arcs)
-    long = not any(
-        covers_circle(model, ids)
-        for size in (2, 3)
-        for ids in itertools.combinations(range(n), size)
-    )
+    """Flags of an arc model; long means no 2 or 3 arcs cover the circle.
+
+    Longness is decided by a greedy walk from every arc: from the walk's
+    reach, the farthest-reaching arc through that point extends it (arcs are
+    closed, so an arc that only touches the reach still joins).  Some 2 or 3
+    arcs cover the circle iff some walk closes it within two extensions.
+    Greedy is exact because no arc of a minimal cover contains another: the
+    walk from a member of such a cover reaches at least as far as the
+    cover's own arcs after each step.
+    """
+    c2 = 2 * model.circumference
+
+    def extension(p2: int) -> int:
+        # how far past p2, clockwise, the arcs through p2 reach
+        return max((2 * a.t - p2) % c2 for a in model.arcs if point_in_arc(model, a.id, p2))
+
+    def closes(a: Arc) -> bool:
+        reach = (2 * a.t - 2 * a.s) % c2
+        for _ in range(2):
+            reach += extension((2 * a.s + reach) % c2)
+            if reach >= c2:
+                return True
+        return False
+
     return _report(
         [(a.s, a.t) for a in model.arcs],
         lambda i, j: arc_contains(model, i, j),
-        long,
+        not any(closes(a) for a in model.arcs),
         covers_circle(model),
     )
 

@@ -9,12 +9,16 @@ The exceptions pin witnesses or streams, not just answers, so they follow
 the package's own search order or data types: ``wis_reference`` branches over
 the package's clique partition, ``canonical_base_key_reference`` keys the
 package's bases, and ``natural_coloring_reference`` paints its structure
-elements.
+elements.  ``subset_scan_occurrences``, ``all_pairs_occurrence_masks`` and
+``long_by_pairs_and_triples`` keep the package's earlier, slower versions of
+occurrence enumeration, conflict masks and the longness test, for
+differential tests that require identical output.
 """
 
 import itertools
 
 from igmatch.graphs import greedy_clique_partition
+from igmatch.models import covers_circle
 
 
 def independent_sets(g):
@@ -46,6 +50,60 @@ def occurrences_exhaustive(g, hg) -> list[tuple[int, ...]]:
         if ok:
             out.append(perm)
     return out
+
+
+def subset_scan_occurrences(g, hg) -> list[tuple[int, ...]]:
+    """One induced embedding per vertex set, scanning all C(n, h) subsets.
+
+    Subsets in ascending order; each keeps its lexicographically smallest
+    embedding, the canonical order of ``enumerate_occurrences``.
+    """
+    hdeg = sorted(hg.degree(v) for v in range(hg.n))
+    hedges = len(hg.edges)
+    out = []
+    for sub in itertools.combinations(range(g.n), hg.n):
+        if sum(g.has_edge(a, b) for a, b in itertools.combinations(sub, 2)) != hedges:
+            continue
+        if sorted(sum(g.has_edge(v, w) for w in sub if w != v) for v in sub) != hdeg:
+            continue
+        for perm in itertools.permutations(sub):
+            if all(hg.has_edge(i, j) == g.has_edge(perm[i], perm[j])
+                   for i, j in itertools.combinations(range(hg.n), 2)):
+                out.append(perm)
+                break
+    return out
+
+
+def all_pairs_occurrence_masks(g, occs):
+    """(vertex masks, conflict masks) by testing every ordered pair."""
+    closed, vmask = [], []
+    for o in occs:
+        c = m = 0
+        for v in o.vertices:
+            m |= 1 << v
+            c |= 1 << v
+            for w in g.neighbors(v):
+                c |= 1 << w
+        closed.append(c)
+        vmask.append(m)
+    conflict = []
+    for i in range(len(occs)):
+        ci = 0
+        for j in range(len(occs)):
+            if i != j and closed[i] & vmask[j]:
+                ci |= 1 << j
+        conflict.append(ci)
+    return vmask, conflict
+
+
+def long_by_pairs_and_triples(model) -> bool:
+    """No 2 or 3 arcs of the model cover the circle, by trying them all."""
+    n = len(model.arcs)
+    return not any(
+        covers_circle(model, ids)
+        for size in (2, 3)
+        for ids in itertools.combinations(range(n), size)
+    )
 
 
 def _occ_sets_compatible(g, occ_sets) -> bool:

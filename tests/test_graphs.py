@@ -29,13 +29,16 @@ from igmatch.graphs import (
     star_free,
     star_graph,
     twin_classes,
+    _occurrence_masks,
 )
 from oracles import (
+    all_pairs_occurrence_masks,
     igm_exhaustive,
     is_line_graph_exhaustive,
     max_igm_exhaustive,
     mis_exhaustive,
     occurrences_exhaustive,
+    subset_scan_occurrences,
     wis_exhaustive,
 )
 from randgen import random_connected_graph, random_connected_multigraph, random_graph
@@ -126,6 +129,30 @@ def test_enumerate_occurrences_vertex_sets(p3):
         o.check(g, p3)
     # one canonical witness per vertex set
     assert len({o.vertex_set() for o in occs}) == len(occs)
+
+
+def test_enumerate_occurrences_and_masks_match_the_subset_scan():
+    # connected patterns grow connected sets, 2K2 and K1 + K2 still scan all
+    # subsets; the order, the maps and the conflict masks must all be the old
+    # ones (an isolated pattern vertex only conflicts through itself)
+    patterns = [
+        complete_graph(1), complete_graph(2), path_graph(3), complete_graph(3),
+        path_graph(4), cycle_graph(4), star_graph(3), Graph(4, [(0, 1), (2, 3)]),
+        Graph(3, [(1, 2)]),
+    ]
+    rng = random.Random(606)
+    found = 0
+    for n in range(15):
+        for _ in range(4):
+            g = random_graph(rng, n, rng.random())
+            for hg in patterns:
+                h = Pattern.of(hg)
+                occs = enumerate_occurrences(g, h)
+                assert [o.vertices for o in occs] == subset_scan_occurrences(g, hg), (
+                    g.edges, hg.edges)
+                assert _occurrence_masks(g, occs) == all_pairs_occurrence_masks(g, occs)
+                found += len(occs)
+    assert found > 1000
 
 
 def test_occurrence_check_rejects_non_induced(k2):

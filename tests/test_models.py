@@ -17,12 +17,14 @@ from igmatch.models import (
     covers_circle,
     cut_at_point,
     equivalence_points,
+    equivalence_points_doubled,
     intersection_kind,
     realize,
     validate_arc_model,
     validate_interval_model,
     validate_model,
 )
+from oracles import long_by_pairs_and_triples
 from randgen import random_long_proper_arc_model, random_proper_interval_model
 
 
@@ -308,6 +310,29 @@ def test_cut_realization_is_induced_subgraph():
             assert realize(res.intervals).edges == sub.edges
 
 
+def test_every_cut_of_a_proper_model_is_proper():
+    # the long-arc sweep hands each cut straight to the interval step, which
+    # relies on this instead of validating every cut
+    rng = random.Random(515)
+    cuts = 0
+    for trial in range(600):
+        if trial % 2:
+            m = _random_small_arc_model(rng)
+        else:
+            # equal lengths and distinct starts: proper, often not long
+            c = rng.randint(2, 12)
+            length = rng.randint(1, c - 1)
+            starts = rng.sample(range(c), rng.randint(1, c))
+            m = arcs(c, *((s, (s + length) % c) for s in starts))
+        if not validate_arc_model(m).proper:
+            continue
+        for p2 in equivalence_points_doubled(m):
+            cut = cut_at_point(m, Fraction(p2, 2))
+            assert validate_interval_model(cut.intervals).proper, (m.arcs, p2)
+            cuts += len(cut.kept_ids) > 1
+    assert cuts > 500
+
+
 def test_cut_at_uncovered_point_preserves_everything():
     rng = random.Random(11)
     tried = 0
@@ -361,6 +386,28 @@ def test_long_flag_matches_point_sampling():
         seen_long += rep.long
         seen_short += not rep.long
     assert seen_long and seen_short  # the sweep exercised both outcomes
+
+
+def test_greedy_longness_matches_pairs_and_triples():
+    # small circumferences make touching ends, shared endpoints and duplicate
+    # arcs common; the greedy walk must agree with trying every pair and triple
+    rng = random.Random(4242)
+    seen = {True: 0, False: 0}
+    touching = 0
+    for _ in range(4000):
+        c = rng.randint(1, 12)
+        n = rng.randint(0, 7) if c > 1 else 0
+        arcs_ = []
+        for i in range(n):
+            s = rng.randrange(c)
+            arcs_.append(Arc(i, s, (s + rng.randint(1, c - 1)) % c))
+        m = ArcModel(arcs_, c)
+        want = long_by_pairs_and_triples(m)
+        assert validate_arc_model(m).long == want, m.arcs
+        seen[want] += 1
+        touching += any(intersection_kind(m, i, j) == "single-point"
+                        for i, j in itertools.combinations(range(n), 2))
+    assert min(seen.values()) > 1000 and touching > 1000
 
 
 def test_report_implications_on_random_models():
