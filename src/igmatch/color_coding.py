@@ -40,6 +40,7 @@ from .graphs import (
     Occurrence,
     Pattern,
     brute_force_mis,
+    brute_force_wis,
     enumerate_occurrences,
     find_igm,
     find_occurrence,
@@ -48,10 +49,9 @@ from .graphs import (
     star_free,
 )
 from .models import Arc, ArcModel, FuzzyArcModel, realize
-from .fuzzy_solver import solve_igm_fuzzy_ca, solve_igm_small_alpha
+from .fuzzy_solver import ALPHA_BOUND, solve_igm_fuzzy_ca, solve_igm_small_alpha
 from .strips import (
     StripStructure,
-    _fuzzy_cert_consistent,
     classify_strip,
     line_graph_strip_structure,
     validate_strip_structure,
@@ -65,8 +65,6 @@ __all__ = [
     "StripAssignment",
     "HK_CAP_DEFAULT",
     "COLORING_CAP_DEFAULT",
-    "token_set",
-    "enumerate_bases",
     "check_condition1",
     "check_condition2",
     "structure_elements",
@@ -81,13 +79,6 @@ __all__ = [
 
 HK_CAP_DEFAULT = 6
 COLORING_CAP_DEFAULT = 1_000_000
-
-
-def token_set(h: Pattern, k: int) -> tuple:
-    """All hk tokens: one per (group 1..k, pattern vertex)."""
-    if k < 0:
-        raise InputError("k must be non-negative")
-    return tuple((g, hv) for g in range(1, k + 1) for hv in range(h.h))
 
 
 def _check_token(t) -> None:
@@ -324,7 +315,7 @@ def _placement_ok(tok, ei, slots, edges, placed, h) -> bool:
     return True
 
 
-def _token_plans(h: Pattern, order: list, budget: dict | None = None):
+def _token_plans(h: Pattern, order: list, budget: dict):
     """Depth-first token placement; yields edge lists before endpoint gluing.
 
     ``budget`` caps how many edges of each (kind, member count) shape a plan
@@ -354,7 +345,7 @@ def _token_plans(h: Pattern, order: list, budget: dict | None = None):
                 del placed[tok]
         for kind, nm, slots in _NEW_EDGE_SHAPES:
             shape = (kind, nm)
-            if budget is not None and created.get(shape, 0) >= budget.get(shape, 0):
+            if created.get(shape, 0) >= budget.get(shape, 0):
                 continue
             eff = frozenset((0, 1)) if kind == "spot" else slots
             if not _placement_ok(tok, len(edges), eff, edges, placed, h):
@@ -468,15 +459,26 @@ def _canonical_base_key(base: Base):
     return best
 
 
-def _base_stream(h: Pattern, k: int, budget: dict | None):
+def _base_stream(h: Pattern, k: int, budget: dict):
     """Bases of k groups of h tokens, up to isomorphism, lazily.
 
-    ``budget`` is passed to ``_token_plans`` (None: unrestricted).  The size
-    cap is checked eagerly, on the call itself.
+    Every emitted base assigns all hk tokens, gives every edge at least one
+    token (an edge a matching touches always holds a matching vertex), and
+    satisfies both token conditions.  Generation places tokens one at a time
+    (each constrained by previously placed group neighbors), then glues edge
+    endpoints in all admissible ways.  ``budget`` caps the edges of each
+    (kind, member count) shape, as in ``_token_plans``; since every edge
+    carries a token, a budget of hk per shape leaves the stream unrestricted.
+    Of each isomorphism class only the first base generated is kept; the
+    class is told by a canonical key that minimises over group relabelings
+    alone, because tokens already name every edge (see
+    ``_canonical_base_key``).  The stream is therefore deterministic and
+    duplicate-free.  The ``HK_CAP_DEFAULT`` size cap is checked eagerly, on
+    the call itself.
     """
     hk = h.h * k
     if hk > HK_CAP_DEFAULT:
-        raise SizeCapError("enumerate_bases", hk, HK_CAP_DEFAULT)
+        raise SizeCapError("bases: |V(H)| * k", hk, HK_CAP_DEFAULT)
 
     def gen():
         if hk == 0:
@@ -493,25 +495,6 @@ def _base_stream(h: Pattern, k: int, budget: dict | None):
                 yield base
 
     return gen()
-
-
-def enumerate_bases(h: Pattern, k: int):
-    """Stream all bases for k groups of h tokens, up to isomorphism.
-
-    Every emitted base assigns all hk tokens, gives every edge at least one
-    token (an edge a matching touches always holds a matching vertex), and
-    satisfies both token conditions.  Generation places tokens one at a time
-    (each constrained by previously placed group neighbors), then glues edge
-    endpoints in all admissible ways.  Of each isomorphism class only the
-    first base generated is kept; the class is told by a canonical key that
-    minimises over group relabelings alone, because tokens already name
-    every edge (see ``_canonical_base_key``).  The stream is therefore
-    deterministic and duplicate-free.  Raises a size-cap error when hk
-    exceeds ``HK_CAP_DEFAULT``.
-    """
-    if k < 0:
-        raise InputError("k must be non-negative")
-    return _base_stream(h, k, None)
 
 
 _SHAPED_CACHE: dict = {}
@@ -601,14 +584,13 @@ def coloring_family(
     mode: str = "exhaustive",
     trials: int | None = None,
     seed: int | None = None,
-    cap: int = COLORING_CAP_DEFAULT,
 ):
     """Stream colorings of ``elements`` from ``palette``.
 
     Exhaustive mode yields every assignment (palette^elements of them) and
-    refuses with a size-cap error when that count exceeds ``cap``; random
-    mode yields ``trials`` colorings drawn uniformly and reproducibly from
-    ``seed``.  Random draws hit any fixed coloring with probability
+    refuses with a size-cap error when that count exceeds
+    ``COLORING_CAP_DEFAULT``; random mode yields ``trials`` colorings drawn
+    uniformly and reproducibly from ``seed``.  Random draws hit any fixed coloring with probability
     1/|palette|^|elements| per trial, so by the coupon-collector bound about
     N ln N trials (N that same power) cover every coloring in expectation;
     far fewer suffice in practice because only the handful of elements a
@@ -622,12 +604,12 @@ def coloring_family(
         raise InputError("palette must be non-empty and duplicate-free")
     if mode == "exhaustive":
         total = len(palette) ** len(elements)
-        if total > cap:
+        if total > COLORING_CAP_DEFAULT:
             raise SizeCapError(
                 f"coloring_family: {len(palette)}^{len(elements)} exhaustive colorings"
                 " (use random mode)",
                 total,
-                cap,
+                COLORING_CAP_DEFAULT,
             )
 
         def gen_exhaustive():
@@ -755,10 +737,42 @@ def _validate_certificates(ss: StripStructure, certificates) -> dict:
 
 
 def _require_fitting(ss: StripStructure, eid, cert: FuzzyArcModel) -> None:
-    """A fuzzy certificate must realize the interior of its strip."""
-    msg = _fuzzy_cert_consistent(ss.strips[eid], cert)
-    if msg is not None:
-        raise InputError(f"certificate for strip-edge {eid}: {msg}")
+    """A fuzzy certificate must realize the interior of its strip.
+
+    Arc i of the model stands for the i-th interior vertex of J in
+    increasing order; the realized graph must reproduce the interior
+    edge-for-edge.
+    """
+    s = ss.strips[eid]
+    interior = s.interior()
+    if len(cert.arcs.arcs) != len(interior):
+        raise InputError(
+            f"certificate for strip-edge {eid} has {len(cert.arcs.arcs)} arcs"
+            f" for {len(interior)} interior vertices"
+        )
+    realized = realize(cert)
+    for a in range(realized.n):
+        for b in range(a + 1, realized.n):
+            if realized.has_edge(a, b) != s.graph.has_edge(interior[a], interior[b]):
+                raise InputError(
+                    f"certificate for strip-edge {eid}: arcs ({a},{b}) disagree"
+                    f" with J pair ({interior[a]},{interior[b]})"
+                )
+
+
+def _require_alpha4(ss: StripStructure, eid) -> None:
+    """An "alpha4" claim must hold: no five independent interior vertices.
+
+    A strip interior above the ``brute_force_wis`` cap raises a size-cap error.
+    """
+    s = ss.strips[eid]
+    body = s.graph.induced(s.interior())
+    found, _w = brute_force_wis(body, [1] * body.n, ALPHA_BOUND + 1, 0)
+    if found:
+        raise InputError(
+            f"certificate for strip-edge {eid}: 'alpha4' claimed, but the interior"
+            f" has {ALPHA_BOUND + 1} independent vertices"
+        )
 
 
 def _sub_fuzzy_model(fam: FuzzyArcModel, positions) -> FuzzyArcModel:
@@ -796,10 +810,10 @@ def _max_interior_matching(sub: Graph, kept, h: Pattern, s, eid, cert, note) -> 
     if not occs:
         return ()
     if cert == "alpha4":
-        bound = 4
+        bound = ALPHA_BOUND
     else:
         alpha, _w = brute_force_mis(sub)
-        bound = alpha if alpha <= 4 else None
+        bound = alpha if alpha <= ALPHA_BOUND else None
     if bound is not None:
         for kk in range(min(bound, sub.n // h.h), 0, -1):
             m = find_igm(sub, h, kk, occurrences=occs)
@@ -1177,7 +1191,7 @@ def _route(g0, h, cert, cfg: _RunConfig, deviations):
     """Settle how one chunk is solved: the host, a component, or a strip body.
 
     ``cert`` is what is known about the chunk: nothing (None), a fuzzy arc
-    model realizing it (checked at entry), the promise "alpha4", or a
+    model realizing it or the claim "alpha4" (both checked at entry), or a
     validated (strip-structure, certificates) pair.  Returns ``solve(kk)``,
     which finds kk >= 1 copies or returns None; the work that does not
     depend on kk is done once per chunk, not once per call.  The first step
@@ -1242,8 +1256,9 @@ def solve_igm_claw_free(
 
     A supplied ``ss`` (with optional per-strip ``certificates``) and a
     whole-host ``fuzzy_model`` are validated up front, so an invalid
-    structure, or a fuzzy model that does not realize the host or the strip
-    interior it certifies, raises on every host and every k, whether or not
+    structure, a fuzzy model that does not realize the host or the strip
+    interior it certifies, or an "alpha4" claim on a strip interior with five
+    independent vertices, raises on every host and every k, whether or not
     the search would reach it.  Then the first rule that applies decides: k = 0
     gives the empty matching, a host smaller than h gives None; a
     whole-host ``fuzzy_model`` goes to the fuzzy arc solver; a host with
@@ -1284,6 +1299,8 @@ def solve_igm_claw_free(
         for eid, c in certs.items():
             if isinstance(c, FuzzyArcModel):
                 _require_fitting(ss, eid, c)
+            else:
+                _require_alpha4(ss, eid)
         if cert is None:
             cert = (ss, certs)
     elif certificates:

@@ -16,10 +16,8 @@ from .errors import InputError, InternalError
 from .graphs import (
     Graph,
     Matching,
-    Occurrence,
     Pattern,
     brute_force_mis,
-    compatible,
     enumerate_occurrences,
     find_igm,
     revalidated,
@@ -28,13 +26,12 @@ from .graphs import (
 from .models import FuzzyArcModel, realize
 
 __all__ = [
-    "compatible",
+    "ALPHA_BOUND",
     "solve_igm_fuzzy_ca",
-    "fuzzy_dp_profile",
     "solve_igm_small_alpha",
 ]
 
-ALPHA_BOUND_DEFAULT = 4
+ALPHA_BOUND = 4
 
 
 def _residual_chain(model: FuzzyArcModel, occs, conflict, star: int,
@@ -132,49 +129,26 @@ def solve_igm_fuzzy_ca(model: FuzzyArcModel, h: Pattern, k: int) -> Matching | N
     return None
 
 
-def fuzzy_dp_profile(model: FuzzyArcModel, h: Pattern) -> tuple[int, ...]:
-    """Best matching size through each committed occurrence, in order.
-
-    The maximum of the profile is the optimum; it does not depend on which
-    occurrence the solver happens to commit to first.
-    """
-    if not h.is_connected:
-        raise InputError("pattern must be connected for the fuzzy solver")
-    g = realize(model)
-    occs = enumerate_occurrences(g, h)
-    if not occs:
-        return ()
-    _, conflict = _occurrence_masks(g, occs)
-    out = []
-    for star in range(len(occs)):
-        length, _ = _residual_chain(model, occs, conflict, star, None)
-        out.append(1 + length)
-    return tuple(out)
-
-
 def solve_igm_small_alpha(
-    g: Graph,
-    h: Pattern,
-    k: int,
-    alpha_bound: int = ALPHA_BOUND_DEFAULT,
-    trust_alpha: bool = False,
+    g: Graph, h: Pattern, k: int, trust_alpha: bool = False
 ) -> Matching | None:
-    """Exhaustive induced H-matching solver for hosts of small independence.
+    """Exhaustive induced H-matching solver for hosts of independence at most 4.
 
-    The independence number caps the matching size, so k above the bound is
-    immediately absent and anything else is settled by bounded search.  The
-    bound is verified by brute force unless ``trust_alpha`` is set.
+    The independence number caps the matching size, so k above
+    ``ALPHA_BOUND`` is immediately absent and anything else is settled by
+    bounded search.  The bound is verified by brute force unless
+    ``trust_alpha`` is set.
     """
     if k < 0:
         raise InputError("k must be non-negative")
     if not trust_alpha:
         alpha, _ = brute_force_mis(g)
-        if alpha > alpha_bound:
+        if alpha > ALPHA_BOUND:
             raise InputError(
-                f"independence number {alpha} exceeds the promised bound {alpha_bound}"
+                f"independence number {alpha} exceeds the promised bound {ALPHA_BOUND}"
             )
     if k == 0:
         return Matching(())
-    if k > alpha_bound:
+    if k > ALPHA_BOUND:
         return None
     return find_igm(g, h, k)

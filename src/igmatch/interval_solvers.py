@@ -17,8 +17,6 @@ occurrence search on the realized host settles it.
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 from .errors import InputError, InternalError, SizeCapError
 from .graphs import (
     Matching,
@@ -190,7 +188,7 @@ def _cut_solve(model: ArcModel, k: int, p2: int, occs: list[Occurrence]) -> Matc
     graph's own occurrences, in the same order with the same maps.  Every cut
     of a proper model is proper: unrolling keeps each kept arc's point set.
     """
-    cut = cut_at_point(model, Fraction(p2, 2))
+    cut = cut_at_point(model, p2)
     removed = set(cut.removed_ids)
     new_id = {v: i for i, v in enumerate(cut.kept_ids)}.__getitem__
     kept = [
@@ -266,7 +264,7 @@ def solve_igm_proper_ca_disconnected(model: ArcModel, h: Pattern, k: int) -> Mat
         bundle_graph = disjoint_union(bundle_graph, h.graph)
     bundle = Pattern.of(bundle_graph)
     for p2 in _dedup_points(model):
-        cut = cut_at_point(model, Fraction(p2, 2))
+        cut = cut_at_point(model, p2)
         cg = realize(cut.intervals)
         emb = find_occurrence(cg, bundle)
         if emb is None:

@@ -5,7 +5,8 @@ Coordinates are integers.  Arc computations run in *doubled* coordinates
 an exact odd integer.  One-point intersection, containment, and circle
 coverage are then decided by testing a few such points for membership, with
 no floating point anywhere.  Points exposed through the public API
-(equivalence points, cut points) are Fractions whose denominator divides two.
+(equivalence points, cut points) are integers in the same doubled scale: the
+point p2 stands for p2 / 2 on the circle.
 
 An arc (s, t) on a circle of circumference C is the closed set of points
 traversed clockwise (increasing coordinates, wrapping at C) from s to t.
@@ -16,7 +17,6 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from fractions import Fraction
 
 from .errors import InputError, InternalError
 
@@ -348,16 +348,6 @@ def validate_arc_model(model: ArcModel) -> ModelReport:
     )
 
 
-def validate_model(model) -> ModelReport:
-    if isinstance(model, IntervalModel):
-        return validate_interval_model(model)
-    if isinstance(model, ArcModel):
-        return validate_arc_model(model)
-    if isinstance(model, FuzzyArcModel):
-        return validate_arc_model(model.arcs)
-    raise InputError(f"cannot validate {type(model).__name__}")
-
-
 # ---------------------------------------------------------------------------
 # equivalence points and cutting
 
@@ -380,26 +370,15 @@ def equivalence_points_doubled(model: ArcModel) -> list[int]:
     return sorted(points)
 
 
-def equivalence_points(model: ArcModel) -> list[Fraction]:
-    return [Fraction(p, 2) for p in equivalence_points_doubled(model)]
+def cut_at_point(model: ArcModel, p2: int) -> CutResult:
+    """Remove arcs containing the doubled point p2 and unroll the rest onto a
+    line at origin p2.
 
-
-def _point_to_doubled(p, circumference: int) -> int:
-    p2 = Fraction(p) * 2
-    if p2.denominator != 1:
-        raise InputError(
-            f"cut point {p} must be an integer or half-integer"
-        )
-    return int(p2) % (2 * circumference)
-
-
-def cut_at_point(model: ArcModel, p) -> CutResult:
-    """Remove arcs containing p and unroll the rest onto a line at origin p.
-
-    Surviving arcs cannot wrap past p, so each becomes a single interval
-    [(s-p) mod C, (t-p) mod C] in doubled coordinates.
+    Surviving arcs cannot wrap past p2, so each becomes a single interval
+    [(2s-p2) mod 2C, (2t-p2) mod 2C] in doubled coordinates.
     """
-    p2 = _point_to_doubled(p, model.circumference)
+    if not isinstance(p2, int):
+        raise InputError(f"cut point {p2!r} must be an integer in doubled coordinates")
     c2 = 2 * model.circumference
     removed = []
     kept = []
@@ -414,7 +393,7 @@ def cut_at_point(model: ArcModel, p) -> CutResult:
         r = (2 * a.t - p2) % c2
         if not (0 < l < r < c2):
             raise InternalError(
-                f"arc {a.id} wraps past cut point {p} despite not containing it"
+                f"arc {a.id} wraps past cut point {p2} despite not containing it"
             )
         intervals.append(Interval(new_id, l, r))
     return CutResult(

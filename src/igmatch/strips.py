@@ -23,35 +23,21 @@ line-graph structure (one single-vertex strip per pre-image edge).
 
 from dataclasses import dataclass
 
-from .errors import InputError, SizeCapError
-from .graphs import (
-    Graph,
-    Matching,
-    brute_force_mis,
-    find_star,
-    recognize_line_graph,
-    star_free,
-)
-from .models import FuzzyArcModel, realize
+from .errors import InputError
+from .graphs import Graph, find_star, recognize_line_graph, star_free
 
 __all__ = [
     "Strip",
     "StripStructure",
     "AxiomCheck",
     "StructureReport",
-    "CoveredSubgraph",
-    "EdgeConformance",
-    "ConformanceReport",
     "strip_invariant_failures",
     "classify_strip",
     "strip_image",
-    "edge_boundary",
     "boundary_clique",
     "validate_strip_structure",
-    "covered_subgraph",
     "trivial_strip_structure",
     "line_graph_strip_structure",
-    "conformance_check",
 ]
 
 
@@ -158,33 +144,6 @@ class StructureReport:
     @property
     def ok(self) -> bool:
         return all(c.ok for c in self.all_checks())
-
-
-@dataclass(frozen=True)
-class CoveredSubgraph:
-    """Strip-edges whose interior meets a matching, and strip-vertices
-    whose clique C(r) does."""
-
-    edge_ids: tuple
-    vertex_ids: tuple
-
-
-@dataclass(frozen=True)
-class EdgeConformance:
-    eid: object
-    ok: bool
-    kind: str
-    detail: str
-
-
-@dataclass(frozen=True)
-class ConformanceReport:
-    findings: tuple
-    warnings: tuple = ()
-
-    @property
-    def ok(self) -> bool:
-        return all(f.ok for f in self.findings)
 
 
 # ---------------------------------------------------------------------------
@@ -389,25 +348,6 @@ def validate_strip_structure(g: Graph, ss: StripStructure) -> StructureReport:
 
 
 # ---------------------------------------------------------------------------
-# covered subgraph
-
-def covered_subgraph(ss: StripStructure, m: Matching) -> CoveredSubgraph:
-    """Strip-edges and strip-vertices touched by the matching.
-
-    An edge is covered when its interior image meets the matching; a
-    strip-vertex when its clique C(r) does.  Every covered strip-vertex is
-    automatically an endpoint of a covered edge, because the vertices of
-    C(r) live inside the strips around r.
-    """
-    mv = m.vertex_set()
-    eids = tuple(
-        eid for eid, _ in ss.edges if strip_image(ss, eid) & mv
-    )
-    rs = tuple(r for r in ss.r_vertices if boundary_clique(ss, r) & mv)
-    return CoveredSubgraph(edge_ids=eids, vertex_ids=rs)
-
-
-# ---------------------------------------------------------------------------
 # constructions
 
 def trivial_strip_structure(g: Graph) -> StripStructure:
@@ -456,107 +396,3 @@ def line_graph_strip_structure(g: Graph) -> StripStructure | None:
         strips=strips,
         z_assign=z_assign,
     )
-
-
-# ---------------------------------------------------------------------------
-# conformance with the decomposition theorem
-
-def _fuzzy_cert_consistent(s: Strip, fam: FuzzyArcModel) -> str | None:
-    """None when the model realizes the strip interior, else a mismatch note.
-
-    Arc i of the model stands for the i-th interior vertex of J in
-    increasing order; the realized graph must reproduce the interior
-    edge-for-edge.
-    """
-    interior = s.interior()
-    if len(fam.arcs.arcs) != len(interior):
-        return (
-            f"certificate has {len(fam.arcs.arcs)} arcs "
-            f"for {len(interior)} interior vertices"
-        )
-    realized = realize(fam)
-    for a in range(realized.n):
-        for b in range(a + 1, realized.n):
-            if realized.has_edge(a, b) != s.graph.has_edge(interior[a], interior[b]):
-                return (
-                    f"certificate arcs ({a},{b}) disagree with "
-                    f"J pair ({interior[a]},{interior[b]})"
-                )
-    return None
-
-
-def conformance_check(ss: StripStructure, certificates=None) -> ConformanceReport:
-    """Check every strip against the decomposition shape.
-
-    A spot passes outright.  A stripe passes when it has one or two
-    attachment vertices and is backed up either by a consistent fuzzy
-    circular-arc certificate or by a verified independence number of at
-    most four.  The "alpha4" claim is accepted untested, with a warning,
-    when the strip is too large for the brute-force bound.
-    """
-    certificates = dict(certificates or {})
-    unknown = sorted(set(certificates) - {eid for eid, _ in ss.edges})
-    if unknown:
-        raise InputError(f"certificates for unknown edges {unknown}")
-    for eid, cert in certificates.items():
-        if not isinstance(cert, FuzzyArcModel) and cert != "alpha4":
-            raise InputError(f"edge {eid}: unrecognized certificate {cert!r}")
-    findings = []
-    warnings = []
-    for eid, _ in ss.edges:
-        s = ss.strips[eid]
-        kind = classify_strip(s)
-        cert = certificates.get(eid)
-        if kind == "spot":
-            findings.append(EdgeConformance(eid, True, kind, "spot"))
-            continue
-        if kind == "neither":
-            findings.append(
-                EdgeConformance(eid, False, kind, "neither a spot nor a stripe")
-            )
-            continue
-        if not 1 <= len(s.z) <= 2:
-            findings.append(
-                EdgeConformance(
-                    eid, False, kind, f"stripe with {len(s.z)} attachment vertices"
-                )
-            )
-            continue
-        if isinstance(cert, FuzzyArcModel):
-            note = _fuzzy_cert_consistent(s, cert)
-            if note is None:
-                findings.append(
-                    EdgeConformance(eid, True, kind, "fuzzy certificate consistent")
-                )
-            else:
-                findings.append(EdgeConformance(eid, False, kind, note))
-            continue
-        try:
-            alpha, _ = brute_force_mis(s.graph)
-        except SizeCapError:
-            if cert == "alpha4":
-                warnings.append(
-                    f"edge {eid}: alpha4 claim accepted untested, J too large"
-                )
-                findings.append(
-                    EdgeConformance(eid, True, kind, "alpha4 claimed, not verified")
-                )
-            else:
-                findings.append(
-                    EdgeConformance(
-                        eid, False, kind,
-                        "J too large for the brute-force bound; supply a certificate",
-                    )
-                )
-            continue
-        if alpha <= 4:
-            findings.append(
-                EdgeConformance(eid, True, kind, f"independence number {alpha}")
-            )
-        else:
-            findings.append(
-                EdgeConformance(
-                    eid, False, kind, f"independence number {alpha} exceeds 4"
-                )
-            )
-    return ConformanceReport(findings=tuple(findings), warnings=tuple(warnings))

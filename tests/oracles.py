@@ -12,13 +12,18 @@ package's bases, and ``natural_coloring_reference`` paints its structure
 elements.  ``subset_scan_occurrences``, ``all_pairs_occurrence_masks`` and
 ``long_by_pairs_and_triples`` keep the package's earlier, slower versions of
 occurrence enumeration, conflict masks and the longness test, for
-differential tests that require identical output.
+differential tests that require identical output.  ``fuzzy_dp_profile`` runs
+the fuzzy solver's own residual chain from every committed occurrence, and
+``covered_subgraph`` reads a matching's footprint off the package's strip
+images and boundary cliques.
 """
 
 import itertools
 
-from igmatch.graphs import greedy_clique_partition
-from igmatch.models import covers_circle
+from igmatch.fuzzy_solver import _residual_chain
+from igmatch.graphs import _occurrence_masks, enumerate_occurrences, greedy_clique_partition
+from igmatch.models import covers_circle, realize
+from igmatch.strips import boundary_clique, strip_image
 
 
 def independent_sets(g):
@@ -315,3 +320,34 @@ def natural_coloring_reference(base, ss, vmap, emap):
             fi = einv.get(eid)
             colors[el] = ("bndc", fi, rinv[r]) if fi is not None else eblock
     return ElementColoring(colors)
+
+
+def fuzzy_dp_profile(model, h) -> tuple[int, ...]:
+    """Best matching size through each committed occurrence, in order.
+
+    The maximum of the profile is the optimum; it does not depend on which
+    occurrence the solver happens to commit to first.
+    """
+    g = realize(model)
+    occs = enumerate_occurrences(g, h)
+    if not occs:
+        return ()
+    _, conflict = _occurrence_masks(g, occs)
+    return tuple(
+        1 + _residual_chain(model, occs, conflict, star, None)[0]
+        for star in range(len(occs))
+    )
+
+
+def covered_subgraph(ss, m) -> tuple[tuple, tuple]:
+    """(strip-edge ids, strip-vertex ids) a matching touches.
+
+    An edge is covered when its interior image meets the matching; a
+    strip-vertex when its clique C(r) does.  A size-k matching of an h-vertex
+    pattern covers at most hk edges and 2hk strip-vertices.
+    """
+    mv = m.vertex_set()
+    return (
+        tuple(eid for eid, _ in ss.edges if strip_image(ss, eid) & mv),
+        tuple(r for r in ss.r_vertices if boundary_clique(ss, r) & mv),
+    )

@@ -24,7 +24,6 @@ from igmatch.models import Arc, ArcModel, FuzzyArcModel, realize
 from igmatch.strips import (
     Strip,
     StripStructure,
-    covered_subgraph,
     line_graph_strip_structure,
     trivial_strip_structure,
     validate_strip_structure,
@@ -39,15 +38,13 @@ from igmatch.color_coding import (
     check_condition1,
     check_condition2,
     coloring_family,
-    enumerate_bases,
     global_matching_step,
     solve_igm_claw_free,
     solve_strip_interiors,
     step5_coloring,
     structure_elements,
-    token_set,
 )
-from oracles import canonical_base_key_reference, natural_coloring_reference
+from oracles import canonical_base_key_reference, covered_subgraph, natural_coloring_reference
 
 
 # ---------------------------------------------------------------------------
@@ -107,6 +104,15 @@ def c11_two_stripes():
     return g, ss
 
 
+def full_budget(h, k) -> dict:
+    """A shape budget that restricts nothing: no plan has more than hk edges."""
+    return {(kind, nm): h.h * k for kind, nm, _slots in cc._NEW_EDGE_SHAPES}
+
+
+def all_bases(h, k):
+    return cc._base_stream(h, k, full_budget(h, k))
+
+
 def surj_single_edge():
     return BaseSurjection({0: 0}, {0: 0}, {0: {0: 0}})
 
@@ -117,15 +123,6 @@ T11 = (1, 1)
 
 # ---------------------------------------------------------------------------
 # tokens and base construction
-
-def test_token_set_is_groups_times_pattern(p3):
-    assert token_set(p3, 2) == (
-        (1, 0), (1, 1), (1, 2), (2, 0), (2, 1), (2, 2),
-    )
-    assert token_set(p3, 0) == ()
-    with pytest.raises(InputError):
-        token_set(p3, -1)
-
 
 def test_base_edge_normalizes_member_order():
     fe = BaseEdge(
@@ -214,7 +211,7 @@ def all_k1_bases_by_hand():
 
 
 def test_single_token_bases_match_hand_enumeration(k1):
-    got = list(enumerate_bases(k1, 1))
+    got = list(all_bases(k1, 1))
     want = all_k1_bases_by_hand()
     assert len(got) == len(want) == 6
     for w in want:
@@ -222,7 +219,7 @@ def test_single_token_bases_match_hand_enumeration(k1):
 
 
 def test_enumerated_bases_are_pairwise_nonisomorphic(k2):
-    got = list(enumerate_bases(k2, 1))
+    got = list(all_bases(k2, 1))
     assert len(got) == 39
     for i, a in enumerate(got):
         for b in got[i + 1:]:
@@ -231,9 +228,9 @@ def test_enumerated_bases_are_pairwise_nonisomorphic(k2):
 
 def test_enumerated_bases_assign_all_tokens_and_pass_conditions(p3, k2):
     for h, k in ((p3, 1), (k2, 2)):
-        toks = set(token_set(h, k))
+        toks = {(g, hv) for g in range(1, k + 1) for hv in range(h.h)}
         n = 0
-        for b in enumerate_bases(h, k):
+        for b in all_bases(h, k):
             n += 1
             assert set(b.tokens()) == toks
             assert all(fe.tokens() for fe in b.edges)
@@ -244,14 +241,15 @@ def test_enumerated_bases_assign_all_tokens_and_pass_conditions(p3, k2):
 
 def test_enumerate_bases_cap_and_degenerate_k(k3, k2):
     with pytest.raises(SizeCapError):
-        enumerate_bases(k3, 3)  # hk = 9 over the default cap
-    assert list(enumerate_bases(k2, 0)) == []
+        all_bases(k3, 3)  # hk = 9 over the default cap
+    assert list(all_bases(k2, 0)) == []
 
 
 # (pattern, k, shape budget) cases that stream in under a second under the
-# brute-force reference key; budgets as _shaped_bases receives them.  The
-# last two glue several groups onto two-member stripes, where a key that
-# forgot which end of an edge another edge is glued to would merge classes.
+# brute-force reference key; budgets as _shaped_bases receives them, None
+# for the full budget.  The last two glue several groups onto two-member
+# stripes, where a key that forgot which end of an edge another edge is
+# glued to would merge classes.
 STREAM_CASES = (
     ("k2", 2, {("spot", 2): 4}),
     ("k2", 3, {("spot", 2): 6}),
@@ -266,9 +264,10 @@ STREAM_CASES = (
 
 def test_base_stream_matches_the_brute_force_key(monkeypatch, k1, k2, k3, p3):
     pats = {"k1": k1, "k2": k2, "k3": k3, "p3": p3}
-    got = [list(cc._base_stream(pats[h], k, b)) for h, k, b in STREAM_CASES]
+    cases = [(pats[h], k, b or full_budget(pats[h], k)) for h, k, b in STREAM_CASES]
+    got = [list(cc._base_stream(*case)) for case in cases]
     monkeypatch.setattr(cc, "_canonical_base_key", canonical_base_key_reference)
-    want = [list(cc._base_stream(pats[h], k, b)) for h, k, b in STREAM_CASES]
+    want = [list(cc._base_stream(*case)) for case in cases]
     assert [len(s) for s in got] == [3, 4, 1, 39, 145, 353, 50, 555]
     assert got == want
 
@@ -524,7 +523,7 @@ def test_literal_exhaustive_family_reproduces_the_answer(k2):
     g, ss = two_stripe_p4()
     elements = structure_elements(ss)
     successes = 0
-    for base in enumerate_bases(k2, 1):
+    for base in all_bases(k2, 1):
         shapes = {(fe.kind, len(fe.members)) for fe in base.edges}
         if shapes != {("stripe", 1)}:
             if len(base_palette(base)) ** len(elements) <= 1000:
@@ -581,9 +580,9 @@ def test_driver_witness_covers_few_strips(k2):
     g = path_graph(12)
     ss = line_graph_strip_structure(g)
     m = solve_igm_claw_free(g, k2, 2, ss=ss)
-    cov = covered_subgraph(ss, m)
-    assert len(cov.edge_ids) <= 2 * 2
-    assert len(cov.vertex_ids) <= 2 * 2 * 2
+    edge_ids, vertex_ids = covered_subgraph(ss, m)
+    assert len(edge_ids) <= 2 * 2
+    assert len(vertex_ids) <= 2 * 2 * 2
 
 
 def test_driver_on_a_tree_line_graph_with_spots(k2, k3, p3):
@@ -855,6 +854,17 @@ def test_driver_checks_fuzzy_models_at_entry(k2, k3):
     c11, c11ss = c11_two_stripes()
     with pytest.raises(InputError, match="certificate for strip-edge 1"):
         solve_igm_claw_free(c11, k2, 1, ss=c11ss, certificates={1: stub})
+
+
+def test_driver_true_alpha4_claims_change_no_witness(k2, p3):
+    # both stripes of C11 have bodies of independence number 3; the claim
+    # replaces the per-residue independence test when packing interiors
+    c11, c11ss = c11_two_stripes()
+    claims = {0: "alpha4", 1: "alpha4"}
+    for h, k in ((k2, 1), (k2, 2), (p3, 1)):
+        want = solve_igm_claw_free(c11, h, k, ss=c11ss)
+        assert want is not None
+        assert solve_igm_claw_free(c11, h, k, ss=c11ss, certificates=claims) == want
 
 
 # ---------------------------------------------------------------------------

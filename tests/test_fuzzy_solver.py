@@ -3,16 +3,12 @@ import random
 import pytest
 
 from igmatch.errors import InputError
-from igmatch.fuzzy_solver import (
-    compatible,
-    fuzzy_dp_profile,
-    solve_igm_fuzzy_ca,
-    solve_igm_small_alpha,
-)
+from igmatch.fuzzy_solver import solve_igm_fuzzy_ca, solve_igm_small_alpha
 from igmatch.graphs import (
     Graph,
     Occurrence,
     Pattern,
+    compatible,
     complete_graph,
     cycle_graph,
     disjoint_union,
@@ -21,7 +17,7 @@ from igmatch.graphs import (
 )
 from igmatch.models import Arc, ArcModel, FuzzyArcModel, realize
 
-from oracles import igm_exhaustive, max_igm_exhaustive
+from oracles import fuzzy_dp_profile, igm_exhaustive, max_igm_exhaustive
 from randgen import random_fuzzy_arc_model
 
 

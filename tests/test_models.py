@@ -16,13 +16,11 @@ from igmatch.models import (
     arc_contains,
     covers_circle,
     cut_at_point,
-    equivalence_points,
     equivalence_points_doubled,
     intersection_kind,
     realize,
     validate_arc_model,
     validate_interval_model,
-    validate_model,
 )
 from oracles import long_by_pairs_and_triples
 from randgen import random_long_proper_arc_model, random_proper_interval_model
@@ -248,12 +246,12 @@ def test_fuzzy_resolution_bookkeeping():
 
 
 def test_equivalence_points_single_arc():
-    pts = equivalence_points(arcs(8, (0, 4)))
-    assert set(pts) >= {Fraction(0), Fraction(2), Fraction(4), Fraction(6)}
+    pts = equivalence_points_doubled(arcs(8, (0, 4)))
+    assert set(pts) >= {0, 4, 8, 12}
 
 
 def test_equivalence_points_empty_model():
-    assert equivalence_points(ArcModel([], 8)) == [Fraction(0)]
+    assert equivalence_points_doubled(ArcModel([], 8)) == [0]
 
 
 def test_equivalence_points_are_exhaustive():
@@ -268,10 +266,9 @@ def test_equivalence_points_are_exhaustive():
             t = (s + rng.randint(1, c - 1)) % c
             arcs_.append(Arc(i, s, t))
         m = ArcModel(arcs_, c)
-        reps = equivalence_points(m)
+        reps = equivalence_points_doubled(m)
         rep_sets = set()
-        for p in reps:
-            p2 = int(p * 2)
+        for p2 in reps:
             rep_sets.add(frozenset(
                 i for i in range(n) if _on_arc(p2, m.arcs[i].s, m.arcs[i].t, c)
             ))
@@ -284,12 +281,19 @@ def test_equivalence_points_are_exhaustive():
 
 def test_cut_at_point_examples():
     m = arcs(12, (0, 3), (2, 5), (6, 9))
-    res = cut_at_point(m, 10)
+    res = cut_at_point(m, 20)
     assert res.removed_ids == () and len(res.intervals) == 3
-    res2 = cut_at_point(m, 2)
+    res2 = cut_at_point(m, 4)
     assert res2.removed_ids == (0, 1)
     assert res2.kept_ids == (2,)
     assert len(res2.intervals) == 1
+
+
+def test_cut_at_point_rejects_a_non_integer_point():
+    m = arcs(12, (0, 3), (2, 5), (6, 9))
+    for p in (Fraction(5), 10.0, "10"):
+        with pytest.raises(InputError):
+            cut_at_point(m, p)
 
 
 def test_cut_realization_is_induced_subgraph():
@@ -304,8 +308,8 @@ def test_cut_realization_is_induced_subgraph():
             arcs_.append(Arc(i, s, t))
         m = ArcModel(arcs_, c)
         g = realize(m)
-        for p in equivalence_points(m):
-            res = cut_at_point(m, p)
+        for p2 in equivalence_points_doubled(m):
+            res = cut_at_point(m, p2)
             sub = g.induced(list(res.kept_ids))
             assert realize(res.intervals).edges == sub.edges
 
@@ -327,7 +331,7 @@ def test_every_cut_of_a_proper_model_is_proper():
         if not validate_arc_model(m).proper:
             continue
         for p2 in equivalence_points_doubled(m):
-            cut = cut_at_point(m, Fraction(p2, 2))
+            cut = cut_at_point(m, p2)
             assert validate_interval_model(cut.intervals).proper, (m.arcs, p2)
             cuts += len(cut.kept_ids) > 1
     assert cuts > 500
@@ -343,11 +347,10 @@ def test_cut_at_uncovered_point_preserves_everything():
             continue
         tried += 1
         g = realize(m)
-        for p in equivalence_points(m):
-            p2 = int(p * 2)
+        for p2 in equivalence_points_doubled(m):
             if any(_on_arc(p2, a.s, a.t, m.circumference) for a in m.arcs):
                 continue
-            res = cut_at_point(m, p)
+            res = cut_at_point(m, p2)
             assert res.removed_ids == ()
             assert realize(res.intervals).edges == g.edges
 
@@ -431,14 +434,6 @@ def test_random_proper_interval_models_are_claw_free_and_proper():
         m = random_proper_interval_model(rng, rng.randint(1, 14))
         assert validate_interval_model(m).proper
         assert star_free(realize(m), 3)
-
-
-def test_validate_model_dispatch():
-    im = IntervalModel([Interval(0, 0, 2)])
-    assert validate_model(im).long
-    base = arcs(8, (0, 2), (2, 4))
-    fz = FuzzyArcModel(base, {(0, 1): True})
-    assert validate_model(fz) == validate_arc_model(base)
 
 
 def test_realize_arc_clique():

@@ -1,6 +1,8 @@
 """Package-wide checks that no single module's tests would catch."""
 
+import ast
 import importlib
+import pathlib
 import pkgutil
 
 import igmatch
@@ -15,3 +17,28 @@ def test_every_export_resolves():
             assert hasattr(module, name), f"igmatch.{info.name}.__all__ names missing {name!r}"
             checked += 1
     assert checked
+
+
+def test_no_module_imports_a_private_name_of_a_sibling():
+    # a private helper lives beside its user.  The one exception is
+    # graphs._occurrence_masks: perfbench/layers.py wraps it by that name,
+    # so it keeps its name while two solver modules share it
+    allowed = {("graphs", "_occurrence_masks")}
+    found = []
+    for info in pkgutil.iter_modules(igmatch.__path__):
+        path = pathlib.Path(igmatch.__path__[0]) / f"{info.name}.py"
+        for node in ast.walk(ast.parse(path.read_text())):
+            if not isinstance(node, ast.ImportFrom):
+                continue
+            if node.level:
+                source = node.module or ""
+            elif (node.module or "").startswith("igmatch."):
+                source = node.module.removeprefix("igmatch.")
+            else:
+                continue
+            found += [
+                (info.name, source, a.name)
+                for a in node.names
+                if a.name.startswith("_") and (source, a.name) not in allowed
+            ]
+    assert not found, f"private names imported across modules: {found}"

@@ -2,13 +2,17 @@ import random
 
 import pytest
 
-from igmatch.errors import InputError
+import igmatch.color_coding as cc
+from igmatch.color_coding import solve_igm_claw_free
+from igmatch.errors import InputError, SizeCapError
 from igmatch.graphs import (
     Graph,
     Matching,
     Occurrence,
     Pattern,
+    brute_force_wis,
     complete_graph,
+    cycle_graph,
     find_igm,
     path_graph,
     star_free,
@@ -20,8 +24,6 @@ from igmatch.strips import (
     StripStructure,
     boundary_clique,
     classify_strip,
-    conformance_check,
-    covered_subgraph,
     line_graph_strip_structure,
     strip_invariant_failures,
     strip_image,
@@ -29,6 +31,7 @@ from igmatch.strips import (
     validate_strip_structure,
 )
 
+from oracles import covered_subgraph
 from randgen import random_connected_graph, random_line_graph
 
 
@@ -336,33 +339,33 @@ def test_fig_boundary_cliques():
 
 
 def test_fig_conformance_without_certificates():
-    report = conformance_check(fig_structure())
-    assert report.ok
-    assert report.warnings == ()
-    by_eid = {f.eid: f for f in report.findings}
-    assert by_eid[0].kind == "spot"
-    assert "independence number" in by_eid[7].detail
+    # every stripe interior has independence number at most 4, so the
+    # pipeline packs each one by bounded search and logs no deviation
+    g, ss = fig_host(), fig_structure()
+    k2 = Pattern.of(complete_graph(2))
+    for k in (1, 2):
+        devs = []
+        m = solve_igm_claw_free(g, k2, k, ss=ss, deviations=devs)
+        m.check(g, k2)
+        assert devs == []
 
 
 # ---------------------------------------------------------------------------
 # covered subgraph
 
 def test_covered_subgraph_empty_matching():
-    cov = covered_subgraph(fig_structure(), Matching(()))
-    assert cov.edge_ids == () and cov.vertex_ids == ()
+    assert covered_subgraph(fig_structure(), Matching(())) == ((), ())
 
 
 def test_covered_subgraph_interior_only():
     # host vertex 15 sits inside stripe 2 and in no boundary clique
     cov = covered_subgraph(fig_structure(), Matching((Occurrence((15,)),)))
-    assert cov.edge_ids == (2,)
-    assert cov.vertex_ids == ()
+    assert cov == ((2,), ())
 
 
 def test_covered_subgraph_boundary_vertex():
     cov = covered_subgraph(fig_structure(), Matching((Occurrence((8,)),)))
-    assert cov.edge_ids == (0,)
-    assert cov.vertex_ids == (0, 2)
+    assert cov == ((0,), (0, 2))
 
 
 def test_covered_subgraph_bounds_for_solver_matchings():
@@ -373,9 +376,9 @@ def test_covered_subgraph_bounds_for_solver_matchings():
         m = find_igm(g, h, k)
         assert m is not None
         m.check(g, h)
-        cov = covered_subgraph(ss, m)
-        assert len(cov.edge_ids) <= h.h * k
-        assert len(cov.vertex_ids) <= 2 * h.h * k
+        edge_ids, vertex_ids = covered_subgraph(ss, m)
+        assert len(edge_ids) <= h.h * k
+        assert len(vertex_ids) <= 2 * h.h * k
 
 
 # ---------------------------------------------------------------------------
@@ -391,7 +394,7 @@ def test_line_graph_structure_of_path():
     assert classify_strip(ss.strips[1]) == "spot"
     assert classify_strip(ss.strips[0]) == "stripe"
     assert validate_strip_structure(p3, ss).ok
-    assert conformance_check(ss).ok
+    assert all(classify_strip(s) in ("spot", "stripe") for s in ss.strips.values())
 
 
 def test_line_graph_structure_of_triangle():
@@ -402,7 +405,6 @@ def test_line_graph_structure_of_triangle():
     assert sorted(ms for _, ms in ss.edges) == [(0, 1), (0, 2), (1, 2)]
     assert all(classify_strip(s) == "spot" for s in ss.strips.values())
     assert validate_strip_structure(k3, ss).ok
-    assert conformance_check(ss).ok
 
 
 def test_line_graph_structure_absent_for_star():
@@ -416,15 +418,13 @@ def test_line_graph_structure_random_sweep():
         ss = line_graph_strip_structure(g)
         assert ss is not None
         assert validate_strip_structure(g, ss).ok
-        report = conformance_check(ss)
-        assert report.ok
-        assert all(f.kind in ("spot", "stripe") for f in report.findings)
+        assert all(classify_strip(s) in ("spot", "stripe") for s in ss.strips.values())
         images = [strip_image(ss, eid) for eid, _ in ss.edges]
         assert sorted(v for img in images for v in img) == list(range(g.n))
 
 
 # ---------------------------------------------------------------------------
-# conformance
+# conformance: strip shapes and certificates, checked at solver entry
 
 def _one_edge_structure(strip: Strip, members=()) -> StripStructure:
     rs = tuple(sorted(members))
@@ -437,8 +437,11 @@ def _one_edge_structure(strip: Strip, members=()) -> StripStructure:
     )
 
 
+K1 = Pattern.of(Graph(1, []))
+
+
 def test_conformance_rejects_three_boundary_stripe():
-    j = Graph(6, [(0, 1), (1, 2), (3, 0), (4, 1), (5, 2)])
+    j = Graph(6, [(0, 1), (1, 2), (0, 2), (3, 0), (4, 1), (5, 2)])
     s = Strip(graph=j, z=frozenset({3, 4, 5}), g_map={0: 0, 1: 1, 2: 2})
     assert classify_strip(s) == "stripe"
     ss = StripStructure(
@@ -447,54 +450,70 @@ def test_conformance_rejects_three_boundary_stripe():
         strips={0: s},
         z_assign={0: {0: 3, 1: 4}},
     )
-    report = conformance_check(ss)
-    assert not report.ok
-    assert "3 attachment vertices" in report.findings[0].detail
+    with pytest.raises(InputError, match="3 but edge has 2 members"):
+        solve_igm_claw_free(complete_graph(3), K1, 1, ss=ss)
 
 
-def test_conformance_rejects_large_alpha_without_certificate():
+def test_conformance_rejects_large_alpha_under_an_alpha4_claim():
+    # a one-boundary strip with five isolated interior vertices, and the
+    # whole of a six-vertex edgeless host, where the unchecked claim used to
+    # cap the answer at 4 copies
     j = Graph(6, [(5, 0)])
     s = Strip(graph=j, z=frozenset({5}), g_map={i: i for i in range(5)})
-    report = conformance_check(_one_edge_structure(s, members=(9,)))
-    assert not report.ok
-    assert "independence number 5" in report.findings[0].detail
+    g6 = Graph(6, [])
+    for g, ss in ((Graph(5, []), _one_edge_structure(s, members=(9,))),
+                  (g6, trivial_strip_structure(g6))):
+        for k in (0, 5):
+            with pytest.raises(InputError, match="'alpha4' claimed"):
+                solve_igm_claw_free(g, K1, k, ss=ss, certificates={0: "alpha4"})
+    five = solve_igm_claw_free(g6, K1, 5, ss=trivial_strip_structure(g6))
+    assert len(five.occurrences) == 5
 
 
 def test_conformance_accepts_consistent_fuzzy_certificate():
-    j = Graph(5, [(0, 1), (1, 2), (2, 3), (0, 3), (4, 0)])
+    j = Graph(5, [(0, 1), (1, 2), (2, 3), (0, 3), (4, 0), (4, 1)])
     s = Strip(graph=j, z=frozenset({4}), g_map={i: i for i in range(4)})
     fam = fam_of(8, (0, 3), (2, 5), (4, 7), (6, 1))
-    report = conformance_check(_one_edge_structure(s, members=(9,)), {0: fam})
-    assert report.ok
-    assert report.findings[0].detail == "fuzzy certificate consistent"
+    ss = _one_edge_structure(s, members=(9,))
+    g = cycle_graph(4)
+    got = solve_igm_claw_free(g, K1, 2, ss=ss, certificates={0: fam})
+    assert got == solve_igm_claw_free(g, K1, 2, ss=ss) is not None
 
 
 def test_conformance_rejects_inconsistent_fuzzy_certificate():
-    j = Graph(5, [(0, 1), (1, 2), (2, 3), (0, 3), (4, 0)])
+    j = Graph(5, [(0, 1), (1, 2), (2, 3), (0, 3), (4, 0), (4, 1)])
     s = Strip(graph=j, z=frozenset({4}), g_map={i: i for i in range(4)})
-    fam = fam_of(12, (0, 3), (2, 5), (4, 7), (6, 9))
-    report = conformance_check(_one_edge_structure(s, members=(9,)), {0: fam})
-    assert not report.ok
-    assert "disagree" in report.findings[0].detail
+    ss = _one_edge_structure(s, members=(9,))
+    path = fam_of(12, (0, 3), (2, 5), (4, 7), (6, 9))
+    with pytest.raises(InputError, match="disagree"):
+        solve_igm_claw_free(cycle_graph(4), K1, 1, ss=ss, certificates={0: path})
+    short = fam_of(12, (0, 3), (2, 5), (4, 7))
+    with pytest.raises(InputError, match="3 arcs for 4 interior vertices"):
+        solve_igm_claw_free(cycle_graph(4), K1, 1, ss=ss, certificates={0: short})
 
 
-def test_conformance_alpha4_claim_on_oversized_strip():
+def test_conformance_alpha4_claim_on_oversized_strip(monkeypatch):
+    # 32 isolated interior vertices: past the brute_force_mis cap, but the
+    # bounded query still refutes the claim; past its own cap it raises
     j = Graph(33, [(32, 0)])
     s = Strip(graph=j, z=frozenset({32}), g_map={i: i for i in range(32)})
     ss = _one_edge_structure(s, members=(9,))
+    g = Graph(32, [])
+    with pytest.raises(InputError, match="'alpha4' claimed"):
+        solve_igm_claw_free(g, K1, 1, ss=ss, certificates={0: "alpha4"})
 
-    report = conformance_check(ss, {0: "alpha4"})
-    assert report.ok
-    assert "untested" in report.warnings[0]
+    def capped(*args):
+        return brute_force_wis(*args, cap=31)
 
-    bare = conformance_check(ss)
-    assert not bare.ok
-    assert "supply a certificate" in bare.findings[0].detail
+    monkeypatch.setattr(cc, "brute_force_wis", capped)
+    with pytest.raises(SizeCapError):
+        solve_igm_claw_free(g, K1, 1, ss=ss, certificates={0: "alpha4"})
 
 
 def test_conformance_rejects_bad_certificate_inputs():
     ss = _one_edge_structure(spot(0), members=(3, 4))
+    g = Graph(1, [])
     with pytest.raises(InputError):
-        conformance_check(ss, {5: "alpha4"})
+        solve_igm_claw_free(g, K1, 1, ss=ss, certificates={5: "alpha4"})
     with pytest.raises(InputError):
-        conformance_check(ss, {0: "alpha5"})
+        solve_igm_claw_free(g, K1, 1, ss=ss, certificates={0: "alpha5"})
