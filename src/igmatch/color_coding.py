@@ -28,6 +28,7 @@ and blanks them.
 
 from __future__ import annotations
 
+import collections
 import functools
 import itertools
 import random
@@ -1004,6 +1005,35 @@ def _strip_profiles(ss: StripStructure) -> dict:
     return prof
 
 
+@dataclass(frozen=True)
+class _StripIndex:
+    """Candidate lists of the embedding search, built once per structure.
+
+    ``by_shape`` lists the strip-edges of each (kind, member count) shape and
+    ``incident`` those of a shape at a strip-vertex, both in ``ss.edges``
+    order; ``most`` is the largest number of strip-edges of a shape on one
+    member tuple.
+    """
+
+    by_shape: dict
+    incident: dict
+    most: dict
+
+
+def _strip_index(ss: StripStructure, profiles: dict) -> _StripIndex:
+    by_shape: dict = {}
+    incident: dict = {}
+    for eid, members in ss.edges:
+        by_shape.setdefault(profiles[eid], []).append(eid)
+        for r in members:
+            incident.setdefault((profiles[eid], r), []).append(eid)
+    most: dict = {}
+    on_tuple = collections.Counter((profiles[eid], members) for eid, members in ss.edges)
+    for (shape, _members), c in on_tuple.items():
+        most[shape] = max(most.get(shape, 0), c)
+    return _StripIndex(by_shape, incident, most)
+
+
 def _alignment_options(f_members, e_members):
     if len(f_members) == 1:
         return [((f_members[0], e_members[0]),)]
@@ -1011,46 +1041,97 @@ def _alignment_options(f_members, e_members):
     return [((b1, r1), (b2, r2)), ((b1, r2), (b2, r1))]
 
 
-def _embeddings(base: Base, ss: StripStructure, profiles: dict):
-    """Injective shape-preserving maps of the base into the strip-graph."""
-    members = dict(ss.edges)
+def _components(steps) -> list:
+    """The (shape, members) steps of each connected part of a base, in order."""
+    root: dict = {}
+
+    def find(b):
+        while root.setdefault(b, b) != b:
+            b = root[b]
+        return b
+
+    for _shape, fm in steps:
+        for b in fm[1:]:
+            root[find(b)] = find(fm[0])
+    parts: dict = {}
+    for step in steps:
+        parts.setdefault(find(step[1][0]), []).append(step)
+    return list(parts.values())
+
+
+def _maps(steps, members: dict, index: _StripIndex):
+    """An iterator of (vmap, emap), one per injective map of the (shape,
+    members) steps in order; emap is keyed by step position."""
     vmap: dict = {}
     emap: dict = {}
+    used: set = set()
     rused: set = set()
 
     def rec(fi: int):
-        if fi == len(base.edges):
+        if fi == len(steps):
             yield dict(vmap), dict(emap)
             return
-        fe = base.edges[fi]
-        want = (fe.kind, len(fe.members))
-        for eid in members:
-            if eid in emap.values() or profiles[eid] != want:
+        shape, fm = steps[fi]
+        anchored = [index.incident.get((shape, vmap[b]), ()) for b in fm if b in vmap]
+        cands = min(anchored, key=len) if anchored else index.by_shape.get(shape, ())
+        for eid in cands:
+            if eid in used:
                 continue
-            for pairs in _alignment_options(fe.members, members[eid]):
+            for pairs in _alignment_options(fm, members[eid]):
                 added = []
-                ok = True
                 for b, r in pairs:
                     if b in vmap:
                         if vmap[b] != r:
-                            ok = False
                             break
                     elif r in rused:
-                        ok = False
                         break
                     else:
+                        added.append((b, r))
+                else:
+                    for b, r in added:
                         vmap[b] = r
                         rused.add(r)
-                        added.append((b, r))
-                if ok:
                     emap[fi] = eid
+                    used.add(eid)
                     yield from rec(fi + 1)
                     del emap[fi]
-                for b, r in added:
-                    del vmap[b]
-                    rused.discard(r)
+                    used.discard(eid)
+                    for b, r in added:
+                        del vmap[b]
+                        rused.discard(r)
 
-    yield from rec(0)
+    return rec(0)
+
+
+def _embeddings(base: Base, ss: StripStructure, index: _StripIndex):
+    """Injective shape-preserving maps of the base into the strip-graph.
+
+    Base edges are mapped in index order, each onto an unused strip-edge of
+    its shape under one of its alignments.  A base edge with a member that is
+    already mapped (an anchor) draws its candidates from the strip-edges of
+    its shape at the anchor's image, since any other strip-edge misses that
+    image and fails every alignment; an unanchored one draws from all
+    strip-edges of its shape.  Both lists are subsequences of ``ss.edges``
+    order, so the maps come out in the order of a full scan of ``ss.edges``
+    per base edge.
+
+    Two refutations run first, and each holds for every map, so neither
+    changes the output.  A base with more edges of one shape on one member
+    tuple than ``index.most`` allows has no map, since an injective map sends
+    them to as many strip-edges on one member tuple.  Nor has a base with a
+    connected part that has no map of its own, since a map of the base
+    restricts to one of each part; this saves searching that part again under
+    every placement of the parts before it.
+    """
+    steps = [((fe.kind, len(fe.members)), fe.members) for fe in base.edges]
+    on_tuple = collections.Counter(steps)
+    if any(c > index.most.get(shape, 0) for (shape, _m), c in on_tuple.items()):
+        return
+    members = dict(ss.edges)
+    parts = _components(steps)
+    if len(parts) > 1 and any(next(_maps(p, members, index), None) is None for p in parts):
+        return
+    yield from _maps(steps, members, index)
 
 
 def _embedded_surjection(base: Base, emb) -> BaseSurjection:
@@ -1065,18 +1146,15 @@ def _embedded_surjection(base: Base, emb) -> BaseSurjection:
 
 
 def _pipeline(g, h, k, ss, certificates, cfg: _RunConfig, deviations):
-    profiles = _strip_profiles(ss)
-    supply: dict = {}
-    for shape in profiles.values():
-        supply[shape] = supply.get(shape, 0) + 1
+    index = _strip_index(ss, _strip_profiles(ss))
     # a plan never creates more than hk edges, so higher supply is equivalent
     hk = h.h * k
-    shapes = tuple(sorted((s, min(c, hk)) for s, c in supply.items()))
+    shapes = tuple(sorted((s, min(len(eids), hk)) for s, eids in index.by_shape.items()))
     elements = structure_elements(ss) if cfg.mode == "random" else None
     for base in _shaped_bases(h, k, shapes):
         if cfg.mode == "exhaustive":
             # one surjection per embedding, built directly (module docstring)
-            embs = _embeddings(base, ss, profiles)
+            embs = _embeddings(base, ss, index)
             surjections = (_embedded_surjection(base, emb) for emb in embs)
         else:
             # the paper's color coding: draw colorings, keep what blanking

@@ -188,13 +188,20 @@ def strip_invariant_failures(s: Strip, g: Graph | None = None) -> list:
         if bad:
             out.append(f"g_map images {bad} outside the host")
             return out
-        for i, a in enumerate(interior):
-            for b in interior[i + 1:]:
-                if j.has_edge(a, b) != g.has_edge(s.g_map[a], s.g_map[b]):
-                    out.append(
-                        f"g_map not edge-preserving on J pair ({a},{b}) -> "
-                        f"({s.g_map[a]},{s.g_map[b]})"
-                    )
+        # a pair can differ only where J or the host has an edge, so compare
+        # neighbour sets, the host's pulled back through the inverse of g_map
+        inv: dict = {}
+        for a, v in s.g_map.items():
+            inv.setdefault(v, []).append(a)
+        image = set(inv)
+        for a in interior:
+            in_j = {b for b in j.neighbors(a) if b > a and b in s.g_map}
+            in_g = {b for v in g.neighbors(s.g_map[a]) & image for b in inv[v] if b > a}
+            for b in sorted(in_j ^ in_g):
+                out.append(
+                    f"g_map not edge-preserving on J pair ({a},{b}) -> "
+                    f"({s.g_map[a]},{s.g_map[b]})"
+                )
     return out
 
 

@@ -11,8 +11,10 @@ the package's clique partition, ``canonical_base_key_reference`` keys the
 package's bases, and ``natural_coloring_reference`` paints its structure
 elements.  ``subset_scan_occurrences``, ``all_pairs_occurrence_masks`` and
 ``long_by_pairs_and_triples`` keep the package's earlier, slower versions of
-occurrence enumeration, conflict masks and the longness test, for
-differential tests that require identical output.  ``fuzzy_dp_profile`` runs
+occurrence enumeration, conflict masks and the longness test, and
+``embeddings_reference`` and ``g_map_pair_failures`` those of the base
+embedding search and the g_map edge check, for differential tests that
+require identical output.  ``fuzzy_dp_profile`` runs
 the fuzzy solver's own residual chain from every committed occurrence, and
 ``covered_subgraph`` reads a matching's footprint off the package's strip
 images and boundary cliques.
@@ -351,3 +353,73 @@ def covered_subgraph(ss, m) -> tuple[tuple, tuple]:
         tuple(eid for eid, _ in ss.edges if strip_image(ss, eid) & mv),
         tuple(r for r in ss.r_vertices if boundary_clique(ss, r) & mv),
     )
+
+
+def _alignment_options(f_members, e_members):
+    if len(f_members) == 1:
+        return [((f_members[0], e_members[0]),)]
+    (b1, b2), (r1, r2) = f_members, e_members
+    return [((b1, r1), (b2, r2)), ((b1, r2), (b2, r1))]
+
+
+def embeddings_reference(base, ss, profiles: dict):
+    """Injective shape-preserving maps of the base into the strip-graph.
+
+    The package's earlier search: every base edge scans all strip-edges in
+    ``ss.edges`` order and tries both alignments, so it fixes the order in
+    which the anchored search must emit the same maps.  ``profiles`` maps
+    each strip-edge id to its (kind, member count) shape.
+    """
+    members = dict(ss.edges)
+    vmap: dict = {}
+    emap: dict = {}
+    rused: set = set()
+
+    def rec(fi: int):
+        if fi == len(base.edges):
+            yield dict(vmap), dict(emap)
+            return
+        fe = base.edges[fi]
+        want = (fe.kind, len(fe.members))
+        for eid in members:
+            if eid in emap.values() or profiles[eid] != want:
+                continue
+            for pairs in _alignment_options(fe.members, members[eid]):
+                added = []
+                ok = True
+                for b, r in pairs:
+                    if b in vmap:
+                        if vmap[b] != r:
+                            ok = False
+                            break
+                    elif r in rused:
+                        ok = False
+                        break
+                    else:
+                        vmap[b] = r
+                        rused.add(r)
+                        added.append((b, r))
+                if ok:
+                    emap[fi] = eid
+                    yield from rec(fi + 1)
+                    del emap[fi]
+                for b, r in added:
+                    del vmap[b]
+                    rused.discard(r)
+
+    yield from rec(0)
+
+
+def g_map_pair_failures(s, g) -> list:
+    """The g_map edge-preservation messages of ``strip_invariant_failures``,
+    by the package's earlier all-pairs ``has_edge`` comparison."""
+    out = []
+    interior = s.interior()
+    for i, a in enumerate(interior):
+        for b in interior[i + 1:]:
+            if s.graph.has_edge(a, b) != g.has_edge(s.g_map[a], s.g_map[b]):
+                out.append(
+                    f"g_map not edge-preserving on J pair ({a},{b}) -> "
+                    f"({s.g_map[a]},{s.g_map[b]})"
+                )
+    return out

@@ -10,6 +10,7 @@ from igmatch.errors import InputError, SizeCapError
 from igmatch.graphs import (
     Graph,
     Matching,
+    Multigraph,
     Occurrence,
     Pattern,
     brute_force_mis,
@@ -17,6 +18,7 @@ from igmatch.graphs import (
     cycle_graph,
     disjoint_union,
     find_igm,
+    line_graph,
     path_graph,
     star_graph,
 )
@@ -44,7 +46,12 @@ from igmatch.color_coding import (
     step5_coloring,
     structure_elements,
 )
-from oracles import canonical_base_key_reference, covered_subgraph, natural_coloring_reference
+from oracles import (
+    canonical_base_key_reference,
+    covered_subgraph,
+    embeddings_reference,
+    natural_coloring_reference,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -418,13 +425,50 @@ def test_embedded_surjections_are_what_blanking_leaves(k2, p3):
         for h, k in ((k2, 1), (p3, 1), (k2, 2)):
             shapes = tuple(sorted((s, min(c, h.h * k)) for s, c in supply.items()))
             for base in cc._shaped_bases(h, k, shapes):
-                for vmap, emap in cc._embeddings(base, ss, profiles):
+                for vmap, emap in cc._embeddings(base, ss, cc._strip_index(ss, profiles)):
                     f = natural_coloring_reference(base, ss, vmap, emap)
                     out = blank(f, ss, base)
                     assert out is not None
                     assert out[1] == cc._embedded_surjection(base, (vmap, emap))
                     runs += 1
     assert runs > 100
+
+
+def test_embeddings_match_the_scan_reference(k1, k2, p3, k3):
+    """The anchored search emits every embedding of the full scan, in its
+    order, on spots, one- and two-member stripes, parallel spots and parallel
+    stripes.  K1 stops at k = 4: its base stream at k = 5 alone takes seconds
+    per structure."""
+    from randgen import random_connected_multigraph
+
+    cycle = [(i, (i + 1) % 11) for i in range(11)]
+    structures = [
+        two_stripe_p4()[1],
+        c11_two_stripes()[1],
+        path6_stripe(),
+        line_graph_strip_structure(line_graph(Multigraph(11, cycle + [(0, 4), (2, 7)]))),
+    ]
+    rng = random.Random(1)
+    for _ in range(3):
+        mg = random_connected_multigraph(rng, 4, 4)
+        structures.append(line_graph_strip_structure(line_graph(mg)))
+    parallel_spots = mixed_vertex = refuted = 0
+    for ss in structures:
+        profiles = cc._strip_profiles(ss)
+        index = cc._strip_index(ss, profiles)
+        parallel_spots += index.most.get(("spot", 2), 0) > 1
+        mixed_vertex += any(
+            (("spot", 2), r) in index.incident and (("stripe", 1), r) in index.incident
+            for r in ss.r_vertices
+        )
+        for h, top in ((k1, 4), (k2, 3), (p3, 2), (k3, 2)):
+            for k in range(1, top + 1):
+                shapes = tuple(sorted((s, min(len(e), h.h * k)) for s, e in index.by_shape.items()))
+                for base in cc._shaped_bases(h, k, shapes):
+                    want = list(embeddings_reference(base, ss, profiles))
+                    assert list(cc._embeddings(base, ss, index)) == want
+                    refuted += not want
+    assert parallel_spots and mixed_vertex and refuted
 
 
 # ---------------------------------------------------------------------------

@@ -31,8 +31,8 @@ from igmatch.strips import (
     validate_strip_structure,
 )
 
-from oracles import covered_subgraph
-from randgen import random_connected_graph, random_line_graph
+from oracles import covered_subgraph, g_map_pair_failures
+from randgen import random_connected_graph, random_graph, random_line_graph
 
 
 def spot(host_vertex: int) -> Strip:
@@ -285,6 +285,36 @@ def test_strip_invariant_failures_direct():
 
 # ---------------------------------------------------------------------------
 # classification
+
+def test_g_map_check_matches_the_all_pairs_reference():
+    """The neighbour walk reports the same pairs, in the same order, as the
+    all-pairs comparison, on faithful hosts and on perturbed hosts and maps."""
+    rng = random.Random(20261018)
+    outcomes = set()
+    for _ in range(300):
+        j = random_graph(rng, rng.randint(2, 9), rng.random())
+        z = frozenset(rng.sample(range(j.n), rng.randint(0, j.n - 1)))
+        interior = [v for v in range(j.n) if v not in z]
+        n = rng.randint(max(2, len(interior)), len(interior) + 4)
+        g_map = dict(zip(interior, rng.sample(range(n), len(interior))))
+        edges = {tuple(sorted((g_map[a], g_map[b])))
+                 for a, b in j.edges if a in g_map and b in g_map}
+        for _ in range(rng.randint(0, 3)):
+            u, v = rng.sample(range(n), 2)
+            edges ^= {(min(u, v), max(u, v))}
+        if len(interior) > 1 and rng.random() < 0.4:
+            a, b = rng.sample(interior, 2)
+            if rng.random() < 0.5:
+                g_map[a], g_map[b] = g_map[b], g_map[a]
+            else:
+                g_map[a] = g_map[b]  # no longer injective
+        s = Strip(graph=j, z=z, g_map=g_map)
+        g = Graph(n, sorted(edges))
+        got = [m for m in strip_invariant_failures(s, g) if m.startswith("g_map not edge")]
+        assert got == g_map_pair_failures(s, g)
+        outcomes.add((len(set(g_map.values())) < len(g_map), bool(got)))
+    assert {(False, False), (False, True), (True, True)} <= outcomes
+
 
 def test_classify_spot_stripe_neither():
     assert classify_strip(spot(0)) == "spot"
