@@ -1187,15 +1187,6 @@ def _pipeline(g, h, k, ss, certificates, cfg: _RunConfig, deviations):
     return None
 
 
-def _require_valid_structure(g, ss) -> None:
-    report = validate_strip_structure(g, ss)
-    if not report.ok:
-        bad = next(c for c in report.all_checks() if not c.ok)
-        detail = f": {bad.failures[0]}" if bad.failures else ""
-        raise InputError(f"invalid strip-structure ({bad.name}{detail})")
-    _strip_profiles(ss)  # rejects strips that are neither spots nor stripes
-
-
 def _pieces(triples, h, cfg: _RunConfig, deviations) -> list:
     """(settle, host id map) per (graph, host id map, certificate) triple.
 
@@ -1312,7 +1303,7 @@ def _route(g0, h, cert, cfg: _RunConfig, deviations):
                     f"component of {g0.n} vertices solved exhaustively (no structure found)"
                 )
             return lambda kk: find_igm(g0, h, kk)
-        _require_valid_structure(g0, lg)
+        validate_strip_structure(g0, lg).require_ok()
         return _structured(g0, h, lg, {}, cfg, deviations)
 
     return lambda kk: None if kk > alpha else settle()(kk)
@@ -1372,7 +1363,8 @@ def solve_igm_claw_free(
         if realized.n != g.n or realized.edges != g.edges:
             raise InputError("fuzzy model does not realize the graph it certifies")
     if ss is not None:
-        _require_valid_structure(g, ss)
+        validate_strip_structure(g, ss).require_ok()
+        _strip_profiles(ss)  # rejects strips that are neither spots nor stripes
         certs = _validate_certificates(ss, certificates)
         for eid, c in certs.items():
             if isinstance(c, FuzzyArcModel):

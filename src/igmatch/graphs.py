@@ -167,15 +167,6 @@ class Multigraph:
     def degree(self, v: int) -> int:
         return sum(1 for u, w in self.edges if v in (u, w))
 
-    def distinct_neighbors(self, v: int) -> set:
-        out = set()
-        for u, w in self.edges:
-            if u == v:
-                out.add(w)
-            elif w == v:
-                out.add(u)
-        return out
-
     def is_connected(self) -> bool:
         if self.n == 0:
             return False

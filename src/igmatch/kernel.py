@@ -320,10 +320,7 @@ def bound_strip_graph(g: Graph, h: Pattern, k: int,
     supplied = ss is not None
     notes = []
     if supplied:
-        report = validate_strip_structure(g, ss)
-        if not report.ok:
-            first = next(m for c in report.all_checks() for m in c.failures)
-            raise InputError(f"supplied strip structure invalid: {first}")
+        validate_strip_structure(g, ss).require_ok()
         notes.append("supplied strip structure: one bounding round, no re-derivation")
 
     for _ in range(g.n + k + 2):
@@ -493,10 +490,6 @@ class Distribution:
         return dict(self.counts).get(eid, 0)
 
     @property
-    def total(self) -> int:
-        return sum(c for _, c in self.counts)
-
-    @property
     def is_idle(self) -> bool:
         return not self.counts
 
@@ -604,21 +597,32 @@ def build_wis_instance(g: Graph, ss: StripStructure, h: Pattern, k: int) -> WisI
     (spot: which side uses it; stripe: a behaviour index per boundary plus a
     flavour).  The clique of a strip-vertex x enumerates how the single copy
     that may touch C(x) does so: a demand distribution over the edges at x
-    (type Ia), a stick-out through one stripe (type Ib), a spanning copy
-    through a stripe into a second clique (types IIa and IIb), or a copy
-    made of spots across three cliques (type III).  Consistency edges join
-    choices that cannot hold together; each family below carries a comment
-    naming its rule.
+    (type Ia), a stick-out through one stripe (type Ib), or a copy occupying
+    the cliques of a group of strip-vertices with one role vertex in each:
+
+        type  group   the copy                 spot side kept  own-stripe profiles kept
+        IIa   pair    spans C(x) and C(y)      "both"          flavour "C", a, b >= 1
+                      through stripe e and                     and a + b = h - l
+                      the l spots between
+        IIb   pair    sticks out of stripe e   "none"          a = b = -1
+                      at both ends
+        III   triple  is made of spots across  "both"          (no own stripe)
+                      the three cliques
+
+    Such a copy lets every spot inside its group take only the kept side and
+    its own stripe only the kept profiles (a, b: the behaviours at the lower
+    and the higher strip-vertex of the pair); every other stripe inside the
+    group stays untouched at both ends.  A spot meeting just one clique of
+    the group stays unused, and a stripe meeting just one leaves that
+    boundary untouched.  Consistency edges join choices that cannot hold
+    together; each family below carries a comment naming its rule.
     """
     _require_kernel_pattern(h)
     if not isinstance(k, int):
         raise InputError("k must be an integer")
     if k <= 0:
         return trivial_yes_wis(k, "target k <= 0 is always satisfiable")
-    report = validate_strip_structure(g, ss)
-    if not report.ok:
-        first = next(m for c in report.all_checks() for m in c.failures)
-        raise InputError(f"strip structure invalid: {first}")
+    validate_strip_structure(g, ss).require_ok()
     if any(not ms for _, ms in ss.edges):
         raise InputError(
             "0-member strip-edges carry no boundary; peel their strips off first"
@@ -651,8 +655,7 @@ def build_wis_instance(g: Graph, ss: StripStructure, h: Pattern, k: int) -> WisI
     # ------------------------------------------------------------------ pass 1
     # behaviour vertices for every strip-edge
     spot_v = {}    # eid -> {member: vid, "both": vid, "none": vid}
-    prof2 = {}     # eid -> {(a, b, flavour): vid}; a at ms[0], b at ms[1]
-    prof1 = {}     # eid -> {a: vid}
+    prof = {}      # eid -> {key: vid}; key (a,) or (a, b, flavour), in member order
     edge_clique = {}
     for eid, ms in ss.edges:
         s = ss.strips[eid]
@@ -666,38 +669,31 @@ def build_wis_instance(g: Graph, ss: StripStructure, h: Pattern, k: int) -> WisI
             }
             spot_v[eid] = d
             edge_clique[eid] = list(d.values())
-        elif len(ms) == 2:
-            x, y = ms
-            # profile keys follow member order; flip when x faces the larger z
-            flip = ss.z_assign[eid][x] != sorted(s.z)[0]
-            table = {}
-            for a in range(-1, hh):
-                for b in range(-1, hh):
-                    for fl in ("I", "C"):
-                        i, j = (b, a) if flip else (a, b)
-                        w = stripe_profile_weight(s, i, j, fl, h)
-                        if w is None:
-                            continue
-                        if w >= k:
-                            return trivial_yes_wis(
-                                k, f"strip-edge {eid!r} alone holds {w} disjoint copies"
-                            )
-                        table[(a, b, fl)] = new_vertex(f"stripe:e{eid}:i{a}:j{b}:{fl}", w)
-            prof2[eid] = table
-            edge_clique[eid] = list(table.values())
+            continue
+        if len(ms) == 2:
+            # the weight takes its indices in z order; flip when ms[0] faces
+            # the larger z
+            flip = ss.z_assign[eid][ms[0]] != min(s.z)
+            keys = itertools.product(range(-1, hh), range(-1, hh), ("I", "C"))
         else:
-            table = {}
-            for a in range(-1, hh):
-                w = stripe_profile_weight(s, a, None, None, h)
-                if w is None:
-                    continue
-                if w >= k:
-                    return trivial_yes_wis(
-                        k, f"strip-edge {eid!r} alone holds {w} disjoint copies"
-                    )
-                table[a] = new_vertex(f"stripe:e{eid}:i{a}", w)
-            prof1[eid] = table
-            edge_clique[eid] = list(table.values())
+            keys = ((a,) for a in range(-1, hh))
+        table = {}
+        for key in keys:
+            if len(key) == 1:
+                w = stripe_profile_weight(s, key[0], None, None, h)
+            else:
+                a, b, fl = key
+                w = stripe_profile_weight(s, *((b, a) if flip else (a, b)), fl, h)
+            if w is None:
+                continue
+            if w >= k:
+                return trivial_yes_wis(
+                    k, f"strip-edge {eid!r} alone holds {w} disjoint copies"
+                )
+            parts = "".join(f":{p}{v}" for p, v in zip(("i", "j", ""), key))
+            table[key] = new_vertex(f"stripe:e{eid}{parts}", w)
+        prof[eid] = table
+        edge_clique[eid] = list(table.values())
 
     at_r = {r: [eid for eid, ms in ss.edges if r in ms] for r in ss.r_vertices}
     pair_edges = {}
@@ -726,52 +722,39 @@ def build_wis_instance(g: Graph, ss: StripStructure, h: Pattern, k: int) -> WisI
         ib_v[r] = emap
         r_clique[r] = list(dmap.values()) + list(emap.values())
 
-    # types IIa and IIb per pair, type III per triple
-    iia_v = {}
-    iib_v = {}
+    # types IIa and IIb per pair and stripe, type III per triple, each as
+    # (group, role vertex per clique, spot side kept, own stripe, kept profiles)
+    spans = []
+
+    def occupy(kind: str, group: tuple, label: str, w: int, spot_side, own, kept) -> None:
+        # the copy's weight sits on the role vertex of the group's first clique
+        roles = {}
+        for r in group:
+            roles[r] = new_vertex(f"{kind}:r{r}:{label}", w if r == group[0] else 0)
+            r_clique[r].append(roles[r])
+        spans.append((group, roles, spot_side, own, kept))
+
     for (p, q), eids in sorted(pair_edges.items()):
-        spots_pq = [e for e in eids if kinds[e] == "spot"]
-        stripes_pq = [e for e in eids if kinds[e] == "stripe"]
-        ell = len(spots_pq)
+        ell = sum(kinds[e] == "spot" for e in eids)
         if ell > hh:
             notes.append(
                 f"pair ({p!r},{q!r}) carries {ell} spots, above the pattern order "
                 f"{hh}; spanning copies through a stripe are impossible there"
             )
-        for e in stripes_pq:
+        for e in eids:
+            if kinds[e] == "spot":
+                continue
             if 0 < ell < hh - 1:
-                iia_v[(p, q, e)] = {
-                    p: new_vertex(f"span:r{p}:e{e}", 1),
-                    q: new_vertex(f"span:r{q}:e{e}", 0),
-                }
-                r_clique[p].append(iia_v[(p, q, e)][p])
-                r_clique[q].append(iia_v[(p, q, e)][q])
-            iib_v[(p, q, e)] = {
-                p: new_vertex(f"spanout:r{p}:e{e}", 0),
-                q: new_vertex(f"spanout:r{q}:e{e}", 0),
-            }
-            r_clique[p].append(iib_v[(p, q, e)][p])
-            r_clique[q].append(iib_v[(p, q, e)][q])
-
-    iii_v = {}
-    for w_, x_, y_ in itertools.combinations(ss.r_vertices, 3):
-        tri_pairs = [(w_, x_), (w_, y_), (x_, y_)]
-        spot_count = 0
-        all_spotted = True
-        for pp in tri_pairs:
-            here = [e for e in pair_edges.get(pp, ()) if kinds[e] == "spot"]
-            spot_count += len(here)
-            if not here:
-                all_spotted = False
-        if not all_spotted or spot_count < hh:
-            continue
-        iii_v[(w_, x_, y_)] = {
-            w_: new_vertex(f"triple:r{w_}:t{w_}.{x_}.{y_}", 1),
-            x_: new_vertex(f"triple:r{x_}:t{w_}.{x_}.{y_}", 0),
-            y_: new_vertex(f"triple:r{y_}:t{w_}.{x_}.{y_}", 0),
-        }
-        for r in (w_, x_, y_):
-            r_clique[r].append(iii_v[(w_, x_, y_)][r])
+                occupy("span", (p, q), f"e{e}", 1, "both", e,
+                       {key for key in prof[e] if key[2] == "C" and key[0] >= 1
+                        and key[1] >= 1 and key[0] + key[1] == hh - ell})
+            occupy("spanout", (p, q), f"e{e}", 0, "none", e,
+                   {key for key in prof[e] if key[:2] == (-1, -1)})
+    for tri in itertools.combinations(ss.r_vertices, 3):
+        spots = [sum(kinds[e] == "spot" for e in pair_edges.get(pp, ()))
+                 for pp in itertools.combinations(tri, 2)]
+        if 0 not in spots and sum(spots) >= hh:
+            occupy("triple", tri, "t" + ".".join(map(str, tri)), 1, "both", None, ())
 
     # ------------------------------------------------------------------ pass 2
     eset = set()
@@ -788,52 +771,37 @@ def build_wis_instance(g: Graph, ss: StripStructure, h: Pattern, k: int) -> WisI
         for a, b in itertools.combinations(vids, 2):
             connect(a, b)
 
-    def end_behaviour(eid, r, key):
-        a, b, _ = key
-        return a if members_of[eid].index(r) == 0 else b
-
     # type Ia: one copy inside C(x) with demand dist over the edges at x
     for r in ss.r_vertices:
         for dist, pv in ia_v[r].items():
             for eid in at_r[r]:
                 want = dist.count(eid)
                 if kinds[eid] == "spot":
-                    ms = members_of[eid]
-                    other = ms[0] if ms[1] == r else ms[1]
-                    sv = spot_v[eid]
-                    if want == 0 and not dist.is_idle:
-                        # Ia spot rule, demand 0 with the copy elsewhere in
-                        # C(x): the spot stays fully unused.
-                        connect(pv, sv[r])
-                        connect(pv, sv[other])
-                        connect(pv, sv["both"])
-                    elif want == 0:
-                        # Ia spot rule, idle demand: C(x) is untouched, so
-                        # the spot may not enter it (the far side stays free).
-                        connect(pv, sv[r])
-                        connect(pv, sv["both"])
-                    else:
+                    if want:
                         # Ia spot rule, demand 1: the copy claims the spot
                         # for C(x) alone.
-                        connect(pv, sv[other])
-                        connect(pv, sv["both"])
-                        connect(pv, sv["none"])
-                elif len(members_of[eid]) == 2:
-                    for key, vid in prof2[eid].items():
-                        if key[2] == "I" and end_behaviour(eid, r, key) != want:
-                            # Ia stripe rule 1: the stripe reserves exactly
-                            # the demanded count at x.
+                        keep = (r,)
+                    elif dist.is_idle:
+                        # Ia spot rule, idle demand: C(x) is untouched, so
+                        # the spot may not enter it (the far side stays free).
+                        ms = members_of[eid]
+                        keep = (ms[0] if ms[1] == r else ms[1], "none")
+                    else:
+                        # Ia spot rule, demand 0 with the copy elsewhere in
+                        # C(x): the spot stays fully unused.
+                        keep = ("none",)
+                    for side, vid in spot_v[eid].items():
+                        if side not in keep:
                             connect(pv, vid)
-                        elif key[2] == "C":
-                            # Ia stripe rule 2: clique-flavour reservations
-                            # serve a copy spanning both ends, not one
-                            # inside C(x).
-                            connect(pv, vid)
-                else:
-                    for a, vid in prof1[eid].items():
-                        if a != want:
-                            # Ia stripe rule 1, one-boundary form.
-                            connect(pv, vid)
+                    continue
+                at = members_of[eid].index(r)
+                for key, vid in prof[eid].items():
+                    if key[-1] == "C" or key[at] != want:
+                        # Ia stripe rule 1: the stripe reserves exactly the
+                        # demanded count at x.  Ia stripe rule 2: clique-flavour
+                        # reservations serve a copy spanning both ends, not
+                        # one inside C(x).
+                        connect(pv, vid)
 
     # Far-side exclusivity for spots sharing a strip-vertex: the bodies of
     # two spots at x are adjacent (both lie inside the clique C(x)), so they
@@ -851,178 +819,61 @@ def build_wis_instance(g: Graph, ss: StripStructure, h: Pattern, k: int) -> WisI
     for r in ss.r_vertices:
         for eid, bv in ib_v[r].items():
             for e2 in at_r[r]:
-                if e2 == eid:
-                    if len(members_of[eid]) == 2:
-                        for key, vid in prof2[eid].items():
-                            if key[2] == "I" and end_behaviour(eid, r, key) != -1:
-                                # Ib rule 1: the tracked copy must stick out
-                                # of e at x.
-                                connect(bv, vid)
-                            elif key[2] == "C":
-                                # Ib rule 2: a spanning reservation is not a
-                                # stick-out.
-                                connect(bv, vid)
-                    else:
-                        for a, vid in prof1[eid].items():
-                            if a != -1:
-                                # Ib rule 1, one-boundary form.
-                                connect(bv, vid)
-                elif kinds[e2] == "stripe":
-                    if len(members_of[e2]) == 2:
-                        for key, vid in prof2[e2].items():
-                            if key[2] == "I" and end_behaviour(e2, r, key) != 0:
-                                # Ib rule 3: no other stripe at x may touch
-                                # the occupied clique C(x).
-                                connect(bv, vid)
-                            elif key[2] == "C":
-                                # Ib rule 4: nor may a spanning copy reserve
-                                # its boundary there.
-                                connect(bv, vid)
-                    else:
-                        for a, vid in prof1[e2].items():
-                            if a != 0:
-                                # Ib rule 3, one-boundary form.
-                                connect(bv, vid)
-                else:
-                    ms = members_of[e2]
-                    other = ms[0] if ms[1] == r else ms[1]
-                    sv = spot_v[e2]
+                if kinds[e2] == "spot":
                     # Ib rule 5: spots at x stay out of the occupied clique
                     # (their body sits inside C(x) whichever side uses it).
-                    connect(bv, sv[r])
-                    connect(bv, sv[other])
-                    connect(bv, sv["both"])
+                    for side, vid in spot_v[e2].items():
+                        if side != "none":
+                            connect(bv, vid)
+                    continue
+                # Ib rules 1-2: the tracked copy must stick out of e at x, and
+                # a spanning reservation is not a stick-out.  Ib rules 3-4: no
+                # other stripe at x may touch the occupied clique C(x), nor
+                # may a spanning copy reserve its boundary there.
+                want = -1 if e2 == eid else 0
+                at = members_of[e2].index(r)
+                for key, vid in prof[e2].items():
+                    if key[-1] == "C" or key[at] != want:
+                        connect(bv, vid)
 
-    def one_shared_constraints(v: int, group: set) -> None:
-        """Rules for strips meeting exactly one of the occupied cliques."""
+    # types IIa, IIb and III: one copy occupying every clique of its group
+    for group, roles, spot_side, own, kept in spans:
+        barred = []
         for e2, ms2 in ss.edges:
-            shared = [t for t in ms2 if t in group]
-            if len(shared) != 1 or (len(ms2) == 2 and set(ms2) <= group):
+            ends = [i for i, t in enumerate(ms2) if t in group]
+            if not ends:
                 continue
             if kinds[e2] == "spot":
-                a_, b_ = members_of[e2]
-                sv = spot_v[e2]
-                # IIa rule 5 / IIb rule 4 / III rule 3: a spot meeting
-                # exactly one occupied clique stays off all cliques.
-                connect(v, sv[a_])
-                connect(v, sv[b_])
-                connect(v, sv["both"])
-            elif len(members_of[e2]) == 2:
-                for key, vid in prof2[e2].items():
-                    if end_behaviour(e2, shared[0], key) != 0:
-                        # IIa rule 6 / IIb rule 5 / III rule 4: a stripe
-                        # meeting exactly one occupied clique keeps that
-                        # boundary untouched.
-                        connect(v, vid)
+                # IIa rule 1 / III rule 1: every spot inside the group joins
+                # the copy; IIb rule 1: spots between the pair stay fully
+                # unused.  IIa rule 5 / IIb rule 4 / III rule 3: a spot
+                # meeting exactly one occupied clique stays off all cliques.
+                keep = spot_side if len(ends) == 2 else "none"
+                barred += [vid for side, vid in spot_v[e2].items() if side != keep]
+            elif e2 == own:
+                # IIa rule 2: the copy reserves at least one vertex at each
+                # boundary of e and exactly h - l in total.  IIa rule 3: both
+                # reservations belong to one copy, so independent-flavour
+                # profiles are out.  IIb rule 2: the stripe absorbs copies
+                # sticking out at both of its ends.
+                barred += [vid for key, vid in prof[e2].items() if key not in kept]
             else:
-                for a, vid in prof1[e2].items():
-                    if a != 0:
-                        # one-boundary form of the same rule.
-                        connect(v, vid)
-
-    # type IIa: a copy spanning C(x) and C(y) through stripe e, sticking in
-    for (p, q, eid), roles in sorted(iia_v.items()):
-        spots_pq = [e for e in pair_edges[(p, q)] if kinds[e] == "spot"]
-        stripes_pq = [e for e in pair_edges[(p, q)] if kinds[e] == "stripe"]
-        ell = len(spots_pq)
-        for r, partner in ((p, q), (q, p)):
-            v = roles[r]
-            for e2 in spots_pq:
-                sv = spot_v[e2]
-                # IIa rule 1: every spot between the pair joins the
-                # spanning copy.
-                connect(v, sv[p])
-                connect(v, sv[q])
-                connect(v, sv["none"])
-            for key, vid in prof2[eid].items():
-                a, b, fl = key
-                if fl == "C":
-                    if not (a >= 1 and b >= 1 and a + b == hh - ell):
-                        # IIa rule 2: the copy reserves at least one vertex
-                        # at each boundary of e and exactly h - l in total.
-                        connect(v, vid)
-                else:
-                    # IIa rule 3: both reservations belong to one copy, so
-                    # independent-flavour profiles are out.
-                    connect(v, vid)
-            for e2 in stripes_pq:
-                if e2 == eid:
-                    continue
-                for key, vid in prof2[e2].items():
-                    if key[:2] != (0, 0):
-                        # IIa rule 4: other stripes between the pair stay
-                        # untouched at both ends.
-                        connect(v, vid)
-            one_shared_constraints(v, {p, q})
-            # IIa rule 7: the partner clique must pick its spanning vertex.
-            for u in r_clique[partner]:
-                if u != roles[partner]:
-                    connect(v, u)
-
-    # type IIb: copies stick out of stripe e at both ends
-    for (p, q, eid), roles in sorted(iib_v.items()):
-        spots_pq = [e for e in pair_edges[(p, q)] if kinds[e] == "spot"]
-        stripes_pq = [e for e in pair_edges[(p, q)] if kinds[e] == "stripe"]
-        for r, partner in ((p, q), (q, p)):
-            v = roles[r]
-            for e2 in spots_pq:
-                sv = spot_v[e2]
-                # IIb rule 1: spots between the pair stay fully unused.
-                connect(v, sv[p])
-                connect(v, sv[q])
-                connect(v, sv["both"])
-            for key, vid in prof2[eid].items():
-                if key[:2] != (-1, -1):
-                    # IIb rule 2: the stripe absorbs copies sticking out at
-                    # both of its ends.
-                    connect(v, vid)
-            for e2 in stripes_pq:
-                if e2 == eid:
-                    continue
-                for key, vid in prof2[e2].items():
-                    if key[:2] != (0, 0):
-                        # IIb rule 3: other stripes between the pair stay
-                        # untouched at both ends.
-                        connect(v, vid)
-            one_shared_constraints(v, {p, q})
-            # IIb rule 6: the partner clique must pick its matching vertex.
-            for u in r_clique[partner]:
-                if u != roles[partner]:
-                    connect(v, u)
-
-    # type III: one copy made of spots across three cliques
-    for (w_, x_, y_), roles in sorted(iii_v.items()):
-        tri = {w_, x_, y_}
-        edges3 = [
-            e
-            for pp, eids in pair_edges.items()
-            if set(pp) <= tri
-            for e in eids
-        ]
-        for r in (w_, x_, y_):
-            v = roles[r]
-            for e2 in edges3:
-                if kinds[e2] == "spot":
-                    a_, b_ = members_of[e2]
-                    sv = spot_v[e2]
-                    # III rule 1: every spot inside the triple joins the
-                    # triangle copy.
-                    connect(v, sv[a_])
-                    connect(v, sv[b_])
-                    connect(v, sv["none"])
-                else:
-                    for key, vid in prof2[e2].items():
-                        if key[:2] != (0, 0):
-                            # III rule 2: stripes inside the triple stay
-                            # untouched at both ends.
-                            connect(v, vid)
-            one_shared_constraints(v, tri)
-            # III rule 5: the other two corner cliques pick their triangle
-            # vertices.
-            for partner in sorted(tri - {r}):
-                for u in r_clique[partner]:
-                    if u != roles[partner]:
-                        connect(v, u)
+                # IIa rule 4 / IIb rule 3 / III rule 2: other stripes inside
+                # the group stay untouched at both ends.  IIa rule 6 / IIb
+                # rule 5 / III rule 4: a stripe meeting exactly one occupied
+                # clique keeps that boundary untouched.
+                barred += [vid for key, vid in prof[e2].items()
+                           if any(key[i] != 0 for i in ends)]
+        for r, v in roles.items():
+            for u in barred:
+                connect(v, u)
+            # IIa rule 7 / IIb rule 6 / III rule 5: the other cliques of the
+            # group must pick their role vertices.
+            for partner, role in roles.items():
+                if partner != r:
+                    for u in r_clique[partner]:
+                        if u != role:
+                            connect(v, u)
 
     if weights and max(weights) > k - 1:
         raise InternalError("selection weight above k - 1 survived the cap")

@@ -16,7 +16,8 @@ Five gluing axioms make the decomposition faithful:
   5. every host edge lies inside one strip interior or inside one C(r).
 
 validate_strip_structure checks them one by one and reports concrete
-counterexamples instead of raising.  Two constructions are provided: the
+counterexamples instead of raising; a caller that must reject an invalid
+structure calls require_ok on the report.  Two constructions are provided: the
 trivial structure (the whole host as a single boundary-less strip) and the
 line-graph structure (one single-vertex strip per pre-image edge).
 """
@@ -144,6 +145,13 @@ class StructureReport:
     @property
     def ok(self) -> bool:
         return all(c.ok for c in self.all_checks())
+
+    def require_ok(self) -> None:
+        """Raise InputError naming the first failed check and its first failure."""
+        if not self.ok:
+            bad = next(c for c in self.all_checks() if not c.ok)
+            detail = f": {bad.failures[0]}" if bad.failures else ""
+            raise InputError(f"invalid strip-structure ({bad.name}{detail})")
 
 
 # ---------------------------------------------------------------------------

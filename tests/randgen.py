@@ -63,6 +63,56 @@ def random_line_graph(rng: random.Random, max_edges: int = 10) -> tuple[Graph, M
     return line_graph(mg), mg
 
 
+def random_subdivided_structure(rng: random.Random, n: int, m: int):
+    """Line graph of a random multigraph with some edges subdivided, and its
+    strip structure.
+
+    The multigraph is connected, with n vertices and m >= 2 edges; its
+    vertices of degree at least two are the strip-vertices.  Each original
+    edge stays one strip whatever it was cut into: an uncut edge between two
+    strip-vertices is a spot, and every other edge is a path stripe with a z
+    at each non-pendant end.  A cut edge between two strip-vertices is a
+    two-member stripe, which no line-graph structure has.  Returns
+    (host, structure).
+    """
+    from igmatch.strips import Strip, StripStructure, validate_strip_structure
+
+    assert m >= 2
+    mg = random_connected_multigraph(rng, n, m)
+    r_vertices = [v for v in range(n) if mg.degree(v) >= 2]
+    edges, strips, z_assign = [], {}, {}
+    host_edges = set()
+    ends = {v: [] for v in range(n)}  # host vertices whose edge piece meets v
+    nxt = 0
+    for eid, (a, b) in enumerate(mg.edges):
+        t = 1 if rng.random() < 0.5 else rng.randint(2, 3)
+        body = list(range(nxt, nxt + t))
+        nxt += t
+        host_edges.update(zip(body, body[1:]))
+        if rng.random() < 0.5:
+            a, b = b, a
+        ends[a].append(body[0])
+        ends[b].append(body[-1])
+        # J: the path 0..t-1 standing for body, then one z per member end
+        j_edges = [(i, i + 1) for i in range(t - 1)]
+        assign = {}
+        for r, last in ((a, 0), (b, t - 1)):
+            if r in r_vertices:
+                assign[r] = t + len(assign)
+                j_edges.append((last, assign[r]))
+        edges.append((eid, tuple(assign)))
+        strips[eid] = Strip(Graph(t + len(assign), j_edges), frozenset(assign.values()),
+                            dict(enumerate(body)))
+        z_assign[eid] = assign
+    for here in ends.values():
+        for i, u in enumerate(here):
+            host_edges.update((min(u, v), max(u, v)) for v in here[i + 1:])
+    g = Graph(nxt, sorted(host_edges))
+    ss = StripStructure(tuple(r_vertices), tuple(edges), strips, z_assign)
+    assert validate_strip_structure(g, ss).ok
+    return g, ss
+
+
 def random_proper_interval_model(rng: random.Random, n: int, span: int = 40):
     """Distinct left endpoints and right endpoints in the same order.
 
