@@ -57,6 +57,7 @@ from .strips import (
     line_graph_strip_structure,
     validate_strip_structure,
 )
+from .trace import note
 
 __all__ = [
     "Base",
@@ -65,7 +66,6 @@ __all__ = [
     "ElementColoring",
     "StripAssignment",
     "HK_CAP_DEFAULT",
-    "COLORING_CAP_DEFAULT",
     "check_condition1",
     "check_condition2",
     "structure_elements",
@@ -79,7 +79,6 @@ __all__ = [
 ]
 
 HK_CAP_DEFAULT = 6
-COLORING_CAP_DEFAULT = 1_000_000
 
 
 def _check_token(t) -> None:
@@ -579,23 +578,15 @@ class BaseSurjection:
         )
 
 
-def coloring_family(
-    elements,
-    palette,
-    mode: str = "exhaustive",
-    trials: int | None = None,
-    seed: int | None = None,
-):
-    """Stream colorings of ``elements`` from ``palette``.
+def coloring_family(elements, palette, trials: int | None = None, seed: int | None = None):
+    """Stream ``trials`` colorings of ``elements`` drawn from ``palette``.
 
-    Exhaustive mode yields every assignment (palette^elements of them) and
-    refuses with a size-cap error when that count exceeds
-    ``COLORING_CAP_DEFAULT``; random mode yields ``trials`` colorings drawn
-    uniformly and reproducibly from ``seed``.  Random draws hit any fixed coloring with probability
-    1/|palette|^|elements| per trial, so by the coupon-collector bound about
-    N ln N trials (N that same power) cover every coloring in expectation;
-    far fewer suffice in practice because only the handful of elements a
-    matching touches must be colored right.
+    The draws are uniform and reproducible from ``seed``; the inputs are
+    checked when the stream is made, not when it is first read.  A draw hits
+    any fixed coloring with probability 1/|palette|^|elements|, so by the
+    coupon-collector bound about N ln N trials (N that same power) cover
+    every coloring in expectation; far fewer suffice in practice because
+    only the handful of elements a matching touches must be colored right.
     """
     elements = tuple(elements)
     palette = tuple(palette)
@@ -603,32 +594,12 @@ def coloring_family(
         raise InputError("duplicate elements")
     if len(set(palette)) != len(palette) or not palette:
         raise InputError("palette must be non-empty and duplicate-free")
-    if mode == "exhaustive":
-        total = len(palette) ** len(elements)
-        if total > COLORING_CAP_DEFAULT:
-            raise SizeCapError(
-                f"coloring_family: {len(palette)}^{len(elements)} exhaustive colorings"
-                " (use random mode)",
-                total,
-                COLORING_CAP_DEFAULT,
-            )
-
-        def gen_exhaustive():
-            for combo in itertools.product(palette, repeat=len(elements)):
-                yield ElementColoring(dict(zip(elements, combo)))
-
-        return gen_exhaustive()
-    if mode == "random":
-        if trials is None or trials < 0:
-            raise InputError("random mode needs a non-negative trial count")
-        rng = random.Random(seed)
-
-        def gen_random():
-            for _ in range(trials):
-                yield ElementColoring({el: rng.choice(palette) for el in elements})
-
-        return gen_random()
-    raise InputError(f"unknown coloring mode {mode!r}")
+    if trials is None or trials < 0:
+        raise InputError("random mode needs a non-negative trial count")
+    rng = random.Random(seed)
+    return (
+        ElementColoring({el: rng.choice(palette) for el in elements}) for _ in range(trials)
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -790,13 +761,14 @@ def _sub_fuzzy_model(fam: FuzzyArcModel, positions) -> FuzzyArcModel:
     return FuzzyArcModel(ArcModel(new_arcs, fam.arcs.circumference), res)
 
 
-def _max_interior_matching(sub: Graph, kept, h: Pattern, s, eid, cert, note) -> tuple:
-    """Largest induced matching in a residual interior, in ``sub`` coordinates.
+def _max_interior_matching(sub: Graph, kept, h: Pattern, s, cert) -> tuple:
+    """Largest induced matching in a residual interior, in ``sub`` coordinates,
+    and whether it was packed exhaustively.
 
     ``kept`` lists, per ``sub`` vertex, the J vertex it came from.
     """
     if sub.n < h.h:
-        return ()
+        return (), False
     if isinstance(cert, FuzzyArcModel):
         order = s.interior()
         pos = {jid: i for i, jid in enumerate(order)}
@@ -805,11 +777,11 @@ def _max_interior_matching(sub: Graph, kept, h: Pattern, s, eid, cert, note) -> 
         for kk in range(sub.n // h.h, 0, -1):
             m = solve_igm_fuzzy_ca(fam, h, kk)
             if m is not None:
-                return m.occurrences
-        return ()
+                return m.occurrences, False
+        return (), False
     occs = enumerate_occurrences(sub, h)
     if not occs:
-        return ()
+        return (), False
     if cert == "alpha4":
         bound = ALPHA_BOUND
     else:
@@ -819,16 +791,9 @@ def _max_interior_matching(sub: Graph, kept, h: Pattern, s, eid, cert, note) -> 
         for kk in range(min(bound, sub.n // h.h), 0, -1):
             m = find_igm(sub, h, kk, occurrences=occs)
             if m is not None:
-                return m.occurrences
-        return ()
-    if eid not in note["braced"]:
-        note["braced"].add(eid)
-        if note["deviations"] is not None:
-            note["deviations"].append(
-                f"strip-edge {eid}: interior packing solved exhaustively"
-                " (no certificate, independence number above 4)"
-            )
-    return tuple(max_igm(sub, h, occurrences=occs))
+                return m.occurrences, False
+        return (), False
+    return tuple(max_igm(sub, h, occurrences=occs)), True
 
 
 def _consistent_realizations(J: Graph, h: Pattern, tokens, allowed):
@@ -864,7 +829,7 @@ def _consistent_realizations(J: Graph, h: Pattern, tokens, allowed):
     yield from rec(0)
 
 
-def _realize_edge(ss, eid, fe: BaseEdge, align, h, cert, note):
+def _realize_edge(ss, eid, fe: BaseEdge, align, h, cert):
     s = ss.strips[eid]
     if fe.kind == "spot":
         w = s.interior()[0]
@@ -893,15 +858,22 @@ def _realize_edge(ss, eid, fe: BaseEdge, align, h, cert, note):
             return None
         allowed[t] = sorted(dom)
     best = None
+    exhaustive = False
     for x in _consistent_realizations(J, h, T, allowed):
         removed = J.closed_neighborhood_of_set(set(x.values()) | set(s.z))
         sub, kept = J.without(removed)
-        occs = _max_interior_matching(sub, kept, h, s, eid, cert, note)
+        occs, packed_exhaustively = _max_interior_matching(sub, kept, h, s, cert)
+        exhaustive |= packed_exhaustively
         if best is None or len(occs) > len(best[1]):
             host = tuple(
                 Occurrence(tuple(s.g_map[kept[v]] for v in o.vertices)) for o in occs
             )
             best = (x, host)
+    if exhaustive:
+        note(
+            f"strip-edge {eid}: interior packing solved exhaustively"
+            " (no certificate, independence number above 4)"
+        )
     if best is None:
         return None
     x, host = best
@@ -914,7 +886,6 @@ def solve_strip_interiors(
     surj: BaseSurjection,
     h: Pattern,
     certificates=None,
-    deviations=None,
 ):
     """Realize boundary-group tokens per surviving strip-edge and pack the rest.
 
@@ -928,7 +899,6 @@ def solve_strip_interiors(
     assignments and k', the total number of packed interior occurrences.
     """
     certs = _validate_certificates(ss, certificates)
-    note = {"deviations": deviations, "braced": set()}
     out: dict = {}
     kp = 0
     for eid in sorted(surj.edge_map):
@@ -937,7 +907,7 @@ def solve_strip_interiors(
         cert = certs.get(eid)
         if isinstance(cert, FuzzyArcModel):
             _require_fitting(ss, eid, cert)
-        res = _realize_edge(ss, eid, fe, surj.alignment.get(eid, {}), h, cert, note)
+        res = _realize_edge(ss, eid, fe, surj.alignment.get(eid, {}), h, cert)
         if res is None:
             continue
         out[eid] = res
@@ -1145,7 +1115,7 @@ def _embedded_surjection(base: Base, emb) -> BaseSurjection:
     )
 
 
-def _pipeline(g, h, k, ss, certificates, cfg: _RunConfig, deviations):
+def _pipeline(g, h, k, ss, certificates, cfg: _RunConfig):
     index = _strip_index(ss, _strip_profiles(ss))
     # a plan never creates more than hk edges, so higher supply is equivalent
     hk = h.h * k
@@ -1160,18 +1130,12 @@ def _pipeline(g, h, k, ss, certificates, cfg: _RunConfig, deviations):
             # the paper's color coding: draw colorings, keep what blanking
             # leaves of them
             colorings = coloring_family(
-                elements,
-                base_palette(base),
-                mode="random",
-                trials=cfg.trials,
-                seed=cfg.seed,
+                elements, base_palette(base), trials=cfg.trials, seed=cfg.seed
             )
             blanked = (blank(f, ss, base) for f in colorings)
             surjections = (out[1] for out in blanked if out is not None)
         for surj in surjections:
-            assignments, kp = solve_strip_interiors(
-                ss, base, surj, h, certificates, deviations
-            )
+            assignments, kp = solve_strip_interiors(ss, base, surj, h, certificates)
             extra = global_matching_step(g, ss, assignments, h, k, kp)
             if extra is None:
                 continue
@@ -1187,14 +1151,14 @@ def _pipeline(g, h, k, ss, certificates, cfg: _RunConfig, deviations):
     return None
 
 
-def _pieces(triples, h, cfg: _RunConfig, deviations) -> list:
+def _pieces(triples, h, cfg: _RunConfig) -> list:
     """(settle, host id map) per (graph, host id map, certificate) triple.
 
     ``settle()`` returns the piece's route, settled on first use and kept,
     so the rungs of an outer ladder never settle a piece twice.
     """
     return [
-        (functools.cache(functools.partial(_route, sub, h, cert, cfg, deviations)), to_host)
+        (functools.cache(functools.partial(_route, sub, h, cert, cfg)), to_host)
         for sub, to_host, cert in triples
     ]
 
@@ -1220,7 +1184,7 @@ def _collect(pieces, k) -> list:
     return collected
 
 
-def _assembled(g, h, pieces, ss, certs, cfg: _RunConfig, deviations):
+def _assembled(g, h, pieces, ss, certs, cfg: _RunConfig):
     """solve(kk): copies from the free-standing ``pieces`` first, then the
     pipeline over ``ss`` (None: none) for whatever they leave of kk."""
 
@@ -1229,7 +1193,7 @@ def _assembled(g, h, pieces, ss, certs, cfg: _RunConfig, deviations):
         if len(collected) < kk:
             m = None
             if ss is not None:
-                m = _pipeline(g, h, kk - len(collected), ss, certs, cfg, deviations)
+                m = _pipeline(g, h, kk - len(collected), ss, certs, cfg)
             if m is None:
                 return None
             collected.extend(m.occurrences)
@@ -1238,7 +1202,7 @@ def _assembled(g, h, pieces, ss, certs, cfg: _RunConfig, deviations):
     return solve
 
 
-def _structured(g, h, ss, certs, cfg: _RunConfig, deviations):
+def _structured(g, h, ss, certs, cfg: _RunConfig):
     """The pipeline over an already validated structure, as solve(kk).
 
     Strip-edges without strip-vertices have no boundaries, hence no edges to
@@ -1246,17 +1210,17 @@ def _structured(g, h, ss, certs, cfg: _RunConfig, deviations):
     pieces, and the pipeline covers the strip-edges with strip-vertices.
     """
     free = [(ss.strips[e].graph, ss.strips[e].g_map, certs.get(e)) for e, m in ss.edges if not m]
-    pieces = _pieces(free, h, cfg, deviations)
+    pieces = _pieces(free, h, cfg)
     rest = tuple((e, m) for e, m in ss.edges if m)
     if not rest:
-        return _assembled(g, h, pieces, None, None, cfg, deviations)
+        return _assembled(g, h, pieces, None, None, cfg)
     strips = {e: ss.strips[e] for e, _m in rest}
     sub = StripStructure(ss.r_vertices, rest, strips, {e: ss.z_assign[e] for e in strips})
     sub_certs = {e: c for e, c in certs.items() if e in strips}
-    return _assembled(g, h, pieces, sub, sub_certs, cfg, deviations)
+    return _assembled(g, h, pieces, sub, sub_certs, cfg)
 
 
-def _route(g0, h, cert, cfg: _RunConfig, deviations):
+def _route(g0, h, cert, cfg: _RunConfig):
     """Settle how one chunk is solved: the host, a component, or a strip body.
 
     ``cert`` is what is known about the chunk: nothing (None), a fuzzy arc
@@ -1273,7 +1237,7 @@ def _route(g0, h, cert, cfg: _RunConfig, deviations):
       4. a supplied structure: the pipeline over it;
       5. several components: each settled on its own, combined additively;
       6. a line graph: the pipeline over its strip-structure;
-      7. otherwise exhaustive search, logged once to ``deviations``.
+      7. otherwise exhaustive search, noted once to ``igmatch.trace``.
 
     Steps 4-7 are settled on the first call with kk at most the
     independence number, so a count above it costs no structure work.
@@ -1291,20 +1255,17 @@ def _route(g0, h, cert, cfg: _RunConfig, deviations):
     @functools.cache
     def settle():
         if cert is not None:
-            return _structured(g0, h, *cert, cfg, deviations)
+            return _structured(g0, h, *cert, cfg)
         comps = g0.components()
         if len(comps) > 1:
-            pieces = _pieces([(g0.induced(c), c, None) for c in comps], h, cfg, deviations)
-            return _assembled(g0, h, pieces, None, None, cfg, deviations)
+            pieces = _pieces([(g0.induced(c), c, None) for c in comps], h, cfg)
+            return _assembled(g0, h, pieces, None, None, cfg)
         lg = line_graph_strip_structure(g0)
         if lg is None:
-            if deviations is not None:
-                deviations.append(
-                    f"component of {g0.n} vertices solved exhaustively (no structure found)"
-                )
+            note(f"component of {g0.n} vertices solved exhaustively (no structure found)")
             return lambda kk: find_igm(g0, h, kk)
         validate_strip_structure(g0, lg).require_ok()
-        return _structured(g0, h, lg, {}, cfg, deviations)
+        return _structured(g0, h, lg, {}, cfg)
 
     return lambda kk: None if kk > alpha else settle()(kk)
 
@@ -1319,7 +1280,6 @@ def solve_igm_claw_free(
     coloring: str = "exhaustive",
     trials: int | None = None,
     seed: int | None = None,
-    deviations: list | None = None,
 ) -> Matching | None:
     """Find k pairwise disjoint, pairwise non-adjacent induced copies of h.
 
@@ -1337,8 +1297,9 @@ def solve_igm_claw_free(
     first, each body as a host of its own.  Without ``ss``, a disconnected
     host is split into components solved the same way and combined
     additively, a connected line graph uses ``line_graph_strip_structure``,
-    and any other host falls back to exhaustive search, logged once to
-    ``deviations``.  A piece of the host that is asked for 1, 2, ... copies
+    and any other host falls back to exhaustive search, noted once to
+    ``igmatch.trace``, as is each strip-edge whose interior is packed
+    exhaustively.  A piece of the host that is asked for 1, 2, ... copies
     in turn settles its route once, not once per count.  Pass
     ``ss=trivial_strip_structure(g)`` to wrap the whole host in one strip.
 
@@ -1377,4 +1338,4 @@ def solve_igm_claw_free(
         raise InputError("certificates need an explicit strip-structure")
     if k == 0:
         return Matching(())
-    return _route(g, h, cert, _RunConfig(coloring, trials, seed), deviations)(k)
+    return _route(g, h, cert, _RunConfig(coloring, trials, seed))(k)

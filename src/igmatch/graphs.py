@@ -383,17 +383,18 @@ def _pattern_order(h: Graph) -> list[int]:
     return order
 
 
-def iter_occurrences(g: Graph, h: Pattern, within=None, seed=None):
-    """Yield induced embeddings of h into g lazily, in deterministic order.
+def find_occurrence(g: Graph, h: Pattern, within=None) -> Occurrence | None:
+    """First induced embedding of h into g in deterministic order, or None.
 
-    ``within`` restricts the image to a subset of host vertices.  ``seed``
-    pre-assigns pattern vertices to host vertices; only embeddings extending
-    the seed are produced.
+    ``within`` restricts the image to a subset of host vertices.  Pattern
+    vertices are placed in ``_pattern_order``, each on the smallest feasible
+    host vertex first.
     """
     hg = h.graph
     hosts = sorted(within) if within is not None else list(range(g.n))
     if len(hosts) < h.h:
-        return
+        return None
+    order = _pattern_order(hg)
     assignment: dict[int, int] = {}
     used: set[int] = set()
 
@@ -405,37 +406,24 @@ def iter_occurrences(g: Graph, h: Pattern, within=None, seed=None):
                 return False
         return True
 
-    if seed:
-        host_set = set(hosts)
-        for pv, gv in sorted(seed.items()):
-            if gv in used or gv not in host_set or not feasible(pv, gv):
-                return
-            assignment[pv] = gv
-            used.add(gv)
-    order = [v for v in _pattern_order(hg) if v not in assignment]
-
-    def rec(idx: int):
+    def rec(idx: int) -> bool:
         if idx == len(order):
-            yield Occurrence(tuple(assignment[i] for i in range(h.h)))
-            return
+            return True
         pv = order[idx]
         for gv in hosts:
             if gv in used or not feasible(pv, gv):
                 continue
             assignment[pv] = gv
             used.add(gv)
-            yield from rec(idx + 1)
+            if rec(idx + 1):
+                return True
             del assignment[pv]
             used.remove(gv)
+        return False
 
-    yield from rec(0)
-
-
-def find_occurrence(g: Graph, h: Pattern, within=None, seed=None) -> Occurrence | None:
-    """First induced embedding of h into g in deterministic order, or None."""
-    for occ in iter_occurrences(g, h, within=within, seed=seed):
-        return occ
-    return None
+    if not rec(0):
+        return None
+    return Occurrence(tuple(assignment[i] for i in range(h.h)))
 
 
 def _connected_sets(g: Graph, size: int) -> list[tuple[int, ...]]:
@@ -855,7 +843,7 @@ def _preimage_from_cover(g: Graph, cover: list[frozenset]) -> Multigraph:
     return Multigraph(n_m, edges)
 
 
-def recognize_line_graph(g: Graph, triangle: str = "k3") -> Multigraph | None:
+def recognize_line_graph(g: Graph) -> Multigraph | None:
     """Recognize g as the line graph of a multigraph without self-loops.
 
     Returns a pre-image M with ``M.edges[i]`` corresponding to g-vertex i,
@@ -864,8 +852,8 @@ def recognize_line_graph(g: Graph, triangle: str = "k3") -> Multigraph | None:
     most two cliques on the reduced graph, then re-expands the contracted
     classes by duplicating their edges.
 
-    A triangle host is ambiguous (both K3 and the 3-star are pre-images);
-    ``triangle`` selects the convention, "k3" by default, "star" otherwise.
+    A triangle host has two pre-images, K3 and the 3-star; K3 is the one
+    returned.
     """
     if g.n == 0:
         raise InputError("recognition requires a nonempty graph")
@@ -874,10 +862,7 @@ def recognize_line_graph(g: Graph, triangle: str = "k3") -> Multigraph | None:
     if not star_free(g, 3):
         return None
     if g.n == 3 and len(g.edges) == 3:
-        if triangle == "star":
-            m = Multigraph(4, [(0, 1), (0, 2), (0, 3)])
-        else:
-            m = Multigraph(3, [(0, 1), (1, 2), (0, 2)])
+        m = Multigraph(3, [(0, 1), (1, 2), (0, 2)])
         _check_identity_preimage(g, m)
         return m
     classes = twin_classes(g)

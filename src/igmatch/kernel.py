@@ -13,7 +13,7 @@ maximum matching size.
 """
 
 import itertools
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from .errors import InputError, InternalError
 from .fuzzy_solver import solve_igm_small_alpha
@@ -37,6 +37,7 @@ from .strips import (
     strip_image,
     validate_strip_structure,
 )
+from .trace import note, recording
 
 __all__ = [
     "BoundResult",
@@ -252,8 +253,9 @@ class BoundResult:
 
     status "decided": answer settled (witness present for yes).
     status "reduced": graph, k and ss carry the bounded equivalent instance.
-    status "partial": the loop stopped early; notes say why, and the fields
-    hold the furthest consistent state (ss may be None).
+    status "partial": the loop stopped early, and the fields hold the
+    furthest consistent state (ss may be None).  Why the loop stopped, like
+    every step it took, is noted to ``igmatch.trace``.
     """
 
     status: str
@@ -262,7 +264,6 @@ class BoundResult:
     graph: Graph | None = None
     k: int | None = None
     ss: StripStructure | None = None
-    notes: tuple = ()
 
 
 def _greedy_maximal_matching(g: Graph, h: Pattern) -> list:
@@ -318,49 +319,48 @@ def bound_strip_graph(g: Graph, h: Pattern, k: int,
     if not isinstance(k, int) or k < 0:
         raise InputError("k must be a nonnegative integer")
     supplied = ss is not None
-    notes = []
     if supplied:
         validate_strip_structure(g, ss).require_ok()
-        notes.append("supplied strip structure: one bounding round, no re-derivation")
+        note("supplied strip structure: one bounding round, no re-derivation")
 
     for _ in range(g.n + k + 2):
         if k <= 0:
-            return BoundResult("decided", True, Matching(()), g, k, ss, tuple(notes))
+            return BoundResult("decided", True, Matching(()), g, k, ss)
         pruned = prune_useless_vertices(g, h)
         if pruned.n < g.n:
-            notes.append(f"pruned {g.n - pruned.n} vertices that join no copy")
+            note(f"pruned {g.n - pruned.n} vertices that join no copy")
             g = pruned
             if g.n == 0:
-                return BoundResult("decided", False, None, g, k, None, tuple(notes))
+                return BoundResult("decided", False, None, g, k, None)
             if supplied:
-                notes.append("pruning invalidated the supplied structure; stopping")
-                return BoundResult("partial", None, None, g, k, None, tuple(notes))
+                note("pruning invalidated the supplied structure; stopping")
+                return BoundResult("partial", None, None, g, k, None)
             ss = None
         if g.n == 0:
-            return BoundResult("decided", False, None, g, k, ss, tuple(notes))
+            return BoundResult("decided", False, None, g, k, ss)
         has5, _ = brute_force_wis(g, [1] * g.n, 5, 0)
         if not has5:
             m = solve_igm_small_alpha(g, h, k, trust_alpha=True)
-            notes.append("independence number at most 4; decided directly")
-            return BoundResult("decided", m is not None, m, g, k, ss, tuple(notes))
+            note("independence number at most 4; decided directly")
+            return BoundResult("decided", m is not None, m, g, k, ss)
         greedy = _greedy_maximal_matching(g, h)
         if len(greedy) >= k:
             wit = revalidated(Matching(tuple(greedy[:k])), g, h, "greedy witness")
-            notes.append("greedy maximal matching reached the target")
-            return BoundResult("decided", True, wit, g, k, ss, tuple(notes))
+            note("greedy maximal matching reached the target")
+            return BoundResult("decided", True, wit, g, k, ss)
         if ss is None:
             ss = derive_strip_structure(g)
             if ss is None:
-                notes.append("host is not a line graph; cannot derive a strip structure")
-                return BoundResult("partial", None, None, g, k, None, tuple(notes))
+                note("host is not a line graph; cannot derive a strip structure")
+                return BoundResult("partial", None, None, g, k, None)
         thr = dis_degree_threshold(h.h, k)
         big = next((r for r in ss.r_vertices if dis_degree(ss, r) >= thr), None)
         if big is not None:
             g, k = apply_dis_degree_rule(g, ss, h, k, big)
-            notes.append(f"dis-degree rule removed C({big!r}); target now {k}")
+            note(f"dis-degree rule removed C({big!r}); target now {k}")
             if supplied:
-                notes.append("clique deletion invalidated the supplied structure; stopping")
-                return BoundResult("partial", None, None, g, k, None, tuple(notes))
+                note("clique deletion invalidated the supplied structure; stopping")
+                return BoundResult("partial", None, None, g, k, None)
             ss = None
             continue
         promising = classify_promising(ss, h)
@@ -368,22 +368,22 @@ def bound_strip_graph(g: Graph, h: Pattern, k: int,
         if len(prom_ids) >= k:
             wit = revalidated(_promising_witness(ss, h, prom_ids[:k]), g, h,
                               "promising witness")
-            notes.append(f"{len(prom_ids)} promising strip-edges certify the target")
-            return BoundResult("decided", True, wit, g, k, ss, tuple(notes))
+            note(f"{len(prom_ids)} promising strip-edges certify the target")
+            return BoundResult("decided", True, wit, g, k, ss)
         pair = _overloaded_pair(ss, promising, h)
         if pair is not None:
             x, y = pair
             g, ss = reduction_step_nonpromising(g, ss, x, y, h)
-            notes.append(f"reduction step thinned the strips between {x!r} and {y!r}")
+            note(f"reduction step thinned the strips between {x!r} and {y!r}")
             if supplied:
-                notes.append("one bounding round applied; stopping")
-                return BoundResult("partial", None, None, g, k, ss, tuple(notes))
+                note("one bounding round applied; stopping")
+                return BoundResult("partial", None, None, g, k, ss)
             continue
-        notes.append(
+        note(
             f"strip graph bounded: {len(ss.edges)} strip-edges "
             f"(ceiling {strip_edge_ceiling(h.h, k)})"
         )
-        return BoundResult("reduced", None, None, g, k, ss, tuple(notes))
+        return BoundResult("reduced", None, None, g, k, ss)
     raise InternalError("bounding loop failed to make progress")
 
 
@@ -544,7 +544,6 @@ class WisInstance:
     k_weight: int
     tags: tuple
     cliques: tuple
-    notes: tuple = ()
 
     def __post_init__(self):
         w = tuple(self.weights)
@@ -558,18 +557,19 @@ class WisInstance:
         object.__setattr__(self, "weights", w)
         object.__setattr__(self, "tags", t)
         object.__setattr__(self, "cliques", tuple(tuple(c) for c in self.cliques))
-        object.__setattr__(self, "notes", tuple(self.notes))
 
 
-def trivial_yes_wis(k: int, note: str) -> WisInstance:
-    """One zero-conflict vertex carrying the whole demanded weight."""
+def trivial_yes_wis(k: int, why: str) -> WisInstance:
+    """One zero-conflict vertex carrying the whole demanded weight; notes ``why``."""
+    note(why)
     kk = max(k, 0)
-    return WisInstance(Graph(1, ()), (kk,), 1, kk, ("trivial:yes",), ((0,),), (note,))
+    return WisInstance(Graph(1, ()), (kk,), 1, kk, ("trivial:yes",), ((0,),))
 
 
-def trivial_no_wis(k: int, note: str) -> WisInstance:
-    """A single vertex that can never reach cardinality two."""
-    return WisInstance(Graph(1, ()), (0,), 2, max(k, 0), ("trivial:no",), ((0,),), (note,))
+def trivial_no_wis(k: int, why: str) -> WisInstance:
+    """A single vertex that can never reach cardinality two; notes ``why``."""
+    note(why)
+    return WisInstance(Graph(1, ()), (0,), 2, max(k, 0), ("trivial:no",), ((0,),))
 
 
 def wis_size_ceiling(ss: StripStructure, h: int) -> int:
@@ -643,7 +643,6 @@ def build_wis_instance(g: Graph, ss: StripStructure, h: Pattern, k: int) -> WisI
             raise InputError(f"strip-edge {eid!r} is neither a spot nor a stripe")
         kinds[eid] = kind
 
-    notes = []
     tags: list[str] = []
     weights: list[int] = []
 
@@ -737,7 +736,7 @@ def build_wis_instance(g: Graph, ss: StripStructure, h: Pattern, k: int) -> WisI
     for (p, q), eids in sorted(pair_edges.items()):
         ell = sum(kinds[e] == "spot" for e in eids)
         if ell > hh:
-            notes.append(
+            note(
                 f"pair ({p!r},{q!r}) carries {ell} spots, above the pattern order "
                 f"{hh}; spanning copies through a stripe are impossible there"
             )
@@ -881,7 +880,7 @@ def build_wis_instance(g: Graph, ss: StripStructure, h: Pattern, k: int) -> WisI
     cliques = tuple(tuple(edge_clique[eid]) for eid, _ in ss.edges)
     cliques += tuple(tuple(r_clique[r]) for r in ss.r_vertices)
     k_card = len(ss.r_vertices) + len(ss.edges)
-    return WisInstance(graph, tuple(weights), k_card, k, tuple(tags), cliques, tuple(notes))
+    return WisInstance(graph, tuple(weights), k_card, k, tuple(tags), cliques)
 
 
 # ---------------------------------------------------------------------------
@@ -895,16 +894,16 @@ def kernelize(g: Graph, h: Pattern, k: int,
     given (see ``bound_strip_graph``).  Emits a trivial instance when
     bounding already settles the answer.  A partial bounding outcome that
     still carries a valid structure (a supplied ``ss`` after its single
-    round) is encoded as-is; one without a structure raises.
+    round) is encoded as-is; one without a structure raises, naming the
+    bounding steps.  The bounding steps and then the encoding's own remarks
+    are noted to ``igmatch.trace``.
     """
-    br = bound_strip_graph(g, h, k, ss=ss)
+    with recording() as steps:
+        br = bound_strip_graph(g, h, k, ss=ss)
     if br.status == "decided":
         if br.answer:
-            inst = trivial_yes_wis(k, "bounding settled the answer: yes")
-        else:
-            inst = trivial_no_wis(k, "bounding settled the answer: no")
-    elif br.ss is None:
-        raise InputError("cannot kernelize: " + "; ".join(br.notes))
-    else:
-        inst = build_wis_instance(br.graph, br.ss, h, br.k)
-    return replace(inst, notes=br.notes + inst.notes)
+            return trivial_yes_wis(k, "bounding settled the answer: yes")
+        return trivial_no_wis(k, "bounding settled the answer: no")
+    if br.ss is None:
+        raise InputError("cannot kernelize: " + "; ".join(steps))
+    return build_wis_instance(br.graph, br.ss, h, br.k)

@@ -130,7 +130,6 @@ class StructureReport:
     z_assignment: AxiomCheck
     boundary_cliques: AxiomCheck
     edge_cover: AxiomCheck
-    warnings: tuple = ()
 
     def all_checks(self) -> tuple:
         return (
@@ -340,14 +339,6 @@ def validate_strip_structure(g: Graph, ss: StripStructure) -> StructureReport:
             continue
         cover_fails.append(f"edge ({u},{v}) lies in no strip and no C(r)")
 
-    warnings = []
-    sizes = {len(ms) for _, ms in ss.edges}
-    if 0 in sizes and sizes != {0}:
-        empties = [eid for eid, ms in ss.edges if not ms]
-        warnings.append(
-            f"edges {empties} have no strip-vertices but other edges do"
-        )
-
     def check(name, fails):
         return AxiomCheck(name, not fails, tuple(fails))
 
@@ -358,7 +349,6 @@ def validate_strip_structure(g: Graph, ss: StripStructure) -> StructureReport:
         z_assignment=check("one z per member", z_fails),
         boundary_cliques=check("C(r) cliques", clique_fails),
         edge_cover=check("host edges covered", cover_fails),
-        warnings=tuple(warnings),
     )
 
 

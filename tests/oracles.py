@@ -8,8 +8,8 @@ meaningful.  All routines are exponential and sized for test instances.
 The exceptions pin witnesses or streams, not just answers, so they follow
 the package's own search order or data types: ``wis_reference`` branches over
 the package's clique partition, ``canonical_base_key_reference`` keys the
-package's bases, and ``natural_coloring_reference`` paints its structure
-elements.  ``subset_scan_occurrences``, ``all_pairs_occurrence_masks`` and
+package's bases, and ``natural_coloring_reference`` and ``all_colorings``
+paint its structure elements.  ``subset_scan_occurrences``, ``all_pairs_occurrence_masks`` and
 ``long_by_pairs_and_triples`` keep the package's earlier, slower versions of
 occurrence enumeration, conflict masks and the longness test, and
 ``embeddings_reference`` and ``g_map_pair_failures`` those of the base
@@ -22,6 +22,7 @@ images and boundary cliques.
 
 import itertools
 
+from igmatch.color_coding import ElementColoring
 from igmatch.fuzzy_solver import _residual_chain
 from igmatch.graphs import _occurrence_masks, enumerate_occurrences, greedy_clique_partition
 from igmatch.models import covers_circle, realize
@@ -322,6 +323,13 @@ def natural_coloring_reference(base, ss, vmap, emap):
             fi = einv.get(eid)
             colors[el] = ("bndc", fi, rinv[r]) if fi is not None else eblock
     return ElementColoring(colors)
+
+
+def all_colorings(elements, palette):
+    """Every coloring of ``elements`` from ``palette``, in product order."""
+    elements = tuple(elements)
+    for combo in itertools.product(palette, repeat=len(elements)):
+        yield ElementColoring(dict(zip(elements, combo)))
 
 
 def fuzzy_dp_profile(model, h) -> tuple[int, ...]:

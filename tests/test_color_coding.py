@@ -46,7 +46,9 @@ from igmatch.color_coding import (
     step5_coloring,
     structure_elements,
 )
+from igmatch.trace import recording
 from oracles import (
+    all_colorings,
     canonical_base_key_reference,
     covered_subgraph,
     embeddings_reference,
@@ -323,32 +325,27 @@ def test_condition2_wants_a_pattern_clique(k3, p3):
 # ---------------------------------------------------------------------------
 # coloring families
 
-def test_exhaustive_family_is_the_full_product():
-    elements = (("rv", 0), ("rv", 1))
-    palette = (("v", 0), ("v", 1))
-    fam = list(coloring_family(elements, palette))
-    assert len(fam) == 4
-    assert len({tuple(sorted(f.colors.items())) for f in fam}) == 4
-
-
-def test_exhaustive_family_caps_eagerly():
-    elements = tuple(("rv", i) for i in range(30))
-    palette = tuple(("v", i) for i in range(5))
-    with pytest.raises(SizeCapError) as exc:
-        coloring_family(elements, palette)
-    assert "random" in str(exc.value)
+# the 20 draws of seed 7 below, as palette indices per element
+SEED7_DRAWS = [
+    (1, 0, 1, 2, 0, 0), (2, 0, 1, 2, 0, 2), (0, 0, 0, 1, 1, 0), (0, 0, 2, 1, 0, 2),
+    (0, 0, 2, 2, 2, 0), (2, 2, 1, 0, 0, 0), (2, 0, 1, 1, 0, 2), (0, 2, 1, 2, 2, 0),
+    (0, 2, 2, 2, 0, 1), (0, 2, 2, 0, 2, 0), (2, 0, 1, 2, 2, 1), (1, 1, 2, 1, 1, 1),
+    (0, 0, 2, 0, 0, 2), (1, 2, 1, 1, 2, 1), (1, 2, 0, 0, 2, 1), (0, 1, 0, 1, 1, 0),
+    (2, 0, 2, 2, 1, 1), (2, 1, 2, 1, 2, 1), (0, 0, 1, 1, 2, 2), (0, 0, 2, 2, 1, 2),
+]
 
 
 def test_random_family_is_seed_deterministic():
     elements = tuple(("rv", i) for i in range(6))
     palette = (("v", 0), ("v", 1), ("v", 2))
-    a = [f.colors for f in coloring_family(elements, palette, mode="random", trials=20, seed=7)]
-    b = [f.colors for f in coloring_family(elements, palette, mode="random", trials=20, seed=7)]
-    c = [f.colors for f in coloring_family(elements, palette, mode="random", trials=20, seed=8)]
+    a = [f.colors for f in coloring_family(elements, palette, trials=20, seed=7)]
+    b = [f.colors for f in coloring_family(elements, palette, trials=20, seed=7)]
+    c = [f.colors for f in coloring_family(elements, palette, trials=20, seed=8)]
     assert a == b
     assert a != c
+    assert [tuple(f[e][1] for e in elements) for f in a] == SEED7_DRAWS
     with pytest.raises(InputError):
-        coloring_family(elements, palette, mode="random")
+        coloring_family(elements, palette)
 
 
 # ---------------------------------------------------------------------------
@@ -573,10 +570,10 @@ def test_literal_exhaustive_family_reproduces_the_answer(k2):
             if len(base_palette(base)) ** len(elements) <= 1000:
                 assert all(
                     blank(f, ss, base) is None
-                    for f in coloring_family(elements, base_palette(base))
+                    for f in all_colorings(elements, base_palette(base))
                 )
             continue
-        for f in coloring_family(elements, base_palette(base)):
+        for f in all_colorings(elements, base_palette(base)):
             out = blank(f, ss, base)
             if out is None:
                 continue
@@ -668,7 +665,9 @@ def test_driver_hand_structure_on_a_cycle(k2, k3):
 def test_driver_random_colorings_are_sound_and_seeded(k2, k3):
     g, ss = c11_two_stripes()
     m = solve_igm_claw_free(g, k2, 1, ss=ss, coloring="random", trials=30000, seed=11)
-    assert m is not None  # verified hit for this seed; random mode may miss
+    # a verified hit for this seed (random mode may miss); pinning the witness
+    # pins the draw sequence
+    assert [o.vertices for o in m.occurrences] == [(1, 2)]
     m.check(g, k2)
     again = solve_igm_claw_free(g, k2, 1, ss=ss, coloring="random", trials=30000, seed=11)
     assert m == again
@@ -682,8 +681,7 @@ def test_driver_trivial_source_peels_free_components(k2):
         g = disjoint_union(g, path_graph(2))
     assert g.n == 10 and brute_force_mis(g)[0] == 5
     ss = trivial_strip_structure(g)
-    devs = []
-    m = solve_igm_claw_free(g, k2, 5, ss=ss, deviations=devs)
+    m = solve_igm_claw_free(g, k2, 5, ss=ss)
     assert m is not None and len(m.occurrences) == 5
     m.check(g, k2)
     assert solve_igm_claw_free(g, k2, 6, ss=ss) is None
@@ -807,20 +805,20 @@ def _pinned_cases(k2, k3, p3):
 
 def test_driver_pinned_witnesses(k2, k3, p3):
     for g, h, k, kwargs, want in _pinned_cases(k2, k3, p3):
-        devs = []
-        got = solve_igm_claw_free(g, h, k, deviations=devs, **kwargs)
+        with recording() as notes:
+            got = solve_igm_claw_free(g, h, k, **kwargs)
         assert (None if got is None else [o.vertices for o in got.occurrences]) == want
-        assert devs == []
+        assert notes == []
 
 
 def test_driver_fallback_logs_one_deviation(k2, k3):
     g = _square_of_cycle(15)  # independence number 5, not a line graph
     assert brute_force_mis(g)[0] == 5 and line_graph_strip_structure(g) is None
     for h, k, want in ((k2, 2, [(0, 1), (4, 5)]), (k3, 2, [(0, 1, 2), (5, 6, 7)])):
-        devs = []
-        got = solve_igm_claw_free(g, h, k, deviations=devs)
+        with recording() as notes:
+            got = solve_igm_claw_free(g, h, k)
         assert [o.vertices for o in got.occurrences] == want
-        assert len(devs) == 1 and "exhaustively" in devs[0]
+        assert len(notes) == 1 and "exhaustively" in notes[0]
 
 
 def _counting(monkeypatch, name):
@@ -853,15 +851,15 @@ def test_driver_validates_a_supplied_structure_once(monkeypatch, k2):
 
 def test_driver_settles_each_chunk_once(monkeypatch, k2):
     """The ladder asks a chunk for 1, 2, ... copies; the independence test,
-    structure work and fallback deviation happen once per chunk, not per
-    rung (settling per rung made 4 calls and 3 deviations, 5 calls, and 31
+    structure work and fallback note happen once per chunk, not per
+    rung (settling per rung made 4 calls and 3 notes, 5 calls, and 31
     calls)."""
     calls = _counting(monkeypatch, "brute_force_mis")
     g = _square_of_cycle(15)
-    devs = []
-    got = solve_igm_claw_free(g, k2, 3, ss=trivial_strip_structure(g), deviations=devs)
+    with recording() as notes:
+        got = solve_igm_claw_free(g, k2, 3, ss=trivial_strip_structure(g))
     assert [o.vertices for o in got.occurrences] == [(0, 1), (4, 5), (8, 9)]
-    assert len(calls) == 2 and len(devs) == 1
+    assert len(calls) == 2 and len(notes) == 1
     del calls[:]
     got = solve_igm_claw_free(disjoint_union(path_graph(3), cycle_graph(11)), k2, 3)
     assert [o.vertices for o in got.occurrences] == [(0, 1), (3, 4), (6, 7)]

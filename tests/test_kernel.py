@@ -41,6 +41,7 @@ from igmatch.kernel import (
 )
 from igmatch.strips import Strip, StripStructure, classify_strip, validate_strip_structure
 
+from igmatch.trace import recording
 from oracles import igm_exhaustive, occurrences_exhaustive, wis_reference
 from randgen import random_graph, random_line_graph
 from test_color_coding import c11_two_stripes, two_stripe_p4
@@ -365,16 +366,18 @@ def test_bound_decides_when_pruning_empties_the_host(k3):
 
 
 def test_bound_decides_small_independence_directly(k2):
-    br = bound_strip_graph(complete_graph(4), k2, 2)
+    with recording() as notes:
+        br = bound_strip_graph(complete_graph(4), k2, 2)
     assert br.status == "decided" and br.answer is False
-    assert any("independence" in n for n in br.notes)
+    assert any("independence" in n for n in notes)
 
 
 def test_bound_greedy_settles_an_easy_yes(k2):
-    br = bound_strip_graph(path_graph(29), k2, 2)
+    with recording() as notes:
+        br = bound_strip_graph(path_graph(29), k2, 2)
     assert br.status == "decided" and br.answer is True
     assert len(br.witness.occurrences) == 2
-    assert any("greedy" in n for n in br.notes)
+    assert any("greedy" in n for n in notes)
 
 
 def test_bound_faulty_greedy_witness_is_an_internal_error(k2, monkeypatch):
@@ -387,26 +390,29 @@ def test_bound_faulty_greedy_witness_is_an_internal_error(k2, monkeypatch):
 
 def test_bound_promising_stock_settles_a_yes(k3):
     g, ss = four_gadget_host()
-    br = bound_strip_graph(g, k3, 3, ss=ss)
+    with recording() as notes:
+        br = bound_strip_graph(g, k3, 3, ss=ss)
     assert br.status == "decided" and br.answer is True
     assert len(br.witness.occurrences) == 3
-    assert any("promising" in n for n in br.notes)
+    assert any("promising" in n for n in notes)
     assert igm_exhaustive(g, k3.graph, 3) is True
 
 
 def test_bound_reduces_with_a_certified_ceiling(k2):
-    br = bound_strip_graph(path_graph(29), k2, 14)
+    with recording() as notes:
+        br = bound_strip_graph(path_graph(29), k2, 14)
     assert br.status == "reduced"
     assert br.k == 14
     assert len(br.ss.edges) <= strip_edge_ceiling(2, 14)
-    assert any("bounded" in n for n in br.notes)
+    assert any("bounded" in n for n in notes)
 
 
 def test_bound_partial_when_no_structure_exists(k2):
-    br = bound_strip_graph(wheel_plus_path(), k2, 7)
+    with recording() as notes:
+        br = bound_strip_graph(wheel_plus_path(), k2, 7)
     assert br.status == "partial"
     assert br.ss is None
-    assert any("not a line graph" in n for n in br.notes)
+    assert any("not a line graph" in n for n in notes)
 
 
 def test_bound_manual_stops_after_one_mutation(k2):
@@ -415,11 +421,12 @@ def test_bound_manual_stops_after_one_mutation(k2):
     edges += [(7 + i, 8 + i) for i in range(8)]
     g = Graph(16, edges)
     ss = derive_strip_structure(g)
-    br = bound_strip_graph(g, k2, 6, ss=ss)
+    with recording() as notes:
+        br = bound_strip_graph(g, k2, 6, ss=ss)
     assert br.status == "partial"
     assert br.ss is not None
     assert len(br.ss.edges) == len(ss.edges) - 5
-    assert any("one bounding round" in n for n in br.notes)
+    assert any("one bounding round" in n for n in notes)
 
     full = bound_strip_graph(g, k2, 6)
     assert full.status == "reduced"
@@ -428,10 +435,11 @@ def test_bound_manual_stops_after_one_mutation(k2):
 
 def test_bound_manual_stops_when_pruning_bites(k3):
     g, ss = three_stem_host()
-    br = bound_strip_graph(g, k3, 2, ss=ss)
+    with recording() as notes:
+        br = bound_strip_graph(g, k3, 2, ss=ss)
     assert br.status == "partial"
     assert br.ss is None
-    assert any("pruned" in n for n in br.notes)
+    assert any("pruned" in n for n in notes)
 
 
 # ---------------------------------------------------------------------------
@@ -766,10 +774,12 @@ def test_build_respects_the_size_ceiling_and_weight_cap(k2, k3):
 # end-to-end kernelization
 
 def test_kernelize_passes_through_decided_answers(k2):
-    inst = kernelize(complete_graph(4), k2, 2)
+    with recording() as notes:
+        inst = kernelize(complete_graph(4), k2, 2)
     assert inst.tags == ("trivial:no",)
     assert wis_answer(inst) is False
-    assert any("independence" in n for n in inst.notes)
+    assert any("independence" in n for n in notes)
+    assert notes[-1] == "bounding settled the answer: no"
 
     inst = kernelize(path_graph(29), k2, 2)
     assert inst.tags == ("trivial:yes",)
@@ -778,16 +788,23 @@ def test_kernelize_passes_through_decided_answers(k2):
 
 def test_kernelize_encodes_a_bounded_manual_structure(k2):
     g, ss = c11_two_stripes()
-    inst = kernelize(g, k2, 4, ss=ss)
+    with recording() as notes:
+        inst = kernelize(g, k2, 4, ss=ss)
     assert inst.graph.n > 1
     assert wis_answer(inst) is False
     assert igm_exhaustive(g, k2.graph, 4) is False
-    assert any("supplied strip structure" in n for n in inst.notes)
+    assert any("supplied strip structure" in n for n in notes)
 
 
 def test_kernelize_raises_when_no_structure_survives(k2, k3):
     with pytest.raises(InputError):
         kernelize(wheel_plus_path(), k2, 7)
     g, ss = three_stem_host()
-    with pytest.raises(InputError):
+    with pytest.raises(InputError) as exc:
         kernelize(g, k3, 2, ss=ss)
+    # the message names every bounding step, in order
+    assert str(exc.value) == (
+        "cannot kernelize: supplied strip structure: one bounding round, no "
+        "re-derivation; pruned 3 vertices that join no copy; pruning invalidated "
+        "the supplied structure; stopping"
+    )

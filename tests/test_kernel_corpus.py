@@ -1,8 +1,9 @@
 """Pinned selection-clique encodings of ``kernel.build_wis_instance``.
 
 Every build is reduced to a sha256 digest of its graph, weights, targets,
-tags, cliques and notes, so a vertex id, tag, weight, clique, note or
-consistency edge that moves changes the digest.  The builds are:
+tags, cliques and the notes it makes to ``igmatch.trace``, so a vertex id,
+tag, weight, clique, note or consistency edge that moves changes the
+digest.  The builds are:
 
 - the hand fixtures of ``test_kernel.py``, and ``lopsided_stripe_pair``,
   whose two-member stripe has different ends, so that reading a profile
@@ -34,6 +35,7 @@ import sys
 from igmatch import kernel
 from igmatch.graphs import Graph, Pattern, complete_graph, path_graph
 from igmatch.strips import Strip, StripStructure
+from igmatch.trace import recording
 
 from randgen import random_line_graph, random_subdivided_structure
 from test_color_coding import c11_two_stripes, two_stripe_p4
@@ -147,12 +149,14 @@ def _instances():
     for builds in (_hand_builds(), _line_graph_builds(), _subdivided_builds(),
                    _workload_builds()):
         for label, g, ss, hp, k in builds:
-            yield label, kernel.build_wis_instance(g, ss, hp, k)
+            with recording() as notes:
+                inst = kernel.build_wis_instance(g, ss, hp, k)
+            yield label, inst, tuple(notes)
 
 
-def _digest(inst) -> str:
+def _digest(inst, notes) -> str:
     fields = (inst.graph.n, inst.graph.edges, inst.weights, inst.k_card, inst.k_weight,
-              inst.tags, inst.cliques, inst.notes)
+              inst.tags, inst.cliques, notes)
     return hashlib.sha256(repr(fields).encode()).hexdigest()
 
 
@@ -160,8 +164,8 @@ def test_kernel_encodings_are_pinned():
     with open(FIXTURE) as f:
         pinned = json.load(f)
     got, tags = [], set()
-    for label, inst in _instances():
-        got.append([label, _digest(inst)])
+    for label, inst, notes in _instances():
+        got.append([label, _digest(inst, notes)])
         tags.update(inst.tags)
     assert [r[0] for r in got] == [r[0] for r in pinned]
     assert sum(r[0].startswith("workload") for r in got) == 38
@@ -174,5 +178,5 @@ def test_kernel_encodings_are_pinned():
 
 if __name__ == "__main__":
     with open(FIXTURE, "w") as f:
-        rows = [json.dumps([label, _digest(inst)]) for label, inst in _instances()]
+        rows = [json.dumps([label, _digest(inst, notes)]) for label, inst, notes in _instances()]
         f.write("[\n" + ",\n".join(rows) + "\n]\n")

@@ -4,6 +4,7 @@ import ast
 import importlib
 import pathlib
 import pkgutil
+import sys
 
 import igmatch
 
@@ -42,3 +43,20 @@ def test_no_module_imports_a_private_name_of_a_sibling():
                 if a.name.startswith("_") and (source, a.name) not in allowed
             ]
     assert not found, f"private names imported across modules: {found}"
+
+
+def test_every_import_is_the_standard_library_or_igmatch():
+    # igmatch has no runtime dependencies; a stray third-party import would
+    # pass wherever that package happens to be installed
+    allowed = set(sys.stdlib_module_names) | {"igmatch"}
+    found = []
+    for path in sorted(pathlib.Path(igmatch.__path__[0]).glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                names = [a.name for a in node.names]
+            elif isinstance(node, ast.ImportFrom) and not node.level:
+                names = [node.module]
+            else:
+                continue
+            found += [(path.name, n) for n in names if n.split(".")[0] not in allowed]
+    assert not found, f"imports outside the standard library: {found}"
