@@ -1249,7 +1249,7 @@ def _route(g0, h, cert, cfg: _RunConfig):
     if cert == "alpha4":
         return lambda kk: solve_igm_small_alpha(g0, h, kk, trust_alpha=True)
     alpha, _w = brute_force_mis(g0)
-    if alpha <= 4:
+    if alpha <= ALPHA_BOUND:
         return lambda kk: solve_igm_small_alpha(g0, h, kk, trust_alpha=True)
 
     @functools.cache

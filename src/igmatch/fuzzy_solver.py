@@ -17,7 +17,7 @@ from .graphs import (
     Graph,
     Matching,
     Pattern,
-    brute_force_mis,
+    brute_force_wis,
     enumerate_occurrences,
     find_igm,
     revalidated,
@@ -136,16 +136,16 @@ def solve_igm_small_alpha(
 
     The independence number caps the matching size, so k above
     ``ALPHA_BOUND`` is immediately absent and anything else is settled by
-    bounded search.  The bound is verified by brute force unless
-    ``trust_alpha`` is set.
+    bounded search.  Unless ``trust_alpha`` is set, the bound is verified by
+    asking ``brute_force_wis`` for ``ALPHA_BOUND + 1`` independent vertices.
     """
     if k < 0:
         raise InputError("k must be non-negative")
     if not trust_alpha:
-        alpha, _ = brute_force_mis(g)
-        if alpha > ALPHA_BOUND:
+        found, _ = brute_force_wis(g, [1] * g.n, ALPHA_BOUND + 1, 0)
+        if found:
             raise InputError(
-                f"independence number {alpha} exceeds the promised bound {ALPHA_BOUND}"
+                f"independence number exceeds the promised bound {ALPHA_BOUND}"
             )
     if k == 0:
         return Matching(())

@@ -350,17 +350,6 @@ def star_free(g: Graph, t: int) -> bool:
     return find_star(g, t) is None
 
 
-def is_isomorphic(a: Graph, b: Graph) -> bool:
-    """Brute-force isomorphism test for desk-scale graphs."""
-    if a.n != b.n or len(a.edges) != len(b.edges):
-        return False
-    if sorted(a.degree(v) for v in range(a.n)) != sorted(
-        b.degree(v) for v in range(b.n)
-    ):
-        return False
-    return find_occurrence(b, Pattern.of(a)) is not None if a.n else True
-
-
 # ---------------------------------------------------------------------------
 # embedding search (induced subgraph isomorphism)
 
@@ -504,13 +493,14 @@ def enumerate_occurrences(g: Graph, h: Pattern) -> list[Occurrence]:
 # ---------------------------------------------------------------------------
 # brute-force oracles
 
-def brute_force_mis(g: Graph, cap: int = MIS_CAP_DEFAULT) -> tuple[int, tuple[int, ...]]:
+def brute_force_mis(g: Graph) -> tuple[int, tuple[int, ...]]:
     """Exact maximum independent set by branch and bound.
 
-    Returns (alpha, witness).  Deterministic; refuses graphs above ``cap``.
+    Returns (alpha, witness).  Deterministic; refuses graphs above
+    ``MIS_CAP_DEFAULT``.
     """
-    if g.n > cap:
-        raise SizeCapError("brute_force_mis", g.n, cap)
+    if g.n > MIS_CAP_DEFAULT:
+        raise SizeCapError("brute_force_mis", g.n, MIS_CAP_DEFAULT)
     nbr = [0] * g.n
     for v in range(g.n):
         for w in g.neighbors(v):
@@ -673,8 +663,8 @@ def greedy_clique_partition(g: Graph) -> list[list[int]]:
     return parts
 
 
-def brute_force_wis(g: Graph, weights, k_card: int, k_weight,
-                    cap: int = WIS_CAP_DEFAULT) -> tuple[bool, tuple[int, ...] | None]:
+def brute_force_wis(g: Graph, weights, k_card: int,
+                    k_weight) -> tuple[bool, tuple[int, ...] | None]:
     """Does g have an independent set with >= k_card vertices and >= k_weight weight?
 
     Exact branch and bound over a greedy clique partition: clique by clique,
@@ -688,10 +678,11 @@ def brute_force_wis(g: Graph, weights, k_card: int, k_weight,
     weight.  A node is cut when that cannot reach k_card or k_weight.  Blocked
     sets only grow along a branch, so a cut subtree holds no solution; the
     search visits the remaining nodes in the same order as a search with any
-    weaker sound bound, and so returns the same first witness.
+    weaker sound bound, and so returns the same first witness.  Refuses
+    graphs above ``WIS_CAP_DEFAULT``.
     """
-    if g.n > cap:
-        raise SizeCapError("brute_force_wis", g.n, cap)
+    if g.n > WIS_CAP_DEFAULT:
+        raise SizeCapError("brute_force_wis", g.n, WIS_CAP_DEFAULT)
     weights = list(weights)
     if len(weights) != g.n:
         raise InputError("one weight per vertex required")

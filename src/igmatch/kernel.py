@@ -16,7 +16,7 @@ import itertools
 from dataclasses import dataclass
 
 from .errors import InputError, InternalError
-from .fuzzy_solver import solve_igm_small_alpha
+from .fuzzy_solver import ALPHA_BOUND, solve_igm_small_alpha
 from .graphs import (
     Graph,
     Matching,
@@ -55,7 +55,6 @@ __all__ = [
     "prune_useless_vertices",
     "reduction_step_nonpromising",
     "strip_edge_ceiling",
-    "stripe_profile_weight",
     "trivial_no_wis",
     "trivial_yes_wis",
     "wis_size_ceiling",
@@ -338,8 +337,8 @@ def bound_strip_graph(g: Graph, h: Pattern, k: int,
             ss = None
         if g.n == 0:
             return BoundResult("decided", False, None, g, k, ss)
-        has5, _ = brute_force_wis(g, [1] * g.n, 5, 0)
-        if not has5:
+        above, _ = brute_force_wis(g, [1] * g.n, ALPHA_BOUND + 1, 0)
+        if not above:
             m = solve_igm_small_alpha(g, h, k, trust_alpha=True)
             note("independence number at most 4; decided directly")
             return BoundResult("decided", m is not None, m, g, k, ss)
@@ -390,81 +389,75 @@ def bound_strip_graph(g: Graph, h: Pattern, k: int,
 # ---------------------------------------------------------------------------
 # stripe behaviour weights
 
-def stripe_profile_weight(strip: Strip, i, j, f, h: Pattern) -> int | None:
-    """Best matching size inside a stripe under a boundary behaviour, or None.
-
-    Behaviour index -1 demands that some copy of the strip's matching touch
-    that boundary; an index t >= 0 reserves t boundary vertices for one
-    outside copy and bans their closed neighbourhood from the strip.  With
-    two nonnegative reservations the flavour decides their relation: "I"
-    keeps them mutually non-adjacent (two distinct outside copies), "C"
-    requires them to form one clique (a single copy spanning both ends),
-    which also needs the reservations to leave room for vertices outside the
-    strip, i + j < h.  None marks an unsatisfiable behaviour.  For strips
-    with a single boundary pass j=None, f=None.
-    """
-    _require_kernel_pattern(h)
-    if classify_strip(strip) == "neither":
-        raise InputError("profile weights are defined for stripes only")
-    zs = sorted(strip.z)
-    if not zs:
-        raise InputError("profile weights need at least one attachment vertex")
-    if len(zs) > 2:
-        raise InputError("strips attach through at most two boundaries")
-    hh = h.h
-    if not isinstance(i, int) or not -1 <= i < hh:
-        raise InputError(f"behaviour index i={i!r} outside -1..{hh - 1}")
-    if len(zs) == 1:
-        if j is not None or f is not None:
-            raise InputError("single-boundary strips take j=None, f=None")
-        return _boundary_constrained_weight(strip, ((zs[0], i),), None, h)
-    if not isinstance(j, int) or not -1 <= j < hh:
-        raise InputError(f"behaviour index j={j!r} outside -1..{hh - 1}")
-    if f not in ("I", "C"):
-        raise InputError('the flavour must be "I" or "C"')
-    return _boundary_constrained_weight(strip, ((zs[0], i), (zs[1], j)), f, h)
-
-
 def _clique_in(g: Graph, vs) -> bool:
     return all(g.has_edge(u, v) for u, v in itertools.combinations(sorted(vs), 2))
 
 
-def _boundary_constrained_weight(strip: Strip, zspec, f, h: Pattern) -> int | None:
+def _stripe_table(strip: Strip, h: Pattern, flip: bool) -> dict:
+    """Best matching size inside a stripe under each boundary behaviour.
+
+    Keys follow the strip's z's in ascending order, or descending with
+    ``flip``: (a,) for one z, (a, b, flavour) for two, each index in -1..h-1.
+    Index -1 demands that some copy of the strip's matching touch that
+    boundary; an index t >= 0 reserves t boundary vertices for one outside
+    copy and bans their closed neighbourhood from the strip.  With two
+    nonnegative reservations the flavour decides their relation: "I" keeps
+    them mutually non-adjacent (two distinct outside copies), "C" requires
+    them to form one clique (a single copy spanning both ends), which also
+    needs the reservations to leave room for vertices outside the strip,
+    a + b < h.  Unsatisfiable behaviours are left out.
+    """
     jg = strip.graph
-    body = set(strip.interior())
-    occs = [o for o in enumerate_occurrences(jg, h) if set(o.vertices) <= body]
-    touch_sets = []
-    pools = []  # (z, size, boundary) for nonnegative reservations
-    for z, t in zspec:
-        boundary = sorted(set(jg.neighbors(z)) - strip.z)
-        if t == -1:
-            if not boundary:
-                return None
-            touch_sets.append(boundary)
-        else:
-            pools.append((z, t, boundary))
-    if f == "C" and len(pools) == 2 and sum(t for _, t, _ in pools) >= h.h:
-        return None
-    best = None
-    for picks in itertools.product(*[itertools.combinations(b, t) for _, t, b in pools]):
-        sets = [set(p) for p in picks]
-        if len(sets) == 2:
-            a, b = sets
-            if a & b:
-                continue
-            if f == "I" and any(jg.has_edge(u, v) for u in a for v in b):
-                continue
-            if f == "C" and not _clique_in(jg, a | b):
-                continue
-        banned = set()
-        for (z, _, _), pick in zip(pools, picks):
-            banned |= jg.closed_neighborhood_of_set(set(pick) | {z})
-        allowed = body - banned
-        usable = [o for o in occs if set(o.vertices) <= allowed]
-        m = max_igm(jg, h, require_touch=tuple(touch_sets), occurrences=usable)
-        if m is not None and (best is None or len(m) > best):
-            best = len(m)
-    return best
+    body = frozenset(strip.interior())
+    occs = [o for o in enumerate_occurrences(jg, h) if body.issuperset(o.vertices)]
+    zs = sorted(strip.z, reverse=flip)
+    bounds = [sorted(jg.neighbors(z) - strip.z) for z in zs]
+    packed = {}
+
+    def pack(allowed: frozenset, touch: tuple) -> int | None:
+        # reservations often coincide across keys, so each packing runs once
+        if (allowed, touch) not in packed:
+            usable = [o for o in occs if allowed.issuperset(o.vertices)]
+            m = max_igm(jg, h, require_touch=touch, occurrences=usable)
+            packed[allowed, touch] = None if m is None else len(m)
+        return packed[allowed, touch]
+
+    def weight(idx, f) -> int | None:
+        touch, pools = [], []  # pools: (z, size, boundary) per reservation
+        for z, b, t in zip(zs, bounds, idx):
+            if t == -1:
+                if not b:
+                    return None
+                touch.append(tuple(b))
+            else:
+                pools.append((z, t, b))
+        if f == "C" and len(pools) == 2 and sum(t for _, t, _ in pools) >= h.h:
+            return None
+        best = None
+        for picks in itertools.product(*[itertools.combinations(b, t) for _, t, b in pools]):
+            if len(picks) == 2:
+                p, q = map(set, picks)
+                if p & q:
+                    continue
+                if f == "I" and any(jg.has_edge(u, v) for u in p for v in q):
+                    continue
+                if f == "C" and not _clique_in(jg, p | q):
+                    continue
+            banned = set()
+            for (z, _, _), pick in zip(pools, picks):
+                banned |= jg.closed_neighborhood_of_set({*pick, z})
+            w = pack(body - banned, tuple(touch))
+            if w is not None and (best is None or w > best):
+                best = w
+        return best
+
+    span = range(-1, h.h)
+    if len(zs) == 1:
+        table = {(a,): weight((a,), None) for a in span}
+    else:
+        table = {(a, b, f): weight((a, b), f)
+                 for a, b, f in itertools.product(span, span, ("I", "C"))}
+    return {key: w for key, w in table.items() if w is not None}
 
 
 # ---------------------------------------------------------------------------
@@ -552,7 +545,9 @@ class WisInstance:
             raise InputError("one weight and one tag per vertex required")
         if any(not isinstance(x, int) or x < 0 for x in w):
             raise InputError("weights must be nonnegative integers")
-        if any(not tag or any(ch.isspace() for ch in tag) for tag in t):
+        # a tag splits on whitespace into itself alone iff it is nonempty
+        # and whitespace-free
+        if any(tag.split() != [tag] for tag in t):
             raise InputError("tags must be nonempty and whitespace-free")
         object.__setattr__(self, "weights", w)
         object.__setattr__(self, "tags", t)
@@ -595,10 +590,14 @@ def build_wis_instance(g: Graph, ss: StripStructure, h: Pattern, k: int) -> WisI
 
     The clique of a strip-edge enumerates how the matching meets that strip
     (spot: which side uses it; stripe: a behaviour index per boundary plus a
-    flavour).  The clique of a strip-vertex x enumerates how the single copy
-    that may touch C(x) does so: a demand distribution over the edges at x
-    (type Ia), a stick-out through one stripe (type Ib), or a copy occupying
-    the cliques of a group of strip-vertices with one role vertex in each:
+    flavour).  A stripe gets one vertex per satisfiable behaviour, weighted
+    from its behaviour table, which one pass over the strip builds
+    (``_stripe_table``): the strip's copies are enumerated once and each
+    distinct reservation is packed once.  The clique of a strip-vertex x
+    enumerates how the single copy that may touch C(x) does so: a demand
+    distribution over the edges at x (type Ia), a stick-out through one
+    stripe (type Ib), or a copy occupying the cliques of a group of
+    strip-vertices with one role vertex in each:
 
         type  group   the copy                 spot side kept  own-stripe profiles kept
         IIa   pair    spans C(x) and C(y)      "both"          flavour "C", a, b >= 1
@@ -669,22 +668,11 @@ def build_wis_instance(g: Graph, ss: StripStructure, h: Pattern, k: int) -> WisI
             spot_v[eid] = d
             edge_clique[eid] = list(d.values())
             continue
-        if len(ms) == 2:
-            # the weight takes its indices in z order; flip when ms[0] faces
-            # the larger z
-            flip = ss.z_assign[eid][ms[0]] != min(s.z)
-            keys = itertools.product(range(-1, hh), range(-1, hh), ("I", "C"))
-        else:
-            keys = ((a,) for a in range(-1, hh))
+        # the table keys its z's in ascending order; flip when ms[0] faces
+        # the larger z, so that keys follow the member order
+        flip = ss.z_assign[eid][ms[0]] != min(s.z)
         table = {}
-        for key in keys:
-            if len(key) == 1:
-                w = stripe_profile_weight(s, key[0], None, None, h)
-            else:
-                a, b, fl = key
-                w = stripe_profile_weight(s, *((b, a) if flip else (a, b)), fl, h)
-            if w is None:
-                continue
+        for key, w in _stripe_table(s, h, flip).items():
             if w >= k:
                 return trivial_yes_wis(
                     k, f"strip-edge {eid!r} alone holds {w} disjoint copies"

@@ -17,14 +17,21 @@ embedding search and the g_map edge check, for differential tests that
 require identical output.  ``fuzzy_dp_profile`` runs
 the fuzzy solver's own residual chain from every committed occurrence, and
 ``covered_subgraph`` reads a matching's footprint off the package's strip
-images and boundary cliques.
+images and boundary cliques.  ``is_isomorphic``, which only tests need,
+searches with the package's ``find_occurrence``.
 """
 
 import itertools
 
 from igmatch.color_coding import ElementColoring
 from igmatch.fuzzy_solver import _residual_chain
-from igmatch.graphs import _occurrence_masks, enumerate_occurrences, greedy_clique_partition
+from igmatch.graphs import (
+    Pattern,
+    _occurrence_masks,
+    enumerate_occurrences,
+    find_occurrence,
+    greedy_clique_partition,
+)
 from igmatch.models import covers_circle, realize
 from igmatch.strips import boundary_clique, strip_image
 
@@ -212,6 +219,17 @@ def wis_reference(g, weights, k_card: int, k_weight):
     return ok, (tuple(sorted(found)) if ok and found is not None else None)
 
 
+def is_isomorphic(a, b) -> bool:
+    """Brute-force isomorphism test for desk-scale graphs."""
+    if a.n != b.n or len(a.edges) != len(b.edges):
+        return False
+    if sorted(a.degree(v) for v in range(a.n)) != sorted(
+        b.degree(v) for v in range(b.n)
+    ):
+        return False
+    return find_occurrence(b, Pattern.of(a)) is not None if a.n else True
+
+
 def is_line_graph_exhaustive(g) -> bool:
     """Is connected g the line graph of some loopless multigraph?
 
@@ -219,7 +237,7 @@ def is_line_graph_exhaustive(g) -> bool:
     pre-image vertices and tests line-graph isomorphism directly.  Feasible
     only for very small g.
     """
-    from igmatch.graphs import Multigraph, is_isomorphic, line_graph
+    from igmatch.graphs import Multigraph, line_graph
 
     m = g.n
     if m == 0:

@@ -155,6 +155,18 @@ def test_small_alpha_rejects_large_independence():
     assert solve_igm_small_alpha(star_graph(5), K1, 1, trust_alpha=True) is not None
 
 
+def test_small_alpha_check_is_bounded_not_capped():
+    # 31 vertices are past the maximum-independent-set cap; asking for five
+    # independent vertices is not
+    got = solve_igm_small_alpha(complete_graph(31), K2, 1)
+    assert got is not None and len(got.occurrences) == 1
+    five_cliques = complete_graph(27)
+    for _ in range(4):
+        five_cliques = disjoint_union(five_cliques, complete_graph(1))
+    with pytest.raises(InputError, match="promised bound 4"):
+        solve_igm_small_alpha(five_cliques, K2, 1)
+
+
 def test_small_alpha_matches_oracle_on_dense_graphs():
     rng = random.Random(109)
     tested = 0

@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from igmatch import graphs
 from igmatch.errors import InputError, SizeCapError
 from igmatch.graphs import (
     Graph,
@@ -21,7 +22,6 @@ from igmatch.graphs import (
     find_occurrence,
     find_star,
     greedy_clique_partition,
-    is_isomorphic,
     line_graph,
     max_igm,
     path_graph,
@@ -34,6 +34,7 @@ from igmatch.graphs import (
 from oracles import (
     all_pairs_occurrence_masks,
     igm_exhaustive,
+    is_isomorphic,
     is_line_graph_exhaustive,
     max_igm_exhaustive,
     mis_exhaustive,
@@ -95,9 +96,10 @@ def test_mis_matches_exhaustive_search():
         assert all(not g.has_edge(u, v) for u in witness for v in witness if u < v)
 
 
-def test_mis_cap():
+def test_mis_cap(monkeypatch):
+    monkeypatch.setattr(graphs, "MIS_CAP_DEFAULT", 30)
     with pytest.raises(SizeCapError):
-        brute_force_mis(empty_graph(31), cap=30)
+        brute_force_mis(empty_graph(31))
 
 
 def test_find_occurrence_agrees_with_exhaustive(p3, k3):

@@ -34,10 +34,10 @@ from igmatch.kernel import (
     prune_useless_vertices,
     reduction_step_nonpromising,
     strip_edge_ceiling,
-    stripe_profile_weight,
     trivial_no_wis,
     trivial_yes_wis,
     wis_size_ceiling,
+    _stripe_table,
 )
 from igmatch.strips import Strip, StripStructure, classify_strip, validate_strip_structure
 
@@ -217,8 +217,6 @@ def test_entry_points_reject_unusable_patterns(p3, k1, k2):
         bound_strip_graph(g, p3, 2)
     with pytest.raises(InputError):
         distributions(ss, 0, k1)
-    with pytest.raises(InputError):
-        stripe_profile_weight(ss.strips[0], 0, None, None, k1)
     with pytest.raises(InputError):
         kernelize(g, p3, 2)
 
@@ -448,29 +446,17 @@ def test_bound_manual_stops_when_pruning_bites(k3):
 def test_profile_weight_fixed_points(k2):
     tight = Strip(graph=path_graph(4), z=frozenset({0, 3}), g_map={1: 0, 2: 1})
     # reserving nothing still bans both N[z]'s, which covers the whole body
-    assert stripe_profile_weight(tight, 0, 0, "I", k2) == 0
+    for flip in (False, True):
+        table = _stripe_table(tight, k2, flip)
+        assert table[0, 0, "I"] == 0
+        assert table == _oracle_table(tight, k2, flip)
 
     loose_z = Strip(graph=Graph(3, [(1, 2)]), z=frozenset({0}), g_map={1: 0, 2: 1})
     # a boundary that does not exist can never be touched
-    assert stripe_profile_weight(loose_z, -1, None, None, k2) is None
-    assert stripe_profile_weight(loose_z, 0, None, None, k2) == 1
-
-
-def test_profile_weight_argument_checks(k2):
-    s2 = Strip(graph=path_graph(6), z=frozenset({0, 5}), g_map={i: i - 1 for i in range(1, 5)})
-    s1 = Strip(graph=path_graph(3), z=frozenset({0}), g_map={1: 0, 2: 1})
-    with pytest.raises(InputError):
-        stripe_profile_weight(s2, -2, 0, "I", k2)
-    with pytest.raises(InputError):
-        stripe_profile_weight(s2, 0, 2, "I", k2)
-    with pytest.raises(InputError):
-        stripe_profile_weight(s2, 0, 0, "X", k2)
-    with pytest.raises(InputError):
-        stripe_profile_weight(s2, 0, 0, None, k2)
-    with pytest.raises(InputError):
-        stripe_profile_weight(s1, 0, 0, "I", k2)
-    with pytest.raises(InputError):
-        stripe_profile_weight(s1, 0, None, "I", k2)
+    table = _stripe_table(loose_z, k2, False)
+    assert (-1,) not in table
+    assert table[(0,)] == 1
+    assert table == _oracle_table(loose_z, k2, False)
 
 
 def _profile_weight_oracle(strip, i, j, f, hp):
@@ -534,6 +520,20 @@ def _profile_weight_oracle(strip, i, j, f, hp):
     return best
 
 
+def _oracle_table(strip, hp, flip):
+    """The oracle's weight for every key of ``_stripe_table``, in its
+    order; with ``flip`` a key's indices name the larger z first."""
+    span = range(-1, hp.h)
+    if len(strip.z) == 1:
+        want = {(a,): _profile_weight_oracle(strip, a, None, None, hp) for a in span}
+    else:
+        want = {
+            (a, b, f): _profile_weight_oracle(strip, *((b, a) if flip else (a, b)), f, hp)
+            for a, b, f in itertools.product(span, span, ("I", "C"))
+        }
+    return {key: w for key, w in want.items() if w is not None}
+
+
 def test_profile_weights_match_the_exhaustive_trace(k2, k3):
     plain = Strip(
         graph=path_graph(6), z=frozenset({0, 5}), g_map={i: i - 1 for i in range(1, 5)}
@@ -549,15 +549,12 @@ def test_profile_weights_match_the_exhaustive_trace(k2, k3):
     )
     for hp in (k2, k3):
         for s in (plain, bridged):
-            for i in range(-1, hp.h):
-                for j in range(-1, hp.h):
-                    for f in ("I", "C"):
-                        got = stripe_profile_weight(s, i, j, f, hp)
-                        want = _profile_weight_oracle(s, i, j, f, hp)
-                        assert got == want, (i, j, f, hp.h)
-        for i in range(-1, hp.h):
-            got = stripe_profile_weight(single, i, None, None, hp)
-            assert got == _profile_weight_oracle(single, i, None, None, hp)
+            for flip in (False, True):
+                got = _stripe_table(s, hp, flip)
+                want = _oracle_table(s, hp, flip)
+                assert list(got.items()) == list(want.items()), (flip, hp.h)
+        got = _stripe_table(single, hp, False)
+        assert list(got.items()) == list(_oracle_table(single, hp, False).items())
 
 
 # ---------------------------------------------------------------------------
@@ -600,8 +597,12 @@ def test_wis_instance_validation():
         WisInstance(g, (1,), 1, 1, ("a", "b"), ((0, 1),))
     with pytest.raises(InputError):
         WisInstance(g, (1, -1), 1, 1, ("a", "b"), ((0, 1),))
-    with pytest.raises(InputError):
-        WisInstance(g, (1, 1), 1, 1, ("a", "b c"), ((0, 1),))
+    # tags are nonempty and free of any Unicode whitespace, such as an em space
+    for bad in ("", "a b", "a\tb", "a\n", "a\u2003b"):
+        with pytest.raises(InputError):
+            WisInstance(g, (1, 1), 1, 1, ("a", bad), ((0, 1),))
+    inst = WisInstance(g, (1, 1), 1, 1, ("stripe:e0:i-1:j0C", "é"), ((0, 1),))
+    assert inst.tags == ("stripe:e0:i-1:j0C", "é")
     assert wis_answer(trivial_yes_wis(3, "why")) is True
     assert wis_answer(trivial_no_wis(3, "why")) is False
 

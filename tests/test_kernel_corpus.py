@@ -20,8 +20,11 @@ digest.  The builds are:
   changed.
 
 ``kernel_instances.json`` was recorded before the encoding kept one profile
-table per stripe and one loop over spanning copies.  Rewrite it only for an
-intended change to the encoding:
+table per stripe and one loop over spanning copies, and before that table
+was filled in one pass over its strip (``kernel._stripe_table``), which
+enumerates the strip's copies once instead of once per key.  A second test
+counts those enumerations on the subdivided builds.  Rewrite the file only
+for an intended change to the encoding:
 
     PYTHONPATH=src python tests/test_kernel_corpus.py
 """
@@ -32,9 +35,9 @@ import os
 import random
 import sys
 
-from igmatch import kernel
+from igmatch import graphs, kernel, strips
 from igmatch.graphs import Graph, Pattern, complete_graph, path_graph
-from igmatch.strips import Strip, StripStructure
+from igmatch.strips import Strip, StripStructure, classify_strip
 from igmatch.trace import recording
 
 from randgen import random_line_graph, random_subdivided_structure
@@ -174,6 +177,39 @@ def test_kernel_encodings_are_pinned():
     assert any(t.startswith("stripe:") and ":j" in t for t in tags)
     for g, w in zip(got, pinned):
         assert g == w, g[0]
+
+
+def _counted(monkeypatch, module, name) -> list:
+    """Count the calls of ``module.name`` through every igmatch binding of it."""
+    real = getattr(module, name)
+    calls = []
+
+    def wrapper(*args, **kwargs):
+        calls.append(name)
+        return real(*args, **kwargs)
+
+    for mod in list(sys.modules.values()):
+        if (getattr(mod, "__name__", "").startswith("igmatch")
+                and getattr(mod, name, None) is real):
+            monkeypatch.setattr(mod, name, wrapper)
+    return calls
+
+
+def test_subdivided_builds_table_each_stripe_once(monkeypatch):
+    builds = list(_subdivided_builds())
+    stripes = sum(classify_strip(ss.strips[eid]) == "stripe"
+                  for _, _, ss, _, _ in builds for eid, _ in ss.edges)
+    enumerated = _counted(monkeypatch, graphs, "enumerate_occurrences")
+    classified = _counted(monkeypatch, strips, "classify_strip")
+    packed = _counted(monkeypatch, graphs, "max_igm")
+    for _, g, ss, hp, k in builds:
+        kernel.build_wis_instance(g, ss, hp, k)
+    # one enumeration per stripe table; the per-key weights of the earlier
+    # encoding made 11,868 enumerations, 13,986 classifications and 6,031
+    # packings on these builds
+    assert len(enumerated) == stripes == 393
+    assert len(classified) < 13986
+    assert len(packed) < 6031
 
 
 if __name__ == "__main__":

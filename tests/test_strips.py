@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-import igmatch.color_coding as cc
+from igmatch import graphs
 from igmatch.color_coding import solve_igm_claw_free
 from igmatch.errors import InputError, SizeCapError
 from igmatch.graphs import (
@@ -10,7 +10,6 @@ from igmatch.graphs import (
     Matching,
     Occurrence,
     Pattern,
-    brute_force_wis,
     complete_graph,
     cycle_graph,
     find_igm,
@@ -532,10 +531,7 @@ def test_conformance_alpha4_claim_on_oversized_strip(monkeypatch):
     with pytest.raises(InputError, match="'alpha4' claimed"):
         solve_igm_claw_free(g, K1, 1, ss=ss, certificates={0: "alpha4"})
 
-    def capped(*args):
-        return brute_force_wis(*args, cap=31)
-
-    monkeypatch.setattr(cc, "brute_force_wis", capped)
+    monkeypatch.setattr(graphs, "WIS_CAP_DEFAULT", 31)
     with pytest.raises(SizeCapError):
         solve_igm_claw_free(g, K1, 1, ss=ss, certificates={0: "alpha4"})
 
