@@ -63,12 +63,14 @@ def random_line_graph(rng: random.Random, max_edges: int = 10) -> tuple[Graph, M
     return line_graph(mg), mg
 
 
-def random_subdivided_structure(rng: random.Random, n: int, m: int):
+def random_subdivided_structure(rng: random.Random, n: int, m: int, cut: tuple = (2, 3)):
     """Line graph of a random multigraph with some edges subdivided, and its
     strip structure.
 
     The multigraph is connected, with n vertices and m >= 2 edges; its
-    vertices of degree at least two are the strip-vertices.  Each original
+    vertices of degree at least two are the strip-vertices.  About half the
+    edges are cut, each into ``rng.randint(*cut)`` host vertices (the
+    default draws the same numbers as before ``cut`` existed).  Each original
     edge stays one strip whatever it was cut into: an uncut edge between two
     strip-vertices is a spot, and every other edge is a path stripe with a z
     at each non-pendant end.  A cut edge between two strip-vertices is a
@@ -85,7 +87,7 @@ def random_subdivided_structure(rng: random.Random, n: int, m: int):
     ends = {v: [] for v in range(n)}  # host vertices whose edge piece meets v
     nxt = 0
     for eid, (a, b) in enumerate(mg.edges):
-        t = 1 if rng.random() < 0.5 else rng.randint(2, 3)
+        t = 1 if rng.random() < 0.5 else rng.randint(*cut)
         body = list(range(nxt, nxt + t))
         nxt += t
         host_edges.update(zip(body, body[1:]))

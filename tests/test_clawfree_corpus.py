@@ -9,7 +9,18 @@ as that class name: the path and tree hosts above the independence-number
 cap do so today, and lifting that cap is meant to change exactly those rows.
 
 The file was recorded before the embedding search drew its candidates from
-anchored lists.  Rewrite it only for an intended witness change:
+anchored lists.
+
+The workload's hosts are line graphs, whose strips have one-vertex
+interiors.  ``clawfree_subdivided_witnesses.json`` pins, the same way, the
+solves of K2, P3 and K3 at k = 1 over seeded subdivided structures
+(``randgen.random_subdivided_structure`` with edges cut into 4 to 7 host
+vertices), whose stripes have path interiors: with no certificates, with a
+true "alpha4" claim on every strip and with a path fuzzy arc model on every
+stripe.  It was recorded before the solver took the kind of each strip from
+the structure and checked certificates only at entry.
+
+Rewrite the files only for an intended witness change:
 
     PYTHONPATH=src python tests/test_clawfree_corpus.py
 """
@@ -19,11 +30,20 @@ import os
 import random
 import sys
 
+import igmatch.color_coding as cc
 from igmatch.errors import SizeCapError
+from igmatch.graphs import Pattern, complete_graph, path_graph
+from igmatch.models import Arc, ArcModel, FuzzyArcModel
+from igmatch.strips import classify_strip
+
+from randgen import random_subdivided_structure
 
 HERE = os.path.dirname(os.path.abspath(__file__))
 FIXTURE = os.path.join(HERE, "clawfree_witnesses.json")
+SUBDIVIDED_FIXTURE = os.path.join(HERE, "clawfree_subdivided_witnesses.json")
 SEEDS = (301, 302, 303)
+SUBDIVIDED_SEED = 1206
+SUBDIVIDED = 16
 
 
 def _clawfree_cases(seed):
@@ -36,16 +56,61 @@ def _clawfree_cases(seed):
 
 
 def _witnesses(seed):
-    rows = []
-    for case in _clawfree_cases(seed):
-        try:
-            found = case.solve(None)
-        except SizeCapError:
-            rows.append([case.label, "SizeCapError"])
-            continue
-        rows.append([case.label, None if found is None
-                     else [list(o.vertices) for o in found.occurrences]])
-    return rows
+    return [[case.label, _witness(lambda case=case: case.solve(None))]
+            for case in _clawfree_cases(seed)]
+
+
+def _witness(solve):
+    """The occurrences ``solve()`` finds as lists, None, or "SizeCapError"."""
+    try:
+        found = solve()
+    except SizeCapError:
+        return "SizeCapError"
+    return None if found is None else [list(o.vertices) for o in found.occurrences]
+
+
+def _path_certificate(t):
+    """A fuzzy arc model of the t-vertex path, arc i for interior vertex i."""
+    return FuzzyArcModel(ArcModel(tuple(Arc(i, 10 * i, 10 * i + 12) for i in range(t)), 1000), {})
+
+
+def _subdivided_rows():
+    """[label, witness] per subdivided structure, pattern and certificate set."""
+    rng = random.Random(SUBDIVIDED_SEED)
+    patterns = {"K2": complete_graph(2), "P3": path_graph(3), "K3": complete_graph(3)}
+    for i in range(SUBDIVIDED):
+        n = rng.randint(3, 4)
+        g, ss = random_subdivided_structure(rng, n, rng.randint(n, n + 2), cut=(4, 7))
+        certificate_sets = {
+            "none": None,
+            "alpha4": {eid: "alpha4" for eid, _ in ss.edges},
+            "paths": {eid: _path_certificate(len(ss.strips[eid].interior()))
+                      for eid, _ in ss.edges if classify_strip(ss.strips[eid]) == "stripe"},
+        }
+        for pn, hg in patterns.items():
+            for cn, certs in certificate_sets.items():
+                yield [f"sub{i}-{pn}-{cn}", _witness(lambda: cc.solve_igm_claw_free(
+                    g, Pattern.of(hg), 1, ss=ss, certificates=certs))]
+
+
+def test_subdivided_witnesses_are_pinned(monkeypatch):
+    with open(SUBDIVIDED_FIXTURE) as f:
+        pinned = json.load(f)
+    real = cc.solve_strip_interiors
+    packed = []
+
+    def counted(*args, **kwargs):
+        out = real(*args, **kwargs)
+        packed.append(out[1] > 0)
+        return out
+
+    monkeypatch.setattr(cc, "solve_strip_interiors", counted)
+    got = list(_subdivided_rows())
+    assert len(got) == len(pinned) == 9 * SUBDIVIDED
+    for g, w in zip(got, pinned):
+        assert g == w
+    # the solves pack stripe interiors, not only realize boundary tokens
+    assert sum(packed) >= 25
 
 
 def test_clawfree_workload_witnesses_are_pinned():
@@ -60,7 +125,14 @@ def test_clawfree_workload_witnesses_are_pinned():
             assert g == w, (seed, i)
 
 
+def _write_subdivided():
+    with open(SUBDIVIDED_FIXTURE, "w") as f:
+        rows = [json.dumps(row) for row in _subdivided_rows()]
+        f.write("[\n" + ",\n".join(rows) + "\n]\n")
+
+
 if __name__ == "__main__":
+    _write_subdivided()
     with open(FIXTURE, "w") as f:
         f.write("{\n")
         for n, seed in enumerate(SEEDS):
