@@ -51,12 +51,7 @@ from .graphs import (
 )
 from .models import Arc, ArcModel, FuzzyArcModel, realize
 from .fuzzy_solver import ALPHA_BOUND, solve_igm_fuzzy_ca, solve_igm_small_alpha
-from .strips import (
-    StripStructure,
-    classify_strip,
-    line_graph_strip_structure,
-    validate_strip_structure,
-)
+from .strips import StripStructure, line_graph_strip_structure, validate_strip_structure
 from .trace import note
 
 __all__ = [
@@ -72,7 +67,6 @@ __all__ = [
     "base_palette",
     "coloring_family",
     "blank",
-    "solve_strip_interiors",
     "step5_coloring",
     "global_matching_step",
     "solve_igm_claw_free",
@@ -466,9 +460,18 @@ def _base_stream(h: Pattern, k: int, budget: dict):
     token (an edge a matching touches always holds a matching vertex), and
     satisfies both token conditions.  Generation places tokens one at a time
     (each constrained by previously placed group neighbors), then glues edge
-    endpoints in all admissible ways.  ``budget`` caps the edges of each
-    (kind, member count) shape, as in ``_token_plans``; since every edge
-    carries a token, a budget of hk per shape leaves the stream unrestricted.
+    endpoints in all admissible ways.  Only condition 1 is checked on the
+    glued base; gluing already guarantees condition 2.  ``_tokens_meet`` is
+    a pairwise test (one group, pairwise adjacent in H), so a set of tokens
+    passes it exactly when every pair in it does.  The tokens at a base
+    vertex are those at the endpoints glued there: each pair at one stripe
+    end was tested by ``_placement_ok`` when the later of the two was
+    placed (a spot end holds one token), and ``_block_ok`` tests all tokens
+    of a block of endpoints whenever an endpoint joins it.
+
+    ``budget`` caps the edges of each (kind, member count) shape, as in
+    ``_token_plans``; since every edge carries a token, a budget of hk per
+    shape leaves the stream unrestricted.
     Of each isomorphism class only the first base generated is kept; the
     class is told by a canonical key that minimises over group relabelings
     alone, because tokens already name every edge (see
@@ -486,7 +489,7 @@ def _base_stream(h: Pattern, k: int, budget: dict):
         seen = set()
         for plan in _token_plans(h, _token_order(h, k), budget):
             for base in _glued_bases(plan, h):
-                if not check_condition1(base, h) or not check_condition2(base, h):
+                if not check_condition1(base, h):
                     continue
                 key = _canonical_base_key(base)
                 if key in seen:
@@ -522,7 +525,7 @@ def structure_elements(ss: StripStructure) -> tuple:
     """Colorable items of a strip-structure, in canonical order."""
     out = [("rv", r) for r in ss.r_vertices]
     for eid, members in ss.edges:
-        if classify_strip(ss.strips[eid]) == "spot":
+        if ss.kinds[eid] == "spot":
             out.append(("spot", eid))
         else:
             out.append(("int", eid))
@@ -650,9 +653,8 @@ def blank(f: ElementColoring, ss: StripStructure, base: Base):
     alignment: dict = {}
     colors: dict = {("rv", r): ("v", b) for r, b in vkeep.items()}
     for eid, members in ss.edges:
-        kind = classify_strip(ss.strips[eid])
-        if kind not in ("spot", "stripe"):
-            continue
+        # a strip that is neither a spot nor a stripe matches no base edge
+        kind = ss.kinds[eid]
         part = ("spot", eid) if kind == "spot" else ("int", eid)
         fi = _edge_color_id(f.color(part), part[0] + "c", base)
         if fi is None or base.edges[fi].kind != kind:
@@ -695,13 +697,17 @@ class StripAssignment:
         object.__setattr__(self, "interior_matching", tuple(self.interior_matching))
 
 
-def _validate_certificates(ss: StripStructure, certificates) -> dict:
+def _checked_certificates(ss: StripStructure, certificates) -> dict:
+    """The per-strip certificates as a dict, each checked against its strip."""
     certs = dict(certificates or {})
-    known = {eid for eid, _m in ss.edges}
     for eid, cert in certs.items():
-        if eid not in known:
+        if eid not in ss.strips:
             raise InputError(f"certificate for unknown strip-edge {eid}")
-        if not isinstance(cert, FuzzyArcModel) and cert != "alpha4":
+        if isinstance(cert, FuzzyArcModel):
+            _require_fitting(ss, eid, cert)
+        elif cert == "alpha4":
+            _require_alpha4(ss, eid)
+        else:
             raise InputError(
                 f"certificate for strip-edge {eid} must be a fuzzy arc model or 'alpha4'"
             )
@@ -880,13 +886,8 @@ def _realize_edge(ss, eid, fe: BaseEdge, align, h, cert):
     return StripAssignment(eid, {t: s.g_map[v] for t, v in x.items()}, host)
 
 
-def solve_strip_interiors(
-    ss: StripStructure,
-    base: Base,
-    surj: BaseSurjection,
-    h: Pattern,
-    certificates=None,
-):
+def solve_strip_interiors(ss: StripStructure, base: Base, surj: BaseSurjection, h: Pattern,
+                          certs: dict):
     """Realize boundary-group tokens per surviving strip-edge and pack the rest.
 
     For each surviving edge: gather the tokens of every group that holds a
@@ -897,17 +898,16 @@ def solve_strip_interiors(
     placement's closed neighborhood removed.  Edges with token demands but no
     consistent placement are dropped, as if blanked.  Returns the surviving
     assignments and k', the total number of packed interior occurrences.
+
+    ``certs`` maps strip-edges to certificates that ``solve_igm_claw_free``
+    has already checked at entry (``_checked_certificates``); they are
+    trusted here, not checked again per surjection.
     """
-    certs = _validate_certificates(ss, certificates)
     out: dict = {}
     kp = 0
     for eid in sorted(surj.edge_map):
-        fi = surj.edge_map[eid]
-        fe = base.edges[fi]
-        cert = certs.get(eid)
-        if isinstance(cert, FuzzyArcModel):
-            _require_fitting(ss, eid, cert)
-        res = _realize_edge(ss, eid, fe, surj.alignment.get(eid, {}), h, cert)
+        fe = base.edges[surj.edge_map[eid]]
+        res = _realize_edge(ss, eid, fe, surj.alignment.get(eid, {}), h, certs.get(eid))
         if res is None:
             continue
         out[eid] = res
@@ -966,13 +966,7 @@ class _RunConfig:
 
 
 def _strip_profiles(ss: StripStructure) -> dict:
-    prof = {}
-    for eid, members in ss.edges:
-        kind = classify_strip(ss.strips[eid])
-        if kind == "neither":
-            raise InputError(f"strip-edge {eid} is neither a spot nor a stripe")
-        prof[eid] = (kind, len(members))
-    return prof
+    return {eid: (ss.kinds[eid], len(members)) for eid, members in ss.edges}
 
 
 @dataclass(frozen=True)
@@ -1115,7 +1109,7 @@ def _embedded_surjection(base: Base, emb) -> BaseSurjection:
     )
 
 
-def _pipeline(g, h, k, ss, certificates, cfg: _RunConfig):
+def _pipeline(g, h, k, ss, certs, cfg: _RunConfig):
     index = _strip_index(ss, _strip_profiles(ss))
     # a plan never creates more than hk edges, so higher supply is equivalent
     hk = h.h * k
@@ -1135,7 +1129,7 @@ def _pipeline(g, h, k, ss, certificates, cfg: _RunConfig):
             blanked = (blank(f, ss, base) for f in colorings)
             surjections = (out[1] for out in blanked if out is not None)
         for surj in surjections:
-            assignments, kp = solve_strip_interiors(ss, base, surj, h, certificates)
+            assignments, kp = solve_strip_interiors(ss, base, surj, h, certs)
             extra = global_matching_step(g, ss, assignments, h, k, kp)
             if extra is None:
                 continue
@@ -1207,17 +1201,19 @@ def _structured(g, h, ss, certs, cfg: _RunConfig):
 
     Strip-edges without strip-vertices have no boundaries, hence no edges to
     the rest of the host: their bodies are solved first as free-standing
-    pieces, and the pipeline covers the strip-edges with strip-vertices.
+    pieces, and the pipeline covers the strip-edges with strip-vertices,
+    over ``ss`` itself when there are no free pieces, keeping its settled
+    strip kinds.
     """
     free = [(ss.strips[e].graph, ss.strips[e].g_map, certs.get(e)) for e, m in ss.edges if not m]
     pieces = _pieces(free, h, cfg)
     rest = tuple((e, m) for e, m in ss.edges if m)
     if not rest:
         return _assembled(g, h, pieces, None, None, cfg)
-    strips = {e: ss.strips[e] for e, _m in rest}
-    sub = StripStructure(ss.r_vertices, rest, strips, {e: ss.z_assign[e] for e in strips})
-    sub_certs = {e: c for e, c in certs.items() if e in strips}
-    return _assembled(g, h, pieces, sub, sub_certs, cfg)
+    if free:
+        strips = {e: ss.strips[e] for e, _m in rest}
+        ss = StripStructure(ss.r_vertices, rest, strips, {e: ss.z_assign[e] for e in strips})
+    return _assembled(g, h, pieces, ss, certs, cfg)
 
 
 def _route(g0, h, cert, cfg: _RunConfig):
@@ -1325,13 +1321,10 @@ def solve_igm_claw_free(
             raise InputError("fuzzy model does not realize the graph it certifies")
     if ss is not None:
         validate_strip_structure(g, ss).require_ok()
-        _strip_profiles(ss)  # rejects strips that are neither spots nor stripes
-        certs = _validate_certificates(ss, certificates)
-        for eid, c in certs.items():
-            if isinstance(c, FuzzyArcModel):
-                _require_fitting(ss, eid, c)
-            else:
-                _require_alpha4(ss, eid)
+        for eid, kind in ss.kinds.items():
+            if kind == "neither":
+                raise InputError(f"strip-edge {eid} is neither a spot nor a stripe")
+        certs = _checked_certificates(ss, certificates)
         if cert is None:
             cert = (ss, certs)
     elif certificates:

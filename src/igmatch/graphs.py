@@ -843,6 +843,12 @@ def recognize_line_graph(g: Graph) -> Multigraph | None:
     most two cliques on the reduced graph, then re-expands the contracted
     classes by duplicating their edges.
 
+    A failed search on the reduced graph rejects g with no second search:
+    ``_krausz_cover`` backtracks over every clique, so the reduced graph is
+    no such line graph, and neither is g, since an induced subgraph of a
+    line graph of a multigraph is again one and the reduced graph is an
+    induced subgraph of g.
+
     A triangle host has two pre-images, K3 and the 3-star; K3 is the one
     returned.
     """
@@ -865,14 +871,7 @@ def recognize_line_graph(g: Graph) -> Multigraph | None:
     reduced = g.induced(reps)
     cover = _krausz_cover(reduced)
     if cover is None:
-        # the reduction is expected to preserve recognizability; fall back to
-        # a direct search as a safety net
-        cover_direct = _krausz_cover(g)
-        if cover_direct is None:
-            return None
-        m = _preimage_from_cover(g, cover_direct)
-        _check_identity_preimage(g, m)
-        return m
+        return None
     m_red = _preimage_from_cover(reduced, cover)
     # expand: g-vertex v gets a parallel copy of its class representative's edge
     edges = [m_red.edges[class_of[v]] for v in range(g.n)]

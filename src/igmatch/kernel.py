@@ -32,7 +32,6 @@ from .strips import (
     Strip,
     StripStructure,
     boundary_clique,
-    classify_strip,
     line_graph_strip_structure,
     strip_image,
     validate_strip_structure,
@@ -168,8 +167,8 @@ def reduction_step_nonpromising(g: Graph, ss: StripStructure, x, y, h: Pattern):
             f"{len(nonprom)} non-promising strip-edges between {x!r} and {y!r}; "
             f"the reduction step needs more than {2 * h.h}"
         )
-    stripes = [e for e in nonprom if classify_strip(ss.strips[e]) == "stripe"]
-    rest = [e for e in nonprom if classify_strip(ss.strips[e]) != "stripe"]
+    stripes = [e for e in nonprom if ss.kinds[e] == "stripe"]
+    rest = [e for e in nonprom if ss.kinds[e] != "stripe"]
     keep = set(stripes[: 2 * h.h])
     if len(stripes) < h.h:
         keep.update(rest[: h.h - len(stripes)])
@@ -497,7 +496,7 @@ def distributions(ss: StripStructure, x, h: Pattern) -> tuple:
     if x not in ss.r_vertices:
         raise InputError(f"unknown strip-vertex {x!r}")
     eids = [eid for eid, ms in ss.edges if x in ms]
-    caps = [1 if classify_strip(ss.strips[e]) == "spot" else h.h for e in eids]
+    caps = [1 if ss.kinds[e] == "spot" else h.h for e in eids]
     out = [Distribution(())]
     acc = []
 
@@ -635,12 +634,10 @@ def build_wis_instance(g: Graph, ss: StripStructure, h: Pattern, k: int) -> WisI
 
     hh = h.h
     members_of = dict(ss.edges)
-    kinds = {}
-    for eid, _ in ss.edges:
-        kind = classify_strip(ss.strips[eid])
+    kinds = ss.kinds
+    for eid, kind in kinds.items():
         if kind == "neither":
             raise InputError(f"strip-edge {eid!r} is neither a spot nor a stripe")
-        kinds[eid] = kind
 
     tags: list[str] = []
     weights: list[int] = []

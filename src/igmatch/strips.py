@@ -22,6 +22,7 @@ trivial structure (the whole host as a single boundary-less strip) and the
 line-graph structure (one single-vertex strip per pre-image edge).
 """
 
+import functools
 from dataclasses import dataclass
 
 from .errors import InputError
@@ -74,7 +75,9 @@ class StripStructure:
     empty, a single strip-vertex, or two distinct strip-vertices.  Parallel
     edges are allowed (distinct ids, same members).  z_assign names, for
     every edge and every member r of it, the z vertex of that strip that
-    faces r.
+    faces r.  kinds maps every edge id to the ``classify_strip`` result of
+    its strip; it is computed on first use and kept, so a solve settles what
+    each strip is once per structure.
     """
 
     r_vertices: tuple
@@ -107,6 +110,10 @@ class StripStructure:
         object.__setattr__(self, "edges", tuple(norm))
         object.__setattr__(self, "strips", dict(self.strips))
         object.__setattr__(self, "z_assign", {e: dict(a) for e, a in self.z_assign.items()})
+
+    @functools.cached_property
+    def kinds(self) -> dict:
+        return {eid: classify_strip(self.strips[eid]) for eid, _ in self.edges}
 
     def members(self, eid) -> tuple:
         for e, ms in self.edges:

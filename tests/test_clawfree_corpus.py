@@ -33,10 +33,10 @@ import sys
 import igmatch.color_coding as cc
 from igmatch.errors import SizeCapError
 from igmatch.graphs import Pattern, complete_graph, path_graph
-from igmatch.models import Arc, ArcModel, FuzzyArcModel
 from igmatch.strips import classify_strip
 
 from randgen import random_subdivided_structure
+from test_color_coding import _path_certificate
 
 HERE = os.path.dirname(os.path.abspath(__file__))
 FIXTURE = os.path.join(HERE, "clawfree_witnesses.json")
@@ -67,11 +67,6 @@ def _witness(solve):
     except SizeCapError:
         return "SizeCapError"
     return None if found is None else [list(o.vertices) for o in found.occurrences]
-
-
-def _path_certificate(t):
-    """A fuzzy arc model of the t-vertex path, arc i for interior vertex i."""
-    return FuzzyArcModel(ArcModel(tuple(Arc(i, 10 * i, 10 * i + 12) for i in range(t)), 1000), {})
 
 
 def _subdivided_rows():

@@ -46,6 +46,7 @@ from igmatch.color_coding import (
     step5_coloring,
     structure_elements,
 )
+from igmatch import strips
 from igmatch.trace import recording
 from oracles import (
     all_colorings,
@@ -475,7 +476,7 @@ def test_interior_solver_boundary_plus_interior_token(k2):
     ss = path6_stripe()
     base = Base(1, (BaseEdge("stripe", (0,), interior=frozenset({T11}),
                              boundaries=(frozenset({T10}),)),))
-    assignments, kp = solve_strip_interiors(ss, base, surj_single_edge(), k2)
+    assignments, kp = solve_strip_interiors(ss, base, surj_single_edge(), k2, {})
     assert kp == 1
     a = assignments[0]
     assert a.x_vertices == {T10: 0, T11: 1}
@@ -485,7 +486,7 @@ def test_interior_solver_boundary_plus_interior_token(k2):
 def test_interior_solver_unconstrained_stripe(k2):
     ss = path6_stripe()
     base = Base(1, (BaseEdge("stripe", (0,), boundaries=(frozenset(),)),))
-    assignments, kp = solve_strip_interiors(ss, base, surj_single_edge(), k2)
+    assignments, kp = solve_strip_interiors(ss, base, surj_single_edge(), k2, {})
     assert kp == 2
     assert assignments[0].x_vertices == {}
 
@@ -494,7 +495,7 @@ def test_interior_solver_pigeonhole_drops_the_edge(k2):
     ss = path6_stripe()
     base = Base(1, (BaseEdge("stripe", (0,),
                              boundaries=(frozenset({T10, T11}),)),))
-    assignments, kp = solve_strip_interiors(ss, base, surj_single_edge(), k2)
+    assignments, kp = solve_strip_interiors(ss, base, surj_single_edge(), k2, {})
     assert assignments == {} and kp == 0
 
 
@@ -502,27 +503,11 @@ def test_interior_solver_through_fuzzy_certificate(k2):
     ss = path6_stripe()
     base = Base(1, (BaseEdge("stripe", (0,), interior=frozenset({T11}),
                              boundaries=(frozenset({T10}),)),))
-    arcs = ArcModel(tuple(Arc(i, 10 * i, 10 * i + 12) for i in range(6)), 1000)
-    fam = FuzzyArcModel(arcs, {})
+    fam = _path_certificate(6)
     assert realize(fam) == path_graph(6)
-    assignments, kp = solve_strip_interiors(
-        ss, base, surj_single_edge(), k2, certificates={0: fam}
-    )
+    assignments, kp = solve_strip_interiors(ss, base, surj_single_edge(), k2, {0: fam})
     assert kp == 1
     assert assignments[0].interior_matching == (Occurrence((3, 4)),)
-
-
-def test_interior_solver_rejects_bad_certificates(k2):
-    ss = path6_stripe()
-    base = Base(1, (BaseEdge("stripe", (0,), interior=frozenset({T11}),
-                             boundaries=(frozenset({T10}),)),))
-    stub = FuzzyArcModel(ArcModel((Arc(0, 0, 5),), 100), {})
-    with pytest.raises(InputError):
-        solve_strip_interiors(ss, base, surj_single_edge(), k2, certificates={0: stub})
-    with pytest.raises(InputError):
-        solve_strip_interiors(ss, base, surj_single_edge(), k2, certificates={5: "alpha4"})
-    with pytest.raises(InputError):
-        solve_strip_interiors(ss, base, surj_single_edge(), k2, certificates={0: "bogus"})
 
 
 # ---------------------------------------------------------------------------
@@ -578,7 +563,7 @@ def test_literal_exhaustive_family_reproduces_the_answer(k2):
             if out is None:
                 continue
             _f2, surj = out
-            assignments, kp = solve_strip_interiors(ss, base, surj, k2)
+            assignments, kp = solve_strip_interiors(ss, base, surj, k2, {})
             extra = global_matching_step(g, ss, assignments, k2, 1, kp)
             if extra is None:
                 continue
@@ -896,6 +881,51 @@ def test_driver_checks_fuzzy_models_at_entry(k2, k3):
     c11, c11ss = c11_two_stripes()
     with pytest.raises(InputError, match="certificate for strip-edge 1"):
         solve_igm_claw_free(c11, k2, 1, ss=c11ss, certificates={1: stub})
+
+
+def test_driver_rejects_bad_certificates_at_entry(k2):
+    # the interior solver trusts its certificates, so the entry rejects one
+    # for an unknown strip-edge, a value that is neither a model nor
+    # "alpha4", and a model that misfits its strip
+    g, ss = path_graph(6), path6_stripe()
+    stub = FuzzyArcModel(ArcModel((Arc(0, 0, 5),), 100), {})
+    for certs, message in (({5: "alpha4"}, "unknown strip-edge 5"),
+                           ({0: "bogus"}, "fuzzy arc model or 'alpha4'"),
+                           ({0: stub}, "has 1 arcs for 6 interior vertices")):
+        with pytest.raises(InputError, match=message):
+            solve_igm_claw_free(g, k2, 1, ss=ss, certificates=certs)
+
+
+def _path_certificate(t):
+    """A fuzzy arc model of the t-vertex path, arc i for path vertex i."""
+    return FuzzyArcModel(ArcModel(tuple(Arc(i, 10 * i, 10 * i + 12) for i in range(t)), 1000), {})
+
+
+def test_driver_fits_each_certificate_once(monkeypatch, k2):
+    # fitting once per surjection made 32 fits here
+    calls = _counting(monkeypatch, "_require_fitting")
+    c11, c11ss = c11_two_stripes()
+    certs = {0: _path_certificate(6), 1: _path_certificate(5)}
+    got = solve_igm_claw_free(c11, k2, 3, ss=c11ss, certificates=certs)
+    assert got == solve_igm_claw_free(c11, k2, 3, ss=c11ss) is not None
+    assert sorted(args[1] for args in calls) == [0, 1]
+
+
+def test_random_coloring_classifies_each_strip_once(monkeypatch, k2):
+    # blanking classified every strip again on every draw: 72,406 calls here
+    real = strips.classify_strip
+    classified = []
+
+    def counted(s):
+        classified.append(id(s))
+        return real(s)
+
+    for module in (strips, cc):  # every binding, so a re-import cannot hide calls
+        if getattr(module, "classify_strip", None) is real:
+            monkeypatch.setattr(module, "classify_strip", counted)
+    c11, c11ss = c11_two_stripes()
+    solve_igm_claw_free(c11, k2, 2, ss=c11ss, coloring="random", trials=200, seed=5)
+    assert sorted(classified) == sorted(id(s) for s in c11ss.strips.values())
 
 
 def test_driver_true_alpha4_claims_change_no_witness(k2, p3):

@@ -289,6 +289,50 @@ def test_recognize_line_graph_rejects_claw_and_wheel():
     assert recognize_line_graph(w5) is None
 
 
+def test_recognize_line_graph_searches_for_a_cover_once(monkeypatch):
+    # a failed cover search on the twin-reduced graph rejects the host; a
+    # fallback that searched the whole host again made two calls for each
+    from test_color_coding import _square_of_cycle
+
+    real = graphs._krausz_cover
+    searched = []
+
+    def counted(g):
+        searched.append(g.n)
+        return real(g)
+
+    monkeypatch.setattr(graphs, "_krausz_cover", counted)
+    # the 5-wheel with its hub doubled into two true twins
+    twin_hubs = Graph(7, [(i, (i + 1) % 5) for i in range(5)]
+                      + [(c, i) for c in (5, 6) for i in range(5)] + [(5, 6)])
+    for g, reduced_n in ((_square_of_cycle(15), 15), (twin_hubs, 6)):
+        assert star_free(g, 3)
+        del searched[:]
+        assert recognize_line_graph(g) is None
+        assert searched == [reduced_n]
+
+
+def test_cover_search_fails_on_a_graph_whenever_on_its_twin_reduction():
+    # claw-free graphs with vertices blown up into true-twin cliques
+    rng = random.Random(1206)
+    failed = twinned = 0
+    for _ in range(600):
+        base = random_connected_graph(rng, rng.randint(5, 7), 0.3 + 0.7 * rng.random())
+        copies = [rng.choice((1, 1, 2)) for _ in range(base.n)]
+        ids = [list(range(sum(copies[:v]), sum(copies[:v + 1]))) for v in range(base.n)]
+        edges = {(a, b) for c in ids for a in c for b in c if a < b}
+        edges |= {(min(a, b), max(a, b)) for u, v in base.edges for a in ids[u] for b in ids[v]}
+        g = Graph(sum(copies), sorted(edges))
+        if not star_free(g, 3):
+            continue
+        reduced = g.induced([c[0] for c in twin_classes(g)])
+        if graphs._krausz_cover(reduced) is None:
+            assert graphs._krausz_cover(g) is None
+            failed += 1
+            twinned += reduced.n < g.n
+    assert failed >= 25 and twinned >= 10
+
+
 def test_recognize_triangle_conventions():
     # K3, not the 3-star, is the pre-image of a triangle
     m = recognize_line_graph(complete_graph(3))
