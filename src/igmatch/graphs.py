@@ -167,23 +167,6 @@ class Multigraph:
     def degree(self, v: int) -> int:
         return sum(1 for u, w in self.edges if v in (u, w))
 
-    def is_connected(self) -> bool:
-        if self.n == 0:
-            return False
-        adj = [set() for _ in range(self.n)]
-        for u, w in self.edges:
-            adj[u].add(w)
-            adj[w].add(u)
-        seen = {0}
-        stack = [0]
-        while stack:
-            v = stack.pop()
-            for w in adj[v]:
-                if w not in seen:
-                    seen.add(w)
-                    stack.append(w)
-        return len(seen) == self.n
-
     def __eq__(self, other):
         return (
             isinstance(other, Multigraph)

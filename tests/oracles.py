@@ -8,8 +8,9 @@ meaningful.  All routines are exponential and sized for test instances.
 The exceptions pin witnesses or streams, not just answers, so they follow
 the package's own search order or data types: ``wis_reference`` branches over
 the package's clique partition, ``canonical_base_key_reference`` keys the
-package's bases, and ``natural_coloring_reference`` and ``all_colorings``
-paint its structure elements.  ``subset_scan_occurrences``, ``all_pairs_occurrence_masks`` and
+package's bases, ``check_condition2`` and ``base_invariant_failures`` check
+them, and ``natural_coloring_reference`` and ``all_colorings`` paint its
+structure elements.  ``subset_scan_occurrences``, ``all_pairs_occurrence_masks`` and
 ``long_by_pairs_and_triples`` keep the package's earlier, slower versions of
 occurrence enumeration, conflict masks and the longness test, and
 ``embeddings_reference`` and ``g_map_pair_failures`` those of the base
@@ -312,6 +313,106 @@ def canonical_base_key_reference(base):
                 if best is None or cand < best:
                     best = cand
     return best
+
+
+def _boundary_seats(fe) -> dict:
+    """Token -> base vertices at whose boundary it sits on edge ``fe``; a spot
+    token sits at both members, an interior token nowhere."""
+    if fe.kind == "spot":
+        return {} if fe.spot_token is None else {fe.spot_token: set(fe.members)}
+    seats = {t: set() for t in fe.interior}
+    for b, bd in zip(fe.members, fe.boundaries):
+        for t in bd:
+            seats.setdefault(t, set()).add(b)
+    return seats
+
+
+def check_condition2(base, h) -> bool:
+    """Boundary tokens meeting at a base vertex form one group and an H-clique.
+
+    ``_base_stream`` does not test this on the bases it emits: it holds by
+    construction of the gluing, which the streamed-base invariant test
+    checks against this reference.
+    """
+    at: dict = {}
+    for fe in base.edges:
+        for t, seats in _boundary_seats(fe).items():
+            for b in seats:
+                at.setdefault(b, set()).add(t)
+    for toks in at.values():
+        if len({g for (g, _hv) in toks}) > 1:
+            return False
+        pairs = itertools.combinations(sorted(hv for (_g, hv) in toks), 2)
+        if not all(h.graph.has_edge(u, v) for u, v in pairs):
+            return False
+    return True
+
+
+def base_invariant_failures(base, h, k) -> list:
+    """Every way ``base`` breaks what a streamed base promises, as messages.
+
+    The shape of each edge (a spot: two members, at most one token, no token
+    sets; a stripe: one boundary set per member, no token both inside and on
+    a boundary), members 1-2 distinct in-range vertex ids in ascending
+    order, tokens (g, v) with 1 <= g <= k and 0 <= v < |V(H)|, each on one
+    edge, every vertex on an edge; and what ``_base_stream`` adds: every
+    edge holds a token, all hk tokens are assigned, and conditions 1 and 2
+    hold.  An empty list means none is broken.
+    """
+    out = []
+    owner: dict = {}
+    seats: dict = {}
+    used: set = set()
+    if not base.edges:
+        out.append("no edges")
+    for i, fe in enumerate(base.edges):
+        m = fe.members
+        if fe.kind not in ("spot", "stripe"):
+            out.append(f"edge {i}: unknown kind {fe.kind!r}")
+        if not 1 <= len(m) <= 2 or len(set(m)) != len(m):
+            out.append(f"edge {i}: members {m!r} are not 1-2 distinct vertices")
+        if list(m) != sorted(m):
+            out.append(f"edge {i}: members {m!r} not ascending")
+        if not all(isinstance(b, int) and 0 <= b < base.n_vertices for b in m):
+            out.append(f"edge {i}: members {m!r} out of range")
+        used.update(m)
+        if fe.kind == "spot":
+            if len(m) != 2:
+                out.append(f"edge {i}: a spot with {len(m)} members")
+            if fe.interior or fe.boundaries:
+                out.append(f"edge {i}: a spot with token sets")
+            toks = set() if fe.spot_token is None else {fe.spot_token}
+        else:
+            if fe.spot_token is not None:
+                out.append(f"edge {i}: a stripe with a spot token")
+            if len(fe.boundaries) != len(m):
+                out.append(f"edge {i}: {len(fe.boundaries)} boundary sets for {len(m)} members")
+            on_boundary = set().union(*fe.boundaries)
+            if fe.interior & on_boundary:
+                out.append(f"edge {i}: tokens both inside and on a boundary")
+            toks = set(fe.interior) | on_boundary
+        if not toks:
+            out.append(f"edge {i}: holds no token")
+        for t in sorted(toks, key=repr):
+            g_ok = isinstance(t, tuple) and len(t) == 2 and all(isinstance(x, int) for x in t)
+            if not (g_ok and 1 <= t[0] <= k and 0 <= t[1] < h.h):
+                out.append(f"edge {i}: bad token {t!r}")
+            if t in owner:
+                out.append(f"token {t!r} on edges {owner[t]} and {i}")
+            owner[t] = i
+        seats.update(_boundary_seats(fe))
+    if used != set(range(base.n_vertices)):
+        out.append("a vertex lies on no edge")
+    if set(owner) != {(g, v) for g in range(1, k + 1) for v in range(h.h)}:
+        out.append("the tokens are not exactly the hk tokens")
+    for g in range(1, k + 1):
+        for u, v in h.graph.edges:
+            a, b = (g, u), (g, v)
+            if a in owner and b in owner and owner[a] != owner[b] and not seats[a] & seats[b]:
+                out.append(f"condition 1: {a} and {b} neither share an edge nor meet")
+    if not check_condition2(base, h):
+        out.append("condition 2")
+    return out
 
 
 def natural_coloring_reference(base, ss, vmap, emap):

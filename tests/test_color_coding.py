@@ -1,3 +1,5 @@
+import functools
+import hashlib
 import itertools
 import random
 from collections import Counter
@@ -38,7 +40,6 @@ from igmatch.color_coding import (
     base_palette,
     blank,
     check_condition1,
-    check_condition2,
     coloring_family,
     global_matching_step,
     solve_igm_claw_free,
@@ -50,7 +51,9 @@ from igmatch import strips
 from igmatch.trace import recording
 from oracles import (
     all_colorings,
+    base_invariant_failures,
     canonical_base_key_reference,
+    check_condition2,
     covered_subgraph,
     embeddings_reference,
     natural_coloring_reference,
@@ -129,41 +132,6 @@ def surj_single_edge():
 
 T10 = (1, 0)
 T11 = (1, 1)
-
-
-# ---------------------------------------------------------------------------
-# tokens and base construction
-
-def test_base_edge_normalizes_member_order():
-    fe = BaseEdge(
-        "stripe", (3, 1),
-        interior=frozenset(),
-        boundaries=(frozenset({T10}), frozenset({T11})),
-    )
-    assert fe.members == (1, 3)
-    assert fe.boundaries == (frozenset({T11}), frozenset({T10}))
-    assert fe.boundary_vertices(T10) == frozenset({3})
-
-
-def test_base_edge_rejects_malformed():
-    with pytest.raises(InputError):
-        BaseEdge("stripe", (0, 0), boundaries=(frozenset(), frozenset()))
-    with pytest.raises(InputError):
-        BaseEdge("spot", (0,))
-    with pytest.raises(InputError):
-        BaseEdge("spot", (0, 1), interior=frozenset({T10}))
-    with pytest.raises(InputError):  # token in interior and boundary at once
-        BaseEdge("stripe", (0,), interior=frozenset({T10}), boundaries=(frozenset({T10}),))
-    with pytest.raises(InputError):  # group ids start at 1
-        BaseEdge("stripe", (0,), interior=frozenset({(0, 0)}), boundaries=(frozenset(),))
-
-
-def test_base_rejects_duplicate_token_and_loose_vertex():
-    fe = BaseEdge("stripe", (0,), interior=frozenset({T10}), boundaries=(frozenset(),))
-    with pytest.raises(InputError):
-        Base(1, (fe, fe))
-    with pytest.raises(InputError):
-        Base(2, (fe,))
 
 
 # ---------------------------------------------------------------------------
@@ -271,13 +239,80 @@ STREAM_CASES = (
     ("k2", 2, {("stripe", 1): 2, ("stripe", 2): 2}),
 )
 
+# the streams whose every base is pinned: STREAM_CASES and a base-cache key
+# of the ``clawfree`` benchmark workload (K3, k = 2, six spots)
+PINNED_STREAMS = STREAM_CASES + (("k3", 2, {("spot", 2): 6}),)
 
-def test_base_stream_matches_the_brute_force_key(monkeypatch, k1, k2, k3, p3):
-    pats = {"k1": k1, "k2": k2, "k3": k3, "p3": p3}
-    cases = [(pats[h], k, b or full_budget(pats[h], k)) for h, k, b in STREAM_CASES]
-    got = [list(cc._base_stream(*case)) for case in cases]
+PATTERNS = {
+    "k1": Pattern.of(complete_graph(1)),
+    "k2": Pattern.of(complete_graph(2)),
+    "k3": Pattern.of(complete_graph(3)),
+    "p3": Pattern.of(path_graph(3)),
+}
+
+
+@functools.cache
+def streamed_bases(i: int) -> tuple:
+    """(pattern, bases) of ``PINNED_STREAMS[i]``, streamed once per session."""
+    name, k, budget = PINNED_STREAMS[i]
+    h = PATTERNS[name]
+    return h, tuple(cc._base_stream(h, k, budget or full_budget(h, k)))
+
+
+def stream_digest(bases) -> str:
+    """sha256 over the bases in stream order, each edge serialized as (kind,
+    members, spot token, sorted interior, sorted boundary sets); never the
+    repr of a frozenset, whose order depends on how the set was built."""
+    d = hashlib.sha256()
+    for b in bases:
+        edges = tuple(
+            (fe.kind, fe.members, fe.spot_token, tuple(sorted(fe.interior)),
+             tuple(tuple(sorted(bd)) for bd in fe.boundaries))
+            for fe in b.edges
+        )
+        d.update(repr((b.n_vertices, edges)).encode() + b"\n")
+    return d.hexdigest()
+
+
+# (base count, stream_digest) per PINNED_STREAMS entry; a generator rewrite
+# must reproduce every base in the same order
+PINNED_DIGESTS = (
+    (3, "554955db32af779d52d80f5dbce266a46f5f6c1ece84e0ddc74af9e5bfdd3524"),
+    (4, "9da580fa8752f7ea79cee815ab4ad622a5aa818724b172f8062c0ce831a06e42"),
+    (1, "a8d6c78035b0a8f47d8e8daeabe303095e0b8359eafb9434323dbc09b44e3a98"),
+    (39, "f738e86c491eb20eb6b4df860de74376bcef879eb83100d624eecf21e30ee1e7"),
+    (145, "37290d1f7af8aafcc44928e9cef07063a6a0d055fd9a85726c52a3e9ecc2f8d3"),
+    (353, "a1bc471697a8f8ae4e3322e0757a4fd9c3b7be5c31357cf3e5ce0eab66fa1025"),
+    (50, "e3510eda9af1ddfcd372dadce344ec1751b52f157f918d1cb362e94adb4ba1c1"),
+    (555, "ef4b3f14f0f6e026ff1bad4f2f79f8421773d42cda71dd1a201dfc1de982ab91"),
+    (21, "a168372fd8c4eb3175c0bb795a375260688780f4f38331fbb70fc8904ae3e5b5"),
+)
+
+
+def test_base_streams_are_pinned():
+    got = []
+    for i in range(len(PINNED_STREAMS)):
+        _h, bases = streamed_bases(i)
+        got.append((len(bases), stream_digest(bases)))
+    assert got == list(PINNED_DIGESTS)
+
+
+def test_streamed_bases_keep_the_base_invariants():
+    """Nothing checks a base when it is built; every pinned base must still
+    be well formed, hold all hk tokens and pass both token conditions."""
+    for i, (_name, k, _budget) in enumerate(PINNED_STREAMS):
+        h, bases = streamed_bases(i)
+        for b in bases:
+            assert base_invariant_failures(b, h, k) == [], (PINNED_STREAMS[i], b)
+
+
+def test_base_stream_matches_the_brute_force_key(monkeypatch):
+    got = [streamed_bases(i)[1] for i in range(len(STREAM_CASES))]
     monkeypatch.setattr(cc, "_canonical_base_key", canonical_base_key_reference)
-    want = [list(cc._base_stream(*case)) for case in cases]
+    want = [
+        tuple(cc._base_stream(PATTERNS[h], k, b or full_budget(PATTERNS[h], k)))
+        for h, k, b in STREAM_CASES
+    ]
     assert [len(s) for s in got] == [3, 4, 1, 39, 145, 353, 50, 555]
     assert got == want
 
