@@ -118,7 +118,7 @@ def solve_igm_fuzzy_ca(model: FuzzyArcModel, h: Pattern, k: int) -> Matching | N
     if not occs:
         return None
     if k == 1:
-        return Matching((occs[0],))
+        return revalidated(Matching((occs[0],)), g, h, "single occurrence")
     _, conflict = _occurrence_masks(g, occs)
     for star in range(len(occs)):
         length, chain = _residual_chain(model, occs, conflict, star, stop_at=k - 1)

@@ -7,15 +7,18 @@ endpoint to its rightmost interval's right endpoint, and two occurrences can
 coexist in an induced matching exactly when those spans are disjoint.
 
 For long proper circular-arc hosts the solver enumerates the host's
-occurrences once, cuts the circle open at each containment-equivalence
-representative, and runs the same auxiliary-interval step on the resulting
-proper interval instance with the occurrences that avoid the removed arcs.
+occurrences and sorts them into those classes once, in one table per host,
+then cuts the circle open at each containment-equivalence representative
+and runs the same auxiliary-interval step on the classes the cut keeps.
 A single occurrence can wrap the whole circle, so that every cut destroys
 it; when the target is one occurrence and every cut fails, a direct
 occurrence search on the realized host settles it.
 """
 
 from __future__ import annotations
+
+from bisect import bisect_left, bisect_right, insort
+from math import inf
 
 from .errors import InputError, InternalError, SizeCapError
 from .graphs import (
@@ -32,7 +35,6 @@ from .models import (
     IntervalModel,
     cut_at_point,
     equivalence_points_doubled,
-    point_in_arc,
     realize,
     validate_arc_model,
     validate_interval_model,
@@ -47,23 +49,13 @@ def _best_weight(items, allowed) -> int:
     Each item starts with (l, r, weight); the classic right-endpoint DP.
     """
     order = sorted(allowed, key=lambda i: (items[i][1], items[i][0], i))
-    best: list[tuple[int, int]] = []  # (right endpoint, best weight)
-    cur = 0
+    ends: list[int] = []  # right endpoints so far, ascending
+    best = [0]  # best[j]: the optimum over the first j of them
     for i in order:
         l, r, w = items[i][:3]
-        take = w
-        lo, hi = 0, len(best)
-        while lo < hi:  # rightmost entry with endpoint < l
-            mid = (lo + hi) // 2
-            if best[mid][0] < l:
-                lo = mid + 1
-            else:
-                hi = mid
-        if lo:
-            take += best[lo - 1][1]
-        cur = max(cur, take)
-        best.append((r, cur))
-    return cur
+        best.append(max(best[-1], w + best[bisect_left(ends, l)]))
+        ends.append(r)
+    return best[-1]
 
 
 def interval_wis(intervals) -> tuple[int, int, tuple[int, ...]]:
@@ -81,18 +73,23 @@ def interval_wis(intervals) -> tuple[int, int, tuple[int, ...]]:
             raise InputError(f"interval {idx} has negative weight")
         items.append((l, r, w, idx))
 
-    def disjoint(i: int, j: int) -> bool:
-        return max(items[i][0], items[j][0]) > min(items[i][1], items[j][1])
+    spans: list[tuple[int, int]] = []  # the chosen (l, r); disjoint, so their ends ascend
+
+    def free(j: int) -> bool:  # the chosen span starting last by j's end ends before j
+        at = bisect_right(spans, (items[j][1], inf))
+        return at == 0 or spans[at - 1][1] < items[j][0]
 
     n = len(items)
     opt = _best_weight(items, range(n))
     chosen: list[int] = []
     got = 0
     for i in range(n):
-        if any(not disjoint(i, c) for c in chosen):
+        if not free(i):
             continue
-        rest = [j for j in range(i + 1, n) if disjoint(j, i) and all(disjoint(j, c) for c in chosen)]
+        l, r = items[i][:2]
+        rest = [j for j in range(i + 1, n) if (items[j][0] > r or items[j][1] < l) and free(j)]
         if got + items[i][2] + _best_weight(items, rest) == opt:
+            insort(spans, (l, r))
             chosen.append(i)
             got += items[i][2]
     if got != opt:
@@ -115,34 +112,43 @@ def solve_igm_proper_interval(model: IntervalModel, h: Pattern, k: int) -> Match
     if k == 0:
         return Matching(())
     g = realize(model)
-    found = _interval_step(model, enumerate_occurrences(g, h), k)
+    lefts = [it.l for it in model.items]
+    rights = [it.r for it in model.items]
+    classes = _classes(((min(occ.vertices, key=lefts.__getitem__),
+                         max(occ.vertices, key=rights.__getitem__)), occ)
+                        for occ in enumerate_occurrences(g, h))
+    found = _interval_step(classes, model.items, k)
     if found is None:
         return None
     return revalidated(found, g, h, "auxiliary solution")
 
 
-def _interval_step(model: IntervalModel, occs: list[Occurrence], k: int) -> Matching | None:
-    """An induced matching of k of ``occs`` on a proper interval model, or None.
+def _classes(pairs) -> list:
+    """The first (key, item) per key of ``pairs``, in key order: occurrences with
+    one (leftmost, rightmost) key are interchangeable, so the first stands for all."""
+    first: dict = {}
+    for key, item in pairs:
+        first.setdefault(key, item)
+    return sorted(first.items())
 
-    One auxiliary interval per (leftmost, rightmost) class spans the class;
-    occurrences in a class are interchangeable, so the first (lexicographically
-    smallest) one stands for it.  The witness is only rebuilt when the
-    optimum reaches k.
-    """
-    lefts = [it.l for it in model.items]
-    rights = [it.r for it in model.items]
-    classes: dict[tuple[int, int], Occurrence] = {}
-    for occ in occs:
-        lmost = min(occ.vertices, key=lefts.__getitem__)
-        rmost = max(occ.vertices, key=rights.__getitem__)
-        classes.setdefault((lmost, rmost), occ)
-    keys = sorted(classes)
-    aux = [(lefts[lm], rights[rm], 1) for lm, rm in keys]
+
+def _interval_step(classes, spans, k: int) -> Matching | None:
+    """An induced matching of k class representatives, or None; a class spans
+    from its leftmost vertex's ``spans`` interval to its rightmost one's.
+    The witness is only rebuilt when the optimum reaches k."""
+    aux = [(spans[lm].l, spans[rm].r, 1) for (lm, rm), _ in classes]
     if _best_weight(aux, range(len(aux))) < k:
         return None
     _, _, witness = interval_wis(aux)
-    picked = tuple(classes[keys[i]] for i in witness[:k])
+    picked = (classes[i][1] for i in witness[:k])
     return Matching(tuple(sorted(picked, key=lambda o: o.vertices)))
+
+
+def _cover(model: ArcModel):
+    """p2 -> the mask of the arcs that contain the doubled point p2, as ``point_in_arc``."""
+    c2 = 2 * model.circumference
+    ends = [(2 * a.s, (2 * a.t - 2 * a.s) % c2) for a in model.arcs]
+    return lambda p2: sum(1 << i for i, (s2, d2) in enumerate(ends) if (p2 - s2) % c2 <= d2)
 
 
 def _dedup_points(model: ArcModel) -> list[int]:
@@ -151,14 +157,11 @@ def _dedup_points(model: ArcModel) -> list[int]:
     Two cut points removing the same arc set leave identical survivor graphs,
     so one per set suffices for anything driven by the cut graph alone.
     """
-    seen: set[frozenset[int]] = set()
-    out = []
+    over = _cover(model)
+    first: dict[int, int] = {}
     for p2 in equivalence_points_doubled(model):
-        key = frozenset(a.id for a in model.arcs if point_in_arc(model, a.id, p2))
-        if key not in seen:
-            seen.add(key)
-            out.append(p2)
-    return out
+        first.setdefault(over(p2), p2)
+    return list(first.values())
 
 
 def solve_isi_long_proper_ca(model_g: ArcModel, model_h: ArcModel) -> Occurrence | None:
@@ -179,41 +182,57 @@ def solve_isi_long_proper_ca(model_g: ArcModel, model_h: ArcModel) -> Occurrence
     return find_occurrence(realize(model_g), Pattern.of(realize(model_h)))
 
 
-def _cut_solve(model: ArcModel, k: int, p2: int, occs: list[Occurrence]) -> Matching | None:
+def _arc_table(model: ArcModel, occs: list[Occurrence]):
+    """(key, (vertex mask, representative)) per class of ``occs``, in key order.
+
+    The arcs of a connected occurrence that avoids a cut point unite into one
+    arc U of the circle that misses the point, and the cut line orders U's
+    points as U does.  So the occurrence's leftmost and rightmost arcs are the
+    same in every cut that keeps it: the first arcs in its order (as min and
+    max break ties) with no arc of it just outside their start, or end.  A cut
+    keeps it iff the point lies off U, so a class is kept or dropped whole.
+    ``cut_at_point`` numbers the kept arcs in ascending id order, so sorting
+    classes by old ids equals sorting them by new ids, and every witness is
+    the one a per-cut renumbering gives.  An occurrence whose arcs cover the
+    circle has no such ends; every cut removes it, and it gets no class.
+    """
+    over = _cover(model)
+    before = [over(2 * a.s - 1) for a in model.arcs]
+    past = [over(2 * a.t + 1) for a in model.arcs]
+    pairs = []
+    for occ in occs:
+        mask = sum(map((1).__lshift__, occ.vertices))
+        for lm in occ.vertices:
+            if not before[lm] & mask:
+                for rm in occ.vertices:
+                    if not past[rm] & mask:
+                        pairs.append(((lm, rm), (mask, occ)))
+                        break
+                break
+    return _classes(pairs)
+
+
+def _cut_solve(model: ArcModel, k: int, p2: int, table) -> Matching | None:
     """Solve on the interval instance obtained by cutting the circle at p2.
 
-    ``occs`` are the host's occurrences.  The cut graph is the host minus the
-    removed arcs, renumbered in ascending id order, so the occurrences that
-    avoid the removed arcs, renumbered the same way, are exactly the cut
-    graph's own occurrences, in the same order with the same maps.  Every cut
-    of a proper model is proper: unrolling keeps each kept arc's point set.
+    The ``_arc_table`` classes whose masks avoid the removed arcs are the cut
+    graph's own, in order; only their endpoints come from the cut, which is
+    proper, since unrolling keeps each kept arc's point set.
     """
     cut = cut_at_point(model, p2)
-    removed = set(cut.removed_ids)
-    new_id = {v: i for i, v in enumerate(cut.kept_ids)}.__getitem__
-    kept = [
-        Occurrence(tuple(map(new_id, occ.vertices)))
-        for occ in occs
-        if removed.isdisjoint(occ.vertices)
-    ]
-    sub = _interval_step(cut.intervals, kept, k)
-    if sub is None:
-        return None
-    back = tuple(
-        Occurrence(tuple(cut.kept_ids[v] for v in occ.vertices))
-        for occ in sub.occurrences
-    )
-    return Matching(tuple(sorted(back, key=lambda o: o.vertices)))
+    removed = sum(1 << v for v in cut.removed_ids)
+    alive = [(key, rep) for key, (mask, rep) in table if not mask & removed]
+    return _interval_step(alive, dict(zip(cut.kept_ids, cut.intervals.items)), k)
 
 
 def solve_igm_long_proper_ca(model: ArcModel, h: Pattern, k: int) -> Matching | None:
     """Induced H-matching of size k on a long proper circular-arc model.
 
-    Enumerates the host's occurrences once, then cuts the circle at every
-    containment-equivalence representative and solves the proper interval
-    instance with the occurrences the cut leaves; for k = 1, if every cut
-    fails (the only occurrences wrap the circle), falls back to a direct
-    occurrence search on the realized host.
+    Enumerates the host's occurrences and builds their class table once,
+    then cuts the circle at every containment-equivalence representative and
+    solves the proper interval instance on the classes the cut keeps; for
+    k = 1, if every cut fails (the only occurrences wrap the circle), falls
+    back to a direct occurrence search on the realized host.
     """
     rep = validate_arc_model(model)
     if not (rep.proper and rep.long):
@@ -225,13 +244,9 @@ def solve_igm_long_proper_ca(model: ArcModel, h: Pattern, k: int) -> Matching | 
     if k == 0:
         return Matching(())
     g = realize(model)
-    occs = enumerate_occurrences(g, h)
-    best: Matching | None = None
-    for p2 in _dedup_points(model):
-        res = _cut_solve(model, k, p2, occs)
-        if res is not None:
-            best = res
-            break
+    table = _arc_table(model, enumerate_occurrences(g, h))
+    tries = (_cut_solve(model, k, p2, table) for p2 in _dedup_points(model))
+    best = next((found for found in tries if found is not None), None)
     if best is None and k == 1:
         occ = find_occurrence(g, h)
         if occ is not None:

@@ -14,8 +14,10 @@ structure elements.  ``subset_scan_occurrences``, ``all_pairs_occurrence_masks``
 ``long_by_pairs_and_triples`` keep the package's earlier, slower versions of
 occurrence enumeration, conflict masks and the longness test, and
 ``embeddings_reference`` and ``g_map_pair_failures`` those of the base
-embedding search and the g_map edge check, for differential tests that
-require identical output.  ``fuzzy_dp_profile`` runs
+embedding search and the g_map edge check, and ``interval_wis_reference`` and
+``long_arc_reference`` those of the interval witness rebuild and the
+per-cut long-arc solver, for differential tests that require identical
+output.  ``fuzzy_dp_profile`` runs
 the fuzzy solver's own residual chain from every committed occurrence, and
 ``covered_subgraph`` reads a matching's footprint off the package's strip
 images and boundary cliques.  ``is_isomorphic``, which only tests need,
@@ -25,15 +27,24 @@ searches with the package's ``find_occurrence``.
 import itertools
 
 from igmatch.color_coding import ElementColoring
+from igmatch.errors import InputError, InternalError
 from igmatch.fuzzy_solver import _residual_chain
 from igmatch.graphs import (
+    Matching,
+    Occurrence,
     Pattern,
     _occurrence_masks,
     enumerate_occurrences,
     find_occurrence,
     greedy_clique_partition,
 )
-from igmatch.models import covers_circle, realize
+from igmatch.models import (
+    covers_circle,
+    cut_at_point,
+    equivalence_points_doubled,
+    point_in_arc,
+    realize,
+)
 from igmatch.strips import boundary_clique, strip_image
 
 
@@ -550,3 +561,110 @@ def g_map_pair_failures(s, g) -> list:
                     f"({s.g_map[a]},{s.g_map[b]})"
                 )
     return out
+
+
+def _best_weight_reference(items, allowed) -> int:
+    """Max total weight of pairwise disjoint intervals ``items[i]``, i in allowed."""
+    order = sorted(allowed, key=lambda i: (items[i][1], items[i][0], i))
+    best: list[tuple[int, int]] = []  # (right endpoint, best weight)
+    cur = 0
+    for i in order:
+        l, r, w = items[i][:3]
+        take = w
+        lo, hi = 0, len(best)
+        while lo < hi:  # rightmost entry with endpoint < l
+            mid = (lo + hi) // 2
+            if best[mid][0] < l:
+                lo = mid + 1
+            else:
+                hi = mid
+        if lo:
+            take += best[lo - 1][1]
+        cur = max(cur, take)
+        best.append((r, cur))
+    return cur
+
+
+def interval_wis_reference(intervals) -> tuple[int, int, tuple[int, ...]]:
+    """The package's earlier ``interval_wis``: each candidate and each later
+    interval is tested against every chosen interval by a scan."""
+    items = []
+    for idx, (l, r, w) in enumerate(intervals):
+        if l > r:
+            raise InputError(f"interval {idx} has l > r")
+        if w < 0:
+            raise InputError(f"interval {idx} has negative weight")
+        items.append((l, r, w, idx))
+
+    def disjoint(i: int, j: int) -> bool:
+        return max(items[i][0], items[j][0]) > min(items[i][1], items[j][1])
+
+    n = len(items)
+    opt = _best_weight_reference(items, range(n))
+    chosen: list[int] = []
+    got = 0
+    for i in range(n):
+        if any(not disjoint(i, c) for c in chosen):
+            continue
+        rest = [j for j in range(i + 1, n) if disjoint(j, i) and all(disjoint(j, c) for c in chosen)]
+        if got + items[i][2] + _best_weight_reference(items, rest) == opt:
+            chosen.append(i)
+            got += items[i][2]
+    if got != opt:
+        raise InternalError("witness reconstruction lost weight")
+    return opt, len(chosen), tuple(chosen)
+
+
+def _interval_step_reference(model, occs, k):
+    lefts = [it.l for it in model.items]
+    rights = [it.r for it in model.items]
+    classes = {}
+    for occ in occs:
+        lmost = min(occ.vertices, key=lefts.__getitem__)
+        rmost = max(occ.vertices, key=rights.__getitem__)
+        classes.setdefault((lmost, rmost), occ)
+    keys = sorted(classes)
+    aux = [(lefts[lm], rights[rm], 1) for lm, rm in keys]
+    if _best_weight_reference(aux, range(len(aux))) < k:
+        return None
+    _, _, witness = interval_wis_reference(aux)
+    picked = tuple(classes[keys[i]] for i in witness[:k])
+    return Matching(tuple(sorted(picked, key=lambda o: o.vertices)))
+
+
+def long_arc_reference(model, h, k):
+    """The package's earlier long proper circular-arc solver, for a connected
+    ``h`` and k >= 1 on a model the caller knows to be proper and long.
+
+    Each cut renumbers the occurrences that avoid its removed arcs onto the
+    cut graph and rebuilds their (leftmost, rightmost) classes from scratch;
+    for k = 1, when every cut fails, a direct search settles it.
+    """
+    g = realize(model)
+    occs = enumerate_occurrences(g, h)
+    seen = set()
+    for p2 in equivalence_points_doubled(model):
+        key = frozenset(a.id for a in model.arcs if point_in_arc(model, a.id, p2))
+        if key in seen:
+            continue
+        seen.add(key)
+        cut = cut_at_point(model, p2)
+        removed = set(cut.removed_ids)
+        new_id = {v: i for i, v in enumerate(cut.kept_ids)}.__getitem__
+        kept = [
+            Occurrence(tuple(map(new_id, occ.vertices)))
+            for occ in occs
+            if removed.isdisjoint(occ.vertices)
+        ]
+        sub = _interval_step_reference(cut.intervals, kept, k)
+        if sub is not None:
+            back = tuple(
+                Occurrence(tuple(cut.kept_ids[v] for v in occ.vertices))
+                for occ in sub.occurrences
+            )
+            return Matching(tuple(sorted(back, key=lambda o: o.vertices)))
+    if k == 1:
+        occ = find_occurrence(g, h)
+        if occ is not None:
+            return Matching((occ,))
+    return None

@@ -4,6 +4,7 @@ The cases of seeds 301-303 (interval, long proper arc and fuzzy arc solves)
 are rebuilt with ``perfbench/workloads.py``, which is imported and never
 changed, and every solver's answer must equal the one recorded in
 ``arcs_witnesses.json``, occurrence for occurrence.
+One seed-301 long-arc no-instance also pins the work of a full cut sweep.
 
 The file was recorded before the arc solvers stopped re-enumerating
 occurrences per cut.  Rewrite it only for an intended witness change:
@@ -11,16 +12,20 @@ occurrences per cut.  Rewrite it only for an intended witness change:
     PYTHONPATH=src python tests/test_arcs_corpus.py
 """
 
+import functools
 import json
 import os
 import random
 import sys
+
+import igmatch.interval_solvers as interval_solvers
 
 HERE = os.path.dirname(os.path.abspath(__file__))
 FIXTURE = os.path.join(HERE, "arcs_witnesses.json")
 SEEDS = (301, 302, 303)
 
 
+@functools.lru_cache(maxsize=None)
 def _arcs_cases(seed):
     bench = os.path.join(os.path.dirname(HERE), "perfbench")
     if bench not in sys.path:
@@ -49,6 +54,23 @@ def test_arcs_workload_witnesses_are_pinned():
         assert len(got) == len(want) == 168
         for i, (g, w) in enumerate(zip(got, want)):
             assert g == w, (seed, i)
+
+
+def test_long_arc_no_instance_builds_no_occurrence_per_cut(monkeypatch):
+    # the first long-arc P3 no-instance of seed 301 tries all 40 cuts; the
+    # per-cut renumbering built 4,138 occurrences, one per kept occurrence
+    # per cut, where the host's one class table builds none
+    case = next(c for c in _arcs_cases(301) if c.label == "long-arc-P3" and not c.expected)
+    counts = dict.fromkeys(("Occurrence", "_cut_solve", "cut_at_point"), 0)
+    for name in counts:
+        def counted(*args, _name=name, _fn=getattr(interval_solvers, name)):
+            counts[_name] += 1
+            return _fn(*args)
+
+        monkeypatch.setattr(interval_solvers, name, counted)
+    for _ in range(2):
+        assert case.solve(None) is None
+    assert counts == {"Occurrence": 0, "_cut_solve": 80, "cut_at_point": 80}
 
 
 if __name__ == "__main__":

@@ -2,7 +2,8 @@ import random
 
 import pytest
 
-from igmatch.errors import InputError
+import igmatch.fuzzy_solver as fuzzy_solver
+from igmatch.errors import InputError, InternalError
 from igmatch.fuzzy_solver import solve_igm_fuzzy_ca, solve_igm_small_alpha
 from igmatch.graphs import (
     Graph,
@@ -55,6 +56,27 @@ def test_fuzzy_clique_has_single_matching():
     assert realize(model) == complete_graph(4)
     assert solve_igm_fuzzy_ca(model, K2, 1) is not None
     assert solve_igm_fuzzy_ca(model, K2, 2) is None
+
+
+def test_fuzzy_single_occurrence_is_revalidated(monkeypatch):
+    # k = 1 returns the first occurrence without the chain program; it still
+    # goes through the re-check, which blames the solver for a bad answer
+    model = fmodel(16, [(0, 2), (1, 3), (5, 7), (6, 8)])
+    seen = []
+
+    def spy(found, g, h, what):
+        seen.append((found, what))
+        return found
+
+    monkeypatch.setattr(fuzzy_solver, "revalidated", spy)
+    got = solve_igm_fuzzy_ca(model, K2, 1)
+    assert seen == [(got, "single occurrence")]
+    assert got.occurrences == (Occurrence((0, 1)),)
+    monkeypatch.undo()
+    monkeypatch.setattr(fuzzy_solver, "realize", lambda m: Graph(4, [(0, 1)]))
+    monkeypatch.setattr(fuzzy_solver, "enumerate_occurrences", lambda g, h: [Occurrence((0, 2))])
+    with pytest.raises(InternalError):
+        solve_igm_fuzzy_ca(model, K2, 1)
 
 
 def test_fuzzy_resolution_changes_answer():

@@ -1,10 +1,13 @@
+import os
 import random
+import sys
 
 import pytest
 
 from igmatch.errors import InputError, SizeCapError
 from igmatch.graphs import Graph, Pattern, cycle_graph, enumerate_occurrences, path_graph
 from igmatch.interval_solvers import (
+    _arc_table,
     _cut_solve,
     _dedup_points,
     interval_wis,
@@ -13,10 +16,28 @@ from igmatch.interval_solvers import (
     solve_igm_proper_interval,
     solve_isi_long_proper_ca,
 )
-from igmatch.models import Arc, ArcModel, Interval, IntervalModel, realize, validate_arc_model
+from igmatch.models import (
+    Arc,
+    ArcModel,
+    Interval,
+    IntervalModel,
+    cut_at_point,
+    realize,
+    validate_arc_model,
+)
 
-from oracles import igm_exhaustive, max_igm_exhaustive, occurrences_exhaustive
+from oracles import (
+    igm_exhaustive,
+    interval_wis_reference,
+    long_arc_reference,
+    max_igm_exhaustive,
+    occurrences_exhaustive,
+)
 from randgen import random_long_proper_arc_model, random_proper_interval_model
+
+sys.path.append(os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                             "perfbench"))
+import gen  # noqa: E402  (the benchmark's constructive model generators)
 
 
 def imodel(*pairs):
@@ -96,6 +117,19 @@ def test_wis_matches_brute_force():
         for x, a in enumerate(witness):
             for b in witness[x + 1:]:
                 assert max(items[a][0], items[b][0]) > min(items[a][1], items[b][1])
+
+
+def test_wis_witness_matches_the_scan_reference():
+    # ties (shared endpoints, equal intervals, equal weights) and zero weights
+    # are where the lexicographically smallest witness is decided
+    rng = random.Random(1206)
+    for _ in range(1500):
+        n = rng.randint(0, 12)
+        items = []
+        for _ in range(n):
+            l = rng.randint(0, 12)
+            items.append((l, l + rng.randint(0, 4), rng.randint(0, 2)))
+        assert interval_wis(items) == interval_wis_reference(items), items
 
 
 # ---------------------------------------------------------------------------
@@ -247,7 +281,11 @@ def test_ca_single_wrapping_occurrence_needs_fallback():
     h = Pattern.of(cycle_graph(6))
     occs = enumerate_occurrences(realize(C6_ARCS), h)
     assert [o.vertex_set() for o in occs] == [set(range(6))]
-    assert all(_cut_solve(C6_ARCS, 1, p2, occs) is None for p2 in _dedup_points(C6_ARCS))
+    table = _arc_table(C6_ARCS, occs)
+    assert table == []
+    for p2 in _dedup_points(C6_ARCS):
+        assert set(cut_at_point(C6_ARCS, p2).removed_ids) & occs[0].vertex_set()
+        assert _cut_solve(C6_ARCS, 1, p2, table) is None
     got = solve_igm_long_proper_ca(C6_ARCS, h, 1)
     assert got is not None
     assert got.occurrences[0].vertex_set() == set(range(6))
@@ -296,6 +334,30 @@ def test_ca_cut_completeness_at_oracle_maximum():
         assert solve_igm_long_proper_ca(model, h, opt) is not None
         assert solve_igm_long_proper_ca(model, h, opt + 1) is None
     assert seen_big >= 5
+
+
+def test_long_arc_table_matches_the_per_cut_reference():
+    # constructive long proper models; k runs from 1 to one past the optimum,
+    # so every yes-instance witness and every full no-instance sweep compares
+    patterns = [Pattern.of(Graph(1, [])), Pattern.of(path_graph(2)), Pattern.of(path_graph(3)),
+                Pattern.of(cycle_graph(3)), Pattern.of(path_graph(4))]
+    # the C6 occurrence wraps the circle, so every cut destroys it
+    cases = [(C6_ARCS, Pattern.of(cycle_graph(6)))]
+    for seed, n in enumerate((6, 6, 7, 8, 9, 10, 12, 14, 16, 18, 20, 30)):
+        rng = random.Random(seed)
+        model = gen.long_proper_arc_model(rng, n, length=rng.randint(2, min(15, n - 1)))
+        cases += [(model, h) for h in patterns]
+    solved = 0
+    for model, h in cases:
+        k = 1
+        while True:
+            got = solve_igm_long_proper_ca(model, h, k)
+            assert got == long_arc_reference(model, h, k), (model.arcs, h.graph.edges, k)
+            if got is None:
+                break
+            solved += 1
+            k += 1
+    assert solved == 152
 
 
 # ---------------------------------------------------------------------------
