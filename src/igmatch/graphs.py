@@ -43,24 +43,20 @@ class Graph:
     def __init__(self, n: int, edges=()):
         if n < 0:
             raise InputError(f"vertex count must be nonnegative, got {n}")
+        edges = list(edges)
+        try:
+            norm = [(u, v) if u < v else (v, u) for u, v in edges]
+            clean = len(set(norm)) == len(norm) and all(0 <= u < v < n for u, v in norm)
+        except (TypeError, ValueError):
+            clean = False
+        if not clean:
+            _raise_first_fault(n, edges)
         adj = [set() for _ in range(n)]
-        seen = set()
-        norm = []
-        for e in edges:
-            u, v = e
-            if not (0 <= u < n and 0 <= v < n):
-                raise InputError(f"edge {e!r} out of range for n={n}")
-            if u == v:
-                raise InputError(f"self-loop at vertex {u} not allowed")
-            key = (min(u, v), max(u, v))
-            if key in seen:
-                raise InputError(f"duplicate edge {key!r}")
-            seen.add(key)
-            norm.append(key)
+        for u, v in norm:
             adj[u].add(v)
             adj[v].add(u)
         self.n = n
-        self._adj = tuple(frozenset(s) for s in adj)
+        self._adj = tuple(map(frozenset, adj))
         self._edges = tuple(sorted(norm))
 
     @property
@@ -139,6 +135,21 @@ class Graph:
 
     def __repr__(self):
         return f"Graph(n={self.n}, m={len(self._edges)})"
+
+
+def _raise_first_fault(n: int, edges: list) -> None:
+    """Raise for the first edge, in input order, out of range, a loop or a repeat."""
+    seen = set()
+    for e in edges:
+        u, v = e
+        if not (0 <= u < n and 0 <= v < n):
+            raise InputError(f"edge {e!r} out of range for n={n}")
+        if u == v:
+            raise InputError(f"self-loop at vertex {u} not allowed")
+        key = (min(u, v), max(u, v))
+        if key in seen:
+            raise InputError(f"duplicate edge {key!r}")
+        seen.add(key)
 
 
 class Multigraph:
@@ -435,41 +446,49 @@ def enumerate_occurrences(g: Graph, h: Pattern) -> list[Occurrence]:
     For each h-subset of host vertices inducing a copy of the pattern, in
     ascending order, the lexicographically smallest witness map is kept.  A
     connected pattern only tests the connected h-subsets (``_connected_sets``);
-    any other pattern tests all C(n, h).  Each tested subset costs up to h!
-    maps, so this is meant for small patterns.
+    any other pattern tests all C(n, h).
+
+    Which map of a sorted subset comes first depends only on which of its
+    C(h, 2) position pairs are adjacent, so a subset is read as an adjacency
+    key, one bit per position pair, and each key met is solved once: the
+    position maps are tried in lexicographic order against the pattern's own
+    bits, after the degree test that rejects most keys at once.  There are at
+    most 2^C(h, 2) keys (8 for h = 3), and the pattern's edges are read once
+    per call, whatever the host.
     """
-    hg = h.graph
-    hdeg = sorted(hg.degree(v) for v in range(h.h))
-    hedges = len(hg.edges)
+    slots = list(enumerate(itertools.combinations(range(h.h), 2)))
+    bit = {pair: k for k, (a, b) in slots for pair in ((a, b), (b, a))}
+    hkey = sum(h.graph.has_edge(a, b) << k for k, (a, b) in slots)
+    nbr = [sum(1 << w for w in g.neighbors(v)) for v in range(g.n)]
     if h.is_connected:
         subsets = _connected_sets(g, h.h)
     else:
         subsets = itertools.combinations(range(g.n), h.h)
+
+    def degrees(key: int) -> list[int]:
+        return sorted(sum(key >> bit[a, b] & 1 for b in range(h.h) if b != a) for a in range(h.h))
+
+    hdeg = degrees(hkey)
+    first: dict[int, tuple | None] = {}
+
+    def solve(key: int) -> tuple | None:
+        if key.bit_count() != hkey.bit_count() or degrees(key) != hdeg:
+            return None
+        for perm in itertools.permutations(range(h.h)):
+            if all(key >> bit[perm[a], perm[b]] & 1 == hkey >> k & 1 for k, (a, b) in slots):
+                return perm
+        return None
+
     out = []
     for sub in subsets:
-        m = 0
-        for a, b in itertools.combinations(sub, 2):
-            if g.has_edge(a, b):
-                m += 1
-        if m != hedges:
-            continue
-        degs = sorted(
-            sum(1 for w in sub if w != v and g.has_edge(v, w)) for v in sub
-        )
-        if degs != hdeg:
-            continue
-        for perm in itertools.permutations(sub):
-            ok = True
-            for i in range(h.h):
-                for j in range(i + 1, h.h):
-                    if hg.has_edge(i, j) != g.has_edge(perm[i], perm[j]):
-                        ok = False
-                        break
-                if not ok:
-                    break
-            if ok:
-                out.append(Occurrence(perm))
-                break
+        key = 0
+        for k, (a, b) in slots:
+            key |= (nbr[sub[a]] >> sub[b] & 1) << k
+        if key not in first:
+            first[key] = solve(key)
+        perm = first[key]
+        if perm is not None:
+            out.append(Occurrence(tuple([sub[p] for p in perm])))
     return out
 
 

@@ -33,6 +33,7 @@ from .graphs import (
 from .models import (
     ArcModel,
     IntervalModel,
+    arc_spans,
     cut_at_point,
     equivalence_points_doubled,
     realize,
@@ -147,8 +148,8 @@ def _interval_step(classes, spans, k: int) -> Matching | None:
 def _cover(model: ArcModel):
     """p2 -> the mask of the arcs that contain the doubled point p2, as ``point_in_arc``."""
     c2 = 2 * model.circumference
-    ends = [(2 * a.s, (2 * a.t - 2 * a.s) % c2) for a in model.arcs]
-    return lambda p2: sum(1 << i for i, (s2, d2) in enumerate(ends) if (p2 - s2) % c2 <= d2)
+    spans = arc_spans(model)
+    return lambda p2: sum(1 << i for i, (s2, d2) in enumerate(spans) if (p2 - s2) % c2 <= d2)
 
 
 def _dedup_points(model: ArcModel) -> list[int]:

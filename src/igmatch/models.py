@@ -8,6 +8,13 @@ no floating point anywhere.  Points exposed through the public API
 (equivalence points, cut points) are integers in the same doubled scale: the
 point p2 stands for p2 / 2 on the circle.
 
+Whole-model passes (``realize``, ``validate_arc_model``, the fuzzy resolution
+check, the arc solvers' point masks) read one span table, ``arc_spans``:
+(2s, clockwise doubled length) per arc.  The point p2 lies on an arc iff its
+clockwise offset (p2 - 2s) mod 2C is at most that length, one modular compare,
+so these passes make no call per pair; ``point_in_arc``, ``intersection_kind``,
+``arc_contains`` and ``covers_circle`` stay the single-pair definitions.
+
 An arc (s, t) on a circle of circumference C is the closed set of points
 traversed clockwise (increasing coordinates, wrapping at C) from s to t.
 Single-point arcs and full-circle arcs are not representable and rejected.
@@ -15,7 +22,7 @@ Single-point arcs and full-circle arcs are not representable and rejected.
 
 from __future__ import annotations
 
-import itertools
+from bisect import bisect_right
 from dataclasses import dataclass, field
 
 from .errors import InputError, InternalError
@@ -113,13 +120,7 @@ class FuzzyArcModel:
                 raise InputError(f"conflicting resolutions for pair {key}")
             norm[key] = bool(bit)
         object.__setattr__(self, "resolutions", norm)
-        n = len(self.arcs)
-        expected = {
-            (i, j)
-            for i in range(n)
-            for j in range(i + 1, n)
-            if intersection_kind(self.arcs, i, j) == "single-point"
-        }
+        expected = set(_pair_kinds(self.arcs)[1])
         missing = expected - set(norm)
         extra = set(norm) - expected
         if missing:
@@ -224,8 +225,41 @@ def covers_circle(model: ArcModel, ids=None) -> bool:
 # realization
 
 
-def _interval_edge(a: Interval, b: Interval) -> bool:
-    return max(a.l, b.l) <= min(a.r, b.r)
+def arc_spans(model: ArcModel) -> list[tuple[int, int]]:
+    """The span table: (2s, clockwise doubled length) of each arc, by id."""
+    c2 = 2 * model.circumference
+    return [(2 * a.s, (2 * a.t - 2 * a.s) % c2) for a in model.arcs]
+
+
+def _pair_kinds(model: ArcModel) -> tuple[list, list]:
+    """The pairs i < j that ``intersection_kind`` calls multi, and single-point.
+
+    Offset d puts j's start on arc i iff d <= li, and e puts i's start on j
+    iff e <= lj.  Both starts in both arcs make two pieces, or one longer one
+    if they coincide; a start in one only is a single point iff it sits at
+    the other arc's end, so that the point just past it misses that arc.
+    """
+    c2 = 2 * model.circumference
+    spans = arc_spans(model)
+    multi, single = [], []
+    for i, (si, li) in enumerate(spans):
+        for j in range(i + 1, len(spans)):
+            sj, lj = spans[j]
+            d = (sj - si) % c2
+            e = (si - sj) % c2
+            if d <= li:
+                (single if e > lj and d == li else multi).append((i, j))
+            elif e <= lj:
+                (single if e == lj else multi).append((i, j))
+    return multi, single
+
+
+def _overlaps(model: IntervalModel) -> list[tuple[Interval, Interval]]:
+    """Intersecting pairs (a, b), a.l <= b.l: a sweep in left-end order that
+    stops at the first interval starting past a.r."""
+    order = sorted(model.items, key=lambda it: it.l)
+    lefts = [it.l for it in order]
+    return [(a, b) for k, a in enumerate(order) for b in order[k + 1:bisect_right(lefts, a.r)]]
 
 
 def realize(model) -> "Graph":
@@ -237,34 +271,13 @@ def realize(model) -> "Graph":
     from .graphs import Graph
 
     if isinstance(model, IntervalModel):
-        n = len(model)
-        es = [
-            (i, j)
-            for i in range(n)
-            for j in range(i + 1, n)
-            if _interval_edge(model.items[i], model.items[j])
-        ]
-        return Graph(n, es)
+        return Graph(len(model), [(a.id, b.id) for a, b in _overlaps(model)])
     if isinstance(model, ArcModel):
-        n = len(model)
-        es = [
-            (i, j)
-            for i in range(n)
-            for j in range(i + 1, n)
-            if intersection_kind(model, i, j) != "empty"
-        ]
-        return Graph(n, es)
+        multi, single = _pair_kinds(model)
+        return Graph(len(model), multi + single)
     if isinstance(model, FuzzyArcModel):
-        n = len(model.arcs)
-        es = []
-        for i in range(n):
-            for j in range(i + 1, n):
-                kind = intersection_kind(model.arcs, i, j)
-                if kind == "multi":
-                    es.append((i, j))
-                elif kind == "single-point" and model.resolutions[(i, j)]:
-                    es.append((i, j))
-        return Graph(n, es)
+        multi, single = _pair_kinds(model.arcs)
+        return Graph(len(model.arcs), multi + [p for p in single if model.resolutions[p]])
     raise InputError(f"cannot realize {type(model).__name__}")
 
 
@@ -272,17 +285,12 @@ def realize(model) -> "Graph":
 # validation
 
 
-def _report(ends, contains, long: bool, covers: bool) -> ModelReport:
+def _report(ends, inside, long: bool, covers: bool) -> ModelReport:
     """Flags of a model whose item i has endpoint pair ``ends[i]``.
 
-    ``contains(i, j)`` is point-set containment of item j in item i.
+    ``inside`` lists the pairs (i, j), i != j, with item j a point-set subset
+    of item i.
     """
-    proper = almost_proper = True
-    for i, j in itertools.permutations(range(len(ends)), 2):
-        if contains(i, j):
-            proper = False
-            if ends[i] != ends[j]:
-                almost_proper = False
     owners: dict[int, set[int]] = {}
     slots: dict[int, int] = {}
     groups: dict[tuple[int, int], set[int]] = {}
@@ -296,9 +304,9 @@ def _report(ends, contains, long: bool, covers: bool) -> ModelReport:
         for (lo, hi), ids in groups.items()
     )
     return ModelReport(
-        proper=proper,
+        proper=not inside,
         strict=all(c == 1 for c in slots.values()),
-        almost_proper=almost_proper,
+        almost_proper=all(ends[i] == ends[j] for i, j in inside),
         almost_strict=almost_strict,
         long=long,
         covers_circle=covers,
@@ -307,12 +315,10 @@ def _report(ends, contains, long: bool, covers: bool) -> ModelReport:
 
 def validate_interval_model(model: IntervalModel) -> ModelReport:
     """Interval models live on a line: long holds and coverage fails by convention."""
-    items = model.items
-
-    def contains(i: int, j: int) -> bool:
-        return items[i].l <= items[j].l and items[j].r <= items[i].r
-
-    return _report([(it.l, it.r) for it in items], contains, True, False)
+    pairs = _overlaps(model)
+    inside = ([(a.id, b.id) for a, b in pairs if b.r <= a.r]
+              + [(b.id, a.id) for a, b in pairs if a.l == b.l and a.r <= b.r])
+    return _report([(it.l, it.r) for it in model.items], inside, True, False)
 
 
 def validate_arc_model(model: ArcModel) -> ModelReport:
@@ -327,24 +333,32 @@ def validate_arc_model(model: ArcModel) -> ModelReport:
     cover's own arcs after each step.
     """
     c2 = 2 * model.circumference
+    spans = arc_spans(model)
 
     def extension(p2: int) -> int:
         # how far past p2, clockwise, the arcs through p2 reach
-        return max((2 * a.t - p2) % c2 for a in model.arcs if point_in_arc(model, a.id, p2))
+        return max(l - off for s, l in spans if (off := (p2 - s) % c2) <= l)
 
-    def closes(a: Arc) -> bool:
-        reach = (2 * a.t - 2 * a.s) % c2
+    def closes(s: int, l: int) -> bool:
+        reach = l
         for _ in range(2):
-            reach += extension((2 * a.s + reach) % c2)
+            reach += extension((s + reach) % c2)
             if reach >= c2:
                 return True
         return False
 
+    # arc j lies inside arc i iff it starts on i and ends by i's end
+    inside = [(i, j) for i, (si, li) in enumerate(spans) for j, (sj, lj) in enumerate(spans)
+              if i != j and (sj - si) % c2 + lj <= li]
+    # as covers_circle: the union holds the point just past every end
+    covers = bool(spans) and all(
+        any((si + li + 1 - s) % c2 <= l for s, l in spans) for si, li in spans
+    )
     return _report(
         [(a.s, a.t) for a in model.arcs],
-        lambda i, j: arc_contains(model, i, j),
-        not any(closes(a) for a in model.arcs),
-        covers_circle(model),
+        inside,
+        not any(closes(s, l) for s, l in spans),
+        covers,
     )
 
 

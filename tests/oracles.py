@@ -16,8 +16,9 @@ occurrence enumeration, conflict masks and the longness test, and
 ``embeddings_reference`` and ``g_map_pair_failures`` those of the base
 embedding search and the g_map edge check, and ``interval_wis_reference`` and
 ``long_arc_reference`` those of the interval witness rebuild and the
-per-cut long-arc solver, for differential tests that require identical
-output.  ``fuzzy_dp_profile`` runs
+per-cut long-arc solver, and ``realize_reference`` and
+``model_report_reference`` the all-pairs model realization and validation,
+for differential tests that require identical output.  ``fuzzy_dp_profile`` runs
 the fuzzy solver's own residual chain from every committed occurrence, and
 ``covered_subgraph`` reads a matching's footprint off the package's strip
 images and boundary cliques.  ``is_isomorphic``, which only tests need,
@@ -30,6 +31,7 @@ from igmatch.color_coding import ElementColoring
 from igmatch.errors import InputError, InternalError
 from igmatch.fuzzy_solver import _residual_chain
 from igmatch.graphs import (
+    Graph,
     Matching,
     Occurrence,
     Pattern,
@@ -39,9 +41,15 @@ from igmatch.graphs import (
     greedy_clique_partition,
 )
 from igmatch.models import (
+    ArcModel,
+    FuzzyArcModel,
+    IntervalModel,
+    ModelReport,
+    arc_contains,
     covers_circle,
     cut_at_point,
     equivalence_points_doubled,
+    intersection_kind,
     point_in_arc,
     realize,
 )
@@ -668,3 +676,82 @@ def long_arc_reference(model, h, k):
         if occ is not None:
             return Matching((occ,))
     return None
+
+
+def realize_reference(model):
+    """The package's earlier ``realize``: every pair of items is tested, intervals
+    by overlap and arcs by ``intersection_kind``."""
+    if isinstance(model, IntervalModel):
+        items = model.items
+        n = len(items)
+        return Graph(n, [(i, j) for i in range(n) for j in range(i + 1, n)
+                         if max(items[i].l, items[j].l) <= min(items[i].r, items[j].r)])
+    arcs = model.arcs if isinstance(model, FuzzyArcModel) else model
+    n = len(arcs)
+    es = []
+    for i in range(n):
+        for j in range(i + 1, n):
+            kind = intersection_kind(arcs, i, j)
+            if kind == "multi" or (kind == "single-point" and (
+                    not isinstance(model, FuzzyArcModel) or model.resolutions[(i, j)])):
+                es.append((i, j))
+    return Graph(n, es)
+
+
+def _report_reference(ends, contains, long, covers) -> ModelReport:
+    proper = almost_proper = True
+    for i, j in itertools.permutations(range(len(ends)), 2):
+        if contains(i, j):
+            proper = False
+            if ends[i] != ends[j]:
+                almost_proper = False
+    owners, slots, groups = {}, {}, {}
+    for i, pair in enumerate(ends):
+        for v in pair:
+            owners.setdefault(v, set()).add(i)
+            slots[v] = slots.get(v, 0) + 1
+        groups.setdefault(pair, set()).add(i)
+    almost_strict = not any(
+        len(ids) > 1 and owners[lo] - ids and owners[hi] - ids
+        for (lo, hi), ids in groups.items()
+    )
+    return ModelReport(
+        proper=proper,
+        strict=all(c == 1 for c in slots.values()),
+        almost_proper=almost_proper,
+        almost_strict=almost_strict,
+        long=long,
+        covers_circle=covers,
+    )
+
+
+def model_report_reference(model) -> ModelReport:
+    """The package's earlier ``validate_interval_model`` and
+    ``validate_arc_model``: containment by a callable tried on every ordered
+    pair, and the greedy longness walk on ``point_in_arc``."""
+    if isinstance(model, IntervalModel):
+        items = model.items
+        return _report_reference(
+            [(it.l, it.r) for it in items],
+            lambda i, j: items[i].l <= items[j].l and items[j].r <= items[i].r,
+            True, False)
+    assert isinstance(model, ArcModel)
+    c2 = 2 * model.circumference
+
+    def extension(p2):
+        return max((2 * a.t - p2) % c2 for a in model.arcs if point_in_arc(model, a.id, p2))
+
+    def closes(a):
+        reach = (2 * a.t - 2 * a.s) % c2
+        for _ in range(2):
+            reach += extension((2 * a.s + reach) % c2)
+            if reach >= c2:
+                return True
+        return False
+
+    return _report_reference(
+        [(a.s, a.t) for a in model.arcs],
+        lambda i, j: arc_contains(model, i, j),
+        not any(closes(a) for a in model.arcs),
+        covers_circle(model),
+    )

@@ -58,6 +58,30 @@ def test_graph_construction_and_rejection():
         Graph(2, [(0, 2)])
 
 
+def test_graph_rejects_the_first_faulty_edge_in_input_order():
+    # the whole list is checked at once; the message still names the first
+    # edge at fault, walking the input in order
+    cases = [
+        (3, [(0, 1), (1, 1), (0, 5), (1, 0)], "self-loop at vertex 1 not allowed"),
+        (3, [(0, 1), (1, 0), (2, 2), (0, 7)], "duplicate edge (0, 1)"),
+        (3, [(2, 0), (0, 2), (1, 1)], "duplicate edge (0, 2)"),
+        (3, [(0, 1), (0, 7), (1, 1), (1, 0)], "edge (0, 7) out of range for n=3"),
+        (3, [[1, 2], [-1, 0], [2, 1]], "edge [-1, 0] out of range for n=3"),
+        (3, [(2, 2), (5, 5)], "self-loop at vertex 2 not allowed"),
+        (0, [(0, 0)], "edge (0, 0) out of range for n=0"),
+        (-1, [], "vertex count must be nonnegative, got -1"),
+        (4, (e for e in [(3, 2), (0, 1), (2, 3)]), "duplicate edge (2, 3)"),
+        (4, (e for e in [(3, 2), (4, 0), (3, 3)]), "edge (4, 0) out of range for n=4"),
+    ]
+    for n, edges, message in cases:
+        with pytest.raises(InputError) as err:
+            Graph(n, edges)
+        assert str(err.value) == message
+    assert Graph(0).edges == () and Graph(0).n == 0
+    g = Graph(4, (e for e in [(3, 2), (1, 0)]))
+    assert g.edges == ((0, 1), (2, 3)) and g.neighbors(3) == {2}
+
+
 def test_components_and_induced():
     g = disjoint_union(path_graph(3), complete_graph(2))
     assert g.components() == [[0, 1, 2], [3, 4]]
@@ -139,7 +163,8 @@ def test_enumerate_occurrences_and_masks_match_the_subset_scan():
     # ones (an isolated pattern vertex only conflicts through itself)
     patterns = [
         complete_graph(1), complete_graph(2), path_graph(3), complete_graph(3),
-        path_graph(4), cycle_graph(4), star_graph(3), Graph(4, [(0, 1), (2, 3)]),
+        path_graph(4), cycle_graph(4), star_graph(3), complete_graph(4),
+        Graph(4, [(0, 1), (2, 3)]),
         Graph(3, [(1, 2)]),
     ]
     rng = random.Random(606)

@@ -1,11 +1,14 @@
 import itertools
+import os
 import random
+import sys
 from fractions import Fraction
 
 import pytest
 
+from igmatch import models
 from igmatch.errors import InputError
-from igmatch.graphs import complete_graph, star_free
+from igmatch.graphs import Graph, Pattern, complete_graph, enumerate_occurrences, path_graph, star_free
 from igmatch.models import (
     Arc,
     ArcModel,
@@ -22,7 +25,7 @@ from igmatch.models import (
     validate_arc_model,
     validate_interval_model,
 )
-from oracles import long_by_pairs_and_triples
+from oracles import long_by_pairs_and_triples, model_report_reference, realize_reference
 from randgen import random_long_proper_arc_model, random_proper_interval_model
 
 
@@ -440,3 +443,119 @@ def test_realize_arc_clique():
     # all arcs through one region pairwise intersect
     m = arcs(20, (0, 10), (2, 12), (4, 14))
     assert realize(m).edges == complete_graph(3).edges
+
+
+def _random_differential_model(rng, kind):
+    """A model of 0-14 items on a small line or circle, so that shared
+    endpoints and touching ends are common; a third of the items copy an
+    earlier one, and fuzzy models resolve each one-point pair at random."""
+    n = rng.randint(0, 14)
+    if kind == "interval":
+        ends = []
+        for _ in range(n):
+            l = rng.randint(0, 10)
+            ends.append(rng.choice(ends) if ends and rng.random() < 0.3
+                        else (l, l + rng.randint(1, 5)))
+        return IntervalModel([Interval(i, l, r) for i, (l, r) in enumerate(ends)])
+    c = rng.randint(2, 16)
+    ends = []
+    for _ in range(n):
+        s = rng.randrange(c)
+        ends.append(rng.choice(ends) if ends and rng.random() < 0.3
+                    else (s, (s + rng.randint(1, c - 1)) % c))
+    model = arcs(c, *ends)
+    if kind == "arc":
+        return model
+    return FuzzyArcModel(model, {
+        (i, j): rng.random() < 0.5
+        for i, j in itertools.combinations(range(n), 2)
+        if intersection_kind(model, i, j) == "single-point"
+    })
+
+
+def test_models_match_the_all_pairs_reference():
+    # realize and the reports read one table per model; the reference tests
+    # every pair with the single-pair definitions
+    rng = random.Random(1515)
+    seen = {"wrapping": 0, "duplicate": 0, "shared": 0, "resolved": set(), "covers": set()}
+    for trial in range(3000):
+        kind = ("interval", "arc", "fuzzy")[trial % 3]
+        m = _random_differential_model(rng, kind)
+        assert realize(m).edges == realize_reference(m).edges, (kind, m)
+        if kind == "interval":
+            ends = [(it.l, it.r) for it in m.items]
+            assert validate_interval_model(m) == model_report_reference(m), ends
+        else:
+            a = m if kind == "arc" else m.arcs
+            ends = [(x.s, x.t) for x in a.arcs]
+            rep = validate_arc_model(a)
+            assert rep == model_report_reference(a), (a.circumference, ends)
+            seen["wrapping"] += any(t < s for s, t in ends)
+            seen["covers"].add(rep.covers_circle)
+        seen["duplicate"] += len(set(ends)) < len(ends)
+        points = [v for pair in ends for v in pair]
+        seen["shared"] += len(set(points)) < len(points)
+        if kind == "fuzzy":
+            seen["resolved"] |= set(m.resolutions.values())
+            if m.resolutions:
+                pair = min(m.resolutions)
+                rest = {p: b for p, b in m.resolutions.items() if p != pair}
+                with pytest.raises(InputError, match=rf"one-point pair \({pair[0]}, {pair[1]}\)"):
+                    FuzzyArcModel(m.arcs, rest)
+    assert min(seen["wrapping"], seen["duplicate"], seen["shared"]) > 500, seen
+    assert seen["resolved"] == seen["covers"] == {True, False}
+
+
+def _bench_gen():
+    bench = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "perfbench")
+    if bench not in sys.path:
+        sys.path.append(bench)
+    import gen
+
+    return gen
+
+
+def test_model_passes_make_no_per_pair_calls(monkeypatch):
+    # realize and validation read the span table; the single-pair helpers
+    # stay the definitions the tests check against, and nothing else
+    gen = _bench_gen()
+    calls = {}
+    for name in ("point_in_arc", "intersection_kind", "arc_contains"):
+        def counted(*args, _f=getattr(models, name), _name=name):
+            calls[_name] = calls.get(_name, 0) + 1
+            return _f(*args)
+
+        monkeypatch.setattr(models, name, counted)
+    rng = random.Random(7)
+    long_arcs = gen.long_proper_arc_model(rng, 20)
+    fuzzy = gen.fuzzy_arc_model(rng, 20, 12)
+    intervals = gen.proper_interval_model(rng, 48)
+    calls.clear()
+    for m in (long_arcs, fuzzy, intervals):
+        assert realize(m).edges
+    assert validate_arc_model(long_arcs).long
+    validate_arc_model(fuzzy.arcs)
+    assert validate_interval_model(intervals).proper
+    assert calls == {}
+
+
+def test_enumeration_reads_the_pattern_once_per_call(monkeypatch):
+    # each adjacency key is solved from the pattern bits read at the start,
+    # so the pattern's has_edge count does not grow with the host
+    gen = _bench_gen()
+    h = Pattern.of(path_graph(3))
+    counts = []
+    plain = Graph.has_edge
+
+    def counted(self, u, v):
+        if self is h.graph:
+            counts[-1] += 1
+        return plain(self, u, v)
+
+    monkeypatch.setattr(Graph, "has_edge", counted)
+    found = []
+    for n in (20, 60):
+        g = realize(gen.proper_interval_model(random.Random(n), n))
+        counts.append(0)
+        found.append(len(enumerate_occurrences(g, h)))
+    assert counts[0] == counts[1] and found[1] > 2 * found[0] > 0, (counts, found)
