@@ -476,9 +476,6 @@ class ElementColoring:
 
     colors: dict
 
-    def __post_init__(self):
-        object.__setattr__(self, "colors", dict(self.colors))
-
     def color(self, element):
         return self.colors.get(element)
 
@@ -1052,7 +1049,7 @@ def _pipeline(g, h, k, ss, certs, cfg: _RunConfig):
             pool.extend(extra)
             if len(pool) < k:
                 raise InternalError("assembly produced fewer occurrences than promised")
-            return revalidated(Matching(tuple(pool[:k])), g, h, "assembled matching")
+            return Matching(tuple(pool[:k]))
     return None
 
 
@@ -1108,7 +1105,7 @@ def _assembled(g, h, pieces, ss, certs, cfg: _RunConfig):
 
 
 def _structured(g, h, ss, certs, cfg: _RunConfig):
-    """The pipeline over an already validated structure, as solve(kk).
+    """The pipeline over a valid structure, as solve(kk).
 
     Strip-edges without strip-vertices have no boundaries, hence no edges to
     the rest of the host: their bodies are solved first as free-standing
@@ -1143,7 +1140,7 @@ def _route(g0, h, cert, cfg: _RunConfig):
          matching;
       4. a supplied structure: the pipeline over it;
       5. several components: each settled on its own, combined additively;
-      6. a line graph: the pipeline over its strip-structure;
+      6. a line graph: the pipeline over its strip-structure, trusted as built;
       7. otherwise exhaustive search, noted once to ``igmatch.trace``.
 
     Steps 4-7 are settled on the first call with kk at most the
@@ -1171,7 +1168,6 @@ def _route(g0, h, cert, cfg: _RunConfig):
         if lg is None:
             note(f"component of {g0.n} vertices solved exhaustively (no structure found)")
             return lambda kk: find_igm(g0, h, kk)
-        validate_strip_structure(g0, lg).require_ok()
         return _structured(g0, h, lg, {}, cfg)
 
     return lambda kk: None if kk > alpha else settle()(kk)

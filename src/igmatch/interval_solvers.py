@@ -165,24 +165,6 @@ def _dedup_points(model: ArcModel) -> list[int]:
     return list(first.values())
 
 
-def solve_isi_long_proper_ca(model_g: ArcModel, model_h: ArcModel) -> Occurrence | None:
-    """One occurrence of the model_h graph inside the model_g graph, or None.
-
-    Checks that both models are proper and the host is long, then searches
-    the realized host directly for the realized pattern.
-    """
-    rep_g = validate_arc_model(model_g)
-    if not (rep_g.proper and rep_g.long):
-        raise InputError("host arc model must be proper and long")
-    if not validate_arc_model(model_h).proper:
-        raise InputError("pattern arc model must be proper")
-    if len(model_h) == 0:
-        raise InputError("pattern model is empty")
-    if len(model_g) < len(model_h):
-        return None
-    return find_occurrence(realize(model_g), Pattern.of(realize(model_h)))
-
-
 def _arc_table(model: ArcModel, occs: list[Occurrence]):
     """(key, (vertex mask, representative)) per class of ``occs``, in key order.
 

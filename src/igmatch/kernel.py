@@ -208,6 +208,10 @@ def derive_strip_structure(g: Graph) -> StripStructure | None:
 
     Returns None when some component is not a line graph.  Strip-vertex and
     strip-edge ids are renumbered consecutively across components.
+
+    Like its parts, the glued structure is valid by construction: new ids
+    keep the parts apart, their strips are disjoint, and no host edge joins
+    two components, so each lies in a strip or a C(r) of its own part.
     """
     if g.n == 0:
         return None

@@ -19,7 +19,9 @@ validate_strip_structure checks them one by one and reports concrete
 counterexamples instead of raising; a caller that must reject an invalid
 structure calls require_ok on the report.  Two constructions are provided: the
 trivial structure (the whole host as a single boundary-less strip) and the
-line-graph structure (one single-vertex strip per pre-image edge).
+line-graph structure (one single-vertex strip per pre-image edge).  Both are
+valid by construction (their docstrings say why), so nothing re-checks them:
+validate_strip_structure is for structures a caller supplies.
 """
 
 import functools
@@ -381,6 +383,12 @@ def trivial_strip_structure(g: Graph) -> StripStructure:
     )
 
 
+# the strip of a pre-image edge with m = 0, 1, 2 non-pendant ends: host vertex
+# 0 joined to one z per end; Graph is immutable, so all such strips share it
+_EDGE_STRIPS = [(Graph(1 + m, [(0, 1 + t) for t in range(m)]), frozenset(range(1, 1 + m)))
+                for m in range(3)]
+
+
 def line_graph_strip_structure(g: Graph) -> StripStructure | None:
     """Decompose a connected line graph along its pre-image.
 
@@ -388,6 +396,15 @@ def line_graph_strip_structure(g: Graph) -> StripStructure | None:
     pre-image edge becomes a strip-edge whose strip is the single host
     vertex it stands for, with one z per non-pendant endpoint.  Returns
     None when the host is not the line graph of a multigraph.
+
+    The result is valid by construction, as ``recognize_line_graph`` has
+    checked L(M) = g for the pre-image M.  Each host vertex is one pre-image
+    edge, hence one one-vertex strip (partition).  A host edge joins two
+    pre-image edges with a common end r, which has degree at least two, so
+    it is a strip-vertex and the edge lies in C(r) (cover).  The edges at r
+    are pairwise adjacent in L(M), so C(r) is a clique.  Each strip is one
+    vertex with one z per non-pendant end, a star with no claw, so the
+    z-assignment and the strip invariants hold.
     """
     m = recognize_line_graph(g)
     if m is None:
@@ -398,9 +415,9 @@ def line_graph_strip_structure(g: Graph) -> StripStructure | None:
     z_assign = {}
     for i, (a, b) in enumerate(m.edges):
         members = tuple(sorted({a, b} & nonpendant))
-        j = Graph(1 + len(members), [(0, 1 + t) for t in range(len(members))])
+        j, z = _EDGE_STRIPS[len(members)]
         edges.append((i, members))
-        strips[i] = Strip(graph=j, z=frozenset(range(1, 1 + len(members))), g_map={0: i})
+        strips[i] = Strip(graph=j, z=z, g_map={0: i})
         z_assign[i] = {r: 1 + t for t, r in enumerate(members)}
     return StripStructure(
         r_vertices=tuple(sorted(nonpendant)),

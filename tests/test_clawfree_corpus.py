@@ -33,7 +33,7 @@ import sys
 import igmatch.color_coding as cc
 from igmatch.errors import SizeCapError
 from igmatch.graphs import Pattern, complete_graph, path_graph
-from igmatch.strips import classify_strip
+from igmatch.strips import classify_strip, line_graph_strip_structure, validate_strip_structure
 
 from randgen import random_subdivided_structure
 from test_color_coding import _path_certificate
@@ -46,13 +46,17 @@ SUBDIVIDED_SEED = 1206
 SUBDIVIDED = 16
 
 
-def _clawfree_cases(seed):
+def _workloads():
     bench = os.path.join(os.path.dirname(HERE), "perfbench")
     if bench not in sys.path:
         sys.path.append(bench)
     import workloads
 
-    return workloads.clawfree(random.Random(seed))
+    return workloads
+
+
+def _clawfree_cases(seed):
+    return _workloads().clawfree(random.Random(seed))
 
 
 def _witnesses(seed):
@@ -86,6 +90,27 @@ def _subdivided_rows():
             for cn, certs in certificate_sets.items():
                 yield [f"sub{i}-{pn}-{cn}", _witness(lambda: cc.solve_igm_claw_free(
                     g, Pattern.of(hg), 1, ss=ss, certificates=certs))]
+
+
+def test_line_graph_structures_of_the_hosts_are_valid(monkeypatch):
+    """The router trusts ``line_graph_strip_structure`` without a check (its
+    docstring says why).  On every host the workload draws for the corpus
+    seeds, the structure passes ``validate_strip_structure``."""
+    workloads = _workloads()
+    hosts = []
+    real = workloads.line_graph
+
+    def capture(m):
+        hosts.append(real(m))
+        return hosts[-1]
+
+    monkeypatch.setattr(workloads, "line_graph", capture)
+    for seed in SEEDS:
+        _clawfree_cases(seed)
+    assert len(hosts) >= len(SEEDS) * 24
+    for g in hosts:
+        ss = line_graph_strip_structure(g)
+        assert ss is not None and validate_strip_structure(g, ss).ok
 
 
 def test_subdivided_witnesses_are_pinned(monkeypatch):

@@ -862,11 +862,17 @@ def test_driver_tests_independence_once_per_chunk(monkeypatch, k2):
 
 
 def test_driver_validates_a_supplied_structure_once(monkeypatch, k2):
+    """A supplied structure is checked once, at entry; the line-graph
+    structure the router derives is valid by construction and never
+    checked (checking it made 1 call)."""
     g = path_graph(12)
     ss = line_graph_strip_structure(g)
     calls = _counting(monkeypatch, "validate_strip_structure")
     assert solve_igm_claw_free(g, k2, 2, ss=ss) is not None
     assert len(calls) == 1
+    del calls[:]
+    assert solve_igm_claw_free(g, k2, 2) is not None
+    assert calls == []
 
 
 def test_driver_settles_each_chunk_once(monkeypatch, k2):

@@ -14,7 +14,6 @@ from igmatch.interval_solvers import (
     solve_igm_long_proper_ca,
     solve_igm_proper_ca_disconnected,
     solve_igm_proper_interval,
-    solve_isi_long_proper_ca,
 )
 from igmatch.models import (
     Arc,
@@ -23,7 +22,6 @@ from igmatch.models import (
     IntervalModel,
     cut_at_point,
     realize,
-    validate_arc_model,
 )
 
 from oracles import (
@@ -31,7 +29,6 @@ from oracles import (
     interval_wis_reference,
     long_arc_reference,
     max_igm_exhaustive,
-    occurrences_exhaustive,
 )
 from randgen import random_long_proper_arc_model, random_proper_interval_model
 
@@ -52,11 +49,6 @@ def amodel(circ, *pairs):
 # C6 as six arcs of length 3 on a circle of circumference 12, each meeting
 # only its two neighbours.
 C6_ARCS = amodel(12, (0, 3), (2, 5), (4, 7), (6, 9), (8, 11), (10, 1))
-
-K1_ARCS = amodel(6, (0, 2))
-K2_ARCS = amodel(6, (0, 2), (1, 3))
-P3_ARCS = amodel(12, (0, 3), (2, 5), (4, 7))
-K3_ARCS = amodel(12, (0, 4), (2, 6), (3, 8))
 
 
 # ---------------------------------------------------------------------------
@@ -191,62 +183,6 @@ def test_proper_interval_optimum_equals_oracle_maximum():
         while solve_igm_proper_interval(model, h, k + 1) is not None:
             k += 1
         assert k == opt
-
-
-# ---------------------------------------------------------------------------
-# induced subgraph isomorphism on long proper circular-arc models
-
-
-def test_isi_c6_contains_p3():
-    occ = solve_isi_long_proper_ca(C6_ARCS, P3_ARCS)
-    assert occ is not None
-    occ.check(realize(C6_ARCS), Pattern.of(realize(P3_ARCS)))
-
-
-def test_isi_c6_has_no_triangle():
-    assert solve_isi_long_proper_ca(C6_ARCS, K3_ARCS) is None
-
-
-def test_isi_identity():
-    assert solve_isi_long_proper_ca(C6_ARCS, C6_ARCS) is not None
-
-
-def test_isi_identity_sweep_random_models():
-    rng = random.Random(47)
-    for _ in range(15):
-        m = random_long_proper_arc_model(rng, rng.randint(1, 8))
-        occ = solve_isi_long_proper_ca(m, m)
-        assert occ is not None
-        occ.check(realize(m), Pattern.of(realize(m)))
-
-
-def test_isi_rejects_non_long_host():
-    # three long arcs jointly covering the circle
-    covering = amodel(12, (0, 6), (5, 11), (10, 3))
-    assert not validate_arc_model(covering).long
-    with pytest.raises(InputError):
-        solve_isi_long_proper_ca(covering, K2_ARCS)
-
-
-def test_isi_matches_direct_search():
-    # the oracle tries every injective map with Graph.has_edge only
-    rng = random.Random(59)
-    pairs = found = 0
-    for _ in range(40):
-        mg = random_long_proper_arc_model(rng, rng.randint(1, 7))
-        mh = rng.choice([K1_ARCS, K2_ARCS, P3_ARCS, K3_ARCS])
-        if len(mg) < len(mh):
-            continue
-        g = realize(mg)
-        hp = Pattern.of(realize(mh))
-        embeddings = occurrences_exhaustive(g, hp.graph)
-        got = solve_isi_long_proper_ca(mg, mh)
-        assert (got is not None) == bool(embeddings)
-        if got is not None:
-            assert got.vertices in embeddings
-            found += 1
-        pairs += 1
-    assert pairs >= 20 and 0 < found < pairs
 
 
 # ---------------------------------------------------------------------------

@@ -148,6 +148,29 @@ def _workload_builds():
     return calls
 
 
+def test_derived_structures_are_valid(monkeypatch):
+    """The bounding loop uses what ``derive_strip_structure`` returns
+    without a check (its docstring says why).  Every structure it returns while the corpus is
+    built passes ``validate_strip_structure``, and so does the glued
+    structure of two corpus hosts side by side, as no corpus host is
+    disconnected."""
+    derived = []
+    real = kernel.derive_strip_structure
+
+    def capture(g):
+        derived.append((g, real(g)))
+        return derived[-1][1]
+
+    monkeypatch.setattr(kernel, "derive_strip_structure", capture)
+    for builds in (_hand_builds(), _line_graph_builds()):
+        list(builds)
+    _workload_builds()
+    kernel.derive_strip_structure(graphs.disjoint_union(derived[0][0], derived[-1][0]))
+    assert len(derived) == 87 and len(derived[-1][0].components()) == 2
+    for g, ss in derived:
+        assert ss is not None and strips.validate_strip_structure(g, ss).ok
+
+
 def _instances():
     for builds in (_hand_builds(), _line_graph_builds(), _subdivided_builds(),
                    _workload_builds()):
