@@ -696,18 +696,11 @@ def _max_interior_matching(sub: Graph, kept, h: Pattern, s, cert) -> tuple:
     occs = enumerate_occurrences(sub, h)
     if not occs:
         return (), False
-    if cert == "alpha4":
-        bound = ALPHA_BOUND
-    else:
-        alpha, _w = brute_force_mis(sub)
-        bound = alpha if alpha <= ALPHA_BOUND else None
-    if bound is not None:
-        for kk in range(min(bound, sub.n // h.h), 0, -1):
-            m = find_igm(sub, h, kk, occurrences=occs)
-            if m is not None:
-                return m.occurrences, False
-        return (), False
-    return tuple(max_igm(sub, h, occurrences=occs)), True
+    # one search either way; it counts as exhaustive only when neither an
+    # "alpha4" claim nor a tested independence number of at most 4 caps the
+    # packing at four copies
+    exhaustive = cert != "alpha4" and brute_force_mis(sub)[0] > ALPHA_BOUND
+    return tuple(max_igm(sub, h, occurrences=occs)), exhaustive
 
 
 def _consistent_realizations(J: Graph, h: Pattern, tokens, allowed):

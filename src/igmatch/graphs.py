@@ -1,10 +1,14 @@
 """Immutable simple graphs, multigraphs, and exact desk-scale subroutines.
 
 This module is the foundation for everything else: it supplies the graph
-types, the brute-force oracles that the solver layers are tested against
-(maximum independent set, induced-matching search, weighted independent
-set), occurrence enumeration, induced-subgraph embedding, twin contraction,
-and line-graph construction/recognition for multigraphs without self-loops.
+types, the exact brute-force searches (maximum independent set,
+induced-matching search, weighted independent set) that the solvers call
+on small graphs and that their tests compare against, occurrence
+enumeration, induced-subgraph embedding, twin contraction, and line-graph
+construction/recognition for multigraphs without self-loops.  Both
+induced-matching searches, ``find_igm`` for a given size and ``max_igm`` for
+the largest, run one packing search that visits sets of occurrences as
+increasing index lists in lexicographic order.
 
 Conventions
 -----------
@@ -493,7 +497,7 @@ def enumerate_occurrences(g: Graph, h: Pattern) -> list[Occurrence]:
 
 
 # ---------------------------------------------------------------------------
-# brute-force oracles
+# exact brute-force searches, called by the solvers and used as test oracles
 
 def brute_force_mis(g: Graph) -> tuple[int, tuple[int, ...]]:
     """Exact maximum independent set by branch and bound.
@@ -559,6 +563,52 @@ def _occurrence_masks(g: Graph, occs: list[Occurrence]):
     return vmask, conflict
 
 
+def _first_packing(g: Graph, occs: list[Occurrence], goal: int | None,
+                   touch_masks=()) -> list[int] | None:
+    """Indices of the first packing of ``goal`` occurrences (of the most
+    occurrences when ``goal`` is None) whose union meets every nonzero vertex
+    mask in ``touch_masks``, or None when there is none.
+
+    Packings are visited as increasing index lists in lexicographic order.  A
+    branch is cut once it cannot reach the floor, ``goal`` or one more than
+    the best packing so far, or can no longer meet a touch set, so a cut
+    branch holds no packing of the size sought, and the first packing of
+    that size in this order is returned.
+    """
+    vmask, conflict = _occurrence_masks(g, occs)
+    n = len(occs)
+    # each touch set as the mask of the occurrences meeting it
+    meets = [sum(1 << i for i in range(n) if vmask[i] & tm) for tm in touch_masks if tm]
+    floor = goal or 0
+    best: list[int] | None = None
+    chosen: list[int] = []
+
+    def rec(start: int, avail: int, unmet: list) -> bool:
+        nonlocal best, floor
+        rest = avail >> start << start
+        if len(chosen) + rest.bit_count() < floor:
+            return False
+        if unmet and any(not rest & m for m in unmet):
+            return False
+        if not unmet and len(chosen) >= floor:
+            best = list(chosen)
+            if goal is not None:
+                return True
+            floor = len(chosen) + 1
+        for i in range(start, n):
+            if not (avail >> i & 1):
+                continue
+            chosen.append(i)
+            if rec(i + 1, avail & ~conflict[i] & ~(1 << i),
+                   [m for m in unmet if not m >> i & 1]):
+                return True
+            chosen.pop()
+        return False
+
+    rec(0, (1 << n) - 1, meets)
+    return best
+
+
 def find_igm(g: Graph, h: Pattern, k: int,
              occurrences: list[Occurrence] | None = None) -> Matching | None:
     """First induced matching of size k in canonical order, or None."""
@@ -569,27 +619,8 @@ def find_igm(g: Graph, h: Pattern, k: int,
     occs = enumerate_occurrences(g, h) if occurrences is None else occurrences
     if len(occs) < k:
         return None
-    _, conflict = _occurrence_masks(g, occs)
-    n = len(occs)
-    chosen: list[int] = []
-
-    def rec(start: int, avail: int) -> bool:
-        if len(chosen) == k:
-            return True
-        if len(chosen) + bin(avail >> start << start).count("1") < k:
-            return False
-        for i in range(start, n):
-            if not (avail >> i & 1):
-                continue
-            chosen.append(i)
-            if rec(i + 1, avail & ~conflict[i] & ~(1 << i)):
-                return True
-            chosen.pop()
-        return False
-
-    if rec(0, (1 << n) - 1):
-        return Matching(tuple(occs[i] for i in chosen))
-    return None
+    found = _first_packing(g, occs, k)
+    return None if found is None else Matching(tuple(occs[i] for i in found))
 
 
 def max_igm(g: Graph, h: Pattern, require_touch=(),
@@ -601,50 +632,9 @@ def max_igm(g: Graph, h: Pattern, require_touch=(),
     touch constraints), or None when the constraints cannot be met.
     """
     occs = enumerate_occurrences(g, h) if occurrences is None else occurrences
-    n = len(occs)
-    vmask, conflict = _occurrence_masks(g, occs)
-    touch_masks = []
-    for s in require_touch:
-        m = 0
-        for v in s:
-            m |= 1 << v
-        touch_masks.append(m)
-    touches = [
-        tuple(bool(vmask[i] & tm) for tm in touch_masks) for i in range(n)
-    ]
-    best: list[int] | None = None
-    chosen: list[int] = []
-
-    def rec(start: int, avail: int, sat: tuple):
-        nonlocal best
-        remaining = bin(avail >> start << start).count("1")
-        bsize = -1 if best is None else len(best)
-        if len(chosen) + remaining <= bsize:
-            return
-        # each unsatisfied touch set must still be reachable
-        for t in range(len(touch_masks)):
-            if sat[t]:
-                continue
-            if not any(
-                avail >> i & 1 and touches[i][t] for i in range(start, n)
-            ):
-                return
-        if all(sat) and len(chosen) > bsize:
-            best = list(chosen)
-        for i in range(start, n):
-            if not (avail >> i & 1):
-                continue
-            chosen.append(i)
-            new_sat = tuple(s or touches[i][t] for t, s in enumerate(sat))
-            rec(i + 1, avail & ~conflict[i] & ~(1 << i), new_sat)
-            chosen.pop()
-
-    rec(0, (1 << n) - 1, tuple(not touch_masks[t] for t in range(len(touch_masks))) or ())
-    if not touch_masks and best is None:
-        best = []
-    if best is None:
-        return None
-    return [occs[i] for i in best]
+    touch_masks = [sum(1 << v for v in set(s)) for s in require_touch]
+    found = _first_packing(g, occs, None, touch_masks)
+    return None if found is None else [occs[i] for i in found]
 
 
 def greedy_clique_partition(g: Graph) -> list[list[int]]:

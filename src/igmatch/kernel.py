@@ -131,18 +131,20 @@ def classify_promising(ss: StripStructure, h: Pattern) -> dict:
     its strip, so k promising strip-edges certify a yes answer outright.
     """
     _require_kernel_pattern(h)
+    return {eid: occ is not None for eid, occ in _promising_copies(ss, h).items()}
+
+
+def _promising_copies(ss: StripStructure, h: Pattern) -> dict:
+    """Map each strip-edge to its strip's first copy avoiding N[Z], in host
+    ids, or to None."""
     out = {}
     for eid, _ in ss.edges:
-        out[eid] = _promising_occurrence(ss.strips[eid], h) is not None
+        s = ss.strips[eid]
+        banned = s.graph.closed_neighborhood_of_set(s.z) if s.z else set()
+        region = [v for v in s.interior() if v not in banned]
+        occ = find_occurrence(s.graph, h, within=region) if region else None
+        out[eid] = None if occ is None else Occurrence(tuple(s.g_map[v] for v in occ.vertices))
     return out
-
-
-def _promising_occurrence(s: Strip, h: Pattern) -> Occurrence | None:
-    banned = s.graph.closed_neighborhood_of_set(s.z) if s.z else set()
-    region = [v for v in s.interior() if v not in banned]
-    if not region:
-        return None
-    return find_occurrence(s.graph, h, within=region)
 
 
 def reduction_step_nonpromising(g: Graph, ss: StripStructure, x, y, h: Pattern):
@@ -282,21 +284,10 @@ def _greedy_maximal_matching(g: Graph, h: Pattern) -> list:
     return out
 
 
-def _promising_witness(ss: StripStructure, h: Pattern, eids) -> Matching:
-    occs = []
-    for eid in eids:
-        s = ss.strips[eid]
-        occ = _promising_occurrence(s, h)
-        if occ is None:
-            raise InternalError(f"strip {eid!r} lost its promising occurrence")
-        occs.append(Occurrence(tuple(s.g_map[v] for v in occ.vertices)))
-    return Matching(tuple(occs))
-
-
-def _overloaded_pair(ss: StripStructure, promising: dict, h: Pattern):
+def _overloaded_pair(ss: StripStructure, copies: dict, h: Pattern):
     counts = {}
     for eid, ms in ss.edges:
-        if ms and not promising[eid]:
+        if ms and copies[eid] is None:
             counts[ms] = counts.get(ms, 0) + 1
     for ms in sorted(counts):
         if counts[ms] > 2 * h.h:
@@ -365,14 +356,13 @@ def bound_strip_graph(g: Graph, h: Pattern, k: int,
                 return BoundResult("partial", None, None, g, k, None)
             ss = None
             continue
-        promising = classify_promising(ss, h)
-        prom_ids = [eid for eid, _ in ss.edges if promising[eid]]
-        if len(prom_ids) >= k:
-            wit = revalidated(_promising_witness(ss, h, prom_ids[:k]), g, h,
-                              "promising witness")
-            note(f"{len(prom_ids)} promising strip-edges certify the target")
+        copies = _promising_copies(ss, h)
+        found = [occ for occ in copies.values() if occ is not None]
+        if len(found) >= k:
+            wit = revalidated(Matching(tuple(found[:k])), g, h, "promising witness")
+            note(f"{len(found)} promising strip-edges certify the target")
             return BoundResult("decided", True, wit, g, k, ss)
-        pair = _overloaded_pair(ss, promising, h)
+        pair = _overloaded_pair(ss, copies, h)
         if pair is not None:
             x, y = pair
             g, ss = reduction_step_nonpromising(g, ss, x, y, h)
@@ -599,8 +589,9 @@ def build_wis_instance(g: Graph, ss: StripStructure, h: Pattern, k: int) -> WisI
     distinct reservation is packed once.  The clique of a strip-vertex x
     enumerates how the single copy that may touch C(x) does so: a demand
     distribution over the edges at x (type Ia), a stick-out through one
-    stripe (type Ib), or a copy occupying the cliques of a group of
-    strip-vertices with one role vertex in each:
+    stripe (type Ib, which obeys the Ia rules as demand -1 on its own stripe
+    and 0 on every other edge at x), or a copy occupying the cliques of a
+    group of strip-vertices with one role vertex in each:
 
         type  group   the copy                 spot side kept  own-stripe profiles kept
         IIa   pair    spans C(x) and C(y)      "both"          flavour "C", a, b >= 1
@@ -689,26 +680,24 @@ def build_wis_instance(g: Graph, ss: StripStructure, h: Pattern, k: int) -> WisI
         if len(ms) == 2:
             pair_edges.setdefault(ms, []).append(eid)
 
-    # type Ia and Ib vertices per strip-vertex
-    ia_v = {}
-    ib_v = {}
-    r_clique = {r: [] for r in ss.r_vertices}
+    # type Ia and Ib vertices per strip-vertex, each with its demand per edge
+    # at x (an absent edge demands 0; no demand at all is the idle choice)
+    demand_v = {}
     for r in ss.r_vertices:
-        dmap = {}
+        choices = []
         for dist in distributions(ss, r, h):
             if dist.is_idle:
                 vid = new_vertex(f"occ:r{r}:idle", 0)
             else:
                 suffix = ".".join(f"e{e}x{c}" for e, c in dist.counts)
                 vid = new_vertex(f"occ:r{r}:{suffix}", 1)
-            dmap[dist] = vid
-        ia_v[r] = dmap
-        emap = {}
+            choices.append((dict(dist.counts), vid))
         for eid in at_r[r]:
             if kinds[eid] == "stripe":
-                emap[eid] = new_vertex(f"out:r{r}:e{eid}", 0)
-        ib_v[r] = emap
-        r_clique[r] = list(dmap.values()) + list(emap.values())
+                # Ib: the copy sticks out of stripe e, demand -1 on e
+                choices.append(({eid: -1}, new_vertex(f"out:r{r}:e{eid}", 0)))
+        demand_v[r] = choices
+    r_clique = {r: [vid for _, vid in demand_v[r]] for r in ss.r_vertices}
 
     # types IIa and IIb per pair and stripe, type III per triple, each as
     # (group, role vertex per clique, spot side kept, own stripe, kept profiles)
@@ -752,31 +741,32 @@ def build_wis_instance(g: Graph, ss: StripStructure, h: Pattern, k: int) -> WisI
             raise InternalError("self-loop in the consistency graph")
         eset.add((a, b) if a < b else (b, a))
 
-    for vids in edge_clique.values():
-        for a, b in itertools.combinations(vids, 2):
-            connect(a, b)
-    for vids in r_clique.values():
+    for vids in [*edge_clique.values(), *r_clique.values()]:
         for a, b in itertools.combinations(vids, 2):
             connect(a, b)
 
-    # type Ia: one copy inside C(x) with demand dist over the edges at x
+    # types Ia and Ib: the one copy that may touch C(x), with its demand over
+    # the edges at x; an Ib stick-out through stripe e is the Ia rule with
+    # demand -1 on e and 0 on every other edge at x, and is never idle
     for r in ss.r_vertices:
-        for dist, pv in ia_v[r].items():
+        for demand, pv in demand_v[r]:
             for eid in at_r[r]:
-                want = dist.count(eid)
+                want = demand.get(eid, 0)
                 if kinds[eid] == "spot":
                     if want:
                         # Ia spot rule, demand 1: the copy claims the spot
                         # for C(x) alone.
                         keep = (r,)
-                    elif dist.is_idle:
+                    elif not demand:
                         # Ia spot rule, idle demand: C(x) is untouched, so
                         # the spot may not enter it (the far side stays free).
                         ms = members_of[eid]
                         keep = (ms[0] if ms[1] == r else ms[1], "none")
                     else:
                         # Ia spot rule, demand 0 with the copy elsewhere in
-                        # C(x): the spot stays fully unused.
+                        # C(x): the spot stays fully unused.  Ib rule 5: spots
+                        # at x stay out of the occupied clique (their body
+                        # sits inside C(x) whichever side uses it).
                         keep = ("none",)
                     for side, vid in spot_v[eid].items():
                         if side not in keep:
@@ -788,7 +778,11 @@ def build_wis_instance(g: Graph, ss: StripStructure, h: Pattern, k: int) -> WisI
                         # Ia stripe rule 1: the stripe reserves exactly the
                         # demanded count at x.  Ia stripe rule 2: clique-flavour
                         # reservations serve a copy spanning both ends, not
-                        # one inside C(x).
+                        # one inside C(x).  Ib rules 1-2: the tracked copy
+                        # must stick out of e at x, and a spanning reservation
+                        # is not a stick-out.  Ib rules 3-4: no other stripe at
+                        # x may touch the occupied clique C(x), nor may a
+                        # spanning copy reserve its boundary there.
                         connect(pv, vid)
 
     # Far-side exclusivity for spots sharing a strip-vertex: the bodies of
@@ -802,27 +796,6 @@ def build_wis_instance(g: Graph, ss: StripStructure, h: Pattern, k: int) -> WisI
             fb = next(t for t in members_of[eb] if t != r)
             if fa != fb:
                 connect(spot_v[ea][fa], spot_v[eb][fb])
-
-    # type Ib: one copy sticking out of stripe e at x
-    for r in ss.r_vertices:
-        for eid, bv in ib_v[r].items():
-            for e2 in at_r[r]:
-                if kinds[e2] == "spot":
-                    # Ib rule 5: spots at x stay out of the occupied clique
-                    # (their body sits inside C(x) whichever side uses it).
-                    for side, vid in spot_v[e2].items():
-                        if side != "none":
-                            connect(bv, vid)
-                    continue
-                # Ib rules 1-2: the tracked copy must stick out of e at x, and
-                # a spanning reservation is not a stick-out.  Ib rules 3-4: no
-                # other stripe at x may touch the occupied clique C(x), nor
-                # may a spanning copy reserve its boundary there.
-                want = -1 if e2 == eid else 0
-                at = members_of[e2].index(r)
-                for key, vid in prof[e2].items():
-                    if key[-1] == "C" or key[at] != want:
-                        connect(bv, vid)
 
     # types IIa, IIb and III: one copy occupying every clique of its group
     for group, roles, spot_side, own, kept in spans:

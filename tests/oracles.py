@@ -14,9 +14,10 @@ structure elements.  ``subset_scan_occurrences``, ``all_pairs_occurrence_masks``
 ``long_by_pairs_and_triples`` keep the package's earlier, slower versions of
 occurrence enumeration, conflict masks and the longness test, and
 ``embeddings_reference`` and ``g_map_pair_failures`` those of the base
-embedding search and the g_map edge check, and ``interval_wis_reference`` and
-``long_arc_reference`` those of the interval witness rebuild and the
-per-cut long-arc solver, and ``realize_reference`` and
+embedding search and the g_map edge check, ``find_igm_reference`` and
+``max_igm_reference`` the two separate packing searches that one search
+replaced, and ``interval_wis_reference`` and ``long_arc_reference`` those of
+the interval witness rebuild and the per-cut long-arc solver, and ``realize_reference`` and
 ``model_report_reference`` the all-pairs model realization and validation,
 for differential tests that require identical output.  ``fuzzy_dp_profile`` runs
 the fuzzy solver's own residual chain from every committed occurrence, and
@@ -182,6 +183,94 @@ def max_igm_exhaustive(g, hg, require_touch=()) -> int | None:
                 if best is None or r > best:
                     best = r
     return best
+
+
+def find_igm_reference(g: Graph, h: Pattern, k: int,
+                       occurrences: list[Occurrence] | None = None) -> Matching | None:
+    """First induced matching of size k in canonical order, or None."""
+    if k < 0:
+        raise InputError("k must be nonnegative")
+    if k == 0:
+        return Matching(())
+    occs = enumerate_occurrences(g, h) if occurrences is None else occurrences
+    if len(occs) < k:
+        return None
+    _, conflict = _occurrence_masks(g, occs)
+    n = len(occs)
+    chosen: list[int] = []
+
+    def rec(start: int, avail: int) -> bool:
+        if len(chosen) == k:
+            return True
+        if len(chosen) + bin(avail >> start << start).count("1") < k:
+            return False
+        for i in range(start, n):
+            if not (avail >> i & 1):
+                continue
+            chosen.append(i)
+            if rec(i + 1, avail & ~conflict[i] & ~(1 << i)):
+                return True
+            chosen.pop()
+        return False
+
+    if rec(0, (1 << n) - 1):
+        return Matching(tuple(occs[i] for i in chosen))
+    return None
+
+
+def max_igm_reference(g: Graph, h: Pattern, require_touch=(),
+                      occurrences: list[Occurrence] | None = None) -> list[Occurrence] | None:
+    """Maximum-size induced matching, optionally forced to touch vertex sets.
+
+    Each entry of ``require_touch`` is a vertex set that the union of the
+    matching must intersect.  Returns a witness list (possibly empty when no
+    touch constraints), or None when the constraints cannot be met.
+    """
+    occs = enumerate_occurrences(g, h) if occurrences is None else occurrences
+    n = len(occs)
+    vmask, conflict = _occurrence_masks(g, occs)
+    touch_masks = []
+    for s in require_touch:
+        m = 0
+        for v in s:
+            m |= 1 << v
+        touch_masks.append(m)
+    touches = [
+        tuple(bool(vmask[i] & tm) for tm in touch_masks) for i in range(n)
+    ]
+    best: list[int] | None = None
+    chosen: list[int] = []
+
+    def rec(start: int, avail: int, sat: tuple):
+        nonlocal best
+        remaining = bin(avail >> start << start).count("1")
+        bsize = -1 if best is None else len(best)
+        if len(chosen) + remaining <= bsize:
+            return
+        # each unsatisfied touch set must still be reachable
+        for t in range(len(touch_masks)):
+            if sat[t]:
+                continue
+            if not any(
+                avail >> i & 1 and touches[i][t] for i in range(start, n)
+            ):
+                return
+        if all(sat) and len(chosen) > bsize:
+            best = list(chosen)
+        for i in range(start, n):
+            if not (avail >> i & 1):
+                continue
+            chosen.append(i)
+            new_sat = tuple(s or touches[i][t] for t, s in enumerate(sat))
+            rec(i + 1, avail & ~conflict[i] & ~(1 << i), new_sat)
+            chosen.pop()
+
+    rec(0, (1 << n) - 1, tuple(not touch_masks[t] for t in range(len(touch_masks))) or ())
+    if not touch_masks and best is None:
+        best = []
+    if best is None:
+        return None
+    return [occs[i] for i in best]
 
 
 def wis_exhaustive(g, weights, k_card: int, k_weight) -> bool:

@@ -36,7 +36,7 @@ from igmatch.graphs import Pattern, complete_graph, path_graph
 from igmatch.strips import classify_strip, line_graph_strip_structure, validate_strip_structure
 
 from randgen import random_subdivided_structure
-from test_color_coding import _path_certificate
+from test_color_coding import _counting, _path_certificate
 
 HERE = os.path.dirname(os.path.abspath(__file__))
 FIXTURE = os.path.join(HERE, "clawfree_witnesses.json")
@@ -131,6 +131,19 @@ def test_subdivided_witnesses_are_pinned(monkeypatch):
         assert g == w
     # the solves pack stripe interiors, not only realize boundary tokens
     assert sum(packed) >= 25
+
+
+def test_subdivided_interiors_are_packed_by_one_search(monkeypatch):
+    """Over the 144 subdivided solves, each residual interior that holds a
+    copy is packed by one ``max_igm`` call, 22 in all; the descending
+    ``find_igm`` ladder it replaced made 26 calls here.  The independence
+    test only decides the exhaustive-packing note, and runs as often as
+    before."""
+    found = _counting(monkeypatch, "find_igm")
+    packed = _counting(monkeypatch, "max_igm")
+    tested = _counting(monkeypatch, "brute_force_mis")
+    assert len(list(_subdivided_rows())) == 144
+    assert (len(found), len(packed), len(tested)) == (0, 22, 155)
 
 
 def test_clawfree_workload_witnesses_are_pinned():

@@ -942,6 +942,37 @@ def _path_certificate(t):
     return FuzzyArcModel(ArcModel(tuple(Arc(i, 10 * i, 10 * i + 12) for i in range(t)), 1000), {})
 
 
+def test_driver_notes_exhaustive_interior_packing_once_per_strip_edge(k2, p3):
+    """Stripes cut into 8-12 host vertices have path interiors, and some
+    residual interiors left by a realization have independence number above
+    4.  Without a certificate their packing is solved exhaustively, which
+    the solve notes once per strip-edge; a path fuzzy arc model of every
+    stripe packs the same interiors without the note and changes no
+    witness."""
+    from randgen import random_subdivided_structure
+
+    rng = random.Random(0)
+    noted = 0
+    for _ in range(40):
+        n = rng.randint(3, 4)
+        g, ss = random_subdivided_structure(rng, n, rng.randint(n, n + 2), cut=(8, 12))
+        if g.n > 30:  # the host's own independence test would raise SizeCapError
+            continue
+        certs = {eid: _path_certificate(len(ss.strips[eid].interior()))
+                 for eid, _ in ss.edges if strips.classify_strip(ss.strips[eid]) == "stripe"}
+        for h in (k2, p3):
+            with recording() as notes:
+                want = solve_igm_claw_free(g, h, 1, ss=ss)
+            edges = [note.split(":")[0] for note in notes]
+            assert all("interior packing solved exhaustively" in note for note in notes)
+            assert len(edges) == len(set(edges))
+            noted += len(edges)
+            with recording() as notes:
+                assert solve_igm_claw_free(g, h, 1, ss=ss, certificates=certs) == want
+            assert notes == []
+    assert noted == 5
+
+
 def test_driver_fits_each_certificate_once(monkeypatch, k2):
     # fitting once per surjection made 32 fits here
     calls = _counting(monkeypatch, "_require_fitting")

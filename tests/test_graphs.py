@@ -33,10 +33,12 @@ from igmatch.graphs import (
 )
 from oracles import (
     all_pairs_occurrence_masks,
+    find_igm_reference,
     igm_exhaustive,
     is_isomorphic,
     is_line_graph_exhaustive,
     max_igm_exhaustive,
+    max_igm_reference,
     mis_exhaustive,
     occurrences_exhaustive,
     subset_scan_occurrences,
@@ -239,6 +241,32 @@ def test_max_igm_with_touch_constraints(k2, p3):
                 union |= set(o.vertices)
                 o.check(g, h)
             assert all(union & set(t) for t in touch)
+
+
+def test_packing_searches_return_the_reference_witnesses(k1, k2, p3, k3):
+    """``find_igm`` and ``max_igm`` share one search; each still returns the
+    witness of its own earlier search, and the largest packing is the first
+    success of a descending ``find_igm`` ladder.  Touch sets may be empty or
+    name vertices outside the host; half the cases pass a sub-list of the
+    occurrences, as the kernel's stripe tables do."""
+    rng = random.Random(1207)
+    for _ in range(3000):
+        g = random_graph(rng, rng.randint(0, 12), rng.uniform(0.1, 0.6))
+        h = rng.choice((k1, k2, p3, k3))
+        k = rng.randint(0, 4)
+        touch = [frozenset(rng.sample(range(g.n + 2), rng.randint(0, min(3, g.n + 2))))
+                 for _ in range(rng.randint(0, 3))]
+        occs = enumerate_occurrences(g, h)
+        if rng.random() < 0.5:
+            occs = [o for o in occs if rng.random() < 0.7]
+        assert (find_igm(g, h, k, occurrences=occs)
+                == find_igm_reference(g, h, k, occurrences=occs))
+        assert (max_igm(g, h, require_touch=touch, occurrences=occs)
+                == max_igm_reference(g, h, require_touch=touch, occurrences=occs))
+        ladder = (find_igm_reference(g, h, kk, occurrences=occs)
+                  for kk in range(g.n // h.h, 0, -1))
+        first = next((m for m in ladder if m is not None), Matching(()))
+        assert max_igm(g, h, occurrences=occs) == list(first.occurrences)
 
 
 def test_wis_matches_exhaustive():
