@@ -1,16 +1,31 @@
 """Induced H-matching on fuzzy circular-arc models, plus a small-α fallback.
 
-The main solver fixes one occurrence H*, deletes its closed neighborhood,
-cuts the circle open strictly inside H*'s first arc (no surviving arc can
-cover an interior quarter-point of a removed arc, so the residue unrolls
-onto a line), and then runs a left-to-right dynamic program over the
-remaining occurrences grouped by their rightmost arc endpoint.  Every chain
-the program builds is pairwise compatible: connected occurrences cover their
-spans, so two incompatible occurrences can never be bridged by a third one
-whose rightmost endpoint lies strictly between theirs.
+The main solver fixes one occurrence H* (the star), deletes its closed
+neighborhood, cuts the circle open strictly inside H*'s first arc (no
+surviving arc can cover an interior quarter-point of a removed arc, so the
+residue unrolls onto a line), and then runs a left-to-right dynamic program
+over the remaining occurrences grouped by their rightmost arc endpoint.
+Every chain the program builds is pairwise compatible: connected
+occurrences cover their spans, so two incompatible occurrences can never be
+bridged by a third one whose rightmost endpoint lies strictly between
+theirs.
+
+The work splits into a per-solve table and a per-star sweep.  The table
+rests on one fact: the right end R of an occurrence, the clockwise end of
+the union of its arcs, does not depend on the star.  An occurrence that
+survives a star is connected (every edge joins intersecting arcs) and has
+no arc over the cut, so its arcs unite into one arc that misses the cut; its
+rightmost endpoint on the cut-open line is that arc's clockwise end, R,
+read from the cut.  So the occurrences are sorted once by (R, index), and
+each star's left-to-right order is a rotation of that order: in quadrupled
+coordinates R ≡ 0 and the cut ≡ 1 (mod 4), so no group of equal R
+straddles the cut.  An occurrence whose arcs cover the whole circle has no
+R; it has an arc over every cut, so it never survives a star.
 """
 
 from __future__ import annotations
+
+from bisect import bisect_right
 
 from .errors import InputError, InternalError
 from .graphs import (
@@ -34,70 +49,154 @@ __all__ = [
 ALPHA_BOUND = 4
 
 
-def _residual_chain(model: FuzzyArcModel, occs, conflict, star: int,
-                    stop_at: int | None):
+class _ChainTable:
+    """The per-solve half of the chain program.
+
+    Positions number the occurrences in (R, index) order: ``order`` maps a
+    position to its occurrence index and ``position`` back, ``ends`` holds
+    the R of each position, and ``free[p]`` is the mask of the positions
+    compatible with position p (the complement of its conflict mask).
+    ``through`` holds each arc's mask of the occurrences with a vertex on
+    it.  ``cut`` memoizes, per cut point, what every star cut there shares.
+    """
+
+    __slots__ = ("occs", "order", "position", "ends", "free", "through",
+                 "spans", "c4", "_cuts")
+
+    def __init__(self, model: FuzzyArcModel, g: Graph, occs):
+        arcs = model.arcs.arcs
+        c4 = 4 * model.arcs.circumference
+        spans = [(4 * a.s, (4 * a.t - 4 * a.s) % c4) for a in arcs]
+        ends = []
+        for o in occs:
+            # the union's clockwise end is the one arc end whose next
+            # quarter-point no arc of the occurrence covers; c4 sorts last
+            r = c4
+            for v in o.vertices:
+                q = 4 * arcs[v].t + 1
+                for w in o.vertices:
+                    if (q - spans[w][0]) % c4 <= spans[w][1]:
+                        break
+                else:
+                    r = q - 1
+                    break
+            ends.append(r)
+        order = sorted(range(len(occs)), key=ends.__getitem__)  # stable: (R, index)
+        position = [0] * len(occs)
+        through = [0] * len(spans)
+        for p, i in enumerate(order):
+            position[i] = p
+            for v in occs[i].vertices:
+                through[v] |= 1 << p
+        _, conflict = _occurrence_masks(g, [occs[i] for i in order])
+        full = (1 << len(occs)) - 1
+        self.occs = occs
+        self.order = order
+        self.position = position
+        self.ends = [ends[i] for i in order]
+        self.free = [full & ~c for c in conflict]
+        self.through = through
+        self.spans = spans
+        self.c4 = c4
+        self._cuts = {}
+
+    def cut(self, star: int) -> tuple[int, int, int]:
+        """(cut point, rotation start, cover mask) of the cut strictly
+        inside the first arc of occurrence ``star``.
+
+        The cut is a quarter-point, so it misses every arc end.  The
+        rotation starts at the first position whose R lies past the cut; the
+        cover mask holds the occurrences with an arc over the cut.
+        """
+        cutpos = self.spans[self.occs[star].vertices[0]][0] + 1
+        memo = self._cuts.get(cutpos)
+        if memo is None:
+            cover = 0
+            for v, through in enumerate(self.through):
+                if self._holds(v, cutpos):
+                    cover |= through
+            memo = (cutpos, bisect_right(self.ends, cutpos), cover)
+            self._cuts[cutpos] = memo
+        return memo
+
+    def wrap_error(self, bad: int, cutpos: int) -> InternalError:
+        """The error for the lowest-index occurrence in ``bad`` that has an
+        arc over the cut, naming its first such arc."""
+        i = min(self.order[p] for p in range(len(self.order)) if (bad >> p) & 1)
+        v = next(v for v in self.occs[i].vertices if self._holds(v, cutpos))
+        return InternalError(f"arc {v} wraps the cut point of the residual model")
+
+    def _holds(self, v: int, q: int) -> bool:
+        """Membership of the quadrupled-coordinate point q in arc v."""
+        s4, l4 = self.spans[v]
+        return (q - s4) % self.c4 <= l4
+
+
+def _residual_chain(table: _ChainTable, star: int, stop_at: int | None):
     """Best compatible chain after committing to occurrence ``star``.
 
     Returns (length, chain) where the chain lists occurrence indices in
     left-to-right order, all compatible with each other and with the star.
     With ``stop_at`` set, returns as soon as the chain length reaches it.
+
+    The survivors are the occurrences compatible with the star.  None may
+    have an arc over the cut; one test of the survivors against the cut's
+    cover mask is the check, for every surviving arc, that it does not wrap
+    the cut.  The sweep visits the survivors in rotated (R, index) order,
+    which is the (rightmost endpoint, index) order on the cut-open line.  An
+    occurrence's value is one more than the best value among the compatible
+    occurrences of earlier groups (a group holds the occurrences of one R).
+    ``levels[v - 1]`` holds the swept survivors of value v, so the best
+    compatible value is the largest v whose mask meets the occurrence's
+    ``free`` mask: the same v as for masks of value at least v.  Two
+    occurrences of one group are never compatible (two arcs that end at the
+    same point share more than that point, so they are adjacent), so a
+    survivor enters the masks as soon as it is swept.  The compatible
+    survivors of the best value are that mask's bits, and the first of them
+    in rotated order is the parent: the one a scan of the earlier groups in
+    order keeps when it replaces its best only on a strictly greater value.
+    The best chain ends at the first survivor of the largest value, as in
+    the same scan.
     """
-    arcs = model.arcs.arcs
-    c4 = 4 * model.arcs.circumference
-    # cut strictly inside the star's first arc; quarter offsets cannot hit
-    # any arc endpoint, and an arc covering this interior point would overlap
-    # the star's arc in more than one point, hence belong to N[H*]
-    cutpos = (4 * arcs[occs[star].vertices[0]].s + 1) % c4
-    blocked = conflict[star]
-    entries = []  # (right endpoint, occurrence index)
-    for i in range(len(occs)):
-        if i == star or (blocked >> i) & 1:
-            continue
-        rbest = -1
-        for v in occs[i].vertices:
-            a = arcs[v]
-            l4 = (4 * a.s - cutpos) % c4
-            r4 = (4 * a.t - cutpos) % c4
-            if l4 >= r4:
-                raise InternalError(
-                    f"arc {v} wraps the cut point of the residual model"
-                )
-            rbest = max(rbest, r4)
-        entries.append((rbest, i))
-    entries.sort()
-    # group by point: point index 0 is the fake entry, compatible with all
-    points: list[int] = []
-    groups: list[list[int]] = []
-    for r4, i in entries:
-        if not points or points[-1] != r4:
-            points.append(r4)
-            groups.append([])
-        groups[-1].append(i)
-    # value[0][0] is the fake entry
-    value: list[list[int]] = [[0]] + [[] for _ in groups]
-    parent: list[list[tuple[int, int]]] = [[(-1, -1)]] + [[] for _ in groups]
-    best = (0, 0)
-    for gi, oi in ((gi, oi) for gi, group in enumerate(groups, start=1) for oi in group):
-        bv, bp = 0, (0, 0)
-        for gi2 in range(1, gi):
-            for j2, oi2 in enumerate(groups[gi2 - 1]):
-                v2 = value[gi2][j2]
-                if v2 > bv and not (conflict[oi] >> oi2) & 1:
-                    bv, bp = v2, (gi2, j2)
-        value[gi].append(1 + bv)
-        parent[gi].append(bp)
-        if 1 + bv > value[best[0]][best[1]]:
-            best = (gi, len(value[gi]) - 1)
-            if stop_at is not None and 1 + bv >= stop_at:
+    at = table.position[star]
+    cutpos, start, cover = table.cut(star)
+    free = table.free
+    alive = free[at] & ~(1 << at)
+    if alive & cover:
+        raise table.wrap_error(alive & cover, cutpos)
+    n = len(free)
+    head = (1 << start) - 1  # positions the rotation visits last
+    rot = alive >> start | (alive & head) << (n - start)  # alive, rotated
+    levels: list[int] = []
+    parent = {}
+    best, best_at = 0, -1
+    while rot:
+        low = rot & -rot
+        rot ^= low
+        p = low.bit_length() - 1 + start
+        if p >= n:
+            p -= n
+        fp = free[p]
+        value = len(levels)
+        while value and not levels[value - 1] & fp:
+            value -= 1
+        if value:
+            m = levels[value - 1] & fp
+            first = m & ~head or m
+            parent[p] = (first & -first).bit_length() - 1
+        if value == len(levels):
+            levels.append(1 << p)
+        else:
+            levels[value] |= 1 << p
+        if value + 1 > best:
+            best, best_at = value + 1, p
+            if stop_at is not None and best >= stop_at:
                 break
-    length = value[best[0]][best[1]]
     chain = []
-    at = best
-    while at != (0, 0):
-        gi3, j3 = at
-        chain.append(groups[gi3 - 1][j3])
-        at = parent[gi3][j3]
-    return length, chain[::-1]
+    while best_at >= 0:
+        chain.append(table.order[best_at])
+        best_at = parent.get(best_at, -1)
+    return best, chain[::-1]
 
 
 def solve_igm_fuzzy_ca(model: FuzzyArcModel, h: Pattern, k: int) -> Matching | None:
@@ -119,9 +218,9 @@ def solve_igm_fuzzy_ca(model: FuzzyArcModel, h: Pattern, k: int) -> Matching | N
         return None
     if k == 1:
         return revalidated(Matching((occs[0],)), g, h, "single occurrence")
-    _, conflict = _occurrence_masks(g, occs)
+    table = _ChainTable(model, g, occs)
     for star in range(len(occs)):
-        length, chain = _residual_chain(model, occs, conflict, star, stop_at=k - 1)
+        length, chain = _residual_chain(table, star, stop_at=k - 1)
         if 1 + length >= k:
             picked = [occs[star]] + [occs[i] for i in chain[: k - 1]]
             matching = Matching(tuple(sorted(picked, key=lambda o: o.vertices)))

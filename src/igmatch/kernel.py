@@ -472,9 +472,6 @@ class Distribution:
             raise InputError("demands must be positive integers")
         object.__setattr__(self, "counts", pairs)
 
-    def count(self, eid) -> int:
-        return dict(self.counts).get(eid, 0)
-
     @property
     def is_idle(self) -> bool:
         return not self.counts

@@ -17,8 +17,9 @@ occurrence enumeration, conflict masks and the longness test, and
 embedding search and the g_map edge check, ``find_igm_reference`` and
 ``max_igm_reference`` the two separate packing searches that one search
 replaced, and ``interval_wis_reference`` and ``long_arc_reference`` those of
-the interval witness rebuild and the per-cut long-arc solver, and ``realize_reference`` and
-``model_report_reference`` the all-pairs model realization and validation,
+the interval witness rebuild and the per-cut long-arc solver, ``realize_reference`` and
+``model_report_reference`` the all-pairs model realization and validation, and
+``residual_chain_reference`` the fuzzy solver's per-star chain program,
 for differential tests that require identical output.  ``fuzzy_dp_profile`` runs
 the fuzzy solver's own residual chain from every committed occurrence, and
 ``covered_subgraph`` reads a matching's footprint off the package's strip
@@ -30,7 +31,7 @@ import itertools
 
 from igmatch.color_coding import ElementColoring
 from igmatch.errors import InputError, InternalError
-from igmatch.fuzzy_solver import _residual_chain
+from igmatch.fuzzy_solver import _ChainTable, _residual_chain
 from igmatch.graphs import (
     Graph,
     Matching,
@@ -559,6 +560,76 @@ def all_colorings(elements, palette):
         yield ElementColoring(dict(zip(elements, combo)))
 
 
+def residual_chain_reference(model: FuzzyArcModel, occs, conflict, star: int,
+                             stop_at: int | None):
+    """Best compatible chain after committing to occurrence ``star``.
+
+    Returns (length, chain) where the chain lists occurrence indices in
+    left-to-right order, all compatible with each other and with the star.
+    With ``stop_at`` set, returns as soon as the chain length reaches it.
+
+    The fuzzy solver's earlier program: it cuts, sorts and groups the
+    survivors again for each star, and compares each occurrence with every
+    member of every earlier group.  ``conflict`` is indexed like ``occs``.
+    """
+    arcs = model.arcs.arcs
+    c4 = 4 * model.arcs.circumference
+    # cut strictly inside the star's first arc; quarter offsets cannot hit
+    # any arc endpoint, and an arc covering this interior point would overlap
+    # the star's arc in more than one point, hence belong to N[H*]
+    cutpos = (4 * arcs[occs[star].vertices[0]].s + 1) % c4
+    blocked = conflict[star]
+    entries = []  # (right endpoint, occurrence index)
+    for i in range(len(occs)):
+        if i == star or (blocked >> i) & 1:
+            continue
+        rbest = -1
+        for v in occs[i].vertices:
+            a = arcs[v]
+            l4 = (4 * a.s - cutpos) % c4
+            r4 = (4 * a.t - cutpos) % c4
+            if l4 >= r4:
+                raise InternalError(
+                    f"arc {v} wraps the cut point of the residual model"
+                )
+            rbest = max(rbest, r4)
+        entries.append((rbest, i))
+    entries.sort()
+    # group by point: point index 0 is the fake entry, compatible with all
+    points: list[int] = []
+    groups: list[list[int]] = []
+    for r4, i in entries:
+        if not points or points[-1] != r4:
+            points.append(r4)
+            groups.append([])
+        groups[-1].append(i)
+    # value[0][0] is the fake entry
+    value: list[list[int]] = [[0]] + [[] for _ in groups]
+    parent: list[list[tuple[int, int]]] = [[(-1, -1)]] + [[] for _ in groups]
+    best = (0, 0)
+    for gi, oi in ((gi, oi) for gi, group in enumerate(groups, start=1) for oi in group):
+        bv, bp = 0, (0, 0)
+        for gi2 in range(1, gi):
+            for j2, oi2 in enumerate(groups[gi2 - 1]):
+                v2 = value[gi2][j2]
+                if v2 > bv and not (conflict[oi] >> oi2) & 1:
+                    bv, bp = v2, (gi2, j2)
+        value[gi].append(1 + bv)
+        parent[gi].append(bp)
+        if 1 + bv > value[best[0]][best[1]]:
+            best = (gi, len(value[gi]) - 1)
+            if stop_at is not None and 1 + bv >= stop_at:
+                break
+    length = value[best[0]][best[1]]
+    chain = []
+    at = best
+    while at != (0, 0):
+        gi3, j3 = at
+        chain.append(groups[gi3 - 1][j3])
+        at = parent[gi3][j3]
+    return length, chain[::-1]
+
+
 def fuzzy_dp_profile(model, h) -> tuple[int, ...]:
     """Best matching size through each committed occurrence, in order.
 
@@ -569,11 +640,8 @@ def fuzzy_dp_profile(model, h) -> tuple[int, ...]:
     occs = enumerate_occurrences(g, h)
     if not occs:
         return ()
-    _, conflict = _occurrence_masks(g, occs)
-    return tuple(
-        1 + _residual_chain(model, occs, conflict, star, None)[0]
-        for star in range(len(occs))
-    )
+    table = _ChainTable(model, g, occs)
+    return tuple(1 + _residual_chain(table, star, None)[0] for star in range(len(occs)))
 
 
 def covered_subgraph(ss, m) -> tuple[tuple, tuple]:

@@ -1,4 +1,6 @@
+import os
 import random
+import sys
 
 import pytest
 
@@ -9,16 +11,23 @@ from igmatch.graphs import (
     Graph,
     Occurrence,
     Pattern,
+    _occurrence_masks,
     compatible,
     complete_graph,
     cycle_graph,
     disjoint_union,
+    enumerate_occurrences,
     path_graph,
     star_graph,
 )
 from igmatch.models import Arc, ArcModel, FuzzyArcModel, realize
 
-from oracles import fuzzy_dp_profile, igm_exhaustive, max_igm_exhaustive
+from oracles import (
+    fuzzy_dp_profile,
+    igm_exhaustive,
+    max_igm_exhaustive,
+    residual_chain_reference,
+)
 from randgen import random_fuzzy_arc_model
 
 
@@ -31,6 +40,16 @@ K1 = Pattern.of(Graph(1, []))
 K2 = Pattern.of(path_graph(2))
 P3 = Pattern.of(path_graph(3))
 K3 = Pattern.of(cycle_graph(3))
+P4 = Pattern.of(path_graph(4))
+
+
+def _bench_gen():
+    bench = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "perfbench")
+    if bench not in sys.path:
+        sys.path.append(bench)
+    import gen
+
+    return gen
 
 
 def test_compatible_examples_on_p5():
@@ -146,6 +165,75 @@ def test_fuzzy_profile_maximum_is_the_optimum():
             else:
                 assert opt == 0
     assert checked >= 8
+
+
+def test_residual_chain_matches_the_reference_star_by_star():
+    # the per-solve table and per-star sweep give every star the (length,
+    # chain) of the per-star program, early stops included; the reference
+    # is cubic in the occurrence count, so larger occurrence lists are left
+    # to the pinned corpus and the solve-level tests
+    gen = _bench_gen()
+    rng = random.Random(113)
+    stars = sizes = 0
+    for trial in range(24):
+        n = 4 + trial * 26 // 23
+        if trial % 2:
+            model = gen.fuzzy_arc_model(rng, n, max(2, n // 2 + 2))
+        else:
+            model = random_fuzzy_arc_model(rng, n, max(4, n // 2 + 2))
+        g = realize(model)
+        for h in (K2, P3, K3, P4):
+            occs = enumerate_occurrences(g, h)
+            if not occs or len(occs) > 150:
+                continue
+            _, conflict = _occurrence_masks(g, occs)
+            table = fuzzy_solver._ChainTable(model, g, occs)
+            for star in range(len(occs)):
+                for stop_at in (None, 2, 3, 4):
+                    want = residual_chain_reference(model, occs, conflict, star, stop_at)
+                    got = fuzzy_solver._residual_chain(table, star, stop_at)
+                    assert got == want, (trial, h.graph.edges, star, stop_at)
+                stars += 1
+            sizes = max(sizes, n)
+    assert stars > 3000 and sizes == 30
+
+
+def test_wrap_check_names_the_reference_arc():
+    # with the star's conflicts dropped, survivors have arcs over the cut;
+    # both programs blame the same arc of the same occurrence
+    model = random_fuzzy_arc_model(random.Random(127), 12, 8)
+    g = realize(model)
+    occs = enumerate_occurrences(g, P3)
+    _, conflict = _occurrence_masks(g, occs)
+    table = fuzzy_solver._ChainTable(model, g, occs)
+    full = (1 << len(occs)) - 1
+    raised = 0
+    for star in range(len(occs)):
+        table.free[table.position[star]] = full
+        with pytest.raises(InternalError, match="wraps the cut point") as want:
+            residual_chain_reference(model, occs, conflict[:star] + [0] + conflict[star + 1:],
+                                     star, None)
+        with pytest.raises(InternalError) as got:
+            fuzzy_solver._residual_chain(table, star, None)
+        assert str(got.value) == str(want.value)
+        raised += 1
+    assert raised > 10
+
+
+def test_fuzzy_no_instance_builds_one_table(monkeypatch):
+    # 840 K2 occurrences, none of which reaches k: the table and the
+    # conflict masks are built once per solve, and each occurrence is the
+    # star of exactly one sweep
+    model = _bench_gen().fuzzy_arc_model(random.Random(7), 80, 40)
+    counts = dict.fromkeys(("_ChainTable", "_occurrence_masks", "_residual_chain"), 0)
+    for name in counts:
+        def counted(*args, _name=name, _fn=getattr(fuzzy_solver, name), **kwargs):
+            counts[_name] += 1
+            return _fn(*args, **kwargs)
+
+        monkeypatch.setattr(fuzzy_solver, name, counted)
+    assert solve_igm_fuzzy_ca(model, K2, 1000) is None
+    assert counts == {"_ChainTable": 1, "_occurrence_masks": 1, "_residual_chain": 840}
 
 
 # ---------------------------------------------------------------------------
