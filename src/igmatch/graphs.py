@@ -543,8 +543,10 @@ def _occurrence_masks(g: Graph, occs: list[Occurrence]):
     """Bitmask closed neighborhoods and conflict masks for occurrence DFS.
 
     Occurrence j conflicts with occurrence i iff a vertex of j lies in the
-    closed neighborhood of i, so i's conflict mask ORs, over that closed
-    neighborhood, the masks of the occurrences through each vertex.
+    closed neighborhood of i.  The closed neighborhood of a vertex set is
+    the union of its members' closed neighborhoods, so with ``near[v]`` the
+    mask of the occurrences through N[v], i's conflict mask ORs ``near``
+    over i's vertices.
     """
     through = [0] * g.n
     vmask = []
@@ -554,11 +556,17 @@ def _occurrence_masks(g: Graph, occs: list[Occurrence]):
             m |= 1 << v
             through[v] |= 1 << i
         vmask.append(m)
+    near = [0] * g.n  # read only at vertices of occurrences
+    for v, m in enumerate(through):
+        if m:
+            for w in g.neighbors(v):
+                m |= through[w]
+            near[v] = m
     conflict = []
     for i, o in enumerate(occs):
         ci = 0
-        for w in g.closed_neighborhood_of_set(o.vertices):
-            ci |= through[w]
+        for v in o.vertices:
+            ci |= near[v]
         conflict.append(ci & ~(1 << i))
     return vmask, conflict
 

@@ -8,8 +8,15 @@ coexist in an induced matching exactly when those spans are disjoint.
 
 For long proper circular-arc hosts the solver enumerates the host's
 occurrences and sorts them into those classes once, in one table per host,
-then cuts the circle open at each containment-equivalence representative
-and runs the same auxiliary-interval step on the classes the cut keeps.
+then cuts the circle open at each containment-equivalence representative.
+A cut only counts: it walks the classes in the host's order of right ends,
+rotated to start past the cut point, skips the classes with an arc over the
+point, and runs the earliest-right-end greedy for disjoint intervals, which
+gives the interval step's optimum at unit weight (the classic cut-and-sweep
+of circular-arc independent set: Hsu and Tsai, IPL 1991; Golumbic and
+Hammer, J. Algorithms 1988).  Only the first cut whose count reaches k is
+built and solved by the interval step, which returns its witness.  The arcs
+over every representative come from one prefix-XOR sweep of the arcs' ends.
 A single occurrence can wrap the whole circle, so that every cut destroys
 it; when the target is one occurrence and every cut fails, a direct
 occurrence search on the realized host settles it.
@@ -18,7 +25,10 @@ occurrence search on the realized host settles it.
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right, insort
+from itertools import accumulate, chain
 from math import inf
+from operator import xor
+from typing import NamedTuple
 
 from .errors import InputError, InternalError, SizeCapError
 from .graphs import (
@@ -146,42 +156,80 @@ def _interval_step(classes, spans, k: int) -> Matching | None:
 
 
 def _cover(model: ArcModel):
-    """p2 -> the mask of the arcs that contain the doubled point p2, as ``point_in_arc``."""
+    """p2 -> the mask of the arcs that contain the doubled point p2.
+
+    One prefix-XOR sweep over the span table: an arc toggles its bit at its
+    start and just past its end, and a wrapping arc does so in two pieces
+    (at 0 and just past its end, then at its start).  The XOR of the toggles
+    at or before p2 mod 2C then holds exactly the arcs over p2, and each
+    probe is one bisection.
+    """
     c2 = 2 * model.circumference
-    spans = arc_spans(model)
-    return lambda p2: sum(1 << i for i, (s2, d2) in enumerate(spans) if (p2 - s2) % c2 <= d2)
+    flips: dict[int, int] = {}
+    for i, (s2, d2) in enumerate(arc_spans(model)):
+        past = s2 + d2 + 1  # odd, so never 2C: below it iff the arc does not wrap
+        for at in ((s2, past) if past < c2 else (0, past - c2, s2)):
+            flips[at] = flips.get(at, 0) ^ (1 << i)
+    starts = sorted(flips)
+    masks = list(accumulate(map(flips.__getitem__, starts), xor))
+
+    def over(p2: int) -> int:
+        j = bisect_right(starts, p2 % c2)
+        return masks[j - 1] if j else 0
+
+    return over
 
 
-def _dedup_points(model: ArcModel) -> list[int]:
-    """Representatives with distinct containing-arc sets, for cut sweeps.
+def _dedup_points(model: ArcModel, over) -> list[tuple[int, int]]:
+    """(p2, removed mask) per distinct containing-arc set, for cut sweeps.
 
     Two cut points removing the same arc set leave identical survivor graphs,
-    so one per set suffices for anything driven by the cut graph alone.
+    so one per set suffices for anything driven by the cut graph alone.  The
+    representative of a set is its first point in ascending order, and the
+    sets come in the order of their representatives.
     """
-    over = _cover(model)
     first: dict[int, int] = {}
     for p2 in equivalence_points_doubled(model):
         first.setdefault(over(p2), p2)
-    return list(first.values())
+    return [(p2, mask) for mask, p2 in first.items()]
 
 
-def _arc_table(model: ArcModel, occs: list[Occurrence]):
-    """(key, (vertex mask, representative)) per class of ``occs``, in key order.
+class _ArcTable(NamedTuple):
+    """The classes of one host's occurrences, read by every cut.
+
+    ``classes`` holds (key, (vertex mask, representative)) in key order;
+    ``sweep`` holds (2t of the rightmost arc, 2s of the leftmost arc, vertex
+    mask) per class, sorted by that doubled right end.
+    """
+
+    classes: list
+    sweep: list
+
+
+def _arc_table(model: ArcModel, occs: list[Occurrence], over) -> _ArcTable:
+    """The class table of ``occs``, built once per host; ``over`` is the
+    host's ``_cover``.
 
     The arcs of a connected occurrence that avoids a cut point unite into one
     arc U of the circle that misses the point, and the cut line orders U's
     points as U does.  So the occurrence's leftmost and rightmost arcs are the
     same in every cut that keeps it: the first arcs in its order (as min and
-    max break ties) with no arc of it just outside their start, or end.  A cut
-    keeps it iff the point lies off U, so a class is kept or dropped whole.
-    ``cut_at_point`` numbers the kept arcs in ascending id order, so sorting
-    classes by old ids equals sorting them by new ids, and every witness is
-    the one a per-cut renumbering gives.  An occurrence whose arcs cover the
-    circle has no such ends; every cut removes it, and it gets no class.
+    max break ties) with no arc of it just before their start, or just past
+    their end.  A cut keeps it iff the point lies off U, so a class is kept or
+    dropped whole.  ``cut_at_point`` numbers the kept arcs in ascending id
+    order, so sorting classes by old ids equals sorting them by new ids, and
+    every witness is the one a per-cut renumbering gives.  An occurrence
+    whose arcs cover the circle has no such ends; every cut removes it, and
+    it gets no class.
+
+    The sweep order is the host's order of right ends.  A kept class's
+    rightmost arc avoids the cut point p2, so its right end e differs from
+    p2, and its cut right end (e - p2) mod 2C ranks the classes as the
+    rotation of that order that starts at the first e above p2.
     """
-    over = _cover(model)
-    before = [over(2 * a.s - 1) for a in model.arcs]
-    past = [over(2 * a.t + 1) for a in model.arcs]
+    arcs = model.arcs
+    before = [over(2 * a.s - 1) for a in arcs]
+    past = [over(2 * a.t + 1) for a in arcs]
     pairs = []
     for occ in occs:
         mask = sum(map((1).__lshift__, occ.vertices))
@@ -192,19 +240,52 @@ def _arc_table(model: ArcModel, occs: list[Occurrence]):
                         pairs.append(((lm, rm), (mask, occ)))
                         break
                 break
-    return _classes(pairs)
+    classes = _classes(pairs)
+    sweep = sorted((2 * arcs[rm].t, 2 * arcs[lm].s, mask) for (lm, rm), (mask, _) in classes)
+    return _ArcTable(classes, sweep)
 
 
-def _cut_solve(model: ArcModel, k: int, p2: int, table) -> Matching | None:
-    """Solve on the interval instance obtained by cutting the circle at p2.
+def _cut_solve(model: ArcModel, k: int, p2: int, removed: int, table: _ArcTable
+               ) -> Matching | None:
+    """Solve on the interval instance obtained by cutting the circle at p2,
+    which removes the arcs of ``removed``.
 
     The ``_arc_table`` classes whose masks avoid the removed arcs are the cut
-    graph's own, in order; only their endpoints come from the cut, which is
-    proper, since unrolling keeps each kept arc's point set.
+    graph's own.  Each becomes the closed interval from its leftmost arc's
+    cut start to its rightmost arc's cut end, and two classes coexist iff
+    those intervals are disjoint.  The sweep counts a maximum set of
+    pairwise disjoint intervals by the earliest-right-end greedy, in the
+    rotated host order (see ``_arc_table``): a greedy pick ends first among
+    the intervals still free, so any optimum can trade its first such
+    interval for it.  That count is ``_best_weight`` at unit weight, so the
+    sweep stops as soon as it reaches k, and a cut whose count stays below
+    k answers None, as the interval step would.  Only a cut that reaches k
+    is built (``cut_at_point``) and solved by the interval step on the kept
+    classes in key order.  Cuts are tried in ``_dedup_points`` order, so the
+    cut that answers, and its witness, are those of solving every cut's
+    interval instance in full.
     """
+    c2 = 2 * model.circumference
+    sweep = table.sweep
+    start = bisect_right(sweep, (p2, inf))
+    count = last = 0  # every kept start lies past the cut, above 0
+    for e, s, mask in chain(sweep[start:], sweep[:start]):
+        if mask & removed:
+            continue
+        l, r = (s - p2) % c2, (e - p2) % c2
+        if not 0 < l <= r:
+            raise InternalError(
+                f"class spanning doubled [{s}, {e}] wraps past cut point {p2} despite avoiding it"
+            )
+        if l > last:
+            count += 1
+            if count == k:
+                break
+            last = r
+    else:
+        return None
     cut = cut_at_point(model, p2)
-    removed = sum(1 << v for v in cut.removed_ids)
-    alive = [(key, rep) for key, (mask, rep) in table if not mask & removed]
+    alive = [(key, rep) for key, (mask, rep) in table.classes if not mask & removed]
     return _interval_step(alive, dict(zip(cut.kept_ids, cut.intervals.items)), k)
 
 
@@ -227,8 +308,10 @@ def solve_igm_long_proper_ca(model: ArcModel, h: Pattern, k: int) -> Matching | 
     if k == 0:
         return Matching(())
     g = realize(model)
-    table = _arc_table(model, enumerate_occurrences(g, h))
-    tries = (_cut_solve(model, k, p2, table) for p2 in _dedup_points(model))
+    over = _cover(model)
+    table = _arc_table(model, enumerate_occurrences(g, h), over)
+    tries = (_cut_solve(model, k, p2, removed, table)
+             for p2, removed in _dedup_points(model, over))
     best = next((found for found in tries if found is not None), None)
     if best is None and k == 1:
         occ = find_occurrence(g, h)
@@ -261,7 +344,7 @@ def solve_igm_proper_ca_disconnected(model: ArcModel, h: Pattern, k: int) -> Mat
     for _ in range(k - 1):
         bundle_graph = disjoint_union(bundle_graph, h.graph)
     bundle = Pattern.of(bundle_graph)
-    for p2 in _dedup_points(model):
+    for p2, _ in _dedup_points(model, _cover(model)):
         cut = cut_at_point(model, p2)
         cg = realize(cut.intervals)
         emb = find_occurrence(cg, bundle)

@@ -9,11 +9,12 @@ no floating point anywhere.  Points exposed through the public API
 point p2 stands for p2 / 2 on the circle.
 
 Whole-model passes (``realize``, ``validate_arc_model``, the fuzzy resolution
-check, the arc solvers' point masks) read one span table, ``arc_spans``:
-(2s, clockwise doubled length) per arc.  The point p2 lies on an arc iff its
-clockwise offset (p2 - 2s) mod 2C is at most that length, one modular compare,
-so these passes make no call per pair; ``point_in_arc``, ``intersection_kind``,
-``arc_contains`` and ``covers_circle`` stay the single-pair definitions.
+check, the arc solvers' point masks, ``cut_at_point``) read one span table,
+``arc_spans``: (2s, clockwise doubled length) per arc.  The point p2 lies on
+an arc iff its clockwise offset (p2 - 2s) mod 2C is at most that length, one
+modular compare, so these passes make no call per pair; ``point_in_arc``,
+``intersection_kind``, ``arc_contains`` and ``covers_circle`` stay the
+single-pair definitions.
 
 An arc (s, t) on a circle of circumference C is the closed set of points
 traversed clockwise (increasing coordinates, wrapping at C) from s to t.
@@ -389,29 +390,31 @@ def cut_at_point(model: ArcModel, p2: int) -> CutResult:
     line at origin p2.
 
     Surviving arcs cannot wrap past p2, so each becomes a single interval
-    [(2s-p2) mod 2C, (2t-p2) mod 2C] in doubled coordinates.
+    [(2s-p2) mod 2C, (2t-p2) mod 2C] in doubled coordinates.  From the span
+    table: the start's offset l past p2 puts p2 on the arc iff l = 0 or the
+    arc's length reaches round to it (l + length >= 2C), and a kept arc ends
+    at l + length.
     """
     if not isinstance(p2, int):
         raise InputError(f"cut point {p2!r} must be an integer in doubled coordinates")
     c2 = 2 * model.circumference
     removed = []
     kept = []
-    for a in model.arcs:
-        if point_in_arc(model, a.id, p2):
-            removed.append(a.id)
-        else:
-            kept.append(a)
     intervals = []
-    for new_id, a in enumerate(kept):
-        l = (2 * a.s - p2) % c2
-        r = (2 * a.t - p2) % c2
+    for i, (s2, d2) in enumerate(arc_spans(model)):
+        l = (s2 - p2) % c2
+        r = l + d2
+        if l == 0 or r >= c2:
+            removed.append(i)
+            continue
         if not (0 < l < r < c2):
             raise InternalError(
-                f"arc {a.id} wraps past cut point {p2} despite not containing it"
+                f"arc {i} wraps past cut point {p2} despite not containing it"
             )
-        intervals.append(Interval(new_id, l, r))
+        intervals.append(Interval(len(kept), l, r))
+        kept.append(i)
     return CutResult(
         intervals=IntervalModel(intervals),
-        kept_ids=tuple(a.id for a in kept),
+        kept_ids=tuple(kept),
         removed_ids=tuple(removed),
     )

@@ -17,8 +17,10 @@ occurrence enumeration, conflict masks and the longness test, and
 embedding search and the g_map edge check, ``find_igm_reference`` and
 ``max_igm_reference`` the two separate packing searches that one search
 replaced, and ``interval_wis_reference`` and ``long_arc_reference`` those of
-the interval witness rebuild and the per-cut long-arc solver, ``realize_reference`` and
-``model_report_reference`` the all-pairs model realization and validation, and
+the interval witness rebuild and the per-cut long-arc solver,
+``arc_cover_reference`` the per-probe scan of the arcs over a point,
+``realize_reference`` and ``model_report_reference`` the all-pairs model
+realization and validation, and
 ``residual_chain_reference`` the fuzzy solver's per-star chain program,
 for differential tests that require identical output.  ``fuzzy_dp_profile`` runs
 the fuzzy solver's own residual chain from every committed occurrence, and
@@ -48,6 +50,7 @@ from igmatch.models import (
     IntervalModel,
     ModelReport,
     arc_contains,
+    arc_spans,
     covers_circle,
     cut_at_point,
     equivalence_points_doubled,
@@ -795,6 +798,14 @@ def _interval_step_reference(model, occs, k):
     _, _, witness = interval_wis_reference(aux)
     picked = tuple(classes[keys[i]] for i in witness[:k])
     return Matching(tuple(sorted(picked, key=lambda o: o.vertices)))
+
+
+def arc_cover_reference(model: ArcModel):
+    """p2 -> the mask of the arcs that contain the doubled point p2, as
+    ``point_in_arc``: the package's earlier per-probe scan of every arc."""
+    c2 = 2 * model.circumference
+    spans = arc_spans(model)
+    return lambda p2: sum(1 << i for i, (s2, d2) in enumerate(spans) if (p2 - s2) % c2 <= d2)
 
 
 def long_arc_reference(model, h, k):

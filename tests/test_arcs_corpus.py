@@ -4,7 +4,8 @@ The cases of seeds 301-303 (interval, long proper arc and fuzzy arc solves)
 are rebuilt with ``perfbench/workloads.py``, which is imported and never
 changed, and every solver's answer must equal the one recorded in
 ``arcs_witnesses.json``, occurrence for occurrence.
-One seed-301 long-arc no-instance also pins the work of a full cut sweep.
+Two seed-301 long-arc solves also pin the work of a cut sweep: a no-instance
+that tries every cut, and a yes-instance that builds one cut model.
 
 The file was recorded before the arc solvers stopped re-enumerating
 occurrences per cut.  Rewrite it only for an intended witness change:
@@ -56,12 +57,8 @@ def test_arcs_workload_witnesses_are_pinned():
             assert g == w, (seed, i)
 
 
-def test_long_arc_no_instance_builds_no_occurrence_per_cut(monkeypatch):
-    # the first long-arc P3 no-instance of seed 301 tries all 40 cuts; the
-    # per-cut renumbering built 4,138 occurrences, one per kept occurrence
-    # per cut, where the host's one class table builds none
-    case = next(c for c in _arcs_cases(301) if c.label == "long-arc-P3" and not c.expected)
-    counts = dict.fromkeys(("Occurrence", "_cut_solve", "cut_at_point"), 0)
+def _count_calls(monkeypatch, case, names):
+    counts = dict.fromkeys(names, 0)
     for name in counts:
         def counted(*args, _name=name, _fn=getattr(interval_solvers, name)):
             counts[_name] += 1
@@ -69,8 +66,26 @@ def test_long_arc_no_instance_builds_no_occurrence_per_cut(monkeypatch):
 
         monkeypatch.setattr(interval_solvers, name, counted)
     for _ in range(2):
-        assert case.solve(None) is None
-    assert counts == {"Occurrence": 0, "_cut_solve": 80, "cut_at_point": 80}
+        found = case.solve(None)
+        assert (found is not None) == case.expected
+    return counts
+
+
+def test_long_arc_no_instance_builds_no_occurrence_per_cut(monkeypatch):
+    # the first long-arc P3 no-instance of seed 301 tries all 40 cuts; the
+    # per-cut renumbering built 4,138 occurrences, one per kept occurrence
+    # per cut, where the host's one class table builds none, and a cut whose
+    # greedy count stays below k builds no cut model either
+    case = next(c for c in _arcs_cases(301) if c.label == "long-arc-P3" and not c.expected)
+    counts = _count_calls(monkeypatch, case, ("Occurrence", "_cut_solve", "cut_at_point"))
+    assert counts == {"Occurrence": 0, "_cut_solve": 80, "cut_at_point": 0}
+
+
+def test_long_arc_yes_instance_builds_one_cut_model(monkeypatch):
+    # only the cut whose count reaches k is unrolled and solved
+    case = next(c for c in _arcs_cases(301) if c.label == "long-arc-P3" and c.expected)
+    counts = _count_calls(monkeypatch, case, ("cut_at_point", "interval_wis"))
+    assert counts == {"cut_at_point": 2, "interval_wis": 2}
 
 
 if __name__ == "__main__":

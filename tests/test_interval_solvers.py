@@ -4,10 +4,13 @@ import sys
 
 import pytest
 
-from igmatch.errors import InputError, SizeCapError
+import igmatch.interval_solvers as interval_solvers
+from igmatch.errors import InputError, InternalError, SizeCapError
 from igmatch.graphs import Graph, Pattern, cycle_graph, enumerate_occurrences, path_graph
 from igmatch.interval_solvers import (
     _arc_table,
+    _best_weight,
+    _cover,
     _cut_solve,
     _dedup_points,
     interval_wis,
@@ -21,10 +24,12 @@ from igmatch.models import (
     Interval,
     IntervalModel,
     cut_at_point,
+    equivalence_points_doubled,
     realize,
 )
 
 from oracles import (
+    arc_cover_reference,
     igm_exhaustive,
     interval_wis_reference,
     long_arc_reference,
@@ -217,11 +222,13 @@ def test_ca_single_wrapping_occurrence_needs_fallback():
     h = Pattern.of(cycle_graph(6))
     occs = enumerate_occurrences(realize(C6_ARCS), h)
     assert [o.vertex_set() for o in occs] == [set(range(6))]
-    table = _arc_table(C6_ARCS, occs)
-    assert table == []
-    for p2 in _dedup_points(C6_ARCS):
-        assert set(cut_at_point(C6_ARCS, p2).removed_ids) & occs[0].vertex_set()
-        assert _cut_solve(C6_ARCS, 1, p2, table) is None
+    over = _cover(C6_ARCS)
+    table = _arc_table(C6_ARCS, occs, over)
+    assert table == ([], [])
+    for p2, removed in _dedup_points(C6_ARCS, over):
+        assert removed == sum(1 << v for v in cut_at_point(C6_ARCS, p2).removed_ids)
+        assert removed & sum(1 << v for v in occs[0].vertices)
+        assert _cut_solve(C6_ARCS, 1, p2, removed, table) is None
     got = solve_igm_long_proper_ca(C6_ARCS, h, 1)
     assert got is not None
     assert got.occurrences[0].vertex_set() == set(range(6))
@@ -294,6 +301,70 @@ def test_long_arc_table_matches_the_per_cut_reference():
             solved += 1
             k += 1
     assert solved == 152
+
+
+def _sweep_models():
+    # constructive long proper models, n = 6..30, three seeds each; the
+    # starts run round the whole circle, so the last arcs wrap past 0
+    for n in range(6, 31):
+        for seed in range(3):
+            rng = random.Random(1000 * n + seed)
+            yield gen.long_proper_arc_model(rng, n, length=rng.randint(2, min(15, n - 1)))
+
+
+def test_cover_sweep_matches_the_per_arc_reference():
+    probes = wrapping = at_zero = 0
+    for model in [C6_ARCS, *_sweep_models()]:
+        over, ref = _cover(model), arc_cover_reference(model)
+        points = (equivalence_points_doubled(model) + [2 * a.s - 1 for a in model.arcs]
+                  + [2 * a.t + 1 for a in model.arcs])
+        for p2 in points:
+            assert over(p2) == ref(p2), (model.arcs, p2)
+        probes += len(points)
+        wrapping += sum(a.t < a.s for a in model.arcs)
+        at_zero += sum(a.s == 0 for a in model.arcs)  # probed at -1
+    assert (probes, wrapping, at_zero) == (7258, 172, 23)
+
+
+def test_cut_count_matches_best_weight_at_every_cut(monkeypatch):
+    # a cut model is built iff the count reaches k, so building one at
+    # k = opt and none at k = opt + 1 pins the count to the interval step's
+    # optimum over the kept classes
+    built = []
+    monkeypatch.setattr(interval_solvers, "cut_at_point",
+                        lambda model, p2: built.append(p2) or cut_at_point(model, p2))
+    patterns = [Pattern.of(Graph(1, [])), Pattern.of(path_graph(2)), Pattern.of(path_graph(3))]
+    cuts = 0
+    for model in _sweep_models():
+        over = _cover(model)
+        g = realize(model)
+        points = _dedup_points(model, over)
+        for h in patterns:
+            table = _arc_table(model, enumerate_occurrences(g, h), over)
+            for p2, removed in points:
+                cut = cut_at_point(model, p2)
+                spans = dict(zip(cut.kept_ids, cut.intervals.items))
+                aux = [(spans[lm].l, spans[rm].r, 1)
+                       for (lm, rm), (mask, _) in table.classes if not mask & removed]
+                opt = _best_weight(aux, range(len(aux)))
+                if opt:
+                    assert _cut_solve(model, opt, p2, removed, table) is not None
+                    assert built.pop() == p2
+                assert _cut_solve(model, opt + 1, p2, removed, table) is None
+                assert not built
+                cuts += 1
+    assert cuts == 7731
+
+
+def test_cut_sweep_rejects_a_class_over_the_cut_point():
+    # a removed mask that misses the arcs over p2 leaves the class {0, 1}
+    # alive across the cut, with its cut start past its cut end
+    model = amodel(20, (0, 3), (1, 4), (10, 13), (11, 14))
+    occs = enumerate_occurrences(realize(model), Pattern.of(path_graph(2)))
+    table = _arc_table(model, occs, _cover(model))
+    assert _cut_solve(model, 2, 4, 0b0011, table) is None
+    with pytest.raises(InternalError, match="wraps past cut point 4"):
+        _cut_solve(model, 2, 4, 0, table)
 
 
 # ---------------------------------------------------------------------------
