@@ -699,7 +699,7 @@ def _max_interior_matching(sub: Graph, kept, h: Pattern, s, cert) -> tuple:
     # one search either way; it counts as exhaustive only when neither an
     # "alpha4" claim nor a tested independence number of at most 4 caps the
     # packing at four copies
-    exhaustive = cert != "alpha4" and brute_force_mis(sub)[0] > ALPHA_BOUND
+    exhaustive = cert != "alpha4" and brute_force_wis(sub, [1] * sub.n, ALPHA_BOUND + 1, 0)[0]
     return tuple(max_igm(sub, h, occurrences=occs)), exhaustive
 
 

@@ -663,6 +663,60 @@ def greedy_clique_partition(g: Graph) -> list[list[int]]:
     return parts
 
 
+def _clique_tables(cliques, n: int) -> tuple:
+    """The vertex mask of each clique, the clique of each vertex, and the
+    vertices of cliques i.. (index i)."""
+    cmask = [sum(1 << v for v in c) for c in cliques]
+    clique_of = [0] * n
+    for i, c in enumerate(cliques):
+        for v in c:
+            clique_of[v] = i
+    suffix = [0] * (len(cliques) + 1)
+    for i in range(len(cliques) - 1, -1, -1):
+        suffix[i] = suffix[i + 1] | cmask[i]
+    return cmask, clique_of, suffix
+
+
+def _propagate(cliques, nbr, tables, idx: int, blocked: int, fresh: int | None) -> int | None:
+    """A tight node's blocked set closed under the one-vertex-per-clique rule
+    of ``brute_force_wis``, or None if some open clique runs out.
+
+    ``fresh`` holds the vertices blocked since the last closed set on this
+    branch; None means there is none, and every open clique is checked.
+    """
+    cmask, clique_of, suffix = tables
+    live = suffix[idx]
+    # the cliques of these vertices are checked first
+    pending = live & ~blocked if fresh is None else live & fresh
+    queue, queued = [], 0
+    while pending:
+        low = pending & -pending
+        c = clique_of[low.bit_length() - 1]
+        pending &= ~cmask[c]
+        queue.append(c)
+        queued |= 1 << c
+    while queue:
+        c = queue.pop()
+        queued &= ~(1 << c)
+        free = cmask[c] & ~blocked
+        if not free:
+            return None
+        seen = live
+        for x in cliques[c]:
+            if free >> x & 1:
+                seen &= nbr[x]
+        seen &= ~blocked
+        blocked |= seen
+        while seen:
+            low = seen & -seen
+            d = clique_of[low.bit_length() - 1]
+            seen &= ~cmask[d]
+            if not queued >> d & 1:
+                queued |= 1 << d
+                queue.append(d)
+    return blocked
+
+
 def brute_force_wis(g: Graph, weights, k_card: int,
                     k_weight) -> tuple[bool, tuple[int, ...] | None]:
     """Does g have an independent set with >= k_card vertices and >= k_weight weight?
@@ -673,13 +727,41 @@ def brute_force_wis(g: Graph, weights, k_card: int,
     loss).  Returns (answer, witness or None).
 
     The bound is a forward check (Haralick and Elliott, 1980): at each node,
-    the cliques still to come that keep a vertex outside the blocked set can
-    add at most one vertex each, and at most their heaviest free vertex in
-    weight.  A node is cut when that cannot reach k_card or k_weight.  Blocked
-    sets only grow along a branch, so a cut subtree holds no solution; the
-    search visits the remaining nodes in the same order as a search with any
-    weaker sound bound, and so returns the same first witness.  Refuses
-    graphs above ``WIS_CAP_DEFAULT``.
+    the cliques still to come that keep a vertex outside the blocked set
+    (the open cliques) can add at most one vertex each, and at most their
+    heaviest free vertex in weight.  A node is cut when that cannot reach
+    k_card or k_weight.  Blocked sets only grow along a branch, so a cut
+    subtree holds no solution; the search visits the remaining nodes in the
+    same order as a search with any weaker sound bound, and so returns the
+    same first witness.
+
+    A node is *tight* when its size plus its open cliques is exactly k_card.
+    The slack ``size + open - k_card`` never grows along a branch (a pick
+    adds one vertex and closes at least its own clique; a skip adds none),
+    and a node with negative slack is cut, so every uncut node below a
+    tight node is tight: each open clique must give exactly one vertex to
+    any solution there.  A free vertex adjacent to every free vertex of
+    another open clique is therefore in no solution below a tight node, and
+    it is blocked; this repeats until nothing changes, and a clique that
+    loses its last free vertex refutes the node (arc consistency maintained
+    during search: Mackworth, 1977; Sabin and Freuder, 1994).  The removed
+    vertices stay excluded in the whole subtree, so this too cuts only
+    subtrees that hold no solution, and the first witness is the same.
+    Each step is one mask intersection per clique whose free vertices
+    shrank; below a closed node, a child starts from the vertices its pick
+    newly blocked.
+
+    The propagation waits until the forward check has cut as many nodes as
+    there are cliques, so a search that succeeds at once pays nothing for
+    it.  The kernel's "at least five independent vertices?" questions are
+    such searches: on 10-15 vertices, nearly all yes and often tight at the
+    root.  Propagating from the first node made them slower, while the
+    selection-clique no-instances, which the gate lets through, search
+    long enough to gain.
+
+    The picks are driven from an explicit stack, so the depth of the search
+    is not bounded by Python's recursion limit.  Refuses graphs above
+    ``WIS_CAP_DEFAULT``.
     """
     if g.n > WIS_CAP_DEFAULT:
         raise SizeCapError("brute_force_wis", g.n, WIS_CAP_DEFAULT)
@@ -697,13 +779,19 @@ def brute_force_wis(g: Graph, weights, k_card: int,
     for v in range(g.n):
         for w in g.neighbors(v):
             nbr[v] |= 1 << w
-    found: list[int] | None = None
-
-    def rec(idx: int, blocked: int, chosen: list[int], size: int, weight) -> bool:
-        nonlocal found
+    tables = None  # built when propagation first runs
+    # one entry per node on the branch whose picks are not all tried:
+    # [clique index, blocked, size, weight, next position in the clique,
+    # whether blocked is closed under propagation]; chosen holds the
+    # current pick of each
+    stack: list[list] = []
+    chosen: list[int] = []
+    dead_ends = 0
+    # the node to evaluate; fresh is passed on to _propagate
+    idx, blocked, size, weight, fresh = 0, 0, 0, 0, None
+    while True:
         if size >= k_card and weight >= k_weight:
-            found = list(chosen)
-            return True
+            return True, tuple(sorted(chosen))
         open_cliques, gain = 0, 0
         for i in range(idx, m):
             for v in heaviest_first[i]:
@@ -712,19 +800,42 @@ def brute_force_wis(g: Graph, weights, k_card: int,
                     gain += weights[v]
                     break
         if size + open_cliques < k_card or weight + gain < k_weight:
-            return False
-        for v in cliques[idx]:
-            if blocked >> v & 1:
-                continue
-            chosen.append(v)
-            if rec(idx + 1, blocked | nbr[v] | (1 << v), chosen, size + 1,
-                   weight + weights[v]):
-                return True
+            dead_ends += 1
+            blocked = None
+        else:
+            closed = size + open_cliques == k_card and dead_ends >= m
+            if closed:
+                if tables is None:
+                    tables = _clique_tables(cliques, g.n)
+                blocked = _propagate(cliques, nbr, tables, idx, blocked, fresh)
+        if blocked is not None:
+            top = [idx, blocked, size, weight, 0, closed]
+            stack.append(top)
+            pos = 0
+        elif stack:
+            top = stack[-1]
+            idx, blocked, size, weight, pos, closed = top
             chosen.pop()
-        return rec(idx + 1, blocked, chosen, size, weight)
-
-    ok = rec(0, 0, [], 0, 0)
-    return ok, (tuple(sorted(found)) if ok and found is not None else None)
+        else:
+            return False, None
+        clique = cliques[idx]
+        end = len(clique)
+        while pos < end and blocked >> clique[pos] & 1:
+            pos += 1
+        idx += 1
+        if pos < end:
+            v = clique[pos]
+            top[4] = pos + 1
+            chosen.append(v)
+            taken = nbr[v] | 1 << v
+            fresh = taken & ~blocked if closed else None
+            blocked |= taken
+            size += 1
+            weight += weights[v]
+        else:
+            # the skip is the last branch of a node: it replaces the node
+            stack.pop()
+            fresh = 0 if closed else None
 
 
 # ---------------------------------------------------------------------------

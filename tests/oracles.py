@@ -332,6 +332,55 @@ def wis_reference(g, weights, k_card: int, k_weight):
     return ok, (tuple(sorted(found)) if ok and found is not None else None)
 
 
+def wis_forward_check_reference(g, weights, k_card: int, k_weight):
+    """``brute_force_wis`` with the forward check and nothing more, as it was
+    before it propagated at tight nodes: (answer, witness or None).
+
+    A sound bound on the same search order as ``wis_reference``, so it
+    returns the same first witness, much faster on the large no-instances
+    of the subdivided encodings (about 0.3 s for the 120 of
+    ``test_kernel_corpus.py``, against about 24 s).
+    """
+    weights = list(weights)
+    if k_card <= 0 and k_weight <= 0:
+        return True, ()
+    cliques = greedy_clique_partition(g)
+    heaviest_first = [sorted(c, key=lambda v: -weights[v]) for c in cliques]
+    m = len(cliques)
+    nbr = [0] * g.n
+    for v in range(g.n):
+        for w in g.neighbors(v):
+            nbr[v] |= 1 << w
+    found = None
+
+    def rec(idx, blocked, chosen, size, weight):
+        nonlocal found
+        if size >= k_card and weight >= k_weight:
+            found = list(chosen)
+            return True
+        open_cliques, gain = 0, 0
+        for i in range(idx, m):
+            for v in heaviest_first[i]:
+                if not blocked >> v & 1:
+                    open_cliques += 1
+                    gain += weights[v]
+                    break
+        if size + open_cliques < k_card or weight + gain < k_weight:
+            return False
+        for v in cliques[idx]:
+            if blocked >> v & 1:
+                continue
+            chosen.append(v)
+            if rec(idx + 1, blocked | nbr[v] | (1 << v), chosen, size + 1,
+                   weight + weights[v]):
+                return True
+            chosen.pop()
+        return rec(idx + 1, blocked, chosen, size, weight)
+
+    ok = rec(0, 0, [], 0, 0)
+    return ok, (tuple(sorted(found)) if ok and found is not None else None)
+
+
 def is_isomorphic(a, b) -> bool:
     """Brute-force isomorphism test for desk-scale graphs."""
     if a.n != b.n or len(a.edges) != len(b.edges):

@@ -1,4 +1,5 @@
 import random
+import sys
 
 import pytest
 
@@ -283,6 +284,13 @@ def test_wis_matches_exhaustive():
             assert all(not g.has_edge(u, v) for u in witness for v in witness if u < v)
             assert len(witness) >= k_card
             assert sum(weights[v] for v in witness) >= k_weight
+
+
+def test_wis_search_depth_is_not_bounded_by_the_recursion_limit():
+    # one search level per clique: 1,200 singleton cliques, inside the cap
+    assert sys.getrecursionlimit() < 1200 <= graphs.WIS_CAP_DEFAULT
+    assert brute_force_wis(Graph(1200, []), [1] * 1200, 1200, 0) == (True, tuple(range(1200)))
+    assert brute_force_wis(path_graph(1200), [1] * 1200, 600, 0) == (True, tuple(range(0, 1200, 2)))
 
 
 def test_greedy_clique_partition_is_partition():

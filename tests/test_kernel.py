@@ -712,15 +712,35 @@ def test_full_cardinality_selections_pick_one_per_clique(k2):
         assert len(picked & set(clique)) == 1
 
 
+def _planted_selection_question(rng):
+    """1-7 cliques of 1-4 consecutive vertices with random cross edges, and
+    a cardinality target of one vertex per clique, one less, or random."""
+    sizes = [rng.randint(1, 4) for _ in range(rng.randint(1, 7))]
+    starts = list(itertools.accumulate(sizes, initial=0))
+    n, m = starts[-1], len(sizes)
+    edges = {e for a, b in zip(starts, starts[1:]) for e in itertools.combinations(range(a, b), 2)}
+    p = rng.uniform(0.2, 0.5)
+    edges |= {e for e in itertools.combinations(range(n), 2) if rng.random() < p}
+    weights = [rng.randint(0, 2) for _ in range(n)]
+    k_card = rng.choice((m, m - 1, rng.randint(0, m)))
+    return Graph(n, sorted(edges)), weights, k_card, rng.randint(0, m)
+
+
 def test_wis_witnesses_match_the_static_bound_reference(k2, k3):
     """Same answer and same witness as the static-bound search, on random
-    weighted graphs and on every selection-clique encoding of the fixtures."""
+    weighted graphs, on planted selection cliques and on every
+    selection-clique encoding of the fixtures."""
     questions = []
     rng = random.Random(2024)
     for _ in range(1000):
         g = random_graph(rng, rng.randint(0, 16), rng.uniform(0.05, 0.9))
         weights = [rng.randint(0, 6) for _ in range(g.n)]
         questions.append((g, weights, rng.randint(0, 7), rng.randint(0, 25)))
+    # planted cliques, 813 of them tight at the root (one vertex from every
+    # clique of the partition), which random graphs rarely are; 144 of
+    # these searches propagate
+    rng = random.Random(7031)
+    questions += [_planted_selection_question(rng) for _ in range(2000)]
     # the encodings the tests above build from the hand fixtures ...
     g = two_far_claims_host()
     builds = [(*two_stripe_p4(), hp, k) for hp in (k2, k3) for k in (2, 3)]
@@ -751,6 +771,16 @@ def test_wis_witnesses_match_the_static_bound_reference(k2, k3):
         inst = build_wis_instance(g, ss, k2, k)
         assert inst.graph.n == 60 and inst.k_card == 15
         assert wis_answer(inst) == igm_exhaustive(g, k2.graph, k) == (k == 2)
+        questions.append((inst.graph, inst.weights, inst.k_card, inst.k_weight))
+    # the benchmark's other encoded no-instances, one past the optimum, where
+    # the search propagates: K3 on the C5 sunlet, and K2 on the sunlet with
+    # five parallel copies of one cycle edge (the reduction step fires)
+    edges = [(i, (i + 1) % 5) for i in range(5)] + [(i, 5 + i) for i in range(5)]
+    bundle = line_graph(Multigraph(10, edges + [(0, 1)] * 5))
+    for g, hp, k, n in ((sunlet_line_graph(5), k3, 2, 60), (bundle, k2, 3, 70)):
+        assert igm_exhaustive(g, hp.graph, k - 1) and not igm_exhaustive(g, hp.graph, k)
+        inst = kernelize(g, hp, k)
+        assert inst.graph.n == n and len(inst.cliques) == inst.k_card
         questions.append((inst.graph, inst.weights, inst.k_card, inst.k_weight))
     for g, weights, k_card, k_weight in questions:
         want = wis_reference(g, weights, k_card, k_weight)

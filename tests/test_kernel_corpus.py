@@ -29,6 +29,7 @@ for an intended change to the encoding:
     PYTHONPATH=src python tests/test_kernel_corpus.py
 """
 
+import functools
 import hashlib
 import json
 import os
@@ -40,6 +41,7 @@ from igmatch.graphs import Graph, Pattern, complete_graph, path_graph
 from igmatch.strips import Strip, StripStructure, classify_strip
 from igmatch.trace import recording
 
+from oracles import wis_forward_check_reference
 from randgen import random_line_graph, random_subdivided_structure
 from test_color_coding import c11_two_stripes, two_stripe_p4
 from test_kernel import (
@@ -180,6 +182,12 @@ def _instances():
             yield label, inst, tuple(notes)
 
 
+@functools.cache
+def _built_instances() -> tuple:
+    """``_instances()``, built once for the tests that read them."""
+    return tuple(_instances())
+
+
 def _digest(inst, notes) -> str:
     fields = (inst.graph.n, inst.graph.edges, inst.weights, inst.k_card, inst.k_weight,
               inst.tags, inst.cliques, notes)
@@ -190,7 +198,7 @@ def test_kernel_encodings_are_pinned():
     with open(FIXTURE) as f:
         pinned = json.load(f)
     got, tags = [], set()
-    for label, inst, notes in _instances():
+    for label, inst, notes in _built_instances():
         got.append([label, _digest(inst, notes)])
         tags.update(inst.tags)
     assert [r[0] for r in got] == [r[0] for r in pinned]
@@ -200,6 +208,19 @@ def test_kernel_encodings_are_pinned():
     assert any(t.startswith("stripe:") and ":j" in t for t in tags)
     for g, w in zip(got, pinned):
         assert g == w, g[0]
+
+
+def test_subdivided_and_workload_encodings_match_the_wis_reference():
+    """The WIS search gives the same answer and witness as the forward-check
+    search on the two-member-stripe encodings and on the benchmark's
+    encodings, whose no-instances are where it propagates."""
+    solved = 0
+    for label, inst, _ in _built_instances():
+        if label.startswith(("sub", "workload")):
+            question = (inst.graph, inst.weights, inst.k_card, inst.k_weight)
+            assert graphs.brute_force_wis(*question) == wis_forward_check_reference(*question), label
+            solved += 1
+    assert solved == 120 + 38
 
 
 def _counted(monkeypatch, module, name) -> list:
