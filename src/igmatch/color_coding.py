@@ -54,17 +54,8 @@ from .fuzzy_solver import ALPHA_BOUND, solve_igm_fuzzy_ca, solve_igm_small_alpha
 from .strips import StripStructure, line_graph_strip_structure, validate_strip_structure
 from .trace import note
 
-__all__ = [
-    "BaseSurjection",
-    "ElementColoring",
-    "StripAssignment",
-    "HK_CAP_DEFAULT",
-    "structure_elements",
-    "coloring_family",
-    "step5_coloring",
-    "global_matching_step",
-    "solve_igm_claw_free",
-]
+# the claw-free entry and its size cap; the benchmark's layers keep their names unexported
+__all__ = ["HK_CAP_DEFAULT", "solve_igm_claw_free"]
 
 HK_CAP_DEFAULT = 6
 
@@ -742,9 +733,9 @@ def _realize_edge(ss, eid, fe: BaseEdge, align, h, cert):
         w = s.interior()[0]
         x = {} if fe.spot_token is None else {fe.spot_token: s.g_map[w]}
         return StripAssignment(eid, x, ())
-    members = ss.members(eid)
     J = s.graph
     za = ss.z_assign[eid]
+    members = tuple(sorted(za))
     bnd = {r: frozenset(J.neighbors(za[r])) for r in members}
     body = set(s.interior())
     strict = body - set().union(*bnd.values()) if bnd else set(body)
@@ -820,7 +811,7 @@ def solve_strip_interiors(ss: StripStructure, base: Base, surj: BaseSurjection, 
 # global assembly
 
 
-def step5_coloring(assignments) -> dict:
+def _step5_coloring(assignments) -> dict:
     """Host-vertex color map induced by realized tokens (group ids, >= 1)."""
     out: dict = {}
     for eid in sorted(assignments):
@@ -845,7 +836,7 @@ def global_matching_step(g: Graph, ss: StripStructure, assignments, h: Pattern, 
         if not set(assignments[eid].x_vertices.values()) <= image:
             raise InternalError(f"realized vertices escape strip-edge {eid}")
     classes: dict = {}
-    for v, grp in step5_coloring(assignments).items():
+    for v, grp in _step5_coloring(assignments).items():
         classes.setdefault(grp, []).append(v)
     found = []
     for grp in sorted(classes):

@@ -3,6 +3,9 @@
 Solver code should raise the most specific class that applies.
 """
 
+# every error a public entry raises
+__all__ = ["InputError", "InternalError", "SizeCapError"]
+
 
 class InputError(ValueError):
     """Caller-supplied data violates a documented precondition."""

@@ -40,6 +40,7 @@ from .graphs import (
 )
 from .models import FuzzyArcModel, realize
 
+# the fuzzy-arc and small-independence entries, and the bound the latter needs
 __all__ = [
     "ALPHA_BOUND",
     "solve_igm_fuzzy_ca",

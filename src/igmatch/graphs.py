@@ -31,6 +31,23 @@ from dataclasses import dataclass
 
 from .errors import InputError, InternalError, SizeCapError
 
+# the input and answer types, their constructors, and the solve of a kernel's WIS question
+__all__ = [
+    "Graph",
+    "Matching",
+    "Multigraph",
+    "Occurrence",
+    "Pattern",
+    "WIS_CAP_DEFAULT",
+    "brute_force_wis",
+    "complete_graph",
+    "cycle_graph",
+    "disjoint_union",
+    "line_graph",
+    "path_graph",
+    "star_graph",
+]
+
 MIS_CAP_DEFAULT = 30
 WIS_CAP_DEFAULT = 2000
 
@@ -645,7 +662,7 @@ def max_igm(g: Graph, h: Pattern, require_touch=(),
     return None if found is None else [occs[i] for i in found]
 
 
-def greedy_clique_partition(g: Graph) -> list[list[int]]:
+def _greedy_clique_partition(g: Graph) -> list[list[int]]:
     """Deterministic greedy partition of V(g) into cliques."""
     unassigned = set(range(g.n))
     parts = []
@@ -772,7 +789,7 @@ def brute_force_wis(g: Graph, weights, k_card: int,
         raise InputError("weights must be nonnegative")
     if k_card <= 0 and k_weight <= 0:
         return True, ()
-    cliques = greedy_clique_partition(g)
+    cliques = _greedy_clique_partition(g)
     heaviest_first = [sorted(c, key=lambda v: -weights[v]) for c in cliques]
     m = len(cliques)
     nbr = [0] * g.n
@@ -841,7 +858,7 @@ def brute_force_wis(g: Graph, weights, k_card: int,
 # ---------------------------------------------------------------------------
 # twins and line graphs
 
-def twin_classes(g: Graph) -> list[list[int]]:
+def _twin_classes(g: Graph) -> list[list[int]]:
     """Partition into true-twin classes (equal closed neighborhoods).
 
     Vertices in one class are pairwise adjacent, and any third vertex is
@@ -973,7 +990,7 @@ def recognize_line_graph(g: Graph) -> Multigraph | None:
         m = Multigraph(3, [(0, 1), (1, 2), (0, 2)])
         _check_identity_preimage(g, m)
         return m
-    classes = twin_classes(g)
+    classes = _twin_classes(g)
     reps = [c[0] for c in classes]
     class_of = {}
     for ci, c in enumerate(classes):

@@ -51,6 +51,13 @@ from .models import (
     validate_interval_model,
 )
 
+# one entry per question; interval_wis keeps its name unexported, as the benchmark times it
+__all__ = [
+    "solve_igm_long_proper_ca",
+    "solve_igm_proper_ca_disconnected",
+    "solve_igm_proper_interval",
+]
+
 DISCONNECTED_CAP = 8
 
 
@@ -128,10 +135,10 @@ def solve_igm_proper_interval(model: IntervalModel, h: Pattern, k: int) -> Match
     classes = _classes(((min(occ.vertices, key=lefts.__getitem__),
                          max(occ.vertices, key=rights.__getitem__)), occ)
                         for occ in enumerate_occurrences(g, h))
-    found = _interval_step(classes, model.items, k)
-    if found is None:
+    aux = [(lefts[lm], rights[rm], 1) for (lm, rm), _ in classes]
+    if _best_weight(aux, range(len(aux))) < k:
         return None
-    return revalidated(found, g, h, "auxiliary solution")
+    return revalidated(_interval_step(classes, aux, k), g, h, "auxiliary solution")
 
 
 def _classes(pairs) -> list:
@@ -143,13 +150,11 @@ def _classes(pairs) -> list:
     return sorted(first.items())
 
 
-def _interval_step(classes, spans, k: int) -> Matching | None:
-    """An induced matching of k class representatives, or None; a class spans
-    from its leftmost vertex's ``spans`` interval to its rightmost one's.
-    The witness is only rebuilt when the optimum reaches k."""
-    aux = [(spans[lm].l, spans[rm].r, 1) for (lm, rm), _ in classes]
-    if _best_weight(aux, range(len(aux))) < k:
-        return None
+def _interval_step(classes, aux, k: int) -> Matching:
+    """An induced matching of k class representatives, where ``aux[i]`` is
+    class i's interval (l, r, 1), from its leftmost vertex's left end to its
+    rightmost vertex's right end.  The caller has seen the optimum reach k,
+    so only the witness is rebuilt."""
     _, _, witness = interval_wis(aux)
     picked = (classes[i][1] for i in witness[:k])
     return Matching(tuple(sorted(picked, key=lambda o: o.vertices)))
@@ -259,9 +264,9 @@ def _cut_solve(model: ArcModel, k: int, p2: int, removed: int, table: _ArcTable
     the intervals still free, so any optimum can trade its first such
     interval for it.  That count is ``_best_weight`` at unit weight, so the
     sweep stops as soon as it reaches k, and a cut whose count stays below
-    k answers None, as the interval step would.  Only a cut that reaches k
-    is built (``cut_at_point``) and solved by the interval step on the kept
-    classes in key order.  Cuts are tried in ``_dedup_points`` order, so the
+    k answers None.  Only a cut that reaches k is built (``cut_at_point``),
+    and the interval step rebuilds its witness from the kept classes in key
+    order without testing the optimum again.  Cuts are tried in ``_dedup_points`` order, so the
     cut that answers, and its witness, are those of solving every cut's
     interval instance in full.
     """
@@ -286,7 +291,8 @@ def _cut_solve(model: ArcModel, k: int, p2: int, removed: int, table: _ArcTable
         return None
     cut = cut_at_point(model, p2)
     alive = [(key, rep) for key, (mask, rep) in table.classes if not mask & removed]
-    return _interval_step(alive, dict(zip(cut.kept_ids, cut.intervals.items)), k)
+    spans = dict(zip(cut.kept_ids, cut.intervals.items))
+    return _interval_step(alive, [(spans[lm].l, spans[rm].r, 1) for (lm, rm), _ in alive], k)
 
 
 def solve_igm_long_proper_ca(model: ArcModel, h: Pattern, k: int) -> Matching | None:

@@ -10,6 +10,14 @@ of behaviours per strip-edge and per strip-vertex and joins incompatible
 behaviours by edges, so independent sets of full cardinality are exactly the
 coherent behaviour descriptions and the best achievable weight equals the
 maximum matching size.
+
+``kernelize`` is the one entry.  It checks its input once, and the steps
+after it trust what they receive: a derived structure is valid by
+construction (``derive_strip_structure``), and a reduction step keeps a
+valid structure valid (``_delete_strips``).  ``bound_strip_graph``,
+``derive_strip_structure`` and ``build_wis_instance`` stay unexported but
+keep their names, because the benchmark times each of them by name as a
+layer.
 """
 
 import itertools
@@ -38,43 +46,14 @@ from .strips import (
 )
 from .trace import note, recording
 
-__all__ = [
-    "BoundResult",
-    "Distribution",
-    "WisInstance",
-    "apply_dis_degree_rule",
-    "bound_strip_graph",
-    "build_wis_instance",
-    "classify_promising",
-    "derive_strip_structure",
-    "dis_degree",
-    "dis_degree_threshold",
-    "distributions",
-    "kernelize",
-    "prune_useless_vertices",
-    "reduction_step_nonpromising",
-    "strip_edge_ceiling",
-    "trivial_no_wis",
-    "trivial_yes_wis",
-    "wis_size_ceiling",
-]
-
-
-def _require_kernel_pattern(h: Pattern) -> None:
-    if not h.is_connected:
-        raise InputError("kernelization needs a connected pattern")
-    if not h.is_complete:
-        raise InputError("kernelization is implemented for complete patterns only")
-    if h.h < 2:
-        # A one-vertex pattern asks for a plain independent set; that case
-        # never reaches the strip machinery.
-        raise InputError("the pattern needs at least two vertices")
+# kernelize asks the clique-pattern question, and WisInstance is its answer
+__all__ = ["WisInstance", "kernelize"]
 
 
 # ---------------------------------------------------------------------------
 # bounding rules
 
-def prune_useless_vertices(g: Graph, h: Pattern) -> Graph:
+def _prune_useless_vertices(g: Graph, h: Pattern) -> Graph:
     """Drop every host vertex that no copy of the pattern uses.
 
     Such vertices can join no matching at any target, so the answer is
@@ -86,52 +65,6 @@ def prune_useless_vertices(g: Graph, h: Pattern) -> Graph:
     if len(used) == g.n:
         return g
     return g.induced(sorted(used))
-
-
-def dis_degree(ss: StripStructure, r) -> int:
-    """Number of distinct strip-graph neighbours of r; parallel edges collapse."""
-    if r not in ss.r_vertices:
-        raise InputError(f"unknown strip-vertex {r!r}")
-    nbrs = set()
-    for _, ms in ss.edges:
-        if r in ms:
-            nbrs.update(m for m in ms if m != r)
-    return len(nbrs)
-
-
-def dis_degree_threshold(h: int, k: int) -> int:
-    """Distinct-neighbour count at which deleting C(r) costs exactly one copy."""
-    return 2 * h * (k - 1) + h
-
-
-def apply_dis_degree_rule(g: Graph, ss: StripStructure, h: Pattern, k: int, r):
-    """Delete the boundary clique C(r) and lower the target by one.
-
-    Sound once r has at least 2h(k-1) + h distinct strip-graph neighbours:
-    the copies of any (k-1)-matching of g - C(r) block boundaries at r in
-    fewer than that many directions, so one more copy through C(r) can
-    always be added back; conversely a k-matching loses at most one copy to
-    C(r).  Returns (reduced host, k - 1).
-    """
-    _require_kernel_pattern(h)
-    if k < 1:
-        raise InputError("the dis-degree rule needs a positive target")
-    d = dis_degree(ss, r)
-    thr = dis_degree_threshold(h.h, k)
-    if d < thr:
-        raise InputError(f"dis-degree of {r!r} is {d}, below the threshold {thr}")
-    cr = boundary_clique(ss, r)
-    return g.induced([v for v in range(g.n) if v not in cr]), k - 1
-
-
-def classify_promising(ss: StripStructure, h: Pattern) -> dict:
-    """Map each strip-edge to whether its strip holds a copy avoiding N[Z].
-
-    A copy in that region neither contains nor borders any vertex outside
-    its strip, so k promising strip-edges certify a yes answer outright.
-    """
-    _require_kernel_pattern(h)
-    return {eid: occ is not None for eid, occ in _promising_copies(ss, h).items()}
 
 
 def _promising_copies(ss: StripStructure, h: Pattern) -> dict:
@@ -147,9 +80,11 @@ def _promising_copies(ss: StripStructure, h: Pattern) -> dict:
     return out
 
 
-def reduction_step_nonpromising(g: Graph, ss: StripStructure, x, y, h: Pattern):
+def _reduction_step(g: Graph, ss: StripStructure, x, y, h: Pattern, copies: dict):
     """Thin the non-promising strips between x and y down to a fixed stock.
 
+    ``copies`` is ``_promising_copies(ss, h)``, under which more than 2h
+    strip-edges between the pair are non-promising (``_overloaded_pair``).
     Keeps up to 2h stripes (their two boundaries are usable independently)
     and, when fewer than h stripes exist, tops the stock up to h strips with
     spots; the interiors of the remaining non-promising strips between the
@@ -157,18 +92,8 @@ def reduction_step_nonpromising(g: Graph, ss: StripStructure, x, y, h: Pattern):
     strip had to use C(x) or C(y), and a kept strip can always stand in for
     it, so the answer is preserved.  Returns (reduced host, structure).
     """
-    _require_kernel_pattern(h)
-    for r in {x, y}:
-        if r not in ss.r_vertices:
-            raise InputError(f"unknown strip-vertex {r!r}")
     target = tuple(sorted({x, y}))
-    promising = classify_promising(ss, h)
-    nonprom = [eid for eid, ms in ss.edges if ms == target and not promising[eid]]
-    if len(nonprom) <= 2 * h.h:
-        raise InputError(
-            f"{len(nonprom)} non-promising strip-edges between {x!r} and {y!r}; "
-            f"the reduction step needs more than {2 * h.h}"
-        )
+    nonprom = [eid for eid, ms in ss.edges if ms == target and copies[eid] is None]
     stripes = [e for e in nonprom if ss.kinds[e] == "stripe"]
     rest = [e for e in nonprom if ss.kinds[e] != "stripe"]
     keep = set(stripes[: 2 * h.h])
@@ -178,6 +103,17 @@ def reduction_step_nonpromising(g: Graph, ss: StripStructure, x, y, h: Pattern):
 
 
 def _delete_strips(g: Graph, ss: StripStructure, drop) -> tuple[Graph, StripStructure]:
+    """Delete the strips of ``drop`` from the structure and their interiors
+    from the host.
+
+    A valid structure stays valid, so nothing re-checks the result.  The
+    kept interiors still partition the kept hosts, and the kept strips and
+    their z's are untouched (axioms 1 to 3); as interiors are disjoint, each
+    kept strip maps into the kept hosts.  Each C(r) loses only the
+    boundaries of deleted strips, so it stays a clique (axiom 4).  A host
+    edge that survives has both ends in kept interiors, so the strip or the
+    C(r) that held it still does (axiom 5).
+    """
     dropped = set(drop)
     gone = set()
     for eid in dropped:
@@ -189,14 +125,8 @@ def _delete_strips(g: Graph, ss: StripStructure, drop) -> tuple[Graph, StripStru
         if eid in dropped:
             continue
         s = ss.strips[eid]
-        try:
-            g_map = {jv: remap[hv] for jv, hv in s.g_map.items()}
-        except KeyError:
-            raise InputError(
-                "strip interiors overlap a deleted strip; validate the structure first"
-            ) from None
         edges.append((eid, ms))
-        strips[eid] = Strip(s.graph, s.z, g_map)
+        strips[eid] = Strip(s.graph, s.z, {jv: remap[hv] for jv, hv in s.g_map.items()})
         z_assign[eid] = dict(ss.z_assign[eid])
     live = sorted({m for _, ms in edges for m in ms})
     return g.induced(kept_hosts), StripStructure(tuple(live), tuple(edges), strips, z_assign)
@@ -242,7 +172,7 @@ def derive_strip_structure(g: Graph) -> StripStructure | None:
 # ---------------------------------------------------------------------------
 # the bounding loop
 
-def strip_edge_ceiling(h: int, k: int) -> int:
+def _strip_edge_ceiling(h: int, k: int) -> int:
     """Certified strip-edge count once the bounding loop settles.
 
     8h^3k^2 + k bounds the edges whose strips a maximal matching of size
@@ -305,21 +235,25 @@ def bound_strip_graph(g: Graph, h: Pattern, k: int,
     deletion at high dis-degree, or the parallel-strip reduction step.
     Without ``ss`` the structure is re-derived from the line-graph
     pre-images (``derive_strip_structure``) after every mutation.  A supplied
-    ``ss`` is validated, gets a single round, and the loop stops as soon as a
-    mutation invalidates it.
+    ``ss``, which ``kernelize`` has validated, gets a single round, and the
+    loop stops as soon as a mutation invalidates it.
+
+    The dis-degree of a strip-vertex r is its number of distinct strip-graph
+    neighbours; parallel edges collapse.  Once it reaches 2h(k-1) + h,
+    deleting the boundary clique C(r) and lowering the target by one
+    preserves the answer: the copies of any (k-1)-matching of g - C(r) block
+    boundaries at r in fewer than that many directions, so one more copy
+    through C(r) can always be added back; conversely a k-matching loses at
+    most one copy to C(r).
     """
-    _require_kernel_pattern(h)
-    if not isinstance(k, int) or k < 0:
-        raise InputError("k must be a nonnegative integer")
     supplied = ss is not None
     if supplied:
-        validate_strip_structure(g, ss).require_ok()
         note("supplied strip structure: one bounding round, no re-derivation")
 
     for _ in range(g.n + k + 2):
         if k <= 0:
             return BoundResult("decided", True, Matching(()), g, k, ss)
-        pruned = prune_useless_vertices(g, h)
+        pruned = _prune_useless_vertices(g, h)
         if pruned.n < g.n:
             note(f"pruned {g.n - pruned.n} vertices that join no copy")
             g = pruned
@@ -346,10 +280,16 @@ def bound_strip_graph(g: Graph, h: Pattern, k: int,
             if ss is None:
                 note("host is not a line graph; cannot derive a strip structure")
                 return BoundResult("partial", None, None, g, k, None)
-        thr = dis_degree_threshold(h.h, k)
-        big = next((r for r in ss.r_vertices if dis_degree(ss, r) >= thr), None)
+        nbrs = {r: set() for r in ss.r_vertices}
+        for _, ms in ss.edges:
+            if len(ms) == 2:
+                nbrs[ms[0]].add(ms[1])
+                nbrs[ms[1]].add(ms[0])
+        thr = 2 * h.h * (k - 1) + h.h
+        big = next((r for r in ss.r_vertices if len(nbrs[r]) >= thr), None)
         if big is not None:
-            g, k = apply_dis_degree_rule(g, ss, h, k, big)
+            cr = boundary_clique(ss, big)
+            g, k = g.induced([v for v in range(g.n) if v not in cr]), k - 1
             note(f"dis-degree rule removed C({big!r}); target now {k}")
             if supplied:
                 note("clique deletion invalidated the supplied structure; stopping")
@@ -365,7 +305,7 @@ def bound_strip_graph(g: Graph, h: Pattern, k: int,
         pair = _overloaded_pair(ss, copies, h)
         if pair is not None:
             x, y = pair
-            g, ss = reduction_step_nonpromising(g, ss, x, y, h)
+            g, ss = _reduction_step(g, ss, x, y, h, copies)
             note(f"reduction step thinned the strips between {x!r} and {y!r}")
             if supplied:
                 note("one bounding round applied; stopping")
@@ -373,7 +313,7 @@ def bound_strip_graph(g: Graph, h: Pattern, k: int,
             continue
         note(
             f"strip graph bounded: {len(ss.edges)} strip-edges "
-            f"(ceiling {strip_edge_ceiling(h.h, k)})"
+            f"(ceiling {_strip_edge_ceiling(h.h, k)})"
         )
         return BoundResult("reduced", None, None, g, k, ss)
     raise InternalError("bounding loop failed to make progress")
@@ -456,45 +396,23 @@ def _stripe_table(strip: Strip, h: Pattern, flip: bool) -> dict:
 # ---------------------------------------------------------------------------
 # demand distributions at a strip-vertex
 
-@dataclass(frozen=True)
-class Distribution:
-    """How many vertices one copy inside C(x) draws from each strip-edge.
-
-    counts lists (edge id, demand) pairs for the edges with positive demand,
-    sorted by edge id; the empty tuple is the idle choice, C(x) untouched.
-    """
-
-    counts: tuple
-
-    def __post_init__(self):
-        pairs = tuple(sorted(dict(self.counts).items()))
-        if any(not isinstance(c, int) or c <= 0 for _, c in pairs):
-            raise InputError("demands must be positive integers")
-        object.__setattr__(self, "counts", pairs)
-
-    @property
-    def is_idle(self) -> bool:
-        return not self.counts
-
-
-def distributions(ss: StripStructure, x, h: Pattern) -> tuple:
+def _distributions(ss: StripStructure, x, h: Pattern) -> list:
     """Each demand pattern a copy inside C(x) can place on the edges at x.
 
-    Demands are nonnegative, sum to the pattern order, and never exceed 1 on
-    a spot (its boundary is a single vertex); the idle pattern is included.
+    A pattern lists (edge id, demand) pairs for the edges with positive
+    demand, sorted by edge id.  Demands sum to the pattern order and never
+    exceed 1 on a spot (its boundary is a single vertex).  The idle pattern
+    (), C(x) untouched, comes first.
     """
-    _require_kernel_pattern(h)
-    if x not in ss.r_vertices:
-        raise InputError(f"unknown strip-vertex {x!r}")
     eids = [eid for eid, ms in ss.edges if x in ms]
     caps = [1 if ss.kinds[e] == "spot" else h.h for e in eids]
-    out = [Distribution(())]
+    out = [()]
     acc = []
 
     def rec(idx: int, remaining: int):
         if idx == len(eids):
             if remaining == 0:
-                out.append(Distribution(tuple(acc)))
+                out.append(tuple(sorted(acc)))
             return
         for c in range(min(caps[idx], remaining) + 1):
             if c:
@@ -504,7 +422,7 @@ def distributions(ss: StripStructure, x, h: Pattern) -> tuple:
                 acc.pop()
 
     rec(0, h.h)
-    return tuple(out)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -528,36 +446,20 @@ class WisInstance:
     tags: tuple
     cliques: tuple
 
-    def __post_init__(self):
-        w = tuple(self.weights)
-        t = tuple(self.tags)
-        if len(w) != self.graph.n or len(t) != self.graph.n:
-            raise InputError("one weight and one tag per vertex required")
-        if any(not isinstance(x, int) or x < 0 for x in w):
-            raise InputError("weights must be nonnegative integers")
-        # a tag splits on whitespace into itself alone iff it is nonempty
-        # and whitespace-free
-        if any(tag.split() != [tag] for tag in t):
-            raise InputError("tags must be nonempty and whitespace-free")
-        object.__setattr__(self, "weights", w)
-        object.__setattr__(self, "tags", t)
-        object.__setattr__(self, "cliques", tuple(tuple(c) for c in self.cliques))
 
-
-def trivial_yes_wis(k: int, why: str) -> WisInstance:
+def _trivial_yes_wis(k: int, why: str) -> WisInstance:
     """One zero-conflict vertex carrying the whole demanded weight; notes ``why``."""
     note(why)
-    kk = max(k, 0)
-    return WisInstance(Graph(1, ()), (kk,), 1, kk, ("trivial:yes",), ((0,),))
+    return WisInstance(Graph(1, ()), (k,), 1, k, ("trivial:yes",), ((0,),))
 
 
-def trivial_no_wis(k: int, why: str) -> WisInstance:
+def _trivial_no_wis(k: int, why: str) -> WisInstance:
     """A single vertex that can never reach cardinality two; notes ``why``."""
     note(why)
-    return WisInstance(Graph(1, ()), (0,), 2, max(k, 0), ("trivial:no",), ((0,),))
+    return WisInstance(Graph(1, ()), (0,), 2, k, ("trivial:no",), ((0,),))
 
 
-def wis_size_ceiling(ss: StripStructure, h: int) -> int:
+def _wis_size_ceiling(ss: StripStructure, h: int) -> int:
     """Certified cap on the number of selection vertices for a structure.
 
     Per strip-edge at most 2(h+2)^2 behaviours; per strip-vertex at most
@@ -606,30 +508,18 @@ def build_wis_instance(g: Graph, ss: StripStructure, h: Pattern, k: int) -> WisI
     the group stays unused, and a stripe meeting just one leaves that
     boundary untouched.  Consistency edges join choices that cannot hold
     together; each family below carries a comment naming its rule.
-    """
-    _require_kernel_pattern(h)
-    if not isinstance(k, int):
-        raise InputError("k must be an integer")
-    if k <= 0:
-        return trivial_yes_wis(k, "target k <= 0 is always satisfiable")
-    validate_strip_structure(g, ss).require_ok()
-    if any(not ms for _, ms in ss.edges):
-        raise InputError(
-            "0-member strip-edges carry no boundary; peel their strips off first"
-        )
-    if k == 1:
-        # Weight-1 selection vertices would match the demanded weight and the
-        # single-copy question is immediate, so decide it here.
-        if find_occurrence(g, h) is None:
-            return trivial_no_wis(1, "no copy of the pattern exists")
-        return trivial_yes_wis(1, "a single copy of the pattern suffices")
 
+    The input is trusted: ``ss`` is a valid structure of the host ``g``,
+    which the encoding reads only through the strips, each strip-edge has a
+    member and is a spot or a stripe, and k >= 2.  ``kernelize`` checks a
+    supplied structure so.  A derived one complies by construction: its
+    0-member edges are the host's isolated vertices, which pruning removes,
+    and a one-vertex strip is a spot or a stripe.  The bounding loop settles
+    every target below 2, as a pruned host that is not empty holds a copy.
+    """
     hh = h.h
     members_of = dict(ss.edges)
     kinds = ss.kinds
-    for eid, kind in kinds.items():
-        if kind == "neither":
-            raise InputError(f"strip-edge {eid!r} is neither a spot nor a stripe")
 
     tags: list[str] = []
     weights: list[int] = []
@@ -663,7 +553,7 @@ def build_wis_instance(g: Graph, ss: StripStructure, h: Pattern, k: int) -> WisI
         table = {}
         for key, w in _stripe_table(s, h, flip).items():
             if w >= k:
-                return trivial_yes_wis(
+                return _trivial_yes_wis(
                     k, f"strip-edge {eid!r} alone holds {w} disjoint copies"
                 )
             parts = "".join(f":{p}{v}" for p, v in zip(("i", "j", ""), key))
@@ -682,13 +572,13 @@ def build_wis_instance(g: Graph, ss: StripStructure, h: Pattern, k: int) -> WisI
     demand_v = {}
     for r in ss.r_vertices:
         choices = []
-        for dist in distributions(ss, r, h):
-            if dist.is_idle:
-                vid = new_vertex(f"occ:r{r}:idle", 0)
-            else:
-                suffix = ".".join(f"e{e}x{c}" for e, c in dist.counts)
+        for counts in _distributions(ss, r, h):
+            if counts:
+                suffix = ".".join(f"e{e}x{c}" for e, c in counts)
                 vid = new_vertex(f"occ:r{r}:{suffix}", 1)
-            choices.append((dict(dist.counts), vid))
+            else:
+                vid = new_vertex(f"occ:r{r}:idle", 0)
+            choices.append((dict(counts), vid))
         for eid in at_r[r]:
             if kinds[eid] == "stripe":
                 # Ib: the copy sticks out of stripe e, demand -1 on e
@@ -856,13 +746,37 @@ def kernelize(g: Graph, h: Pattern, k: int,
     round) is encoded as-is; one without a structure raises, naming the
     bounding steps.  The bounding steps and then the encoding's own remarks
     are noted to ``igmatch.trace``.
+
+    The input is checked here, once, and the steps trust it: ``h`` must be
+    complete, connected and of order at least two, ``k`` a nonnegative
+    integer, and a supplied ``ss`` a valid strip structure of ``g`` whose
+    strip-edges each have a member and are spots or stripes.
     """
+    if not h.is_connected:
+        raise InputError("kernelization needs a connected pattern")
+    if not h.is_complete:
+        raise InputError("kernelization is implemented for complete patterns only")
+    if h.h < 2:
+        # A one-vertex pattern asks for a plain independent set; that case
+        # never reaches the strip machinery.
+        raise InputError("the pattern needs at least two vertices")
+    if not isinstance(k, int) or k < 0:
+        raise InputError("k must be a nonnegative integer")
+    if ss is not None:
+        validate_strip_structure(g, ss).require_ok()
+        if any(not ms for _, ms in ss.edges):
+            raise InputError(
+                "0-member strip-edges carry no boundary; peel their strips off first"
+            )
+        for eid, kind in ss.kinds.items():
+            if kind == "neither":
+                raise InputError(f"strip-edge {eid!r} is neither a spot nor a stripe")
     with recording() as steps:
         br = bound_strip_graph(g, h, k, ss=ss)
     if br.status == "decided":
         if br.answer:
-            return trivial_yes_wis(k, "bounding settled the answer: yes")
-        return trivial_no_wis(k, "bounding settled the answer: no")
+            return _trivial_yes_wis(k, "bounding settled the answer: yes")
+        return _trivial_no_wis(k, "bounding settled the answer: no")
     if br.ss is None:
         raise InputError("cannot kernelize: " + "; ".join(steps))
     return build_wis_instance(br.graph, br.ss, h, br.k)

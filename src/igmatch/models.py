@@ -14,7 +14,9 @@ check, the arc solvers' point masks, ``cut_at_point``) read one span table,
 an arc iff its clockwise offset (p2 - 2s) mod 2C is at most that length, one
 modular compare, so these passes make no call per pair; ``point_in_arc``,
 ``intersection_kind``, ``arc_contains`` and ``covers_circle`` stay the
-single-pair definitions.
+single-pair definitions.  Of these only ``intersection_kind`` is exported,
+as a caller needs it to list a fuzzy model's one-point pairs; the other
+three stay as references for the tests.
 
 An arc (s, t) on a circle of circumference C is the closed set of points
 traversed clockwise (increasing coordinates, wrapping at C) from s to t.
@@ -27,6 +29,20 @@ from bisect import bisect_right
 from dataclasses import dataclass, field
 
 from .errors import InputError, InternalError
+
+# the model types, the host a model realizes, and the checks that pick an arc solver
+__all__ = [
+    "Arc",
+    "ArcModel",
+    "FuzzyArcModel",
+    "Interval",
+    "IntervalModel",
+    "ModelReport",
+    "intersection_kind",
+    "realize",
+    "validate_arc_model",
+    "validate_interval_model",
+]
 
 # ---------------------------------------------------------------------------
 # model types

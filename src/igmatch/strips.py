@@ -30,13 +30,12 @@ from dataclasses import dataclass
 from .errors import InputError
 from .graphs import Graph, find_star, recognize_line_graph, star_free
 
+# the structure types, their constructions, and the check a supplied structure must pass
 __all__ = [
     "Strip",
     "StripStructure",
     "AxiomCheck",
     "StructureReport",
-    "strip_invariant_failures",
-    "classify_strip",
     "strip_image",
     "boundary_clique",
     "validate_strip_structure",
@@ -116,12 +115,6 @@ class StripStructure:
     @functools.cached_property
     def kinds(self) -> dict:
         return {eid: classify_strip(self.strips[eid]) for eid, _ in self.edges}
-
-    def members(self, eid) -> tuple:
-        for e, ms in self.edges:
-            if e == eid:
-                return ms
-        raise InputError(f"no strip-edge {eid}")
 
 
 @dataclass(frozen=True)

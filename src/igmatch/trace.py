@@ -15,6 +15,7 @@ order.
 import contextlib
 import contextvars
 
+# the one diagnostics channel: make a note, collect the notes of a block
 __all__ = ["note", "recording"]
 
 _SINKS = contextvars.ContextVar("igmatch_trace_sinks", default=())

@@ -39,10 +39,10 @@ from igmatch.graphs import (
     Matching,
     Occurrence,
     Pattern,
+    _greedy_clique_partition,
     _occurrence_masks,
     enumerate_occurrences,
     find_occurrence,
-    greedy_clique_partition,
 )
 from igmatch.models import (
     ArcModel,
@@ -287,7 +287,7 @@ def wis_exhaustive(g, weights, k_card: int, k_weight) -> bool:
 def wis_reference(g, weights, k_card: int, k_weight):
     """``brute_force_wis`` with its static bounds: (answer, witness or None).
 
-    The same branching over ``greedy_clique_partition(g)``, cut only when
+    The same branching over ``_greedy_clique_partition(g)``, cut only when
     one vertex from every remaining clique, or the heaviest vertex of every
     remaining clique, could not reach the target.  Any sound bound on this
     search order returns the same first witness, so the solver must match
@@ -296,7 +296,7 @@ def wis_reference(g, weights, k_card: int, k_weight):
     weights = list(weights)
     if k_card <= 0 and k_weight <= 0:
         return True, ()
-    cliques = greedy_clique_partition(g)
+    cliques = _greedy_clique_partition(g)
     nbr = [0] * g.n
     for v in range(g.n):
         for w in g.neighbors(v):
@@ -344,7 +344,7 @@ def wis_forward_check_reference(g, weights, k_card: int, k_weight):
     weights = list(weights)
     if k_card <= 0 and k_weight <= 0:
         return True, ()
-    cliques = greedy_clique_partition(g)
+    cliques = _greedy_clique_partition(g)
     heaviest_first = [sorted(c, key=lambda v: -weights[v]) for c in cliques]
     m = len(cliques)
     nbr = [0] * g.n

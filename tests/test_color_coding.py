@@ -37,6 +37,7 @@ from igmatch.color_coding import (
     BaseEdge,
     BaseSurjection,
     ElementColoring,
+    _step5_coloring,
     base_palette,
     blank,
     check_condition1,
@@ -44,7 +45,6 @@ from igmatch.color_coding import (
     global_matching_step,
     solve_igm_claw_free,
     solve_strip_interiors,
-    step5_coloring,
     structure_elements,
 )
 from igmatch import strips
@@ -560,7 +560,7 @@ def test_assembly_finds_one_occurrence_per_group(k2):
     sa = StripAssignment(0, {T10: 0, T11: 1}, ())
     got = global_matching_step(g, ss, {0: sa}, k2, 1, 0)
     assert got == [Occurrence((0, 1))]
-    assert step5_coloring({0: sa}) == {0: 1, 1: 1}
+    assert _step5_coloring({0: sa}) == {0: 1, 1: 1}
 
 
 def test_assembly_skips_classes_missing_a_pattern_vertex(k2):
@@ -602,7 +602,7 @@ def test_literal_exhaustive_family_reproduces_the_answer(k2):
             extra = global_matching_step(g, ss, assignments, k2, 1, kp)
             if extra is None:
                 continue
-            colors = step5_coloring(assignments)
+            colors = _step5_coloring(assignments)
             for v, i in colors.items():
                 for u in g.neighbors(v):
                     assert colors.get(u, 0) in (0, i)

@@ -11,6 +11,9 @@ from igmatch.graphs import (
     Multigraph,
     Occurrence,
     Pattern,
+    _greedy_clique_partition,
+    _occurrence_masks,
+    _twin_classes,
     brute_force_mis,
     brute_force_wis,
     compatible,
@@ -22,15 +25,12 @@ from igmatch.graphs import (
     find_igm,
     find_occurrence,
     find_star,
-    greedy_clique_partition,
     line_graph,
     max_igm,
     path_graph,
     recognize_line_graph,
     star_free,
     star_graph,
-    twin_classes,
-    _occurrence_masks,
 )
 from oracles import (
     all_pairs_occurrence_masks,
@@ -297,7 +297,7 @@ def test_greedy_clique_partition_is_partition():
     rng = random.Random(3)
     for _ in range(20):
         g = random_graph(rng, rng.randint(0, 12), rng.random())
-        parts = greedy_clique_partition(g)
+        parts = _greedy_clique_partition(g)
         seen = [v for c in parts for v in c]
         assert sorted(seen) == list(range(g.n))
         for c in parts:
@@ -306,10 +306,10 @@ def test_greedy_clique_partition_is_partition():
 
 def test_twin_classes():
     # K4 collapses to one class, a path has no nontrivial twins
-    assert twin_classes(complete_graph(4)) == [[0, 1, 2, 3]]
-    assert twin_classes(path_graph(4)) == [[0], [1], [2], [3]]
+    assert _twin_classes(complete_graph(4)) == [[0, 1, 2, 3]]
+    assert _twin_classes(path_graph(4)) == [[0], [1], [2], [3]]
     g = Graph(4, [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3)])  # 0,1 are true twins
-    assert [c for c in twin_classes(g) if len(c) > 1] == [[0, 1]]
+    assert [c for c in _twin_classes(g) if len(c) > 1] == [[0, 1]]
 
 
 def test_line_graph_known_shapes():
@@ -386,7 +386,7 @@ def test_cover_search_fails_on_a_graph_whenever_on_its_twin_reduction():
         g = Graph(sum(copies), sorted(edges))
         if not star_free(g, 3):
             continue
-        reduced = g.induced([c[0] for c in twin_classes(g)])
+        reduced = g.induced([c[0] for c in _twin_classes(g)])
         if graphs._krausz_cover(reduced) is None:
             assert graphs._krausz_cover(g) is None
             failed += 1

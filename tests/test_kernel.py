@@ -20,24 +20,18 @@ from igmatch.graphs import (
     path_graph,
 )
 from igmatch.kernel import (
-    Distribution,
     WisInstance,
-    apply_dis_degree_rule,
+    _distributions,
+    _promising_copies,
+    _prune_useless_vertices,
+    _reduction_step,
+    _strip_edge_ceiling,
+    _stripe_table,
+    _wis_size_ceiling,
     bound_strip_graph,
     build_wis_instance,
-    classify_promising,
     derive_strip_structure,
-    dis_degree,
-    dis_degree_threshold,
-    distributions,
     kernelize,
-    prune_useless_vertices,
-    reduction_step_nonpromising,
-    strip_edge_ceiling,
-    trivial_no_wis,
-    trivial_yes_wis,
-    wis_size_ceiling,
-    _stripe_table,
 )
 from igmatch.strips import Strip, StripStructure, classify_strip, validate_strip_structure
 
@@ -182,6 +176,38 @@ def mixed_spot_stripe():
     return g, ss
 
 
+def forked_star_line_graph(legs: int) -> Graph:
+    """Line graph of a star whose every leaf forks into two pendant edges.
+
+    The star edges form the hub clique, and each leg adds the triangle of its
+    star edge and its two fork edges, so every copy of K3 meets the hub.
+    """
+    edges = []
+    for i in range(legs):
+        m = 1 + 3 * i
+        edges += [(0, m), (m, m + 1), (m, m + 2)]
+    return line_graph(Multigraph(1 + 3 * legs, edges))
+
+
+def long_leg_spider(legs: int) -> Graph:
+    """Line graph of a star with one pendant edge per leaf and a second one
+    beyond the first leaf.
+
+    Two disjoint copies of K2 exist, the far end of the long leg and a hub
+    edge, yet the greedy matching's first copy lies in the hub and blocks
+    every other copy.
+    """
+    edges = [(0, i) for i in range(1, legs + 1)]
+    edges += [(i, legs + i) for i in range(1, legs + 1)] + [(legs + 1, 2 * legs + 1)]
+    return line_graph(Multigraph(2 * legs + 2, edges))
+
+
+def sunlet_bundle(extra: int) -> Graph:
+    """The C5 sunlet's line graph with ``extra`` more copies of one cycle edge."""
+    edges = [(i, (i + 1) % 5) for i in range(5)] + [(i, 5 + i) for i in range(5)]
+    return line_graph(Multigraph(10, edges + [(0, 1)] * extra))
+
+
 def wheel_plus_path():
     """W5 (claw-free, not a line graph) next to a long path component."""
     edges = [(0, i) for i in range(1, 6)]
@@ -206,19 +232,21 @@ def wis_answer(inst: WisInstance) -> bool:
     return brute_force_wis(inst.graph, inst.weights, inst.k_card, inst.k_weight)[0]
 
 
+def promising(ss: StripStructure, hp: Pattern) -> dict:
+    """Each strip-edge to whether its strip holds a copy avoiding N[Z]."""
+    return {eid: occ is not None for eid, occ in _promising_copies(ss, hp).items()}
+
+
 # ---------------------------------------------------------------------------
 # pattern gate
 
 def test_entry_points_reject_unusable_patterns(p3, k1, k2):
+    # kernelize gates the pattern once, with or without a supplied structure
     g, ss = two_stripe_p4()
-    with pytest.raises(InputError):
-        build_wis_instance(g, ss, p3, 2)
-    with pytest.raises(InputError):
-        bound_strip_graph(g, p3, 2)
-    with pytest.raises(InputError):
-        distributions(ss, 0, k1)
-    with pytest.raises(InputError):
-        kernelize(g, p3, 2)
+    for hp in (p3, k1):
+        for supplied in (None, ss):
+            with pytest.raises(InputError):
+                kernelize(g, hp, 2, ss=supplied)
 
 
 # ---------------------------------------------------------------------------
@@ -226,11 +254,11 @@ def test_entry_points_reject_unusable_patterns(p3, k1, k2):
 
 def test_prune_drops_vertices_outside_every_copy(k2, k3):
     g = Graph(4, [(0, 1), (0, 2), (1, 2)])
-    pruned = prune_useless_vertices(g, k2)
+    pruned = _prune_useless_vertices(g, k2)
     assert pruned.n == 3 and len(pruned.edges) == 3
 
     k3_host = complete_graph(3)
-    assert prune_useless_vertices(k3_host, k3) is k3_host
+    assert _prune_useless_vertices(k3_host, k3) is k3_host
 
 
 def test_prune_preserves_answers_on_random_hosts(k2, k3):
@@ -238,7 +266,7 @@ def test_prune_preserves_answers_on_random_hosts(k2, k3):
     for _ in range(15):
         g = random_graph(rng, rng.randint(4, 9), 0.4)
         for hp in (k2, k3):
-            pruned = prune_useless_vertices(g, hp)
+            pruned = _prune_useless_vertices(g, hp)
             for k in (1, 2):
                 assert igm_exhaustive(g, hp.graph, k) == igm_exhaustive(
                     pruned, hp.graph, k
@@ -246,46 +274,58 @@ def test_prune_preserves_answers_on_random_hosts(k2, k3):
 
 
 # ---------------------------------------------------------------------------
-# the dis-degree rule
+# the dis-degree rule: deleting C(r) at 2h(k-1) + h distinct neighbours
 
-def test_dis_degree_threshold_arithmetic():
-    assert dis_degree_threshold(3, 2) == 9
-    assert dis_degree_threshold(2, 2) == 6
-    assert dis_degree_threshold(2, 1) == 2
+def _dis_degree_notes(g, hp, k):
+    with recording() as notes:
+        br = bound_strip_graph(g, hp, k)
+    return br, [n for n in notes if n.startswith("dis-degree")]
 
 
-def test_dis_degree_collapses_parallel_edges():
-    ss = derive_strip_structure(complete_graph(7))
-    # seven parallel spots but a single distinct neighbour on either side
-    assert dis_degree(ss, 0) == 1
-    assert dis_degree(ss, 1) == 1
-    with pytest.raises(InputError):
-        dis_degree(ss, 9)
+def test_dis_degree_collapses_parallel_edges(k2):
+    # ten parallel strip-edges and one more edge at a strip-vertex reach the
+    # threshold 10 of K2 at k = 3, but with two distinct neighbours the rule
+    # stays idle and the reduction step thins the parallel strips instead
+    g = sunlet_bundle(9)
+    with recording() as notes:
+        br = bound_strip_graph(g, k2, 3)
+    assert br.status == "reduced"
+    assert not any(n.startswith("dis-degree") for n in notes)
+    assert any(n.startswith("reduction step") for n in notes)
+    assert wis_answer(kernelize(g, k2, 3)) is False
+    assert igm_exhaustive(g, k2.graph, 3) is False
 
 
 def test_dis_degree_rule_fires_on_a_nine_spoke_hub(k3):
-    g = spider_line_graph(9, 2)
-    ss = derive_strip_structure(g)
-    hub = next(r for r in ss.r_vertices if dis_degree(ss, r) == 9)
-    reduced, k_next = apply_dis_degree_rule(g, ss, k3, 2, hub)
-    assert k_next == 1
-    assert reduced.n == 9 and not reduced.edges
-    assert igm_exhaustive(g, k3.graph, 2) == igm_exhaustive(reduced, k3.graph, 1)
+    # the threshold for K3 at k = 2 is 9: nine spokes fire the rule, eight do not
+    g = forked_star_line_graph(9)
+    br, fired = _dis_degree_notes(g, k3, 2)
+    assert len(fired) == 1 and fired[0].endswith("target now 1")
+    assert br.status == "decided" and br.answer is False
+    assert igm_exhaustive(g, k3.graph, 2) is False
+
+    g = forked_star_line_graph(8)
+    br, fired = _dis_degree_notes(g, k3, 2)
+    assert not fired and br.status == "reduced"
+    assert wis_answer(kernelize(g, k3, 2)) is igm_exhaustive(g, k3.graph, 2) is False
 
 
 def test_dis_degree_rule_preserves_a_yes_answer(k2):
-    g = spider_line_graph(6, 3)
-    ss = derive_strip_structure(g)
-    hub = next(r for r in ss.r_vertices if dis_degree(ss, r) == 6)
-    reduced, k_next = apply_dis_degree_rule(g, ss, k2, 2, hub)
+    # the threshold for K2 at k = 2 is 6; the greedy matching stops at one
+    # copy, so the rule fires and the lowered target still answers yes
+    g = long_leg_spider(6)
+    br, fired = _dis_degree_notes(g, k2, 2)
+    assert len(fired) == 1
+    assert br.status == "decided" and br.answer is True
     assert igm_exhaustive(g, k2.graph, 2) is True
-    assert igm_exhaustive(reduced, k2.graph, k_next) is True
 
 
 def test_dis_degree_rule_refuses_below_threshold(k2):
-    g, ss = c11_two_stripes()
-    with pytest.raises(InputError):
-        apply_dis_degree_rule(g, ss, k2, 2, 0)
+    # five distinct neighbours stay below the threshold 6 of K2 at k = 2
+    g = long_leg_spider(5)
+    br, fired = _dis_degree_notes(g, k2, 2)
+    assert not fired and br.status == "reduced"
+    assert wis_answer(kernelize(g, k2, 2)) is igm_exhaustive(g, k2.graph, 2) is True
 
 
 # ---------------------------------------------------------------------------
@@ -294,19 +334,19 @@ def test_dis_degree_rule_refuses_below_threshold(k2):
 def test_spots_are_never_promising(k2, k3):
     ss = derive_strip_structure(complete_graph(7))
     for hp in (k2, k3):
-        assert set(classify_promising(ss, hp).values()) == {False}
+        assert set(promising(ss, hp).values()) == {False}
 
 
 def test_shielded_triangles_are_promising(k2, k3):
     _, ss = four_gadget_host()
-    assert all(classify_promising(ss, k3).values())
-    assert all(classify_promising(ss, k2).values())
+    assert all(promising(ss, k3).values())
+    assert all(promising(ss, k2).values())
 
 
 def test_thin_stripes_are_not_promising(k2):
     # both bodies vanish once N[Z] is removed from the strip graph
     _, ss = two_stripe_p4()
-    assert set(classify_promising(ss, k2).values()) == {False}
+    assert set(promising(ss, k2).values()) == {False}
 
 
 # ---------------------------------------------------------------------------
@@ -315,7 +355,7 @@ def test_thin_stripes_are_not_promising(k2):
 def test_reduction_thins_parallel_spots_to_pattern_order(k2):
     g = complete_graph(7)
     ss = derive_strip_structure(g)
-    g2, ss2 = reduction_step_nonpromising(g, ss, 0, 1, k2)
+    g2, ss2 = _reduction_step(g, ss, 0, 1, k2, _promising_copies(ss, k2))
     assert len(ss2.edges) == 2
     assert g2.n == 2
     for k in (1, 2):
@@ -324,7 +364,7 @@ def test_reduction_thins_parallel_spots_to_pattern_order(k2):
 
 def test_reduction_prefers_stripes_over_spots(k2):
     g, ss = stripes_and_spots_pair()
-    g2, ss2 = reduction_step_nonpromising(g, ss, 1, 0, k2)
+    g2, ss2 = _reduction_step(g, ss, 1, 0, k2, _promising_copies(ss, k2))
     survivors = {eid for eid, _ in ss2.edges}
     assert survivors == {0, 1, 2, 3}
     assert all(classify_strip(ss2.strips[e]) == "stripe" for e in survivors)
@@ -334,22 +374,25 @@ def test_reduction_prefers_stripes_over_spots(k2):
 
 
 def test_reduction_requires_an_overloaded_pair(k2):
+    # two parallel non-promising stripes are within the stock of 2h, so the
+    # loop leaves the supplied structure as it is
     g, ss = c11_two_stripes()
-    with pytest.raises(InputError):
-        reduction_step_nonpromising(g, ss, 0, 1, k2)
-    with pytest.raises(InputError):
-        reduction_step_nonpromising(g, ss, 0, 7, k2)
+    with recording() as notes:
+        br = bound_strip_graph(g, k2, 4, ss=ss)
+    assert br.status == "reduced" and br.ss is ss
+    assert not any(n.startswith("reduction step") for n in notes)
 
 
 # ---------------------------------------------------------------------------
 # the bounding loop
 
 def test_bound_validates_its_arguments(k2):
+    # kernelize checks what the bounding loop receives, once, before it runs
     g, ss = two_stripe_p4()
     with pytest.raises(InputError):
-        bound_strip_graph(g, k2, -1)
+        kernelize(g, k2, -1)
     with pytest.raises(InputError):
-        bound_strip_graph(cycle_graph(4), k2, 2, ss=ss)
+        kernelize(cycle_graph(4), k2, 2, ss=ss)
 
 
 def test_bound_decides_target_zero(k2):
@@ -401,7 +444,7 @@ def test_bound_reduces_with_a_certified_ceiling(k2):
         br = bound_strip_graph(path_graph(29), k2, 14)
     assert br.status == "reduced"
     assert br.k == 14
-    assert len(br.ss.edges) <= strip_edge_ceiling(2, 14)
+    assert len(br.ss.edges) <= _strip_edge_ceiling(2, 14)
     assert any("bounded" in n for n in notes)
 
 
@@ -428,7 +471,7 @@ def test_bound_manual_stops_after_one_mutation(k2):
 
     full = bound_strip_graph(g, k2, 6)
     assert full.status == "reduced"
-    assert len(full.ss.edges) <= strip_edge_ceiling(2, 6)
+    assert len(full.ss.edges) <= _strip_edge_ceiling(2, 6)
 
 
 def test_bound_manual_stops_when_pruning_bites(k3):
@@ -560,19 +603,21 @@ def test_profile_weights_match_the_exhaustive_trace(k2, k3):
 # ---------------------------------------------------------------------------
 # demand distributions
 
-def test_distribution_normalization():
-    d = Distribution(((2, 1), (0, 2)))
-    assert d.counts == ((0, 2), (2, 1))
-    assert dict(d.counts).get(0) == 2 and 5 not in dict(d.counts)
-    assert sum(c for _, c in d.counts) == 3 and not d.is_idle
-    assert Distribution(()).is_idle
-    with pytest.raises(InputError):
-        Distribution(((1, 0),))
+def test_distribution_normalization(k2):
+    # patterns list their edges by id even when the structure lists its
+    # edges in another order, and the idle pattern comes first
+    _, ss = mixed_spot_stripe()
+    shuffled = StripStructure(ss.r_vertices, ss.edges[::-1], ss.strips, ss.z_assign)
+    for r in ss.r_vertices:
+        got = _distributions(shuffled, r, k2)
+        assert got[0] == () and set(got) == set(_distributions(ss, r, k2))
+        assert all(list(d) == sorted(d) and all(c > 0 for _, c in d) for d in got)
+        assert all(sum(c for _, c in d) == 2 for d in got[1:])
 
 
 def test_distributions_cap_spots_at_one(k2, k3):
     _, ss = mixed_spot_stripe()
-    at_r0 = distributions(ss, 0, k2)
+    at_r0 = _distributions(ss, 0, k2)
     expected = {
         (),
         ((0, 2),),
@@ -580,32 +625,14 @@ def test_distributions_cap_spots_at_one(k2, k3):
         ((0, 1), (2, 1)),
         ((1, 1), (2, 1)),
     }
-    assert {d.counts for d in at_r0} == expected
+    assert set(at_r0) == expected
     # two spots alone cannot supply three vertices
-    assert {d.counts for d in distributions(ss, 1, k3)} == {()}
-    assert {d.counts for d in distributions(ss, 1, k2)} == {(), ((1, 1), (3, 1))}
-    with pytest.raises(InputError):
-        distributions(ss, 9, k2)
+    assert set(_distributions(ss, 1, k3)) == {()}
+    assert set(_distributions(ss, 1, k2)) == {(), ((1, 1), (3, 1))}
 
 
 # ---------------------------------------------------------------------------
 # the weighted independent set instance
-
-def test_wis_instance_validation():
-    g = Graph(2, [(0, 1)])
-    with pytest.raises(InputError):
-        WisInstance(g, (1,), 1, 1, ("a", "b"), ((0, 1),))
-    with pytest.raises(InputError):
-        WisInstance(g, (1, -1), 1, 1, ("a", "b"), ((0, 1),))
-    # tags are nonempty and free of any Unicode whitespace, such as an em space
-    for bad in ("", "a b", "a\tb", "a\n", "a\u2003b"):
-        with pytest.raises(InputError):
-            WisInstance(g, (1, 1), 1, 1, ("a", bad), ((0, 1),))
-    inst = WisInstance(g, (1, 1), 1, 1, ("stripe:e0:i-1:j0C", "é"), ((0, 1),))
-    assert inst.tags == ("stripe:e0:i-1:j0C", "é")
-    assert wis_answer(trivial_yes_wis(3, "why")) is True
-    assert wis_answer(trivial_no_wis(3, "why")) is False
-
 
 def test_build_counts_selection_cliques(k2):
     g, ss = five_spot_triangle()
@@ -634,10 +661,11 @@ def test_build_emits_trivial_yes_on_heavy_strips(k2):
 
 
 def test_build_settles_tiny_targets_directly(k2, k3):
+    # bounding settles every target below 2, so no encoding is built for one
     g, ss = two_stripe_p4()
-    assert build_wis_instance(g, ss, k2, 0).tags == ("trivial:yes",)
-    assert build_wis_instance(g, ss, k2, 1).tags == ("trivial:yes",)
-    assert build_wis_instance(g, ss, k3, 1).tags == ("trivial:no",)
+    assert kernelize(g, k2, 0, ss=ss).tags == ("trivial:yes",)
+    assert kernelize(g, k2, 1, ss=ss).tags == ("trivial:yes",)
+    assert kernelize(g, k3, 1, ss=ss).tags == ("trivial:no",)
 
 
 def test_build_rejects_boundaryless_strip_edges(k2):
@@ -648,13 +676,22 @@ def test_build_rejects_boundaryless_strip_edges(k2):
         z_assign={0: {}},
     )
     with pytest.raises(InputError):
-        build_wis_instance(complete_graph(2), ss, k2, 2)
+        kernelize(complete_graph(2), k2, 2, ss=ss)
 
 
 def test_build_rejects_invalid_structures(k2):
+    # kernelize validates a supplied structure, so the encoding can trust it
     g, ss = two_stripe_p4()
     with pytest.raises(InputError):
-        build_wis_instance(cycle_graph(4), ss, k2, 2)
+        kernelize(cycle_graph(4), k2, 2, ss=ss)
+    # a valid structure whose one strip is neither a spot nor a stripe: its
+    # vertex 1 sees both z's, and vertex 3 keeps it from being a spot
+    jg = Graph(4, [(0, 1), (1, 2), (1, 3), (0, 3)])
+    odd = StripStructure((0, 1), ((0, (0, 1)),), {0: Strip(jg, frozenset({0, 2}), {1: 0, 3: 1})},
+                         {0: {0: 0, 1: 2}})
+    assert validate_strip_structure(complete_graph(2), odd).ok
+    with pytest.raises(InputError, match="neither"):
+        kernelize(complete_graph(2), k2, 2, ss=odd)
 
 
 def test_two_far_claims_on_one_clique_conflict(k2):
@@ -797,7 +834,7 @@ def test_build_respects_the_size_ceiling_and_weight_cap(k2, k3):
     for g, ss, hp, k in cases:
         inst = build_wis_instance(g, ss, hp, k)
         assert inst.graph.n > 1, "fixture unexpectedly trivial"
-        assert inst.graph.n <= wis_size_ceiling(ss, hp.h)
+        assert inst.graph.n <= _wis_size_ceiling(ss, hp.h)
         assert max(inst.weights) <= k - 1
 
 

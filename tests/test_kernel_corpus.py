@@ -173,6 +173,38 @@ def test_derived_structures_are_valid(monkeypatch):
         assert ss is not None and strips.validate_strip_structure(g, ss).ok
 
 
+def test_deleted_strips_leave_valid_structures(monkeypatch):
+    """A reduction step deletes whole strips and uses the structure it gets
+    back without a check (the ``_delete_strips`` docstring says why).  Every
+    structure it returns passes ``validate_strip_structure``: while the
+    corpus hosts are bounded, with their structures supplied and derived;
+    while the benchmark's cases are kernelized, whose parallel-edge cases
+    fire the reduction step; and when a seeded random proper subset of a
+    corpus structure's strips is deleted, as the argument holds for any."""
+    kept = []
+    real = kernel._delete_strips
+
+    def capture(g, ss, drop):
+        kept.append(real(g, ss, drop))
+        return kept[-1]
+
+    monkeypatch.setattr(kernel, "_delete_strips", capture)
+    rng = random.Random(5501)
+    for builds in (_hand_builds(), _line_graph_builds(), _subdivided_builds()):
+        for _, g, ss, hp, k in builds:
+            kernel.bound_strip_graph(g, hp, k, ss=ss)
+            kernel.bound_strip_graph(g, hp, k)
+            eids = [eid for eid, _ in ss.edges]
+            kernel._delete_strips(g, ss, rng.sample(eids, rng.randrange(len(eids))))
+    bounded = len(kept) - 192
+    _workload_builds()
+    # bounding settles each corpus host, or finds it small, before any
+    # reduction step; the workload's parallel-edge cases take 8
+    assert (bounded, len(kept) - 192 - bounded) == (0, 8)
+    for g, ss in kept:
+        assert strips.validate_strip_structure(g, ss).ok
+
+
 def _instances():
     for builds in (_hand_builds(), _line_graph_builds(), _subdivided_builds(),
                    _workload_builds()):
