@@ -1,14 +1,14 @@
 """Induced H-matching on fuzzy circular-arc models, plus a small-α fallback.
 
 The main solver fixes one occurrence H* (the star), deletes its closed
-neighborhood, cuts the circle open strictly inside H*'s first arc (no
-surviving arc can cover an interior quarter-point of a removed arc, so the
-residue unrolls onto a line), and then runs a left-to-right dynamic program
-over the remaining occurrences grouped by their rightmost arc endpoint.
-Every chain the program builds is pairwise compatible: connected
-occurrences cover their spans, so two incompatible occurrences can never be
-bridged by a third one whose rightmost endpoint lies strictly between
-theirs.
+neighborhood, cuts the circle open strictly inside H*'s first arc (a
+surviving arc over an interior point of a removed arc would share more than
+one point with it, so the residue unrolls onto a line), and then runs a
+left-to-right dynamic program over the remaining occurrences grouped by
+their rightmost arc endpoint.  Every chain the program builds is pairwise
+compatible: connected occurrences cover their spans, so two incompatible
+occurrences can never be bridged by a third one whose rightmost endpoint
+lies strictly between theirs.
 
 The work splits into a per-solve table and a per-star sweep.  The table
 rests on one fact: the right end R of an occurrence, the clockwise end of
@@ -17,10 +17,12 @@ survives a star is connected (every edge joins intersecting arcs) and has
 no arc over the cut, so its arcs unite into one arc that misses the cut; its
 rightmost endpoint on the cut-open line is that arc's clockwise end, R,
 read from the cut.  So the occurrences are sorted once by (R, index), and
-each star's left-to-right order is a rotation of that order: in quadrupled
-coordinates R ≡ 0 and the cut ≡ 1 (mod 4), so no group of equal R
-straddles the cut.  An occurrence whose arcs cover the whole circle has no
-R; it has an arc over every cut, so it never survives a star.
+each star's left-to-right order is a rotation of that order: in doubled
+coordinates R is even and the cut is odd, so no group of equal R straddles
+the cut (the argument needs only that the two differ).  An occurrence whose
+arcs cover the whole circle has no R; it has an arc over every cut, so it
+never survives a star.  Which arcs lie over a point, for R and for the cut,
+is read from the model's one cover sweep, ``models.arc_cover``.
 """
 
 from __future__ import annotations
@@ -38,7 +40,7 @@ from .graphs import (
     revalidated,
     _occurrence_masks,
 )
-from .models import FuzzyArcModel, realize
+from .models import FuzzyArcModel, arc_cover, realize
 
 # the fuzzy-arc and small-independence entries, and the bound the latter needs
 __all__ = [
@@ -58,33 +60,34 @@ class _ChainTable:
     the R of each position, and ``free[p]`` is the mask of the positions
     compatible with position p (the complement of its conflict mask).
     ``through`` holds each arc's mask of the occurrences with a vertex on
-    it.  ``cut`` memoizes, per cut point, what every star cut there shares.
+    it, and ``over`` is the model's ``arc_cover``.  ``cut`` memoizes, per
+    cut point, what every star cut there shares.
     """
 
     __slots__ = ("occs", "order", "position", "ends", "free", "through",
-                 "spans", "c4", "_cuts")
+                 "arcs", "over", "_cuts")
 
     def __init__(self, model: FuzzyArcModel, g: Graph, occs):
         arcs = model.arcs.arcs
-        c4 = 4 * model.arcs.circumference
-        spans = [(4 * a.s, (4 * a.t - 4 * a.s) % c4) for a in arcs]
+        over = arc_cover(model.arcs)
+        past = [over(2 * a.t + 1) for a in arcs]
+        c2 = 2 * model.arcs.circumference
         ends = []
         for o in occs:
-            # the union's clockwise end is the one arc end whose next
-            # quarter-point no arc of the occurrence covers; c4 sorts last
-            r = c4
+            mask = 0
             for v in o.vertices:
-                q = 4 * arcs[v].t + 1
-                for w in o.vertices:
-                    if (q - spans[w][0]) % c4 <= spans[w][1]:
-                        break
-                else:
-                    r = q - 1
+                mask |= 1 << v
+            # the union's clockwise end is the one arc end whose next point
+            # no arc of the occurrence covers; c2 sorts last
+            r = c2
+            for v in o.vertices:
+                if not past[v] & mask:
+                    r = 2 * arcs[v].t
                     break
             ends.append(r)
         order = sorted(range(len(occs)), key=ends.__getitem__)  # stable: (R, index)
         position = [0] * len(occs)
-        through = [0] * len(spans)
+        through = [0] * len(arcs)
         for p, i in enumerate(order):
             position[i] = p
             for v in occs[i].vertices:
@@ -97,24 +100,25 @@ class _ChainTable:
         self.ends = [ends[i] for i in order]
         self.free = [full & ~c for c in conflict]
         self.through = through
-        self.spans = spans
-        self.c4 = c4
+        self.arcs = arcs
+        self.over = over
         self._cuts = {}
 
     def cut(self, star: int) -> tuple[int, int, int]:
         """(cut point, rotation start, cover mask) of the cut strictly
         inside the first arc of occurrence ``star``.
 
-        The cut is a quarter-point, so it misses every arc end.  The
-        rotation starts at the first position whose R lies past the cut; the
-        cover mask holds the occurrences with an arc over the cut.
+        The cut is the odd point just past the arc's start.  The rotation
+        starts at the first position whose R lies past the cut; the cover
+        mask holds the occurrences with an arc over the cut.
         """
-        cutpos = self.spans[self.occs[star].vertices[0]][0] + 1
+        cutpos = 2 * self.arcs[self.occs[star].vertices[0]].s + 1
         memo = self._cuts.get(cutpos)
         if memo is None:
+            arcs_over = self.over(cutpos)
             cover = 0
             for v, through in enumerate(self.through):
-                if self._holds(v, cutpos):
+                if arcs_over >> v & 1:
                     cover |= through
             memo = (cutpos, bisect_right(self.ends, cutpos), cover)
             self._cuts[cutpos] = memo
@@ -124,13 +128,8 @@ class _ChainTable:
         """The error for the lowest-index occurrence in ``bad`` that has an
         arc over the cut, naming its first such arc."""
         i = min(self.order[p] for p in range(len(self.order)) if (bad >> p) & 1)
-        v = next(v for v in self.occs[i].vertices if self._holds(v, cutpos))
+        v = next(v for v in self.occs[i].vertices if self.over(cutpos) >> v & 1)
         return InternalError(f"arc {v} wraps the cut point of the residual model")
-
-    def _holds(self, v: int, q: int) -> bool:
-        """Membership of the quadrupled-coordinate point q in arc v."""
-        s4, l4 = self.spans[v]
-        return (q - s4) % self.c4 <= l4
 
 
 def _residual_chain(table: _ChainTable, star: int, stop_at: int | None):

@@ -8,7 +8,8 @@ enumeration, induced-subgraph embedding, twin contraction, and line-graph
 construction/recognition for multigraphs without self-loops.  Both
 induced-matching searches, ``find_igm`` for a given size and ``max_igm`` for
 the largest, run one packing search that visits sets of occurrences as
-increasing index lists in lexicographic order.
+increasing index lists in lexicographic order, and ``brute_force_mis`` asks
+the one independent-set search, ``brute_force_wis``, at unit weight.
 
 Conventions
 -----------
@@ -27,6 +28,7 @@ vertex order and the first witness in that order is returned.
 from __future__ import annotations
 
 import itertools
+import operator
 from dataclasses import dataclass
 
 from .errors import InputError, InternalError, SizeCapError
@@ -67,15 +69,15 @@ class Graph:
         edges = list(edges)
         try:
             norm = [(u, v) if u < v else (v, u) for u, v in edges]
-            clean = len(set(norm)) == len(norm) and all(0 <= u < v < n for u, v in norm)
+            if len(set(norm)) < len(norm) or not all(0 <= u < v < n for u, v in norm):
+                raise ValueError
+            adj = [set() for _ in range(n)]
+            for u, v in norm:  # list indices: a non-integer endpoint fails here
+                adj[u].add(v)
+                adj[v].add(u)
         except (TypeError, ValueError):
-            clean = False
-        if not clean:
             _raise_first_fault(n, edges)
-        adj = [set() for _ in range(n)]
-        for u, v in norm:
-            adj[u].add(v)
-            adj[v].add(u)
+            raise  # not reached: some edge is at fault
         self.n = n
         self._adj = tuple(map(frozenset, adj))
         self._edges = tuple(sorted(norm))
@@ -158,16 +160,24 @@ class Graph:
         return f"Graph(n={self.n}, m={len(self._edges)})"
 
 
+def _edge(e, n: int) -> tuple[int, int]:
+    """Edge e as (min, max), or InputError unless it joins two distinct integers in 0..n-1."""
+    try:
+        u, v = map(operator.index, e)
+    except (TypeError, ValueError):
+        raise InputError(f"edge {e!r} is not a pair of integer vertices") from None
+    if not (0 <= u < n and 0 <= v < n):
+        raise InputError(f"edge {e!r} out of range for n={n}")
+    if u == v:
+        raise InputError(f"self-loop at vertex {u} not allowed")
+    return (u, v) if u < v else (v, u)
+
+
 def _raise_first_fault(n: int, edges: list) -> None:
-    """Raise for the first edge, in input order, out of range, a loop or a repeat."""
+    """Raise for the first edge, in input order, that ``_edge`` refuses or that repeats."""
     seen = set()
     for e in edges:
-        u, v = e
-        if not (0 <= u < n and 0 <= v < n):
-            raise InputError(f"edge {e!r} out of range for n={n}")
-        if u == v:
-            raise InputError(f"self-loop at vertex {u} not allowed")
-        key = (min(u, v), max(u, v))
+        key = _edge(e, n)
         if key in seen:
             raise InputError(f"duplicate edge {key!r}")
         seen.add(key)
@@ -185,16 +195,8 @@ class Multigraph:
     def __init__(self, n: int, edges=()):
         if n < 0:
             raise InputError(f"vertex count must be nonnegative, got {n}")
-        norm = []
-        for e in edges:
-            u, v = e
-            if not (0 <= u < n and 0 <= v < n):
-                raise InputError(f"edge {e!r} out of range for n={n}")
-            if u == v:
-                raise InputError(f"self-loop at vertex {u} not allowed")
-            norm.append((min(u, v), max(u, v)))
         self.n = n
-        self.edges = tuple(norm)
+        self.edges = tuple(_edge(e, n) for e in edges)
 
     def degree(self, v: int) -> int:
         return sum(1 for u, w in self.edges if v in (u, w))
@@ -517,43 +519,27 @@ def enumerate_occurrences(g: Graph, h: Pattern) -> list[Occurrence]:
 # exact brute-force searches, called by the solvers and used as test oracles
 
 def brute_force_mis(g: Graph) -> tuple[int, tuple[int, ...]]:
-    """Exact maximum independent set by branch and bound.
+    """Exact maximum independent set: (alpha, witness), the witness sorted.
 
-    Returns (alpha, witness).  Deterministic; refuses graphs above
+    A greedy maximal independent set (fewest remaining neighbours first,
+    ties by id) is the first witness; ``brute_force_wis`` is then asked for
+    one vertex more until it answers no.  Refuses graphs above
     ``MIS_CAP_DEFAULT``.
     """
     if g.n > MIS_CAP_DEFAULT:
         raise SizeCapError("brute_force_mis", g.n, MIS_CAP_DEFAULT)
-    nbr = [0] * g.n
-    for v in range(g.n):
-        for w in g.neighbors(v):
-            nbr[v] |= 1 << w
-    best_size = 0
-    best_set = 0
-
-    def rec(avail: int, chosen: int, size: int):
-        nonlocal best_size, best_set
-        if avail == 0:
-            if size > best_size:
-                best_size, best_set = size, chosen
-            return
-        if size + bin(avail).count("1") <= best_size:
-            return
-        # pivot on the max-degree available vertex (ties: lowest id)
-        pick, pick_deg = -1, -1
-        a = avail
-        while a:
-            v = (a & -a).bit_length() - 1
-            a &= a - 1
-            d = bin(nbr[v] & avail).count("1")
-            if d > pick_deg:
-                pick, pick_deg = v, d
-        rec(avail & ~(nbr[pick] | (1 << pick)), chosen | (1 << pick), size + 1)
-        rec(avail & ~(1 << pick), chosen, size)
-
-    rec((1 << g.n) - 1, 0, 0)
-    witness = tuple(v for v in range(g.n) if best_set >> v & 1)
-    return best_size, witness
+    left = set(range(g.n))
+    greedy = []
+    while left:
+        v = min(left, key=lambda u: (len(g.neighbors(u) & left), u))
+        greedy.append(v)
+        left -= g.closed_neighborhood(v)
+    witness = tuple(sorted(greedy))
+    while True:
+        found, bigger = brute_force_wis(g, [1] * g.n, len(witness) + 1, 0)
+        if not found:
+            return len(witness), witness
+        witness = bigger
 
 
 def _occurrence_masks(g: Graph, occs: list[Occurrence]):

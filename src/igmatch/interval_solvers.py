@@ -11,12 +11,13 @@ occurrences and sorts them into those classes once, in one table per host,
 then cuts the circle open at each containment-equivalence representative.
 A cut only counts: it walks the classes in the host's order of right ends,
 rotated to start past the cut point, skips the classes with an arc over the
-point, and runs the earliest-right-end greedy for disjoint intervals, which
-gives the interval step's optimum at unit weight (the classic cut-and-sweep
+point, and runs the earliest-right-end greedy for disjoint intervals, the
+count the interval step makes with ``_packing`` (the classic cut-and-sweep
 of circular-arc independent set: Hsu and Tsai, IPL 1991; Golumbic and
 Hammer, J. Algorithms 1988).  Only the first cut whose count reaches k is
 built and solved by the interval step, which returns its witness.  The arcs
-over every representative come from one prefix-XOR sweep of the arcs' ends.
+over every representative come from the model's one cover sweep,
+``models.arc_cover``.
 A single occurrence can wrap the whole circle, so that every cut destroys
 it; when the target is one occurrence and every cut fails, a direct
 occurrence search on the realized host settles it.
@@ -24,10 +25,10 @@ occurrence search on the realized host settles it.
 
 from __future__ import annotations
 
-from bisect import bisect_left, bisect_right, insort
-from itertools import accumulate, chain
+from bisect import bisect_right, insort
+from itertools import chain
 from math import inf
-from operator import xor
+from operator import itemgetter
 from typing import NamedTuple
 
 from .errors import InputError, InternalError, SizeCapError
@@ -43,7 +44,7 @@ from .graphs import (
 from .models import (
     ArcModel,
     IntervalModel,
-    arc_spans,
+    arc_cover,
     cut_at_point,
     equivalence_points_doubled,
     realize,
@@ -61,58 +62,44 @@ __all__ = [
 DISCONNECTED_CAP = 8
 
 
-def _best_weight(items, allowed) -> int:
-    """Max total weight of pairwise disjoint intervals ``items[i]``, i in allowed.
+def _packing(spans) -> int:
+    """The most pairwise disjoint closed intervals among ``spans``, (l, r)
+    pairs: the earliest-right-end greedy."""
+    count, last = 0, -inf
+    for l, r in sorted(spans, key=itemgetter(1)):
+        if l > last:
+            count, last = count + 1, r
+    return count
 
-    Each item starts with (l, r, weight); the classic right-endpoint DP.
+
+def interval_wis(spans) -> tuple[int, tuple[int, ...]]:
+    """A maximum set of pairwise disjoint closed intervals among ``spans``,
+    (l, r) pairs.
+
+    Returns ``(size, witness)``, where the witness is the lexicographically
+    smallest index tuple among maximum sets: each index in turn is kept when
+    it is disjoint from those kept so far and the later free intervals
+    disjoint from it still pack up to the optimum.
     """
-    order = sorted(allowed, key=lambda i: (items[i][1], items[i][0], i))
-    ends: list[int] = []  # right endpoints so far, ascending
-    best = [0]  # best[j]: the optimum over the first j of them
-    for i in order:
-        l, r, w = items[i][:3]
-        best.append(max(best[-1], w + best[bisect_left(ends, l)]))
-        ends.append(r)
-    return best[-1]
-
-
-def interval_wis(intervals) -> tuple[int, int, tuple[int, ...]]:
-    """Max-weight independent set of closed intervals ``(l, r, weight)``.
-
-    Returns ``(weight, size, witness)`` where the witness is the
-    lexicographically smallest index tuple among maximum-weight solutions
-    and size is its cardinality.  Weights must be non-negative.
-    """
-    items = []
-    for idx, (l, r, w) in enumerate(intervals):
-        if l > r:
-            raise InputError(f"interval {idx} has l > r")
-        if w < 0:
-            raise InputError(f"interval {idx} has negative weight")
-        items.append((l, r, w, idx))
-
-    spans: list[tuple[int, int]] = []  # the chosen (l, r); disjoint, so their ends ascend
+    kept: list[tuple[int, int]] = []  # the chosen (l, r); disjoint, so their ends ascend
 
     def free(j: int) -> bool:  # the chosen span starting last by j's end ends before j
-        at = bisect_right(spans, (items[j][1], inf))
-        return at == 0 or spans[at - 1][1] < items[j][0]
+        at = bisect_right(kept, (spans[j][1], inf))
+        return at == 0 or kept[at - 1][1] < spans[j][0]
 
-    n = len(items)
-    opt = _best_weight(items, range(n))
+    opt = _packing(spans)
     chosen: list[int] = []
-    got = 0
-    for i in range(n):
+    for i, (l, r) in enumerate(spans):
         if not free(i):
             continue
-        l, r = items[i][:2]
-        rest = [j for j in range(i + 1, n) if (items[j][0] > r or items[j][1] < l) and free(j)]
-        if got + items[i][2] + _best_weight(items, rest) == opt:
-            insort(spans, (l, r))
+        rest = [spans[j] for j in range(i + 1, len(spans))
+                if (spans[j][0] > r or spans[j][1] < l) and free(j)]
+        if len(chosen) + 1 + _packing(rest) == opt:
+            insort(kept, (l, r))
             chosen.append(i)
-            got += items[i][2]
-    if got != opt:
-        raise InternalError("witness reconstruction lost weight")
-    return opt, len(chosen), tuple(chosen)
+    if len(chosen) != opt:
+        raise InternalError("witness reconstruction lost an interval")
+    return opt, tuple(chosen)
 
 
 def solve_igm_proper_interval(model: IntervalModel, h: Pattern, k: int) -> Matching | None:
@@ -135,8 +122,8 @@ def solve_igm_proper_interval(model: IntervalModel, h: Pattern, k: int) -> Match
     classes = _classes(((min(occ.vertices, key=lefts.__getitem__),
                          max(occ.vertices, key=rights.__getitem__)), occ)
                         for occ in enumerate_occurrences(g, h))
-    aux = [(lefts[lm], rights[rm], 1) for (lm, rm), _ in classes]
-    if _best_weight(aux, range(len(aux))) < k:
+    aux = [(lefts[lm], rights[rm]) for (lm, rm), _ in classes]
+    if _packing(aux) < k:
         return None
     return revalidated(_interval_step(classes, aux, k), g, h, "auxiliary solution")
 
@@ -152,37 +139,12 @@ def _classes(pairs) -> list:
 
 def _interval_step(classes, aux, k: int) -> Matching:
     """An induced matching of k class representatives, where ``aux[i]`` is
-    class i's interval (l, r, 1), from its leftmost vertex's left end to its
+    class i's interval (l, r), from its leftmost vertex's left end to its
     rightmost vertex's right end.  The caller has seen the optimum reach k,
     so only the witness is rebuilt."""
-    _, _, witness = interval_wis(aux)
+    _, witness = interval_wis(aux)
     picked = (classes[i][1] for i in witness[:k])
     return Matching(tuple(sorted(picked, key=lambda o: o.vertices)))
-
-
-def _cover(model: ArcModel):
-    """p2 -> the mask of the arcs that contain the doubled point p2.
-
-    One prefix-XOR sweep over the span table: an arc toggles its bit at its
-    start and just past its end, and a wrapping arc does so in two pieces
-    (at 0 and just past its end, then at its start).  The XOR of the toggles
-    at or before p2 mod 2C then holds exactly the arcs over p2, and each
-    probe is one bisection.
-    """
-    c2 = 2 * model.circumference
-    flips: dict[int, int] = {}
-    for i, (s2, d2) in enumerate(arc_spans(model)):
-        past = s2 + d2 + 1  # odd, so never 2C: below it iff the arc does not wrap
-        for at in ((s2, past) if past < c2 else (0, past - c2, s2)):
-            flips[at] = flips.get(at, 0) ^ (1 << i)
-    starts = sorted(flips)
-    masks = list(accumulate(map(flips.__getitem__, starts), xor))
-
-    def over(p2: int) -> int:
-        j = bisect_right(starts, p2 % c2)
-        return masks[j - 1] if j else 0
-
-    return over
 
 
 def _dedup_points(model: ArcModel, over) -> list[tuple[int, int]]:
@@ -213,7 +175,7 @@ class _ArcTable(NamedTuple):
 
 def _arc_table(model: ArcModel, occs: list[Occurrence], over) -> _ArcTable:
     """The class table of ``occs``, built once per host; ``over`` is the
-    host's ``_cover``.
+    host's ``arc_cover``.
 
     The arcs of a connected occurrence that avoids a cut point unite into one
     arc U of the circle that misses the point, and the cut line orders U's
@@ -262,13 +224,13 @@ def _cut_solve(model: ArcModel, k: int, p2: int, removed: int, table: _ArcTable
     pairwise disjoint intervals by the earliest-right-end greedy, in the
     rotated host order (see ``_arc_table``): a greedy pick ends first among
     the intervals still free, so any optimum can trade its first such
-    interval for it.  That count is ``_best_weight`` at unit weight, so the
-    sweep stops as soon as it reaches k, and a cut whose count stays below
-    k answers None.  Only a cut that reaches k is built (``cut_at_point``),
-    and the interval step rebuilds its witness from the kept classes in key
-    order without testing the optimum again.  Cuts are tried in ``_dedup_points`` order, so the
-    cut that answers, and its witness, are those of solving every cut's
-    interval instance in full.
+    interval for it.  That count is ``_packing``'s, so the sweep stops as
+    soon as it reaches k, and a cut whose count stays below k answers
+    None.  Only a cut that reaches k is built (``cut_at_point``), and the
+    interval step rebuilds its witness from the kept classes in key order
+    without testing the optimum again.  Cuts are tried in
+    ``_dedup_points`` order, so the cut that answers, and its witness, are
+    those of solving every cut's interval instance in full.
     """
     c2 = 2 * model.circumference
     sweep = table.sweep
@@ -292,7 +254,7 @@ def _cut_solve(model: ArcModel, k: int, p2: int, removed: int, table: _ArcTable
     cut = cut_at_point(model, p2)
     alive = [(key, rep) for key, (mask, rep) in table.classes if not mask & removed]
     spans = dict(zip(cut.kept_ids, cut.intervals.items))
-    return _interval_step(alive, [(spans[lm].l, spans[rm].r, 1) for (lm, rm), _ in alive], k)
+    return _interval_step(alive, [(spans[lm].l, spans[rm].r) for (lm, rm), _ in alive], k)
 
 
 def solve_igm_long_proper_ca(model: ArcModel, h: Pattern, k: int) -> Matching | None:
@@ -314,7 +276,7 @@ def solve_igm_long_proper_ca(model: ArcModel, h: Pattern, k: int) -> Matching | 
     if k == 0:
         return Matching(())
     g = realize(model)
-    over = _cover(model)
+    over = arc_cover(model)
     table = _arc_table(model, enumerate_occurrences(g, h), over)
     tries = (_cut_solve(model, k, p2, removed, table)
              for p2, removed in _dedup_points(model, over))
@@ -350,7 +312,7 @@ def solve_igm_proper_ca_disconnected(model: ArcModel, h: Pattern, k: int) -> Mat
     for _ in range(k - 1):
         bundle_graph = disjoint_union(bundle_graph, h.graph)
     bundle = Pattern.of(bundle_graph)
-    for p2, _ in _dedup_points(model, _cover(model)):
+    for p2, _ in _dedup_points(model, arc_cover(model)):
         cut = cut_at_point(model, p2)
         cg = realize(cut.intervals)
         emb = find_occurrence(cg, bundle)

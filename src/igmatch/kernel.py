@@ -477,7 +477,7 @@ def _wis_size_ceiling(ss: StripStructure, h: int) -> int:
     return n_e * per_edge + n_r * per_r + pairs * 4 * n_e + triples * 3
 
 
-def build_wis_instance(g: Graph, ss: StripStructure, h: Pattern, k: int) -> WisInstance:
+def build_wis_instance(ss: StripStructure, h: Pattern, k: int) -> WisInstance:
     """Selection-clique encoding of the matching question on a strip structure.
 
     The clique of a strip-edge enumerates how the matching meets that strip
@@ -509,8 +509,8 @@ def build_wis_instance(g: Graph, ss: StripStructure, h: Pattern, k: int) -> WisI
     boundary untouched.  Consistency edges join choices that cannot hold
     together; each family below carries a comment naming its rule.
 
-    The input is trusted: ``ss`` is a valid structure of the host ``g``,
-    which the encoding reads only through the strips, each strip-edge has a
+    The input is trusted: ``ss`` is a valid structure of its host, which
+    the encoding reads only through the strips, each strip-edge has a
     member and is a spot or a stripe, and k >= 2.  ``kernelize`` checks a
     supplied structure so.  A derived one complies by construction: its
     0-member edges are the host's isolated vertices, which pruning removes,
@@ -779,4 +779,4 @@ def kernelize(g: Graph, h: Pattern, k: int,
         return _trivial_no_wis(k, "bounding settled the answer: no")
     if br.ss is None:
         raise InputError("cannot kernelize: " + "; ".join(steps))
-    return build_wis_instance(br.graph, br.ss, h, br.k)
+    return build_wis_instance(br.ss, h, br.k)

@@ -9,10 +9,12 @@ no floating point anywhere.  Points exposed through the public API
 point p2 stands for p2 / 2 on the circle.
 
 Whole-model passes (``realize``, ``validate_arc_model``, the fuzzy resolution
-check, the arc solvers' point masks, ``cut_at_point``) read one span table,
-``arc_spans``: (2s, clockwise doubled length) per arc.  The point p2 lies on
-an arc iff its clockwise offset (p2 - 2s) mod 2C is at most that length, one
-modular compare, so these passes make no call per pair; ``point_in_arc``,
+check, ``arc_cover``, ``cut_at_point``) read one span table, ``arc_spans``:
+(2s, clockwise doubled length) per arc.  The point p2 lies on an arc iff its
+clockwise offset (p2 - 2s) mod 2C is at most that length, one modular
+compare, so these passes make no call per pair.  Which arcs lie over a
+point is asked of one sweep, ``arc_cover`` (unexported, shared by both arc
+solvers and the coverage flag of ``validate_arc_model``).  ``point_in_arc``,
 ``intersection_kind``, ``arc_contains`` and ``covers_circle`` stay the
 single-pair definitions.  Of these only ``intersection_kind`` is exported,
 as a caller needs it to list a fuzzy model's one-point pairs; the other
@@ -27,6 +29,8 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from dataclasses import dataclass, field
+from itertools import accumulate
+from operator import xor
 
 from .errors import InputError, InternalError
 
@@ -248,6 +252,31 @@ def arc_spans(model: ArcModel) -> list[tuple[int, int]]:
     return [(2 * a.s, (2 * a.t - 2 * a.s) % c2) for a in model.arcs]
 
 
+def arc_cover(model: ArcModel):
+    """p2 -> the mask of the arcs that contain the doubled point p2.
+
+    One prefix-XOR sweep over the span table: an arc toggles its bit at its
+    start and just past its end, and a wrapping arc does so in two pieces
+    (at 0 and just past its end, then at its start).  The XOR of the toggles
+    at or before p2 mod 2C then holds exactly the arcs over p2, and each
+    probe is one bisection.
+    """
+    c2 = 2 * model.circumference
+    flips: dict[int, int] = {}
+    for i, (s2, d2) in enumerate(arc_spans(model)):
+        past = s2 + d2 + 1  # odd, so never 2C: below it iff the arc does not wrap
+        for at in ((s2, past) if past < c2 else (0, past - c2, s2)):
+            flips[at] = flips.get(at, 0) ^ (1 << i)
+    starts = sorted(flips)
+    masks = list(accumulate(map(flips.__getitem__, starts), xor))
+
+    def over(p2: int) -> int:
+        j = bisect_right(starts, p2 % c2)
+        return masks[j - 1] if j else 0
+
+    return over
+
+
 def _pair_kinds(model: ArcModel) -> tuple[list, list]:
     """The pairs i < j that ``intersection_kind`` calls multi, and single-point.
 
@@ -368,9 +397,8 @@ def validate_arc_model(model: ArcModel) -> ModelReport:
     inside = [(i, j) for i, (si, li) in enumerate(spans) for j, (sj, lj) in enumerate(spans)
               if i != j and (sj - si) % c2 + lj <= li]
     # as covers_circle: the union holds the point just past every end
-    covers = bool(spans) and all(
-        any((si + li + 1 - s) % c2 <= l for s, l in spans) for si, li in spans
-    )
+    over = arc_cover(model)
+    covers = bool(spans) and all(over(si + li + 1) for si, li in spans)
     return _report(
         [(a.s, a.t) for a in model.arcs],
         inside,

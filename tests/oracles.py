@@ -12,12 +12,13 @@ package's bases, ``check_condition2`` and ``base_invariant_failures`` check
 them, and ``natural_coloring_reference`` and ``all_colorings`` paint its
 structure elements.  ``subset_scan_occurrences``, ``all_pairs_occurrence_masks`` and
 ``long_by_pairs_and_triples`` keep the package's earlier, slower versions of
-occurrence enumeration, conflict masks and the longness test, and
+occurrence enumeration, conflict masks and the longness test,
+``mis_reference`` its earlier maximum independent set search, and
 ``embeddings_reference`` and ``g_map_pair_failures`` those of the base
 embedding search and the g_map edge check, ``find_igm_reference`` and
 ``max_igm_reference`` the two separate packing searches that one search
 replaced, and ``interval_wis_reference`` and ``long_arc_reference`` those of
-the interval witness rebuild and the per-cut long-arc solver,
+the weighted interval witness rebuild and the per-cut long-arc solver,
 ``arc_cover_reference`` the per-probe scan of the arcs over a point,
 ``realize_reference`` and ``model_report_reference`` the all-pairs model
 realization and validation, and
@@ -73,6 +74,37 @@ def mis_exhaustive(g) -> int:
     for s in independent_sets(g):
         best = max(best, len(s))
     return best
+
+
+def mis_reference(g) -> tuple[int, tuple[int, ...]]:
+    """The package's earlier ``brute_force_mis``: (alpha, witness) by a
+    bitmask branch and bound that pivots on the available vertex of most
+    available neighbours (ties: lowest id), taking it or dropping it."""
+    nbr = [sum(1 << w for w in g.neighbors(v)) for v in range(g.n)]
+    best_size = 0
+    best_set = 0
+
+    def rec(avail: int, chosen: int, size: int):
+        nonlocal best_size, best_set
+        if avail == 0:
+            if size > best_size:
+                best_size, best_set = size, chosen
+            return
+        if size + bin(avail).count("1") <= best_size:
+            return
+        pick, pick_deg = -1, -1
+        a = avail
+        while a:
+            v = (a & -a).bit_length() - 1
+            a &= a - 1
+            d = bin(nbr[v] & avail).count("1")
+            if d > pick_deg:
+                pick, pick_deg = v, d
+        rec(avail & ~(nbr[pick] | (1 << pick)), chosen | (1 << pick), size + 1)
+        rec(avail & ~(1 << pick), chosen, size)
+
+    rec((1 << g.n) - 1, 0, 0)
+    return best_size, tuple(v for v in range(g.n) if best_set >> v & 1)
 
 
 def occurrences_exhaustive(g, hg) -> list[tuple[int, ...]]:

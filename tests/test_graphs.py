@@ -1,3 +1,4 @@
+import os
 import random
 import sys
 
@@ -41,6 +42,7 @@ from oracles import (
     max_igm_exhaustive,
     max_igm_reference,
     mis_exhaustive,
+    mis_reference,
     occurrences_exhaustive,
     subset_scan_occurrences,
     wis_exhaustive,
@@ -75,11 +77,25 @@ def test_graph_rejects_the_first_faulty_edge_in_input_order():
         (-1, [], "vertex count must be nonnegative, got -1"),
         (4, (e for e in [(3, 2), (0, 1), (2, 3)]), "duplicate edge (2, 3)"),
         (4, (e for e in [(3, 2), (4, 0), (3, 3)]), "edge (4, 0) out of range for n=4"),
+        (3, [(0, 1, 2)], "edge (0, 1, 2) is not a pair of integer vertices"),
+        (3, [("a", 1)], "edge ('a', 1) is not a pair of integer vertices"),
+        (3, [(0, 1), (0.5, 1), (0, 1)], "edge (0.5, 1) is not a pair of integer vertices"),
     ]
     for n, edges, message in cases:
         with pytest.raises(InputError) as err:
             Graph(n, edges)
         assert str(err.value) == message
+    # Multigraph runs the same per-edge check; a repeat is a parallel edge
+    cases = [
+        ([(0.5, 1)], "edge (0.5, 1) is not a pair of integer vertices"),
+        ([(0, 1), (1, 0), (2, 2)], "self-loop at vertex 2 not allowed"),
+        ([(1, 0), (0, 3)], "edge (0, 3) out of range for n=3"),
+    ]
+    for edges, message in cases:
+        with pytest.raises(InputError) as err:
+            Multigraph(3, edges)
+        assert str(err.value) == message
+    assert Multigraph(3, [(1, 0), (0, 1)]).edges == ((0, 1), (0, 1))
     assert Graph(0).edges == () and Graph(0).n == 0
     g = Graph(4, (e for e in [(3, 2), (1, 0)]))
     assert g.edges == ((0, 1), (2, 3)) and g.neighbors(3) == {2}
@@ -127,6 +143,30 @@ def test_mis_cap(monkeypatch):
     monkeypatch.setattr(graphs, "MIS_CAP_DEFAULT", 30)
     with pytest.raises(SizeCapError):
         brute_force_mis(empty_graph(31))
+
+
+def test_mis_matches_the_bitmask_reference():
+    # the ladder of WIS questions against the earlier bitmask search: seeded
+    # random graphs up to the 30-vertex cap, and the benchmark's claw-free
+    # line graphs of cyclic, path and tree pre-images within the cap
+    bench = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "perfbench")
+    if bench not in sys.path:
+        sys.path.append(bench)
+    import gen
+
+    rng = random.Random(1207)
+    hosts = [random_graph(rng, n, rng.random()) for n in range(12, 31) for _ in range(2)]
+    for seed in range(8):
+        r = random.Random(seed)
+        hosts += [line_graph(gen.cyclic_preimage(r, 11, 2)),
+                  line_graph(gen.path_preimage(r, r.randint(20, 30))),
+                  line_graph(gen.tree_preimage(r, r.randint(20, 30)))]
+    assert max(g.n for g in hosts) == 30
+    for g in hosts:
+        alpha, witness = brute_force_mis(g)
+        assert alpha == mis_reference(g)[0] == len(witness)
+        assert list(witness) == sorted(witness)
+        assert all(not g.has_edge(u, v) for u in witness for v in witness if u < v)
 
 
 def test_find_occurrence_agrees_with_exhaustive(p3, k3):

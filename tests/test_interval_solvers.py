@@ -1,3 +1,4 @@
+import itertools
 import os
 import random
 import sys
@@ -9,8 +10,6 @@ from igmatch.errors import InputError, InternalError, SizeCapError
 from igmatch.graphs import Graph, Pattern, cycle_graph, enumerate_occurrences, path_graph
 from igmatch.interval_solvers import (
     _arc_table,
-    _best_weight,
-    _cover,
     _cut_solve,
     _dedup_points,
     interval_wis,
@@ -23,19 +22,25 @@ from igmatch.models import (
     ArcModel,
     Interval,
     IntervalModel,
+    arc_cover,
     cut_at_point,
     equivalence_points_doubled,
     realize,
 )
 
 from oracles import (
+    _best_weight_reference,
     arc_cover_reference,
     igm_exhaustive,
     interval_wis_reference,
     long_arc_reference,
     max_igm_exhaustive,
 )
-from randgen import random_long_proper_arc_model, random_proper_interval_model
+from randgen import (
+    random_fuzzy_arc_model,
+    random_long_proper_arc_model,
+    random_proper_interval_model,
+)
 
 sys.path.append(os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
                              "perfbench"))
@@ -61,72 +66,59 @@ C6_ARCS = amodel(12, (0, 3), (2, 5), (4, 7), (6, 9), (8, 11), (10, 1))
 
 
 def test_wis_three_interval_example():
-    weight, size, witness = interval_wis([(0, 2, 3), (1, 4, 5), (3, 6, 3)])
-    assert weight == 6
+    size, witness = interval_wis([(0, 2), (1, 4), (3, 6)])
     assert size == 2
     assert witness == (0, 2)
 
 
 def test_wis_single_interval():
-    assert interval_wis([(5, 9, 7)]) == (7, 1, (0,))
+    assert interval_wis([(5, 9)]) == (1, (0,))
 
 
 def test_wis_disjoint_sum():
-    items = [(0, 1, 2), (2, 3, 4), (5, 8, 1)]
-    assert interval_wis(items) == (7, 3, (0, 1, 2))
+    assert interval_wis([(0, 1), (2, 3), (5, 8)]) == (3, (0, 1, 2))
 
 
 def test_wis_lex_tie_break():
-    # both single choices weigh 1; the smaller index wins
-    assert interval_wis([(0, 2, 1), (1, 3, 1)])[2] == (0,)
-
-
-def test_wis_rejects_bad_input():
-    with pytest.raises(InputError):
-        interval_wis([(3, 1, 2)])
-    with pytest.raises(InputError):
-        interval_wis([(0, 1, -2)])
+    # both single choices are maximum; the smaller index wins
+    assert interval_wis([(0, 2), (1, 3)])[1] == (0,)
 
 
 def test_wis_matches_brute_force():
     rng = random.Random(11)
     for _ in range(60):
         n = rng.randint(1, 9)
-        items = []
+        spans = []
         for _ in range(n):
             l = rng.randint(0, 15)
-            r = l + rng.randint(0, 6)
-            items.append((l, r, rng.randint(0, 5)))
+            spans.append((l, l + rng.randint(0, 6)))
+
+        def disjoint(a, b):
+            return max(spans[a][0], spans[b][0]) > min(spans[a][1], spans[b][1])
+
         best = 0
         for mask in range(1 << n):
             sel = [i for i in range(n) if mask >> i & 1]
-            ok = all(
-                max(items[a][0], items[b][0]) > min(items[a][1], items[b][1])
-                for x, a in enumerate(sel)
-                for b in sel[x + 1:]
-            )
-            if ok:
-                best = max(best, sum(items[i][2] for i in sel))
-        weight, _, witness = interval_wis(items)
-        assert weight == best
-        # the witness must itself be independent and reach the optimum
-        assert sum(items[i][2] for i in witness) == best
-        for x, a in enumerate(witness):
-            for b in witness[x + 1:]:
-                assert max(items[a][0], items[b][0]) > min(items[a][1], items[b][1])
+            if all(disjoint(a, b) for a, b in itertools.combinations(sel, 2)):
+                best = max(best, len(sel))
+        size, witness = interval_wis(spans)
+        assert size == len(witness) == best
+        # the witness must itself be independent
+        assert all(disjoint(a, b) for a, b in itertools.combinations(witness, 2))
 
 
 def test_wis_witness_matches_the_scan_reference():
-    # ties (shared endpoints, equal intervals, equal weights) and zero weights
-    # are where the lexicographically smallest witness is decided
+    # ties (shared endpoints, equal intervals) are where the
+    # lexicographically smallest witness is decided
     rng = random.Random(1206)
     for _ in range(1500):
         n = rng.randint(0, 12)
-        items = []
+        spans = []
         for _ in range(n):
             l = rng.randint(0, 12)
-            items.append((l, l + rng.randint(0, 4), rng.randint(0, 2)))
-        assert interval_wis(items) == interval_wis_reference(items), items
+            spans.append((l, l + rng.randint(0, 4)))
+        _, size, witness = interval_wis_reference([(l, r, 1) for l, r in spans])
+        assert interval_wis(spans) == (size, witness), spans
 
 
 # ---------------------------------------------------------------------------
@@ -222,7 +214,7 @@ def test_ca_single_wrapping_occurrence_needs_fallback():
     h = Pattern.of(cycle_graph(6))
     occs = enumerate_occurrences(realize(C6_ARCS), h)
     assert [o.vertex_set() for o in occs] == [set(range(6))]
-    over = _cover(C6_ARCS)
+    over = arc_cover(C6_ARCS)
     table = _arc_table(C6_ARCS, occs, over)
     assert table == ([], [])
     for p2, removed in _dedup_points(C6_ARCS, over):
@@ -312,18 +304,33 @@ def _sweep_models():
             yield gen.long_proper_arc_model(rng, n, length=rng.randint(2, min(15, n - 1)))
 
 
+def _fuzzy_cover_models():
+    # the arcs of fuzzy models from both generators, n = 4..30; their ends
+    # sit on an even grid, so arcs share ends and many wrap past 0
+    for n in range(4, 31, 2):
+        rng = random.Random(n)
+        yield gen.fuzzy_arc_model(rng, n, max(2, n // 2 + 2)).arcs
+        yield random_fuzzy_arc_model(rng, n, max(4, n // 2 + 2)).arcs
+
+
 def test_cover_sweep_matches_the_per_arc_reference():
-    probes = wrapping = at_zero = 0
-    for model in [C6_ARCS, *_sweep_models()]:
-        over, ref = _cover(model), arc_cover_reference(model)
-        points = (equivalence_points_doubled(model) + [2 * a.s - 1 for a in model.arcs]
-                  + [2 * a.t + 1 for a in model.arcs])
-        for p2 in points:
-            assert over(p2) == ref(p2), (model.arcs, p2)
-        probes += len(points)
-        wrapping += sum(a.t < a.s for a in model.arcs)
-        at_zero += sum(a.s == 0 for a in model.arcs)  # probed at -1
-    assert (probes, wrapping, at_zero) == (7258, 172, 23)
+    # the points probed are the long-arc cuts, the points just before each
+    # start and just past each end, and the fuzzy cuts just past each start
+    counts = []
+    for models in ([C6_ARCS, *_sweep_models()], list(_fuzzy_cover_models())):
+        probes = wrapping = at_zero = 0
+        for model in models:
+            over, ref = arc_cover(model), arc_cover_reference(model)
+            points = (equivalence_points_doubled(model)
+                      + [2 * a.s + d for a in model.arcs for d in (-1, 1)]
+                      + [2 * a.t + 1 for a in model.arcs])
+            for p2 in points:
+                assert over(p2) == ref(p2), (model.arcs, p2)
+            probes += len(points)
+            wrapping += sum(a.t < a.s for a in model.arcs)
+            at_zero += sum(a.s == 0 for a in model.arcs)  # probed at -1
+        counts.append((probes, wrapping, at_zero))
+    assert counts == [(8614, 172, 23), (1998, 74, 53)]
 
 
 def test_cut_count_matches_best_weight_at_every_cut(monkeypatch):
@@ -336,7 +343,7 @@ def test_cut_count_matches_best_weight_at_every_cut(monkeypatch):
     patterns = [Pattern.of(Graph(1, [])), Pattern.of(path_graph(2)), Pattern.of(path_graph(3))]
     cuts = 0
     for model in _sweep_models():
-        over = _cover(model)
+        over = arc_cover(model)
         g = realize(model)
         points = _dedup_points(model, over)
         for h in patterns:
@@ -346,7 +353,7 @@ def test_cut_count_matches_best_weight_at_every_cut(monkeypatch):
                 spans = dict(zip(cut.kept_ids, cut.intervals.items))
                 aux = [(spans[lm].l, spans[rm].r, 1)
                        for (lm, rm), (mask, _) in table.classes if not mask & removed]
-                opt = _best_weight(aux, range(len(aux)))
+                opt = _best_weight_reference(aux, range(len(aux)))
                 if opt:
                     assert _cut_solve(model, opt, p2, removed, table) is not None
                     assert built.pop() == p2
@@ -361,7 +368,7 @@ def test_cut_sweep_rejects_a_class_over_the_cut_point():
     # alive across the cut, with its cut start past its cut end
     model = amodel(20, (0, 3), (1, 4), (10, 13), (11, 14))
     occs = enumerate_occurrences(realize(model), Pattern.of(path_graph(2)))
-    table = _arc_table(model, occs, _cover(model))
+    table = _arc_table(model, occs, arc_cover(model))
     assert _cut_solve(model, 2, 4, 0b0011, table) is None
     with pytest.raises(InternalError, match="wraps past cut point 4"):
         _cut_solve(model, 2, 4, 0, table)

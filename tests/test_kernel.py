@@ -132,6 +132,44 @@ def stripes_and_spots_pair():
     return g, StripStructure((0, 1), tuple(eids), strips, z_assign)
 
 
+def parallel_stripes_host(pairs):
+    """Strip-vertex pairs (2p, 2p + 1), each joined by parallel stripes and
+    then spots; ``pairs[p]`` is (stripes, spots), and strip-edges are
+    numbered in that order.
+
+    A stripe is the path z - u - m - v - z, with u in C(2p) and v in
+    C(2p + 1); a spot's one vertex lies in both cliques.  Removing N[Z]
+    leaves a stripe only m and a spot nothing, so no strip-edge is
+    promising for K2, and the m's are independent.
+    """
+    edges, strips, z_assign, eids = set(), {}, {}, []
+    n = 0
+    for p, (stripes, spots) in enumerate(pairs):
+        x, y = 2 * p, 2 * p + 1
+        cx, cy = [], []
+        for _ in range(stripes):
+            u, m, v = n, n + 1, n + 2
+            n += 3
+            edges.update({(u, m), (m, v)})
+            cx.append(u)
+            cy.append(v)
+            strips[len(eids)] = Strip(graph=path_graph(5), z=frozenset({0, 4}),
+                                      g_map={1: u, 2: m, 3: v})
+            z_assign[len(eids)] = {x: 0, y: 4}
+            eids.append((len(eids), (x, y)))
+        for _ in range(spots):
+            cx.append(n)
+            cy.append(n)
+            strips[len(eids)] = Strip(graph=path_graph(3), z=frozenset({0, 2}), g_map={1: n})
+            z_assign[len(eids)] = {x: 0, y: 2}
+            eids.append((len(eids), (x, y)))
+            n += 1
+        for clique in (cx, cy):
+            edges.update(itertools.combinations(clique, 2))
+    ss = StripStructure(tuple(range(2 * len(pairs))), tuple(eids), strips, z_assign)
+    return Graph(n, sorted(edges)), ss
+
+
 def five_spot_triangle():
     """Strip-graph triangle with parallel spots: two on (0,1), one on (0,2),
     two on (1,2); C(0) = {0,1,2}, C(1) = {0,1,3,4}, C(2) = {2,3,4}."""
@@ -371,6 +409,34 @@ def test_reduction_prefers_stripes_over_spots(k2):
     assert g2.n == 8
     for k in (1, 2):
         assert igm_exhaustive(g, k2.graph, k) == igm_exhaustive(g2, k2.graph, k)
+
+
+def test_the_loop_thins_a_pair_of_stripes_to_the_stock(k2):
+    # more than 2h = 4 non-promising strip-edges join strip-vertices 0 and 1;
+    # the second pair's four stripes, within the stock, lift the
+    # independence number to 5, and at k = 10 neither the greedy matching nor
+    # the dis-degree rule settles anything first, so the loop itself fires
+    # the reduction step on (0, 1)
+    cases = [
+        (6, 2, [0, 1, 2, 3]),  # above 2h stripes: the first 2h stay
+        (3, 3, [0, 1, 2]),  # h to 2h stripes: every stripe stays, the spots go
+        (1, 5, [0, 1]),  # below h stripes: one spot tops the stock up to h
+    ]
+    for stripes, spots, kept in cases:
+        g, ss = parallel_stripes_host([(stripes, spots), (4, 0)])
+        assert validate_strip_structure(g, ss).ok
+        with recording() as notes:
+            br = bound_strip_graph(g, k2, 10, ss=ss)
+        assert "reduction step thinned the strips between 0 and 1" in notes
+        assert br.status == "partial"
+        pair = [eid for eid, ms in br.ss.edges if ms == (0, 1)]
+        assert pair == kept
+        side = [eid for eid, ms in br.ss.edges if ms == (2, 3)]
+        assert side == list(range(stripes + spots, stripes + spots + 4))
+        # a deleted stripe takes its three vertices from the host, a spot one
+        gone = [eid for eid in range(stripes + spots) if eid not in kept]
+        assert g.n - br.graph.n == sum(3 if eid < stripes else 1 for eid in gone)
+        assert validate_strip_structure(br.graph, br.ss).ok
 
 
 def test_reduction_requires_an_overloaded_pair(k2):
@@ -636,7 +702,7 @@ def test_distributions_cap_spots_at_one(k2, k3):
 
 def test_build_counts_selection_cliques(k2):
     g, ss = five_spot_triangle()
-    inst = build_wis_instance(g, ss, k2, 2)
+    inst = build_wis_instance(ss, k2, 2)
     assert inst.k_card == 8
     assert inst.k_weight == 2
     assert len(inst.cliques) == 8
@@ -654,7 +720,7 @@ def test_build_emits_trivial_yes_on_heavy_strips(k2):
                          g_map={i: i - 1 for i in range(1, 9)})},
         z_assign={0: {0: 0}},
     )
-    inst = build_wis_instance(host, ss, k2, 2)
+    inst = build_wis_instance(ss, k2, 2)
     assert inst.tags == ("trivial:yes",)
     assert wis_answer(inst) is True
     assert igm_exhaustive(host, k2.graph, 2) is True
@@ -700,7 +766,7 @@ def test_two_far_claims_on_one_clique_conflict(k2):
     the copies would touch.  This host used to decode to a bogus yes."""
     g = two_far_claims_host()
     ss = derive_strip_structure(g)
-    inst = build_wis_instance(g, ss, k2, 2)
+    inst = build_wis_instance(ss, k2, 2)
     assert igm_exhaustive(g, k2.graph, 2) is False
     assert wis_answer(inst) is False
 
@@ -718,7 +784,7 @@ def test_build_matches_the_matching_oracle_on_hand_fixtures(k2, k3):
     cases += [(g, ss, hp, 2) for hp in (k2, k3)]
     for g, ss, hp, k in cases:
         assert validate_strip_structure(g, ss).ok
-        inst = build_wis_instance(g, ss, hp, k)
+        inst = build_wis_instance(ss, hp, k)
         assert wis_answer(inst) == igm_exhaustive(g, hp.graph, k), (hp.h, k)
 
 
@@ -735,13 +801,13 @@ def test_build_matches_the_matching_oracle_on_random_line_graphs(k2, k3):
         seen += 1
         for hp in (k2, k3):
             for k in (2, 3):
-                inst = build_wis_instance(g, ss, hp, k)
+                inst = build_wis_instance(ss, hp, k)
                 assert wis_answer(inst) == igm_exhaustive(g, hp.graph, k)
 
 
 def test_full_cardinality_selections_pick_one_per_clique(k2):
     g, ss = c11_two_stripes()
-    inst = build_wis_instance(g, ss, k2, 3)
+    inst = build_wis_instance(ss, k2, 3)
     ok, chosen = brute_force_wis(inst.graph, inst.weights, inst.k_card, inst.k_weight)
     assert ok
     picked = set(chosen)
@@ -798,14 +864,14 @@ def test_wis_witnesses_match_the_static_bound_reference(k2, k3):
         seen += 1
         builds += [(g, ss, hp, k) for hp in (k2, k3) for k in (2, 3)]
     for g, ss, hp, k in builds:
-        inst = build_wis_instance(g, ss, hp, k)
+        inst = build_wis_instance(ss, hp, k)
         questions.append((inst.graph, inst.weights, inst.k_card, inst.k_weight))
     # the benchmark-sized encoding: K2 on the C5 sunlet at its optimum 2 (yes)
     # and one past it (no), 60 vertices in 15 selection cliques each
     g = sunlet_line_graph(5)
     ss = derive_strip_structure(g)
     for k in (2, 3):
-        inst = build_wis_instance(g, ss, k2, k)
+        inst = build_wis_instance(ss, k2, k)
         assert inst.graph.n == 60 and inst.k_card == 15
         assert wis_answer(inst) == igm_exhaustive(g, k2.graph, k) == (k == 2)
         questions.append((inst.graph, inst.weights, inst.k_card, inst.k_weight))
@@ -832,7 +898,7 @@ def test_build_respects_the_size_ceiling_and_weight_cap(k2, k3):
         (*stripes_and_spots_pair(), k2, 2),
     ]
     for g, ss, hp, k in cases:
-        inst = build_wis_instance(g, ss, hp, k)
+        inst = build_wis_instance(ss, hp, k)
         assert inst.graph.n > 1, "fixture unexpectedly trivial"
         assert inst.graph.n <= _wis_size_ceiling(ss, hp.h)
         assert max(inst.weights) <= k - 1
