@@ -11,6 +11,16 @@ the largest, run one packing search that visits sets of occurrences as
 increasing index lists in lexicographic order, and ``brute_force_mis`` asks
 the one independent-set search, ``brute_force_wis``, at unit weight.
 
+The searches read adjacency as integer bitmasks (``_neighbor_masks``: bit w
+of ``nbr[v]`` is set iff vw is an edge), built per call and never stored on
+the ``Graph``.  Line-graph recognition builds them once per host and shares
+them between its claw test, its twin classes and its final L(M) = g check.
+Its cover search keeps the order of the list-based search it replaced
+(first uncovered edge of ``g.edges``, then the cliques through it largest
+first, ties by sorted tuple) but builds each clique only when it tries it;
+on the benchmark's ``clawfree`` and ``kernel`` hosts every step takes the
+first clique it builds, so the search never backtracks there.
+
 Conventions
 -----------
 * Vertices of a ``Graph`` on ``n`` vertices are the integers ``0..n-1``.
@@ -338,6 +348,44 @@ def compatible(a: Occurrence, b: Occurrence, g: Graph) -> bool:
 # ---------------------------------------------------------------------------
 # predicates
 
+def _neighbor_masks(g: Graph) -> list[int]:
+    """Adjacency as bitmasks: bit w of ``nbr[v]`` is set iff vw is an edge."""
+    nbr = [0] * g.n
+    for u, v in g.edges:
+        nbr[u] |= 1 << v
+        nbr[v] |= 1 << u
+    return nbr
+
+
+def _bits(mask: int) -> list[int]:
+    """The set bits of a mask, ascending."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return out
+
+
+def _lex_cliques(nbr: list[int], cand: int, size: int):
+    """Masks of the cliques of ``size`` vertices inside ``cand``, in the
+    order ``itertools.combinations`` lists the vertex tuples.
+
+    Depth first, lowest bit first: after w, the rest of the clique comes from
+    the candidates above w that ``nbr[w]`` keeps, and a branch stops as soon
+    as fewer candidates are left than vertices are missing.  With the
+    complements ``~nbr[v]`` as masks the same search lists independent sets.
+    """
+    if size == 0:
+        yield 0
+        return
+    while cand.bit_count() >= size:
+        low = cand & -cand
+        cand ^= low
+        for rest in _lex_cliques(nbr, cand & nbr[low.bit_length() - 1], size - 1):
+            yield low | rest
+
+
 def find_star(g: Graph, t: int) -> tuple | None:
     """A (center, leg, ..., leg) witness of an induced K_{1,t}, or None.
 
@@ -346,16 +394,17 @@ def find_star(g: Graph, t: int) -> tuple | None:
     """
     if t < 1:
         raise InputError("t must be positive")
-    for v in range(g.n):
-        nb = sorted(g.neighbors(v))
-        if len(nb) < t:
-            continue
-        for combo in itertools.combinations(nb, t):
-            if all(
-                not g.has_edge(a, b)
-                for a, b in itertools.combinations(combo, 2)
-            ):
-                return (v,) + combo
+    return _star(_neighbor_masks(g), t)
+
+
+def _star(nbr: list[int], t: int) -> tuple | None:
+    """``find_star`` on adjacency masks: the legs are the first independent
+    t-set of the center's neighbours in combination order."""
+    co = [~nb for nb in nbr]
+    for v, nb in enumerate(nbr):
+        legs = next(_lex_cliques(co, nb, t), None)
+        if legs is not None:
+            return (v, *_bits(legs))
     return None
 
 
@@ -444,7 +493,7 @@ def _connected_sets(g: Graph, size: int) -> list[tuple[int, ...]]:
     """
     if size == 2:
         return list(g.edges)
-    nbr = [sum(1 << w for w in g.neighbors(v)) for v in range(g.n)]
+    nbr = _neighbor_masks(g)
     found: list[tuple[int, ...]] = []
 
     def extend(members: tuple, closed: int, ext: int, above: int) -> None:
@@ -482,7 +531,7 @@ def enumerate_occurrences(g: Graph, h: Pattern) -> list[Occurrence]:
     slots = list(enumerate(itertools.combinations(range(h.h), 2)))
     bit = {pair: k for k, (a, b) in slots for pair in ((a, b), (b, a))}
     hkey = sum(h.graph.has_edge(a, b) << k for k, (a, b) in slots)
-    nbr = [sum(1 << w for w in g.neighbors(v)) for v in range(g.n)]
+    nbr = _neighbor_masks(g)
     if h.is_connected:
         subsets = _connected_sets(g, h.h)
     else:
@@ -778,10 +827,7 @@ def brute_force_wis(g: Graph, weights, k_card: int,
     cliques = _greedy_clique_partition(g)
     heaviest_first = [sorted(c, key=lambda v: -weights[v]) for c in cliques]
     m = len(cliques)
-    nbr = [0] * g.n
-    for v in range(g.n):
-        for w in g.neighbors(v):
-            nbr[v] |= 1 << w
+    nbr = _neighbor_masks(g)
     tables = None  # built when propagation first runs
     # one entry per node on the branch whose picks are not all tried:
     # [clique index, blocked, size, weight, next position in the clique,
@@ -844,16 +890,17 @@ def brute_force_wis(g: Graph, weights, k_card: int,
 # ---------------------------------------------------------------------------
 # twins and line graphs
 
-def _twin_classes(g: Graph) -> list[list[int]]:
-    """Partition into true-twin classes (equal closed neighborhoods).
+def _twin_classes(nbr: list[int]) -> list[list[int]]:
+    """Partition into true-twin classes (equal closed neighborhoods), from
+    the adjacency masks; classes and their members come in ascending order.
 
     Vertices in one class are pairwise adjacent, and any third vertex is
     adjacent to either all or none of a class.
     """
-    by_nbhd: dict[frozenset, list[int]] = {}
-    for v in range(g.n):
-        by_nbhd.setdefault(g.closed_neighborhood(v), []).append(v)
-    return sorted(sorted(c) for c in by_nbhd.values())
+    by_nbhd: dict[int, list[int]] = {}
+    for v, nb in enumerate(nbr):
+        by_nbhd.setdefault(nb | 1 << v, []).append(v)
+    return list(by_nbhd.values())
 
 
 def line_graph(m: Multigraph) -> Graph:
@@ -867,19 +914,22 @@ def line_graph(m: Multigraph) -> Graph:
     return Graph(len(m.edges), es)
 
 
-def _all_cliques_containing_edge(g: Graph, u: int, v: int) -> list[frozenset]:
-    """All cliques of g that contain both u and v, largest first."""
-    common = sorted(g.neighbors(u) & g.neighbors(v))
-    out = []
+def _cliques_through(nbr: list[int], u: int, v: int, avoid: int = 0):
+    """Masks of the cliques through the edge uv that miss ``avoid``, largest
+    first, ties by sorted tuple, built one at a time.
 
-    def extend(clique: list[int], cand: list[int]):
-        out.append(frozenset(clique))
-        for i, w in enumerate(cand):
-            if all(g.has_edge(w, x) for x in clique):
-                extend(clique + [w], cand[i + 1:])
-
-    extend([u, v], common)
-    return sorted(out, key=lambda c: (-len(c), sorted(c)))
+    For each size, from every common neighbour down to none, the common
+    neighbours outside ``avoid`` are extended into cliques in combination
+    order (``_lex_cliques``).  That is the tie order: two same-size cliques
+    through u and v compare, as sorted tuples, by the least element of their
+    symmetric difference, and adding {u, v} to both leaves that element
+    unchanged, so their extra vertices compare the same way.
+    """
+    common = nbr[u] & nbr[v] & ~avoid
+    ends = 1 << u | 1 << v
+    for size in range(common.bit_count(), -1, -1):
+        for extra in _lex_cliques(nbr, common, size):
+            yield ends | extra
 
 
 def _krausz_cover(g: Graph) -> list[frozenset] | None:
@@ -887,44 +937,47 @@ def _krausz_cover(g: Graph) -> list[frozenset] | None:
 
     Such a cover exists iff g is the line graph of a multigraph without
     self-loops; it directly encodes a pre-image.
+
+    The search takes the first uncovered edge in ``g.edges`` order and tries
+    the cliques through it with no vertex already in two chosen cliques,
+    largest first, ties by sorted tuple (``_cliques_through``), backtracking
+    when an edge has no such clique left.  Each step builds only the clique
+    it takes next, resumes the edge scan where the last step stopped, and
+    keeps the covered pairs as one mask per vertex and the vertices in one
+    and in two chosen cliques as two masks.  The picks are driven from an
+    explicit stack, so the depth is not bounded by Python's recursion limit.
     """
-    edges = list(g.edges)
-    if not edges:
-        return []
-    membership = [0] * g.n
-    covered: set[tuple[int, int]] = set()
-    chosen: list[frozenset] = []
-
-    def rec() -> bool:
-        todo = next((e for e in edges if e not in covered), None)
-        if todo is None:
-            return True
-        u, v = todo
-        if membership[u] >= 2 or membership[v] >= 2:
-            return False
-        for clique in _all_cliques_containing_edge(g, u, v):
-            if any(membership[w] >= 2 for w in clique):
-                continue
-            newly = [
-                (min(a, b), max(a, b))
-                for a, b in itertools.combinations(sorted(clique), 2)
-                if (min(a, b), max(a, b)) not in covered
-            ]
-            for w in clique:
-                membership[w] += 1
-            covered.update(newly)
-            chosen.append(clique)
-            if rec():
-                return True
-            chosen.pop()
-            covered.difference_update(newly)
-            for w in clique:
-                membership[w] -= 1
-        return False
-
-    if rec():
-        return list(chosen)
-    return None
+    nbr = _neighbor_masks(g)
+    edges = g.edges
+    covered = [0] * g.n  # bit b of covered[a]: the pair ab lies in a chosen clique
+    once = full = 0  # vertices in at least one, and in two, chosen cliques
+    # one entry per chosen clique: its edge index, the stream it came from,
+    # the clique, and what it changed, to undo it on backtracking
+    stack: list[tuple] = []
+    i, stream = 0, None
+    while True:
+        if stream is None:
+            while i < len(edges) and covered[edges[i][0]] >> edges[i][1] & 1:
+                i += 1
+            if i == len(edges):
+                return [frozenset(_bits(entry[2])) for entry in stack]
+            u, v = edges[i]
+            stream = iter(()) if (full >> u | full >> v) & 1 else _cliques_through(nbr, u, v, full)
+        clique = next(stream, None)
+        if clique is None:
+            if not stack:
+                return None
+            i, stream, _, members, before, once, full = stack.pop()
+            for w, was in zip(members, before):
+                covered[w] = was
+            continue
+        members = _bits(clique)
+        stack.append((i, stream, clique, members, [covered[w] for w in members], once, full))
+        for w in members:
+            covered[w] |= clique
+        full |= once & clique
+        once |= clique
+        i, stream = i + 1, None
 
 
 def _preimage_from_cover(g: Graph, cover: list[frozenset]) -> Multigraph:
@@ -957,6 +1010,19 @@ def recognize_line_graph(g: Graph) -> Multigraph | None:
     most two cliques on the reduced graph, then re-expands the contracted
     classes by duplicating their edges.
 
+    The host is read once into integer adjacency masks (bit w of ``nbr[v]``
+    for the edge vw), which the claw test, the twin classes (closed
+    neighbourhood masks as keys) and the final L(M) = g check share.  The
+    claw test picks legs depth first over ``nbr[v] & ~nbr[leg]``, lowest bit
+    first, and returns the witness ``find_star`` returns.  The cover search
+    (``_krausz_cover``) keeps its order: first uncovered edge of
+    ``g.edges``, then cliques through it largest first, ties by sorted
+    tuple; it builds each candidate clique only when it tries it.  On the
+    benchmark's ``clawfree`` and ``kernel`` hosts it never backtracks: every
+    step takes the first clique it builds.  The L(M) = g check compares,
+    for every g-vertex i, the edges of M meeting edge i with the
+    neighbourhood mask of i.
+
     A failed search on the reduced graph rejects g with no second search:
     ``_krausz_cover`` backtracks over every clique, so the reduced graph is
     no such line graph, and neither is g, since an induced subgraph of a
@@ -970,15 +1036,16 @@ def recognize_line_graph(g: Graph) -> Multigraph | None:
         raise InputError("recognition requires a nonempty graph")
     if not g.is_connected():
         raise InputError("recognition requires a connected graph")
-    if not star_free(g, 3):
+    nbr = _neighbor_masks(g)
+    if _star(nbr, 3) is not None:
         return None
     if g.n == 3 and len(g.edges) == 3:
         m = Multigraph(3, [(0, 1), (1, 2), (0, 2)])
-        _check_identity_preimage(g, m)
+        _check_identity_preimage(nbr, m)
         return m
-    classes = _twin_classes(g)
+    classes = _twin_classes(nbr)
     reps = [c[0] for c in classes]
-    class_of = {}
+    class_of = [0] * g.n
     for ci, c in enumerate(classes):
         for v in c:
             class_of[v] = ci
@@ -990,11 +1057,19 @@ def recognize_line_graph(g: Graph) -> Multigraph | None:
     # expand: g-vertex v gets a parallel copy of its class representative's edge
     edges = [m_red.edges[class_of[v]] for v in range(g.n)]
     m = Multigraph(m_red.n, edges)
-    _check_identity_preimage(g, m)
+    _check_identity_preimage(nbr, m)
     return m
 
 
-def _check_identity_preimage(g: Graph, m: Multigraph) -> None:
-    lg = line_graph(m)
-    if lg != g:
+def _check_identity_preimage(nbr: list[int], m: Multigraph) -> None:
+    """Raise unless L(M) is the host with adjacency masks ``nbr``: one edge
+    of M per host vertex, and the edges other than i that meet edge i are
+    exactly the host neighbours of vertex i."""
+    inc = [0] * m.n  # bit i of inc[a]: edge i of M ends at a
+    for i, (a, b) in enumerate(m.edges):
+        inc[a] |= 1 << i
+        inc[b] |= 1 << i
+    if len(m.edges) != len(nbr) or any(
+        (inc[a] | inc[b]) & ~(1 << i) != nb for i, ((a, b), nb) in enumerate(zip(m.edges, nbr))
+    ):
         raise InternalError("pre-image construction does not reproduce the host")

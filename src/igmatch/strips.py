@@ -402,7 +402,11 @@ def line_graph_strip_structure(g: Graph) -> StripStructure | None:
     m = recognize_line_graph(g)
     if m is None:
         return None
-    nonpendant = {v for v in range(m.n) if m.degree(v) >= 2}
+    degree = [0] * m.n
+    for a, b in m.edges:
+        degree[a] += 1
+        degree[b] += 1
+    nonpendant = {v for v in range(m.n) if degree[v] >= 2}
     edges = []
     strips = {}
     z_assign = {}

@@ -22,7 +22,12 @@ the weighted interval witness rebuild and the per-cut long-arc solver,
 ``arc_cover_reference`` the per-probe scan of the arcs over a point,
 ``realize_reference`` and ``model_report_reference`` the all-pairs model
 realization and validation, and
-``residual_chain_reference`` the fuzzy solver's per-star chain program,
+``residual_chain_reference`` the fuzzy solver's per-star chain program, and
+``find_star_reference``, ``twin_classes_reference``,
+``all_cliques_containing_edge_reference``, ``krausz_cover_reference``,
+``preimage_reproduces_reference`` and ``recognize_line_graph_reference``
+the list-based claw test, twin classes, cover search, L(M) = g check and
+line-graph recognition that the bitmask versions replaced,
 for differential tests that require identical output.  ``fuzzy_dp_profile`` runs
 the fuzzy solver's own residual chain from every committed occurrence, and
 ``covered_subgraph`` reads a matching's footprint off the package's strip
@@ -38,12 +43,15 @@ from igmatch.fuzzy_solver import _ChainTable, _residual_chain
 from igmatch.graphs import (
     Graph,
     Matching,
+    Multigraph,
     Occurrence,
     Pattern,
     _greedy_clique_partition,
     _occurrence_masks,
+    _preimage_from_cover,
     enumerate_occurrences,
     find_occurrence,
+    line_graph,
 )
 from igmatch.models import (
     ArcModel,
@@ -1004,3 +1012,113 @@ def model_report_reference(model) -> ModelReport:
         not any(closes(a) for a in model.arcs),
         covers_circle(model),
     )
+
+
+def find_star_reference(g, t: int) -> tuple | None:
+    """The first center in vertex order with t pairwise non-adjacent
+    neighbours, and its first such legs in combination order."""
+    if t < 1:
+        raise InputError("t must be positive")
+    for v in range(g.n):
+        nb = sorted(g.neighbors(v))
+        if len(nb) < t:
+            continue
+        for combo in itertools.combinations(nb, t):
+            if all(not g.has_edge(a, b) for a, b in itertools.combinations(combo, 2)):
+                return (v,) + combo
+    return None
+
+
+def twin_classes_reference(g) -> list[list[int]]:
+    """True-twin classes keyed by closed neighbourhood sets, sorted."""
+    by_nbhd: dict[frozenset, list[int]] = {}
+    for v in range(g.n):
+        by_nbhd.setdefault(g.neighbors(v) | {v}, []).append(v)
+    return sorted(sorted(c) for c in by_nbhd.values())
+
+
+def all_cliques_containing_edge_reference(g, u: int, v: int) -> list[frozenset]:
+    """All cliques of g that contain both u and v, largest first, ties by
+    sorted tuple."""
+    common = sorted(g.neighbors(u) & g.neighbors(v))
+    out = []
+
+    def extend(clique: list[int], cand: list[int]):
+        out.append(frozenset(clique))
+        for i, w in enumerate(cand):
+            if all(g.has_edge(w, x) for x in clique):
+                extend(clique + [w], cand[i + 1:])
+
+    extend([u, v], common)
+    return sorted(out, key=lambda c: (-len(c), sorted(c)))
+
+
+def krausz_cover_reference(g) -> list[frozenset] | None:
+    """Cliques covering every edge, each vertex in at most two, by
+    backtracking: the first uncovered edge in ``g.edges`` order, then every
+    clique through it largest first, ties by sorted tuple."""
+    edges = list(g.edges)
+    if not edges:
+        return []
+    membership = [0] * g.n
+    covered: set[tuple[int, int]] = set()
+    chosen: list[frozenset] = []
+
+    def rec() -> bool:
+        todo = next((e for e in edges if e not in covered), None)
+        if todo is None:
+            return True
+        u, v = todo
+        if membership[u] >= 2 or membership[v] >= 2:
+            return False
+        for clique in all_cliques_containing_edge_reference(g, u, v):
+            if any(membership[w] >= 2 for w in clique):
+                continue
+            newly = [
+                (min(a, b), max(a, b))
+                for a, b in itertools.combinations(sorted(clique), 2)
+                if (min(a, b), max(a, b)) not in covered
+            ]
+            for w in clique:
+                membership[w] += 1
+            covered.update(newly)
+            chosen.append(clique)
+            if rec():
+                return True
+            chosen.pop()
+            covered.difference_update(newly)
+            for w in clique:
+                membership[w] -= 1
+        return False
+
+    return list(chosen) if rec() else None
+
+
+def preimage_reproduces_reference(g, m) -> bool:
+    """Is L(M) = g, by building the line graph pair by pair?"""
+    return line_graph(m) == g
+
+
+def recognize_line_graph_reference(g):
+    """Line-graph recognition on the list-based claw test, twin classes,
+    cover search and L(M) = g check: the pre-image, or None."""
+    if g.n == 0:
+        raise InputError("recognition requires a nonempty graph")
+    if not g.is_connected():
+        raise InputError("recognition requires a connected graph")
+    if find_star_reference(g, 3) is not None:
+        return None
+    if g.n == 3 and len(g.edges) == 3:
+        m = Multigraph(3, [(0, 1), (1, 2), (0, 2)])
+    else:
+        classes = twin_classes_reference(g)
+        class_of = {v: ci for ci, c in enumerate(classes) for v in c}
+        reduced = g.induced([c[0] for c in classes])
+        cover = krausz_cover_reference(reduced)
+        if cover is None:
+            return None
+        m_red = _preimage_from_cover(reduced, cover)
+        m = Multigraph(m_red.n, [m_red.edges[class_of[v]] for v in range(g.n)])
+    if not preimage_reproduces_reference(g, m):
+        raise InternalError("pre-image construction does not reproduce the host")
+    return m

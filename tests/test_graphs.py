@@ -5,7 +5,7 @@ import sys
 import pytest
 
 from igmatch import graphs
-from igmatch.errors import InputError, SizeCapError
+from igmatch.errors import InputError, InternalError, SizeCapError
 from igmatch.graphs import (
     Graph,
     Matching,
@@ -13,6 +13,7 @@ from igmatch.graphs import (
     Occurrence,
     Pattern,
     _greedy_clique_partition,
+    _neighbor_masks,
     _occurrence_masks,
     _twin_classes,
     brute_force_mis,
@@ -34,20 +35,26 @@ from igmatch.graphs import (
     star_graph,
 )
 from oracles import (
+    all_cliques_containing_edge_reference,
     all_pairs_occurrence_masks,
     find_igm_reference,
+    find_star_reference,
     igm_exhaustive,
     is_isomorphic,
     is_line_graph_exhaustive,
+    krausz_cover_reference,
     max_igm_exhaustive,
     max_igm_reference,
     mis_exhaustive,
     mis_reference,
     occurrences_exhaustive,
+    preimage_reproduces_reference,
+    recognize_line_graph_reference,
     subset_scan_occurrences,
+    twin_classes_reference,
     wis_exhaustive,
 )
-from randgen import random_connected_graph, random_connected_multigraph, random_graph
+from randgen import random_connected_graph, random_connected_multigraph, random_graph, random_line_graph
 
 
 def test_graph_construction_and_rejection():
@@ -346,10 +353,10 @@ def test_greedy_clique_partition_is_partition():
 
 def test_twin_classes():
     # K4 collapses to one class, a path has no nontrivial twins
-    assert _twin_classes(complete_graph(4)) == [[0, 1, 2, 3]]
-    assert _twin_classes(path_graph(4)) == [[0], [1], [2], [3]]
+    assert _twin_classes(_neighbor_masks(complete_graph(4))) == [[0, 1, 2, 3]]
+    assert _twin_classes(_neighbor_masks(path_graph(4))) == [[0], [1], [2], [3]]
     g = Graph(4, [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3)])  # 0,1 are true twins
-    assert [c for c in _twin_classes(g) if len(c) > 1] == [[0, 1]]
+    assert [c for c in _twin_classes(_neighbor_masks(g)) if len(c) > 1] == [[0, 1]]
 
 
 def test_line_graph_known_shapes():
@@ -413,25 +420,159 @@ def test_recognize_line_graph_searches_for_a_cover_once(monkeypatch):
         assert searched == [reduced_n]
 
 
-def test_cover_search_fails_on_a_graph_whenever_on_its_twin_reduction():
-    # claw-free graphs with vertices blown up into true-twin cliques
-    rng = random.Random(1206)
-    failed = twinned = 0
-    for _ in range(600):
+def _twin_blowups(rng, count):
+    """Random connected graphs on 5-7 vertices with vertices blown up into
+    true-twin cliques, claw-free or not."""
+    for _ in range(count):
         base = random_connected_graph(rng, rng.randint(5, 7), 0.3 + 0.7 * rng.random())
         copies = [rng.choice((1, 1, 2)) for _ in range(base.n)]
         ids = [list(range(sum(copies[:v]), sum(copies[:v + 1]))) for v in range(base.n)]
         edges = {(a, b) for c in ids for a in c for b in c if a < b}
         edges |= {(min(a, b), max(a, b)) for u, v in base.edges for a in ids[u] for b in ids[v]}
-        g = Graph(sum(copies), sorted(edges))
+        yield Graph(sum(copies), sorted(edges))
+
+
+def test_cover_search_fails_on_a_graph_whenever_on_its_twin_reduction():
+    # claw-free graphs with vertices blown up into true-twin cliques
+    failed = twinned = 0
+    for g in _twin_blowups(random.Random(1206), 600):
         if not star_free(g, 3):
             continue
-        reduced = g.induced([c[0] for c in _twin_classes(g)])
+        reduced = g.induced([c[0] for c in _twin_classes(_neighbor_masks(g))])
         if graphs._krausz_cover(reduced) is None:
             assert graphs._krausz_cover(g) is None
             failed += 1
             twinned += reduced.n < g.n
     assert failed >= 25 and twinned >= 10
+
+
+def _outcome(recognize, g):
+    """The pre-image as (n, edges), None, or the name of the error raised."""
+    try:
+        m = recognize(g)
+    except (InputError, InternalError) as exc:
+        return type(exc).__name__
+    return None if m is None else (m.n, m.edges)
+
+
+def test_recognition_matches_the_list_based_reference(monkeypatch):
+    """The bitmask claw test, twin classes, cover search and L(M) = g check
+    give what the list-based versions they replaced give: the same claw
+    witness for t = 1..4, the same twin classes, the same cover in the same
+    order on a claw-free host and on its twin reduction, and the same
+    pre-image, None or error from ``recognize_line_graph``."""
+    bench = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "perfbench")
+    if bench not in sys.path:
+        sys.path.append(bench)
+    import workloads
+
+    bench_hosts = []
+    real = workloads.line_graph
+
+    def capture(m):
+        bench_hosts.append(real(m))
+        return bench_hosts[-1]
+
+    monkeypatch.setattr(workloads, "line_graph", capture)
+    for seed in (1, 2):
+        workloads.clawfree(random.Random(seed))
+        workloads.kernel(random.Random(seed))
+    rng = random.Random(2406)
+    multigraph_hosts = [random_line_graph(rng, max_edges=12)[0] for _ in range(300)]
+    twin_hosts = list(_twin_blowups(random.Random(1206), 600))
+    other_hosts = [random_connected_graph(rng, rng.randint(1, 10), rng.random()) for _ in range(300)]
+    other_hosts += [random_graph(rng, rng.randint(0, 8), rng.random()) for _ in range(100)]
+    outcomes = []
+    for g in bench_hosts + multigraph_hosts + twin_hosts + other_hosts:
+        nbr = _neighbor_masks(g)
+        for t in (1, 2, 3, 4):
+            assert find_star(g, t) == find_star_reference(g, t)
+        classes = _twin_classes(nbr)
+        assert classes == twin_classes_reference(g)
+        if star_free(g, 3):  # recognition searches for a cover only then
+            assert graphs._krausz_cover(g) == krausz_cover_reference(g)
+            reduced = g.induced([c[0] for c in classes])
+            assert graphs._krausz_cover(reduced) == krausz_cover_reference(reduced)
+        got = _outcome(recognize_line_graph, g)
+        assert got == _outcome(recognize_line_graph_reference, g)
+        outcomes.append(got if got is None or isinstance(got, str) else "pre-image")
+    assert len(bench_hosts) >= 2 * (24 + 90)
+    # on the benchmark hosts every step of the cover search takes the first
+    # clique it builds, so it builds no other and never backtracks
+    built = []
+    stream = graphs._cliques_through
+
+    def counted(*args):
+        built.append(0)
+        for clique in stream(*args):
+            built[-1] += 1
+            yield clique
+
+    monkeypatch.setattr(graphs, "_cliques_through", counted)
+    assert all(m is not None for m in map(recognize_line_graph, bench_hosts))
+    assert len(built) >= 1000 and set(built) == {1}
+    assert any(len(set(m.edges)) < len(m.edges) for m in map(recognize_line_graph, multigraph_hosts))
+    # pre-images, rejections and refusals of disconnected hosts are all met
+    assert all(outcomes.count(o) >= 20 for o in ("pre-image", None, "InputError"))
+
+
+def test_identity_check_matches_rebuilding_the_line_graph():
+    """``_check_identity_preimage`` raises exactly when L(M) differs from
+    the host: on each pre-image with one edge moved or dropped, for every
+    edge index, and with an extra edge that meets no other."""
+    rng = random.Random(2407)
+    raised = 0
+    for _ in range(120):
+        g, _m = random_line_graph(rng, max_edges=10)
+        nbr = _neighbor_masks(g)
+        m = recognize_line_graph(g)
+        graphs._check_identity_preimage(nbr, m)
+        wrong = [Multigraph(m.n + 2, m.edges + ((m.n, m.n + 1),))]
+        for i, (a, b) in enumerate(m.edges):
+            c = rng.choice([x for x in range(m.n + 1) if x not in (a, b)])
+            wrong += [Multigraph(m.n + 1, m.edges[:i] + ((a, c),) + m.edges[i + 1:]),
+                      Multigraph(m.n, m.edges[:i] + m.edges[i + 1:])]
+        for cand in wrong:
+            same = preimage_reproduces_reference(g, cand)
+            try:
+                graphs._check_identity_preimage(nbr, cand)
+            except InternalError:
+                assert not same
+                raised += 1
+            else:
+                assert same
+    assert raised >= 500
+
+
+def test_clique_stream_is_every_clique_through_the_edge_in_order():
+    """The stream ``_krausz_cover`` reads is the sorted list of all cliques
+    through the edge (largest first, ties by sorted tuple), and with an
+    avoided set it is that list without the cliques meeting the set."""
+    rng = random.Random(2408)
+    seen = 0
+    for _ in range(150):
+        g = random_graph(rng, rng.randint(2, 11), 0.4 + 0.6 * rng.random())
+        nbr = _neighbor_masks(g)
+        for u, v in g.edges:
+            every = all_cliques_containing_edge_reference(g, u, v)
+            assert [frozenset(graphs._bits(c)) for c in graphs._cliques_through(nbr, u, v)] == every
+            avoid = sum(1 << w for w in range(g.n) if w not in (u, v) and rng.random() < 0.3)
+            assert [frozenset(graphs._bits(c)) for c in graphs._cliques_through(nbr, u, v, avoid)] \
+                == [c for c in every if not any(avoid >> w & 1 for w in c)]
+            seen += len(every)
+    assert seen >= 5000
+
+
+def test_recognition_of_long_paths_and_wide_hubs():
+    """A path line graph deeper than Python's recursion limit, and a spider
+    whose hub clique has 2^38 sub-cliques through its first edge: the cover
+    search keeps its own stack and builds only the clique it takes."""
+    n = sys.getrecursionlimit() + 500
+    assert recognize_line_graph(path_graph(n)).n == n + 1
+    legs = 40
+    spider = Multigraph(1 + 2 * legs, [e for i in range(legs)
+                                       for e in ((0, 1 + 2 * i), (1 + 2 * i, 2 + 2 * i))])
+    assert recognize_line_graph(line_graph(spider)) is not None
 
 
 def test_recognize_triangle_conventions():
