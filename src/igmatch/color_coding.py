@@ -691,7 +691,7 @@ def _max_interior_matching(sub: Graph, kept, h: Pattern, s, cert) -> tuple:
     # "alpha4" claim nor a tested independence number of at most 4 caps the
     # packing at four copies
     exhaustive = cert != "alpha4" and brute_force_wis(sub, [1] * sub.n, ALPHA_BOUND + 1, 0)[0]
-    return tuple(max_igm(sub, h, occurrences=occs)), exhaustive
+    return tuple(max_igm(sub, occs)), exhaustive
 
 
 def _consistent_realizations(J: Graph, h: Pattern, tokens, allowed):
@@ -1163,21 +1163,20 @@ def solve_igm_claw_free(
     k: int,
     ss: StripStructure | None = None,
     certificates=None,
-    fuzzy_model: FuzzyArcModel | None = None,
     coloring: str = "exhaustive",
     trials: int | None = None,
     seed: int | None = None,
 ) -> Matching | None:
     """Find k pairwise disjoint, pairwise non-adjacent induced copies of h.
 
-    A supplied ``ss`` (with optional per-strip ``certificates``) and a
-    whole-host ``fuzzy_model`` are validated up front, so an invalid
-    structure, a fuzzy model that does not realize the host or the strip
-    interior it certifies, or an "alpha4" claim on a strip interior with five
-    independent vertices, raises on every host and every k, whether or not
-    the search would reach it.  Then the first rule that applies decides: k = 0
-    gives the empty matching, a host smaller than h gives None; a
-    whole-host ``fuzzy_model`` goes to the fuzzy arc solver; a host with
+    A supplied ``ss`` (with optional per-strip ``certificates``) is
+    validated up front, so an invalid structure, a fuzzy model that does not
+    realize the strip interior it certifies, or an "alpha4" claim on a strip
+    interior with five independent vertices, raises on every host and every
+    k, whether or not the search would reach it.  A host given as a fuzzy
+    circular-arc model goes to ``solve_igm_fuzzy_ca`` instead, the entry for
+    that question.  Then the first rule that applies decides: k = 0 gives
+    the empty matching, a host smaller than h gives None; a host with
     independence number at most 4 goes to bounded search, and k above that
     number gives None.  Otherwise the base-times-coloring pipeline runs over
     ``ss`` when given; its strip-edges without strip-vertices are solved
@@ -1205,19 +1204,13 @@ def solve_igm_claw_free(
         raise InputError(f"unknown coloring mode {coloring!r}")
     if coloring == "random" and (trials is None or trials < 0):
         raise InputError("random coloring mode needs a non-negative trial count")
-    cert = fuzzy_model
-    if fuzzy_model is not None:
-        realized = realize(fuzzy_model)
-        if realized.n != g.n or realized.edges != g.edges:
-            raise InputError("fuzzy model does not realize the graph it certifies")
+    cert = None
     if ss is not None:
         validate_strip_structure(g, ss).require_ok()
         for eid, kind in ss.kinds.items():
             if kind == "neither":
                 raise InputError(f"strip-edge {eid} is neither a spot nor a stripe")
-        certs = _checked_certificates(ss, certificates)
-        if cert is None:
-            cert = (ss, certs)
+        cert = (ss, _checked_certificates(ss, certificates))
     elif certificates:
         raise InputError("certificates need an explicit strip-structure")
     if k == 0:

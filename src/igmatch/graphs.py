@@ -39,7 +39,7 @@ from __future__ import annotations
 
 import itertools
 import operator
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .errors import InputError, InternalError, SizeCapError
 
@@ -208,9 +208,6 @@ class Multigraph:
         self.n = n
         self.edges = tuple(_edge(e, n) for e in edges)
 
-    def degree(self, v: int) -> int:
-        return sum(1 for u, w in self.edges if v in (u, w))
-
     def __eq__(self, other):
         return (
             isinstance(other, Multigraph)
@@ -244,10 +241,6 @@ def star_graph(leaves: int) -> Graph:
     return Graph(leaves + 1, [(0, i) for i in range(1, leaves + 1)])
 
 
-def empty_graph(n: int) -> Graph:
-    return Graph(n, ())
-
-
 def disjoint_union(a: Graph, b: Graph) -> Graph:
     es = list(a.edges) + [(u + a.n, v + a.n) for u, v in b.edges]
     return Graph(a.n + b.n, es)
@@ -258,19 +251,25 @@ def disjoint_union(a: Graph, b: Graph) -> Graph:
 
 @dataclass(frozen=True)
 class Pattern:
-    """A fixed pattern graph H together with precomputed shape flags."""
+    """A fixed pattern graph H; its order and shape flags are derived from it,
+    so equality and hashing depend on the graph alone."""
 
     graph: Graph
-    h: int
-    is_connected: bool
-    is_complete: bool
+    h: int = field(init=False, compare=False)
+    is_connected: bool = field(init=False, compare=False)
+    is_complete: bool = field(init=False, compare=False)
+
+    def __post_init__(self):
+        g = self.graph
+        if g.n == 0:
+            raise InputError("pattern must have at least one vertex")
+        object.__setattr__(self, "h", g.n)
+        object.__setattr__(self, "is_connected", g.is_connected())
+        object.__setattr__(self, "is_complete", len(g.edges) == g.n * (g.n - 1) // 2)
 
     @staticmethod
     def of(g: Graph) -> "Pattern":
-        if g.n == 0:
-            raise InputError("pattern must have at least one vertex")
-        complete = len(g.edges) == g.n * (g.n - 1) // 2
-        return Pattern(g, g.n, g.is_connected(), complete)
+        return Pattern(g)
 
 
 @dataclass(frozen=True)
@@ -375,15 +374,27 @@ def _lex_cliques(nbr: list[int], cand: int, size: int):
     the candidates above w that ``nbr[w]`` keeps, and a branch stops as soon
     as fewer candidates are left than vertices are missing.  With the
     complements ``~nbr[v]`` as masks the same search lists independent sets.
+    The branches left to try wait on an explicit stack, so the clique size is
+    not bounded by Python's recursion limit: a vertex's later siblings are
+    pushed before the search goes below it, and popped when it is done.
     """
     if size == 0:
         yield 0
         return
-    while cand.bit_count() >= size:
-        low = cand & -cand
-        cand ^= low
-        for rest in _lex_cliques(nbr, cand & nbr[low.bit_length() - 1], size - 1):
-            yield low | rest
+    stack = []  # (candidates left, clique so far, vertices missing) per open branch
+    chosen, missing = 0, size
+    while True:
+        while cand.bit_count() >= missing:
+            low = cand & -cand
+            cand ^= low
+            if missing == 1:
+                yield chosen | low
+            else:
+                stack.append((cand, chosen, missing))
+                cand, chosen, missing = cand & nbr[low.bit_length() - 1], chosen | low, missing - 1
+        if not stack:
+            return
+        cand, chosen, missing = stack.pop()
 
 
 def find_star(g: Graph, t: int) -> tuple | None:
@@ -669,32 +680,33 @@ def _first_packing(g: Graph, occs: list[Occurrence], goal: int | None,
     return best
 
 
-def find_igm(g: Graph, h: Pattern, k: int,
-             occurrences: list[Occurrence] | None = None) -> Matching | None:
+def find_igm(g: Graph, h: Pattern, k: int) -> Matching | None:
     """First induced matching of size k in canonical order, or None."""
     if k < 0:
         raise InputError("k must be nonnegative")
     if k == 0:
         return Matching(())
-    occs = enumerate_occurrences(g, h) if occurrences is None else occurrences
+    occs = enumerate_occurrences(g, h)
     if len(occs) < k:
         return None
     found = _first_packing(g, occs, k)
     return None if found is None else Matching(tuple(occs[i] for i in found))
 
 
-def max_igm(g: Graph, h: Pattern, require_touch=(),
-            occurrences: list[Occurrence] | None = None) -> list[Occurrence] | None:
-    """Maximum-size induced matching, optionally forced to touch vertex sets.
+def max_igm(g: Graph, occurrences: list[Occurrence],
+            require_touch=()) -> list[Occurrence] | None:
+    """Maximum-size induced matching drawn from ``occurrences``, optionally
+    forced to touch vertex sets.
 
-    Each entry of ``require_touch`` is a vertex set that the union of the
-    matching must intersect.  Returns a witness list (possibly empty when no
-    touch constraints), or None when the constraints cannot be met.
+    ``occurrences`` are occurrences of one pattern in g, in canonical order,
+    or a sub-list of them.  Each entry of ``require_touch`` is a vertex set
+    that the union of the matching must intersect.  Returns a witness list
+    (possibly empty when no touch constraints), or None when the constraints
+    cannot be met.
     """
-    occs = enumerate_occurrences(g, h) if occurrences is None else occurrences
     touch_masks = [sum(1 << v for v in set(s)) for s in require_touch]
-    found = _first_packing(g, occs, None, touch_masks)
-    return None if found is None else [occs[i] for i in found]
+    found = _first_packing(g, occurrences, None, touch_masks)
+    return None if found is None else [occurrences[i] for i in found]
 
 
 def _greedy_clique_partition(g: Graph) -> list[list[int]]:

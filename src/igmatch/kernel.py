@@ -185,7 +185,7 @@ def _strip_edge_ceiling(h: int, k: int) -> int:
 class BoundResult:
     """Outcome of the strip-graph bounding loop.
 
-    status "decided": answer settled (witness present for yes).
+    status "decided": answer settled; yes exactly when a witness is present.
     status "reduced": graph, k and ss carry the bounded equivalent instance.
     status "partial": the loop stopped early, and the fields hold the
     furthest consistent state (ss may be None).  Why the loop stopped, like
@@ -193,7 +193,6 @@ class BoundResult:
     """
 
     status: str
-    answer: bool | None = None
     witness: Matching | None = None
     graph: Graph | None = None
     k: int | None = None
@@ -252,34 +251,34 @@ def bound_strip_graph(g: Graph, h: Pattern, k: int,
 
     for _ in range(g.n + k + 2):
         if k <= 0:
-            return BoundResult("decided", True, Matching(()), g, k, ss)
+            return BoundResult("decided", Matching(()), g, k, ss)
         pruned = _prune_useless_vertices(g, h)
         if pruned.n < g.n:
             note(f"pruned {g.n - pruned.n} vertices that join no copy")
             g = pruned
             if g.n == 0:
-                return BoundResult("decided", False, None, g, k, None)
+                return BoundResult("decided", None, g, k, None)
             if supplied:
                 note("pruning invalidated the supplied structure; stopping")
-                return BoundResult("partial", None, None, g, k, None)
+                return BoundResult("partial", None, g, k, None)
             ss = None
         if g.n == 0:
-            return BoundResult("decided", False, None, g, k, ss)
+            return BoundResult("decided", None, g, k, ss)
         above, _ = brute_force_wis(g, [1] * g.n, ALPHA_BOUND + 1, 0)
         if not above:
             m = solve_igm_small_alpha(g, h, k, trust_alpha=True)
             note("independence number at most 4; decided directly")
-            return BoundResult("decided", m is not None, m, g, k, ss)
+            return BoundResult("decided", m, g, k, ss)
         greedy = _greedy_maximal_matching(g, h)
         if len(greedy) >= k:
             wit = revalidated(Matching(tuple(greedy[:k])), g, h, "greedy witness")
             note("greedy maximal matching reached the target")
-            return BoundResult("decided", True, wit, g, k, ss)
+            return BoundResult("decided", wit, g, k, ss)
         if ss is None:
             ss = derive_strip_structure(g)
             if ss is None:
                 note("host is not a line graph; cannot derive a strip structure")
-                return BoundResult("partial", None, None, g, k, None)
+                return BoundResult("partial", None, g, k, None)
         nbrs = {r: set() for r in ss.r_vertices}
         for _, ms in ss.edges:
             if len(ms) == 2:
@@ -293,7 +292,7 @@ def bound_strip_graph(g: Graph, h: Pattern, k: int,
             note(f"dis-degree rule removed C({big!r}); target now {k}")
             if supplied:
                 note("clique deletion invalidated the supplied structure; stopping")
-                return BoundResult("partial", None, None, g, k, None)
+                return BoundResult("partial", None, g, k, None)
             ss = None
             continue
         copies = _promising_copies(ss, h)
@@ -301,7 +300,7 @@ def bound_strip_graph(g: Graph, h: Pattern, k: int,
         if len(found) >= k:
             wit = revalidated(Matching(tuple(found[:k])), g, h, "promising witness")
             note(f"{len(found)} promising strip-edges certify the target")
-            return BoundResult("decided", True, wit, g, k, ss)
+            return BoundResult("decided", wit, g, k, ss)
         pair = _overloaded_pair(ss, copies, h)
         if pair is not None:
             x, y = pair
@@ -309,13 +308,13 @@ def bound_strip_graph(g: Graph, h: Pattern, k: int,
             note(f"reduction step thinned the strips between {x!r} and {y!r}")
             if supplied:
                 note("one bounding round applied; stopping")
-                return BoundResult("partial", None, None, g, k, ss)
+                return BoundResult("partial", None, g, k, ss)
             continue
         note(
             f"strip graph bounded: {len(ss.edges)} strip-edges "
             f"(ceiling {_strip_edge_ceiling(h.h, k)})"
         )
-        return BoundResult("reduced", None, None, g, k, ss)
+        return BoundResult("reduced", None, g, k, ss)
     raise InternalError("bounding loop failed to make progress")
 
 
@@ -351,7 +350,7 @@ def _stripe_table(strip: Strip, h: Pattern, flip: bool) -> dict:
         # reservations often coincide across keys, so each packing runs once
         if (allowed, touch) not in packed:
             usable = [o for o in occs if allowed.issuperset(o.vertices)]
-            m = max_igm(jg, h, require_touch=touch, occurrences=usable)
+            m = max_igm(jg, usable, require_touch=touch)
             packed[allowed, touch] = None if m is None else len(m)
         return packed[allowed, touch]
 
@@ -774,7 +773,7 @@ def kernelize(g: Graph, h: Pattern, k: int,
     with recording() as steps:
         br = bound_strip_graph(g, h, k, ss=ss)
     if br.status == "decided":
-        if br.answer:
+        if br.witness is not None:
             return _trivial_yes_wis(k, "bounding settled the answer: yes")
         return _trivial_no_wis(k, "bounding settled the answer: no")
     if br.ss is None:

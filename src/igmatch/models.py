@@ -180,7 +180,6 @@ class CutResult:
 
     intervals: IntervalModel
     kept_ids: tuple[int, ...]
-    removed_ids: tuple[int, ...]
 
 
 # ---------------------------------------------------------------------------
@@ -442,14 +441,12 @@ def cut_at_point(model: ArcModel, p2: int) -> CutResult:
     if not isinstance(p2, int):
         raise InputError(f"cut point {p2!r} must be an integer in doubled coordinates")
     c2 = 2 * model.circumference
-    removed = []
     kept = []
     intervals = []
     for i, (s2, d2) in enumerate(arc_spans(model)):
         l = (s2 - p2) % c2
         r = l + d2
         if l == 0 or r >= c2:
-            removed.append(i)
             continue
         if not (0 < l < r < c2):
             raise InternalError(
@@ -457,8 +454,4 @@ def cut_at_point(model: ArcModel, p2: int) -> CutResult:
             )
         intervals.append(Interval(len(kept), l, r))
         kept.append(i)
-    return CutResult(
-        intervals=IntervalModel(intervals),
-        kept_ids=tuple(kept),
-        removed_ids=tuple(removed),
-    )
+    return CutResult(IntervalModel(intervals), tuple(kept))

@@ -914,7 +914,7 @@ def long_arc_reference(model, h, k):
             continue
         seen.add(key)
         cut = cut_at_point(model, p2)
-        removed = set(cut.removed_ids)
+        removed = set(range(len(model.arcs))) - set(cut.kept_ids)
         new_id = {v: i for i, v in enumerate(cut.kept_ids)}.__getitem__
         kept = [
             Occurrence(tuple(map(new_id, occ.vertices)))

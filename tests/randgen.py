@@ -5,6 +5,7 @@ Model generators construct instances that satisfy the documented invariants
 by design and double-check them through the public validators.
 """
 
+import collections
 import random
 
 from igmatch.graphs import Graph, Multigraph, line_graph
@@ -81,7 +82,8 @@ def random_subdivided_structure(rng: random.Random, n: int, m: int, cut: tuple =
 
     assert m >= 2
     mg = random_connected_multigraph(rng, n, m)
-    r_vertices = [v for v in range(n) if mg.degree(v) >= 2]
+    degree = collections.Counter(v for e in mg.edges for v in e)
+    r_vertices = [v for v in range(n) if degree[v] >= 2]
     edges, strips, z_assign = [], {}, {}
     host_edges = set()
     ends = {v: [] for v in range(n)}  # host vertices whose edge piece meets v

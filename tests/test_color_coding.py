@@ -24,6 +24,7 @@ from igmatch.graphs import (
     path_graph,
     star_graph,
 )
+from igmatch.fuzzy_solver import solve_igm_fuzzy_ca
 from igmatch.models import Arc, ArcModel, FuzzyArcModel, realize
 from igmatch.strips import (
     Strip,
@@ -709,21 +710,6 @@ def test_driver_trivial_source_peels_free_components(k2):
     assert solve_igm_claw_free(g, k2, 5) is not None
 
 
-def test_driver_whole_host_fuzzy_model(k2, p3):
-    arcs = ArcModel(tuple(Arc(i, 20 * i, (20 * i + 25) % 220) for i in range(11)), 220)
-    fam = FuzzyArcModel(arcs, {})
-    g = realize(fam)
-    assert g == cycle_graph(11)
-    for h, k in ((k2, 3), (p3, 2)):
-        want = find_igm(g, h, k)
-        got = solve_igm_claw_free(g, h, k, fuzzy_model=fam)
-        assert (got is None) == (want is None)
-        if got is not None:
-            got.check(g, h)
-    with pytest.raises(InputError):
-        solve_igm_claw_free(path_graph(11), k2, 1, fuzzy_model=fam)
-
-
 def test_driver_certificate_reaches_peeled_chunks(k2):
     arcs = ArcModel(tuple(Arc(i, 20 * i, (20 * i + 25) % 220) for i in range(11)), 220)
     fam = FuzzyArcModel(arcs, {})
@@ -816,8 +802,7 @@ def _pinned_cases(k2, k3, p3):
         (c11, k2, 2, {"ss": c11ss}, [(3, 4), (0, 1)]),
         (c11, p3, 1, {"ss": c11ss}, [(1, 2, 3)]),
         (path_graph(6), k2, 2, {"ss": path6_stripe()}, [(0, 1), (3, 4)]),
-        # a whole-host fuzzy model, and one certifying the trivial strip
-        (realize(fam), p3, 2, {"fuzzy_model": fam}, [(0, 1, 2), (4, 5, 6)]),
+        # a fuzzy model certifying the trivial strip
         (realize(fam), k2, 3, {"ss": trivial_strip_structure(realize(fam)),
                                "certificates": {0: fam}}, [(0, 1), (3, 4), (6, 7)]),
     ]
@@ -829,6 +814,9 @@ def test_driver_pinned_witnesses(k2, k3, p3):
             got = solve_igm_claw_free(g, h, k, **kwargs)
         assert (None if got is None else [o.vertices for o in got.occurrences]) == want
         assert notes == []
+    # a host given as a fuzzy model has an entry of its own
+    got = solve_igm_fuzzy_ca(_c11_fuzzy(), p3, 2)
+    assert [o.vertices for o in got.occurrences] == [(0, 1, 2), (4, 5, 6)]
 
 
 def test_driver_fallback_logs_one_deviation(k2, k3):
@@ -900,18 +888,14 @@ def test_driver_settles_each_chunk_once(monkeypatch, k2):
     assert len(calls) == 2 + 5
 
 
-def test_driver_checks_fuzzy_models_at_entry(k2, k3):
+def test_driver_checks_fuzzy_models_at_entry(k2):
     # two disjoint arcs realize two isolated vertices, not an edge
     two_arcs = FuzzyArcModel(ArcModel((Arc(0, 0, 10), Arc(1, 20, 30)), 100), {})
     assert realize(two_arcs) == Graph(2, [])
     g = complete_graph(2)
-    with pytest.raises(InputError, match="does not realize"):
-        solve_igm_claw_free(g, k2, 0, fuzzy_model=two_arcs)
-    with pytest.raises(InputError, match="does not realize"):
-        solve_igm_claw_free(g, k3, 1, fuzzy_model=two_arcs)  # host smaller than h
-    # strip certificates too, whether or not the search would reach them:
-    # the body of a strip-edge without strip-vertices at k = 0, a strip of
-    # a host with independence number 2, and one the first witness skips
+    # strip certificates are checked whether or not the search would reach
+    # them: the body of a strip-edge without strip-vertices at k = 0, a strip
+    # of a host with independence number 2, and one the first witness skips
     with pytest.raises(InputError, match="certificate for strip-edge 0"):
         solve_igm_claw_free(g, k2, 0, ss=trivial_strip_structure(g),
                             certificates={0: two_arcs})

@@ -1,0 +1,81 @@
+"""Cross-solver property test on proper interval hosts.
+
+A proper interval model, lifted to arcs on a circle one point longer than
+its rightmost end, is also a long proper circular-arc model and a fuzzy
+arc model whose one-point intersections are edges; its graph is claw-free.
+So five solvers answer the same question on it, and for clique patterns
+the kernel does too.  Models come from the benchmark's constructive
+generator (``perfbench/gen.py``), drawn by ``hypothesis`` from a seed.
+"""
+
+import os
+import random
+import sys
+
+from hypothesis import given, settings, strategies as st
+
+from igmatch.color_coding import solve_igm_claw_free
+from igmatch.errors import InputError
+from igmatch.fuzzy_solver import solve_igm_fuzzy_ca
+from igmatch.graphs import Graph, Pattern, brute_force_wis, complete_graph, find_igm, path_graph
+from igmatch.interval_solvers import solve_igm_long_proper_ca, solve_igm_proper_interval
+from igmatch.kernel import kernelize
+from igmatch.models import Arc, ArcModel, FuzzyArcModel, intersection_kind, realize
+
+sys.path.insert(0, os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                                "perfbench"))
+from gen import proper_interval_model  # noqa: E402
+
+K2 = Pattern.of(complete_graph(2))
+P3 = Pattern.of(path_graph(3))
+K3 = Pattern.of(complete_graph(3))
+
+
+def _lifted(model):
+    """The intervals as arcs on a circle of circumference max r + 1, as a
+    plain and as a fuzzy model; no arc wraps, so the arcs leave a gap and
+    meet exactly where the intervals do."""
+    items = model.items
+    arcs = ArcModel([Arc(iv.id, iv.l, iv.r) for iv in items],
+                    max(iv.r for iv in items) + 1)
+    single = {(i, j): True for i in range(len(items)) for j in range(i + 1, len(items))
+              if intersection_kind(arcs, i, j) == "single-point"}
+    return arcs, FuzzyArcModel(arcs, single)
+
+
+@settings(max_examples=60, derandomize=True, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), n=st.integers(1, 12))
+def test_solvers_agree_on_proper_interval_hosts(seed, n):
+    rng = random.Random(seed)
+    model = proper_interval_model(rng, n)
+    arcs, fuzzy = _lifted(model)
+    g = realize(model)
+    assert realize(arcs) == g == realize(fuzzy)
+    perm = list(range(n))
+    rng.shuffle(perm)
+    moved = Graph(n, [(perm[u], perm[v]) for u, v in g.edges])
+    for h in (K2, P3, K3):
+        for k in (1, 2, 3):
+            want = find_igm(g, h, k)
+            answers = {
+                "interval": solve_igm_proper_interval(model, h, k),
+                "long arcs": solve_igm_long_proper_ca(arcs, h, k),
+                "fuzzy arcs": solve_igm_fuzzy_ca(fuzzy, h, k),
+                "claw-free": solve_igm_claw_free(g, h, k),
+                "find_igm": want,
+            }
+            for name, got in answers.items():
+                assert (got is None) == (want is None), (name, seed, n, h.graph, k)
+                if got is not None:
+                    got.check(g, h)
+            for got in (solve_igm_claw_free(moved, h, k), find_igm(moved, h, k)):
+                assert (got is None) == (want is None), ("relabelled", seed, n, h.graph, k)
+                if got is not None:
+                    got.check(moved, h)
+            if h.is_complete:
+                try:
+                    inst = kernelize(g, h, k)
+                except InputError:
+                    continue
+                yes, _ = brute_force_wis(inst.graph, inst.weights, inst.k_card, inst.k_weight)
+                assert yes == (want is not None), ("kernel", seed, n, h.graph, k)

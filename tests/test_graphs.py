@@ -22,7 +22,6 @@ from igmatch.graphs import (
     complete_graph,
     cycle_graph,
     disjoint_union,
-    empty_graph,
     enumerate_occurrences,
     find_igm,
     find_occurrence,
@@ -149,7 +148,7 @@ def test_mis_matches_exhaustive_search():
 def test_mis_cap(monkeypatch):
     monkeypatch.setattr(graphs, "MIS_CAP_DEFAULT", 30)
     with pytest.raises(SizeCapError):
-        brute_force_mis(empty_graph(31))
+        brute_force_mis(Graph(31))
 
 
 def test_mis_matches_the_bitmask_reference():
@@ -236,7 +235,7 @@ def test_occurrence_check_rejects_non_induced(k2):
     g = complete_graph(3)
     with pytest.raises(InputError):
         Occurrence((0, 0)).check(g, k2)
-    p2_free = Pattern.of(empty_graph(2))
+    p2_free = Pattern.of(Graph(2))
     with pytest.raises(InputError):
         Occurrence((0, 1)).check(g, p2_free)
 
@@ -266,7 +265,7 @@ def test_igm_decision_matches_exhaustive(k2, p3, k3):
 
 
 def test_igm_trivial_k0(k3):
-    assert find_igm(empty_graph(0), k3, 0).size() == 0
+    assert find_igm(Graph(0), k3, 0).size() == 0
 
 
 def test_max_igm_with_touch_constraints(k2, p3):
@@ -278,7 +277,7 @@ def test_max_igm_with_touch_constraints(k2, p3):
         for _ in range(rng.randint(0, 2)):
             size = rng.randint(1, 3)
             touch.append(frozenset(rng.sample(range(g.n), min(size, g.n))))
-        got = max_igm(g, h, require_touch=touch)
+        got = max_igm(g, enumerate_occurrences(g, h), require_touch=touch)
         want = max_igm_exhaustive(g, h.graph, require_touch=touch)
         if want is None:
             assert got is None
@@ -295,8 +294,8 @@ def test_packing_searches_return_the_reference_witnesses(k1, k2, p3, k3):
     """``find_igm`` and ``max_igm`` share one search; each still returns the
     witness of its own earlier search, and the largest packing is the first
     success of a descending ``find_igm`` ladder.  Touch sets may be empty or
-    name vertices outside the host; half the cases pass a sub-list of the
-    occurrences, as the kernel's stripe tables do."""
+    name vertices outside the host; half the ``max_igm`` cases pass a
+    sub-list of the occurrences, as the kernel's stripe tables do."""
     rng = random.Random(1207)
     for _ in range(3000):
         g = random_graph(rng, rng.randint(0, 12), rng.uniform(0.1, 0.6))
@@ -304,17 +303,16 @@ def test_packing_searches_return_the_reference_witnesses(k1, k2, p3, k3):
         k = rng.randint(0, 4)
         touch = [frozenset(rng.sample(range(g.n + 2), rng.randint(0, min(3, g.n + 2))))
                  for _ in range(rng.randint(0, 3))]
+        assert find_igm(g, h, k) == find_igm_reference(g, h, k)
         occs = enumerate_occurrences(g, h)
         if rng.random() < 0.5:
             occs = [o for o in occs if rng.random() < 0.7]
-        assert (find_igm(g, h, k, occurrences=occs)
-                == find_igm_reference(g, h, k, occurrences=occs))
-        assert (max_igm(g, h, require_touch=touch, occurrences=occs)
+        assert (max_igm(g, occs, require_touch=touch)
                 == max_igm_reference(g, h, require_touch=touch, occurrences=occs))
         ladder = (find_igm_reference(g, h, kk, occurrences=occs)
                   for kk in range(g.n // h.h, 0, -1))
         first = next((m for m in ladder if m is not None), Matching(()))
-        assert max_igm(g, h, occurrences=occs) == list(first.occurrences)
+        assert max_igm(g, occs) == list(first.occurrences)
 
 
 def test_wis_matches_exhaustive():
@@ -575,6 +573,28 @@ def test_recognition_of_long_paths_and_wide_hubs():
     assert recognize_line_graph(line_graph(spider)) is not None
 
 
+def test_recognition_of_a_wide_hub_under_a_tight_recursion_limit():
+    """The hub of a 150-leg spider is a 150-vertex clique through its first
+    edge; the clique stream keeps its branches on a stack of its own, so it
+    needs no frame per clique vertex."""
+    legs = 150
+    spider = Multigraph(1 + 2 * legs, [e for i in range(legs)
+                                       for e in ((0, 1 + 2 * i), (1 + 2 * i, 2 + 2 * i))])
+    g = line_graph(spider)
+    depth, frame = 0, sys._getframe()
+    while frame is not None:
+        depth, frame = depth + 1, frame.f_back
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(depth + 60)
+    try:
+        m = recognize_line_graph(g)
+    finally:
+        sys.setrecursionlimit(limit)
+    assert line_graph(m) == g
+    degrees = sorted(sum(v in e for e in m.edges) for v in range(m.n))
+    assert degrees == [1] * legs + [2] * legs + [legs]
+
+
 def test_recognize_triangle_conventions():
     # K3, not the 3-star, is the pre-image of a triangle
     m = recognize_line_graph(complete_graph(3))
@@ -582,12 +602,23 @@ def test_recognize_triangle_conventions():
 
 
 def test_pattern_flags():
-    assert Pattern.of(complete_graph(3)).is_complete
-    assert not Pattern.of(path_graph(3)).is_complete
-    assert Pattern.of(path_graph(3)).is_connected
-    assert not Pattern.of(empty_graph(2)).is_connected
+    """The graph is a pattern's one settable field: its order and shape
+    flags are derived from it, and equality and hashing read the graph alone."""
+    want = [(complete_graph(n), n, True, True) for n in (1, 2, 3, 4)] + [
+        (path_graph(3), 3, True, False),
+        (path_graph(4), 4, True, False),
+        (cycle_graph(5), 5, True, False),
+        (Graph(2), 2, False, False),
+    ]
+    for g, h, connected, complete in want:
+        p = Pattern(g)
+        assert (p.h, p.is_connected, p.is_complete) == (h, connected, complete)
+        assert p == Pattern.of(g) and hash(p) == hash(Pattern.of(g))
+    assert Pattern(path_graph(3)) != Pattern(Graph(3, [(0, 2), (1, 2)]))
+    with pytest.raises(TypeError):
+        Pattern(complete_graph(3), 3, True, True)
     with pytest.raises(InputError):
-        Pattern.of(empty_graph(0))
+        Pattern.of(Graph(0))
 
 
 def test_isomorphism_spot_checks():

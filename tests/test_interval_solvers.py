@@ -218,7 +218,8 @@ def test_ca_single_wrapping_occurrence_needs_fallback():
     table = _arc_table(C6_ARCS, occs, over)
     assert table == ([], [])
     for p2, removed in _dedup_points(C6_ARCS, over):
-        assert removed == sum(1 << v for v in cut_at_point(C6_ARCS, p2).removed_ids)
+        kept = cut_at_point(C6_ARCS, p2).kept_ids
+        assert removed == sum(1 << v for v in range(len(C6_ARCS.arcs)) if v not in kept)
         assert removed & sum(1 << v for v in occs[0].vertices)
         assert _cut_solve(C6_ARCS, 1, p2, removed, table) is None
     got = solve_igm_long_proper_ca(C6_ARCS, h, 1)

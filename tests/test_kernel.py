@@ -339,7 +339,7 @@ def test_dis_degree_rule_fires_on_a_nine_spoke_hub(k3):
     g = forked_star_line_graph(9)
     br, fired = _dis_degree_notes(g, k3, 2)
     assert len(fired) == 1 and fired[0].endswith("target now 1")
-    assert br.status == "decided" and br.answer is False
+    assert br.status == "decided" and br.witness is None
     assert igm_exhaustive(g, k3.graph, 2) is False
 
     g = forked_star_line_graph(8)
@@ -354,7 +354,7 @@ def test_dis_degree_rule_preserves_a_yes_answer(k2):
     g = long_leg_spider(6)
     br, fired = _dis_degree_notes(g, k2, 2)
     assert len(fired) == 1
-    assert br.status == "decided" and br.answer is True
+    assert br.status == "decided" and br.witness is not None
     assert igm_exhaustive(g, k2.graph, 2) is True
 
 
@@ -463,26 +463,26 @@ def test_bound_validates_its_arguments(k2):
 
 def test_bound_decides_target_zero(k2):
     br = bound_strip_graph(path_graph(4), k2, 0)
-    assert br.status == "decided" and br.answer is True
-    assert br.witness is not None and not br.witness.occurrences
+    assert br.status == "decided" and br.witness is not None
+    assert not br.witness.occurrences
 
 
 def test_bound_decides_when_pruning_empties_the_host(k3):
     br = bound_strip_graph(path_graph(4), k3, 1)
-    assert br.status == "decided" and br.answer is False
+    assert br.status == "decided" and br.witness is None
 
 
 def test_bound_decides_small_independence_directly(k2):
     with recording() as notes:
         br = bound_strip_graph(complete_graph(4), k2, 2)
-    assert br.status == "decided" and br.answer is False
+    assert br.status == "decided" and br.witness is None
     assert any("independence" in n for n in notes)
 
 
 def test_bound_greedy_settles_an_easy_yes(k2):
     with recording() as notes:
         br = bound_strip_graph(path_graph(29), k2, 2)
-    assert br.status == "decided" and br.answer is True
+    assert br.status == "decided" and br.witness is not None
     assert len(br.witness.occurrences) == 2
     assert any("greedy" in n for n in notes)
 
@@ -499,7 +499,7 @@ def test_bound_promising_stock_settles_a_yes(k3):
     g, ss = four_gadget_host()
     with recording() as notes:
         br = bound_strip_graph(g, k3, 3, ss=ss)
-    assert br.status == "decided" and br.answer is True
+    assert br.status == "decided" and br.witness is not None
     assert len(br.witness.occurrences) == 3
     assert any("promising" in n for n in notes)
     assert igm_exhaustive(g, k3.graph, 3) is True

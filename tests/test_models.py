@@ -285,9 +285,8 @@ def test_equivalence_points_are_exhaustive():
 def test_cut_at_point_examples():
     m = arcs(12, (0, 3), (2, 5), (6, 9))
     res = cut_at_point(m, 20)
-    assert res.removed_ids == () and len(res.intervals) == 3
+    assert res.kept_ids == (0, 1, 2) and len(res.intervals) == 3
     res2 = cut_at_point(m, 4)
-    assert res2.removed_ids == (0, 1)
     assert res2.kept_ids == (2,)
     assert len(res2.intervals) == 1
 
@@ -354,7 +353,7 @@ def test_cut_at_uncovered_point_preserves_everything():
             if any(_on_arc(p2, a.s, a.t, m.circumference) for a in m.arcs):
                 continue
             res = cut_at_point(m, p2)
-            assert res.removed_ids == ()
+            assert res.kept_ids == tuple(range(len(m.arcs)))
             assert realize(res.intervals).edges == g.edges
 
 

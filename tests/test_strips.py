@@ -113,6 +113,27 @@ def fig_structure() -> StripStructure:
 
 
 # ---------------------------------------------------------------------------
+# structure construction
+
+_ONE_SPOT = dict(r_vertices=(0, 1), edges=((0, (0, 1)),), strips={0: spot(0)},
+                 z_assign={0: {0: 1, 1: 2}})
+
+
+@pytest.mark.parametrize("change, message", [
+    ({"r_vertices": (0, 1, 1)}, "duplicate strip-vertex ids"),
+    ({"edges": ((0, (0, 1)), (0, (1,)))}, "duplicate strip-edge id 0"),
+    ({"edges": ((0, (1, 1)),)}, "edge 0: members must be 0..2 distinct ids"),
+    ({"edges": ((0, (0, 2)),)}, "edge 0: unknown strip-vertex 2"),
+    ({"edges": ()}, "at least one edge"),
+    ({"z_assign": {1: {0: 1, 1: 2}}}, "keyed by the edge ids"),
+])
+def test_structure_construction_rejects_malformed_fields(change, message):
+    StripStructure(**_ONE_SPOT)
+    with pytest.raises(InputError, match=message):
+        StripStructure(**{**_ONE_SPOT, **change})
+
+
+# ---------------------------------------------------------------------------
 # trivial structure
 
 def test_trivial_structure_validates():
