@@ -473,13 +473,13 @@ class ElementColoring:
 
 @dataclass(frozen=True)
 class BaseSurjection:
-    """Maps surviving strip-vertices/edges onto base vertices/edges.
+    """Maps surviving strip-edges onto base edges.
 
-    ``alignment[eid]`` pairs each member of a surviving strip-edge with the
+    ``edge_map[eid]`` is the index of the base edge a surviving strip-edge
+    maps onto, and ``alignment[eid]`` pairs each of its members with the
     base vertex its boundary lines up with.
     """
 
-    vertex_map: dict
     edge_map: dict
     alignment: dict
 
@@ -580,7 +580,7 @@ def blank(f: ElementColoring, ss: StripStructure, base: Base):
     present = set(colors.values())
     if any(c not in present for c in base_palette(base)):
         return None
-    return ElementColoring(colors), BaseSurjection(vkeep, edge_map, alignment)
+    return ElementColoring(colors), BaseSurjection(edge_map, alignment)
 
 
 # ---------------------------------------------------------------------------
@@ -591,7 +591,6 @@ def blank(f: ElementColoring, ss: StripStructure, base: Base):
 class StripAssignment:
     """Chosen token realization and interior packing for one strip-edge."""
 
-    eid: int
     x_vertices: dict  # token -> host vertex
     interior_matching: tuple  # occurrences in host coordinates
 
@@ -732,7 +731,7 @@ def _realize_edge(ss, eid, fe: BaseEdge, align, h, cert):
     if fe.kind == "spot":
         w = s.interior()[0]
         x = {} if fe.spot_token is None else {fe.spot_token: s.g_map[w]}
-        return StripAssignment(eid, x, ())
+        return StripAssignment(x, ())
     J = s.graph
     za = ss.z_assign[eid]
     members = tuple(sorted(za))
@@ -775,7 +774,7 @@ def _realize_edge(ss, eid, fe: BaseEdge, align, h, cert):
     if best is None:
         return None
     x, host = best
-    return StripAssignment(eid, {t: s.g_map[v] for t, v in x.items()}, host)
+    return StripAssignment({t: s.g_map[v] for t, v in x.items()}, host)
 
 
 def solve_strip_interiors(ss: StripStructure, base: Base, surj: BaseSurjection, h: Pattern,
@@ -995,7 +994,6 @@ def _embedded_surjection(base: Base, emb) -> BaseSurjection:
     the embedding ``emb`` (every other element gets a color that blanks)."""
     vmap, emap = emb
     return BaseSurjection(
-        {r: b for b, r in vmap.items()},
         {eid: fi for fi, eid in emap.items()},
         {eid: {vmap[b]: b for b in base.edges[fi].members} for fi, eid in emap.items()},
     )
@@ -1093,9 +1091,9 @@ def _structured(g, h, ss, certs, cfg: _RunConfig):
 
     Strip-edges without strip-vertices have no boundaries, hence no edges to
     the rest of the host: their bodies are solved first as free-standing
-    pieces, and the pipeline covers the strip-edges with strip-vertices,
-    over ``ss`` itself when there are no free pieces, keeping its settled
-    strip kinds.
+    pieces, and the pipeline covers the other strip-edges, over ``ss`` itself
+    when there are no free pieces (keeping its settled strip kinds), else over
+    ``ss`` without them, whose ids stay well formed as nothing else changes.
     """
     free = [(ss.strips[e].graph, ss.strips[e].g_map, certs.get(e)) for e, m in ss.edges if not m]
     pieces = _pieces(free, h, cfg)

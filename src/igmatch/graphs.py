@@ -278,9 +278,6 @@ class Occurrence:
 
     vertices: tuple[int, ...]
 
-    def vertex_set(self) -> frozenset:
-        return frozenset(self.vertices)
-
     def check(self, g: Graph, h: Pattern) -> None:
         vs = self.vertices
         if len(vs) != h.h or len(set(vs)) != len(vs):
@@ -302,12 +299,6 @@ class Matching:
 
     def size(self) -> int:
         return len(self.occurrences)
-
-    def vertex_set(self) -> frozenset:
-        out = set()
-        for o in self.occurrences:
-            out |= set(o.vertices)
-        return frozenset(out)
 
     def check(self, g: Graph, h: Pattern) -> None:
         for o in self.occurrences:
@@ -644,7 +635,8 @@ def _first_packing(g: Graph, occs: list[Occurrence], goal: int | None,
     branch is cut once it cannot reach the floor, ``goal`` or one more than
     the best packing so far, or can no longer meet a touch set, so a cut
     branch holds no packing of the size sought, and the first packing of
-    that size in this order is returned.
+    that size in this order is returned.  Open nodes live on a stack of
+    their own, so no packing size meets Python's recursion limit.
     """
     vmask, conflict = _occurrence_masks(g, occs)
     n = len(occs)
@@ -653,31 +645,32 @@ def _first_packing(g: Graph, occs: list[Occurrence], goal: int | None,
     floor = goal or 0
     best: list[int] | None = None
     chosen: list[int] = []
-
-    def rec(start: int, avail: int, unmet: list) -> bool:
-        nonlocal best, floor
-        rest = avail >> start << start
-        if len(chosen) + rest.bit_count() < floor:
-            return False
-        if unmet and any(not rest & m for m in unmet):
-            return False
-        if not unmet and len(chosen) >= floor:
-            best = list(chosen)
-            if goal is not None:
-                return True
-            floor = len(chosen) + 1
-        for i in range(start, n):
-            if not (avail >> i & 1):
-                continue
-            chosen.append(i)
-            if rec(i + 1, avail & ~conflict[i] & ~(1 << i),
-                   [m for m in unmet if not m >> i & 1]):
-                return True
-            chosen.pop()
-        return False
-
-    rec(0, (1 << n) - 1, meets)
-    return best
+    # per open node (the one at depth d chose chosen[:d]): the candidates it
+    # has not tried, and the touch sets its choices do not meet yet
+    stack: list[list] = []
+    avail, unmet = (1 << n) - 1, meets
+    while True:
+        if not (len(chosen) + avail.bit_count() < floor
+                or unmet and any(not avail & m for m in unmet)):
+            if not unmet and len(chosen) >= floor:
+                best = list(chosen)
+                if goal is not None:
+                    return best
+                floor = len(chosen) + 1
+            stack.append([avail, unmet])
+        # a node whose untried candidates cannot lift it to the floor is done
+        while stack and (not stack[-1][0] or len(stack) - 1 + stack[-1][0].bit_count() < floor):
+            stack.pop()
+        if not stack:
+            return best
+        top = stack[-1]
+        del chosen[len(stack) - 1:]
+        low = top[0] & -top[0]
+        top[0] ^= low
+        i = low.bit_length() - 1
+        chosen.append(i)
+        avail = top[0] & ~conflict[i]
+        unmet = [m for m in top[1] if not m >> i & 1]
 
 
 def find_igm(g: Graph, h: Pattern, k: int) -> Matching | None:

@@ -295,7 +295,11 @@ def solve_igm_proper_ca_disconnected(model: ArcModel, h: Pattern, k: int) -> Mat
 
     Cuts the circle at every containment-equivalence representative and
     looks for k vertex-disjoint pairwise non-adjacent copies of H as one
-    induced subgraph of the cut graph.  Exhaustive in k*|V(H)|, capped.
+    induced subgraph of the cut graph, the host's induced subgraph on the
+    arcs that avoid the cut point (they meet on the circle iff they meet on
+    the line it leaves).  So each cut is searched in place, over the kept
+    arcs in ascending id order, as the cut graph numbers them.  Exhaustive
+    in k*|V(H)|, capped.
     """
     if h.is_connected:
         raise InputError("pattern is connected; use the long proper-arc solver")
@@ -311,19 +315,14 @@ def solve_igm_proper_ca_disconnected(model: ArcModel, h: Pattern, k: int) -> Mat
     bundle_graph = h.graph
     for _ in range(k - 1):
         bundle_graph = disjoint_union(bundle_graph, h.graph)
-    bundle = Pattern.of(bundle_graph)
-    for p2, _ in _dedup_points(model, arc_cover(model)):
-        cut = cut_at_point(model, p2)
-        cg = realize(cut.intervals)
-        emb = find_occurrence(cg, bundle)
+    bundle = Pattern(bundle_graph)
+    for _, removed in _dedup_points(model, arc_cover(model)):
+        kept = [v for v in range(g.n) if not removed >> v & 1]
+        emb = find_occurrence(g, bundle, within=kept)
         if emb is None:
             continue
-        occs = []
-        for copy in range(k):
-            verts = tuple(
-                cut.kept_ids[emb.vertices[copy * h.h + i]] for i in range(h.h)
-            )
-            occs.append(Occurrence(verts))
-        matching = Matching(tuple(sorted(occs, key=lambda o: o.vertices)))
+        vs = emb.vertices
+        copies = sorted(vs[i:i + h.h] for i in range(0, len(vs), h.h))
+        matching = Matching(tuple(map(Occurrence, copies)))
         return revalidated(matching, g, h, "disconnected-pattern solution")
     return None

@@ -458,24 +458,6 @@ def _trivial_no_wis(k: int, why: str) -> WisInstance:
     return WisInstance(Graph(1, ()), (0,), 2, k, ("trivial:no",), ((0,),))
 
 
-def _wis_size_ceiling(ss: StripStructure, h: int) -> int:
-    """Certified cap on the number of selection vertices for a structure.
-
-    Per strip-edge at most 2(h+2)^2 behaviours; per strip-vertex at most
-    2^(h-1) N^h + 1 demand patterns (each pattern is a multiset partition of
-    h, at most 2^(h-1) of them, assigned to at most N^h edge choices) plus N
-    stick-out choices; per ordered pair at most 4N spanning choices and per
-    triple 3.
-    """
-    n_e = len(ss.edges)
-    n_r = len(ss.r_vertices)
-    per_edge = 2 * (h + 2) ** 2
-    per_r = 2 ** (h - 1) * max(n_e, 1) ** h + 1 + n_e
-    pairs = n_r * (n_r - 1) // 2
-    triples = n_r * (n_r - 1) * (n_r - 2) // 6
-    return n_e * per_edge + n_r * per_r + pairs * 4 * n_e + triples * 3
-
-
 def build_wis_instance(ss: StripStructure, h: Pattern, k: int) -> WisInstance:
     """Selection-clique encoding of the matching question on a strip structure.
 

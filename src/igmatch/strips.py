@@ -15,17 +15,19 @@ Five gluing axioms make the decomposition faithful:
   4. every C(r) induces a clique in the host,
   5. every host edge lies inside one strip interior or inside one C(r).
 
-validate_strip_structure checks them one by one and reports concrete
+The StripStructure constructor only normalizes.  validate_strip_structure
+checks the ids, then the axioms one by one, and reports concrete
 counterexamples instead of raising; a caller that must reject an invalid
 structure calls require_ok on the report.  Two constructions are provided: the
 trivial structure (the whole host as a single boundary-less strip) and the
 line-graph structure (one single-vertex strip per pre-image edge).  Both are
-valid by construction (their docstrings say why), so nothing re-checks them:
+valid by construction (their docstrings say why), as are the structures the
+package derives from a valid one, so nothing re-checks them:
 validate_strip_structure is for structures a caller supplies.
 """
 
 import functools
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 from .errors import InputError
 from .graphs import Graph, find_star, recognize_line_graph, star_free
@@ -78,7 +80,8 @@ class StripStructure:
     every edge and every member r of it, the z vertex of that strip that
     faces r.  kinds maps every edge id to the ``classify_strip`` result of
     its strip; it is computed on first use and kept, so a solve settles what
-    each strip is once per structure.
+    each strip is once per structure.  The constructor sorts the strip-vertex
+    ids and each edge's members and copies the dicts; it checks nothing.
     """
 
     r_vertices: tuple
@@ -87,28 +90,8 @@ class StripStructure:
     z_assign: dict
 
     def __post_init__(self):
-        rs = tuple(sorted(self.r_vertices))
-        if len(set(rs)) != len(rs):
-            raise InputError("duplicate strip-vertex ids")
-        norm = []
-        seen = set()
-        for eid, members in self.edges:
-            if eid in seen:
-                raise InputError(f"duplicate strip-edge id {eid}")
-            seen.add(eid)
-            ms = tuple(sorted(members))
-            if len(ms) > 2 or len(set(ms)) != len(ms):
-                raise InputError(f"edge {eid}: members must be 0..2 distinct ids")
-            for r in ms:
-                if r not in rs:
-                    raise InputError(f"edge {eid}: unknown strip-vertex {r}")
-            norm.append((eid, ms))
-        if not norm:
-            raise InputError("a strip structure needs at least one edge")
-        if set(self.strips) != seen or set(self.z_assign) != seen:
-            raise InputError("strips and z_assign must be keyed by the edge ids")
-        object.__setattr__(self, "r_vertices", rs)
-        object.__setattr__(self, "edges", tuple(norm))
+        object.__setattr__(self, "r_vertices", tuple(sorted(self.r_vertices)))
+        object.__setattr__(self, "edges", tuple((e, tuple(sorted(ms))) for e, ms in self.edges))
         object.__setattr__(self, "strips", dict(self.strips))
         object.__setattr__(self, "z_assign", {e: dict(a) for e, a in self.z_assign.items()})
 
@@ -126,6 +109,7 @@ class AxiomCheck:
 
 @dataclass(frozen=True)
 class StructureReport:
+    ids: AxiomCheck
     strip_invariants: AxiomCheck
     partition: AxiomCheck
     claw_free: AxiomCheck
@@ -134,14 +118,7 @@ class StructureReport:
     edge_cover: AxiomCheck
 
     def all_checks(self) -> tuple:
-        return (
-            self.strip_invariants,
-            self.partition,
-            self.claw_free,
-            self.z_assignment,
-            self.boundary_cliques,
-            self.edge_cover,
-        )
+        return tuple(getattr(self, f.name) for f in fields(self))
 
     @property
     def ok(self) -> bool:
@@ -260,13 +237,45 @@ def boundary_clique(ss: StripStructure, r) -> frozenset:
 # ---------------------------------------------------------------------------
 # validation
 
+def _id_failures(ss: StripStructure) -> list:
+    """Malformed ids: the faults the axiom sections cannot index past."""
+    out = []
+    rs = set(ss.r_vertices)
+    if len(rs) != len(ss.r_vertices):
+        out.append("duplicate strip-vertex ids")
+    seen = set()
+    for eid, ms in ss.edges:
+        if eid in seen:
+            out.append(f"duplicate strip-edge id {eid}")
+        seen.add(eid)
+        if len(ms) > 2 or len(set(ms)) != len(ms):
+            out.append(f"edge {eid}: members must be 0..2 distinct ids")
+        out += [f"edge {eid}: unknown strip-vertex {r}" for r in ms if r not in rs]
+    if not seen:
+        out.append("a strip structure needs at least one edge")
+    if set(ss.strips) != seen or set(ss.z_assign) != seen:
+        out.append("strips and z_assign must be keyed by the edge ids")
+    return out
+
+
 def validate_strip_structure(g: Graph, ss: StripStructure) -> StructureReport:
-    """Check the five gluing axioms plus the per-strip invariants.
+    """Check the ids, then the five gluing axioms plus the per-strip invariants.
 
     Purely diagnostic: every section reports pass/fail with concrete
-    counterexamples, nothing raises.  Later sections are computed
-    defensively so that one broken strip cannot crash the rest.
+    counterexamples, nothing raises.  The axiom sections index ``strips`` and
+    ``z_assign`` by edge id, so malformed ids fail them all unchecked; past
+    the ids, one broken strip cannot crash the later sections.
     """
+    def check(name, fails):
+        return AxiomCheck(name, not fails, tuple(fails))
+
+    names = ("strip invariants", "interiors partition the host", "strip graphs claw-free",
+             "one z per member", "C(r) cliques", "host edges covered")
+    ids = check("ids", _id_failures(ss))
+    if not ids.ok:
+        skipped = ["not checked: the ids are malformed"]
+        return StructureReport(ids, *(check(n, skipped) for n in names))
+
     strip_fails = []
     for eid, _ in ss.edges:
         for msg in strip_invariant_failures(ss.strips[eid], g):
@@ -341,17 +350,8 @@ def validate_strip_structure(g: Graph, ss: StripStructure) -> StructureReport:
             continue
         cover_fails.append(f"edge ({u},{v}) lies in no strip and no C(r)")
 
-    def check(name, fails):
-        return AxiomCheck(name, not fails, tuple(fails))
-
-    return StructureReport(
-        strip_invariants=check("strip invariants", strip_fails),
-        partition=check("interiors partition the host", part_fails),
-        claw_free=check("strip graphs claw-free", claw_fails),
-        z_assignment=check("one z per member", z_fails),
-        boundary_cliques=check("C(r) cliques", clique_fails),
-        edge_cover=check("host edges covered", cover_fails),
-    )
+    fails = (strip_fails, part_fails, claw_fails, z_fails, clique_fails, cover_fails)
+    return StructureReport(ids, *map(check, names, fails))
 
 
 # ---------------------------------------------------------------------------

@@ -17,8 +17,9 @@ occurrence enumeration, conflict masks and the longness test,
 ``embeddings_reference`` and ``g_map_pair_failures`` those of the base
 embedding search and the g_map edge check, ``find_igm_reference`` and
 ``max_igm_reference`` the two separate packing searches that one search
-replaced, and ``interval_wis_reference`` and ``long_arc_reference`` those of
-the weighted interval witness rebuild and the per-cut long-arc solver,
+replaced, and ``interval_wis_reference``, ``long_arc_reference`` and
+``disconnected_reference`` those of the weighted interval witness rebuild, the
+per-cut long-arc solver and the per-cut disconnected-pattern solver,
 ``arc_cover_reference`` the per-probe scan of the arcs over a point,
 ``realize_reference`` and ``model_report_reference`` the all-pairs model
 realization and validation, and
@@ -49,6 +50,7 @@ from igmatch.graphs import (
     _greedy_clique_partition,
     _occurrence_masks,
     _preimage_from_cover,
+    disjoint_union,
     enumerate_occurrences,
     find_occurrence,
     line_graph,
@@ -743,7 +745,7 @@ def covered_subgraph(ss, m) -> tuple[tuple, tuple]:
     strip-vertex when its clique C(r) does.  A size-k matching of an h-vertex
     pattern covers at most hk edges and 2hk strip-vertices.
     """
-    mv = m.vertex_set()
+    mv = {v for o in m.occurrences for v in o.vertices}
     return (
         tuple(eid for eid, _ in ss.edges if strip_image(ss, eid) & mv),
         tuple(r for r in ss.r_vertices if boundary_clique(ss, r) & mv),
@@ -932,6 +934,33 @@ def long_arc_reference(model, h, k):
         occ = find_occurrence(g, h)
         if occ is not None:
             return Matching((occ,))
+    return None
+
+
+def disconnected_reference(model, h, k):
+    """The package's earlier disconnected-pattern solver, for k >= 1 on a
+    proper model with k * |V(H)| inside the cap: each cut is realized as an
+    interval graph of its own, searched for k disjoint copies of H, and the
+    embedding mapped back through ``kept_ids``."""
+    bundle_graph = h.graph
+    for _ in range(k - 1):
+        bundle_graph = disjoint_union(bundle_graph, h.graph)
+    bundle = Pattern(bundle_graph)
+    seen = set()
+    for p2 in equivalence_points_doubled(model):
+        key = frozenset(a.id for a in model.arcs if point_in_arc(model, a.id, p2))
+        if key in seen:
+            continue
+        seen.add(key)
+        cut = cut_at_point(model, p2)
+        emb = find_occurrence(realize(cut.intervals), bundle)
+        if emb is None:
+            continue
+        occs = [
+            Occurrence(tuple(cut.kept_ids[emb.vertices[copy * h.h + i]] for i in range(h.h)))
+            for copy in range(k)
+        ]
+        return Matching(tuple(sorted(occs, key=lambda o: o.vertices)))
     return None
 
 

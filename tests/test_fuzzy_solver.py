@@ -65,8 +65,7 @@ def test_fuzzy_three_far_clusters():
     model = fmodel(16, [(0, 2), (1, 3), (5, 7), (6, 8), (10, 12), (11, 13)])
     got = solve_igm_fuzzy_ca(model, K2, 3)
     assert got is not None
-    assert sorted(o.vertex_set() for o in got.occurrences) == [
-        {0, 1}, {2, 3}, {4, 5}]
+    assert sorted(sorted(o.vertices) for o in got.occurrences) == [[0, 1], [2, 3], [4, 5]]
     assert solve_igm_fuzzy_ca(model, K2, 4) is None
 
 
@@ -250,8 +249,7 @@ def test_small_alpha_two_triangles():
     g = disjoint_union(cycle_graph(3), cycle_graph(3))
     got = solve_igm_small_alpha(g, K3, 2)
     assert got is not None
-    assert sorted(o.vertex_set() for o in got.occurrences) == [
-        {0, 1, 2}, {3, 4, 5}]
+    assert sorted(sorted(o.vertices) for o in got.occurrences) == [[0, 1, 2], [3, 4, 5]]
 
 
 def test_small_alpha_k_above_bound_is_absent():

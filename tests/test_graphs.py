@@ -1,3 +1,4 @@
+import contextlib
 import os
 import random
 import sys
@@ -197,13 +198,11 @@ def test_find_occurrence_within(p3):
 def test_enumerate_occurrences_vertex_sets(p3):
     g = path_graph(5)
     occs = enumerate_occurrences(g, p3)
-    assert sorted(o.vertex_set() for o in occs) == [
-        frozenset(s) for s in ({0, 1, 2}, {1, 2, 3}, {2, 3, 4})
-    ]
+    assert sorted(sorted(o.vertices) for o in occs) == [[0, 1, 2], [1, 2, 3], [2, 3, 4]]
     for o in occs:
         o.check(g, p3)
     # one canonical witness per vertex set
-    assert len({o.vertex_set() for o in occs}) == len(occs)
+    assert len({frozenset(o.vertices) for o in occs}) == len(occs)
 
 
 def test_enumerate_occurrences_and_masks_match_the_subset_scan():
@@ -266,6 +265,32 @@ def test_igm_decision_matches_exhaustive(k2, p3, k3):
 
 def test_igm_trivial_k0(k3):
     assert find_igm(Graph(0), k3, 0).size() == 0
+
+
+@contextlib.contextmanager
+def recursion_headroom(frames: int):
+    """Lower the recursion limit to ``frames`` frames above the current depth."""
+    depth, frame = 0, sys._getframe()
+    while frame is not None:
+        depth, frame = depth + 1, frame.f_back
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(depth + frames)
+    try:
+        yield
+    finally:
+        sys.setrecursionlimit(limit)
+
+
+def test_packings_deeper_than_the_recursion_limit(k2):
+    """The packing search keeps one stack entry per chosen occurrence, not a
+    frame, so a packing of 1,100 or 1,200 disjoint edges needs none."""
+    g = Graph(2400, [(2 * i, 2 * i + 1) for i in range(1200)])
+    occs = enumerate_occurrences(g, k2)
+    with recursion_headroom(60):
+        got = find_igm(g, k2, 1100)
+        best = max_igm(g, occs)
+    assert got.occurrences == tuple(occs[:1100])
+    assert best == occs
 
 
 def test_max_igm_with_touch_constraints(k2, p3):
@@ -581,15 +606,8 @@ def test_recognition_of_a_wide_hub_under_a_tight_recursion_limit():
     spider = Multigraph(1 + 2 * legs, [e for i in range(legs)
                                        for e in ((0, 1 + 2 * i), (1 + 2 * i, 2 + 2 * i))])
     g = line_graph(spider)
-    depth, frame = 0, sys._getframe()
-    while frame is not None:
-        depth, frame = depth + 1, frame.f_back
-    limit = sys.getrecursionlimit()
-    sys.setrecursionlimit(depth + 60)
-    try:
+    with recursion_headroom(60):
         m = recognize_line_graph(g)
-    finally:
-        sys.setrecursionlimit(limit)
     assert line_graph(m) == g
     degrees = sorted(sum(v in e for e in m.edges) for v in range(m.n))
     assert degrees == [1] * legs + [2] * legs + [legs]

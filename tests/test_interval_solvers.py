@@ -31,6 +31,7 @@ from igmatch.models import (
 from oracles import (
     _best_weight_reference,
     arc_cover_reference,
+    disconnected_reference,
     igm_exhaustive,
     interval_wis_reference,
     long_arc_reference,
@@ -129,7 +130,7 @@ def test_proper_interval_two_far_edges():
     model = imodel((0, 2), (1, 3), (5, 7), (6, 8))
     got = solve_igm_proper_interval(model, Pattern.of(path_graph(2)), 2)
     assert got is not None
-    assert sorted(o.vertex_set() for o in got.occurrences) == [{0, 1}, {2, 3}]
+    assert sorted(sorted(o.vertices) for o in got.occurrences) == [[0, 1], [2, 3]]
     assert solve_igm_proper_interval(model, Pattern.of(path_graph(2)), 3) is None
 
 
@@ -190,7 +191,7 @@ def test_ca_two_antipodal_clusters():
     model = amodel(20, (0, 3), (1, 4), (10, 13), (11, 14))
     got = solve_igm_long_proper_ca(model, Pattern.of(path_graph(2)), 2)
     assert got is not None
-    assert sorted(o.vertex_set() for o in got.occurrences) == [{0, 1}, {2, 3}]
+    assert sorted(sorted(o.vertices) for o in got.occurrences) == [[0, 1], [2, 3]]
 
 
 def test_ca_c6_k2_matching():
@@ -213,7 +214,7 @@ def test_ca_single_wrapping_occurrence_needs_fallback():
     # direct-search fallback can certify k = 1
     h = Pattern.of(cycle_graph(6))
     occs = enumerate_occurrences(realize(C6_ARCS), h)
-    assert [o.vertex_set() for o in occs] == [set(range(6))]
+    assert [sorted(o.vertices) for o in occs] == [list(range(6))]
     over = arc_cover(C6_ARCS)
     table = _arc_table(C6_ARCS, occs, over)
     assert table == ([], [])
@@ -224,7 +225,7 @@ def test_ca_single_wrapping_occurrence_needs_fallback():
         assert _cut_solve(C6_ARCS, 1, p2, removed, table) is None
     got = solve_igm_long_proper_ca(C6_ARCS, h, 1)
     assert got is not None
-    assert got.occurrences[0].vertex_set() == set(range(6))
+    assert sorted(got.occurrences[0].vertices) == list(range(6))
 
 
 def test_ca_wrapping_occurrence_without_pattern_model():
@@ -421,3 +422,25 @@ def test_disconnected_matches_oracle():
         for k in (1, 2):
             got = solve_igm_proper_ca_disconnected(model, h, k)
             assert (got is not None) == igm_exhaustive(g, h.graph, k)
+
+
+def test_disconnected_matches_the_per_cut_reference():
+    """Searching each cut in place gives the witness of searching each cut's
+    own interval graph, on proper models of equal-length arcs."""
+    rng = random.Random(2606)
+    patterns = [Pattern(Graph(2)), Pattern(Graph(3, [(1, 2)])),
+                Pattern(Graph(4, [(0, 1), (2, 3)])), Pattern(Graph(4, [(1, 2), (2, 3)]))]
+    yes = solves = 0
+    for _ in range(40):
+        circ = rng.randint(8, 40)
+        n = rng.randint(2, min(circ, 9))
+        length = rng.randint(1, circ // 3)
+        arcs = [Arc(i, s, (s + length) % circ) for i, s in enumerate(rng.sample(range(circ), n))]
+        model = ArcModel(arcs, circ)
+        for h in patterns:
+            for k in range(1, 8 // h.h + 1):
+                got = solve_igm_proper_ca_disconnected(model, h, k)
+                assert got == disconnected_reference(model, h, k), (arcs, circ, h.graph, k)
+                solves += 1
+                yes += got is not None
+    assert (solves, yes) == (400, 110)

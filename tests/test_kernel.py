@@ -27,7 +27,6 @@ from igmatch.kernel import (
     _reduction_step,
     _strip_edge_ceiling,
     _stripe_table,
-    _wis_size_ceiling,
     bound_strip_graph,
     build_wis_instance,
     derive_strip_structure,
@@ -890,6 +889,24 @@ def test_wis_witnesses_match_the_static_bound_reference(k2, k3):
         assert brute_force_wis(g, weights, k_card, k_weight) == want, (g.n, k_card, k_weight)
 
 
+def wis_size_ceiling(ss: StripStructure, h: int) -> int:
+    """The paper's cap on the number of selection vertices for a structure.
+
+    Per strip-edge at most 2(h+2)^2 behaviours; per strip-vertex at most
+    2^(h-1) N^h + 1 demand patterns (each pattern is a multiset partition of
+    h, at most 2^(h-1) of them, assigned to at most N^h edge choices) plus N
+    stick-out choices; per ordered pair at most 4N spanning choices and per
+    triple 3.
+    """
+    n_e = len(ss.edges)
+    n_r = len(ss.r_vertices)
+    per_edge = 2 * (h + 2) ** 2
+    per_r = 2 ** (h - 1) * max(n_e, 1) ** h + 1 + n_e
+    pairs = n_r * (n_r - 1) // 2
+    triples = n_r * (n_r - 1) * (n_r - 2) // 6
+    return n_e * per_edge + n_r * per_r + pairs * 4 * n_e + triples * 3
+
+
 def test_build_respects_the_size_ceiling_and_weight_cap(k2, k3):
     cases = [
         (*c11_two_stripes(), k2, 4),
@@ -900,7 +917,7 @@ def test_build_respects_the_size_ceiling_and_weight_cap(k2, k3):
     for g, ss, hp, k in cases:
         inst = build_wis_instance(ss, hp, k)
         assert inst.graph.n > 1, "fixture unexpectedly trivial"
-        assert inst.graph.n <= _wis_size_ceiling(ss, hp.h)
+        assert inst.graph.n <= wis_size_ceiling(ss, hp.h)
         assert max(inst.weights) <= k - 1
 
 

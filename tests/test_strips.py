@@ -17,6 +17,7 @@ from igmatch.graphs import (
     star_free,
     star_graph,
 )
+from igmatch.kernel import kernelize
 from igmatch.models import Arc, ArcModel, FuzzyArcModel
 from igmatch.strips import (
     Strip,
@@ -127,10 +128,22 @@ _ONE_SPOT = dict(r_vertices=(0, 1), edges=((0, (0, 1)),), strips={0: spot(0)},
     ({"edges": ()}, "at least one edge"),
     ({"z_assign": {1: {0: 1, 1: 2}}}, "keyed by the edge ids"),
 ])
-def test_structure_construction_rejects_malformed_fields(change, message):
-    StripStructure(**_ONE_SPOT)
-    with pytest.raises(InputError, match=message):
-        StripStructure(**{**_ONE_SPOT, **change})
+def test_structure_construction_rejects_malformed_fields(change, message, k2):
+    """The constructor only normalizes; a structure built with malformed ids
+    fails the ids section of ``validate_strip_structure``, whose axiom
+    sections are then skipped, and both entries that take a structure reject
+    it naming the fault."""
+    g = Graph(1)
+    assert validate_strip_structure(g, StripStructure(**_ONE_SPOT)).ok
+    ss = StripStructure(**{**_ONE_SPOT, **change})
+    report = validate_strip_structure(g, ss)
+    assert not report.ids.ok and message in report.ids.failures[0]
+    assert [c.failures for c in report.all_checks()[1:]] == [
+        ("not checked: the ids are malformed",)] * 6
+    for entry in (report.require_ok, lambda: solve_igm_claw_free(g, k2, 1, ss=ss),
+                  lambda: kernelize(g, k2, 1, ss=ss)):
+        with pytest.raises(InputError, match=f"ids: .*{message}"):
+            entry()
 
 
 # ---------------------------------------------------------------------------
