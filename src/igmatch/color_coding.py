@@ -50,7 +50,7 @@ from .graphs import (
     star_free,
 )
 from .models import Arc, ArcModel, FuzzyArcModel, realize
-from .fuzzy_solver import ALPHA_BOUND, solve_igm_fuzzy_ca, solve_igm_small_alpha
+from .fuzzy_solver import ALPHA_BOUND, solve_igm_fuzzy_ca
 from .strips import StripStructure, line_graph_strip_structure, validate_strip_structure
 from .trace import note
 
@@ -222,45 +222,45 @@ def _token_plans(h: Pattern, order: list, budget: dict):
     a concrete strip-structure can be skipped without losing any of its
     embeddable bases.
     """
-    edges: list = []
-    placed: dict = {}
-    created: dict = {}
+    return _plans(h, order, budget, [], {}, {}, 0)
 
-    def rec(i: int):
-        if i == len(order):
-            yield [dict(e, slots=dict(e["slots"])) if e["kind"] == "stripe" else dict(e) for e in edges]
-            return
-        tok = order[i]
-        for ei, edge in enumerate(edges):
-            if edge["kind"] == "spot":
-                continue  # spots are created full
-            for slots in _SLOT_CHOICES[edge["nm"]]:
-                if not _placement_ok(tok, ei, slots, edges, placed, h):
-                    continue
-                edge["slots"][tok] = slots
-                placed[tok] = (ei, slots)
-                yield from rec(i + 1)
-                del edge["slots"][tok]
-                del placed[tok]
-        for kind, nm, slots in _NEW_EDGE_SHAPES:
-            shape = (kind, nm)
-            if created.get(shape, 0) >= budget.get(shape, 0):
+
+def _plans(h: Pattern, order: list, budget: dict, edges: list, placed: dict,
+           created: dict, i: int):
+    """The plans placing ``order[i:]`` after ``edges``.  Module level, so a
+    search leaves no reference cycle."""
+    if i == len(order):
+        yield [dict(e, slots=dict(e["slots"])) if e["kind"] == "stripe" else dict(e) for e in edges]
+        return
+    tok = order[i]
+    for ei, edge in enumerate(edges):
+        if edge["kind"] == "spot":
+            continue  # spots are created full
+        for slots in _SLOT_CHOICES[edge["nm"]]:
+            if not _placement_ok(tok, ei, slots, edges, placed, h):
                 continue
-            eff = frozenset((0, 1)) if kind == "spot" else slots
-            if not _placement_ok(tok, len(edges), eff, edges, placed, h):
-                continue
-            if kind == "spot":
-                edges.append({"kind": "spot", "nm": 2, "token": tok})
-            else:
-                edges.append({"kind": "stripe", "nm": nm, "slots": {tok: slots}})
-            created[shape] = created.get(shape, 0) + 1
-            placed[tok] = (len(edges) - 1, eff)
-            yield from rec(i + 1)
-            edges.pop()
-            created[shape] -= 1
+            edge["slots"][tok] = slots
+            placed[tok] = (ei, slots)
+            yield from _plans(h, order, budget, edges, placed, created, i + 1)
+            del edge["slots"][tok]
             del placed[tok]
-
-    yield from rec(0)
+    for kind, nm, slots in _NEW_EDGE_SHAPES:
+        shape = (kind, nm)
+        if created.get(shape, 0) >= budget.get(shape, 0):
+            continue
+        eff = frozenset((0, 1)) if kind == "spot" else slots
+        if not _placement_ok(tok, len(edges), eff, edges, placed, h):
+            continue
+        if kind == "spot":
+            edges.append({"kind": "spot", "nm": 2, "token": tok})
+        else:
+            edges.append({"kind": "stripe", "nm": nm, "slots": {tok: slots}})
+        created[shape] = created.get(shape, 0) + 1
+        placed[tok] = (len(edges) - 1, eff)
+        yield from _plans(h, order, budget, edges, placed, created, i + 1)
+        edges.pop()
+        created[shape] -= 1
+        del placed[tok]
 
 
 def _block_ok(plan, block, h) -> bool:
@@ -283,46 +283,49 @@ def _glued_bases(plan, h: Pattern):
     the same order, which is the normal form of ``BaseEdge``.
     """
     endpoints = [(ei, p) for ei, edge in enumerate(plan) for p in range(edge["nm"])]
-    blocks: list = []
+    return _gluings(plan, h, endpoints, [], 0)
 
-    def build() -> Base:
-        vid = {}
-        for bi, blk in enumerate(blocks):
-            for ep in blk:
-                vid[ep] = bi
-        base_edges = []
-        for ei, edge in enumerate(plan):
-            ends = sorted(range(edge["nm"]), key=lambda p: vid[(ei, p)])
-            members = tuple(vid[(ei, p)] for p in ends)
-            if edge["kind"] == "spot":
-                base_edges.append(BaseEdge("spot", members, spot_token=edge["token"]))
-            else:
-                interior = frozenset(t for t, s in edge["slots"].items() if not s)
-                bnds = tuple(
-                    frozenset(t for t, s in edge["slots"].items() if p in s) for p in ends
-                )
-                base_edges.append(
-                    BaseEdge("stripe", members, interior=interior, boundaries=bnds)
-                )
-        return Base(len(blocks), tuple(base_edges))
 
-    def rec(i: int):
-        if i == len(endpoints):
-            yield build()
-            return
-        ep = endpoints[i]
-        for blk in blocks:
-            if any(e2 == ep[0] for (e2, _p) in blk):
-                continue  # two endpoints of one edge stay distinct
-            blk.append(ep)
-            if _block_ok(plan, blk, h):
-                yield from rec(i + 1)
-            blk.pop()
-        blocks.append([ep])
-        yield from rec(i + 1)
-        blocks.pop()
+def _gluings(plan, h: Pattern, endpoints: list, blocks: list, i: int):
+    """The bases gluing ``endpoints[i:]`` into ``blocks`` or new blocks.  Module
+    level, so a search leaves no reference cycle."""
+    if i == len(endpoints):
+        yield _glued_base(plan, blocks)
+        return
+    ep = endpoints[i]
+    for blk in blocks:
+        if any(e2 == ep[0] for (e2, _p) in blk):
+            continue  # two endpoints of one edge stay distinct
+        blk.append(ep)
+        if _block_ok(plan, blk, h):
+            yield from _gluings(plan, h, endpoints, blocks, i + 1)
+        blk.pop()
+    blocks.append([ep])
+    yield from _gluings(plan, h, endpoints, blocks, i + 1)
+    blocks.pop()
 
-    yield from rec(0)
+
+def _glued_base(plan, blocks: list) -> Base:
+    """The base of ``plan`` with the endpoints of each block as one vertex."""
+    vid = {}
+    for bi, blk in enumerate(blocks):
+        for ep in blk:
+            vid[ep] = bi
+    base_edges = []
+    for ei, edge in enumerate(plan):
+        ends = sorted(range(edge["nm"]), key=lambda p: vid[(ei, p)])
+        members = tuple(vid[(ei, p)] for p in ends)
+        if edge["kind"] == "spot":
+            base_edges.append(BaseEdge("spot", members, spot_token=edge["token"]))
+        else:
+            interior = frozenset(t for t, s in edge["slots"].items() if not s)
+            bnds = tuple(
+                frozenset(t for t, s in edge["slots"].items() if p in s) for p in ends
+            )
+            base_edges.append(
+                BaseEdge("stripe", members, interior=interior, boundaries=bnds)
+            )
+    return Base(len(blocks), tuple(base_edges))
 
 
 def _canonical_base_key(base: Base):
@@ -696,34 +699,34 @@ def _max_interior_matching(sub: Graph, kept, h: Pattern, s, cert) -> tuple:
 def _consistent_realizations(J: Graph, h: Pattern, tokens, allowed):
     """Injective placements honoring pattern adjacency within a group and
     non-adjacency across groups."""
-    chosen: dict = {}
-    used: set = set()
+    return _placements(J, h, tokens, allowed, {}, set(), 0)
 
-    def rec(i: int):
-        if i == len(tokens):
-            yield dict(chosen)
-            return
-        t = tokens[i]
-        g, hv = t
-        for v in allowed[t]:
-            if v in used:
-                continue
-            ok = True
-            for t2, v2 in chosen.items():
-                g2, hv2 = t2
-                adj = J.has_edge(v, v2)
-                want = h.graph.has_edge(hv, hv2) if g2 == g else False
-                if adj != want:
-                    ok = False
-                    break
-            if ok:
-                chosen[t] = v
-                used.add(v)
-                yield from rec(i + 1)
-                del chosen[t]
-                used.discard(v)
 
-    yield from rec(0)
+def _placements(J: Graph, h: Pattern, tokens, allowed, chosen: dict, used: set, i: int):
+    """The placements of ``tokens[i:]`` extending ``chosen``.  Module level, so
+    a search leaves no reference cycle."""
+    if i == len(tokens):
+        yield dict(chosen)
+        return
+    t = tokens[i]
+    g, hv = t
+    for v in allowed[t]:
+        if v in used:
+            continue
+        ok = True
+        for t2, v2 in chosen.items():
+            g2, hv2 = t2
+            adj = J.has_edge(v, v2)
+            want = h.graph.has_edge(hv, hv2) if g2 == g else False
+            if adj != want:
+                ok = False
+                break
+        if ok:
+            chosen[t] = v
+            used.add(v)
+            yield from _placements(J, h, tokens, allowed, chosen, used, i + 1)
+            del chosen[t]
+            used.discard(v)
 
 
 def _realize_edge(ss, eid, fe: BaseEdge, align, h, cert):
@@ -917,45 +920,44 @@ def _components(steps) -> list:
 def _maps(steps, members: dict, index: _StripIndex):
     """An iterator of (vmap, emap), one per injective map of the (shape,
     members) steps in order; emap is keyed by step position."""
-    vmap: dict = {}
-    emap: dict = {}
-    used: set = set()
-    rused: set = set()
+    return _maps_from(steps, members, index, {}, {}, set(), set(), 0)
 
-    def rec(fi: int):
-        if fi == len(steps):
-            yield dict(vmap), dict(emap)
-            return
-        shape, fm = steps[fi]
-        anchored = [index.incident.get((shape, vmap[b]), ()) for b in fm if b in vmap]
-        cands = min(anchored, key=len) if anchored else index.by_shape.get(shape, ())
-        for eid in cands:
-            if eid in used:
-                continue
-            for pairs in _alignment_options(fm, members[eid]):
-                added = []
-                for b, r in pairs:
-                    if b in vmap:
-                        if vmap[b] != r:
-                            break
-                    elif r in rused:
+
+def _maps_from(steps, members: dict, index: _StripIndex, vmap: dict, emap: dict,
+               used: set, rused: set, fi: int):
+    """The maps of ``steps[fi:]`` extending ``vmap`` and ``emap``.  Module
+    level, so a search leaves no reference cycle."""
+    if fi == len(steps):
+        yield dict(vmap), dict(emap)
+        return
+    shape, fm = steps[fi]
+    anchored = [index.incident.get((shape, vmap[b]), ()) for b in fm if b in vmap]
+    cands = min(anchored, key=len) if anchored else index.by_shape.get(shape, ())
+    for eid in cands:
+        if eid in used:
+            continue
+        for pairs in _alignment_options(fm, members[eid]):
+            added = []
+            for b, r in pairs:
+                if b in vmap:
+                    if vmap[b] != r:
                         break
-                    else:
-                        added.append((b, r))
+                elif r in rused:
+                    break
                 else:
-                    for b, r in added:
-                        vmap[b] = r
-                        rused.add(r)
-                    emap[fi] = eid
-                    used.add(eid)
-                    yield from rec(fi + 1)
-                    del emap[fi]
-                    used.discard(eid)
-                    for b, r in added:
-                        del vmap[b]
-                        rused.discard(r)
-
-    return rec(0)
+                    added.append((b, r))
+            else:
+                for b, r in added:
+                    vmap[b] = r
+                    rused.add(r)
+                emap[fi] = eid
+                used.add(eid)
+                yield from _maps_from(steps, members, index, vmap, emap, used, rused, fi + 1)
+                del emap[fi]
+                used.discard(eid)
+                for b, r in added:
+                    del vmap[b]
+                    rused.discard(r)
 
 
 def _embeddings(base: Base, ss: StripStructure, index: _StripIndex):
@@ -1117,7 +1119,8 @@ def _route(g0, h, cert, cfg: _RunConfig):
     that applies decides:
 
       1. fewer vertices than the pattern: no matching;
-      2. a fuzzy model: the fuzzy arc solver; "alpha4": bounded search;
+      2. a fuzzy model: the fuzzy arc solver; "alpha4": bounded search
+         (``find_igm``), kk above ``ALPHA_BOUND``: no matching;
       3. independence number at most 4: bounded search; kk above it: no
          matching;
       4. a supplied structure: the pipeline over it;
@@ -1133,10 +1136,10 @@ def _route(g0, h, cert, cfg: _RunConfig):
     if isinstance(cert, FuzzyArcModel):
         return lambda kk: solve_igm_fuzzy_ca(cert, h, kk)
     if cert == "alpha4":
-        return lambda kk: solve_igm_small_alpha(g0, h, kk, trust_alpha=True)
+        return lambda kk: None if kk > ALPHA_BOUND else find_igm(g0, h, kk)
     alpha, _w = brute_force_mis(g0)
     if alpha <= ALPHA_BOUND:
-        return lambda kk: solve_igm_small_alpha(g0, h, kk, trust_alpha=True)
+        return lambda kk: None if kk > alpha else find_igm(g0, h, kk)
 
     @functools.cache
     def settle():

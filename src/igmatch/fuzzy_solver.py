@@ -132,12 +132,12 @@ class _ChainTable:
         return InternalError(f"arc {v} wraps the cut point of the residual model")
 
 
-def _residual_chain(table: _ChainTable, star: int, stop_at: int | None):
+def _residual_chain(table: _ChainTable, star: int, stop_at: int):
     """Best compatible chain after committing to occurrence ``star``.
 
     Returns (length, chain) where the chain lists occurrence indices in
     left-to-right order, all compatible with each other and with the star.
-    With ``stop_at`` set, returns as soon as the chain length reaches it.
+    Returns as soon as the chain length reaches ``stop_at``.
 
     The survivors are the occurrences compatible with the star.  None may
     have an arc over the cut; one test of the survivors against the cut's
@@ -190,7 +190,7 @@ def _residual_chain(table: _ChainTable, star: int, stop_at: int | None):
             levels[value] |= 1 << p
         if value + 1 > best:
             best, best_at = value + 1, p
-            if stop_at is not None and best >= stop_at:
+            if best >= stop_at:
                 break
     chain = []
     while best_at >= 0:
@@ -228,24 +228,21 @@ def solve_igm_fuzzy_ca(model: FuzzyArcModel, h: Pattern, k: int) -> Matching | N
     return None
 
 
-def solve_igm_small_alpha(
-    g: Graph, h: Pattern, k: int, trust_alpha: bool = False
-) -> Matching | None:
+def solve_igm_small_alpha(g: Graph, h: Pattern, k: int) -> Matching | None:
     """Exhaustive induced H-matching solver for hosts of independence at most 4.
 
     The independence number caps the matching size, so k above
     ``ALPHA_BOUND`` is immediately absent and anything else is settled by
-    bounded search.  Unless ``trust_alpha`` is set, the bound is verified by
-    asking ``brute_force_wis`` for ``ALPHA_BOUND + 1`` independent vertices.
+    bounded search.  The bound is always checked, by asking
+    ``brute_force_wis`` for ``ALPHA_BOUND + 1`` independent vertices; the
+    claw-free router and the kernel's bounding loop, which already hold the
+    bound, call ``find_igm`` themselves.
     """
     if k < 0:
         raise InputError("k must be non-negative")
-    if not trust_alpha:
-        found, _ = brute_force_wis(g, [1] * g.n, ALPHA_BOUND + 1, 0)
-        if found:
-            raise InputError(
-                f"independence number exceeds the promised bound {ALPHA_BOUND}"
-            )
+    found, _ = brute_force_wis(g, [1] * g.n, ALPHA_BOUND + 1, 0)
+    if found:
+        raise InputError(f"independence number exceeds the promised bound {ALPHA_BOUND}")
     if k == 0:
         return Matching(())
     if k > ALPHA_BOUND:

@@ -451,36 +451,31 @@ def find_occurrence(g: Graph, h: Pattern, within=None) -> Occurrence | None:
     hosts = sorted(within) if within is not None else list(range(g.n))
     if len(hosts) < h.h:
         return None
-    order = _pattern_order(hg)
     assignment: dict[int, int] = {}
-    used: set[int] = set()
-
-    def feasible(pv: int, gv: int) -> bool:
-        if g.degree(gv) < hg.degree(pv):
-            return False
-        for qv, hv in assignment.items():
-            if hg.has_edge(pv, qv) != g.has_edge(gv, hv):
-                return False
-        return True
-
-    def rec(idx: int) -> bool:
-        if idx == len(order):
-            return True
-        pv = order[idx]
-        for gv in hosts:
-            if gv in used or not feasible(pv, gv):
-                continue
-            assignment[pv] = gv
-            used.add(gv)
-            if rec(idx + 1):
-                return True
-            del assignment[pv]
-            used.remove(gv)
-        return False
-
-    if not rec(0):
+    if not _place(g, hg, hosts, _pattern_order(hg), assignment, set(), 0):
         return None
     return Occurrence(tuple(assignment[i] for i in range(h.h)))
+
+
+def _place(g: Graph, hg: Graph, hosts: list[int], order: list[int],
+           assignment: dict[int, int], used: set[int], idx: int) -> bool:
+    """Place ``order[idx:]`` after ``assignment``, each on the smallest fitting
+    host vertex first.  Module level, so a search leaves no reference cycle."""
+    if idx == len(order):
+        return True
+    pv = order[idx]
+    for gv in hosts:
+        if gv in used or g.degree(gv) < hg.degree(pv):
+            continue
+        if any(hg.has_edge(pv, qv) != g.has_edge(gv, hv) for qv, hv in assignment.items()):
+            continue
+        assignment[pv] = gv
+        used.add(gv)
+        if _place(g, hg, hosts, order, assignment, used, idx + 1):
+            return True
+        del assignment[pv]
+        used.remove(gv)
+    return False
 
 
 def _connected_sets(g: Graph, size: int) -> list[tuple[int, ...]]:
@@ -497,21 +492,25 @@ def _connected_sets(g: Graph, size: int) -> list[tuple[int, ...]]:
         return list(g.edges)
     nbr = _neighbor_masks(g)
     found: list[tuple[int, ...]] = []
-
-    def extend(members: tuple, closed: int, ext: int, above: int) -> None:
-        if len(members) == size:
-            found.append(tuple(sorted(members)))
-            return
-        while ext:
-            bit = ext & -ext
-            ext ^= bit
-            w = bit.bit_length() - 1
-            extend(members + (w,), closed | nbr[w], ext | (nbr[w] & ~closed & above), above)
-
     for v in range(g.n):
         above = -1 << (v + 1)
-        extend((v,), nbr[v] | 1 << v, nbr[v] & above, above)
+        _extend(nbr, size, found, (v,), nbr[v] | 1 << v, nbr[v] & above, above)
     return sorted(found)
+
+
+def _extend(nbr: list[int], size: int, found: list, members: tuple, closed: int,
+            ext: int, above: int) -> None:
+    """Append the connected sets that grow from ``members`` by ``ext`` to
+    ``found``.  Module level, so a call leaves no reference cycle."""
+    if len(members) == size:
+        found.append(tuple(sorted(members)))
+        return
+    while ext:
+        bit = ext & -ext
+        ext ^= bit
+        w = bit.bit_length() - 1
+        _extend(nbr, size, found, members + (w,), closed | nbr[w],
+                ext | (nbr[w] & ~closed & above), above)
 
 
 def enumerate_occurrences(g: Graph, h: Pattern) -> list[Occurrence]:
@@ -919,7 +918,7 @@ def line_graph(m: Multigraph) -> Graph:
     return Graph(len(m.edges), es)
 
 
-def _cliques_through(nbr: list[int], u: int, v: int, avoid: int = 0):
+def _cliques_through(nbr: list[int], u: int, v: int, avoid: int):
     """Masks of the cliques through the edge uv that miss ``avoid``, largest
     first, ties by sorted tuple, built one at a time.
 

@@ -24,7 +24,7 @@ import itertools
 from dataclasses import dataclass
 
 from .errors import InputError, InternalError
-from .fuzzy_solver import ALPHA_BOUND, solve_igm_small_alpha
+from .fuzzy_solver import ALPHA_BOUND
 from .graphs import (
     Graph,
     Matching,
@@ -32,6 +32,7 @@ from .graphs import (
     Pattern,
     brute_force_wis,
     enumerate_occurrences,
+    find_igm,
     find_occurrence,
     max_igm,
     revalidated,
@@ -266,7 +267,7 @@ def bound_strip_graph(g: Graph, h: Pattern, k: int,
             return BoundResult("decided", None, g, k, ss)
         above, _ = brute_force_wis(g, [1] * g.n, ALPHA_BOUND + 1, 0)
         if not above:
-            m = solve_igm_small_alpha(g, h, k, trust_alpha=True)
+            m = None if k > ALPHA_BOUND else find_igm(g, h, k)
             note("independence number at most 4; decided directly")
             return BoundResult("decided", m, g, k, ss)
         greedy = _greedy_maximal_matching(g, h)
@@ -406,22 +407,19 @@ def _distributions(ss: StripStructure, x, h: Pattern) -> list:
     eids = [eid for eid, ms in ss.edges if x in ms]
     caps = [1 if ss.kinds[e] == "spot" else h.h for e in eids]
     out = [()]
-    acc = []
-
-    def rec(idx: int, remaining: int):
-        if idx == len(eids):
-            if remaining == 0:
-                out.append(tuple(sorted(acc)))
-            return
-        for c in range(min(caps[idx], remaining) + 1):
-            if c:
-                acc.append((eids[idx], c))
-            rec(idx + 1, remaining - c)
-            if c:
-                acc.pop()
-
-    rec(0, h.h)
+    _demands(eids, caps, (), out, 0, h.h)
     return out
+
+
+def _demands(eids, caps, acc: tuple, out: list, idx: int, remaining: int) -> None:
+    """Append each split of ``remaining`` over ``eids[idx:]``, after ``acc``, to
+    ``out``.  Module level, so a call leaves no reference cycle."""
+    if idx == len(eids):
+        if remaining == 0:
+            out.append(tuple(sorted(acc)))
+        return
+    for c in range(min(caps[idx], remaining) + 1):
+        _demands(eids, caps, acc + ((eids[idx], c),) if c else acc, out, idx + 1, remaining - c)
 
 
 # ---------------------------------------------------------------------------

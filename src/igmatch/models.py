@@ -14,11 +14,11 @@ check, ``arc_cover``, ``cut_at_point``) read one span table, ``arc_spans``:
 clockwise offset (p2 - 2s) mod 2C is at most that length, one modular
 compare, so these passes make no call per pair.  Which arcs lie over a
 point is asked of one sweep, ``arc_cover`` (unexported, shared by both arc
-solvers and the coverage flag of ``validate_arc_model``).  ``point_in_arc``,
-``intersection_kind``, ``arc_contains`` and ``covers_circle`` stay the
-single-pair definitions.  Of these only ``intersection_kind`` is exported,
-as a caller needs it to list a fuzzy model's one-point pairs; the other
-three stay as references for the tests.
+solvers).  ``point_in_arc`` and ``intersection_kind`` stay the single-pair
+definitions; ``intersection_kind`` is exported, as a caller needs it to list
+a fuzzy model's one-point pairs.  The single-pair containment and coverage
+references have left for the tests' oracles, and the validators compute the
+two flags a solver reads, ``proper`` and ``long``, and nothing else.
 
 An arc (s, t) on a circle of circumference C is the closed set of points
 traversed clockwise (increasing coordinates, wrapping at C) from s to t.
@@ -33,6 +33,7 @@ from itertools import accumulate
 from operator import xor
 
 from .errors import InputError, InternalError
+from .graphs import Graph
 
 # the model types, the host a model realizes, and the checks that pick an arc solver
 __all__ = [
@@ -159,12 +160,16 @@ class FuzzyArcModel:
 
 @dataclass(frozen=True)
 class ModelReport:
+    """The model flags the solvers read.
+
+    ``proper``: no item is a point-set subset of another; the proper
+    interval, long proper-arc and disconnected proper-arc solvers require
+    it.  ``long``: no 2 or 3 arcs cover the circle; the long proper-arc
+    solver requires it, and an interval model holds it by convention.
+    """
+
     proper: bool
-    strict: bool
-    almost_proper: bool
-    almost_strict: bool
     long: bool
-    covers_circle: bool
 
 
 @dataclass(frozen=True)
@@ -216,29 +221,6 @@ def intersection_kind(model: ArcModel, i: int, j: int) -> str:
     if len(pieces) == 1 and not in_both(pieces[0] + 1):
         return "single-point"
     return "multi"
-
-
-def arc_contains(model: ArcModel, i: int, j: int) -> bool:
-    """Point-set containment: arc j a subset of arc i.
-
-    Once j starts inside i, j leaves i iff it reaches the point just past
-    i's end.
-    """
-    return point_in_arc(model, i, 2 * model.arcs[j].s) and not point_in_arc(
-        model, j, 2 * model.arcs[i].t + 1
-    )
-
-
-def covers_circle(model: ArcModel, ids=None) -> bool:
-    """Whether the arcs ``ids`` (default: all) cover the whole circle.
-
-    A gap in the union would begin just past the end of some arc, so the
-    union covers the circle iff it holds the point just past every end.
-    """
-    ids = range(len(model.arcs)) if ids is None else tuple(ids)
-    return bool(ids) and all(
-        any(point_in_arc(model, j, 2 * model.arcs[i].t + 1) for j in ids) for i in ids
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -307,14 +289,12 @@ def _overlaps(model: IntervalModel) -> list[tuple[Interval, Interval]]:
     return [(a, b) for k, a in enumerate(order) for b in order[k + 1:bisect_right(lefts, a.r)]]
 
 
-def realize(model) -> "Graph":
+def realize(model) -> Graph:
     """Intersection graph of a model; vertex v is the item with id v.
 
     For fuzzy models, one-point intersections become edges exactly when the
     resolution says so.
     """
-    from .graphs import Graph
-
     if isinstance(model, IntervalModel):
         return Graph(len(model), [(a.id, b.id) for a, b in _overlaps(model)])
     if isinstance(model, ArcModel):
@@ -330,40 +310,14 @@ def realize(model) -> "Graph":
 # validation
 
 
-def _report(ends, inside, long: bool, covers: bool) -> ModelReport:
-    """Flags of a model whose item i has endpoint pair ``ends[i]``.
-
-    ``inside`` lists the pairs (i, j), i != j, with item j a point-set subset
-    of item i.
-    """
-    owners: dict[int, set[int]] = {}
-    slots: dict[int, int] = {}
-    groups: dict[tuple[int, int], set[int]] = {}
-    for i, pair in enumerate(ends):
-        for v in pair:
-            owners.setdefault(v, set()).add(i)
-            slots[v] = slots.get(v, 0) + 1
-        groups.setdefault(pair, set()).add(i)
-    almost_strict = not any(
-        len(ids) > 1 and owners[lo] - ids and owners[hi] - ids
-        for (lo, hi), ids in groups.items()
-    )
-    return ModelReport(
-        proper=not inside,
-        strict=all(c == 1 for c in slots.values()),
-        almost_proper=all(ends[i] == ends[j] for i, j in inside),
-        almost_strict=almost_strict,
-        long=long,
-        covers_circle=covers,
-    )
-
-
 def validate_interval_model(model: IntervalModel) -> ModelReport:
-    """Interval models live on a line: long holds and coverage fails by convention."""
-    pairs = _overlaps(model)
-    inside = ([(a.id, b.id) for a, b in pairs if b.r <= a.r]
-              + [(b.id, a.id) for a, b in pairs if a.l == b.l and a.r <= b.r])
-    return _report([(it.l, it.r) for it in model.items], inside, True, False)
+    """Flags of an interval model; long holds by convention on a line.
+
+    Of two overlapping intervals a, b with a.l <= b.l, one holds the other
+    iff b ends by a's end or both start together.
+    """
+    proper = not any(b.r <= a.r or a.l == b.l for a, b in _overlaps(model))
+    return ModelReport(proper=proper, long=True)
 
 
 def validate_arc_model(model: ArcModel) -> ModelReport:
@@ -393,17 +347,9 @@ def validate_arc_model(model: ArcModel) -> ModelReport:
         return False
 
     # arc j lies inside arc i iff it starts on i and ends by i's end
-    inside = [(i, j) for i, (si, li) in enumerate(spans) for j, (sj, lj) in enumerate(spans)
-              if i != j and (sj - si) % c2 + lj <= li]
-    # as covers_circle: the union holds the point just past every end
-    over = arc_cover(model)
-    covers = bool(spans) and all(over(si + li + 1) for si, li in spans)
-    return _report(
-        [(a.s, a.t) for a in model.arcs],
-        inside,
-        not any(closes(s, l) for s, l in spans),
-        covers,
-    )
+    proper = not any(i != j and (sj - si) % c2 + lj <= li
+                     for i, (si, li) in enumerate(spans) for j, (sj, lj) in enumerate(spans))
+    return ModelReport(proper=proper, long=not any(closes(s, l) for s, l in spans))
 
 
 # ---------------------------------------------------------------------------

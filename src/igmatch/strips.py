@@ -135,11 +135,11 @@ class StructureReport:
 # ---------------------------------------------------------------------------
 # per-strip checks
 
-def strip_invariant_failures(s: Strip, g: Graph | None = None) -> list:
+def strip_invariant_failures(s: Strip, g: Graph) -> list:
     """All violated strip invariants, as human-readable strings.
 
-    With a host graph, additionally checks that g_map is an injection into
-    the host that carries J minus Z edge-exactly onto its image.
+    Past the strip's own invariants, checks that g_map is an injection into
+    the host g that carries J minus Z edge-exactly onto its image.
     """
     out = []
     j = s.graph
@@ -169,25 +169,24 @@ def strip_invariant_failures(s: Strip, g: Graph | None = None) -> list:
         return out
     if len(set(s.g_map.values())) != len(s.g_map):
         out.append("g_map is not injective")
-    if g is not None:
-        bad = sorted(v for v in s.g_map.values() if not 0 <= v < g.n)
-        if bad:
-            out.append(f"g_map images {bad} outside the host")
-            return out
-        # a pair can differ only where J or the host has an edge, so compare
-        # neighbour sets, the host's pulled back through the inverse of g_map
-        inv: dict = {}
-        for a, v in s.g_map.items():
-            inv.setdefault(v, []).append(a)
-        image = set(inv)
-        for a in interior:
-            in_j = {b for b in j.neighbors(a) if b > a and b in s.g_map}
-            in_g = {b for v in g.neighbors(s.g_map[a]) & image for b in inv[v] if b > a}
-            for b in sorted(in_j ^ in_g):
-                out.append(
-                    f"g_map not edge-preserving on J pair ({a},{b}) -> "
-                    f"({s.g_map[a]},{s.g_map[b]})"
-                )
+    bad = sorted(v for v in s.g_map.values() if not 0 <= v < g.n)
+    if bad:
+        out.append(f"g_map images {bad} outside the host")
+        return out
+    # a pair can differ only where J or the host has an edge, so compare
+    # neighbour sets, the host's pulled back through the inverse of g_map
+    inv: dict = {}
+    for a, v in s.g_map.items():
+        inv.setdefault(v, []).append(a)
+    image = set(inv)
+    for a in interior:
+        in_j = {b for b in j.neighbors(a) if b > a and b in s.g_map}
+        in_g = {b for v in g.neighbors(s.g_map[a]) & image for b in inv[v] if b > a}
+        for b in sorted(in_j ^ in_g):
+            out.append(
+                f"g_map not edge-preserving on J pair ({a},{b}) -> "
+                f"({s.g_map[a]},{s.g_map[b]})"
+            )
     return out
 
 

@@ -22,7 +22,8 @@ replaced, and ``interval_wis_reference``, ``long_arc_reference`` and
 per-cut long-arc solver and the per-cut disconnected-pattern solver,
 ``arc_cover_reference`` the per-probe scan of the arcs over a point,
 ``realize_reference`` and ``model_report_reference`` the all-pairs model
-realization and validation, and
+realization and validation, ``arc_contains`` and ``covers_circle`` the
+single-pair containment and coverage definitions, and
 ``residual_chain_reference`` the fuzzy solver's per-star chain program, and
 ``find_star_reference``, ``twin_classes_reference``,
 ``all_cliques_containing_edge_reference``, ``krausz_cover_reference``,
@@ -60,9 +61,7 @@ from igmatch.models import (
     FuzzyArcModel,
     IntervalModel,
     ModelReport,
-    arc_contains,
     arc_spans,
-    covers_circle,
     cut_at_point,
     equivalence_points_doubled,
     intersection_kind,
@@ -176,6 +175,29 @@ def all_pairs_occurrence_masks(g, occs):
                 ci |= 1 << j
         conflict.append(ci)
     return vmask, conflict
+
+
+def arc_contains(model: ArcModel, i: int, j: int) -> bool:
+    """Point-set containment: arc j a subset of arc i.
+
+    Once j starts inside i, j leaves i iff it reaches the point just past
+    i's end.
+    """
+    return point_in_arc(model, i, 2 * model.arcs[j].s) and not point_in_arc(
+        model, j, 2 * model.arcs[i].t + 1
+    )
+
+
+def covers_circle(model: ArcModel, ids=None) -> bool:
+    """Whether the arcs ``ids`` (default: all) cover the whole circle.
+
+    A gap in the union would begin just past the end of some arc, so the
+    union covers the circle iff it holds the point just past every end.
+    """
+    ids = range(len(model.arcs)) if ids is None else tuple(ids)
+    return bool(ids) and all(
+        any(point_in_arc(model, j, 2 * model.arcs[i].t + 1) for j in ids) for i in ids
+    )
 
 
 def long_by_pairs_and_triples(model) -> bool:
@@ -735,7 +757,8 @@ def fuzzy_dp_profile(model, h) -> tuple[int, ...]:
     if not occs:
         return ()
     table = _ChainTable(model, g, occs)
-    return tuple(1 + _residual_chain(table, star, None)[0] for star in range(len(occs)))
+    # a chain holds fewer occurrences than there are, so it never stops early
+    return tuple(1 + _residual_chain(table, star, len(occs))[0] for star in range(len(occs)))
 
 
 def covered_subgraph(ss, m) -> tuple[tuple, tuple]:
@@ -984,31 +1007,8 @@ def realize_reference(model):
     return Graph(n, es)
 
 
-def _report_reference(ends, contains, long, covers) -> ModelReport:
-    proper = almost_proper = True
-    for i, j in itertools.permutations(range(len(ends)), 2):
-        if contains(i, j):
-            proper = False
-            if ends[i] != ends[j]:
-                almost_proper = False
-    owners, slots, groups = {}, {}, {}
-    for i, pair in enumerate(ends):
-        for v in pair:
-            owners.setdefault(v, set()).add(i)
-            slots[v] = slots.get(v, 0) + 1
-        groups.setdefault(pair, set()).add(i)
-    almost_strict = not any(
-        len(ids) > 1 and owners[lo] - ids and owners[hi] - ids
-        for (lo, hi), ids in groups.items()
-    )
-    return ModelReport(
-        proper=proper,
-        strict=all(c == 1 for c in slots.values()),
-        almost_proper=almost_proper,
-        almost_strict=almost_strict,
-        long=long,
-        covers_circle=covers,
-    )
+def _proper_reference(n, contains) -> bool:
+    return not any(contains(i, j) for i, j in itertools.permutations(range(n), 2))
 
 
 def model_report_reference(model) -> ModelReport:
@@ -1017,10 +1017,8 @@ def model_report_reference(model) -> ModelReport:
     pair, and the greedy longness walk on ``point_in_arc``."""
     if isinstance(model, IntervalModel):
         items = model.items
-        return _report_reference(
-            [(it.l, it.r) for it in items],
-            lambda i, j: items[i].l <= items[j].l and items[j].r <= items[i].r,
-            True, False)
+        return ModelReport(_proper_reference(
+            len(items), lambda i, j: items[i].l <= items[j].l and items[j].r <= items[i].r), True)
     assert isinstance(model, ArcModel)
     c2 = 2 * model.circumference
 
@@ -1035,11 +1033,9 @@ def model_report_reference(model) -> ModelReport:
                 return True
         return False
 
-    return _report_reference(
-        [(a.s, a.t) for a in model.arcs],
-        lambda i, j: arc_contains(model, i, j),
+    return ModelReport(
+        _proper_reference(len(model.arcs), lambda i, j: arc_contains(model, i, j)),
         not any(closes(a) for a in model.arcs),
-        covers_circle(model),
     )
 
 

@@ -165,19 +165,15 @@ def random_fuzzy_arc_model(rng: random.Random, n: int, circ_units: int = 12):
     from igmatch.models import Arc, ArcModel, FuzzyArcModel, intersection_kind
 
     circ = 2 * circ_units
-    while True:
-        arcs = []
-        for i in range(n):
-            s = 2 * rng.randrange(circ_units)
-            length = 2 * rng.randint(1, max(1, circ_units // 3))
-            arcs.append(Arc(i, s, (s + length) % circ))
-        model = ArcModel(arcs, circ)
-        ok = True
-        resolutions = {}
-        for i in range(n):
-            for j in range(i + 1, n):
-                kind = intersection_kind(model, i, j)
-                if kind == "single-point":
-                    resolutions[(i, j)] = rng.random() < 0.5
-        if ok:
-            return FuzzyArcModel(model, resolutions)
+    arcs = []
+    for i in range(n):
+        s = 2 * rng.randrange(circ_units)
+        length = 2 * rng.randint(1, max(1, circ_units // 3))
+        arcs.append(Arc(i, s, (s + length) % circ))
+    model = ArcModel(arcs, circ)
+    resolutions = {}
+    for i in range(n):
+        for j in range(i + 1, n):
+            if intersection_kind(model, i, j) == "single-point":
+                resolutions[(i, j)] = rng.random() < 0.5
+    return FuzzyArcModel(model, resolutions)

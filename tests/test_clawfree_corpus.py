@@ -136,7 +136,9 @@ def test_subdivided_witnesses_are_pinned(monkeypatch):
 def test_subdivided_interiors_are_packed_by_one_search(monkeypatch):
     """Over the 144 subdivided solves, each residual interior that holds a
     copy is packed by one ``max_igm`` call, 22 in all; the descending
-    ``find_igm`` ladder it replaced made 26 calls here.  The router tests
+    ``find_igm`` ladder it replaced made 26 calls here.  The 27 ``find_igm``
+    calls are the router's bounded searches on chunks of independence number
+    at most 4.  The router tests
     each chunk's independence number once (144 calls).  The interior
     packing asks only the bounded question "five independent vertices?",
     and only to decide the exhaustive-packing note: 11 questions, beside
@@ -147,7 +149,7 @@ def test_subdivided_interiors_are_packed_by_one_search(monkeypatch):
     tested = _counting(monkeypatch, "brute_force_mis")
     asked = _counting(monkeypatch, "brute_force_wis")
     assert len(list(_subdivided_rows())) == 144
-    assert (len(found), len(packed), len(tested), len(asked)) == (0, 22, 144, 218)
+    assert (len(found), len(packed), len(tested), len(asked)) == (27, 22, 144, 218)
 
 
 def test_clawfree_workload_witnesses_are_pinned():

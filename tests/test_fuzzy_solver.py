@@ -6,7 +6,7 @@ import pytest
 
 import igmatch.fuzzy_solver as fuzzy_solver
 from igmatch.errors import InputError, InternalError
-from igmatch.fuzzy_solver import solve_igm_fuzzy_ca, solve_igm_small_alpha
+from igmatch.fuzzy_solver import ALPHA_BOUND, solve_igm_fuzzy_ca, solve_igm_small_alpha
 from igmatch.graphs import (
     Graph,
     Occurrence,
@@ -188,7 +188,9 @@ def test_residual_chain_matches_the_reference_star_by_star():
             _, conflict = _occurrence_masks(g, occs)
             table = fuzzy_solver._ChainTable(model, g, occs)
             for star in range(len(occs)):
-                for stop_at in (None, 2, 3, 4):
+                # a chain holds fewer occurrences than there are, so the
+                # last stop is never reached
+                for stop_at in (2, 3, 4, len(occs)):
                     want = residual_chain_reference(model, occs, conflict, star, stop_at)
                     got = fuzzy_solver._residual_chain(table, star, stop_at)
                     assert got == want, (trial, h.graph.edges, star, stop_at)
@@ -213,7 +215,7 @@ def test_wrap_check_names_the_reference_arc():
             residual_chain_reference(model, occs, conflict[:star] + [0] + conflict[star + 1:],
                                      star, None)
         with pytest.raises(InternalError) as got:
-            fuzzy_solver._residual_chain(table, star, None)
+            fuzzy_solver._residual_chain(table, star, len(occs))
         assert str(got.value) == str(want.value)
         raised += 1
     assert raised > 10
@@ -259,8 +261,10 @@ def test_small_alpha_k_above_bound_is_absent():
 def test_small_alpha_rejects_large_independence():
     with pytest.raises(InputError):
         solve_igm_small_alpha(star_graph(5), K1, 1)
-    # the same call goes through when the caller vouches for the bound
-    assert solve_igm_small_alpha(star_graph(5), K1, 1, trust_alpha=True) is not None
+    # the bound is checked on every call, even where k alone would settle it
+    for k in (0, ALPHA_BOUND + 1):
+        with pytest.raises(InputError):
+            solve_igm_small_alpha(star_graph(5), K1, k)
 
 
 def test_small_alpha_check_is_bounded_not_capped():

@@ -578,7 +578,7 @@ def test_clique_stream_is_every_clique_through_the_edge_in_order():
         nbr = _neighbor_masks(g)
         for u, v in g.edges:
             every = all_cliques_containing_edge_reference(g, u, v)
-            assert [frozenset(graphs._bits(c)) for c in graphs._cliques_through(nbr, u, v)] == every
+            assert [frozenset(graphs._bits(c)) for c in graphs._cliques_through(nbr, u, v, 0)] == every
             avoid = sum(1 << w for w in range(g.n) if w not in (u, v) and rng.random() < 0.3)
             assert [frozenset(graphs._bits(c)) for c in graphs._cliques_through(nbr, u, v, avoid)] \
                 == [c for c in every if not any(avoid >> w & 1 for w in c)]

@@ -16,8 +16,7 @@ from igmatch.models import (
     FuzzyArcModel,
     Interval,
     IntervalModel,
-    arc_contains,
-    covers_circle,
+    ModelReport,
     cut_at_point,
     equivalence_points_doubled,
     intersection_kind,
@@ -25,7 +24,13 @@ from igmatch.models import (
     validate_arc_model,
     validate_interval_model,
 )
-from oracles import long_by_pairs_and_triples, model_report_reference, realize_reference
+from oracles import (
+    arc_contains,
+    covers_circle,
+    long_by_pairs_and_triples,
+    model_report_reference,
+    realize_reference,
+)
 from randgen import random_long_proper_arc_model, random_proper_interval_model
 
 
@@ -91,33 +96,25 @@ def test_arc_triangle_realization():
     m = arcs(12, (0, 5), (4, 9), (8, 1))
     g = realize(m)
     assert g.edges == ((0, 1), (0, 2), (1, 2))
-    rep = validate_arc_model(m)
-    assert rep.covers_circle and not rep.long
+    assert covers_circle(m) and not validate_arc_model(m).long
 
 
 def test_arc_flags_on_sparse_model():
-    rep = validate_arc_model(arcs(12, (0, 3), (2, 5), (6, 9)))
-    assert rep.proper and rep.strict and rep.long and not rep.covers_circle
-    assert rep.almost_proper and rep.almost_strict
+    m = arcs(12, (0, 3), (2, 5), (6, 9))
+    assert validate_arc_model(m) == ModelReport(proper=True, long=True)
+    assert not covers_circle(m)
 
 
 def test_containment_breaks_properness():
-    rep = validate_arc_model(arcs(12, (0, 4), (1, 3)))
-    assert not rep.proper and not rep.almost_proper
     m = arcs(12, (0, 4), (1, 3))
+    assert not validate_arc_model(m).proper
     assert arc_contains(m, 0, 1) and not arc_contains(m, 1, 0)
 
 
-def test_duplicated_arcs_are_almost_proper():
+def test_duplicated_arcs_are_not_proper():
+    # two equal arcs each hold the other
     rep = validate_arc_model(arcs(12, (0, 4), (0, 4), (6, 9)))
-    assert not rep.proper and rep.almost_proper
-    assert not rep.strict and rep.almost_strict
-
-
-def test_almost_strict_violation():
-    # duplicated group (0,4) shares endpoint 0 with arc 2 and endpoint 4 with arc 3
-    rep = validate_arc_model(arcs(12, (0, 4), (0, 4), (10, 0), (4, 6)))
-    assert not rep.almost_strict
+    assert not rep.proper and rep.long
 
 
 def test_wraparound_containment():
@@ -179,31 +176,10 @@ def test_arc_geometry_matches_point_sampling():
     assert kinds == {"empty", "single-point", "multi"} and wrapped
 
 
-def _flags_by_definition(ends, members):
-    """The four proper/strict flags from endpoint pairs and sampled point sets."""
-    n = len(ends)
-    inside = [(i, j) for i in range(n) for j in range(n)
-              if i != j and members[j] <= members[i]]
-    slots = [v for pair in ends for v in pair]
-    almost_strict = True
-    for pair in set(ends):
-        group = [i for i in range(n) if ends[i] == pair]
-        if len(group) < 2:
-            continue
-        outside = [i for i in range(n) if ends[i] != pair]
-        if (any(pair[0] in ends[i] for i in outside)
-                and any(pair[1] in ends[i] for i in outside)):
-            almost_strict = False
-    return (
-        not inside,
-        len(set(slots)) == len(slots),
-        all(ends[i] == ends[j] for i, j in inside),
-        almost_strict,
-    )
-
-
-def _flags(rep):
-    return rep.proper, rep.strict, rep.almost_proper, rep.almost_strict
+def _proper_by_definition(members):
+    """No item's sampled point set inside another's."""
+    n = len(members)
+    return not any(i != j and members[j] <= members[i] for i in range(n) for j in range(n))
 
 
 def test_report_flags_match_definitions():
@@ -211,22 +187,19 @@ def test_report_flags_match_definitions():
     seen = set()
     for _ in range(300):
         m = _random_small_arc_model(rng)
-        ends = [(a.s, a.t) for a in m.arcs]
-        want = _flags_by_definition(ends, [_sampled_arc(m, i) for i in range(len(ends))])
-        assert _flags(validate_arc_model(m)) == want, m.arcs
+        want = _proper_by_definition([_sampled_arc(m, i) for i in range(len(m.arcs))])
+        assert validate_arc_model(m).proper == want, m.arcs
         seen.add(want)
 
         items = []
         for i in range(rng.randint(0, 6)):
             l = rng.randint(0, 8)
             items.append(Interval(i, l, l + rng.randint(1, 4)))
-        ends = [(it.l, it.r) for it in items]
-        members = [frozenset(range(l, r + 1)) for l, r in ends]
-        want = _flags_by_definition(ends, members)
-        assert _flags(validate_interval_model(IntervalModel(items))) == want, items
+        want = _proper_by_definition([frozenset(range(it.l, it.r + 1)) for it in items])
+        assert validate_interval_model(IntervalModel(items)) == ModelReport(want, True), items
         seen.add(want)
-    # every flag is seen both set and cleared
-    assert all({w[f] for w in seen} == {True, False} for f in range(4))
+    # the flag is seen both set and cleared
+    assert seen == {True, False}
 
 
 def test_fuzzy_realize_follows_resolutions():
@@ -344,8 +317,7 @@ def test_cut_at_uncovered_point_preserves_everything():
     tried = 0
     while tried < 12:
         m = random_long_proper_arc_model(rng, rng.randint(2, 7))
-        rep = validate_arc_model(m)
-        if rep.covers_circle:
+        if covers_circle(m):
             continue
         tried += 1
         g = realize(m)
@@ -387,7 +359,6 @@ def test_long_flag_matches_point_sampling():
         m = ArcModel(arcs_, c)
         rep = validate_arc_model(m)
         assert rep.long == _long_by_sampling(m)
-        assert rep.covers_circle == _covers_all_sample_points(m, range(n))
         seen_long += rep.long
         seen_short += not rep.long
     assert seen_long and seen_short  # the sweep exercised both outcomes
@@ -413,21 +384,6 @@ def test_greedy_longness_matches_pairs_and_triples():
         touching += any(intersection_kind(m, i, j) == "single-point"
                         for i, j in itertools.combinations(range(n), 2))
     assert min(seen.values()) > 1000 and touching > 1000
-
-
-def test_report_implications_on_random_models():
-    rng = random.Random(5)
-    for _ in range(40):
-        n = rng.randint(1, 6)
-        c = rng.randint(4, 14)
-        arcs_ = []
-        for i in range(n):
-            s = rng.randrange(c)
-            t = (s + rng.randint(1, c - 1)) % c
-            arcs_.append(Arc(i, s, t))
-        rep = validate_arc_model(ArcModel(arcs_, c))
-        assert rep.almost_proper or not rep.proper
-        assert rep.almost_strict or not rep.strict
 
 
 def test_random_proper_interval_models_are_claw_free_and_proper():
@@ -476,7 +432,8 @@ def test_models_match_the_all_pairs_reference():
     # realize and the reports read one table per model; the reference tests
     # every pair with the single-pair definitions
     rng = random.Random(1515)
-    seen = {"wrapping": 0, "duplicate": 0, "shared": 0, "resolved": set(), "covers": set()}
+    seen = {"wrapping": 0, "duplicate": 0, "shared": 0, "resolved": set(), "proper": set(),
+            "long": set()}
     for trial in range(3000):
         kind = ("interval", "arc", "fuzzy")[trial % 3]
         m = _random_differential_model(rng, kind)
@@ -490,7 +447,8 @@ def test_models_match_the_all_pairs_reference():
             rep = validate_arc_model(a)
             assert rep == model_report_reference(a), (a.circumference, ends)
             seen["wrapping"] += any(t < s for s, t in ends)
-            seen["covers"].add(rep.covers_circle)
+            seen["proper"].add(rep.proper)
+            seen["long"].add(rep.long)
         seen["duplicate"] += len(set(ends)) < len(ends)
         points = [v for pair in ends for v in pair]
         seen["shared"] += len(set(points)) < len(points)
@@ -502,7 +460,7 @@ def test_models_match_the_all_pairs_reference():
                 with pytest.raises(InputError, match=rf"one-point pair \({pair[0]}, {pair[1]}\)"):
                     FuzzyArcModel(m.arcs, rest)
     assert min(seen["wrapping"], seen["duplicate"], seen["shared"]) > 500, seen
-    assert seen["resolved"] == seen["covers"] == {True, False}
+    assert seen["resolved"] == seen["proper"] == seen["long"] == {True, False}
 
 
 def _bench_gen():
@@ -519,7 +477,7 @@ def test_model_passes_make_no_per_pair_calls(monkeypatch):
     # stay the definitions the tests check against, and nothing else
     gen = _bench_gen()
     calls = {}
-    for name in ("point_in_arc", "intersection_kind", "arc_contains"):
+    for name in ("point_in_arc", "intersection_kind"):
         def counted(*args, _f=getattr(models, name), _name=name):
             calls[_name] = calls.get(_name, 0) + 1
             return _f(*args)

@@ -1,12 +1,27 @@
 """Package-wide checks that no single module's tests would catch."""
 
 import ast
+import gc
 import importlib
+import inspect
 import pathlib
 import pkgutil
 import sys
 
 import igmatch
+from igmatch.color_coding import solve_igm_claw_free
+from igmatch.fuzzy_solver import solve_igm_fuzzy_ca
+from igmatch.graphs import (
+    Multigraph,
+    Pattern,
+    brute_force_wis,
+    complete_graph,
+    line_graph,
+    path_graph,
+)
+from igmatch.interval_solvers import solve_igm_long_proper_ca
+from igmatch.kernel import kernelize
+from igmatch.models import Arc, ArcModel, FuzzyArcModel, intersection_kind
 
 
 def test_every_export_resolves():
@@ -52,6 +67,71 @@ def test_the_public_surface_is_pinned():
     }
 
 
+def test_the_settable_surface_is_pinned():
+    # the parameters of every exported function and constructor (for a
+    # dataclass, its init fields), an optional one marked "=", so adding a
+    # knob or a default edits this test, as adding an export edits the one
+    # above
+    surface = {}
+    for info in pkgutil.iter_modules(igmatch.__path__):
+        module = importlib.import_module(f"igmatch.{info.name}")
+        for name in module.__all__:
+            obj = getattr(module, name)
+            if not callable(obj):
+                continue
+            try:
+                params = inspect.signature(obj).parameters.values()
+            except ValueError:
+                continue  # an exception that keeps the built-in constructor
+            surface[f"{info.name}.{name}"] = " ".join(
+                p.name + ("=" if p.default is not p.empty else "") for p in params)
+    assert surface == {
+        "color_coding.solve_igm_claw_free": "g h k ss= certificates= coloring= trials= seed=",
+        "errors.SizeCapError": "what actual limit",
+        "fuzzy_solver.solve_igm_fuzzy_ca": "model h k",
+        "fuzzy_solver.solve_igm_small_alpha": "g h k",
+        "graphs.Graph": "n edges=",
+        "graphs.Matching": "occurrences",
+        "graphs.Multigraph": "n edges=",
+        "graphs.Occurrence": "vertices",
+        "graphs.Pattern": "graph",
+        "graphs.brute_force_wis": "g weights k_card k_weight",
+        "graphs.complete_graph": "n",
+        "graphs.cycle_graph": "n",
+        "graphs.disjoint_union": "a b",
+        "graphs.line_graph": "m",
+        "graphs.path_graph": "n",
+        "graphs.star_graph": "leaves",
+        "interval_solvers.solve_igm_long_proper_ca": "model h k",
+        "interval_solvers.solve_igm_proper_ca_disconnected": "model h k",
+        "interval_solvers.solve_igm_proper_interval": "model h k",
+        "kernel.WisInstance": "graph weights k_card k_weight tags cliques",
+        "kernel.kernelize": "g h k ss=",
+        "models.Arc": "id s t",
+        "models.ArcModel": "arcs circumference",
+        "models.FuzzyArcModel": "arcs resolutions=",
+        "models.Interval": "id l r",
+        "models.IntervalModel": "items",
+        "models.ModelReport": "proper long",
+        "models.intersection_kind": "model i j",
+        "models.realize": "model",
+        "models.validate_arc_model": "model",
+        "models.validate_interval_model": "model",
+        "strips.AxiomCheck": "name ok failures=",
+        "strips.Strip": "graph z g_map",
+        "strips.StripStructure": "r_vertices edges strips z_assign",
+        "strips.StructureReport": ("ids strip_invariants partition claw_free z_assignment "
+                                   "boundary_cliques edge_cover"),
+        "strips.boundary_clique": "ss r",
+        "strips.line_graph_strip_structure": "g",
+        "strips.strip_image": "ss eid",
+        "strips.trivial_strip_structure": "g",
+        "strips.validate_strip_structure": "g ss",
+        "trace.note": "text",
+        "trace.recording": "",
+    }
+
+
 def test_no_module_imports_a_private_name_of_a_sibling():
     # a private helper lives beside its user.  The one exception is
     # graphs._occurrence_masks: perfbench/layers.py wraps it by that name,
@@ -92,3 +172,55 @@ def test_every_import_is_the_standard_library_or_igmatch():
                 continue
             found += [(path.name, n) for n in names if n.split(".")[0] not in allowed]
     assert not found, f"imports outside the standard library: {found}"
+
+
+def _sunlet_line_graph():
+    # the line graph of a 5-cycle with a pendant edge at each vertex: claw-free,
+    # independence number 5, so both claw-free paths reach the strip structure
+    return line_graph(Multigraph(10, [(i, (i + 1) % 5) for i in range(5)]
+                                 + [(i, 5 + i) for i in range(5)]))
+
+
+def _fuzzy_touching_arcs():
+    # arcs of one length, each touching the next in a single point, resolved
+    # alternately as edge and non-edge
+    arcs = ArcModel([Arc(i, 3 * i, 3 * i + 3) for i in range(7)], 24)
+    single = [(i, j) for i in range(7) for j in range(i + 1, 7)
+              if intersection_kind(arcs, i, j) == "single-point"]
+    return FuzzyArcModel(arcs, {pair: n % 2 == 0 for n, pair in enumerate(single)})
+
+
+def test_solves_leave_no_cyclic_garbage():
+    # a recursive search written as a nested function names itself through
+    # its closure cell, so every call would leave a cycle for the collector;
+    # with the collector off, a warm solve through each entry frees all it
+    # made by reference counts alone
+    k2, k3, p3 = (Pattern.of(g) for g in (complete_graph(2), complete_graph(3), path_graph(3)))
+    lg = _sunlet_line_graph()
+    long_arcs = ArcModel([Arc(i, 2 * i, (2 * i + 3) % 24) for i in range(12)], 24)
+    fuzzy = _fuzzy_touching_arcs()
+
+    def wis(g, h, k):
+        inst = kernelize(g, h, k)
+        return brute_force_wis(inst.graph, inst.weights, inst.k_card, inst.k_weight)
+
+    solves = [
+        lambda: solve_igm_claw_free(lg, k2, 2),
+        lambda: solve_igm_claw_free(lg, p3, 1),
+        lambda: wis(lg, k2, 3),
+        lambda: wis(lg, k3, 2),
+        lambda: solve_igm_long_proper_ca(long_arcs, p3, 3),
+        lambda: solve_igm_long_proper_ca(long_arcs, p3, 1),
+        lambda: solve_igm_fuzzy_ca(fuzzy, p3, 2),
+    ]
+    gc.collect()
+    gc.disable()
+    try:
+        # the first pass also builds the base streams, unless an earlier
+        # test has cached them; the second is warm
+        for run in range(2):
+            for i, solve in enumerate(solves):
+                solve()
+                assert gc.collect() == 0, (run, i)
+    finally:
+        gc.enable()

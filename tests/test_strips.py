@@ -294,27 +294,28 @@ def test_empty_hyperedge_warning_when_mixed():
 
 
 def test_strip_invariant_failures_direct():
+    # each strip is checked against a host its g_map carries faithfully, so
+    # only the strip's own fault is reported
     bad_z = Strip(graph=Graph(2, [(0, 1)]), z=frozenset({0, 1}), g_map={})
-    msgs = strip_invariant_failures(bad_z)
+    msgs = strip_invariant_failures(bad_z, Graph(0))
     assert any("not independent" in m for m in msgs)
     assert any("no interior" in m for m in msgs)
 
     lonely = Strip(graph=Graph(2, []), z=frozenset({1}), g_map={0: 0})
-    assert any("empty" in m for m in strip_invariant_failures(lonely))
+    assert any("empty" in m for m in strip_invariant_failures(lonely, Graph(1)))
 
     ragged = Strip(
         graph=Graph(4, [(3, 0), (3, 1), (0, 2)]), z=frozenset({3}),
         g_map={0: 0, 1: 1, 2: 2},
     )
-    assert any("not a clique" in m for m in strip_invariant_failures(ragged))
+    assert any("not a clique" in m for m in strip_invariant_failures(ragged, Graph(3, [(0, 2)])))
 
     squash = Strip(graph=Graph(2, []), z=frozenset(), g_map={0: 4, 1: 4})
-    assert any("injective" in m for m in strip_invariant_failures(squash))
+    assert any("injective" in m for m in strip_invariant_failures(squash, Graph(5)))
 
     twisted = Strip(graph=Graph(2, [(0, 1)]), z=frozenset(), g_map={0: 0, 1: 2})
-    host = path_graph(3)
-    assert any("edge-preserving" in m for m in strip_invariant_failures(twisted, host))
-    assert strip_invariant_failures(twisted) == []
+    assert any("edge-preserving" in m for m in strip_invariant_failures(twisted, path_graph(3)))
+    assert strip_invariant_failures(twisted, Graph(3, [(0, 2)])) == []
 
 
 # ---------------------------------------------------------------------------
