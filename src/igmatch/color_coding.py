@@ -280,28 +280,43 @@ def _glued_bases(plan, h: Pattern):
 
     Glued endpoints become one base vertex, numbered by block; each edge
     lists its endpoints in ascending vertex order, with its boundary sets in
-    the same order, which is the normal form of ``BaseEdge``.
+    the same order, which is the normal form of ``BaseEdge``.  The two ends
+    of a swap-symmetric edge (``_swap_symmetric``) are glued in one order
+    only; ``_base_stream`` argues that this drops only repeated bases.
     """
     endpoints = [(ei, p) for ei, edge in enumerate(plan) for p in range(edge["nm"])]
-    return _gluings(plan, h, endpoints, [], 0)
+    seconds = {(ei, 1) for ei, edge in enumerate(plan) if _swap_symmetric(edge)}
+    return _gluings(plan, h, endpoints, seconds, [], 0, -1)
 
 
-def _gluings(plan, h: Pattern, endpoints: list, blocks: list, i: int):
-    """The bases gluing ``endpoints[i:]`` into ``blocks`` or new blocks.  Module
-    level, so a search leaves no reference cycle."""
+def _swap_symmetric(edge) -> bool:
+    """The edge's two ends hold the same tokens: a spot, or a two-member
+    stripe on which every token sits at both ends or at neither."""
+    if edge["nm"] != 2:
+        return False
+    return edge["kind"] == "spot" or all(len(s) != 1 for s in edge["slots"].values())
+
+
+def _gluings(plan, h: Pattern, endpoints: list, seconds: set, blocks: list, i: int,
+             prev: int):
+    """The bases gluing ``endpoints[i:]`` into ``blocks`` or new blocks;
+    ``prev`` is the block of ``endpoints[i - 1]``, and an endpoint in
+    ``seconds`` joins only a block after it.  Module level, so a search
+    leaves no reference cycle."""
     if i == len(endpoints):
         yield _glued_base(plan, blocks)
         return
     ep = endpoints[i]
-    for blk in blocks:
+    for bi in range(prev + 1 if ep in seconds else 0, len(blocks)):
+        blk = blocks[bi]
         if any(e2 == ep[0] for (e2, _p) in blk):
             continue  # two endpoints of one edge stay distinct
         blk.append(ep)
         if _block_ok(plan, blk, h):
-            yield from _gluings(plan, h, endpoints, blocks, i + 1)
+            yield from _gluings(plan, h, endpoints, seconds, blocks, i + 1, bi)
         blk.pop()
     blocks.append([ep])
-    yield from _gluings(plan, h, endpoints, blocks, i + 1)
+    yield from _gluings(plan, h, endpoints, seconds, blocks, i + 1, len(blocks) - 1)
     blocks.pop()
 
 
@@ -328,42 +343,37 @@ def _glued_base(plan, blocks: list) -> Base:
     return Base(len(blocks), tuple(base_edges))
 
 
-def _canonical_base_key(base: Base):
-    """Label-independent key: minimum over group relabelings only.
+def _base_key(base: Base, gmap: dict):
+    """Key of ``base`` with each group g renamed ``gmap[g]``, independent of
+    vertex names and edge order.
 
-    Under a relabeling, each base vertex gets a descriptor: the sorted tuple
-    of (edge payload, boundary tokens at this end), one pair per edge end
-    glued there.  The payload is the edge's kind, member count, spot or
-    interior tokens and sorted pair of boundary sets.  The key is the sorted
-    tuple of the vertex descriptors.  No edge order or end flip needs
-    searching: every base edge carries a token and no token sits on two
-    edges, so once groups are relabelled a payload names its edge; the two
-    ends of an edge are distinct vertices, so the edge's members are exactly
-    the vertices whose descriptors hold its payload.  The key thus rebuilds
-    the base up to vertex names, and equal keys mean isomorphic bases.
+    Each base vertex gets a descriptor: the sorted tuple of (edge payload,
+    boundary tokens at this end), one pair per edge end glued there.  The
+    payload is the edge's kind, member count, spot or interior tokens and
+    sorted pair of boundary sets.  The key is the sorted tuple of the vertex
+    descriptors.  No edge order or end flip needs searching: every base edge
+    carries a token and no token sits on two edges, so a payload names its
+    edge; the two ends of an edge are distinct vertices, so the edge's
+    members are exactly the vertices whose descriptors hold its payload.
+    The key thus rebuilds the relabelled base up to vertex names: two bases
+    have equal keys under one relabeling exactly when renaming vertices
+    turns one into the other.
     """
-    groups = sorted({g for (g, _hv) in base.tokens()})
-    best = None
-    for perm in itertools.permutations(groups):
-        gmap = {g: i + 1 for i, g in enumerate(perm)}
 
-        def toks(ts, gmap=gmap):
-            return tuple(sorted((gmap[g], hv) for (g, hv) in ts))
+    def toks(ts):
+        return tuple(sorted((gmap[g], hv) for (g, hv) in ts))
 
-        ends: list = [[] for _ in range(base.n_vertices)]
-        for fe in base.edges:
-            if fe.kind == "spot":
-                at = ((), ())
-                payload = ("spot", 2, toks(fe.tokens()), at)
-            else:
-                at = tuple(toks(bd) for bd in fe.boundaries)
-                payload = ("stripe", len(at), toks(fe.interior), tuple(sorted(at)))
-            for b, bd in zip(fe.members, at):
-                ends[b].append((payload, bd))
-        cand = tuple(sorted(tuple(sorted(e)) for e in ends))
-        if best is None or cand < best:
-            best = cand
-    return best
+    ends: list = [[] for _ in range(base.n_vertices)]
+    for fe in base.edges:
+        if fe.kind == "spot":
+            at = ((), ())
+            payload = ("spot", 2, toks(fe.tokens()), at)
+        else:
+            at = tuple(toks(bd) for bd in fe.boundaries)
+            payload = ("stripe", len(at), toks(fe.interior), tuple(sorted(at)))
+        for b, bd in zip(fe.members, at):
+            ends[b].append((payload, bd))
+    return tuple(sorted(tuple(sorted(e)) for e in ends))
 
 
 def _base_stream(h: Pattern, k: int, budget: dict):
@@ -387,13 +397,40 @@ def _base_stream(h: Pattern, k: int, budget: dict):
     ``budget`` caps the edges of each (kind, member count) shape, as in
     ``_token_plans``; since every edge carries a token, a budget of hk per
     shape leaves the stream unrestricted.
-    Of each isomorphism class only the first base generated is kept; the
-    class is told by a canonical key that minimises over group relabelings
-    alone, because tokens already name every edge (see
-    ``_canonical_base_key``).  The stream is therefore deterministic and
+    Of each isomorphism class only the first base generated is kept: two
+    bases are isomorphic when a group relabeling and a renaming of vertices
+    turn one into the other.  The stream is therefore deterministic and
     duplicate-free; ``test_base_streams_are_pinned`` holds the digests of
-    nine streams, base by base in stream order.  The ``HK_CAP_DEFAULT`` size
-    cap is checked eagerly, on the call itself.
+    nine streams, base by base in stream order, and
+    ``test_base_stream_matches_the_brute_force_key`` checks it against the
+    plain generator with a brute-force key.  Two shortcuts keep the same
+    bases in the same order, with the same vertex numbering:
+
+    - Each swap-symmetric edge is glued once.  A gluing is a restricted
+      growth string over the endpoints (an endpoint joins an earlier block
+      or opens the next one), and ``_gluings`` yields them in lexicographic
+      order; the two ends of a two-member edge are consecutive endpoints.
+      On a swap-symmetric edge both ends hold the same tokens.  Suppose its
+      second end joins block b1 and its first end block b0 > b1.  Then b1
+      existed before the first end was placed, so exchanging the two ends
+      gives a gluing that is lexicographically smaller, opens b0 (if the
+      first end opened it) one step later with nothing in between, changes
+      nothing after, and so obeys this rule on every edge.  Every block
+      keeps its tokens, so each prefix
+      passes ``_block_ok`` exactly when the original's does, and
+      ``_glued_base`` builds the same base from both: the edge's members are
+      the set {b0, b1} either way, and its boundary sets are equal.  So the
+      skipped gluing repeats a base generated before it, which the
+      deduplication below would drop.
+    - Deduplication is by orbit.  ``_base_key`` under one group relabeling
+      is a complete invariant for renaming vertices, so a base's key under
+      its own labels equals the key of a kept base under some relabeling
+      exactly when the two are isomorphic.  Each gluing is keyed once, under
+      its own labels; when a base is kept, its keys under all k! relabelings
+      join ``seen``.  That keeps and drops the same bases as keying every
+      gluing by its minimum over the k! relabelings.
+
+    The ``HK_CAP_DEFAULT`` size cap is checked eagerly, on the call itself.
     """
     hk = h.h * k
     if hk > HK_CAP_DEFAULT:
@@ -402,15 +439,17 @@ def _base_stream(h: Pattern, k: int, budget: dict):
     def gen():
         if hk == 0:
             return  # no tokens, and every base edge must carry one
+        groups = range(1, k + 1)
+        own = {g: g for g in groups}
+        relabelings = [dict(zip(groups, p)) for p in itertools.permutations(groups)]
         seen = set()
         for plan in _token_plans(h, _token_order(h, k), budget):
             for base in _glued_bases(plan, h):
                 if not check_condition1(base, h):
                     continue
-                key = _canonical_base_key(base)
-                if key in seen:
+                if _base_key(base, own) in seen:
                     continue
-                seen.add(key)
+                seen.update(_base_key(base, gmap) for gmap in relabelings)
                 yield base
 
     return gen()

@@ -7,8 +7,9 @@ meaningful.  All routines are exponential and sized for test instances.
 
 The exceptions pin witnesses or streams, not just answers, so they follow
 the package's own search order or data types: ``wis_reference`` branches over
-the package's clique partition, ``canonical_base_key_reference`` keys the
-package's bases, ``check_condition2`` and ``base_invariant_failures`` check
+the package's clique partition, ``base_stream_reference`` runs the
+package's token plans through every gluing and ``canonical_base_key_reference``
+keys the package's bases, ``check_condition2`` and ``base_invariant_failures`` check
 them, and ``natural_coloring_reference`` and ``all_colorings`` paint its
 structure elements.  ``subset_scan_occurrences``, ``all_pairs_occurrence_masks`` and
 ``long_by_pairs_and_triples`` keep the package's earlier, slower versions of
@@ -39,7 +40,14 @@ searches with the package's ``find_occurrence``.
 
 import itertools
 
-from igmatch.color_coding import ElementColoring
+from igmatch.color_coding import (
+    ElementColoring,
+    _block_ok,
+    _glued_base,
+    _token_order,
+    _token_plans,
+    check_condition1,
+)
 from igmatch.errors import InputError, InternalError
 from igmatch.fuzzy_solver import _ChainTable, _residual_chain
 from igmatch.graphs import (
@@ -483,8 +491,8 @@ def canonical_base_key_reference(base):
     The minimum over group relabelings, orders of equal edge descriptors
     and end flips of every two-member edge, of the edge list with vertices
     named in order of first appearance.  Equal keys mean isomorphic bases,
-    so ``_base_stream`` must keep the same first base of each class under
-    this key as under the package's own.
+    so ``base_stream_reference`` keyed by it must yield the package's
+    ``_base_stream``.
     """
     groups = sorted({g for (g, _hv) in base.tokens()})
     flippable = [i for i, fe in enumerate(base.edges) if len(fe.members) == 2]
@@ -538,6 +546,51 @@ def canonical_base_key_reference(base):
                 if best is None or cand < best:
                     best = cand
     return best
+
+
+def base_stream_reference(h, k, budget, key):
+    """The package's base stream as first written, with ``key`` for its key.
+
+    Every gluing of every token plan of ``_token_plans``, in the package's
+    order, with no symmetry skipped; the bases that pass condition 1; and
+    of those the first of each class of ``key``, which must be a minimum
+    over group relabelings (``canonical_base_key_reference``).  The plans,
+    ``_block_ok``, ``_glued_base`` and condition 1 are the package's own, so
+    the stream can be compared base for base.
+    """
+    if h.h * k == 0:
+        return
+    seen = set()
+    for plan in _token_plans(h, _token_order(h, k), budget):
+        endpoints = [(ei, p) for ei, edge in enumerate(plan) for p in range(edge["nm"])]
+        for blocks in _all_gluings(plan, h, endpoints, [], 0):
+            base = _glued_base(plan, blocks)
+            if not check_condition1(base, h):
+                continue
+            kk = key(base)
+            if kk in seen:
+                continue
+            seen.add(kk)
+            yield base
+
+
+def _all_gluings(plan, h, endpoints, blocks, i):
+    """Every block list gluing ``endpoints[i:]`` into ``blocks`` or new
+    blocks, two ends of one edge apart, in lexicographic order."""
+    if i == len(endpoints):
+        yield blocks
+        return
+    ep = endpoints[i]
+    for blk in blocks:
+        if any(e2 == ep[0] for (e2, _p) in blk):
+            continue
+        blk.append(ep)
+        if _block_ok(plan, blk, h):
+            yield from _all_gluings(plan, h, endpoints, blocks, i + 1)
+        blk.pop()
+    blocks.append([ep])
+    yield from _all_gluings(plan, h, endpoints, blocks, i + 1)
+    blocks.pop()
 
 
 def _boundary_seats(fe) -> dict:

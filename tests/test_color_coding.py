@@ -53,6 +53,7 @@ from igmatch.trace import recording
 from oracles import (
     all_colorings,
     base_invariant_failures,
+    base_stream_reference,
     canonical_base_key_reference,
     check_condition2,
     covered_subgraph,
@@ -220,12 +221,12 @@ def test_enumerate_bases_cap_and_degenerate_k(k3, k2):
     assert list(all_bases(k2, 0)) == []
 
 
-# (pattern, k, shape budget) cases that stream in under a second under the
-# brute-force reference key; budgets as _shaped_bases receives them, None
-# for the full budget.  The last two glue several groups onto two-member
-# stripes, where a key that forgot which end of an edge another edge is
-# glued to would merge classes.
-STREAM_CASES = (
+# the streams whose every base is pinned, as (pattern, k, shape budget);
+# budgets as _shaped_bases receives them, None for the full budget.  The
+# last stream is a base-cache key of the ``clawfree`` benchmark workload; the
+# two before it glue several groups onto two-member stripes, where a key that
+# forgot which end of an edge another edge is glued to would merge classes.
+PINNED_STREAMS = (
     ("k2", 2, {("spot", 2): 4}),
     ("k2", 3, {("spot", 2): 6}),
     ("p3", 2, {("spot", 2): 6}),
@@ -234,11 +235,8 @@ STREAM_CASES = (
     ("k3", 1, None),
     ("k1", 2, None),
     ("k2", 2, {("stripe", 1): 2, ("stripe", 2): 2}),
+    ("k3", 2, {("spot", 2): 6}),
 )
-
-# the streams whose every base is pinned: STREAM_CASES and a base-cache key
-# of the ``clawfree`` benchmark workload (K3, k = 2, six spots)
-PINNED_STREAMS = STREAM_CASES + (("k3", 2, {("spot", 2): 6}),)
 
 PATTERNS = {
     "k1": Pattern.of(complete_graph(1)),
@@ -303,15 +301,47 @@ def test_streamed_bases_keep_the_base_invariants():
             assert base_invariant_failures(b, h, k) == [], (PINNED_STREAMS[i], b)
 
 
-def test_base_stream_matches_the_brute_force_key(monkeypatch):
-    got = [streamed_bases(i)[1] for i in range(len(STREAM_CASES))]
-    monkeypatch.setattr(cc, "_canonical_base_key", canonical_base_key_reference)
+def test_base_stream_matches_the_brute_force_key():
+    """The stream skips gluings and keys by orbit; the plain generator over
+    every gluing, deduplicated by the brute-force key, must yield the same
+    bases in the same order."""
+    got = [streamed_bases(i)[1] for i in range(len(PINNED_STREAMS))]
     want = [
-        tuple(cc._base_stream(PATTERNS[h], k, b or full_budget(PATTERNS[h], k)))
-        for h, k, b in STREAM_CASES
+        tuple(base_stream_reference(PATTERNS[h], k, b or full_budget(PATTERNS[h], k),
+                                    canonical_base_key_reference))
+        for h, k, b in PINNED_STREAMS
     ]
-    assert [len(s) for s in got] == [3, 4, 1, 39, 145, 353, 50, 555]
+    assert [len(s) for s in got] == [3, 4, 1, 39, 145, 353, 50, 555, 21]
     assert got == want
+
+
+def test_base_stream_work_is_pinned_by_counts(monkeypatch):
+    """Gluings built and keys computed, so that a lost pruning fails here.
+
+    For comparison, ``base_stream_reference`` builds 7,569 gluings for K3,
+    k = 2 on six spots and 4,746 for K1, k = 5 on two two-member stripes,
+    and a minimum over all k! group relabelings per gluing takes 3,872 and
+    569,520 keys."""
+    calls = Counter()
+
+    def count(name):
+        real = getattr(cc, name)
+
+        def counted(*args):
+            calls[name] += 1
+            return real(*args)
+
+        monkeypatch.setattr(cc, name, counted)
+
+    count("_glued_base")
+    count("_base_key")
+    got = []
+    for name, k, budget in (("k3", 2, {("spot", 2): 6}), ("k1", 5, {("stripe", 2): 2})):
+        calls.clear()
+        n = sum(1 for _ in cc._base_stream(PATTERNS[name], k, budget))
+        got.append((n, calls["_glued_base"], calls["_base_key"]))
+    # own keys, one per gluing that passes condition 1, plus k! per kept base
+    assert got == [(21, 841, 121 + 21 * 2), (77, 3943, 3943 + 77 * 120)]
 
 
 # ---------------------------------------------------------------------------
@@ -466,8 +496,7 @@ def test_embedded_surjections_are_what_blanking_leaves(k2, p3):
 def test_embeddings_match_the_scan_reference(k1, k2, p3, k3):
     """The anchored search emits every embedding of the full scan, in its
     order, on spots, one- and two-member stripes, parallel spots and parallel
-    stripes.  K1 stops at k = 4: its base stream at k = 5 alone takes seconds
-    per structure."""
+    stripes."""
     from randgen import random_connected_multigraph
 
     cycle = [(i, (i + 1) % 11) for i in range(11)]
@@ -490,7 +519,7 @@ def test_embeddings_match_the_scan_reference(k1, k2, p3, k3):
             (("spot", 2), r) in index.incident and (("stripe", 1), r) in index.incident
             for r in ss.r_vertices
         )
-        for h, top in ((k1, 4), (k2, 3), (p3, 2), (k3, 2)):
+        for h, top in ((k1, 5), (k2, 3), (p3, 2), (k3, 2)):
             for k in range(1, top + 1):
                 shapes = tuple(sorted((s, min(len(e), h.h * k)) for s, e in index.by_shape.items()))
                 for base in cc._shaped_bases(h, k, shapes):
