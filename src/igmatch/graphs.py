@@ -10,6 +10,10 @@ induced-matching searches, ``find_igm`` for a given size and ``max_igm`` for
 the largest, run one packing search that visits sets of occurrences as
 increasing index lists in lexicographic order, and ``brute_force_mis`` asks
 the one independent-set search, ``brute_force_wis``, at unit weight.
+Occurrence enumeration, for every pattern, is one depth-first search over
+the pattern's vertices that draws each image from the host's adjacency masks
+and maps twin pattern vertices in increasing order, so it reaches each
+occurrence directly (see ``enumerate_occurrences``).
 
 The searches read adjacency as integer bitmasks (``_neighbor_masks``: bit w
 of ``nbr[v]`` is set iff vw is an edge), built per call and never stored on
@@ -37,9 +41,12 @@ vertex order and the first witness in that order is returned.
 
 from __future__ import annotations
 
+import functools
 import itertools
+import math
 import operator
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from .errors import InputError, InternalError, SizeCapError
 
@@ -251,8 +258,8 @@ def disjoint_union(a: Graph, b: Graph) -> Graph:
 
 @dataclass(frozen=True)
 class Pattern:
-    """A fixed pattern graph H; its order and shape flags are derived from it,
-    so equality and hashing depend on the graph alone."""
+    """A fixed pattern graph H; its order, shape flags and occurrence-search
+    plan are derived from it, so equality and hashing depend on the graph alone."""
 
     graph: Graph
     h: int = field(init=False, compare=False)
@@ -270,6 +277,11 @@ class Pattern:
     @staticmethod
     def of(g: Graph) -> "Pattern":
         return Pattern(g)
+
+    @functools.cached_property
+    def _plan(self) -> "_SearchPlan":
+        """The occurrence search's plan, built on the first enumeration."""
+        return _search_plan(self.graph)
 
 
 @dataclass(frozen=True)
@@ -478,91 +490,140 @@ def _place(g: Graph, hg: Graph, hosts: list[int], order: list[int],
     return False
 
 
-def _connected_sets(g: Graph, size: int) -> list[tuple[int, ...]]:
-    """Every vertex set of g of this size that induces a connected subgraph.
-
-    Sorted ascending as sorted tuples, the order of ``itertools.combinations``.
-    Pairs are the edges; larger sets come from connected extension (ESU,
-    Wernicke, *Efficient detection of network motifs*, 2006): a set grows
-    from its smallest vertex v by vertices above v, and a vertex joins the
-    candidates only when the member just added is the first one adjacent to
-    it, so each set is produced once.
-    """
-    if size == 2:
-        return list(g.edges)
-    nbr = _neighbor_masks(g)
-    found: list[tuple[int, ...]] = []
-    for v in range(g.n):
-        above = -1 << (v + 1)
-        _extend(nbr, size, found, (v,), nbr[v] | 1 << v, nbr[v] & above, above)
-    return sorted(found)
-
-
-def _extend(nbr: list[int], size: int, found: list, members: tuple, closed: int,
-            ext: int, above: int) -> None:
-    """Append the connected sets that grow from ``members`` by ``ext`` to
-    ``found``.  Module level, so a call leaves no reference cycle."""
-    if len(members) == size:
-        found.append(tuple(sorted(members)))
-        return
-    while ext:
-        bit = ext & -ext
-        ext ^= bit
-        w = bit.bit_length() - 1
-        _extend(nbr, size, found, members + (w,), closed | nbr[w],
-                ext | (nbr[w] & ~closed & above), above)
-
-
 def enumerate_occurrences(g: Graph, h: Pattern) -> list[Occurrence]:
     """All occurrences of h in g, one per vertex set, in canonical order.
 
     For each h-subset of host vertices inducing a copy of the pattern, in
-    ascending order, the lexicographically smallest witness map is kept.  A
-    connected pattern only tests the connected h-subsets (``_connected_sets``);
-    any other pattern tests all C(n, h).
+    ascending order of the sorted subset, the lexicographically smallest
+    witness map is kept.
 
-    Which map of a sorted subset comes first depends only on which of its
-    C(h, 2) position pairs are adjacent, so a subset is read as an adjacency
-    key, one bit per position pair, and each key met is solved once: the
-    position maps are tried in lexicographic order against the pattern's own
-    bits, after the degree test that rejects most keys at once.  There are at
-    most 2^C(h, 2) keys (8 for h = 3), and the pattern's edges are read once
-    per call, whatever the host.
+    One depth-first search over the pattern's vertices serves every pattern,
+    connected or not (``_maps``, following the pattern's ``_search_plan``,
+    Ullmann's scheme on adjacency bitmasks).  A step's candidates are the
+    unused host vertices, cut by the neighbourhood mask of each earlier
+    image its vertex must be adjacent to and by the complement of each one
+    it must not be; the last step emits straight from its mask.  Pattern
+    vertices a < b are *twins* when N(a) - b = N(b) - a, and every twin pair
+    must get phi(a) < phi(b) (symmetry breaking, as in Grochow and Kellis,
+    *Network motif discovery using subgraph enumeration and
+    symmetry-breaking*, 2007).
+
+    Why the output is the canonical one:
+
+    * The maps with one image are phi o sigma for sigma in Aut(H), and the
+      canonical witness is the lexicographically smallest of them.
+    * Swapping twins a < b is an automorphism, and phi o (a b) first differs
+      from phi at position a, where it reads phi(b).  So the smallest map
+      meets every twin bound: the bounds never drop a canonical witness.
+    * The maps that meet the bounds are one per coset of the group the twin
+      swaps generate.  When those swaps generate Aut(H) (K_h, edgeless
+      patterns, P3 and stars), exactly one map per image survives and is
+      kept as it is.  Otherwise (P4, C4, C5) the smallest map per image is
+      kept.  The plan decides this once per pattern by searching H in H and
+      stopping at the second map: only the identity survives exactly when
+      twin swaps generate Aut(H), so K_20 costs 20 steps, not 20! maps.
+    * The maps are then sorted by their sorted image.  When every pair is
+      twin (K_h or edgeless), the search runs in label order and each map is
+      increasing, so the maps already come out in that order.
     """
-    slots = list(enumerate(itertools.combinations(range(h.h), 2)))
-    bit = {pair: k for k, (a, b) in slots for pair in ((a, b), (b, a))}
-    hkey = sum(h.graph.has_edge(a, b) << k for k, (a, b) in slots)
-    nbr = _neighbor_masks(g)
-    if h.is_connected:
-        subsets = _connected_sets(g, h.h)
-    else:
-        subsets = itertools.combinations(range(g.n), h.h)
+    plan = h._plan
+    maps = _maps(plan.steps, _neighbor_masks(g), g.n)
+    if not plan.twin_generated:
+        best: dict[tuple[int, ...], tuple[int, ...]] = {}
+        for t in maps:
+            key = tuple(sorted(t))
+            if key not in best or t < best[key]:
+                best[key] = t
+        maps = [best[key] for key in sorted(best)]
+    elif not plan.all_twins:
+        maps.sort(key=sorted)
+    return [Occurrence(t) for t in maps]
 
-    def degrees(key: int) -> list[int]:
-        return sorted(sum(key >> bit[a, b] & 1 for b in range(h.h) if b != a) for a in range(h.h))
 
-    hdeg = degrees(hkey)
-    first: dict[int, tuple | None] = {}
+class _SearchPlan(NamedTuple):
+    """How the occurrence search walks one pattern (``_search_plan``)."""
 
-    def solve(key: int) -> tuple | None:
-        if key.bit_count() != hkey.bit_count() or degrees(key) != hdeg:
-            return None
-        for perm in itertools.permutations(range(h.h)):
-            if all(key >> bit[perm[a], perm[b]] & 1 == hkey >> k & 1 for k, (a, b) in slots):
-                return perm
-        return None
+    steps: tuple  # (vertex, earlier neighbours, earlier non-neighbours, lower twin, later twins)
+    twin_generated: bool  # twin swaps generate Aut(H)
+    all_twins: bool  # every pair of pattern vertices is twin
 
-    out = []
-    for sub in subsets:
-        key = 0
-        for k, (a, b) in slots:
-            key |= (nbr[sub[a]] >> sub[b] & 1) << k
-        if key not in first:
-            first[key] = solve(key)
-        perm = first[key]
-        if perm is not None:
-            out.append(Occurrence(tuple([sub[p] for p in perm])))
+
+def _search_plan(hg: Graph) -> _SearchPlan:
+    """The search order, the constraints per step and the twin flags of a pattern.
+
+    The order is breadth-first, neighbours ascending, from a highest-degree
+    vertex (ties to the lowest id), then each further component the same
+    way.  Twins agree on every third vertex and have equal degree, so a twin
+    class comes in ascending label order along it: the earlier twins of a
+    vertex are smaller, and the last one placed has the largest image, which
+    is the one lower bound a step needs.  The later twins of a step's vertex
+    must map above it into the same candidate mask, so a step stops when its
+    mask has no room left for them.
+    """
+    n, nbr = hg.n, _neighbor_masks(hg)
+    twin = [[a != b and nbr[a] & ~(1 << b) == nbr[b] & ~(1 << a) for b in range(n)]
+            for a in range(n)]
+    order: list[int] = []
+    seen = 0
+    while len(order) < n:
+        start = max((v for v in range(n) if not seen >> v & 1), key=lambda v: (hg.degree(v), -v))
+        seen |= 1 << start
+        tail = len(order)
+        order.append(start)
+        while tail < len(order):
+            fresh = nbr[order[tail]] & ~seen
+            seen |= fresh
+            order.extend(_bits(fresh))
+            tail += 1
+    steps = []
+    for i, v in enumerate(order):
+        earlier = order[:i]
+        lower = [u for u in earlier if twin[u][v]]
+        steps.append((v, tuple(u for u in earlier if nbr[v] >> u & 1),
+                      tuple(u for u in earlier if not nbr[v] >> u & 1),
+                      lower[-1] if lower else -1,
+                      sum(twin[v][u] for u in order[i + 1:])))
+    steps = tuple(steps)
+    return _SearchPlan(steps, len(_maps(steps, nbr, n, 2)) == 1,
+                       all(twin[a][b] for a, b in itertools.combinations(range(n), 2)))
+
+
+def _maps(steps: tuple, nbr: list[int], n: int, limit: float = math.inf) -> list[tuple[int, ...]]:
+    """The maps of the pattern into the host on ``n`` vertices with adjacency
+    masks ``nbr`` that meet the plan's twin bounds, in search order; the
+    search stops once ``limit`` maps are found."""
+    out: list[tuple[int, ...]] = []
+    _grow(steps, nbr, (1 << n) - 1, [0] * len(steps), 0, 0, out, limit)
     return out
+
+
+def _grow(steps: tuple, nbr: list[int], full: int, phi: list[int], used: int, i: int,
+          out: list, limit: float) -> None:
+    """Extend the map ``phi`` of the first ``i`` steps, whose images are
+    ``used``, through every candidate of step i.  Module level, so a call
+    leaves no reference cycle."""
+    v, adj, non, lower, later = steps[i]
+    cand = full ^ used
+    for u in adj:
+        cand &= nbr[phi[u]]
+    for u in non:
+        cand &= ~nbr[phi[u]]
+    if lower >= 0:
+        cand &= -2 << phi[lower]
+    if i + 1 == len(steps):
+        while cand:
+            low = cand & -cand
+            cand ^= low
+            phi[v] = low.bit_length() - 1
+            out.append(tuple(phi))
+        return
+    while cand.bit_count() > later:
+        low = cand & -cand
+        cand ^= low
+        phi[v] = low.bit_length() - 1
+        _grow(steps, nbr, full, phi, used | low, i + 1, out, limit)
+        if len(out) >= limit:
+            return
 
 
 # ---------------------------------------------------------------------------

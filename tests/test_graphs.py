@@ -206,14 +206,23 @@ def test_enumerate_occurrences_vertex_sets(p3):
 
 
 def test_enumerate_occurrences_and_masks_match_the_subset_scan():
-    # connected patterns grow connected sets, 2K2 and K1 + K2 still scan all
-    # subsets; the order, the maps and the conflict masks must all be the old
-    # ones (an isolated pattern vertex only conflicts through itself)
+    # one search serves every pattern; the order, the maps and the conflict
+    # masks must be the subset scan's (an isolated pattern vertex only
+    # conflicts through itself).  The patterns cover a search order that is
+    # not label order (P3 centred at 2, a star centred at 3), automorphisms
+    # beyond twin swaps (P4, C4, C5, the bull, 2K2), patterns whose pairs are
+    # all twins (K_h, the edgeless graph on 3 vertices) and disconnected ones
     patterns = [
         complete_graph(1), complete_graph(2), path_graph(3), complete_graph(3),
         path_graph(4), cycle_graph(4), star_graph(3), complete_graph(4),
         Graph(4, [(0, 1), (2, 3)]),
         Graph(3, [(1, 2)]),
+        Graph(3, [(0, 2), (1, 2)]),
+        Graph(4, [(0, 3), (1, 3), (2, 3)]),
+        cycle_graph(5),
+        Graph(5, [(0, 1), (0, 2), (1, 2), (1, 3), (2, 4)]),
+        Graph(3),
+        Graph(4, [(1, 2), (2, 3)]),
     ]
     rng = random.Random(606)
     found = 0
@@ -228,6 +237,36 @@ def test_enumerate_occurrences_and_masks_match_the_subset_scan():
                 assert _occurrence_masks(g, occs) == all_pairs_occurrence_masks(g, occs)
                 found += len(occs)
     assert found > 1000
+
+
+def test_the_search_reaches_one_map_per_twin_orbit():
+    # the twin bounds keep one map per coset of the group that twin swaps
+    # generate: one per occurrence when they generate Aut(H) (K2, K3, P3,
+    # K_{1,3}), |Aut(H)| / |twin group| per occurrence otherwise (2 for P4,
+    # whose twin group is trivial, and 8 / 4 for C4), so a lost bound adds maps
+    bench = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "perfbench")
+    if bench not in sys.path:
+        sys.path.append(bench)
+    import gen
+
+    from igmatch.models import realize
+
+    hosts = [complete_graph(8),
+             realize(gen.long_proper_arc_model(random.Random(301), 20)),
+             random_graph(random.Random(29), 14, 0.4)]
+    reached = []
+    for g in hosts:
+        nbr = _neighbor_masks(g)
+        for hg in (complete_graph(2), complete_graph(3), path_graph(3), star_graph(3),
+                   path_graph(4), cycle_graph(4)):
+            h = Pattern.of(hg)
+            maps = len(graphs._maps(h._plan.steps, nbr, g.n))
+            occs = len(enumerate_occurrences(g, h))
+            assert maps == occs * (1 if h._plan.twin_generated else 2), (g, hg.edges)
+            reached.append(maps)
+    assert reached == [28, 56, 0, 0, 0, 0,
+                       94, 176, 264, 0, 1812, 0,
+                       37, 21, 118, 81, 362, 84]
 
 
 def test_occurrence_check_rejects_non_induced(k2):

@@ -497,7 +497,7 @@ def test_model_passes_make_no_per_pair_calls(monkeypatch):
 
 
 def test_enumeration_reads_the_pattern_once_per_call(monkeypatch):
-    # each adjacency key is solved from the pattern bits read at the start,
+    # the search reads the pattern through its plan, built once per pattern,
     # so the pattern's has_edge count does not grow with the host
     gen = _bench_gen()
     h = Pattern.of(path_graph(3))
