@@ -45,6 +45,7 @@ from .graphs import (
     enumerate_occurrences,
     find_igm,
     find_occurrence,
+    induced_maps,
     max_igm,
     revalidated,
     star_free,
@@ -735,37 +736,15 @@ def _max_interior_matching(sub: Graph, kept, h: Pattern, s, cert) -> tuple:
     return tuple(max_igm(sub, occs)), exhaustive
 
 
-def _consistent_realizations(J: Graph, h: Pattern, tokens, allowed):
-    """Injective placements honoring pattern adjacency within a group and
-    non-adjacency across groups."""
-    return _placements(J, h, tokens, allowed, {}, set(), 0)
-
-
-def _placements(J: Graph, h: Pattern, tokens, allowed, chosen: dict, used: set, i: int):
-    """The placements of ``tokens[i:]`` extending ``chosen``.  Module level, so
-    a search leaves no reference cycle."""
-    if i == len(tokens):
-        yield dict(chosen)
-        return
-    t = tokens[i]
-    g, hv = t
-    for v in allowed[t]:
-        if v in used:
-            continue
-        ok = True
-        for t2, v2 in chosen.items():
-            g2, hv2 = t2
-            adj = J.has_edge(v, v2)
-            want = h.graph.has_edge(hv, hv2) if g2 == g else False
-            if adj != want:
-                ok = False
-                break
-        if ok:
-            chosen[t] = v
-            used.add(v)
-            yield from _placements(J, h, tokens, allowed, chosen, used, i + 1)
-            del chosen[t]
-            used.discard(v)
+def _token_placements(J: Graph, h: Pattern, tokens: list, domains: list) -> list[dict]:
+    """The injective placements of the ``(group, pattern vertex)`` tokens in
+    J, token i on a vertex of ``domains[i]``, adjacent exactly where two
+    tokens share a group and are joined in H, in lexicographic order: the
+    induced maps of the token graph with those adjacencies."""
+    pairs = itertools.combinations(enumerate(tokens), 2)
+    tg = Graph(len(tokens), [(i, j) for (i, (ga, a)), (j, (gb, b)) in pairs
+                             if ga == gb and h.graph.has_edge(a, b)])
+    return [dict(zip(tokens, phi)) for phi in induced_maps(J, tg, domains)]
 
 
 def _realize_edge(ss, eid, fe: BaseEdge, align, h, cert):
@@ -783,7 +762,7 @@ def _realize_edge(ss, eid, fe: BaseEdge, align, h, cert):
     tokens_at = {r: fe.boundaries[fe.members.index(align[r])] for r in members}
     bgroups = {g for r in members for (g, _hv) in tokens_at[r]}
     T = sorted(t for t in fe.tokens() if t[0] in bgroups)
-    allowed = {}
+    allowed = []  # per token of T, the J vertices it may take
     for t in T:
         seats = {r for r in members if t in tokens_at[r]}
         if seats:
@@ -795,10 +774,10 @@ def _realize_edge(ss, eid, fe: BaseEdge, align, h, cert):
             dom = strict
         if not dom:
             return None
-        allowed[t] = sorted(dom)
+        allowed.append(dom)
     best = None
     exhaustive = False
-    for x in _consistent_realizations(J, h, T, allowed):
+    for x in _token_placements(J, h, T, allowed):
         removed = J.closed_neighborhood_of_set(set(x.values()) | set(s.z))
         sub, kept = J.without(removed)
         occs, packed_exhaustively = _max_interior_matching(sub, kept, h, s, cert)
@@ -881,7 +860,7 @@ def global_matching_step(g: Graph, ss: StripStructure, assignments, h: Pattern, 
         classes.setdefault(grp, []).append(v)
     found = []
     for grp in sorted(classes):
-        occ = find_occurrence(g, h, within=sorted(classes[grp]))
+        occ = find_occurrence(g, h, within=classes[grp])
         if occ is not None:
             found.append(occ)
     return found if len(found) >= need else None

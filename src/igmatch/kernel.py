@@ -205,7 +205,7 @@ def _greedy_maximal_matching(g: Graph, h: Pattern) -> list:
     left = set(range(g.n))
     out = []
     while left:
-        occ = find_occurrence(g, h, within=sorted(left))
+        occ = find_occurrence(g, h, within=left)
         if occ is None:
             break
         out.append(occ)

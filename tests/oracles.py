@@ -22,7 +22,9 @@ replaced, and ``interval_wis_reference``, ``long_arc_reference`` and
 ``disconnected_reference`` those of the weighted interval witness rebuild, the
 per-cut long-arc solver and the per-cut disconnected-pattern solver,
 ``arc_cover_reference`` the per-probe scan of the arcs over a point,
-``realize_reference`` and ``model_report_reference`` the all-pairs model
+``find_occurrence_reference`` and ``placements_reference`` the set-based
+first-embedding and token-placement searches that the occurrence mask search
+replaced, ``realize_reference`` and ``model_report_reference`` the all-pairs model
 realization and validation, ``arc_contains`` and ``covers_circle`` the
 single-pair containment and coverage definitions, and
 ``residual_chain_reference`` the fuzzy solver's per-star chain program, and
@@ -160,6 +162,80 @@ def subset_scan_occurrences(g, hg) -> list[tuple[int, ...]]:
                    for i, j in itertools.combinations(range(hg.n), 2)):
                 out.append(perm)
                 break
+    return out
+
+
+def _pattern_order_reference(h) -> list[int]:
+    # most-constrained-first: highest degree start, then most placed neighbors
+    if h.n == 0:
+        return []
+    order = [max(range(h.n), key=lambda v: (h.degree(v), -v))]
+    placed = set(order)
+    while len(order) < h.n:
+        best = None
+        for v in range(h.n):
+            if v in placed:
+                continue
+            key = (len(h.neighbors(v) & placed), h.degree(v), -v)
+            if best is None or key > best[0]:
+                best = (key, v)
+        order.append(best[1])
+        placed.add(best[1])
+    return order
+
+
+def find_occurrence_reference(g, h: Pattern, within=None) -> Occurrence | None:
+    """The first induced embedding, placing pattern vertices in the most
+    constrained first order, each on the smallest fitting host vertex first,
+    with no symmetry breaking."""
+    hg = h.graph
+    hosts = sorted(within) if within is not None else list(range(g.n))
+    if len(hosts) < h.h:
+        return None
+    assignment: dict[int, int] = {}
+
+    def place(order, idx):
+        if idx == len(order):
+            return True
+        pv = order[idx]
+        for gv in hosts:
+            if gv in assignment.values() or g.degree(gv) < hg.degree(pv):
+                continue
+            if any(hg.has_edge(pv, qv) != g.has_edge(gv, hv) for qv, hv in assignment.items()):
+                continue
+            assignment[pv] = gv
+            if place(order, idx + 1):
+                return True
+            del assignment[pv]
+        return False
+
+    if not place(_pattern_order_reference(hg), 0):
+        return None
+    return Occurrence(tuple(assignment[i] for i in range(h.h)))
+
+
+def placements_reference(J, h: Pattern, tokens, allowed) -> list[dict]:
+    """Every injective placement of the ``(group, pattern vertex)`` tokens,
+    token t on a vertex of ``allowed[t]``, that is adjacent in J exactly
+    where two tokens share a group and are joined in H; token by token, each
+    on its allowed vertices in the listed order."""
+    out = []
+
+    def extend(chosen, i):
+        if i == len(tokens):
+            out.append(dict(chosen))
+            return
+        grp, hv = t = tokens[i]
+        for v in allowed[t]:
+            if v in chosen.values():
+                continue
+            if all(J.has_edge(v, v2) == (g2 == grp and h.graph.has_edge(hv, hv2))
+                   for (g2, hv2), v2 in chosen.items()):
+                chosen[t] = v
+                extend(chosen, i + 1)
+                del chosen[t]
+
+    extend({}, 0)
     return out
 
 

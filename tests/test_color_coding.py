@@ -59,6 +59,7 @@ from oracles import (
     covered_subgraph,
     embeddings_reference,
     natural_coloring_reference,
+    placements_reference,
 )
 
 
@@ -568,6 +569,31 @@ def test_interior_solver_through_fuzzy_certificate(k2):
     assignments, kp = solve_strip_interiors(ss, base, surj_single_edge(), k2, {0: fam})
     assert kp == 1
     assert assignments[0].interior_matching == (Occurrence((3, 4)),)
+
+
+def test_token_placements_match_the_reference():
+    # the placements are the induced maps of the token graph, in the order the
+    # token-by-token search listed them (dict order included); no token at all
+    # has the one empty placement
+    from randgen import random_graph
+
+    rng = random.Random(31)
+    patterns = [Pattern.of(hg) for hg in (complete_graph(2), path_graph(3), complete_graph(3),
+                                          cycle_graph(4), Graph(3, [(1, 2)]))]
+    total = empty = 0
+    for _ in range(300):
+        J = random_graph(rng, rng.randint(0, 9), rng.random())
+        h = rng.choice(patterns)
+        groups = range(1, rng.randint(1, 3) + 1)
+        tokens = sorted((g, hv) for g in groups for hv in range(h.h) if rng.random() < 0.5)
+        allowed = {t: sorted(v for v in range(J.n) if rng.random() < 0.6) for t in tokens}
+        got = cc._token_placements(J, h, tokens, [allowed[t] for t in tokens])
+        want = placements_reference(J, h, tokens, allowed)
+        assert [list(x.items()) for x in got] == [list(x.items()) for x in want], (J.edges, tokens)
+        total += len(got)
+        empty += not tokens
+    assert cc._token_placements(path_graph(3), patterns[0], [], []) == [{}]
+    assert empty and total > 500
 
 
 # ---------------------------------------------------------------------------

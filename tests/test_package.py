@@ -16,10 +16,11 @@ from igmatch.graphs import (
     Pattern,
     brute_force_wis,
     complete_graph,
+    disjoint_union,
     line_graph,
     path_graph,
 )
-from igmatch.interval_solvers import solve_igm_long_proper_ca
+from igmatch.interval_solvers import solve_igm_long_proper_ca, solve_igm_proper_ca_disconnected
 from igmatch.kernel import kernelize
 from igmatch.models import Arc, ArcModel, FuzzyArcModel, intersection_kind
 
@@ -196,6 +197,7 @@ def test_solves_leave_no_cyclic_garbage():
     # with the collector off, a warm solve through each entry frees all it
     # made by reference counts alone
     k2, k3, p3 = (Pattern.of(g) for g in (complete_graph(2), complete_graph(3), path_graph(3)))
+    two_k2 = Pattern.of(disjoint_union(k2.graph, k2.graph))
     lg = _sunlet_line_graph()
     long_arcs = ArcModel([Arc(i, 2 * i, (2 * i + 3) % 24) for i in range(12)], 24)
     fuzzy = _fuzzy_touching_arcs()
@@ -211,6 +213,7 @@ def test_solves_leave_no_cyclic_garbage():
         lambda: wis(lg, k3, 2),
         lambda: solve_igm_long_proper_ca(long_arcs, p3, 3),
         lambda: solve_igm_long_proper_ca(long_arcs, p3, 1),
+        lambda: solve_igm_proper_ca_disconnected(long_arcs, two_k2, 2),
         lambda: solve_igm_fuzzy_ca(fuzzy, p3, 2),
     ]
     gc.collect()
