@@ -47,6 +47,7 @@ from .graphs import (
     find_occurrence,
     induced_maps,
     max_igm,
+    packing_refuted,
     revalidated,
     star_free,
 )
@@ -59,6 +60,10 @@ from .trace import note
 __all__ = ["HK_CAP_DEFAULT", "solve_igm_claw_free"]
 
 HK_CAP_DEFAULT = 6
+# node budget of the router's packing refutation (``_route``, step 4): about
+# 10 ms of search; no solve of the pinned corpora or the benchmark visits
+# more than 8 nodes
+_REFUTE_BUDGET = 10_000
 
 
 @dataclass(frozen=True)
@@ -1141,13 +1146,25 @@ def _route(g0, h, cert, cfg: _RunConfig):
          (``find_igm``), kk above ``ALPHA_BOUND``: no matching;
       3. independence number at most 4: bounded search; kk above it: no
          matching;
-      4. a supplied structure: the pipeline over it;
-      5. several components: each settled on its own, combined additively;
-      6. a line graph: the pipeline over its strip-structure, trusted as built;
-      7. otherwise exhaustive search, noted once to ``igmatch.trace``.
+      4. the packing search proves, within ``_REFUTE_BUDGET`` nodes, that no
+         kk occurrences pack: no matching;
+      5. a supplied structure: the pipeline over it;
+      6. several components: each settled on its own, combined additively;
+      7. a line graph: the pipeline over its strip-structure, trusted as built;
+      8. otherwise exhaustive search, noted once to ``igmatch.trace``.
 
-    Steps 4-7 are settled on the first call with kk at most the
-    independence number, so a count above it costs no structure work.
+    Step 4 is exact.  The chunk's occurrences, one per vertex set, are
+    enumerated once, on the first call that reaches step 4.  A matching of
+    size kk is a packing of kk of them (pairwise disjoint, with no edge
+    between two), and the search visits every packing its bounds do not
+    prove too small, so when it finishes without one, there is no matching.
+    A search that reaches its node budget answers nothing: steps 5-8 run as
+    they would without it, and nothing is noted.  Enumeration is polynomial
+    for a fixed pattern and the budget is a constant, so step 4 keeps the
+    route's worst case fixed-parameter tractable.  Steps 5-8 are settled on
+    the first call that step 4 does not refute, so a refuted count costs no
+    structure work, and every count that is not refuted gets the pipeline's
+    witness.
     """
     if g0.n < h.h:
         return lambda kk: None
@@ -1158,6 +1175,10 @@ def _route(g0, h, cert, cfg: _RunConfig):
     alpha, _w = brute_force_mis(g0)
     if alpha <= ALPHA_BOUND:
         return lambda kk: None if kk > alpha else find_igm(g0, h, kk)
+
+    @functools.cache
+    def occurrences():
+        return enumerate_occurrences(g0, h)
 
     @functools.cache
     def settle():
@@ -1173,7 +1194,12 @@ def _route(g0, h, cert, cfg: _RunConfig):
             return lambda kk: find_igm(g0, h, kk)
         return _structured(g0, h, lg, {}, cfg)
 
-    return lambda kk: None if kk > alpha else settle()(kk)
+    def solve(kk):
+        if kk > alpha or packing_refuted(g0, occurrences(), kk, _REFUTE_BUDGET):
+            return None
+        return settle()(kk)
+
+    return solve
 
 
 def solve_igm_claw_free(
@@ -1196,21 +1222,25 @@ def solve_igm_claw_free(
     circular-arc model goes to ``solve_igm_fuzzy_ca`` instead, the entry for
     that question.  Then the first rule that applies decides: k = 0 gives
     the empty matching, a host smaller than h gives None; a host with
-    independence number at most 4 goes to bounded search, and k above that
-    number gives None.  Otherwise the base-times-coloring pipeline runs over
-    ``ss`` when given; its strip-edges without strip-vertices are solved
-    first, each body as a host of its own.  Without ``ss``, a disconnected
-    host is split into components solved the same way and combined
-    additively, a connected line graph uses ``line_graph_strip_structure``,
-    and any other host falls back to exhaustive search, noted once to
-    ``igmatch.trace``, as is each strip-edge whose interior is packed
-    exhaustively.  A piece of the host that is asked for 1, 2, ... copies
-    in turn settles its route once, not once per count.  Pass
-    ``ss=trivial_strip_structure(g)`` to wrap the whole host in one strip.
+    independence number at most 4 goes to bounded search.  Otherwise k above
+    the independence number gives None, and so does a k for which an exact
+    packing search over the host's occurrences, run within a fixed node
+    budget, finds no k pairwise disjoint, non-adjacent copies.  For any other
+    k the base-times-coloring pipeline runs over ``ss`` when given; its
+    strip-edges without strip-vertices are solved first, each body as a host
+    of its own.  Without ``ss``, a disconnected host is split into
+    components solved the same way and combined additively, a connected
+    line graph uses ``line_graph_strip_structure``, and any other host falls
+    back to exhaustive search, noted once to ``igmatch.trace``, as is each
+    strip-edge whose interior is packed exhaustively.  A piece of the host
+    that is asked for 1, 2, ... copies in turn settles its route once, not
+    once per count.  Pass ``ss=trivial_strip_structure(g)`` to wrap the
+    whole host in one strip.
 
     Exhaustive coloring mode is exact; random mode (seeded, ``trials`` draws
     per base) never reports false positives but may miss.  Bases are capped
-    at ``HK_CAP_DEFAULT`` tokens.  Any matching the pipeline assembles has
+    at ``HK_CAP_DEFAULT`` tokens, so only a k that reaches the pipeline can
+    raise ``SizeCapError`` for it.  Any matching the pipeline assembles has
     been re-validated against the host.
     """
     if k < 0:

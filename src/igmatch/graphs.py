@@ -675,8 +675,12 @@ def _occurrence_masks(g: Graph, occs: list[Occurrence]):
     return vmask, conflict
 
 
+class _OutOfBudget(Exception):
+    """A budgeted packing search reached its node budget before it finished."""
+
+
 def _first_packing(g: Graph, occs: list[Occurrence], goal: int | None,
-                   touch_masks=()) -> list[int] | None:
+                   touch_masks=(), budget: float = math.inf) -> list[int] | None:
     """Indices of the first packing of ``goal`` occurrences (of the most
     occurrences when ``goal`` is None) whose union meets every nonzero vertex
     mask in ``touch_masks``, or None when there is none.
@@ -687,6 +691,12 @@ def _first_packing(g: Graph, occs: list[Occurrence], goal: int | None,
     branch holds no packing of the size sought, and the first packing of
     that size in this order is returned.  Open nodes live on a stack of
     their own, so no packing size meets Python's recursion limit.
+
+    ``budget`` caps the nodes (chosen index lists) the search visits,
+    counting the root.  A search that would visit one more raises
+    ``_OutOfBudget``: its answer is unknown, neither a packing nor a proof
+    that there is none.  The unbudgeted searches of ``find_igm`` and
+    ``max_igm`` always finish.
     """
     vmask, conflict = _occurrence_masks(g, occs)
     n = len(occs)
@@ -700,6 +710,9 @@ def _first_packing(g: Graph, occs: list[Occurrence], goal: int | None,
     stack: list[list] = []
     avail, unmet = (1 << n) - 1, meets
     while True:
+        budget -= 1
+        if budget < 0:
+            raise _OutOfBudget
         if not (len(chosen) + avail.bit_count() < floor
                 or unmet and any(not avail & m for m in unmet)):
             if not unmet and len(chosen) >= floor:
@@ -734,6 +747,20 @@ def find_igm(g: Graph, h: Pattern, k: int) -> Matching | None:
         return None
     found = _first_packing(g, occs, k)
     return None if found is None else Matching(tuple(occs[i] for i in found))
+
+
+def packing_refuted(g: Graph, occs: list[Occurrence], k: int, budget: int) -> bool:
+    """Whether the packing search proves, within ``budget`` nodes, that no
+    ``k`` of ``occs`` (occurrences of one pattern in g, in canonical order)
+    form an induced matching.
+
+    False when some ``k`` do, or when the budget runs out first: only a
+    finished search that found no packing is a proof.
+    """
+    try:
+        return _first_packing(g, occs, k, budget=budget) is None
+    except _OutOfBudget:
+        return False
 
 
 def max_igm(g: Graph, occurrences: list[Occurrence],

@@ -164,6 +164,44 @@ def test_clawfree_workload_witnesses_are_pinned():
             assert g == w, (seed, i)
 
 
+def test_the_pipeline_answers_no_on_the_k3_no_instances(monkeypatch):
+    """The router refutes every K3, k = 2 no-instance of the workload by the
+    packing search, so the pipeline no longer meets them through the entry.
+    Run directly over each host's line-graph structure, it still answers
+    None on all 45 of the corpus seeds."""
+    workloads = _workloads()
+    calls = []
+    monkeypatch.setattr(workloads, "solve_igm_claw_free",
+                        lambda g, h, k, **kwargs: calls.append((g, h, k)))
+    for seed in SEEDS:
+        for case in _clawfree_cases(seed):
+            if case.label == "cyclic-K3-k2" and not case.expected:
+                case.solve(None)
+    assert len(calls) == 45
+    cfg = cc._RunConfig("exhaustive", None, None)
+    for g, h, k in calls:
+        assert cc._assembled(g, h, [], line_graph_strip_structure(g), {}, cfg)(k) is None
+
+
+def test_a_spent_refutation_budget_changes_no_answer(monkeypatch):
+    """With no nodes to spend, the packing search refutes nothing and every
+    count falls through to the pipeline: the first K3 yes-instance and the
+    first K3 no-instance of seed 301 keep their pinned witness and answer,
+    and the no-instance reads base streams again."""
+    with open(FIXTURE) as f:
+        pinned = json.load(f)["301"]
+    monkeypatch.setattr(cc, "_REFUTE_BUDGET", 0)
+    shaped = _counting(monkeypatch, "_shaped_bases")
+    rows = list(zip(_clawfree_cases(301), pinned))
+    for expected in (True, False):
+        case, (label, want) = next((c, row) for c, row in rows
+                                   if c.label == "cyclic-K3-k2" and c.expected == expected)
+        assert label == case.label and (want is not None) == expected
+        del shaped[:]
+        assert _witness(lambda: case.solve(None)) == want
+        assert shaped
+
+
 def _write_subdivided():
     with open(SUBDIVIDED_FIXTURE, "w") as f:
         rows = [json.dumps(row) for row in _subdivided_rows()]

@@ -792,9 +792,14 @@ def test_driver_rejects_negative_trials(k2):
             solve_igm_claw_free(g, k2, 1, coloring="random", trials=-1)
 
 
-def test_driver_size_cap_on_token_count(k3):
+def test_driver_size_cap_on_token_count(k2, k3):
+    # a yes-instance (P12 holds four induced K2 copies) with hk = 8 reaches
+    # the pipeline, whose bases are capped at six tokens
     with pytest.raises(SizeCapError):
-        solve_igm_claw_free(path_graph(12), k3, 3)
+        solve_igm_claw_free(path_graph(12), k2, 4)
+    # a triangle-free host: the packing search refutes K3, k = 3, before
+    # the pipeline and its cap
+    assert solve_igm_claw_free(path_graph(12), k3, 3) is None
 
 
 def test_driver_rejects_invalid_structure(k2):
@@ -897,6 +902,27 @@ def test_driver_tests_independence_once_per_chunk(monkeypatch, k2):
     calls = _counting(monkeypatch, "brute_force_mis")
     assert solve_igm_claw_free(path_graph(12), k2, 2) is not None
     assert len(calls) == 1
+
+
+def test_driver_refutes_a_no_instance_before_the_pipeline(monkeypatch, k2):
+    """K2, k = 3 on the line graph of the C5 sunlet (independence number 5)
+    has no matching.  The pipeline proved it by running out of surjections
+    (5,100 interior packings, about 1 s cold); the packing search refutes it
+    after one enumeration, so no structure is derived, no base stream is read
+    and no interior is packed."""
+    lg = line_graph(Multigraph(10, [(i, (i + 1) % 5) for i in range(5)]
+                               + [(i, 5 + i) for i in range(5)]))
+    assert brute_force_mis(lg)[0] == 5
+    enumerated = _counting(monkeypatch, "enumerate_occurrences")
+    shaped = _counting(monkeypatch, "_shaped_bases")
+    packed = _counting(monkeypatch, "solve_strip_interiors")
+    derived = _counting(monkeypatch, "line_graph_strip_structure")
+    assert solve_igm_claw_free(lg, k2, 3) is None
+    assert (len(enumerated), len(shaped), len(packed), len(derived)) == (1, 0, 0, 0)
+    # a count the search does not refute runs the pipeline, as before
+    got = solve_igm_claw_free(lg, k2, 2)
+    assert [o.vertices for o in got.occurrences] == [(0, 1), (3, 8)]
+    assert len(shaped) == 1 and len(derived) == 1
 
 
 def test_driver_validates_a_supplied_structure_once(monkeypatch, k2):

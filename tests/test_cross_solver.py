@@ -11,7 +11,11 @@ A line graph of a random connected multigraph (``randgen``) goes through
 the claw-free entry by three routes, with no structure, with the trivial
 one and with the line-graph one, and each must answer as ``find_igm`` does.
 On the disjoint union of two such hosts the largest matching is the sum of
-the parts' largest, and the answer is monotone in k.
+the parts' largest, and the answer is monotone in k.  A host built with a
+subdivided structure (``randgen.random_subdivided_structure``, whose
+stripes have path interiors) goes through the entry with that structure
+and with the trivial one, and beside a triangle with no structure and with
+the trivial one; each must answer as ``find_igm`` does, monotone in k.
 """
 
 import os
@@ -37,7 +41,7 @@ from igmatch.interval_solvers import solve_igm_long_proper_ca, solve_igm_proper_
 from igmatch.kernel import kernelize
 from igmatch.models import Arc, ArcModel, FuzzyArcModel, intersection_kind, realize
 from igmatch.strips import line_graph_strip_structure, trivial_strip_structure
-from randgen import random_connected_multigraph
+from randgen import random_connected_multigraph, random_subdivided_structure
 
 sys.path.insert(0, os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
                                 "perfbench"))
@@ -141,3 +145,33 @@ def test_disjoint_unions_add_their_largest_matchings(seeds, n, extra):
         # a part at the top of the ladder may hold more; the sum is capped too
         most_a, most_b, most = (sum(yes) for yes in answers)
         assert most == min(most_a + most_b, ks[-1]), (seeds, n, extra, h.graph)
+
+
+# each pattern with every k that keeps hk at most 4
+SMALL_LADDERS = ((K2, (1, 2)), (P3, (1,)), (K3, (1,)))
+
+
+@settings(max_examples=60, derandomize=True, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), n=st.integers(2, 4), extra=st.integers(0, 1),
+       cut=st.sampled_from([(2, 3), (4, 7)]))
+def test_subdivided_structures_agree_with_find_igm(seed, n, extra, cut):
+    # At most four edges cut into at most seven vertices: within the
+    # independence test's cap of 30 host vertices.  Beside a triangle the
+    # host is a component of its own, asked for 1, 2, ... copies, and with
+    # the trivial structure the union's one strip is a free-standing piece.
+    g, ss = random_subdivided_structure(random.Random(seed), n, max(2, n - 1 + extra), cut)
+    routes = [(g, "subdivided", ss), (g, "trivial", trivial_strip_structure(g))]
+    union = disjoint_union(g, complete_graph(3))
+    if union.n <= 30:
+        routes += [(union, "components", None),
+                   (union, "trivial union", trivial_strip_structure(union))]
+    for h, ks in SMALL_LADDERS:
+        for host, name, route in routes:
+            want = [find_igm(host, h, k) is not None for k in ks]
+            got = [solve_igm_claw_free(host, h, k, ss=route) for k in ks]
+            for m in got:
+                if m is not None:
+                    m.check(host, h)
+            yes = [m is not None for m in got]
+            assert yes == want, (name, seed, n, extra, cut, h.graph)
+            assert yes == sorted(yes, reverse=True), (name, seed, n, extra, cut, h.graph)

@@ -30,6 +30,7 @@ from igmatch.graphs import (
     find_star,
     line_graph,
     max_igm,
+    packing_refuted,
     path_graph,
     recognize_line_graph,
     star_free,
@@ -329,6 +330,25 @@ def test_igm_decision_matches_exhaustive(k2, p3, k3):
 
 def test_igm_trivial_k0(k3):
     assert find_igm(Graph(0), k3, 0).size() == 0
+
+
+def test_packing_refutation_is_exact_within_its_budget(k2, p3, k3):
+    """``packing_refuted`` is True only when the search finishes without a
+    packing.  On the 12-cycle, whose largest induced matching has four
+    edges, refuting five visits 37 nodes, root included: a budget of 36
+    leaves the answer unknown."""
+    g = cycle_graph(12)
+    occs = enumerate_occurrences(g, k2)
+    assert packing_refuted(g, occs, 5, 37)
+    assert not packing_refuted(g, occs, 5, 36)
+    assert not packing_refuted(g, occs, 4, 10 ** 6) and not packing_refuted(g, occs, 4, 0)
+    rng = random.Random(1206)
+    for _ in range(30):
+        g = random_graph(rng, rng.randint(0, 8), rng.uniform(0.1, 0.7))
+        for h in (k2, p3, k3):
+            occs = enumerate_occurrences(g, h)
+            for k in (1, 2, 3):
+                assert packing_refuted(g, occs, k, 10 ** 6) == (not igm_exhaustive(g, h.graph, k))
 
 
 @contextlib.contextmanager
