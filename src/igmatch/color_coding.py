@@ -31,6 +31,7 @@ from __future__ import annotations
 import collections
 import functools
 import itertools
+import math
 import random
 from dataclasses import dataclass
 
@@ -39,15 +40,14 @@ from .graphs import (
     Graph,
     Matching,
     Occurrence,
+    OutOfBudget,
     Pattern,
     brute_force_mis,
     brute_force_wis,
     enumerate_occurrences,
-    find_igm,
     find_occurrence,
     induced_maps,
-    max_igm,
-    packing_refuted,
+    packing,
     revalidated,
     star_free,
 )
@@ -60,9 +60,9 @@ from .trace import note
 __all__ = ["HK_CAP_DEFAULT", "solve_igm_claw_free"]
 
 HK_CAP_DEFAULT = 6
-# node budget of the router's packing refutation (``_route``, step 4): about
+# node budget of the router's packing refutation (``_route``, step 3): about
 # 10 ms of search; no solve of the pinned corpora or the benchmark visits
-# more than 8 nodes
+# more than 8 nodes (``tests/test_clawfree_corpus.py`` checks the corpora)
 _REFUTE_BUDGET = 10_000
 
 
@@ -738,7 +738,7 @@ def _max_interior_matching(sub: Graph, kept, h: Pattern, s, cert) -> tuple:
     # "alpha4" claim nor a tested independence number of at most 4 caps the
     # packing at four copies
     exhaustive = cert != "alpha4" and brute_force_wis(sub, [1] * sub.n, ALPHA_BOUND + 1, 0)[0]
-    return tuple(max_igm(sub, occs)), exhaustive
+    return tuple(packing(sub, occs, None)), exhaustive
 
 
 def _token_placements(J: Graph, h: Pattern, tokens: list, domains: list) -> list[dict]:
@@ -1142,43 +1142,51 @@ def _route(g0, h, cert, cfg: _RunConfig):
     that applies decides:
 
       1. fewer vertices than the pattern: no matching;
-      2. a fuzzy model: the fuzzy arc solver; "alpha4": bounded search
-         (``find_igm``), kk above ``ALPHA_BOUND``: no matching;
-      3. independence number at most 4: bounded search; kk above it: no
-         matching;
-      4. the packing search proves, within ``_REFUTE_BUDGET`` nodes, that no
-         kk occurrences pack: no matching;
-      5. a supplied structure: the pipeline over it;
-      6. several components: each settled on its own, combined additively;
-      7. a line graph: the pipeline over its strip-structure, trusted as built;
-      8. otherwise exhaustive search, noted once to ``igmatch.trace``.
+      2. a fuzzy model: the fuzzy arc solver; an independence number alpha
+         of at most 4 (an "alpha4" claim is alpha = ``ALPHA_BOUND``): the
+         chunk's packing search, and kk above alpha: no matching;
+      3. kk above alpha, or the chunk's packing search proves, within
+         ``_REFUTE_BUDGET`` nodes, that no kk occurrences pack: no matching;
+      4. a supplied structure: the pipeline over it;
+      5. several components: each settled on its own, combined additively;
+      6. a line graph: the pipeline over its strip-structure, trusted as built;
+      7. otherwise the chunk's packing search, noted once to ``igmatch.trace``.
 
-    Step 4 is exact.  The chunk's occurrences, one per vertex set, are
-    enumerated once, on the first call that reaches step 4.  A matching of
-    size kk is a packing of kk of them (pairwise disjoint, with no edge
-    between two), and the search visits every packing its bounds do not
-    prove too small, so when it finishes without one, there is no matching.
-    A search that reaches its node budget answers nothing: steps 5-8 run as
-    they would without it, and nothing is noted.  Enumeration is polynomial
-    for a fixed pattern and the budget is a constant, so step 4 keeps the
-    route's worst case fixed-parameter tractable.  Steps 5-8 are settled on
-    the first call that step 4 does not refute, so a refuted count costs no
-    structure work, and every count that is not refuted gets the pipeline's
-    witness.
+    The chunk's packing search, ``search(kk, budget)``, runs ``packing`` over
+    the chunk's occurrences, one per vertex set, enumerated on its first
+    call.  It keeps each count's finished answer, so step 7 reuses step 3's
+    witness, and a search that runs out of budget raises ``OutOfBudget`` and
+    keeps nothing.  Step 3 is exact.  A matching
+    of size kk is a packing of kk occurrences (pairwise disjoint, with no
+    edge between two), and the search visits every packing its bounds do
+    not prove too small, so when it finishes without one, there is no
+    matching.  A search that reaches its node budget answers nothing: steps
+    4-7 run as they would without it, and nothing is noted.  Enumeration is
+    polynomial for a fixed pattern and the budget is a constant, so step 3
+    keeps the route's worst case fixed-parameter tractable.  Steps 4-7 are
+    settled on the first call that step 3 does not refute, so a refuted
+    count costs no structure work, and every count that is not refuted gets
+    the pipeline's witness, or the search's in step 7.
     """
     if g0.n < h.h:
         return lambda kk: None
     if isinstance(cert, FuzzyArcModel):
         return lambda kk: solve_igm_fuzzy_ca(cert, h, kk)
-    if cert == "alpha4":
-        return lambda kk: None if kk > ALPHA_BOUND else find_igm(g0, h, kk)
-    alpha, _w = brute_force_mis(g0)
-    if alpha <= ALPHA_BOUND:
-        return lambda kk: None if kk > alpha else find_igm(g0, h, kk)
+    alpha = ALPHA_BOUND if cert == "alpha4" else brute_force_mis(g0)[0]
+    answers = {}  # kk -> the finished search's matching or None
 
     @functools.cache
     def occurrences():
         return enumerate_occurrences(g0, h)
+
+    def search(kk, budget=math.inf):
+        if kk not in answers:
+            found = packing(g0, occurrences(), kk, budget=budget)
+            answers[kk] = None if found is None else Matching(tuple(found))
+        return answers[kk]
+
+    if alpha <= ALPHA_BOUND:
+        return lambda kk: None if kk > alpha else search(kk)
 
     @functools.cache
     def settle():
@@ -1191,12 +1199,15 @@ def _route(g0, h, cert, cfg: _RunConfig):
         lg = line_graph_strip_structure(g0)
         if lg is None:
             note(f"component of {g0.n} vertices solved exhaustively (no structure found)")
-            return lambda kk: find_igm(g0, h, kk)
+            return search
         return _structured(g0, h, lg, {}, cfg)
 
     def solve(kk):
-        if kk > alpha or packing_refuted(g0, occurrences(), kk, _REFUTE_BUDGET):
-            return None
+        try:
+            if kk > alpha or search(kk, _REFUTE_BUDGET) is None:
+                return None
+        except OutOfBudget:
+            pass
         return settle()(kk)
 
     return solve
@@ -1222,16 +1233,17 @@ def solve_igm_claw_free(
     circular-arc model goes to ``solve_igm_fuzzy_ca`` instead, the entry for
     that question.  Then the first rule that applies decides: k = 0 gives
     the empty matching, a host smaller than h gives None; a host with
-    independence number at most 4 goes to bounded search.  Otherwise k above
-    the independence number gives None, and so does a k for which an exact
-    packing search over the host's occurrences, run within a fixed node
+    independence number at most 4 goes to an exact packing search over the
+    host's occurrences.  Otherwise k above the independence number gives
+    None, and so does a k for which that search, run within a fixed node
     budget, finds no k pairwise disjoint, non-adjacent copies.  For any other
     k the base-times-coloring pipeline runs over ``ss`` when given; its
     strip-edges without strip-vertices are solved first, each body as a host
     of its own.  Without ``ss``, a disconnected host is split into
     components solved the same way and combined additively, a connected
     line graph uses ``line_graph_strip_structure``, and any other host falls
-    back to exhaustive search, noted once to ``igmatch.trace``, as is each
+    back to the packing search run to its end, which keeps the answer the
+    budgeted search found; this is noted once to ``igmatch.trace``, as is each
     strip-edge whose interior is packed exhaustively.  A piece of the host
     that is asked for 1, 2, ... copies in turn settles its route once, not
     once per count.  Pass ``ss=trivial_strip_structure(g)`` to wrap the
@@ -1243,8 +1255,8 @@ def solve_igm_claw_free(
     raise ``SizeCapError`` for it.  Any matching the pipeline assembles has
     been re-validated against the host.
     """
-    if k < 0:
-        raise InputError("k must be non-negative")
+    if not isinstance(k, int) or k < 0:
+        raise InputError("k must be a nonnegative integer")
     if not h.is_connected:
         raise InputError("pattern must be connected")
     if not star_free(g, 3):

@@ -208,8 +208,8 @@ def solve_igm_fuzzy_ca(model: FuzzyArcModel, h: Pattern, k: int) -> Matching | N
     """
     if not h.is_connected:
         raise InputError("pattern must be connected for the fuzzy solver")
-    if k < 0:
-        raise InputError("k must be non-negative")
+    if not isinstance(k, int) or k < 0:
+        raise InputError("k must be a nonnegative integer")
     if k == 0:
         return Matching(())
     g = realize(model)
@@ -234,12 +234,13 @@ def solve_igm_small_alpha(g: Graph, h: Pattern, k: int) -> Matching | None:
     The independence number caps the matching size, so k above
     ``ALPHA_BOUND`` is immediately absent and anything else is settled by
     bounded search.  The bound is always checked, by asking
-    ``brute_force_wis`` for ``ALPHA_BOUND + 1`` independent vertices; the
-    claw-free router and the kernel's bounding loop, which already hold the
-    bound, call ``find_igm`` themselves.
+    ``brute_force_wis`` for ``ALPHA_BOUND + 1`` independent vertices.  The
+    callers that already hold the bound skip that check: the claw-free
+    router runs its own packing search over the chunk's occurrences, and the
+    kernel's bounding loop calls ``find_igm``.
     """
-    if k < 0:
-        raise InputError("k must be non-negative")
+    if not isinstance(k, int) or k < 0:
+        raise InputError("k must be a nonnegative integer")
     found, _ = brute_force_wis(g, [1] * g.n, ALPHA_BOUND + 1, 0)
     if found:
         raise InputError(f"independence number exceeds the promised bound {ALPHA_BOUND}")

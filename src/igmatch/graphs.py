@@ -5,11 +5,13 @@ types, the exact brute-force searches (maximum independent set,
 induced-matching search, weighted independent set) that the solvers call
 on small graphs and that their tests compare against, occurrence
 enumeration, induced-subgraph embedding, twin contraction, and line-graph
-construction/recognition for multigraphs without self-loops.  Both
-induced-matching searches, ``find_igm`` for a given size and ``max_igm`` for
-the largest, run one packing search that visits sets of occurrences as
-increasing index lists in lexicographic order, and ``brute_force_mis`` asks
-the one independent-set search, ``brute_force_wis``, at unit weight.
+construction/recognition for multigraphs without self-loops.  Every
+induced-matching question runs one packing search, ``packing``, which visits
+sets of occurrences as increasing index lists in lexicographic order and
+answers a given size, the largest size, or, within a node budget, nothing;
+``find_igm`` is that search for a given size over every occurrence of a
+pattern.  ``brute_force_mis`` asks the one independent-set search,
+``brute_force_wis``, at unit weight.
 One depth-first search over the pattern's vertices, drawing each image from
 the host's adjacency masks and a domain mask per step, serves enumeration
 (twin pattern vertices mapped in increasing order, so each occurrence is
@@ -675,15 +677,21 @@ def _occurrence_masks(g: Graph, occs: list[Occurrence]):
     return vmask, conflict
 
 
-class _OutOfBudget(Exception):
+class OutOfBudget(Exception):
     """A budgeted packing search reached its node budget before it finished."""
 
 
-def _first_packing(g: Graph, occs: list[Occurrence], goal: int | None,
-                   touch_masks=(), budget: float = math.inf) -> list[int] | None:
-    """Indices of the first packing of ``goal`` occurrences (of the most
-    occurrences when ``goal`` is None) whose union meets every nonzero vertex
-    mask in ``touch_masks``, or None when there is none.
+def packing(g: Graph, occs: list[Occurrence], goal: int | None, require_touch=(),
+            budget: float = math.inf) -> list[Occurrence] | None:
+    """The first packing of ``goal`` of ``occs`` (of the most of them when
+    ``goal`` is None) whose union meets every vertex set in
+    ``require_touch``, or None when there is none.
+
+    A *packing* is an induced matching: pairwise disjoint occurrences with no
+    edge of g between two.  ``occs`` are occurrences of one pattern in g, in
+    canonical order, or a sub-list of them.  A touch set may be empty (it is
+    then ignored) or name vertices outside g.  With ``goal`` None and no
+    touch sets the answer is a list, maybe empty.
 
     Packings are visited as increasing index lists in lexicographic order.  A
     branch is cut once it cannot reach the floor, ``goal`` or one more than
@@ -694,13 +702,13 @@ def _first_packing(g: Graph, occs: list[Occurrence], goal: int | None,
 
     ``budget`` caps the nodes (chosen index lists) the search visits,
     counting the root.  A search that would visit one more raises
-    ``_OutOfBudget``: its answer is unknown, neither a packing nor a proof
-    that there is none.  The unbudgeted searches of ``find_igm`` and
-    ``max_igm`` always finish.
+    ``OutOfBudget``: its answer is unknown, neither a packing nor a proof
+    that there is none.  An unbudgeted search always finishes.
     """
     vmask, conflict = _occurrence_masks(g, occs)
     n = len(occs)
     # each touch set as the mask of the occurrences meeting it
+    touch_masks = [sum(1 << v for v in set(s)) for s in require_touch]
     meets = [sum(1 << i for i in range(n) if vmask[i] & tm) for tm in touch_masks if tm]
     floor = goal or 0
     best: list[int] | None = None
@@ -712,20 +720,20 @@ def _first_packing(g: Graph, occs: list[Occurrence], goal: int | None,
     while True:
         budget -= 1
         if budget < 0:
-            raise _OutOfBudget
+            raise OutOfBudget
         if not (len(chosen) + avail.bit_count() < floor
                 or unmet and any(not avail & m for m in unmet)):
             if not unmet and len(chosen) >= floor:
                 best = list(chosen)
                 if goal is not None:
-                    return best
+                    break
                 floor = len(chosen) + 1
             stack.append([avail, unmet])
         # a node whose untried candidates cannot lift it to the floor is done
         while stack and (not stack[-1][0] or len(stack) - 1 + stack[-1][0].bit_count() < floor):
             stack.pop()
         if not stack:
-            return best
+            break
         top = stack[-1]
         del chosen[len(stack) - 1:]
         low = top[0] & -top[0]
@@ -734,49 +742,18 @@ def _first_packing(g: Graph, occs: list[Occurrence], goal: int | None,
         chosen.append(i)
         avail = top[0] & ~conflict[i]
         unmet = [m for m in top[1] if not m >> i & 1]
+    return None if best is None else [occs[i] for i in best]
 
 
 def find_igm(g: Graph, h: Pattern, k: int) -> Matching | None:
-    """First induced matching of size k in canonical order, or None."""
-    if k < 0:
-        raise InputError("k must be nonnegative")
+    """First induced matching of size k in canonical order, or None: the
+    packing search over every occurrence of h in g."""
+    if not isinstance(k, int) or k < 0:
+        raise InputError("k must be a nonnegative integer")
     if k == 0:
         return Matching(())
-    occs = enumerate_occurrences(g, h)
-    if len(occs) < k:
-        return None
-    found = _first_packing(g, occs, k)
-    return None if found is None else Matching(tuple(occs[i] for i in found))
-
-
-def packing_refuted(g: Graph, occs: list[Occurrence], k: int, budget: int) -> bool:
-    """Whether the packing search proves, within ``budget`` nodes, that no
-    ``k`` of ``occs`` (occurrences of one pattern in g, in canonical order)
-    form an induced matching.
-
-    False when some ``k`` do, or when the budget runs out first: only a
-    finished search that found no packing is a proof.
-    """
-    try:
-        return _first_packing(g, occs, k, budget=budget) is None
-    except _OutOfBudget:
-        return False
-
-
-def max_igm(g: Graph, occurrences: list[Occurrence],
-            require_touch=()) -> list[Occurrence] | None:
-    """Maximum-size induced matching drawn from ``occurrences``, optionally
-    forced to touch vertex sets.
-
-    ``occurrences`` are occurrences of one pattern in g, in canonical order,
-    or a sub-list of them.  Each entry of ``require_touch`` is a vertex set
-    that the union of the matching must intersect.  Returns a witness list
-    (possibly empty when no touch constraints), or None when the constraints
-    cannot be met.
-    """
-    touch_masks = [sum(1 << v for v in set(s)) for s in require_touch]
-    found = _first_packing(g, occurrences, None, touch_masks)
-    return None if found is None else [occurrences[i] for i in found]
+    found = packing(g, enumerate_occurrences(g, h), k)
+    return None if found is None else Matching(tuple(found))
 
 
 def _greedy_clique_partition(g: Graph) -> list[list[int]]:

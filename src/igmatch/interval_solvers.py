@@ -112,8 +112,8 @@ def solve_igm_proper_interval(model: IntervalModel, h: Pattern, k: int) -> Match
         raise InputError("pattern must be connected for the interval solver")
     if not validate_interval_model(model).proper:
         raise InputError("interval model is not proper")
-    if k < 0:
-        raise InputError("k must be non-negative")
+    if not isinstance(k, int) or k < 0:
+        raise InputError("k must be a nonnegative integer")
     if k == 0:
         return Matching(())
     g = realize(model)
@@ -271,8 +271,8 @@ def solve_igm_long_proper_ca(model: ArcModel, h: Pattern, k: int) -> Matching | 
         raise InputError("arc model must be proper and long")
     if not h.is_connected:
         raise InputError("pattern must be connected for this solver")
-    if k < 0:
-        raise InputError("k must be non-negative")
+    if not isinstance(k, int) or k < 0:
+        raise InputError("k must be a nonnegative integer")
     if k == 0:
         return Matching(())
     g = realize(model)
@@ -305,8 +305,8 @@ def solve_igm_proper_ca_disconnected(model: ArcModel, h: Pattern, k: int) -> Mat
         raise InputError("pattern is connected; use the long proper-arc solver")
     if not validate_arc_model(model).proper:
         raise InputError("arc model is not proper")
-    if k < 0:
-        raise InputError("k must be non-negative")
+    if not isinstance(k, int) or k < 0:
+        raise InputError("k must be a nonnegative integer")
     if k == 0:
         return Matching(())
     if k * h.h > DISCONNECTED_CAP:

@@ -34,7 +34,7 @@ from .graphs import (
     enumerate_occurrences,
     find_igm,
     find_occurrence,
-    max_igm,
+    packing,
     revalidated,
 )
 from .strips import (
@@ -351,7 +351,7 @@ def _stripe_table(strip: Strip, h: Pattern, flip: bool) -> dict:
         # reservations often coincide across keys, so each packing runs once
         if (allowed, touch) not in packed:
             usable = [o for o in occs if allowed.issuperset(o.vertices)]
-            m = max_igm(jg, usable, require_touch=touch)
+            m = packing(jg, usable, None, touch)
             packed[allowed, touch] = None if m is None else len(m)
         return packed[allowed, touch]
 

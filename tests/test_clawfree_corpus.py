@@ -25,14 +25,16 @@ Rewrite the files only for an intended witness change:
     PYTHONPATH=src python tests/test_clawfree_corpus.py
 """
 
+import collections
 import json
+import math
 import os
 import random
 import sys
 
 import igmatch.color_coding as cc
 from igmatch.errors import SizeCapError
-from igmatch.graphs import Pattern, complete_graph, path_graph
+from igmatch.graphs import OutOfBudget, Pattern, complete_graph, path_graph
 from igmatch.strips import classify_strip, line_graph_strip_structure, validate_strip_structure
 
 from randgen import random_subdivided_structure
@@ -135,21 +137,30 @@ def test_subdivided_witnesses_are_pinned(monkeypatch):
 
 def test_subdivided_interiors_are_packed_by_one_search(monkeypatch):
     """Over the 144 subdivided solves, each residual interior that holds a
-    copy is packed by one ``max_igm`` call, 22 in all; the descending
-    ``find_igm`` ladder it replaced made 26 calls here.  The 27 ``find_igm``
-    calls are the router's bounded searches on chunks of independence number
-    at most 4.  The router tests
+    copy is packed by one largest-packing search, 22 in all; the descending
+    ``find_igm`` ladder it replaced made 26 calls here.  The 27 exact
+    searches are the router's on chunks of independence number at most 4,
+    and the 117 budgeted ones its refutations; ``find_igm``, ``max_igm``
+    and ``packing_refuted``, which ran the three kinds before ``packing``
+    did, were called 27, 22 and 117 times.  The router tests
     each chunk's independence number once (144 calls).  The interior
     packing asks only the bounded question "five independent vertices?",
     and only to decide the exhaustive-packing note: 11 questions, beside
     the 207 that check the "alpha4" claims (it computed the independence
     number, 11 of 155 ``brute_force_mis`` calls here)."""
-    found = _counting(monkeypatch, "find_igm")
-    packed = _counting(monkeypatch, "max_igm")
+    real = cc.packing
+    kinds = []
+
+    def counted(g, occs, goal, require_touch=(), budget=math.inf):
+        kinds.append("largest" if goal is None else "exact" if budget == math.inf else "budgeted")
+        return real(g, occs, goal, require_touch, budget)
+
+    monkeypatch.setattr(cc, "packing", counted)
     tested = _counting(monkeypatch, "brute_force_mis")
     asked = _counting(monkeypatch, "brute_force_wis")
     assert len(list(_subdivided_rows())) == 144
-    assert (len(found), len(packed), len(tested), len(asked)) == (27, 22, 144, 218)
+    assert collections.Counter(kinds) == {"exact": 27, "largest": 22, "budgeted": 117}
+    assert (len(tested), len(asked)) == (144, 218)
 
 
 def test_clawfree_workload_witnesses_are_pinned():
@@ -200,6 +211,31 @@ def test_a_spent_refutation_budget_changes_no_answer(monkeypatch):
         del shaped[:]
         assert _witness(lambda: case.solve(None)) == want
         assert shaped
+
+
+def test_no_corpus_refutation_visits_more_than_8_nodes(monkeypatch):
+    """The comment on ``_REFUTE_BUDGET`` says no solve of the pinned corpora
+    visits more than 8 nodes in its budgeted packing search: with the
+    budget at 8, none of the seed 301-303 workload cases or the subdivided
+    solves runs out of it (the longest visits 6 and 2 nodes today)."""
+    monkeypatch.setattr(cc, "_REFUTE_BUDGET", 8)
+    real = cc.packing
+    budgeted, spent = [], []
+
+    def counted(g, occs, goal, require_touch=(), budget=math.inf):
+        if budget < math.inf:
+            budgeted.append(goal)
+        try:
+            return real(g, occs, goal, require_touch, budget)
+        except OutOfBudget:
+            spent.append((g, goal))
+            raise
+
+    monkeypatch.setattr(cc, "packing", counted)
+    for seed in SEEDS:
+        _witnesses(seed)
+    list(_subdivided_rows())
+    assert budgeted and spent == []
 
 
 def _write_subdivided():

@@ -874,14 +874,23 @@ def test_driver_pinned_witnesses(k2, k3, p3):
     assert [o.vertices for o in got.occurrences] == [(0, 1, 2), (4, 5, 6)]
 
 
-def test_driver_fallback_logs_one_deviation(k2, k3):
+def test_driver_fallback_logs_one_deviation(monkeypatch, k2, k3):
+    """The fallback answers with the chunk's packing search, which keeps
+    the answer it found while the budgeted refutation ran: one enumeration
+    and one search per solve (a refutation and a separate fallback search
+    made 2 and 2), with ``find_igm``'s witness."""
     g = _square_of_cycle(15)  # independence number 5, not a line graph
     assert brute_force_mis(g)[0] == 5 and line_graph_strip_structure(g) is None
+    enumerated = _counting(monkeypatch, "enumerate_occurrences")
+    searched = _counting(monkeypatch, "packing")
     for h, k, want in ((k2, 2, [(0, 1), (4, 5)]), (k3, 2, [(0, 1, 2), (5, 6, 7)])):
+        del enumerated[:], searched[:]
         with recording() as notes:
             got = solve_igm_claw_free(g, h, k)
         assert [o.vertices for o in got.occurrences] == want
         assert len(notes) == 1 and "exhaustively" in notes[0]
+        assert (len(enumerated), len(searched)) == (1, 1)
+        assert got == find_igm(g, h, k)
 
 
 def _counting(monkeypatch, name):

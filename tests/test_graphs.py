@@ -13,6 +13,7 @@ from igmatch.graphs import (
     Matching,
     Multigraph,
     Occurrence,
+    OutOfBudget,
     Pattern,
     _greedy_clique_partition,
     _neighbor_masks,
@@ -29,8 +30,7 @@ from igmatch.graphs import (
     find_occurrence,
     find_star,
     line_graph,
-    max_igm,
-    packing_refuted,
+    packing,
     path_graph,
     recognize_line_graph,
     star_free,
@@ -333,22 +333,28 @@ def test_igm_trivial_k0(k3):
 
 
 def test_packing_refutation_is_exact_within_its_budget(k2, p3, k3):
-    """``packing_refuted`` is True only when the search finishes without a
-    packing.  On the 12-cycle, whose largest induced matching has four
-    edges, refuting five visits 37 nodes, root included: a budget of 36
-    leaves the answer unknown."""
+    """A budgeted ``packing`` answers None only when the search finishes
+    without a packing, and raises ``OutOfBudget`` when it cannot finish.  On
+    the 12-cycle, whose largest induced matching has four edges, refuting
+    five visits 37 nodes, root included: a budget of 36 leaves the answer
+    unknown.  A finished search answers as ``find_igm`` does."""
     g = cycle_graph(12)
     occs = enumerate_occurrences(g, k2)
-    assert packing_refuted(g, occs, 5, 37)
-    assert not packing_refuted(g, occs, 5, 36)
-    assert not packing_refuted(g, occs, 4, 10 ** 6) and not packing_refuted(g, occs, 4, 0)
+    assert packing(g, occs, 5, budget=37) is None
+    for k, budget in ((5, 36), (4, 0)):
+        with pytest.raises(OutOfBudget):
+            packing(g, occs, k, budget=budget)
+    assert packing(g, occs, 4, budget=10 ** 6) is not None
     rng = random.Random(1206)
     for _ in range(30):
         g = random_graph(rng, rng.randint(0, 8), rng.uniform(0.1, 0.7))
         for h in (k2, p3, k3):
             occs = enumerate_occurrences(g, h)
             for k in (1, 2, 3):
-                assert packing_refuted(g, occs, k, 10 ** 6) == (not igm_exhaustive(g, h.graph, k))
+                found = packing(g, occs, k, budget=10 ** 6)
+                assert (found is None) == (not igm_exhaustive(g, h.graph, k))
+                m = find_igm(g, h, k)
+                assert found == (None if m is None else list(m.occurrences))
 
 
 @contextlib.contextmanager
@@ -372,7 +378,7 @@ def test_packings_deeper_than_the_recursion_limit(k2):
     occs = enumerate_occurrences(g, k2)
     with recursion_headroom(60):
         got = find_igm(g, k2, 1100)
-        best = max_igm(g, occs)
+        best = packing(g, occs, None)
     assert got.occurrences == tuple(occs[:1100])
     assert best == occs
 
@@ -386,7 +392,7 @@ def test_max_igm_with_touch_constraints(k2, p3):
         for _ in range(rng.randint(0, 2)):
             size = rng.randint(1, 3)
             touch.append(frozenset(rng.sample(range(g.n), min(size, g.n))))
-        got = max_igm(g, enumerate_occurrences(g, h), require_touch=touch)
+        got = packing(g, enumerate_occurrences(g, h), None, touch)
         want = max_igm_exhaustive(g, h.graph, require_touch=touch)
         if want is None:
             assert got is None
@@ -400,11 +406,12 @@ def test_max_igm_with_touch_constraints(k2, p3):
 
 
 def test_packing_searches_return_the_reference_witnesses(k1, k2, p3, k3):
-    """``find_igm`` and ``max_igm`` share one search; each still returns the
-    witness of its own earlier search, and the largest packing is the first
-    success of a descending ``find_igm`` ladder.  Touch sets may be empty or
-    name vertices outside the host; half the ``max_igm`` cases pass a
-    sub-list of the occurrences, as the kernel's stripe tables do."""
+    """``find_igm`` and the largest-packing search are one search,
+    ``packing``; each still returns the witness of its own earlier search,
+    and the largest packing is the first success of a descending
+    ``find_igm`` ladder.  Touch sets may be empty or name vertices outside
+    the host; half the largest-packing cases pass a sub-list of the
+    occurrences, as the kernel's stripe tables do."""
     rng = random.Random(1207)
     for _ in range(3000):
         g = random_graph(rng, rng.randint(0, 12), rng.uniform(0.1, 0.6))
@@ -416,12 +423,12 @@ def test_packing_searches_return_the_reference_witnesses(k1, k2, p3, k3):
         occs = enumerate_occurrences(g, h)
         if rng.random() < 0.5:
             occs = [o for o in occs if rng.random() < 0.7]
-        assert (max_igm(g, occs, require_touch=touch)
+        assert (packing(g, occs, None, touch)
                 == max_igm_reference(g, h, require_touch=touch, occurrences=occs))
         ladder = (find_igm_reference(g, h, kk, occurrences=occs)
                   for kk in range(g.n // h.h, 0, -1))
         first = next((m for m in ladder if m is not None), Matching(()))
-        assert max_igm(g, occs) == list(first.occurrences)
+        assert packing(g, occs, None) == list(first.occurrences)
 
 
 def test_wis_matches_exhaustive():

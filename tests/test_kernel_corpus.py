@@ -279,7 +279,7 @@ def test_subdivided_builds_table_each_stripe_once(monkeypatch):
                   for _, _, ss, _, _ in builds for eid, _ in ss.edges)
     enumerated = _counted(monkeypatch, graphs, "enumerate_occurrences")
     classified = _counted(monkeypatch, strips, "classify_strip")
-    packed = _counted(monkeypatch, graphs, "max_igm")
+    packed = _counted(monkeypatch, graphs, "packing")
     for _, _, ss, hp, k in builds:
         kernel.build_wis_instance(ss, hp, k)
     # one enumeration per stripe table, and one classification per strip of

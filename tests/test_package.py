@@ -8,21 +8,30 @@ import pathlib
 import pkgutil
 import sys
 
+import pytest
+
 import igmatch
 from igmatch.color_coding import solve_igm_claw_free
-from igmatch.fuzzy_solver import solve_igm_fuzzy_ca
+from igmatch.errors import InputError
+from igmatch.fuzzy_solver import solve_igm_fuzzy_ca, solve_igm_small_alpha
 from igmatch.graphs import (
     Multigraph,
     Pattern,
     brute_force_wis,
     complete_graph,
+    cycle_graph,
     disjoint_union,
+    find_igm,
     line_graph,
     path_graph,
 )
-from igmatch.interval_solvers import solve_igm_long_proper_ca, solve_igm_proper_ca_disconnected
+from igmatch.interval_solvers import (
+    solve_igm_long_proper_ca,
+    solve_igm_proper_ca_disconnected,
+    solve_igm_proper_interval,
+)
 from igmatch.kernel import kernelize
-from igmatch.models import Arc, ArcModel, FuzzyArcModel, intersection_kind
+from igmatch.models import Arc, ArcModel, FuzzyArcModel, Interval, IntervalModel, intersection_kind
 
 
 def test_every_export_resolves():
@@ -158,6 +167,26 @@ def test_no_module_imports_a_private_name_of_a_sibling():
     assert not found, f"private names imported across modules: {found}"
 
 
+def test_no_module_imports_a_name_it_never_uses():
+    # an import a refactor leaves behind still runs and still ties the module
+    # to the name; a name counts as used when the module reads it or lists it
+    # in __all__
+    found = []
+    for path in sorted(pathlib.Path(igmatch.__path__[0]).glob("*.py")):
+        tree = ast.parse(path.read_text())
+        imported, used = set(), set()
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.Import, ast.ImportFrom)) and getattr(node, "module", "") != "__future__":
+                imported |= {(a.asname or a.name).split(".")[0] for a in node.names}
+            elif isinstance(node, ast.Name):
+                used.add(node.id)
+            elif isinstance(node, ast.Assign) and any(
+                    isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets):
+                used |= set(ast.literal_eval(node.value))
+        found += [(path.name, name) for name in sorted(imported - used)]
+    assert not found, f"imported names never used: {found}"
+
+
 def test_every_import_is_the_standard_library_or_igmatch():
     # igmatch has no runtime dependencies; a stray third-party import would
     # pass wherever that package happens to be installed
@@ -227,3 +256,28 @@ def test_solves_leave_no_cyclic_garbage():
                 assert gc.collect() == 0, (run, i)
     finally:
         gc.enable()
+
+
+def test_every_entry_rejects_a_k_that_is_not_an_integer():
+    # a float or a string k is refused at entry, not answered as if it were
+    # a count nor failed on deep inside a search
+    k2, p3 = Pattern.of(complete_graph(2)), Pattern.of(path_graph(3))
+    two_k2 = Pattern.of(disjoint_union(k2.graph, k2.graph))
+    g = cycle_graph(12)
+    intervals = IntervalModel([Interval(i, 2 * i, 2 * i + 3) for i in range(8)])
+    long_arcs = ArcModel([Arc(i, 2 * i, (2 * i + 3) % 24) for i in range(12)], 24)
+    entries = [
+        lambda k: solve_igm_claw_free(g, k2, k),
+        lambda k: kernelize(g, k2, k),
+        lambda k: solve_igm_proper_interval(intervals, p3, k),
+        lambda k: solve_igm_long_proper_ca(long_arcs, p3, k),
+        lambda k: solve_igm_proper_ca_disconnected(long_arcs, two_k2, k),
+        lambda k: solve_igm_fuzzy_ca(_fuzzy_touching_arcs(), k2, k),
+        lambda k: solve_igm_small_alpha(cycle_graph(9), k2, k),
+        lambda k: find_igm(g, k2, k),
+    ]
+    for entry in entries:
+        assert entry(2) is not None
+        for k in (1.5, 2.0, "2"):
+            with pytest.raises(InputError, match="k must be a nonnegative integer"):
+                entry(k)
