@@ -93,14 +93,6 @@ class BaseEdge:
             out |= bd
         return frozenset(out)
 
-    def boundary_vertices(self, token) -> frozenset:
-        """Members at whose boundary the token sits; a spot token counts at both."""
-        if self.kind == "spot":
-            return frozenset(self.members if token == self.spot_token else ())
-        return frozenset(
-            self.members[i] for i, bd in enumerate(self.boundaries) if token in bd
-        )
-
 
 @dataclass(frozen=True)
 class Base:
@@ -114,38 +106,6 @@ class Base:
 
     n_vertices: int
     edges: tuple
-
-    def tokens(self) -> frozenset:
-        out = set()
-        for fe in self.edges:
-            out |= fe.tokens()
-        return frozenset(out)
-
-
-def check_condition1(base: Base, h: Pattern) -> bool:
-    """Tokens of adjacent pattern vertices share an edge or glued boundaries.
-
-    For every pattern edge and every group with both tokens present: either
-    the two tokens sit on the same base edge, or their edges share a vertex
-    at whose boundaries both tokens are assigned.
-    """
-    where: dict = {}
-    for i, fe in enumerate(base.edges):
-        for t in fe.tokens():
-            where[t] = (i, fe.boundary_vertices(t))
-    groups = {g for (g, _hv) in where}
-    for g in groups:
-        for u, v in h.graph.edges:
-            tu, tv = (g, u), (g, v)
-            if tu not in where or tv not in where:
-                continue
-            ei, bu = where[tu]
-            ej, bv = where[tv]
-            if ei == ej:
-                continue
-            if not (bu & bv):
-                return False
-    return True
 
 
 def _tokens_meet(toks, h: Pattern) -> bool:
@@ -269,46 +229,55 @@ def _plans(h: Pattern, order: list, budget: dict, edges: list, placed: dict,
         del placed[tok]
 
 
-def _block_ok(plan, block, h) -> bool:
-    """The tokens at a block of glued endpoints may meet there."""
-    toks = set()
-    for ei, p in block:
-        edge = plan[ei]
-        if edge["kind"] == "spot":
-            toks.add(edge["token"])
-        else:
-            toks |= {t for t, slots in edge["slots"].items() if p in slots}
-    return _tokens_meet(toks, h)
-
-
 def _glued_bases(plan, h: Pattern):
-    """All ways to identify edge endpoints, yielding concrete bases.
+    """All ways to identify edge endpoints that pass both token conditions,
+    yielding concrete bases.
 
     Glued endpoints become one base vertex, numbered by block; each edge
     lists its endpoints in ascending vertex order, with its boundary sets in
     the same order, which is the normal form of ``BaseEdge``.  The two ends
-    of a swap-symmetric edge (``_swap_symmetric``) are glued in one order
-    only; ``_base_stream`` argues that this drops only repeated bases.
+    of a swap-symmetric edge, a two-member edge whose ends seat the same
+    tokens, are glued in one order only.  ``_base_stream`` argues that this
+    drops only repeated bases, and that the per-plan tables below refute
+    each failing gluing at its shortest failing prefix.
     """
     endpoints = [(ei, p) for ei, edge in enumerate(plan) for p in range(edge["nm"])]
-    seconds = {(ei, 1) for ei, edge in enumerate(plan) if _swap_symmetric(edge)}
-    return _gluings(plan, h, endpoints, seconds, [], 0, -1)
+    # the tokens with a boundary seat at each endpoint; a spot's token sits at both
+    seats = {(ei, p): frozenset((plan[ei]["token"],)) if plan[ei]["kind"] == "spot"
+             else frozenset(t for t, s in plan[ei]["slots"].items() if p in s)
+             for ei, p in endpoints}
+    seconds = {(ei, 1) for ei, edge in enumerate(plan)
+               if edge["nm"] == 2 and seats[ei, 0] == seats[ei, 1]}
+    at: dict = {}  # token -> the endpoints it sits at, all on its one edge
+    for ep, toks in seats.items():
+        for t in toks:
+            at.setdefault(t, []).append(ep)
+    # condition 1, keyed by the last endpoint of an edge: the seat lists of
+    # each pair of H-adjacent tokens of one group on it and on an earlier edge
+    pairs: dict = {}
+    for (g, u), mine in at.items():
+        ei = mine[0][0]
+        for v in h.graph.neighbors(u):
+            theirs = at.get((g, v))
+            if theirs and theirs[0][0] < ei:
+                pairs.setdefault((ei, plan[ei]["nm"] - 1), []).append((mine, theirs))
+    return _gluings((plan, h, endpoints, seconds, seats, pairs, {}), [], 0, -1)
 
 
-def _swap_symmetric(edge) -> bool:
-    """The edge's two ends hold the same tokens: a spot, or a two-member
-    stripe on which every token sits at both ends or at neither."""
-    if edge["nm"] != 2:
-        return False
-    return edge["kind"] == "spot" or all(len(s) != 1 for s in edge["slots"].values())
+def _seats_shared(pairs, where: dict) -> bool:
+    """Condition 1 on a gluing prefix: each pair of seat lists has one
+    endpoint from each in the same block; ``where`` maps endpoints to blocks."""
+    return all(any(where[a] == where[b] for a in mine for b in theirs)
+               for mine, theirs in pairs)
 
 
-def _gluings(plan, h: Pattern, endpoints: list, seconds: set, blocks: list, i: int,
-             prev: int):
+def _gluings(ctx, blocks: list, i: int, prev: int):
     """The bases gluing ``endpoints[i:]`` into ``blocks`` or new blocks;
     ``prev`` is the block of ``endpoints[i - 1]``, and an endpoint in
-    ``seconds`` joins only a block after it.  Module level, so a search
-    leaves no reference cycle."""
+    ``seconds`` joins only a block after it.  ``ctx`` holds the per-plan
+    tables of ``_glued_bases`` and ``where``, the block of each placed
+    endpoint.  Module level, so a search leaves no reference cycle."""
+    plan, h, endpoints, seconds, seats, pairs, where = ctx
     if i == len(endpoints):
         yield _glued_base(plan, blocks)
         return
@@ -318,11 +287,15 @@ def _gluings(plan, h: Pattern, endpoints: list, seconds: set, blocks: list, i: i
         if any(e2 == ep[0] for (e2, _p) in blk):
             continue  # two endpoints of one edge stay distinct
         blk.append(ep)
-        if _block_ok(plan, blk, h):
-            yield from _gluings(plan, h, endpoints, seconds, blocks, i + 1, bi)
+        where[ep] = bi
+        if (_tokens_meet(set().union(*(seats[e] for e in blk)), h)
+                and _seats_shared(pairs.get(ep, ()), where)):
+            yield from _gluings(ctx, blocks, i + 1, bi)
         blk.pop()
     blocks.append([ep])
-    yield from _gluings(plan, h, endpoints, seconds, blocks, i + 1, len(blocks) - 1)
+    where[ep] = len(blocks) - 1
+    if _seats_shared(pairs.get(ep, ()), where):
+        yield from _gluings(ctx, blocks, i + 1, len(blocks) - 1)
     blocks.pop()
 
 
@@ -389,16 +362,32 @@ def _base_stream(h: Pattern, k: int, budget: dict):
     token (an edge a matching touches always holds a matching vertex), and
     satisfies both token conditions.  Generation places tokens one at a time
     (each constrained by previously placed group neighbors), then glues edge
-    endpoints in all admissible ways.  Only condition 1 is checked on the
-    glued base; gluing already guarantees condition 2.  ``_tokens_meet`` is
-    a pairwise test (one group, pairwise adjacent in H), so a set of tokens
-    passes it exactly when every pair in it does.  The tokens at a base
-    vertex are those at the endpoints glued there: each pair at one stripe
-    end was tested by ``_placement_ok`` when the later of the two was
-    placed (a spot end holds one token), and ``_block_ok`` tests all tokens
-    of a block of endpoints whenever an endpoint joins it.  The oracle test
-    ``test_streamed_bases_keep_the_base_invariants`` checks condition 2,
-    with the rest of the base invariants, on every pinned base.
+    endpoints in all admissible ways.  Both conditions are tested on each
+    prefix of a gluing, so every gluing that reaches ``_glued_base`` passes
+    both, and only the orbit deduplication below drops any of them:
+
+    - Condition 2: the tokens at a base vertex form one group and an
+      H-clique.  ``_tokens_meet`` is a pairwise test, so a set of tokens
+      passes it exactly when every pair in it does.  The tokens at a base
+      vertex are those seated at the endpoints glued there: each pair at one
+      stripe end was tested by ``_placement_ok`` when the later of the two
+      was placed (a spot end holds one token), and ``_gluings`` tests all
+      tokens of a block whenever an endpoint joins it.
+    - Condition 1: two H-adjacent tokens of one group on different edges
+      have boundary seats at a common base vertex.  ``_placement_ok`` gives
+      both tokens of such a pair a boundary seat, and ``_glued_bases`` lists
+      the pair, as the endpoints each one sits at, under the last endpoint
+      of the later edge; each pair is listed once.  A gluing is a restricted
+      growth string over the endpoints, ordered by edge (Knuth, TAOCP 4A,
+      7.2.1.5): when that endpoint is placed, every endpoint of both edges
+      has its block, and gluing on only adds later endpoints to blocks.  So
+      the pair's verdict on the prefix is its verdict on every completion,
+      and ``_gluings`` cuts a failing prefix there.
+
+    The oracle test ``test_streamed_bases_keep_the_base_invariants`` checks
+    both conditions, with the rest of the base invariants, on every pinned
+    base, and ``test_base_stream_matches_the_brute_force_key`` against a
+    stream that tests condition 1 on each whole glued base.
 
     ``budget`` caps the edges of each (kind, member count) shape, as in
     ``_token_plans``; since every edge carries a token, a budget of hk per
@@ -422,11 +411,12 @@ def _base_stream(h: Pattern, k: int, budget: dict):
       gives a gluing that is lexicographically smaller, opens b0 (if the
       first end opened it) one step later with nothing in between, changes
       nothing after, and so obeys this rule on every edge.  Every block
-      keeps its tokens, so each prefix
-      passes ``_block_ok`` exactly when the original's does, and
-      ``_glued_base`` builds the same base from both: the edge's members are
-      the set {b0, b1} either way, and its boundary sets are equal.  So the
-      skipped gluing repeats a base generated before it, which the
+      keeps its tokens, so each prefix passes the condition 2 test exactly
+      when the original's does, and ``_glued_base`` builds the same base
+      from both: the edge's members are the set {b0, b1} either way, and its
+      boundary sets are equal.  Each condition 1 verdict is the verdict on
+      the whole gluing's base, so the two gluings pass the same pairs.  So
+      the skipped gluing repeats a base generated before it, which the
       deduplication below would drop.
     - Deduplication is by orbit.  ``_base_key`` under one group relabeling
       is a complete invariant for renaming vertices, so a base's key under
@@ -451,8 +441,6 @@ def _base_stream(h: Pattern, k: int, budget: dict):
         seen = set()
         for plan in _token_plans(h, _token_order(h, k), budget):
             for base in _glued_bases(plan, h):
-                if not check_condition1(base, h):
-                    continue
                 if _base_key(base, own) in seen:
                     continue
                 seen.update(_base_key(base, gmap) for gmap in relabelings)

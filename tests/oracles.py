@@ -9,9 +9,11 @@ The exceptions pin witnesses or streams, not just answers, so they follow
 the package's own search order or data types: ``wis_reference`` branches over
 the package's clique partition, ``base_stream_reference`` runs the
 package's token plans through every gluing and ``canonical_base_key_reference``
-keys the package's bases, ``check_condition2`` and ``base_invariant_failures`` check
-them, and ``natural_coloring_reference`` and ``all_colorings`` paint its
-structure elements.  ``subset_scan_occurrences``, ``all_pairs_occurrence_masks`` and
+keys the package's bases, ``check_condition1`` (the whole-base test that
+the stream's per-prefix test replaced), ``check_condition2`` and
+``base_invariant_failures`` check them, and ``natural_coloring_reference``
+and ``all_colorings`` paint its structure elements.
+``subset_scan_occurrences``, ``all_pairs_occurrence_masks`` and
 ``long_by_pairs_and_triples`` keep the package's earlier, slower versions of
 occurrence enumeration, conflict masks and the longness test,
 ``mis_reference`` its earlier maximum independent set search, and
@@ -44,11 +46,9 @@ import itertools
 
 from igmatch.color_coding import (
     ElementColoring,
-    _block_ok,
     _glued_base,
     _token_order,
     _token_plans,
-    check_condition1,
 )
 from igmatch.errors import InputError, InternalError
 from igmatch.fuzzy_solver import _ChainTable, _residual_chain
@@ -570,7 +570,7 @@ def canonical_base_key_reference(base):
     so ``base_stream_reference`` keyed by it must yield the package's
     ``_base_stream``.
     """
-    groups = sorted({g for (g, _hv) in base.tokens()})
+    groups = sorted({g for fe in base.edges for (g, _hv) in fe.tokens()})
     flippable = [i for i, fe in enumerate(base.edges) if len(fe.members) == 2]
     best = None
     for perm in itertools.permutations(groups):
@@ -628,11 +628,12 @@ def base_stream_reference(h, k, budget, key):
     """The package's base stream as first written, with ``key`` for its key.
 
     Every gluing of every token plan of ``_token_plans``, in the package's
-    order, with no symmetry skipped; the bases that pass condition 1; and
-    of those the first of each class of ``key``, which must be a minimum
-    over group relabelings (``canonical_base_key_reference``).  The plans,
-    ``_block_ok``, ``_glued_base`` and condition 1 are the package's own, so
-    the stream can be compared base for base.
+    order, with no symmetry skipped and blocks whose tokens cannot meet cut
+    off; the bases that pass ``check_condition1``, tested on each whole
+    glued base; and of those the first of each class of ``key``, which must
+    be a minimum over group relabelings (``canonical_base_key_reference``).
+    The plans and ``_glued_base`` are the package's own, so the stream can
+    be compared base for base; the two condition tests are this module's.
     """
     if h.h * k == 0:
         return
@@ -650,6 +651,22 @@ def base_stream_reference(h, k, budget, key):
             yield base
 
 
+def _block_meets(plan, block, h) -> bool:
+    """The tokens seated at a block of glued plan endpoints form one group
+    and an H-clique."""
+    toks = set()
+    for ei, p in block:
+        edge = plan[ei]
+        if edge["kind"] == "spot":
+            toks.add(edge["token"])
+        else:
+            toks |= {t for t, slots in edge["slots"].items() if p in slots}
+    if len({g for (g, _hv) in toks}) > 1:
+        return False
+    hvs = sorted(hv for (_g, hv) in toks)
+    return all(h.graph.has_edge(u, v) for u, v in itertools.combinations(hvs, 2))
+
+
 def _all_gluings(plan, h, endpoints, blocks, i):
     """Every block list gluing ``endpoints[i:]`` into ``blocks`` or new
     blocks, two ends of one edge apart, in lexicographic order."""
@@ -661,7 +678,7 @@ def _all_gluings(plan, h, endpoints, blocks, i):
         if any(e2 == ep[0] for (e2, _p) in blk):
             continue
         blk.append(ep)
-        if _block_ok(plan, blk, h):
+        if _block_meets(plan, blk, h):
             yield from _all_gluings(plan, h, endpoints, blocks, i + 1)
         blk.pop()
     blocks.append([ep])
@@ -679,6 +696,31 @@ def _boundary_seats(fe) -> dict:
         for t in bd:
             seats.setdefault(t, set()).add(b)
     return seats
+
+
+def check_condition1(base, h) -> bool:
+    """Tokens of adjacent pattern vertices share an edge or glued boundaries.
+
+    For every pattern edge and every group with both tokens present: either
+    the two tokens sit on the same base edge, or their edges share a vertex
+    at whose boundaries both tokens are assigned.  ``_base_stream`` tests
+    this on each gluing prefix instead; this is the whole-base test it
+    replaced.
+    """
+    where: dict = {}
+    for i, fe in enumerate(base.edges):
+        for t, seats in _boundary_seats(fe).items():
+            where[t] = (i, seats)
+    for g in {g for (g, _hv) in where}:
+        for u, v in h.graph.edges:
+            tu, tv = (g, u), (g, v)
+            if tu not in where or tv not in where:
+                continue
+            ei, bu = where[tu]
+            ej, bv = where[tv]
+            if ei != ej and not (bu & bv):
+                return False
+    return True
 
 
 def check_condition2(base, h) -> bool:

@@ -41,7 +41,6 @@ from igmatch.color_coding import (
     _step5_coloring,
     base_palette,
     blank,
-    check_condition1,
     coloring_family,
     global_matching_step,
     solve_igm_claw_free,
@@ -55,6 +54,7 @@ from oracles import (
     base_invariant_failures,
     base_stream_reference,
     canonical_base_key_reference,
+    check_condition1,
     check_condition2,
     covered_subgraph,
     embeddings_reference,
@@ -163,8 +163,8 @@ def _norm(base, gperm, vperm):
 def bases_isomorphic(a, b):
     if a.n_vertices != b.n_vertices or len(a.edges) != len(b.edges):
         return False
-    groups = sorted({g for (g, _hv) in a.tokens()})
-    if sorted({g for (g, _hv) in b.tokens()}) != groups:
+    groups = sorted({g for fe in a.edges for (g, _hv) in fe.tokens()})
+    if sorted({g for fe in b.edges for (g, _hv) in fe.tokens()}) != groups:
         return False
     ident = {g: g for g in groups}
     target = _norm(b, ident, {v: v for v in range(b.n_vertices)})
@@ -316,33 +316,74 @@ def test_base_stream_matches_the_brute_force_key():
     assert got == want
 
 
+def _counted_stream(monkeypatch, h, k, budget, limit=None):
+    """(bases, ``_glued_base`` calls, ``_base_key`` calls, prefixes refuted
+    by condition 1) of the first ``limit`` bases of a stream, all if None."""
+    calls = Counter()
+
+    def count(mp, name, counts=lambda _out: True):
+        real = getattr(cc, name)
+
+        def counted(*args):
+            out = real(*args)
+            calls[name] += counts(out)
+            return out
+
+        mp.setattr(cc, name, counted)
+
+    with monkeypatch.context() as mp:
+        count(mp, "_glued_base")
+        count(mp, "_base_key")
+        count(mp, "_seats_shared", counts=lambda met: not met)
+        bases = tuple(itertools.islice(cc._base_stream(h, k, budget), limit))
+    return bases, calls["_glued_base"], calls["_base_key"], calls["_seats_shared"]
+
+
 def test_base_stream_work_is_pinned_by_counts(monkeypatch):
-    """Gluings built and keys computed, so that a lost pruning fails here.
+    """Gluings built, keys computed and prefixes cut by condition 1, so
+    that a lost pruning fails here.
 
     For comparison, ``base_stream_reference`` builds 7,569 gluings for K3,
     k = 2 on six spots and 4,746 for K1, k = 5 on two two-member stripes,
     and a minimum over all k! group relabelings per gluing takes 3,872 and
-    569,520 keys."""
-    calls = Counter()
-
-    def count(name):
-        real = getattr(cc, name)
-
-        def counted(*args):
-            calls[name] += 1
-            return real(*args)
-
-        monkeypatch.setattr(cc, name, counted)
-
-    count("_glued_base")
-    count("_base_key")
+    569,520 keys.  A stream that tests condition 1 on each whole glued base
+    builds 841 and 3,943 gluings."""
     got = []
     for name, k, budget in (("k3", 2, {("spot", 2): 6}), ("k1", 5, {("stripe", 2): 2})):
-        calls.clear()
-        n = sum(1 for _ in cc._base_stream(PATTERNS[name], k, budget))
-        got.append((n, calls["_glued_base"], calls["_base_key"]))
-    # own keys, one per gluing that passes condition 1, plus k! per kept base
-    assert got == [(21, 841, 121 + 21 * 2), (77, 3943, 3943 + 77 * 120)]
+        bases, *counts = _counted_stream(monkeypatch, PATTERNS[name], k, budget)
+        got.append((len(bases), *counts))
+    # every gluing built passes condition 1: one own key per gluing, plus k!
+    # per kept base; K1 has no edge, so condition 1 cuts nothing
+    assert got == [(21, 121, 121 + 21 * 2, 96), (77, 3943, 3943 + 77 * 120, 0)]
+
+
+# full-shape streams with their length, their ``_glued_base`` calls and the
+# digest of the stream a whole-base condition 1 test yields; P3, k = 2 by
+# its first 1,000 bases, which the whole-base test took 113,237 gluings for
+FULL_SHAPE_STREAMS = (
+    ("k2", 2, None, 2173, 6891,
+     "ee06f590d20e702e12f7cb8c8ac32fc2c14b5d2c697b6126a613c9e90cbb6dd7"),
+    ("p3", 2, 1000, 1000, 2823,
+     "396dec58134471d1250972be77c3fc01dfdf63463228ad42bebf25963322e991"),
+)
+
+
+def test_full_shape_streams_are_pinned(monkeypatch):
+    for name, k, limit, n, glued, digest in FULL_SHAPE_STREAMS:
+        h = PATTERNS[name]
+        bases, calls, _keys, _cut = _counted_stream(monkeypatch, h, k, full_budget(h, k), limit)
+        assert (len(bases), calls, stream_digest(bases)) == (n, glued, digest), name
+
+
+@pytest.mark.slow
+def test_the_full_p3_k2_stream_finishes(monkeypatch):
+    """All three shapes at hk each.  A whole-base condition 1 test yields
+    the same stream, with the same digest, from 10,929,550 gluings; that
+    took minutes, this takes under one."""
+    h = PATTERNS["p3"]
+    bases, calls, _keys, _cut = _counted_stream(monkeypatch, h, 2, full_budget(h, 2))
+    assert (len(bases), calls, stream_digest(bases)) == (
+        36848, 136159, "59036a4435087b41b25e9c40c45dd2d4b4409fc048ae6cded9f675a273492b9f")
 
 
 # ---------------------------------------------------------------------------

@@ -16,6 +16,13 @@ subdivided structure (``randgen.random_subdivided_structure``, whose
 stripes have path interiors) goes through the entry with that structure
 and with the trivial one, and beside a triangle with no structure and with
 the trivial one; each must answer as ``find_igm`` does, monotone in k.
+The same builds go through ``kernelize`` with their structure, and where it
+encodes an instance the weighted independent set answer must be
+``find_igm``'s.
+
+On random proper interval and long proper arc models (``randgen``) the
+answers are monotone in k and agree with ``find_igm``, and two interval
+models placed side by side have the sum of the two optima.
 """
 
 import os
@@ -39,9 +46,22 @@ from igmatch.graphs import (
 )
 from igmatch.interval_solvers import solve_igm_long_proper_ca, solve_igm_proper_interval
 from igmatch.kernel import kernelize
-from igmatch.models import Arc, ArcModel, FuzzyArcModel, intersection_kind, realize
+from igmatch.models import (
+    Arc,
+    ArcModel,
+    FuzzyArcModel,
+    Interval,
+    IntervalModel,
+    intersection_kind,
+    realize,
+)
 from igmatch.strips import line_graph_strip_structure, trivial_strip_structure
-from randgen import random_connected_multigraph, random_subdivided_structure
+from randgen import (
+    random_connected_multigraph,
+    random_long_proper_arc_model,
+    random_proper_interval_model,
+    random_subdivided_structure,
+)
 
 sys.path.insert(0, os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
                                 "perfbench"))
@@ -175,3 +195,70 @@ def test_subdivided_structures_agree_with_find_igm(seed, n, extra, cut):
             yes = [m is not None for m in got]
             assert yes == want, (name, seed, n, extra, cut, h.graph)
             assert yes == sorted(yes, reverse=True), (name, seed, n, extra, cut, h.graph)
+
+
+def test_kernel_answers_on_subdivided_structures_agree_with_find_igm():
+    # A supplied structure gets one bounding round; when that leaves a
+    # structure still too large, kernelize raises instead of encoding.
+    rng = random.Random(2)
+    answered = yes = 0
+    for _ in range(60):
+        n = rng.randint(2, 5)
+        g, ss = random_subdivided_structure(rng, n, rng.randint(n, n + 3),
+                                            rng.choice([(2, 3), (4, 7)]))
+        for h in (K2, K3):
+            for k in (1, 2, 3, 4):
+                try:
+                    inst = kernelize(g, h, k, ss=ss)
+                except InputError as e:
+                    assert str(e).startswith("cannot kernelize: "), e
+                    continue
+                got, _ = brute_force_wis(inst.graph, inst.weights, inst.k_card, inst.k_weight)
+                assert got == (find_igm(g, h, k) is not None), (g.edges, h.graph, k)
+                answered += 1
+                yes += got
+    assert (answered, yes) == (276, 169)
+
+
+def _optimum(solve, model, g, h):
+    """The largest k ``solve`` answers on ``model``, after checking that its
+    answers from k = 1 up to one past the last k with room for k copies go
+    from yes to no and agree with ``find_igm`` on the host ``g``."""
+    ks = range(1, g.n // h.h + 2)
+    yes = []
+    for k in ks:
+        got = solve(model, h, k)
+        if got is not None:
+            got.check(g, h)
+        yes.append(got is not None)
+    assert yes == [find_igm(g, h, k) is not None for k in ks], (h.graph,)
+    assert yes == sorted(yes, reverse=True), (h.graph,)
+    return sum(yes)
+
+
+def _side_by_side(a, b):
+    """The intervals of ``b`` placed right of all of ``a``'s, ids after a's."""
+    shift = max(iv.r for iv in a.items) + 1
+    return IntervalModel(list(a.items) + [Interval(len(a) + iv.id, iv.l + shift, iv.r + shift)
+                                          for iv in b.items])
+
+
+@settings(max_examples=30, derandomize=True, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), n=st.tuples(st.integers(1, 9), st.integers(1, 9)))
+def test_side_by_side_interval_models_add_their_optima(seed, n):
+    rng = random.Random(seed)
+    a, b = (random_proper_interval_model(rng, m) for m in n)
+    both = _side_by_side(a, b)
+    assert realize(both) == disjoint_union(realize(a), realize(b))
+    for h in (K2, P3, K3):
+        opts = [_optimum(solve_igm_proper_interval, m, realize(m), h) for m in (a, b, both)]
+        assert opts[2] == opts[0] + opts[1], (seed, n, h.graph)
+
+
+@settings(max_examples=30, derandomize=True, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), n=st.integers(1, 10))
+def test_long_proper_arc_answers_are_monotone_in_k(seed, n):
+    # n <= 10: the rejection sampler stalls on long proper models by n ~ 20
+    model = random_long_proper_arc_model(random.Random(seed), n)
+    for h in (K2, P3, K3):
+        _optimum(solve_igm_long_proper_ca, model, realize(model), h)
