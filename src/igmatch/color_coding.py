@@ -23,7 +23,11 @@ between.  A successful run of any other coloring implies a matching exists,
 in which case the embedding of that matching's own base succeeds too; hence
 the answers coincide with the full family while the work stays proportional
 to the number of embeddings.  Only the seeded random mode draws colorings
-and blanks them.
+and blanks them.  It draws each coloring as palette indices, one per
+structure element, from the stream the literal family of tuple colors
+draws from, and blanks it through a table built once per base; the literal
+family and its blanking are kept in ``tests/oracles.py``, which a
+differential test holds to the same survivors in the same order.
 """
 
 from __future__ import annotations
@@ -467,44 +471,7 @@ def _shaped_bases(h: Pattern, k: int, shapes: tuple) -> tuple:
 
 
 # ---------------------------------------------------------------------------
-# elements, palettes, colorings
-
-
-def structure_elements(ss: StripStructure) -> tuple:
-    """Colorable items of a strip-structure, in canonical order."""
-    out = [("rv", r) for r in ss.r_vertices]
-    for eid, members in ss.edges:
-        if ss.kinds[eid] == "spot":
-            out.append(("spot", eid))
-        else:
-            out.append(("int", eid))
-            out.extend(("bnd", eid, r) for r in members)
-    return tuple(out)
-
-
-def base_palette(base: Base) -> tuple:
-    """Distinct colors for the base's vertices and edge parts."""
-    out = [("v", b) for b in range(base.n_vertices)]
-    for fi, fe in enumerate(base.edges):
-        if fe.kind == "spot":
-            out.append(("spotc", fi))
-        else:
-            out.append(("intc", fi))
-            out.extend(("bndc", fi, b) for b in fe.members)
-    return tuple(out)
-
-
-@dataclass(frozen=True)
-class ElementColoring:
-    """Partial assignment of palette colors to structure elements.
-
-    Elements absent from ``colors`` are blank.
-    """
-
-    colors: dict
-
-    def color(self, element):
-        return self.colors.get(element)
+# random colorings and blanking
 
 
 @dataclass(frozen=True)
@@ -520,103 +487,115 @@ class BaseSurjection:
     alignment: dict
 
 
-def coloring_family(elements, palette, trials: int | None = None, seed: int | None = None):
-    """Stream ``trials`` colorings of ``elements`` drawn from ``palette``.
+@dataclass(frozen=True)
+class _DrawTable:
+    """The elements of one structure and the palette of one base, by index.
 
-    The draws are uniform and reproducible from ``seed``; the inputs are
-    checked when the stream is made, not when it is first read.  A draw hits
-    any fixed coloring with probability 1/|palette|^|elements|, so by the
-    coupon-collector bound about N ln N trials (N that same power) cover
-    every coloring in expectation; far fewer suffice in practice because
-    only the handful of elements a matching touches must be colored right.
+    A draw colors each element with a palette index.  The elements are the
+    strip-vertices in ``ss.r_vertices`` order, then per strip-edge, in
+    ``ss.edges`` order, its part (a spot, or a stripe's interior) and,
+    unless it is a spot, its boundary at each member.  The palette lists
+    the base's vertex colors 0..n_vertices-1, then per base edge its part
+    color and, on a stripe, a boundary color per member.  ``strips`` holds
+    (eid, kind, members, part position, boundary positions) per strip-edge;
+    ``parts`` maps a part color to (kind, base edge index), ``boundary``
+    maps (base edge index, base vertex) to a boundary color, and ``ends``
+    holds the members of each base edge.
     """
-    elements = tuple(elements)
-    palette = tuple(palette)
-    if len(set(elements)) != len(elements):
-        raise InputError("duplicate elements")
-    if len(set(palette)) != len(palette) or not palette:
-        raise InputError("palette must be non-empty and duplicate-free")
-    if trials is None or trials < 0:
-        raise InputError("random mode needs a non-negative trial count")
-    rng = random.Random(seed)
-    return (
-        ElementColoring({el: rng.choice(palette) for el in elements}) for _ in range(trials)
-    )
+
+    n_colors: int
+    n_elements: int
+    n_vertices: int
+    r_vertices: tuple
+    strips: tuple
+    parts: dict
+    boundary: dict
+    ends: tuple
 
 
-# ---------------------------------------------------------------------------
-# blanking
+def _draw_table(ss: StripStructure, base: Base) -> _DrawTable:
+    strips = []
+    at = len(ss.r_vertices)
+    for eid, members in ss.edges:
+        kind = ss.kinds[eid]
+        nb = 0 if kind == "spot" else len(members)
+        strips.append((eid, kind, members, at, tuple(range(at + 1, at + 1 + nb))))
+        at += 1 + nb
+    parts: dict = {}
+    boundary: dict = {}
+    c = base.n_vertices
+    for fi, fe in enumerate(base.edges):
+        parts[c] = (fe.kind, fi)
+        c += 1
+        if fe.kind == "stripe":
+            for b in fe.members:
+                boundary[fi, b] = c
+                c += 1
+    ends = tuple(fe.members for fe in base.edges)
+    return _DrawTable(c, at, base.n_vertices, ss.r_vertices, tuple(strips), parts, boundary, ends)
 
 
-def _vertex_color_id(color, base: Base):
-    if (
-        isinstance(color, tuple)
-        and len(color) == 2
-        and color[0] == "v"
-        and isinstance(color[1], int)
-        and 0 <= color[1] < base.n_vertices
-    ):
-        return color[1]
-    return None
+def _draws(n_colors: int, n_elements: int, trials: int, seed):
+    """``trials`` draws of ``n_elements`` palette indices each, from ``seed``.
+
+    ``Random.choice(seq)`` is ``seq[self._randbelow(len(seq))]`` on CPython
+    3.10-3.13, so choosing from ``range(n_colors)`` yields the index of the
+    color that choosing from the palette itself yields: the stream is that
+    of the literal coloring family, which ``tests/oracles.py`` keeps as
+    ``coloring_family`` (``SEED7_DRAWS`` pins both).
+    """
+    choice, colors = random.Random(seed).choice, range(n_colors)
+    for _ in range(trials):
+        yield [choice(colors) for _ in range(n_elements)]
 
 
-def _edge_color_id(color, tag: str, base: Base):
-    if (
-        isinstance(color, tuple)
-        and len(color) >= 2
-        and color[0] == tag
-        and isinstance(color[1], int)
-        and 0 <= color[1] < len(base.edges)
-    ):
-        return color[1]
-    return None
-
-
-def blank(f: ElementColoring, ss: StripStructure, base: Base):
-    """Erase colors that cannot be part of a surjection onto the base.
+def blank(draw: list, table: _DrawTable):
+    """The surjection blanking leaves of a drawn coloring, or None when some
+    palette color no longer appears.
 
     Strip-vertices keep their color only if it is a vertex color; a
-    strip-edge keeps its colors only if its element sequence spells out the
-    color sequence of a same-shape base edge whose endpoints agree with the
-    surviving vertex colors.  Returns the blanked coloring plus the induced
-    surjection, or None when some palette color no longer appears.  The
-    procedure is a single local pass and therefore idempotent.
+    strip-edge keeps its colors only if its part has the part color of a
+    same-kind base edge, the surviving vertex colors at its members are
+    that edge's ends, and a stripe's boundaries have the boundary colors of
+    those ends.  A kept strip-edge shows every color of its base edge, and
+    every base vertex lies on a base edge, so all colors appear exactly
+    when every base edge keeps a strip-edge.  A draw whose strip-vertices
+    miss a vertex color is rejected before any strip-edge is read: no
+    strip-edge can keep a base edge at that vertex.  The decision is that
+    of blanking the literal coloring (``tests/oracles.py::blank_reference``).
     """
-    vkeep = {}
-    for r in ss.r_vertices:
-        b = _vertex_color_id(f.color(("rv", r)), base)
-        if b is not None:
-            vkeep[r] = b
-
+    nv = table.n_vertices
+    vkeep = {r: c for r, c in zip(table.r_vertices, draw) if c < nv}
+    if len(set(vkeep.values())) < nv:
+        return None
     edge_map: dict = {}
     alignment: dict = {}
-    colors: dict = {("rv", r): ("v", b) for r, b in vkeep.items()}
-    for eid, members in ss.edges:
-        # a strip that is neither a spot nor a stripe matches no base edge
-        kind = ss.kinds[eid]
-        part = ("spot", eid) if kind == "spot" else ("int", eid)
-        fi = _edge_color_id(f.color(part), part[0] + "c", base)
-        if fi is None or base.edges[fi].kind != kind:
+    for eid, kind, members, at, bnd_at in table.strips:
+        hit = table.parts.get(draw[at])
+        if hit is None or hit[0] != kind:
             continue
-        # the surviving vertex colors must spell out the base edge's ends
-        ends = base.edges[fi].members
+        fi = hit[1]
+        ends = table.ends[fi]
         align = {r: vkeep.get(r) for r in members}
         if len(members) != len(ends) or set(align.values()) != set(ends):
             continue
-        # and a stripe's boundary elements the colors of those ends
-        bnd = {}
-        if kind == "stripe":
-            bnd = {("bnd", eid, r): ("bndc", fi, b) for r, b in align.items()}
-        if any(f.color(el) != c for el, c in bnd.items()):
+        if any(draw[p] != table.boundary[fi, align[r]] for r, p in zip(members, bnd_at)):
             continue
         edge_map[eid] = fi
         alignment[eid] = align
-        colors[part] = (part[0] + "c", fi)
-        colors.update(bnd)
-    present = set(colors.values())
-    if any(c not in present for c in base_palette(base)):
+    if len(set(edge_map.values())) < len(table.ends):
         return None
-    return ElementColoring(colors), BaseSurjection(edge_map, alignment)
+    return BaseSurjection(edge_map, alignment)
+
+
+def _drawn_surjections(ss: StripStructure, base: Base, trials: int, seed):
+    """The surjections blanking leaves of ``trials`` seeded colorings of
+    ``ss`` by the palette of ``base``, in draw order."""
+    table = _draw_table(ss, base)
+    for draw in _draws(table.n_colors, table.n_elements, trials, seed):
+        surj = blank(draw, table)
+        if surj is not None:
+            yield surj
 
 
 # ---------------------------------------------------------------------------
@@ -1017,7 +996,6 @@ def _pipeline(g, h, k, ss, certs, cfg: _RunConfig):
     # a plan never creates more than hk edges, so higher supply is equivalent
     hk = h.h * k
     shapes = tuple(sorted((s, min(len(eids), hk)) for s, eids in index.by_shape.items()))
-    elements = structure_elements(ss) if cfg.mode == "random" else None
     for base in _shaped_bases(h, k, shapes):
         if cfg.mode == "exhaustive":
             # one surjection per embedding, built directly (module docstring)
@@ -1026,11 +1004,7 @@ def _pipeline(g, h, k, ss, certs, cfg: _RunConfig):
         else:
             # the paper's color coding: draw colorings, keep what blanking
             # leaves of them
-            colorings = coloring_family(
-                elements, base_palette(base), trials=cfg.trials, seed=cfg.seed
-            )
-            blanked = (blank(f, ss, base) for f in colorings)
-            surjections = (out[1] for out in blanked if out is not None)
+            surjections = _drawn_surjections(ss, base, cfg.trials, cfg.seed)
         for surj in surjections:
             assignments, kp = solve_strip_interiors(ss, base, surj, h, certs)
             extra = global_matching_step(g, ss, assignments, h, k, kp)
@@ -1237,8 +1211,12 @@ def solve_igm_claw_free(
     once per count.  Pass ``ss=trivial_strip_structure(g)`` to wrap the
     whole host in one strip.
 
-    Exhaustive coloring mode is exact; random mode (seeded, ``trials`` draws
-    per base) never reports false positives but may miss.  Bases are capped
+    Exhaustive coloring mode is exact.  Random mode draws ``trials``
+    colorings per base from ``random.Random(seed)``, as palette indices
+    (``_draws``), and keeps the surjections blanking leaves of them
+    (``blank``, which rejects a draw whose strip-vertices miss a vertex
+    color before it reads a strip-edge; that early-out is exact).  It never
+    reports false positives but may miss.  Bases are capped
     at ``HK_CAP_DEFAULT`` tokens, so only a k that reaches the pipeline can
     raise ``SizeCapError`` for it.  Any matching the pipeline assembles has
     been re-validated against the host.

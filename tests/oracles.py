@@ -12,7 +12,12 @@ package's token plans through every gluing and ``canonical_base_key_reference``
 keys the package's bases, ``check_condition1`` (the whole-base test that
 the stream's per-prefix test replaced), ``check_condition2`` and
 ``base_invariant_failures`` check them, and ``natural_coloring_reference``
-and ``all_colorings`` paint its structure elements.
+and ``all_colorings`` paint its structure elements.  ``coloring_family``
+and ``blank_reference``, with ``ElementColoring``, ``structure_elements``
+and ``base_palette``, keep the literal coloring step with tuple colors that
+random mode's palette-index draws and blanking table replaced (a seed
+draws the same stream in both), and ``literal_surjections`` and
+``as_draw`` put the two side by side.
 ``subset_scan_occurrences``, ``all_pairs_occurrence_masks`` and
 ``long_by_pairs_and_triples`` keep the package's earlier, slower versions of
 occurrence enumeration, conflict masks and the longness test,
@@ -43,9 +48,11 @@ searches with the package's ``find_occurrence``.
 """
 
 import itertools
+import random
+from dataclasses import dataclass
 
 from igmatch.color_coding import (
-    ElementColoring,
+    BaseSurjection,
     _glued_base,
     _token_order,
     _token_plans,
@@ -811,6 +818,153 @@ def base_invariant_failures(base, h, k) -> list:
     return out
 
 
+def structure_elements(ss) -> tuple:
+    """Colorable items of a strip-structure, in canonical order."""
+    out = [("rv", r) for r in ss.r_vertices]
+    for eid, members in ss.edges:
+        if ss.kinds[eid] == "spot":
+            out.append(("spot", eid))
+        else:
+            out.append(("int", eid))
+            out.extend(("bnd", eid, r) for r in members)
+    return tuple(out)
+
+
+def base_palette(base) -> tuple:
+    """Distinct colors for the base's vertices and edge parts."""
+    out = [("v", b) for b in range(base.n_vertices)]
+    for fi, fe in enumerate(base.edges):
+        if fe.kind == "spot":
+            out.append(("spotc", fi))
+        else:
+            out.append(("intc", fi))
+            out.extend(("bndc", fi, b) for b in fe.members)
+    return tuple(out)
+
+
+@dataclass(frozen=True)
+class ElementColoring:
+    """Partial assignment of palette colors to structure elements.
+
+    Elements absent from ``colors`` are blank.
+    """
+
+    colors: dict
+
+    def color(self, element):
+        return self.colors.get(element)
+
+
+def coloring_family(elements, palette, trials: int | None = None, seed: int | None = None):
+    """Stream ``trials`` colorings of ``elements`` drawn from ``palette``.
+
+    The draws are uniform and reproducible from ``seed``; the inputs are
+    checked when the stream is made, not when it is first read.  A draw hits
+    any fixed coloring with probability 1/|palette|^|elements|, so by the
+    coupon-collector bound about N ln N trials (N that same power) cover
+    every coloring in expectation; far fewer suffice in practice because
+    only the handful of elements a matching touches must be colored right.
+    """
+    elements = tuple(elements)
+    palette = tuple(palette)
+    if len(set(elements)) != len(elements):
+        raise InputError("duplicate elements")
+    if len(set(palette)) != len(palette) or not palette:
+        raise InputError("palette must be non-empty and duplicate-free")
+    if trials is None or trials < 0:
+        raise InputError("random mode needs a non-negative trial count")
+    rng = random.Random(seed)
+    return (
+        ElementColoring({el: rng.choice(palette) for el in elements}) for _ in range(trials)
+    )
+
+
+def _vertex_color_id(color, base):
+    if (
+        isinstance(color, tuple)
+        and len(color) == 2
+        and color[0] == "v"
+        and isinstance(color[1], int)
+        and 0 <= color[1] < base.n_vertices
+    ):
+        return color[1]
+    return None
+
+
+def _edge_color_id(color, tag: str, base):
+    if (
+        isinstance(color, tuple)
+        and len(color) >= 2
+        and color[0] == tag
+        and isinstance(color[1], int)
+        and 0 <= color[1] < len(base.edges)
+    ):
+        return color[1]
+    return None
+
+
+def blank_reference(f: ElementColoring, ss, base):
+    """Erase colors that cannot be part of a surjection onto the base.
+
+    Strip-vertices keep their color only if it is a vertex color; a
+    strip-edge keeps its colors only if its element sequence spells out the
+    color sequence of a same-shape base edge whose endpoints agree with the
+    surviving vertex colors.  Returns the blanked coloring plus the induced
+    surjection, or None when some palette color no longer appears.  The
+    procedure is a single local pass and therefore idempotent.
+    """
+    vkeep = {}
+    for r in ss.r_vertices:
+        b = _vertex_color_id(f.color(("rv", r)), base)
+        if b is not None:
+            vkeep[r] = b
+
+    edge_map: dict = {}
+    alignment: dict = {}
+    colors: dict = {("rv", r): ("v", b) for r, b in vkeep.items()}
+    for eid, members in ss.edges:
+        # a strip that is neither a spot nor a stripe matches no base edge
+        kind = ss.kinds[eid]
+        part = ("spot", eid) if kind == "spot" else ("int", eid)
+        fi = _edge_color_id(f.color(part), part[0] + "c", base)
+        if fi is None or base.edges[fi].kind != kind:
+            continue
+        # the surviving vertex colors must spell out the base edge's ends
+        ends = base.edges[fi].members
+        align = {r: vkeep.get(r) for r in members}
+        if len(members) != len(ends) or set(align.values()) != set(ends):
+            continue
+        # and a stripe's boundary elements the colors of those ends
+        bnd = {}
+        if kind == "stripe":
+            bnd = {("bnd", eid, r): ("bndc", fi, b) for r, b in align.items()}
+        if any(f.color(el) != c for el, c in bnd.items()):
+            continue
+        edge_map[eid] = fi
+        alignment[eid] = align
+        colors[part] = (part[0] + "c", fi)
+        colors.update(bnd)
+    present = set(colors.values())
+    if any(c not in present for c in base_palette(base)):
+        return None
+    return ElementColoring(colors), BaseSurjection(edge_map, alignment)
+
+
+def literal_surjections(ss, base, trials: int, seed):
+    """The surjections ``blank_reference`` leaves of ``trials`` colorings
+    that ``coloring_family`` draws from ``seed``, in draw order."""
+    colorings = coloring_family(structure_elements(ss), base_palette(base), trials, seed)
+    blanked = (blank_reference(f, ss, base) for f in colorings)
+    return [out[1] for out in blanked if out is not None]
+
+
+def as_draw(f: ElementColoring, ss, base) -> list:
+    """``f`` as palette indices per structure element, the form
+    ``igmatch.color_coding.blank`` reads."""
+    palette = base_palette(base)
+    return [palette.index(f.color(el)) for el in structure_elements(ss)]
+
+
 def natural_coloring_reference(base, ss, vmap, emap):
     """The coloring of ``ss``'s elements that paints exactly one embedding.
 
@@ -819,8 +973,6 @@ def natural_coloring_reference(base, ss, vmap, emap):
     color; every other element gets a color that blanking erases (a
     non-vertex color on a strip-vertex, a vertex color on an edge part).
     """
-    from igmatch.color_coding import ElementColoring, base_palette, structure_elements
-
     rinv = {r: b for b, r in vmap.items()}
     einv = {eid: fi for fi, eid in emap.items()}
     vblock = next(c for c in base_palette(base) if c[0] != "v")

@@ -94,10 +94,8 @@ def _subdivided_rows():
                     g, Pattern.of(hg), 1, ss=ss, certificates=certs))]
 
 
-def test_line_graph_structures_of_the_hosts_are_valid(monkeypatch):
-    """The router trusts ``line_graph_strip_structure`` without a check (its
-    docstring says why).  On every host the workload draws for the corpus
-    seeds, the structure passes ``validate_strip_structure``."""
+def workload_hosts(monkeypatch, *seeds) -> list:
+    """The hosts the workload draws for ``seeds``, in order."""
     workloads = _workloads()
     hosts = []
     real = workloads.line_graph
@@ -106,9 +104,18 @@ def test_line_graph_structures_of_the_hosts_are_valid(monkeypatch):
         hosts.append(real(m))
         return hosts[-1]
 
-    monkeypatch.setattr(workloads, "line_graph", capture)
-    for seed in SEEDS:
-        _clawfree_cases(seed)
+    with monkeypatch.context() as m:
+        m.setattr(workloads, "line_graph", capture)
+        for seed in seeds:
+            _clawfree_cases(seed)
+    return hosts
+
+
+def test_line_graph_structures_of_the_hosts_are_valid(monkeypatch):
+    """The router trusts ``line_graph_strip_structure`` without a check (its
+    docstring says why).  On every host the workload draws for the corpus
+    seeds, the structure passes ``validate_strip_structure``."""
+    hosts = workload_hosts(monkeypatch, *SEEDS)
     assert len(hosts) >= len(SEEDS) * 24
     for g in hosts:
         ss = line_graph_strip_structure(g)

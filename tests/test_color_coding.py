@@ -1,3 +1,4 @@
+import dataclasses
 import functools
 import hashlib
 import itertools
@@ -37,29 +38,32 @@ from igmatch.color_coding import (
     Base,
     BaseEdge,
     BaseSurjection,
-    ElementColoring,
     _step5_coloring,
-    base_palette,
     blank,
-    coloring_family,
     global_matching_step,
     solve_igm_claw_free,
     solve_strip_interiors,
-    structure_elements,
 )
 from igmatch import strips
 from igmatch.trace import recording
 from oracles import (
+    ElementColoring,
     all_colorings,
+    as_draw,
     base_invariant_failures,
+    base_palette,
     base_stream_reference,
+    blank_reference,
     canonical_base_key_reference,
     check_condition1,
     check_condition2,
+    coloring_family,
     covered_subgraph,
     embeddings_reference,
+    literal_surjections,
     natural_coloring_reference,
     placements_reference,
+    structure_elements,
 )
 
 
@@ -453,6 +457,12 @@ def test_random_family_is_seed_deterministic():
         coloring_family(elements, palette)
 
 
+def test_random_mode_draws_the_pinned_indices():
+    # random mode draws palette indices; a Python whose Random.choice drew
+    # differently would change every seeded witness, so it fails here
+    assert [tuple(d) for d in cc._draws(3, 6, 20, 7)] == SEED7_DRAWS
+
+
 # ---------------------------------------------------------------------------
 # blanking
 
@@ -471,10 +481,15 @@ def p4_base():
                              boundaries=(frozenset({T11}),)),))
 
 
+def blank_drawn(f, ss, base):
+    """What the package's blanking leaves of the coloring ``f``."""
+    return blank(as_draw(f, ss, base), cc._draw_table(ss, base))
+
+
 def test_blank_hand_trace_on_two_stripes():
     g, ss = two_stripe_p4()
     assert validate_strip_structure(g, ss).ok
-    out = blank(natural_p4_coloring(), ss, p4_base())
+    out = blank_reference(natural_p4_coloring(), ss, p4_base())
     assert out is not None
     f2, surj = out
     assert surj.edge_map == {0: 0}
@@ -484,13 +499,14 @@ def test_blank_hand_trace_on_two_stripes():
         ("int", 0): ("intc", 0),
         ("bnd", 0, 0): ("bndc", 0, 0),
     }
+    assert blank_drawn(natural_p4_coloring(), ss, p4_base()) == surj
 
 
 def test_blank_is_idempotent():
     _g, ss = two_stripe_p4()
     base = p4_base()
-    f2, surj = blank(natural_p4_coloring(), ss, base)
-    again = blank(f2, ss, base)
+    f2, surj = blank_reference(natural_p4_coloring(), ss, base)
+    again = blank_reference(f2, ss, base)
     assert again == (f2, surj)
 
 
@@ -499,7 +515,6 @@ def test_blank_fails_when_a_color_disappears():
     base = p4_base()
     # vertex colors everywhere: both edges blanked, edge colors missing
     flat = ElementColoring({el: ("v", 0) for el in structure_elements(ss)})
-    assert blank(flat, ss, base) is None
     # boundary and interior colors swapped on the surviving edge
     swapped = ElementColoring({
         ("rv", 0): ("v", 0),
@@ -508,7 +523,57 @@ def test_blank_fails_when_a_color_disappears():
         ("int", 1): ("v", 0),
         ("bnd", 1, 0): ("v", 0),
     })
-    assert blank(swapped, ss, base) is None
+    for f in (flat, swapped):
+        assert blank_reference(f, ss, base) is None
+        assert blank_drawn(f, ss, base) is None
+
+
+def test_blank_rejects_a_missing_vertex_color_before_reading_strip_edges():
+    # no strip-edge can keep a base edge at a vertex color that no strip-vertex
+    # keeps, so blanking answers without the strip-edge table
+    _g, ss = two_stripe_p4()
+    base = p4_base()
+    table = cc._draw_table(ss, base)
+    draw = as_draw(natural_p4_coloring(), ss, base)
+    draw[0] = base.n_vertices  # the first color that is not a vertex color
+    assert blank(draw, table) is None
+    assert blank(draw, dataclasses.replace(table, strips=None)) is None
+
+
+def test_random_stream_matches_the_literal_coloring_family(monkeypatch, k1, k2, p3):
+    """Random mode draws palette indices and blanks them through a table; the
+    literal family draws tuple colors and blanks them by decoding.  On every
+    base of each stream, both keep the same surjections in the same order:
+    over two stripes with boundary elements, the line-graph structures of
+    the benchmark's ``clawfree`` hosts and seeded subdivided structures."""
+    from randgen import random_subdivided_structure
+    from test_clawfree_corpus import workload_hosts
+
+    lines = [line_graph_strip_structure(g) for g in workload_hosts(monkeypatch, 301)[:2]]
+    rng = random.Random(34)
+    subdivided = []
+    for _ in range(3):
+        n = rng.randint(2, 3)
+        subdivided.append(random_subdivided_structure(rng, n, rng.randint(n, n + 1), cut=(2, 4))[1])
+    # (structure, pattern, k, seed, trials); C11's eight elements take large
+    # palettes, so a coloring survives there about once in 500 draws
+    c11 = c11_two_stripes()[1]
+    runs = [(c11, k2, 1, 3, 800), (c11, k2, 1, 5, 600)]
+    runs += [(ss, h, k, seed, trials) for ss in lines for h, k in ((k1, 1), (k2, 1), (k1, 2), (p3, 1))
+             for seed, trials in ((5, 40), (11, 300))]
+    runs += [(ss, h, k, seed, trials) for ss in subdivided for h, k in ((k2, 1), (p3, 1))
+             for seed, trials in ((5, 30), (11, 100))]
+    survivors = Counter()
+    for ss, h, k, seed, trials in runs:
+        supply = Counter(cc._strip_profiles(ss).values())
+        shapes = tuple(sorted((s, min(c, h.h * k)) for s, c in supply.items()))
+        for base in cc._shaped_bases(h, k, shapes):
+            got = list(cc._drawn_surjections(ss, base, trials, seed))
+            assert got == literal_surjections(ss, base, trials, seed)
+            survivors["c11" if ss is c11 else "other"] += len(got)
+            survivors["stripe"] += len(got) * any(fe.kind == "stripe" for fe in base.edges)
+    # not a vacuous agreement: 50, 90 and 550 today
+    assert survivors["c11"] >= 40 and survivors["stripe"] >= 80 and survivors["other"] >= 500
 
 
 def test_embedded_surjections_are_what_blanking_leaves(k2, p3):
@@ -528,9 +593,10 @@ def test_embedded_surjections_are_what_blanking_leaves(k2, p3):
             for base in cc._shaped_bases(h, k, shapes):
                 for vmap, emap in cc._embeddings(base, ss, cc._strip_index(ss, profiles)):
                     f = natural_coloring_reference(base, ss, vmap, emap)
-                    out = blank(f, ss, base)
+                    out = blank_reference(f, ss, base)
                     assert out is not None
                     assert out[1] == cc._embedded_surjection(base, (vmap, emap))
+                    assert blank_drawn(f, ss, base) == out[1]
                     runs += 1
     assert runs > 100
 
@@ -680,13 +746,14 @@ def test_literal_exhaustive_family_reproduces_the_answer(k2):
         shapes = {(fe.kind, len(fe.members)) for fe in base.edges}
         if shapes != {("stripe", 1)}:
             if len(base_palette(base)) ** len(elements) <= 1000:
-                assert all(
-                    blank(f, ss, base) is None
-                    for f in all_colorings(elements, base_palette(base))
-                )
+                for f in all_colorings(elements, base_palette(base)):
+                    assert blank_reference(f, ss, base) is None
+                    assert blank_drawn(f, ss, base) is None
             continue
         for f in all_colorings(elements, base_palette(base)):
-            out = blank(f, ss, base)
+            out = blank_reference(f, ss, base)
+            # the package's blanking of the same coloring, by palette index
+            assert blank_drawn(f, ss, base) == (None if out is None else out[1])
             if out is None:
                 continue
             _f2, surj = out
