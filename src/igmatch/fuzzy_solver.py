@@ -11,18 +11,17 @@ occurrences can never be bridged by a third one whose rightmost endpoint
 lies strictly between theirs.
 
 The work splits into a per-solve table and a per-star sweep.  The table
-rests on one fact: the right end R of an occurrence, the clockwise end of
-the union of its arcs, does not depend on the star.  An occurrence that
-survives a star is connected (every edge joins intersecting arcs) and has
-no arc over the cut, so its arcs unite into one arc that misses the cut; its
-rightmost endpoint on the cut-open line is that arc's clockwise end, R,
-read from the cut.  So the occurrences are sorted once by (R, index), and
-each star's left-to-right order is a rotation of that order: in doubled
+rests on one fact: the right end R of an occurrence, the end of its
+rightmost arc, does not depend on the star.  An occurrence that survives a
+star is connected (every edge joins intersecting arcs) and has no arc over
+the cut, and ``models.union_ends`` gives it the same rightmost arc in every
+such cut.  So the occurrences are sorted once by (R, index), and each
+star's left-to-right order is a rotation of that order: in doubled
 coordinates R is even and the cut is odd, so no group of equal R straddles
 the cut (the argument needs only that the two differ).  An occurrence whose
-arcs cover the whole circle has no R; it has an arc over every cut, so it
-never survives a star.  Which arcs lie over a point, for R and for the cut,
-is read from the model's one cover sweep, ``models.arc_cover``.
+arcs cover the whole circle has no R, and never survives a star.  Which
+arcs lie over a point, for R and for the cut, is read from the model's one
+cover sweep, ``models.arc_cover``.
 """
 
 from __future__ import annotations
@@ -40,7 +39,7 @@ from .graphs import (
     revalidated,
     _occurrence_masks,
 )
-from .models import FuzzyArcModel, arc_cover, realize
+from .models import FuzzyArcModel, arc_cover, realize, union_ends
 
 # the fuzzy-arc and small-independence entries, and the bound the latter needs
 __all__ = [
@@ -70,21 +69,10 @@ class _ChainTable:
     def __init__(self, model: FuzzyArcModel, g: Graph, occs):
         arcs = model.arcs.arcs
         over = arc_cover(model.arcs)
-        past = [over(2 * a.t + 1) for a in arcs]
         c2 = 2 * model.arcs.circumference
-        ends = []
-        for o in occs:
-            mask = 0
-            for v in o.vertices:
-                mask |= 1 << v
-            # the union's clockwise end is the one arc end whose next point
-            # no arc of the occurrence covers; c2 sorts last
-            r = c2
-            for v in o.vertices:
-                if not past[v] & mask:
-                    r = 2 * arcs[v].t
-                    break
-            ends.append(r)
+        # R is the rightmost arc's end; c2, past every R, when there is none
+        ends = [c2 if lr is None else 2 * arcs[lr[1]].t
+                for lr in union_ends(model.arcs, occs, over)]
         order = sorted(range(len(occs)), key=ends.__getitem__)  # stable: (R, index)
         position = [0] * len(occs)
         through = [0] * len(arcs)

@@ -85,8 +85,8 @@ class Graph:
     __slots__ = ("n", "_adj", "_edges")
 
     def __init__(self, n: int, edges=()):
-        if n < 0:
-            raise InputError(f"vertex count must be nonnegative, got {n}")
+        if not isinstance(n, int) or n < 0:
+            raise InputError(f"vertex count must be a nonnegative integer, got {n!r}")
         edges = list(edges)
         try:
             norm = [(u, v) if u < v else (v, u) for u, v in edges]
@@ -214,8 +214,8 @@ class Multigraph:
     __slots__ = ("n", "edges")
 
     def __init__(self, n: int, edges=()):
-        if n < 0:
-            raise InputError(f"vertex count must be nonnegative, got {n}")
+        if not isinstance(n, int) or n < 0:
+            raise InputError(f"vertex count must be a nonnegative integer, got {n!r}")
         self.n = n
         self.edges = tuple(_edge(e, n) for e in edges)
 

@@ -48,6 +48,7 @@ from .models import (
     cut_at_point,
     equivalence_points_doubled,
     realize,
+    union_ends,
     validate_arc_model,
     validate_interval_model,
 )
@@ -177,17 +178,13 @@ def _arc_table(model: ArcModel, occs: list[Occurrence], over) -> _ArcTable:
     """The class table of ``occs``, built once per host; ``over`` is the
     host's ``arc_cover``.
 
-    The arcs of a connected occurrence that avoids a cut point unite into one
-    arc U of the circle that misses the point, and the cut line orders U's
-    points as U does.  So the occurrence's leftmost and rightmost arcs are the
-    same in every cut that keeps it: the first arcs in its order (as min and
-    max break ties) with no arc of it just before their start, or just past
-    their end.  A cut keeps it iff the point lies off U, so a class is kept or
-    dropped whole.  ``cut_at_point`` numbers the kept arcs in ascending id
-    order, so sorting classes by old ids equals sorting them by new ids, and
-    every witness is the one a per-cut renumbering gives.  An occurrence
-    whose arcs cover the circle has no such ends; every cut removes it, and
-    it gets no class.
+    An occurrence's class key is its ``union_ends``, shared by every cut
+    that keeps it (first in vertex order, as min and max break ties on a
+    line).  A cut keeps it iff the point lies off its arcs, so a class is
+    kept or dropped whole, and arcs that cover the circle get no class.
+    ``cut_at_point`` numbers the kept arcs in ascending id order, so sorting
+    classes by old ids equals sorting them by new ids, and every witness is
+    the one a per-cut renumbering gives.
 
     The sweep order is the host's order of right ends.  A kept class's
     rightmost arc avoids the cut point p2, so its right end e differs from
@@ -195,19 +192,8 @@ def _arc_table(model: ArcModel, occs: list[Occurrence], over) -> _ArcTable:
     rotation of that order that starts at the first e above p2.
     """
     arcs = model.arcs
-    before = [over(2 * a.s - 1) for a in arcs]
-    past = [over(2 * a.t + 1) for a in arcs]
-    pairs = []
-    for occ in occs:
-        mask = sum(map((1).__lshift__, occ.vertices))
-        for lm in occ.vertices:
-            if not before[lm] & mask:
-                for rm in occ.vertices:
-                    if not past[rm] & mask:
-                        pairs.append(((lm, rm), (mask, occ)))
-                        break
-                break
-    classes = _classes(pairs)
+    firsts = _classes((ends, occ) for ends, occ in zip(union_ends(model, occs, over), occs) if ends)
+    classes = [(key, (sum(map((1).__lshift__, occ.vertices)), occ)) for key, occ in firsts]
     sweep = sorted((2 * arcs[rm].t, 2 * arcs[lm].s, mask) for (lm, rm), (mask, _) in classes)
     return _ArcTable(classes, sweep)
 

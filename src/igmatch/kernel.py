@@ -188,9 +188,10 @@ class BoundResult:
 
     status "decided": answer settled; yes exactly when a witness is present.
     status "reduced": graph, k and ss carry the bounded equivalent instance.
-    status "partial": the loop stopped early, and the fields hold the
-    furthest consistent state (ss may be None).  Why the loop stopped, like
-    every step it took, is noted to ``igmatch.trace``.
+    status "partial": the current host has no derivable structure; the
+    fields hold the latest equivalent instance with a valid ss, or the
+    current host and ss None.  Why the loop stopped, like every step it
+    took, is noted to ``igmatch.trace``.
     """
 
     status: str
@@ -232,11 +233,14 @@ def bound_strip_graph(g: Graph, h: Pattern, k: int,
     Each round prunes useless vertices, tries to settle the answer outright
     (independence number at most 4, a greedy maximal matching of size k, or
     k promising strip-edges), then fires the first applicable rule: clique
-    deletion at high dis-degree, or the parallel-strip reduction step.
-    Without ``ss`` the structure is re-derived from the line-graph
-    pre-images (``derive_strip_structure``) after every mutation.  A supplied
-    ``ss``, which ``kernelize`` has validated, gets a single round, and the
-    loop stops as soon as a mutation invalidates it.
+    deletion at high dis-degree, or the parallel-strip reduction step.  A
+    supplied ``ss``, which ``kernelize`` has validated, serves the first
+    round.  The reduction step keeps a structure valid; after pruning or
+    clique deletion the next round derives one (``derive_strip_structure``).
+    Every rule preserves the answer, so if that fails, the latest round
+    that began with a valid structure is returned as "partial".  Induced
+    subgraphs of line graphs are line graphs, so after one derivation
+    succeeds, the later ones do too.
 
     The dis-degree of a strip-vertex r is its number of distinct strip-graph
     neighbours; parallel edges collapse.  Once it reaches 2h(k-1) + h,
@@ -246,23 +250,16 @@ def bound_strip_graph(g: Graph, h: Pattern, k: int,
     through C(r) can always be added back; conversely a k-matching loses at
     most one copy to C(r).
     """
-    supplied = ss is not None
-    if supplied:
-        note("supplied strip structure: one bounding round, no re-derivation")
-
+    last = None  # the latest round that began with a valid structure
     for _ in range(g.n + k + 2):
+        if ss is not None:
+            last = BoundResult("partial", None, g, k, ss)
         if k <= 0:
             return BoundResult("decided", Matching(()), g, k, ss)
         pruned = _prune_useless_vertices(g, h)
         if pruned.n < g.n:
             note(f"pruned {g.n - pruned.n} vertices that join no copy")
-            g = pruned
-            if g.n == 0:
-                return BoundResult("decided", None, g, k, None)
-            if supplied:
-                note("pruning invalidated the supplied structure; stopping")
-                return BoundResult("partial", None, g, k, None)
-            ss = None
+            g, ss = pruned, None
         if g.n == 0:
             return BoundResult("decided", None, g, k, ss)
         above, _ = brute_force_wis(g, [1] * g.n, ALPHA_BOUND + 1, 0)
@@ -279,7 +276,7 @@ def bound_strip_graph(g: Graph, h: Pattern, k: int,
             ss = derive_strip_structure(g)
             if ss is None:
                 note("host is not a line graph; cannot derive a strip structure")
-                return BoundResult("partial", None, g, k, None)
+                return last or BoundResult("partial", None, g, k, None)
         nbrs = {r: set() for r in ss.r_vertices}
         for _, ms in ss.edges:
             if len(ms) == 2:
@@ -289,12 +286,8 @@ def bound_strip_graph(g: Graph, h: Pattern, k: int,
         big = next((r for r in ss.r_vertices if len(nbrs[r]) >= thr), None)
         if big is not None:
             cr = boundary_clique(ss, big)
-            g, k = g.induced([v for v in range(g.n) if v not in cr]), k - 1
+            g, k, ss = g.induced([v for v in range(g.n) if v not in cr]), k - 1, None
             note(f"dis-degree rule removed C({big!r}); target now {k}")
-            if supplied:
-                note("clique deletion invalidated the supplied structure; stopping")
-                return BoundResult("partial", None, g, k, None)
-            ss = None
             continue
         copies = _promising_copies(ss, h)
         found = [occ for occ in copies.values() if occ is not None]
@@ -307,9 +300,6 @@ def bound_strip_graph(g: Graph, h: Pattern, k: int,
             x, y = pair
             g, ss = _reduction_step(g, ss, x, y, h, copies)
             note(f"reduction step thinned the strips between {x!r} and {y!r}")
-            if supplied:
-                note("one bounding round applied; stopping")
-                return BoundResult("partial", None, g, k, ss)
             continue
         note(
             f"strip graph bounded: {len(ss.edges)} strip-edges "
@@ -718,13 +708,12 @@ def kernelize(g: Graph, h: Pattern, k: int,
               ss: StripStructure | None = None) -> WisInstance:
     """Bound the strip graph, then encode the bounded structure.
 
-    The structure is derived from line-graph pre-images unless ``ss`` is
-    given (see ``bound_strip_graph``).  Emits a trivial instance when
-    bounding already settles the answer.  A partial bounding outcome that
-    still carries a valid structure (a supplied ``ss`` after its single
-    round) is encoded as-is; one without a structure raises, naming the
-    bounding steps.  The bounding steps and then the encoding's own remarks
-    are noted to ``igmatch.trace``.
+    A supplied ``ss`` serves the first bounding round, and later rounds
+    derive theirs (see ``bound_strip_graph``).  Emits a trivial instance
+    when bounding already settles the answer.  A partial bounding outcome
+    is encoded from its structure, or raises, naming the bounding steps,
+    when it has none.  The bounding steps and then the encoding's own
+    remarks are noted to ``igmatch.trace``.
 
     The input is checked here, once, and the steps trust it: ``h`` must be
     complete, connected and of order at least two, ``k`` a nonnegative

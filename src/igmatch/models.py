@@ -13,12 +13,14 @@ check, ``arc_cover``, ``cut_at_point``) read one span table, ``arc_spans``:
 (2s, clockwise doubled length) per arc.  The point p2 lies on an arc iff its
 clockwise offset (p2 - 2s) mod 2C is at most that length, one modular
 compare, so these passes make no call per pair.  Which arcs lie over a
-point is asked of one sweep, ``arc_cover`` (unexported, shared by both arc
-solvers).  ``point_in_arc`` and ``intersection_kind`` stay the single-pair
-definitions; ``intersection_kind`` is exported, as a caller needs it to list
-a fuzzy model's one-point pairs.  The single-pair containment and coverage
-references have left for the tests' oracles, and the validators compute the
-two flags a solver reads, ``proper`` and ``long``, and nothing else.
+point is asked of one sweep, ``arc_cover``, and which arcs begin and end
+the union of an occurrence's arcs of ``union_ends``; both are unexported
+and shared by both arc solvers.  ``point_in_arc`` and ``intersection_kind``
+stay the single-pair definitions; ``intersection_kind`` is exported, as a
+caller needs it to list a fuzzy model's one-point pairs.  The single-pair
+containment and coverage references have left for the tests' oracles, and
+the validators compute the two flags a solver reads, ``proper`` and
+``long``, and nothing else.
 
 An arc (s, t) on a circle of circumference C is the closed set of points
 traversed clockwise (increasing coordinates, wrapping at C) from s to t.
@@ -95,16 +97,17 @@ class ArcModel:
     __slots__ = ("arcs", "circumference")
 
     def __init__(self, arcs, circumference: int):
-        if circumference <= 0:
-            raise InputError(f"circumference must be positive, got {circumference}")
+        if not isinstance(circumference, int) or circumference <= 0:
+            raise InputError(f"circumference must be a positive integer, got {circumference!r}")
         arcs = sorted(arcs, key=lambda a: a.id)
         if [a.id for a in arcs] != list(range(len(arcs))):
             raise InputError("arc ids must be exactly 0..n-1")
         for a in arcs:
-            if not (0 <= a.s < circumference and 0 <= a.t < circumference):
+            if not (isinstance(a.s, int) and isinstance(a.t, int)
+                    and 0 <= a.s < circumference and 0 <= a.t < circumference):
                 raise InputError(
-                    f"arc {a.id}: endpoints must lie in [0,{circumference}), "
-                    f"got ({a.s},{a.t})"
+                    f"arc {a.id}: endpoints must be integers in [0,{circumference}), "
+                    f"got ({a.s!r},{a.t!r})"
                 )
             if a.s == a.t:
                 raise InputError(
@@ -256,6 +259,38 @@ def arc_cover(model: ArcModel):
         return masks[j - 1] if j else 0
 
     return over
+
+
+def union_ends(model: ArcModel, occs, over) -> list:
+    """(leftmost arc, rightmost arc) of each occurrence, or None when its
+    arcs cover the circle; ``over`` is the model's ``arc_cover``.
+
+    The arcs of a connected occurrence that leave a point bare unite into
+    one arc U, which starts at an arc with no arc of the occurrence just
+    before its start and ends at one with none just past its end; the
+    first such arcs in vertex order are the leftmost and rightmost.  A cut
+    at any point off U leaves U whole and in order, so every such cut has
+    the same ends.  Arcs that cover the circle have neither end, and every
+    cut meets them.
+    """
+    before = [over(2 * a.s - 1) for a in model.arcs]
+    past = [over(2 * a.t + 1) for a in model.arcs]
+    out = []
+    for occ in occs:
+        vs = occ.vertices
+        mask = 0
+        for v in vs:
+            mask |= 1 << v
+        for lm in vs:
+            if not before[lm] & mask:
+                for rm in vs:
+                    if not past[rm] & mask:
+                        out.append((lm, rm))
+                        break
+                break
+        else:
+            out.append(None)
+    return out
 
 
 def _pair_kinds(model: ArcModel) -> tuple[list, list]:

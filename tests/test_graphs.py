@@ -84,7 +84,7 @@ def test_graph_rejects_the_first_faulty_edge_in_input_order():
         (3, [[1, 2], [-1, 0], [2, 1]], "edge [-1, 0] out of range for n=3"),
         (3, [(2, 2), (5, 5)], "self-loop at vertex 2 not allowed"),
         (0, [(0, 0)], "edge (0, 0) out of range for n=0"),
-        (-1, [], "vertex count must be nonnegative, got -1"),
+        (-1, [], "vertex count must be a nonnegative integer, got -1"),
         (4, (e for e in [(3, 2), (0, 1), (2, 3)]), "duplicate edge (2, 3)"),
         (4, (e for e in [(3, 2), (4, 0), (3, 3)]), "edge (4, 0) out of range for n=4"),
         (3, [(0, 1, 2)], "edge (0, 1, 2) is not a pair of integer vertices"),
@@ -109,6 +109,14 @@ def test_graph_rejects_the_first_faulty_edge_in_input_order():
     assert Graph(0).edges == () and Graph(0).n == 0
     g = Graph(4, (e for e in [(3, 2), (1, 0)]))
     assert g.edges == ((0, 1), (2, 3)) and g.neighbors(3) == {2}
+
+
+def test_graphs_refuse_a_non_integer_vertex_count():
+    for make in (Graph, Multigraph):
+        for n in (2.5, "3", None):
+            with pytest.raises(InputError) as err:
+                make(n, [(0, 1)])
+            assert str(err.value) == f"vertex count must be a nonnegative integer, got {n!r}"
 
 
 def test_components_and_induced():

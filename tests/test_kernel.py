@@ -16,6 +16,7 @@ from igmatch.graphs import (
     brute_force_wis,
     complete_graph,
     cycle_graph,
+    find_igm,
     line_graph,
     path_graph,
 )
@@ -36,7 +37,7 @@ from igmatch.strips import Strip, StripStructure, classify_strip, validate_strip
 
 from igmatch.trace import recording
 from oracles import igm_exhaustive, occurrences_exhaustive, wis_reference
-from randgen import random_graph, random_line_graph
+from randgen import random_connected_multigraph, random_graph, random_line_graph
 from test_color_coding import c11_two_stripes, two_stripe_p4
 
 
@@ -415,7 +416,8 @@ def test_the_loop_thins_a_pair_of_stripes_to_the_stock(k2):
     # the second pair's four stripes, within the stock, lift the
     # independence number to 5, and at k = 10 neither the greedy matching nor
     # the dis-degree rule settles anything first, so the loop itself fires
-    # the reduction step on (0, 1)
+    # the reduction step on (0, 1); the thinned structure stays valid, and
+    # the next round finds the strip graph bounded
     cases = [
         (6, 2, [0, 1, 2, 3]),  # above 2h stripes: the first 2h stay
         (3, 3, [0, 1, 2]),  # h to 2h stripes: every stripe stays, the spots go
@@ -426,8 +428,9 @@ def test_the_loop_thins_a_pair_of_stripes_to_the_stock(k2):
         assert validate_strip_structure(g, ss).ok
         with recording() as notes:
             br = bound_strip_graph(g, k2, 10, ss=ss)
-        assert "reduction step thinned the strips between 0 and 1" in notes
-        assert br.status == "partial"
+        assert notes[0] == "reduction step thinned the strips between 0 and 1"
+        assert notes[1].startswith("strip graph bounded")
+        assert br.status == "reduced" and br.k == 10
         pair = [eid for eid, ms in br.ss.edges if ms == (0, 1)]
         assert pair == kept
         side = [eid for eid, ms in br.ss.edges if ms == (2, 3)]
@@ -521,7 +524,8 @@ def test_bound_partial_when_no_structure_exists(k2):
     assert any("not a line graph" in n for n in notes)
 
 
-def test_bound_manual_stops_after_one_mutation(k2):
+def test_bound_runs_the_same_loop_on_a_supplied_structure(k2):
+    # a supplied structure is bounded to the end, like a derived one
     edges = [(a, b) for a, b in itertools.combinations(range(7), 2)]
     edges += [(i, 7) for i in range(7)]
     edges += [(7 + i, 8 + i) for i in range(8)]
@@ -529,23 +533,117 @@ def test_bound_manual_stops_after_one_mutation(k2):
     ss = derive_strip_structure(g)
     with recording() as notes:
         br = bound_strip_graph(g, k2, 6, ss=ss)
-    assert br.status == "partial"
+    assert br.status == "reduced"
     assert br.ss is not None
     assert len(br.ss.edges) == len(ss.edges) - 5
-    assert any("one bounding round" in n for n in notes)
+    assert notes[0].startswith("reduction step")
 
-    full = bound_strip_graph(g, k2, 6)
+    with recording() as full_notes:
+        full = bound_strip_graph(g, k2, 6)
     assert full.status == "reduced"
     assert len(full.ss.edges) <= _strip_edge_ceiling(2, 6)
+    assert (br.graph, br.ss, notes) == (full.graph, full.ss, full_notes)
 
 
-def test_bound_manual_stops_when_pruning_bites(k3):
+def test_bound_re_derives_the_structure_once_pruning_bites(k3):
+    # pruning drops the supplied structure; the pruned host, the hub
+    # triangle, is a line graph whose independence number settles the answer
     g, ss = three_stem_host()
     with recording() as notes:
         br = bound_strip_graph(g, k3, 2, ss=ss)
-    assert br.status == "partial"
+    assert br.status == "decided" and br.witness is None
     assert br.ss is None
-    assert any("pruned" in n for n in notes)
+    assert br.graph == complete_graph(3)
+    assert notes[0] == "pruned 3 vertices that join no copy"
+    assert any("independence" in n for n in notes)
+    assert igm_exhaustive(g, k3.graph, 2) is False
+
+
+def _hubbed_multigraph(rng) -> Multigraph:
+    """A star whose legs each end in a pendant edge, with up to six copies of
+    one hub edge and a few random edges: in its line graph the dis-degree
+    rule, pruning and the reduction step all fire at small targets."""
+    d = rng.randint(4, 8)
+    n = 2 * d + 1
+    edges = [(0, i) for i in range(1, d + 1)] + [(i, d + i) for i in range(1, d + 1)]
+    edges += [(1, 2)] * rng.randint(0, 6)
+    edges += [tuple(rng.sample(range(n), 2)) for _ in range(rng.randint(0, 4))]
+    return Multigraph(n, edges)
+
+
+def test_bound_supplying_the_derived_structure_changes_nothing(k2, k3):
+    rng = random.Random(7)
+    seen = set()
+    for i in range(160):
+        if i % 2:
+            n = rng.randint(6, 12)
+            mg = random_connected_multigraph(rng, n, rng.randint(n, n + 6))
+        else:
+            mg = _hubbed_multigraph(rng)
+        g = line_graph(mg)
+        ss = derive_strip_structure(g)
+        for hp in (k2, k3):
+            for k in (2, 3, 4, 5, 6):
+                with recording() as want_notes:
+                    want = bound_strip_graph(g, hp, k)
+                with recording() as notes:
+                    got = bound_strip_graph(g, hp, k, ss=ss)
+                assert (got.status, got.k, got.graph, got.witness, notes) == (
+                    want.status, want.k, want.graph, want.witness, want_notes), (i, hp.h, k)
+                if got.status == "reduced":
+                    assert got.ss == want.ss
+                seen.update(note.split()[0] for note in notes)
+    # every rule of the loop fired somewhere
+    assert {"pruned", "dis-degree", "reduction", "greedy", "independence"} <= seen
+
+
+def wheel_stripes_host():
+    """Two pendant stripes whose interiors are 5-wheels, and a pendant path
+    stripe, glued at strip-vertex 0.
+
+    Each wheel faces C(0) with a rim edge (hosts 0, 1 and 2, 3); its other
+    rim vertices and its hub follow.  The path a - b (hosts 12, 13) faces
+    C(0) with a, so b joins no triangle.  The host is claw-free, and not a
+    line graph.
+    """
+    rim, hub, z = range(5), 5, 6
+    jw = Graph(7, [(i, (i + 1) % 5) for i in rim] + [(hub, i) for i in rim] + [(z, 0), (z, 1)])
+    edges, strips, z_assign, c0 = set(), {}, {}, [12]
+    for w in range(2):
+        g_map = {0: 2 * w, 1: 2 * w + 1}
+        g_map.update({j: 2 + 4 * w + j for j in range(2, 6)})
+        edges.update((g_map[a], g_map[b]) for a, b in jw.edges if z not in (a, b))
+        c0 += [2 * w, 2 * w + 1]
+        strips[w] = Strip(graph=jw, z=frozenset({z}), g_map=g_map)
+        z_assign[w] = {0: z}
+    edges.add((12, 13))
+    strips[2] = Strip(graph=path_graph(3), z=frozenset({0}), g_map={1: 12, 2: 13})
+    z_assign[2] = {0: 0}
+    edges.update(itertools.combinations(sorted(c0), 2))
+    ss = StripStructure((0,), ((0, (0,)), (1, (0,)), (2, (0,))), strips, z_assign)
+    return Graph(14, sorted(edges)), ss
+
+
+def test_bound_falls_back_to_the_latest_valid_structure(k3):
+    # pruning drops the supplied structure and the pruned host is not a line
+    # graph, so the loop returns the latest state with a valid structure,
+    # here the supplied one on the unpruned host, and kernelize encodes it
+    g, ss = wheel_stripes_host()
+    assert validate_strip_structure(g, ss).ok
+    assert derive_strip_structure(g) is None
+    answers = []
+    for k in (2, 3, 4):
+        with recording() as notes:
+            br = bound_strip_graph(g, k3, k, ss=ss)
+        assert notes == ["pruned 1 vertices that join no copy",
+                         "host is not a line graph; cannot derive a strip structure"]
+        assert br.status == "partial"
+        assert (br.graph, br.k, br.ss) == (g, k, ss)
+        inst = kernelize(g, k3, k, ss=ss)
+        assert len(inst.tags) > 1
+        answers.append(wis_answer(inst))
+        assert answers[-1] == (find_igm(g, k3, k) is not None)
+    assert answers == [True, False, False]
 
 
 # ---------------------------------------------------------------------------
@@ -944,18 +1042,21 @@ def test_kernelize_encodes_a_bounded_manual_structure(k2):
     assert inst.graph.n > 1
     assert wis_answer(inst) is False
     assert igm_exhaustive(g, k2.graph, 4) is False
-    assert any("supplied strip structure" in n for n in notes)
+    # the supplied structure is bounded as it stands, with no re-derivation
+    assert notes[0] == "strip graph bounded: 2 strip-edges (ceiling 1034)"
 
 
 def test_kernelize_raises_when_no_structure_survives(k2, k3):
     with pytest.raises(InputError):
         kernelize(wheel_plus_path(), k2, 7)
-    g, ss = three_stem_host()
+    # an isolated vertex more: the message names every bounding step, in order
+    g = wheel_plus_path()
     with pytest.raises(InputError) as exc:
-        kernelize(g, k3, 2, ss=ss)
-    # the message names every bounding step, in order
+        kernelize(Graph(g.n + 1, g.edges), k2, 7)
     assert str(exc.value) == (
-        "cannot kernelize: supplied strip structure: one bounding round, no "
-        "re-derivation; pruned 3 vertices that join no copy; pruning invalidated "
-        "the supplied structure; stopping"
+        "cannot kernelize: pruned 1 vertices that join no copy; host is not a "
+        "line graph; cannot derive a strip structure"
     )
+    # a supplied structure that pruning drops is re-derived, not refused
+    g, ss = three_stem_host()
+    assert wis_answer(kernelize(g, k3, 2, ss=ss)) is False

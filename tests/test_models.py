@@ -92,6 +92,18 @@ def test_arc_model_rejections():
         ArcModel([Arc(1, 0, 1)], 8)
 
 
+def test_arc_model_refuses_non_integer_coordinates():
+    # with real endpoints, arcs 0 and 1 overlap in [0.1, 0.2], which the
+    # doubled-coordinate probes would call a single point
+    with pytest.raises(InputError, match=r"arc 0: endpoints must be integers in \[0,2\), got \(0,0.2\)"):
+        ArcModel([Arc(0, 0, 0.2), Arc(1, 0.1, 0.3), Arc(2, 1, 1.5)], 2)
+    with pytest.raises(InputError, match="circumference must be a positive integer"):
+        ArcModel([Arc(0, 0, 1)], 2.5)
+    with pytest.raises(InputError, match="circumference must be a positive integer"):
+        ArcModel([Arc(0, 0, 1)], "8")
+    assert ArcModel([Arc(0, 0, 1)], 2).circumference == 2
+
+
 def test_arc_triangle_realization():
     m = arcs(12, (0, 5), (4, 9), (8, 1))
     g = realize(m)
