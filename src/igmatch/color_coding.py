@@ -1221,10 +1221,10 @@ def solve_igm_claw_free(
     raise ``SizeCapError`` for it.  Any matching the pipeline assembles has
     been re-validated against the host.
     """
-    if not isinstance(k, int) or k < 0:
+    if type(k) is not int or k < 0:
         raise InputError("k must be a nonnegative integer")
     if not h.is_connected:
-        raise InputError("pattern must be connected")
+        raise InputError("pattern must be connected; graphs.find_igm answers a disconnected one")
     if not star_free(g, 3):
         raise InputError("host graph is not claw-free")
     if coloring not in ("exhaustive", "random"):

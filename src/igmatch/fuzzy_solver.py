@@ -196,7 +196,7 @@ def solve_igm_fuzzy_ca(model: FuzzyArcModel, h: Pattern, k: int) -> Matching | N
     """
     if not h.is_connected:
         raise InputError("pattern must be connected for the fuzzy solver")
-    if not isinstance(k, int) or k < 0:
+    if type(k) is not int or k < 0:
         raise InputError("k must be a nonnegative integer")
     if k == 0:
         return Matching(())
@@ -227,7 +227,7 @@ def solve_igm_small_alpha(g: Graph, h: Pattern, k: int) -> Matching | None:
     router runs its own packing search over the chunk's occurrences, and the
     kernel's bounding loop calls ``find_igm``.
     """
-    if not isinstance(k, int) or k < 0:
+    if type(k) is not int or k < 0:
         raise InputError("k must be a nonnegative integer")
     found, _ = brute_force_wis(g, [1] * g.n, ALPHA_BOUND + 1, 0)
     if found:

@@ -54,7 +54,7 @@ from typing import NamedTuple
 
 from .errors import InputError, InternalError, SizeCapError
 
-# the input and answer types, their constructors, and the solve of a kernel's WIS question
+# the input and answer types, their constructors, and the exact WIS and matching searches
 __all__ = [
     "Graph",
     "Matching",
@@ -66,6 +66,7 @@ __all__ = [
     "complete_graph",
     "cycle_graph",
     "disjoint_union",
+    "find_igm",
     "line_graph",
     "path_graph",
     "star_graph",
@@ -748,7 +749,7 @@ def packing(g: Graph, occs: list[Occurrence], goal: int | None, require_touch=()
 def find_igm(g: Graph, h: Pattern, k: int) -> Matching | None:
     """First induced matching of size k in canonical order, or None: the
     packing search over every occurrence of h in g."""
-    if not isinstance(k, int) or k < 0:
+    if type(k) is not int or k < 0:
         raise InputError("k must be a nonnegative integer")
     if k == 0:
         return Matching(())

@@ -31,12 +31,11 @@ from math import inf
 from operator import itemgetter
 from typing import NamedTuple
 
-from .errors import InputError, InternalError, SizeCapError
+from .errors import InputError, InternalError
 from .graphs import (
     Matching,
     Occurrence,
     Pattern,
-    disjoint_union,
     enumerate_occurrences,
     find_occurrence,
     revalidated,
@@ -56,11 +55,8 @@ from .models import (
 # one entry per question; interval_wis keeps its name unexported, as the benchmark times it
 __all__ = [
     "solve_igm_long_proper_ca",
-    "solve_igm_proper_ca_disconnected",
     "solve_igm_proper_interval",
 ]
-
-DISCONNECTED_CAP = 8
 
 
 def _packing(spans) -> int:
@@ -110,10 +106,10 @@ def solve_igm_proper_interval(model: IntervalModel, h: Pattern, k: int) -> Match
     proper model.
     """
     if not h.is_connected:
-        raise InputError("pattern must be connected for the interval solver")
+        raise InputError("pattern must be connected; graphs.find_igm answers a disconnected one")
     if not validate_interval_model(model).proper:
         raise InputError("interval model is not proper")
-    if not isinstance(k, int) or k < 0:
+    if type(k) is not int or k < 0:
         raise InputError("k must be a nonnegative integer")
     if k == 0:
         return Matching(())
@@ -256,8 +252,8 @@ def solve_igm_long_proper_ca(model: ArcModel, h: Pattern, k: int) -> Matching | 
     if not (rep.proper and rep.long):
         raise InputError("arc model must be proper and long")
     if not h.is_connected:
-        raise InputError("pattern must be connected for this solver")
-    if not isinstance(k, int) or k < 0:
+        raise InputError("pattern must be connected; graphs.find_igm answers a disconnected one")
+    if type(k) is not int or k < 0:
         raise InputError("k must be a nonnegative integer")
     if k == 0:
         return Matching(())
@@ -274,41 +270,3 @@ def solve_igm_long_proper_ca(model: ArcModel, h: Pattern, k: int) -> Matching | 
     if best is None:
         return None
     return revalidated(best, g, h, "circular-arc solution")
-
-
-def solve_igm_proper_ca_disconnected(model: ArcModel, h: Pattern, k: int) -> Matching | None:
-    """Induced H-matching for a disconnected pattern on a proper arc model.
-
-    Cuts the circle at every containment-equivalence representative and
-    looks for k vertex-disjoint pairwise non-adjacent copies of H as one
-    induced subgraph of the cut graph, the host's induced subgraph on the
-    arcs that avoid the cut point (they meet on the circle iff they meet on
-    the line it leaves).  So each cut is searched in place, over the kept
-    arcs in ascending id order, as the cut graph numbers them.  Exhaustive
-    in k*|V(H)|, capped.
-    """
-    if h.is_connected:
-        raise InputError("pattern is connected; use the long proper-arc solver")
-    if not validate_arc_model(model).proper:
-        raise InputError("arc model is not proper")
-    if not isinstance(k, int) or k < 0:
-        raise InputError("k must be a nonnegative integer")
-    if k == 0:
-        return Matching(())
-    if k * h.h > DISCONNECTED_CAP:
-        raise SizeCapError("k * |V(H)|", k * h.h, DISCONNECTED_CAP)
-    g = realize(model)
-    bundle_graph = h.graph
-    for _ in range(k - 1):
-        bundle_graph = disjoint_union(bundle_graph, h.graph)
-    bundle = Pattern(bundle_graph)
-    for _, removed in _dedup_points(model, arc_cover(model)):
-        kept = [v for v in range(g.n) if not removed >> v & 1]
-        emb = find_occurrence(g, bundle, within=kept)
-        if emb is None:
-            continue
-        vs = emb.vertices
-        copies = sorted(vs[i:i + h.h] for i in range(0, len(vs), h.h))
-        matching = Matching(tuple(map(Occurrence, copies)))
-        return revalidated(matching, g, h, "disconnected-pattern solution")
-    return None

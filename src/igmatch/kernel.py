@@ -187,6 +187,7 @@ class BoundResult:
     """Outcome of the strip-graph bounding loop.
 
     status "decided": answer settled; yes exactly when a witness is present.
+    graph and k are those of the deciding round, and ss is None.
     status "reduced": graph, k and ss carry the bounded equivalent instance.
     status "partial": the current host has no derivable structure; the
     fields hold the latest equivalent instance with a valid ss, or the
@@ -255,23 +256,23 @@ def bound_strip_graph(g: Graph, h: Pattern, k: int,
         if ss is not None:
             last = BoundResult("partial", None, g, k, ss)
         if k <= 0:
-            return BoundResult("decided", Matching(()), g, k, ss)
+            return BoundResult("decided", Matching(()), g, k)
         pruned = _prune_useless_vertices(g, h)
         if pruned.n < g.n:
             note(f"pruned {g.n - pruned.n} vertices that join no copy")
             g, ss = pruned, None
         if g.n == 0:
-            return BoundResult("decided", None, g, k, ss)
+            return BoundResult("decided", None, g, k)
         above, _ = brute_force_wis(g, [1] * g.n, ALPHA_BOUND + 1, 0)
         if not above:
             m = None if k > ALPHA_BOUND else find_igm(g, h, k)
             note("independence number at most 4; decided directly")
-            return BoundResult("decided", m, g, k, ss)
+            return BoundResult("decided", m, g, k)
         greedy = _greedy_maximal_matching(g, h)
         if len(greedy) >= k:
             wit = revalidated(Matching(tuple(greedy[:k])), g, h, "greedy witness")
             note("greedy maximal matching reached the target")
-            return BoundResult("decided", wit, g, k, ss)
+            return BoundResult("decided", wit, g, k)
         if ss is None:
             ss = derive_strip_structure(g)
             if ss is None:
@@ -294,7 +295,7 @@ def bound_strip_graph(g: Graph, h: Pattern, k: int,
         if len(found) >= k:
             wit = revalidated(Matching(tuple(found[:k])), g, h, "promising witness")
             note(f"{len(found)} promising strip-edges certify the target")
-            return BoundResult("decided", wit, g, k, ss)
+            return BoundResult("decided", wit, g, k)
         pair = _overloaded_pair(ss, copies, h)
         if pair is not None:
             x, y = pair
@@ -728,7 +729,7 @@ def kernelize(g: Graph, h: Pattern, k: int,
         # A one-vertex pattern asks for a plain independent set; that case
         # never reaches the strip machinery.
         raise InputError("the pattern needs at least two vertices")
-    if not isinstance(k, int) or k < 0:
+    if type(k) is not int or k < 0:
         raise InputError("k must be a nonnegative integer")
     if ss is not None:
         validate_strip_structure(g, ss).require_ok()

@@ -62,6 +62,9 @@ class Interval:
     r: int
 
     def __post_init__(self):
+        if not (isinstance(self.l, int) and isinstance(self.r, int)):
+            raise InputError(
+                f"interval {self.id}: endpoints must be integers, got ({self.l!r},{self.r!r})")
         if self.l >= self.r:
             raise InputError(f"interval {self.id}: need l < r, got [{self.l},{self.r}]")
 
@@ -166,9 +169,9 @@ class ModelReport:
     """The model flags the solvers read.
 
     ``proper``: no item is a point-set subset of another; the proper
-    interval, long proper-arc and disconnected proper-arc solvers require
-    it.  ``long``: no 2 or 3 arcs cover the circle; the long proper-arc
-    solver requires it, and an interval model holds it by convention.
+    interval and long proper-arc solvers require it.  ``long``: no 2 or 3
+    arcs cover the circle; the long proper-arc solver requires it, and an
+    interval model holds it by convention.
     """
 
     proper: bool

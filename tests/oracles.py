@@ -25,9 +25,8 @@ occurrence enumeration, conflict masks and the longness test,
 ``embeddings_reference`` and ``g_map_pair_failures`` those of the base
 embedding search and the g_map edge check, ``find_igm_reference`` and
 ``max_igm_reference`` the two separate packing searches that one search
-replaced, and ``interval_wis_reference``, ``long_arc_reference`` and
-``disconnected_reference`` those of the weighted interval witness rebuild, the
-per-cut long-arc solver and the per-cut disconnected-pattern solver,
+replaced, ``interval_wis_reference`` and ``long_arc_reference`` those of the
+weighted interval witness rebuild and the per-cut long-arc solver,
 ``arc_cover_reference`` the per-probe scan of the arcs over a point,
 ``find_occurrence_reference`` and ``placements_reference`` the set-based
 first-embedding and token-placement searches that the occurrence mask search
@@ -68,7 +67,6 @@ from igmatch.graphs import (
     _greedy_clique_partition,
     _occurrence_masks,
     _preimage_from_cover,
-    disjoint_union,
     enumerate_occurrences,
     find_occurrence,
     line_graph,
@@ -1280,33 +1278,6 @@ def long_arc_reference(model, h, k):
         occ = find_occurrence(g, h)
         if occ is not None:
             return Matching((occ,))
-    return None
-
-
-def disconnected_reference(model, h, k):
-    """The package's earlier disconnected-pattern solver, for k >= 1 on a
-    proper model with k * |V(H)| inside the cap: each cut is realized as an
-    interval graph of its own, searched for k disjoint copies of H, and the
-    embedding mapped back through ``kept_ids``."""
-    bundle_graph = h.graph
-    for _ in range(k - 1):
-        bundle_graph = disjoint_union(bundle_graph, h.graph)
-    bundle = Pattern(bundle_graph)
-    seen = set()
-    for p2 in equivalence_points_doubled(model):
-        key = frozenset(a.id for a in model.arcs if point_in_arc(model, a.id, p2))
-        if key in seen:
-            continue
-        seen.add(key)
-        cut = cut_at_point(model, p2)
-        emb = find_occurrence(realize(cut.intervals), bundle)
-        if emb is None:
-            continue
-        occs = [
-            Occurrence(tuple(cut.kept_ids[emb.vertices[copy * h.h + i]] for i in range(h.h)))
-            for copy in range(k)
-        ]
-        return Matching(tuple(sorted(occs, key=lambda o: o.vertices)))
     return None
 
 

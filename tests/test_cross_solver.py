@@ -22,7 +22,8 @@ encodes an instance the weighted independent set answer must be
 
 On random proper interval and long proper arc models (``randgen``) the
 answers are monotone in k and agree with ``find_igm``, and two interval
-models placed side by side have the sum of the two optima.
+models placed side by side have the sum of the two optima, on a line and,
+as long proper arcs in disjoint sectors of one circle, on a circle.
 """
 
 import os
@@ -52,8 +53,10 @@ from igmatch.models import (
     FuzzyArcModel,
     Interval,
     IntervalModel,
+    ModelReport,
     intersection_kind,
     realize,
+    validate_arc_model,
 )
 from igmatch.strips import line_graph_strip_structure, trivial_strip_structure
 from randgen import (
@@ -251,6 +254,24 @@ def test_side_by_side_interval_models_add_their_optima(seed, n):
     for h in (K2, P3, K3):
         opts = [_optimum(solve_igm_proper_interval, m, realize(m), h) for m in (a, b, both)]
         assert opts[2] == opts[0] + opts[1], (seed, n, h.graph)
+
+
+def test_interval_models_in_disjoint_sectors_of_a_circle_add_their_optima():
+    # two proper interval models laid one after the other on a circle with
+    # room to spare, no arc wrapping: the arcs leave a gap, so the model is
+    # long, and the parts meet nowhere, so it stays proper
+    rng = random.Random(36)
+    for _ in range(25):
+        a, b = (proper_interval_model(rng, rng.randint(1, 8)) for _ in range(2))
+        both = _side_by_side(a, b)
+        arcs = ArcModel([Arc(iv.id, iv.l, iv.r) for iv in both.items],
+                        max(iv.r for iv in both.items) + 1 + rng.randint(1, 4))
+        assert validate_arc_model(arcs) == ModelReport(proper=True, long=True)
+        assert realize(arcs) == disjoint_union(realize(a), realize(b))
+        for h in (K2, P3):
+            parts = [_optimum(solve_igm_proper_interval, m, realize(m), h) for m in (a, b)]
+            whole = _optimum(solve_igm_long_proper_ca, arcs, realize(arcs), h)
+            assert whole == sum(parts), (a.items, b.items, h.graph)
 
 
 @settings(max_examples=30, derandomize=True, deadline=None)

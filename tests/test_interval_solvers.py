@@ -6,15 +6,21 @@ import sys
 import pytest
 
 import igmatch.interval_solvers as interval_solvers
-from igmatch.errors import InputError, InternalError, SizeCapError
-from igmatch.graphs import Graph, Pattern, cycle_graph, enumerate_occurrences, path_graph
+from igmatch.errors import InputError, InternalError
+from igmatch.graphs import (
+    Graph,
+    Pattern,
+    cycle_graph,
+    enumerate_occurrences,
+    find_igm,
+    path_graph,
+)
 from igmatch.interval_solvers import (
     _arc_table,
     _cut_solve,
     _dedup_points,
     interval_wis,
     solve_igm_long_proper_ca,
-    solve_igm_proper_ca_disconnected,
     solve_igm_proper_interval,
 )
 from igmatch.models import (
@@ -30,12 +36,13 @@ from igmatch.models import (
 
 from oracles import (
     _best_weight_reference,
+    _occ_sets_compatible,
     arc_cover_reference,
-    disconnected_reference,
     igm_exhaustive,
     interval_wis_reference,
     long_arc_reference,
     max_igm_exhaustive,
+    occurrences_exhaustive,
 )
 from randgen import (
     random_fuzzy_arc_model,
@@ -141,7 +148,7 @@ def test_proper_interval_k_zero():
 
 def test_proper_interval_rejects_disconnected_pattern():
     model = imodel((0, 2), (4, 6))
-    with pytest.raises(InputError):
+    with pytest.raises(InputError, match="graphs.find_igm answers a disconnected one"):
         solve_igm_proper_interval(model, Pattern.of(Graph(2, [])), 1)
 
 
@@ -377,13 +384,16 @@ def test_cut_sweep_rejects_a_class_over_the_cut_point():
 
 
 # ---------------------------------------------------------------------------
-# disconnected patterns on proper circular-arc models
+# disconnected patterns on proper circular-arc models, answered by find_igm
+# on the realized host: the arc unions of an induced matching's copies are
+# pairwise disjoint, so two or more of them leave a point of the circle
+# uncovered, and a cut there keeps the whole matching
 
 
 def test_disconnected_four_isolated_arcs():
     model = amodel(16, (0, 1), (4, 5), (8, 9), (12, 13))
     h = Pattern.of(Graph(2, []))
-    got = solve_igm_proper_ca_disconnected(model, h, 2)
+    got = find_igm(realize(model), h, 2)
     assert got is not None
     assert got.size() == 2
 
@@ -391,26 +401,7 @@ def test_disconnected_four_isolated_arcs():
 def test_disconnected_clique_has_no_independent_pair():
     model = amodel(16, (0, 5), (1, 6), (2, 7), (3, 8))
     h = Pattern.of(Graph(2, []))
-    assert solve_igm_proper_ca_disconnected(model, h, 1) is None
-
-
-def test_disconnected_rejects_connected_pattern():
-    with pytest.raises(InputError):
-        solve_igm_proper_ca_disconnected(C6_ARCS, Pattern.of(path_graph(2)), 1)
-
-
-def test_disconnected_size_cap():
-    model = amodel(16, (0, 1), (4, 5), (8, 9), (12, 13))
-    h = Pattern.of(Graph(2, []))
-    with pytest.raises(SizeCapError):
-        solve_igm_proper_ca_disconnected(model, h, 5)
-
-
-def test_disconnected_on_non_long_model():
-    # proper but not long: three arcs jointly covering the circle (a triangle)
-    model = amodel(12, (0, 6), (5, 11), (10, 3))
-    h = Pattern.of(Graph(2, []))
-    assert solve_igm_proper_ca_disconnected(model, h, 1) is None
+    assert find_igm(realize(model), h, 1) is None
 
 
 def test_disconnected_matches_oracle():
@@ -420,13 +411,14 @@ def test_disconnected_matches_oracle():
         model = random_long_proper_arc_model(rng, rng.randint(3, 9))
         g = realize(model)
         for k in (1, 2):
-            got = solve_igm_proper_ca_disconnected(model, h, k)
+            got = find_igm(g, h, k)
             assert (got is not None) == igm_exhaustive(g, h.graph, k)
 
 
-def test_disconnected_matches_the_per_cut_reference():
-    """Searching each cut in place gives the witness of searching each cut's
-    own interval graph, on proper models of equal-length arcs."""
+def test_disconnected_matches_exhaustive_on_equal_length_arcs():
+    """find_igm answers as the exhaustive oracle does on proper models of
+    equal-length arcs, long or not, and each witness is k copies of H that
+    are pairwise disjoint and non-adjacent."""
     rng = random.Random(2606)
     patterns = [Pattern(Graph(2)), Pattern(Graph(3, [(1, 2)])),
                 Pattern(Graph(4, [(0, 1), (2, 3)])), Pattern(Graph(4, [(1, 2), (2, 3)]))]
@@ -436,11 +428,16 @@ def test_disconnected_matches_the_per_cut_reference():
         n = rng.randint(2, min(circ, 9))
         length = rng.randint(1, circ // 3)
         arcs = [Arc(i, s, (s + length) % circ) for i, s in enumerate(rng.sample(range(circ), n))]
-        model = ArcModel(arcs, circ)
+        g = realize(ArcModel(arcs, circ))
         for h in patterns:
+            embeddings = set(occurrences_exhaustive(g, h.graph))
             for k in range(1, 8 // h.h + 1):
-                got = solve_igm_proper_ca_disconnected(model, h, k)
-                assert got == disconnected_reference(model, h, k), (arcs, circ, h.graph, k)
+                got = find_igm(g, h, k)
+                assert (got is not None) == igm_exhaustive(g, h.graph, k), (arcs, circ, h.graph, k)
+                if got is not None:
+                    copies = [o.vertices for o in got.occurrences]
+                    assert len(copies) == k and embeddings.issuperset(copies)
+                    assert _occ_sets_compatible(g, [frozenset(c) for c in copies])
                 solves += 1
                 yes += got is not None
     assert (solves, yes) == (400, 110)

@@ -83,6 +83,15 @@ def test_interval_model_rejections():
         IntervalModel([Interval(0, 0, 1), Interval(2, 2, 3)])
 
 
+def test_interval_model_refuses_non_integer_endpoints():
+    # real endpoints would be realized and solved, though coordinates are integers
+    with pytest.raises(InputError, match=r"interval 0: endpoints must be integers, got \(0.5,1\)"):
+        IntervalModel([Interval(0, 0.5, 1), Interval(1, 1, 2.5)])
+    with pytest.raises(InputError, match="interval 1: endpoints must be integers"):
+        IntervalModel([Interval(0, 0, 1), Interval(1, Fraction(1, 2), 2)])
+    assert len(IntervalModel([Interval(0, 0, 1), Interval(1, 1, 3)])) == 2
+
+
 def test_arc_model_rejections():
     with pytest.raises(InputError):
         ArcModel([Arc(0, 0, 0)], 8)

@@ -25,13 +25,17 @@ from igmatch.graphs import (
     line_graph,
     path_graph,
 )
-from igmatch.interval_solvers import (
-    solve_igm_long_proper_ca,
-    solve_igm_proper_ca_disconnected,
-    solve_igm_proper_interval,
-)
+from igmatch.interval_solvers import solve_igm_long_proper_ca, solve_igm_proper_interval
 from igmatch.kernel import kernelize
-from igmatch.models import Arc, ArcModel, FuzzyArcModel, Interval, IntervalModel, intersection_kind
+from igmatch.models import (
+    Arc,
+    ArcModel,
+    FuzzyArcModel,
+    Interval,
+    IntervalModel,
+    intersection_kind,
+    realize,
+)
 
 
 def test_every_export_resolves():
@@ -61,9 +65,8 @@ def test_the_public_surface_is_pinned():
         "graphs.Graph", "graphs.Matching", "graphs.Multigraph", "graphs.Occurrence",
         "graphs.Pattern", "graphs.WIS_CAP_DEFAULT", "graphs.brute_force_wis",
         "graphs.complete_graph", "graphs.cycle_graph", "graphs.disjoint_union",
-        "graphs.line_graph", "graphs.path_graph", "graphs.star_graph",
+        "graphs.find_igm", "graphs.line_graph", "graphs.path_graph", "graphs.star_graph",
         "interval_solvers.solve_igm_long_proper_ca",
-        "interval_solvers.solve_igm_proper_ca_disconnected",
         "interval_solvers.solve_igm_proper_interval",
         "kernel.WisInstance", "kernel.kernelize",
         "models.Arc", "models.ArcModel", "models.FuzzyArcModel", "models.Interval",
@@ -109,11 +112,11 @@ def test_the_settable_surface_is_pinned():
         "graphs.complete_graph": "n",
         "graphs.cycle_graph": "n",
         "graphs.disjoint_union": "a b",
+        "graphs.find_igm": "g h k",
         "graphs.line_graph": "m",
         "graphs.path_graph": "n",
         "graphs.star_graph": "leaves",
         "interval_solvers.solve_igm_long_proper_ca": "model h k",
-        "interval_solvers.solve_igm_proper_ca_disconnected": "model h k",
         "interval_solvers.solve_igm_proper_interval": "model h k",
         "kernel.WisInstance": "graph weights k_card k_weight tags cliques",
         "kernel.kernelize": "g h k ss=",
@@ -242,7 +245,7 @@ def test_solves_leave_no_cyclic_garbage():
         lambda: wis(lg, k3, 2),
         lambda: solve_igm_long_proper_ca(long_arcs, p3, 3),
         lambda: solve_igm_long_proper_ca(long_arcs, p3, 1),
-        lambda: solve_igm_proper_ca_disconnected(long_arcs, two_k2, 2),
+        lambda: find_igm(realize(long_arcs), two_k2, 2),
         lambda: solve_igm_fuzzy_ca(fuzzy, p3, 2),
     ]
     gc.collect()
@@ -259,10 +262,9 @@ def test_solves_leave_no_cyclic_garbage():
 
 
 def test_every_entry_rejects_a_k_that_is_not_an_integer():
-    # a float or a string k is refused at entry, not answered as if it were
-    # a count nor failed on deep inside a search
+    # a float, a bool or a string k is refused at entry, not answered as if
+    # it were a count nor failed on deep inside a search
     k2, p3 = Pattern.of(complete_graph(2)), Pattern.of(path_graph(3))
-    two_k2 = Pattern.of(disjoint_union(k2.graph, k2.graph))
     g = cycle_graph(12)
     intervals = IntervalModel([Interval(i, 2 * i, 2 * i + 3) for i in range(8)])
     long_arcs = ArcModel([Arc(i, 2 * i, (2 * i + 3) % 24) for i in range(12)], 24)
@@ -271,13 +273,29 @@ def test_every_entry_rejects_a_k_that_is_not_an_integer():
         lambda k: kernelize(g, k2, k),
         lambda k: solve_igm_proper_interval(intervals, p3, k),
         lambda k: solve_igm_long_proper_ca(long_arcs, p3, k),
-        lambda k: solve_igm_proper_ca_disconnected(long_arcs, two_k2, k),
         lambda k: solve_igm_fuzzy_ca(_fuzzy_touching_arcs(), k2, k),
         lambda k: solve_igm_small_alpha(cycle_graph(9), k2, k),
         lambda k: find_igm(g, k2, k),
     ]
     for entry in entries:
         assert entry(2) is not None
-        for k in (1.5, 2.0, "2"):
+        for k in (1.5, 2.0, "2", True, False):
             with pytest.raises(InputError, match="k must be a nonnegative integer"):
                 entry(k)
+
+
+def test_every_entry_that_refuses_a_disconnected_pattern_names_find_igm():
+    # the paper gives a disconnected pattern no algorithm of its own; the
+    # exact search over every occurrence answers it, so the refusal says where
+    two_k2 = Pattern.of(disjoint_union(complete_graph(2), complete_graph(2)))
+    intervals = IntervalModel([Interval(i, 2 * i, 2 * i + 3) for i in range(8)])
+    long_arcs = ArcModel([Arc(i, 2 * i, (2 * i + 3) % 24) for i in range(12)], 24)
+    entries = [
+        lambda: solve_igm_claw_free(cycle_graph(12), two_k2, 1),
+        lambda: solve_igm_proper_interval(intervals, two_k2, 1),
+        lambda: solve_igm_long_proper_ca(long_arcs, two_k2, 1),
+    ]
+    for entry in entries:
+        with pytest.raises(InputError, match="graphs.find_igm answers a disconnected one"):
+            entry()
+    assert find_igm(realize(long_arcs), two_k2, 2) is not None
