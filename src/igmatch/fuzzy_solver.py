@@ -10,16 +10,29 @@ compatible: connected occurrences cover their spans, so two incompatible
 occurrences can never be bridged by a third one whose rightmost endpoint
 lies strictly between theirs.
 
-The work splits into a per-solve table and a per-star sweep.  The table
+Before any star is tried, ``_most_compatible`` bounds the largest
+matching by sweeps at one cut point q, an odd point just past an arc end,
+so no arc ends there.  Arcs over q pairwise share more than a point, so at
+most one member of a matching has an arc over q.  The largest matching is
+then the larger of one chain sweep over the occurrences that avoid q, cut
+at q, and 1 plus the residual chain of each star over q, whose survivors
+avoid q already.  A k above that bound is refuted; otherwise every
+occurrence is tried as the star in index order, and the first whose chain
+reaches k answers, reusing the star sweeps the bound ran.  q is the point
+with the fewest occurrences over it (the classic cut argument of
+circular-arc independent set: Golumbic and Hammer, J. Algorithms 1988;
+Hsu and Tsai, IPL 1991).
+
+The work splits into a per-solve table and per-cut sweeps.  The table
 rests on one fact: the right end R of an occurrence, the end of its
-rightmost arc, does not depend on the star.  An occurrence that survives a
-star is connected (every edge joins intersecting arcs) and has no arc over
-the cut, and ``models.union_ends`` gives it the same rightmost arc in every
-such cut.  So the occurrences are sorted once by (R, index), and each
-star's left-to-right order is a rotation of that order: in doubled
+rightmost arc, does not depend on the cut.  An occurrence that a sweep
+visits is connected (every edge joins intersecting arcs) and has no arc
+over the cut, and ``models.union_ends`` gives it the same rightmost arc in
+every such cut.  So the occurrences are sorted once by (R, index), and each
+sweep's left-to-right order is a rotation of that order: in doubled
 coordinates R is even and the cut is odd, so no group of equal R straddles
 the cut (the argument needs only that the two differ).  An occurrence whose
-arcs cover the whole circle has no R, and never survives a star.  Which
+arcs cover the whole circle has no R, and no sweep visits it.  Which
 arcs lie over a point, for R and for the cut, is read from the model's one
 cover sweep, ``models.arc_cover``.
 """
@@ -60,7 +73,7 @@ class _ChainTable:
     compatible with position p (the complement of its conflict mask).
     ``through`` holds each arc's mask of the occurrences with a vertex on
     it, and ``over`` is the model's ``arc_cover``.  ``cut`` memoizes, per
-    cut point, what every star cut there shares.
+    cut point, what every sweep cut there shares.
     """
 
     __slots__ = ("occs", "order", "position", "ends", "free", "through",
@@ -92,23 +105,22 @@ class _ChainTable:
         self.over = over
         self._cuts = {}
 
-    def cut(self, star: int) -> tuple[int, int, int]:
-        """(cut point, rotation start, cover mask) of the cut strictly
-        inside the first arc of occurrence ``star``.
+    def cut(self, cutpos: int) -> tuple[int, int]:
+        """(rotation start, cover mask) of the cut at the odd point
+        ``cutpos``, which is no arc end.
 
-        The cut is the odd point just past the arc's start.  The rotation
-        starts at the first position whose R lies past the cut; the cover
-        mask holds the occurrences with an arc over the cut.
+        The rotation starts at the first position whose R lies past the
+        cut; the cover mask holds the occurrences with an arc over the cut.
         """
-        cutpos = 2 * self.arcs[self.occs[star].vertices[0]].s + 1
         memo = self._cuts.get(cutpos)
         if memo is None:
             arcs_over = self.over(cutpos)
             cover = 0
-            for v, through in enumerate(self.through):
-                if arcs_over >> v & 1:
-                    cover |= through
-            memo = (cutpos, bisect_right(self.ends, cutpos), cover)
+            while arcs_over:
+                low = arcs_over & -arcs_over
+                cover |= self.through[low.bit_length() - 1]
+                arcs_over ^= low
+            memo = (bisect_right(self.ends, cutpos), cover)
             self._cuts[cutpos] = memo
         return memo
 
@@ -127,31 +139,43 @@ def _residual_chain(table: _ChainTable, star: int, stop_at: int):
     left-to-right order, all compatible with each other and with the star.
     Returns as soon as the chain length reaches ``stop_at``.
 
-    The survivors are the occurrences compatible with the star.  None may
+    The survivors are the occurrences compatible with the star, and the cut
+    is the odd point just past the start of the star's first arc.  None may
     have an arc over the cut; one test of the survivors against the cut's
     cover mask is the check, for every surviving arc, that it does not wrap
-    the cut.  The sweep visits the survivors in rotated (R, index) order,
-    which is the (rightmost endpoint, index) order on the cut-open line.  An
+    the cut.  ``_chain`` then sweeps them.
+    """
+    at = table.position[star]
+    cutpos = 2 * table.arcs[table.occs[star].vertices[0]].s + 1
+    start, cover = table.cut(cutpos)
+    alive = table.free[at] & ~(1 << at)
+    if alive & cover:
+        raise table.wrap_error(alive & cover, cutpos)
+    return _chain(table, alive, start, stop_at)
+
+
+def _chain(table: _ChainTable, alive: int, start: int, stop_at: int):
+    """Best compatible chain among the positions of ``alive``, none of which
+    has an arc over the cut whose rotation begins at position ``start``.
+
+    Returns (length, chain) as ``_residual_chain`` does.  The sweep visits
+    the alive occurrences in rotated (R, index) order, which is the
+    (rightmost endpoint, index) order on the cut-open line.  An
     occurrence's value is one more than the best value among the compatible
     occurrences of earlier groups (a group holds the occurrences of one R).
-    ``levels[v - 1]`` holds the swept survivors of value v, so the best
+    ``levels[v - 1]`` holds the swept occurrences of value v, so the best
     compatible value is the largest v whose mask meets the occurrence's
     ``free`` mask: the same v as for masks of value at least v.  Two
     occurrences of one group are never compatible (two arcs that end at the
-    same point share more than that point, so they are adjacent), so a
-    survivor enters the masks as soon as it is swept.  The compatible
-    survivors of the best value are that mask's bits, and the first of them
-    in rotated order is the parent: the one a scan of the earlier groups in
-    order keeps when it replaces its best only on a strictly greater value.
-    The best chain ends at the first survivor of the largest value, as in
-    the same scan.
+    same point share more than that point, so they are adjacent), so an
+    occurrence enters the masks as soon as it is swept.  The compatible
+    occurrences of the best value are that mask's bits, and the first of
+    them in rotated order is the parent: the one a scan of the earlier
+    groups in order keeps when it replaces its best only on a strictly
+    greater value.  The best chain ends at the first occurrence of the
+    largest value, as in the same scan.
     """
-    at = table.position[star]
-    cutpos, start, cover = table.cut(star)
     free = table.free
-    alive = free[at] & ~(1 << at)
-    if alive & cover:
-        raise table.wrap_error(alive & cover, cutpos)
     n = len(free)
     head = (1 << start) - 1  # positions the rotation visits last
     rot = alive >> start | (alive & head) << (n - start)  # alive, rotated
@@ -187,12 +211,40 @@ def _residual_chain(table: _ChainTable, star: int, stop_at: int):
     return best, chain[::-1]
 
 
+def _most_compatible(table: _ChainTable, k: int, swept: dict) -> int:
+    """The largest induced matching among the occurrences, capped at k.
+
+    The cut point q is an odd point just past an arc end, so no arc ends
+    there, and it is the one with the fewest occurrences over it.  Arcs
+    over q pairwise share more than a point, so they are adjacent, and at
+    most one member of a matching has an arc over q.  A matching with none
+    is one ``_chain`` over the occurrences that avoid q, cut at q.  A
+    matching with one, s, is s plus a chain of s's survivors, which avoid q
+    as they avoid s's arcs: 1 + ``_residual_chain`` of s.  The sweeps stop
+    at k, and each star's (length, chain) is kept in ``swept`` under
+    ``stop_at`` k - 1, the witness loop's own.
+    """
+    q = min({2 * p + 1 for a in table.arcs for p in (a.s, a.t)},
+            key=lambda q: table.cut(q)[1].bit_count())
+    start, cover = table.cut(q)
+    best, _ = _chain(table, (1 << len(table.free)) - 1 & ~cover, start, k)
+    while cover and best < k:
+        low = cover & -cover
+        cover ^= low
+        star = table.order[low.bit_length() - 1]
+        swept[star] = _residual_chain(table, star, k - 1)
+        best = max(best, 1 + swept[star][0])
+    return best
+
+
 def solve_igm_fuzzy_ca(model: FuzzyArcModel, h: Pattern, k: int) -> Matching | None:
     """Induced H-matching of size k on a fuzzy circular-arc model, or None.
 
-    Every occurrence is tried as the committed one; the dynamic program
-    layers the rest left to right over the cut-open residual model.  Exact
-    for connected patterns.
+    For k >= 2, returns None when the largest matching, counted by
+    ``_most_compatible`` from the sweeps at one cut point, falls short of
+    k.  Otherwise every occurrence is tried as the committed one, in index
+    order; the dynamic program layers the rest left to right over the
+    cut-open residual model.  Exact for connected patterns.
     """
     if not h.is_connected:
         raise InputError("pattern must be connected for the fuzzy solver")
@@ -207,8 +259,11 @@ def solve_igm_fuzzy_ca(model: FuzzyArcModel, h: Pattern, k: int) -> Matching | N
     if k == 1:
         return revalidated(Matching((occs[0],)), g, h, "single occurrence")
     table = _ChainTable(model, g, occs)
+    swept: dict = {}
+    if _most_compatible(table, k, swept) < k:
+        return None
     for star in range(len(occs)):
-        length, chain = _residual_chain(table, star, stop_at=k - 1)
+        length, chain = swept.get(star) or _residual_chain(table, star, stop_at=k - 1)
         if 1 + length >= k:
             picked = [occs[star]] + [occs[i] for i in chain[: k - 1]]
             matching = Matching(tuple(sorted(picked, key=lambda o: o.vertices)))

@@ -48,7 +48,6 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-import operator
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -86,20 +85,21 @@ class Graph:
     __slots__ = ("n", "_adj", "_edges")
 
     def __init__(self, n: int, edges=()):
-        if not isinstance(n, int) or n < 0:
+        if type(n) is not int or n < 0:
             raise InputError(f"vertex count must be a nonnegative integer, got {n!r}")
         edges = list(edges)
         try:
             norm = [(u, v) if u < v else (v, u) for u, v in edges]
-            if len(set(norm)) < len(norm) or not all(0 <= u < v < n for u, v in norm):
+            if len(set(norm)) < len(norm) or not all(
+                    type(u) is type(v) is int and 0 <= u < v < n for u, v in norm):
                 raise ValueError
-            adj = [set() for _ in range(n)]
-            for u, v in norm:  # list indices: a non-integer endpoint fails here
-                adj[u].add(v)
-                adj[v].add(u)
         except (TypeError, ValueError):
             _raise_first_fault(n, edges)
             raise  # not reached: some edge is at fault
+        adj = [set() for _ in range(n)]
+        for u, v in norm:
+            adj[u].add(v)
+            adj[v].add(u)
         self.n = n
         self._adj = tuple(map(frozenset, adj))
         self._edges = tuple(sorted(norm))
@@ -185,9 +185,11 @@ class Graph:
 def _edge(e, n: int) -> tuple[int, int]:
     """Edge e as (min, max), or InputError unless it joins two distinct integers in 0..n-1."""
     try:
-        u, v = map(operator.index, e)
+        u, v = e
     except (TypeError, ValueError):
-        raise InputError(f"edge {e!r} is not a pair of integer vertices") from None
+        u = v = None
+    if not type(u) is type(v) is int:
+        raise InputError(f"edge {e!r} is not a pair of integer vertices")
     if not (0 <= u < n and 0 <= v < n):
         raise InputError(f"edge {e!r} out of range for n={n}")
     if u == v:
@@ -215,7 +217,7 @@ class Multigraph:
     __slots__ = ("n", "edges")
 
     def __init__(self, n: int, edges=()):
-        if not isinstance(n, int) or n < 0:
+        if type(n) is not int or n < 0:
             raise InputError(f"vertex count must be a nonnegative integer, got {n!r}")
         self.n = n
         self.edges = tuple(_edge(e, n) for e in edges)

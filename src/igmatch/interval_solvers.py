@@ -7,14 +7,21 @@ endpoint to its rightmost interval's right endpoint, and two occurrences can
 coexist in an induced matching exactly when those spans are disjoint.
 
 For long proper circular-arc hosts the solver enumerates the host's
-occurrences and sorts them into those classes once, in one table per host,
-then cuts the circle open at each containment-equivalence representative.
-A cut only counts: it walks the classes in the host's order of right ends,
-rotated to start past the cut point, skips the classes with an arc over the
-point, and runs the earliest-right-end greedy for disjoint intervals, the
-count the interval step makes with ``_packing`` (the classic cut-and-sweep
-of circular-arc independent set: Hsu and Tsai, IPL 1991; Golumbic and
-Hammer, J. Algorithms 1988).  Only the first cut whose count reaches k is
+occurrences and sorts them into those classes once, in one table per host.
+Each class has a union arc U, from its leftmost arc's start to its
+rightmost arc's end, and two classes coexist iff their U's are disjoint.
+At most one member of an induced matching lies over any point, so the
+largest matching is the largest set of pairwise disjoint U's on the
+circle, and some cut keeps all of it (the classic cut argument of
+circular-arc independent set: Golumbic and Hammer, J. Algorithms 1988;
+Hsu and Tsai, IPL 1991).  ``_circular_packing`` computes that size, capped
+at k, from one pointer table over the U's, and refutes k >= 2 above it
+before any cut is swept.  Only then is the circle cut open at each
+containment-equivalence representative in turn.  A cut only counts: it
+walks the classes in the host's order of right ends, rotated to start past
+the cut point, skips the classes with an arc over the point, and runs the
+earliest-right-end greedy for disjoint intervals, the count the interval
+step makes with ``_packing``.  Only the first cut whose count reaches k is
 built and solved by the interval step, which returns its witness.  The arcs
 over every representative come from the model's one cover sweep,
 ``models.arc_cover``.
@@ -194,6 +201,46 @@ def _arc_table(model: ArcModel, occs: list[Occurrence], over) -> _ArcTable:
     return _ArcTable(classes, sweep)
 
 
+def _circular_packing(table: _ArcTable, c2: int, k: int) -> int:
+    """The largest count any ``_cut_solve`` sweep reaches, capped at k: the
+    most pairwise disjoint union arcs U among the classes.
+
+    A cut keeps a class iff the cut point lies off its U, and two kept
+    classes coexist iff their U's are disjoint.  Two or more disjoint closed
+    U's leave a gap on the circle, and the gap holds a ``_dedup_points``
+    point with the same removed mask, so the best cut keeps every member of
+    a largest disjoint set; one U alone leaves such a point too.  The
+    largest disjoint set that holds class a is a plus the earliest-right-end
+    greedy over the U's inside the gap from a's end round to a's start.
+    With the U's unrolled twice onto a line in start order, each greedy
+    step follows ``after``: the U ending first among those that start past
+    the current U's end.  Building it costs O(m log m) for m classes, and
+    each of the m walks takes at most k steps.
+    """
+    line = sorted((s, s + (e - s) % c2) for e, s, _ in table.sweep)
+    line += [(l + c2, r + c2) for l, r in line]
+    m2 = len(line)
+    starts = [l for l, _ in line]
+    ends = [r for _, r in line]
+    soonest = list(range(m2))  # soonest[i]: the U of line[i:] that ends first
+    for i in range(m2 - 2, -1, -1):
+        if ends[soonest[i + 1]] < ends[i]:
+            soonest[i] = soonest[i + 1]
+    soonest.append(None)
+    after = [soonest[bisect_right(starts, r)] for r in ends]
+    best = 0
+    for i in range(m2 // 2):
+        gap_end = starts[i] + c2  # a U ending here would touch a's start
+        count, j = 1, i
+        while count < k and (j := after[j]) is not None and ends[j] < gap_end:
+            count += 1
+        if count > best:
+            best = count
+            if best >= k:
+                break
+    return best
+
+
 def _cut_solve(model: ArcModel, k: int, p2: int, removed: int, table: _ArcTable
                ) -> Matching | None:
     """Solve on the interval instance obtained by cutting the circle at p2,
@@ -242,11 +289,14 @@ def _cut_solve(model: ArcModel, k: int, p2: int, removed: int, table: _ArcTable
 def solve_igm_long_proper_ca(model: ArcModel, h: Pattern, k: int) -> Matching | None:
     """Induced H-matching of size k on a long proper circular-arc model.
 
-    Enumerates the host's occurrences and builds their class table once,
-    then cuts the circle at every containment-equivalence representative and
-    solves the proper interval instance on the classes the cut keeps; for
-    k = 1, if every cut fails (the only occurrences wrap the circle), falls
-    back to a direct occurrence search on the realized host.
+    Enumerates the host's occurrences and builds their class table once.
+    For k >= 2, returns None when the most pairwise disjoint class unions
+    on the circle (``_circular_packing``) fall short of k.  Otherwise cuts
+    the circle at every containment-equivalence representative and solves
+    the proper interval instance on the classes the cut keeps, answering
+    with the first cut that reaches k; for k = 1, if every cut fails (the
+    only occurrences wrap the circle), falls back to a direct occurrence
+    search on the realized host.
     """
     rep = validate_arc_model(model)
     if not (rep.proper and rep.long):
@@ -260,6 +310,8 @@ def solve_igm_long_proper_ca(model: ArcModel, h: Pattern, k: int) -> Matching | 
     g = realize(model)
     over = arc_cover(model)
     table = _arc_table(model, enumerate_occurrences(g, h), over)
+    if k >= 2 and _circular_packing(table, 2 * model.circumference, k) < k:
+        return None
     tries = (_cut_solve(model, k, p2, removed, table)
              for p2, removed in _dedup_points(model, over))
     best = next((found for found in tries if found is not None), None)

@@ -62,7 +62,7 @@ class Interval:
     r: int
 
     def __post_init__(self):
-        if not (isinstance(self.l, int) and isinstance(self.r, int)):
+        if not type(self.l) is type(self.r) is int:
             raise InputError(
                 f"interval {self.id}: endpoints must be integers, got ({self.l!r},{self.r!r})")
         if self.l >= self.r:
@@ -76,7 +76,7 @@ class IntervalModel:
 
     def __init__(self, items):
         items = sorted(items, key=lambda it: it.id)
-        if [it.id for it in items] != list(range(len(items))):
+        if [(type(it.id), it.id) for it in items] != [(int, i) for i in range(len(items))]:
             raise InputError("interval ids must be exactly 0..n-1")
         object.__setattr__(self, "items", tuple(items))
 
@@ -100,13 +100,13 @@ class ArcModel:
     __slots__ = ("arcs", "circumference")
 
     def __init__(self, arcs, circumference: int):
-        if not isinstance(circumference, int) or circumference <= 0:
+        if type(circumference) is not int or circumference <= 0:
             raise InputError(f"circumference must be a positive integer, got {circumference!r}")
         arcs = sorted(arcs, key=lambda a: a.id)
-        if [a.id for a in arcs] != list(range(len(arcs))):
+        if [(type(a.id), a.id) for a in arcs] != [(int, i) for i in range(len(arcs))]:
             raise InputError("arc ids must be exactly 0..n-1")
         for a in arcs:
-            if not (isinstance(a.s, int) and isinstance(a.t, int)
+            if not (type(a.s) is type(a.t) is int
                     and 0 <= a.s < circumference and 0 <= a.t < circumference):
                 raise InputError(
                     f"arc {a.id}: endpoints must be integers in [0,{circumference}), "
@@ -361,20 +361,39 @@ def validate_interval_model(model: IntervalModel) -> ModelReport:
 def validate_arc_model(model: ArcModel) -> ModelReport:
     """Flags of an arc model; long means no 2 or 3 arcs cover the circle.
 
+    Properness is read in start order.  Two arcs that share a start nest.
+    Otherwise, if some arc j lies inside an arc i, then some arc lies inside
+    the arc just before it in start order, by induction on the arcs that
+    start between i and j: i's next arc i1 starts on i, as j does; i1 lies
+    inside i, or it ends past i's end, and then j, which starts on i1 and
+    ends by i's end, lies inside i1 with fewer arcs between.  So the model
+    is proper iff no two arcs share a start and no arc lies inside the one
+    before it.
+
     Longness is decided by a greedy walk from every arc: from the walk's
     reach, the farthest-reaching arc through that point extends it (arcs are
     closed, so an arc that only touches the reach still joins).  Some 2 or 3
     arcs cover the circle iff some walk closes it within two extensions.
     Greedy is exact because no arc of a minimal cover contains another: the
     walk from a member of such a cover reaches at least as far as the
-    cover's own arcs after each step.
+    cover's own arcs after each step.  Each extension is one bisection: with
+    the arcs in start order unrolled twice onto a line, every arc through a
+    doubled point p + 2C, p in [0, 2C), starts in (p, p + 2C].  An arc that
+    starts by p + 2C without reaching it reaches less far than one through
+    it, and the walk's reach always lies on the arc that ends there, so the
+    farthest reach of the arcs starting by p + 2C is that of the arcs
+    through it.
     """
     c2 = 2 * model.circumference
-    spans = arc_spans(model)
+    spans = sorted(arc_spans(model))
+    line = spans + [(s + c2, l) for s, l in spans]
+    starts = [s for s, _ in line]
+    farthest = list(accumulate((s + l for s, l in line), max))  # by the arcs starting so far
 
     def extension(p2: int) -> int:
         # how far past p2, clockwise, the arcs through p2 reach
-        return max(l - off for s, l in spans if (off := (p2 - s) % c2) <= l)
+        p2 += c2
+        return farthest[bisect_right(starts, p2) - 1] - p2
 
     def closes(s: int, l: int) -> bool:
         reach = l
@@ -384,9 +403,10 @@ def validate_arc_model(model: ArcModel) -> ModelReport:
                 return True
         return False
 
-    # arc j lies inside arc i iff it starts on i and ends by i's end
-    proper = not any(i != j and (sj - si) % c2 + lj <= li
-                     for i, (si, li) in enumerate(spans) for j, (sj, lj) in enumerate(spans))
+    # the next arc b starts d past a, and lies inside a iff it ends by a's end
+    proper = len(spans) < 2 or all(
+        0 < (d := (sb - sa) % c2) and d + lb > la
+        for (sa, la), (sb, lb) in zip(spans, spans[1:] + spans[:1]))
     return ModelReport(proper=proper, long=not any(closes(s, l) for s, l in spans))
 
 

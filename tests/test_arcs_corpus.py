@@ -5,7 +5,8 @@ are rebuilt with ``perfbench/workloads.py``, which is imported and never
 changed, and every solver's answer must equal the one recorded in
 ``arcs_witnesses.json``, occurrence for occurrence.
 Two seed-301 long-arc solves also pin the work of a cut sweep: a no-instance
-that tries every cut, and a yes-instance that builds one cut model.
+refuted by the circular count before any cut, and a yes-instance that builds
+one cut model.
 
 The file was recorded before the arc solvers stopped re-enumerating
 occurrences per cut.  Rewrite it only for an intended witness change:
@@ -72,13 +73,13 @@ def _count_calls(monkeypatch, case, names):
 
 
 def test_long_arc_no_instance_builds_no_occurrence_per_cut(monkeypatch):
-    # the first long-arc P3 no-instance of seed 301 tries all 40 cuts; the
-    # per-cut renumbering built 4,138 occurrences, one per kept occurrence
-    # per cut, where the host's one class table builds none, and a cut whose
-    # greedy count stays below k builds no cut model either
+    # the first long-arc P3 no-instance of seed 301: the per-cut
+    # renumbering built 4,138 occurrences, one per kept occurrence per cut,
+    # where the host's one class table builds none; the table's circular
+    # count stays below k, so no cut is swept and no cut model is built
     case = next(c for c in _arcs_cases(301) if c.label == "long-arc-P3" and not c.expected)
     counts = _count_calls(monkeypatch, case, ("Occurrence", "_cut_solve", "cut_at_point"))
-    assert counts == {"Occurrence": 0, "_cut_solve": 80, "cut_at_point": 0}
+    assert counts == {"Occurrence": 0, "_cut_solve": 0, "cut_at_point": 0}
 
 
 def test_long_arc_yes_instance_builds_one_cut_model(monkeypatch):

@@ -199,6 +199,61 @@ def test_residual_chain_matches_the_reference_star_by_star():
     assert stars > 3000 and sizes == 30
 
 
+def _check_fuzzy_count(models, patterns, star_length):
+    # the count that refutes a no-instance before the star loop equals one
+    # plus the best star's chain, capped at k, and 0 with no occurrence; the
+    # star chains it keeps are the witness loop's own; on a small host it
+    # is the largest induced matching
+    checked = exhaustive = 0
+    for model in models:
+        g = realize(model)
+        for h in patterns:
+            occs = enumerate_occurrences(g, h)
+            _, conflict = _occurrence_masks(g, occs)
+            table = fuzzy_solver._ChainTable(model, g, occs)
+            best = max((1 + star_length(model, table, occs, conflict, star)
+                        for star in range(len(occs))), default=0)
+            for k in sorted({1, 2, best, best + 1}):
+                swept = {}
+                assert fuzzy_solver._most_compatible(table, k, swept) == min(best, k), \
+                    (model.arcs.arcs, h.graph.edges, k)
+                for star, found in swept.items():
+                    assert found == fuzzy_solver._residual_chain(table, star, k - 1)
+            if len(occs) <= 9:
+                assert best == max_igm_exhaustive(g, h.graph)
+                exhaustive += 1
+            checked += 1
+    return checked, exhaustive
+
+
+def _reference_length(model, table, occs, conflict, star):
+    return residual_chain_reference(model, occs, conflict, star, None)[0]
+
+
+def _solver_length(model, table, occs, conflict, star):
+    # the per-star sweep, pinned to the reference star by star above
+    return fuzzy_solver._residual_chain(table, star, len(occs))[0]
+
+
+def test_fuzzy_count_is_the_best_star():
+    gen = _bench_gen()
+    rng = random.Random(131)
+    models = [random_fuzzy_arc_model(rng, n, max(4, n // 2 + 2)) for n in range(2, 12)]
+    models += [gen.fuzzy_arc_model(random.Random(seed), 20, 12) for seed in (301, 302)]
+    assert _check_fuzzy_count(models, (K2, P3, P4), _reference_length) == (36, 20)
+    n40 = gen.fuzzy_arc_model(random.Random(301), 40, 24)
+    assert _check_fuzzy_count([n40], (K2,), _reference_length) == (1, 0)
+
+
+@pytest.mark.slow
+def test_fuzzy_count_is_the_best_star_on_large_models():
+    gen = _bench_gen()
+    n40 = gen.fuzzy_arc_model(random.Random(302), 40, 24)
+    assert _check_fuzzy_count([n40], (P3,), _reference_length) == (1, 0)
+    n80 = [gen.fuzzy_arc_model(random.Random(seed), 80, 40) for seed in (7, 301)]
+    assert _check_fuzzy_count(n80, (K2,), _solver_length) == (2, 0)
+
+
 def test_wrap_check_names_the_reference_arc():
     # with the star's conflicts dropped, survivors have arcs over the cut;
     # both programs blame the same arc of the same occurrence
@@ -223,8 +278,9 @@ def test_wrap_check_names_the_reference_arc():
 
 def test_fuzzy_no_instance_builds_one_table(monkeypatch):
     # 840 K2 occurrences, none of which reaches k: the table and the
-    # conflict masks are built once per solve, and each occurrence is the
-    # star of exactly one sweep
+    # conflict masks are built once per solve, and only the 143
+    # occurrences over the count's cut point, the fewest over any odd
+    # point past an arc end, are the star of a sweep
     model = _bench_gen().fuzzy_arc_model(random.Random(7), 80, 40)
     counts = dict.fromkeys(("_ChainTable", "_occurrence_masks", "_residual_chain"), 0)
     for name in counts:
@@ -234,7 +290,7 @@ def test_fuzzy_no_instance_builds_one_table(monkeypatch):
 
         monkeypatch.setattr(fuzzy_solver, name, counted)
     assert solve_igm_fuzzy_ca(model, K2, 1000) is None
-    assert counts == {"_ChainTable": 1, "_occurrence_masks": 1, "_residual_chain": 840}
+    assert counts == {"_ChainTable": 1, "_occurrence_masks": 1, "_residual_chain": 143}
 
 
 # ---------------------------------------------------------------------------

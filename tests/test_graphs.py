@@ -111,6 +111,21 @@ def test_graph_rejects_the_first_faulty_edge_in_input_order():
     assert g.edges == ((0, 1), (2, 3)) and g.neighbors(3) == {2}
 
 
+def test_graph_refuses_bools():
+    # a bool is an int to isinstance, and True would be stored as a vertex
+    with pytest.raises(InputError, match="vertex count must be a nonnegative integer, got True"):
+        Graph(True)
+    with pytest.raises(InputError, match=r"edge \(True, 2\) is not a pair of integer vertices"):
+        Graph(3, [(True, 2)])
+
+
+def test_multigraph_refuses_bools():
+    with pytest.raises(InputError, match="vertex count must be a nonnegative integer, got True"):
+        Multigraph(True)
+    with pytest.raises(InputError, match=r"edge \(0, False\) is not a pair of integer vertices"):
+        Multigraph(3, [(0, 1), (0, False)])
+
+
 def test_graphs_refuse_a_non_integer_vertex_count():
     for make in (Graph, Multigraph):
         for n in (2.5, "3", None):

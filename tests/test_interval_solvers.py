@@ -17,6 +17,7 @@ from igmatch.graphs import (
 )
 from igmatch.interval_solvers import (
     _arc_table,
+    _circular_packing,
     _cut_solve,
     _dedup_points,
     interval_wis,
@@ -370,6 +371,66 @@ def test_cut_count_matches_best_weight_at_every_cut(monkeypatch):
                 assert not built
                 cuts += 1
     assert cuts == 7731
+
+
+def _best_cut_count(model, table, points):
+    """The most kept classes with pairwise disjoint cut intervals, over every cut."""
+    best = 0
+    for p2, removed in points:
+        cut = cut_at_point(model, p2)
+        spans = dict(zip(cut.kept_ids, cut.intervals.items))
+        aux = [(spans[lm].l, spans[rm].r, 1)
+               for (lm, rm), (mask, _) in table.classes if not mask & removed]
+        best = max(best, _best_weight_reference(aux, range(len(aux))))
+    return best
+
+
+def _relabelled(rng, model):
+    ids = rng.sample(range(len(model.arcs)), len(model.arcs))
+    return ArcModel([Arc(ids[a.id], a.s, a.t) for a in model.arcs], model.circumference)
+
+
+def _check_circular_count(models, patterns):
+    # the count that refutes a no-instance before any cut is swept equals
+    # the best count of any cut, capped at k; on a small host it is the
+    # largest induced matching, or 1 where every occurrence wraps the circle
+    checked = exhaustive = 0
+    for model in models:
+        over = arc_cover(model)
+        g = realize(model)
+        points = _dedup_points(model, over)
+        for h in patterns:
+            occs = enumerate_occurrences(g, h)
+            table = _arc_table(model, occs, over)
+            best = _best_cut_count(model, table, points)
+            for k in sorted({1, 2, best, best + 1}):
+                assert _circular_packing(table, 2 * model.circumference, k) == min(best, k), \
+                    (model.arcs, h.graph.edges, k)
+            if len(occs) <= 9:
+                assert max(best, min(1, len(occs))) == max_igm_exhaustive(g, h.graph)
+                exhaustive += 1
+            checked += 1
+    return checked, exhaustive
+
+
+def test_circular_count_is_the_best_cut_count():
+    rng = random.Random(353)
+    small = [_relabelled(rng, random_long_proper_arc_model(rng, n, circ))
+             for n, circ in ((3, 12), (5, 20), (6, 30), (8, 40), (10, 60)) for _ in range(4)]
+    bench = [gen.long_proper_arc_model(random.Random(seed), 20) for seed in (301, 302, 303)]
+    sweep = itertools.islice(_sweep_models(), 0, None, 3)  # one seed per n
+    models = [*sweep, *small, *(_relabelled(rng, m) for m in bench)]
+    patterns = [Pattern.of(path_graph(2)), Pattern.of(path_graph(3)), Pattern.of(path_graph(4))]
+    assert _check_circular_count(models, patterns) == (144, 74)
+
+
+@pytest.mark.slow
+def test_circular_count_is_the_best_cut_count_on_large_models():
+    rng = random.Random(359)
+    models = [_relabelled(rng, gen.long_proper_arc_model(random.Random(seed), n))
+              for n, seed in ((80, 301), (80, 302), (400, 301))]
+    patterns = [Pattern.of(path_graph(2)), Pattern.of(path_graph(3)), Pattern.of(path_graph(4))]
+    assert _check_circular_count(models, patterns) == (9, 0)
 
 
 def test_cut_sweep_rejects_a_class_over_the_cut_point():

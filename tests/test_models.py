@@ -493,6 +493,63 @@ def _bench_gen():
     return gen
 
 
+def test_arc_report_matches_the_references_on_perturbed_bench_models():
+    # constructive long proper models, n = 6..24, with one arc moved, shrunk
+    # or stretched, so that shared starts, nested successors and covering
+    # pairs and triples all occur; properness is checked against every
+    # ordered pair and longness against every pair and triple
+    gen = _bench_gen()
+    rng = random.Random(2323)
+    seen = {"shared": 0, "proper": set(), "long": set()}
+    for trial in range(240):
+        n = 6 + trial % 19
+        model = gen.long_proper_arc_model(rng, n, length=rng.randint(2, min(15, n - 1)))
+        ends = [(a.s, a.t) for a in model.arcs]
+        c = model.circumference
+        i, j = rng.sample(range(n), 2)
+        s, t = ends[i]
+        how = trial % 4
+        if how == 0:  # i starts where j starts
+            s = ends[j][0]
+            t = (s + (t - ends[i][0]) % c) % c
+        elif how == 1:  # i shrinks to a point or two past its start
+            t = (s + rng.randint(1, 2)) % c
+        elif how == 2:  # i stretches to a third of the circle or more
+            t = (s + rng.randint(c // 3, c - 1)) % c
+        ends[i] = (s, t)
+        m = arcs(c, *ends)
+        rep = validate_arc_model(m)
+        assert rep == model_report_reference(m), (c, ends)
+        assert rep.long == long_by_pairs_and_triples(m), (c, ends)
+        seen["shared"] += len({e[0] for e in ends}) < n
+        seen["proper"].add(rep.proper)
+        seen["long"].add(rep.long)
+    assert seen == {"shared": 60, "proper": {False, True}, "long": {False, True}}
+
+
+def test_interval_refuses_bool_endpoints():
+    with pytest.raises(InputError, match=r"interval 0: endpoints must be integers, got \(False,True\)"):
+        Interval(0, False, True)
+    with pytest.raises(InputError, match="interval 0: endpoints must be integers"):
+        Interval(0, 0, True)
+
+
+def test_interval_model_refuses_bool_ids():
+    with pytest.raises(InputError, match="interval ids must be exactly 0..n-1"):
+        IntervalModel([Interval(False, 0, 1), Interval(True, 1, 2)])
+    assert len(IntervalModel([Interval(0, 0, 1), Interval(1, 1, 2)])) == 2
+
+
+def test_arc_model_refuses_bools():
+    # as ids, as endpoints, and as the circumference
+    with pytest.raises(InputError, match="arc ids must be exactly 0..n-1"):
+        ArcModel([Arc(True, 1, 2), Arc(0, 2, 3)], 8)
+    with pytest.raises(InputError, match=r"arc 0: endpoints must be integers in \[0,8\), got \(False,True\)"):
+        ArcModel([Arc(0, False, True), Arc(1, 2, 3)], 8)
+    with pytest.raises(InputError, match="circumference must be a positive integer, got True"):
+        ArcModel([], True)
+
+
 def test_model_passes_make_no_per_pair_calls(monkeypatch):
     # realize and validation read the span table; the single-pair helpers
     # stay the definitions the tests check against, and nothing else
