@@ -1187,11 +1187,13 @@ def solve_igm_claw_free(
 ) -> Matching | None:
     """Find k pairwise disjoint, pairwise non-adjacent induced copies of h.
 
-    A supplied ``ss`` (with optional per-strip ``certificates``) is
-    validated up front, so an invalid structure, a fuzzy model that does not
-    realize the strip interior it certifies, or an "alpha4" claim on a strip
-    interior with five independent vertices, raises on every host and every
-    k, whether or not the search would reach it.  A host given as a fuzzy
+    A supplied ``ss`` must be a strip structure of ``g`` whose strips are
+    spots or stripes; ``validate_strip_structure`` checks it up front, and
+    its optional per-strip ``certificates`` are checked with it, so an
+    invalid structure, a fuzzy model that does not realize the strip
+    interior it certifies, or an "alpha4" claim on a strip interior with
+    five independent vertices, raises on every host and every k, whether or
+    not the search would reach it.  A host given as a fuzzy
     circular-arc model goes to ``solve_igm_fuzzy_ca`` instead, the entry for
     that question.  Then the first rule that applies decides: k = 0 gives
     the empty matching, a host smaller than h gives None; a host with
@@ -1233,10 +1235,7 @@ def solve_igm_claw_free(
         raise InputError("random coloring mode needs a non-negative trial count")
     cert = None
     if ss is not None:
-        validate_strip_structure(g, ss).require_ok()
-        for eid, kind in ss.kinds.items():
-            if kind == "neither":
-                raise InputError(f"strip-edge {eid} is neither a spot nor a stripe")
+        validate_strip_structure(g, ss)
         cert = (ss, _checked_certificates(ss, certificates))
     elif certificates:
         raise InputError("certificates need an explicit strip-structure")

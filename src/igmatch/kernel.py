@@ -718,8 +718,9 @@ def kernelize(g: Graph, h: Pattern, k: int,
 
     The input is checked here, once, and the steps trust it: ``h`` must be
     complete, connected and of order at least two, ``k`` a nonnegative
-    integer, and a supplied ``ss`` a valid strip structure of ``g`` whose
-    strip-edges each have a member and are spots or stripes.
+    integer, and a supplied ``ss`` must pass ``validate_strip_structure``
+    (which also asks that every strip be a spot or a stripe) and have a
+    member on every strip-edge.
     """
     if not h.is_connected:
         raise InputError("kernelization needs a connected pattern")
@@ -732,14 +733,11 @@ def kernelize(g: Graph, h: Pattern, k: int,
     if type(k) is not int or k < 0:
         raise InputError("k must be a nonnegative integer")
     if ss is not None:
-        validate_strip_structure(g, ss).require_ok()
+        validate_strip_structure(g, ss)
         if any(not ms for _, ms in ss.edges):
             raise InputError(
                 "0-member strip-edges carry no boundary; peel their strips off first"
             )
-        for eid, kind in ss.kinds.items():
-            if kind == "neither":
-                raise InputError(f"strip-edge {eid!r} is neither a spot nor a stripe")
     with recording() as steps:
         br = bound_strip_graph(g, h, k, ss=ss)
     if br.status == "decided":

@@ -442,7 +442,7 @@ def cut_at_point(model: ArcModel, p2: int) -> CutResult:
     arc's length reaches round to it (l + length >= 2C), and a kept arc ends
     at l + length.
     """
-    if not isinstance(p2, int):
+    if type(p2) is not int:
         raise InputError(f"cut point {p2!r} must be an integer in doubled coordinates")
     c2 = 2 * model.circumference
     kept = []

@@ -16,18 +16,20 @@ Five gluing axioms make the decomposition faithful:
   5. every host edge lies inside one strip interior or inside one C(r).
 
 The StripStructure constructor only normalizes.  validate_strip_structure
-checks the ids, then the axioms one by one, and reports concrete
-counterexamples instead of raising; a caller that must reject an invalid
-structure calls require_ok on the report.  Two constructions are provided: the
-trivial structure (the whole host as a single boundary-less strip) and the
-line-graph structure (one single-vertex strip per pre-image edge).  Both are
-valid by construction (their docstrings say why), as are the structures the
-package derives from a valid one, so nothing re-checks them:
-validate_strip_structure is for structures a caller supplies.
+is the one gate for a structure a caller supplies: it checks the ids, the
+per-strip invariants, the axioms one by one, and last that every strip is a
+spot or a stripe, as the claw-free pipeline and the kernel both need; it
+raises InputError naming the first fault it meets.  Two constructions are
+provided: the trivial structure (the whole host as a single boundary-less
+strip) and the line-graph structure (one single-vertex strip per pre-image
+edge).  Both are valid by construction (their docstrings say why), as are
+the structures the package derives from a valid one, so nothing re-checks
+them.
 """
 
 import functools
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
+from itertools import combinations
 
 from .errors import InputError
 from .graphs import Graph, find_star, recognize_line_graph, star_free
@@ -36,8 +38,6 @@ from .graphs import Graph, find_star, recognize_line_graph, star_free
 __all__ = [
     "Strip",
     "StripStructure",
-    "AxiomCheck",
-    "StructureReport",
     "strip_image",
     "boundary_clique",
     "validate_strip_structure",
@@ -100,79 +100,48 @@ class StripStructure:
         return {eid: classify_strip(self.strips[eid]) for eid, _ in self.edges}
 
 
-@dataclass(frozen=True)
-class AxiomCheck:
-    name: str
-    ok: bool
-    failures: tuple = ()
-
-
-@dataclass(frozen=True)
-class StructureReport:
-    ids: AxiomCheck
-    strip_invariants: AxiomCheck
-    partition: AxiomCheck
-    claw_free: AxiomCheck
-    z_assignment: AxiomCheck
-    boundary_cliques: AxiomCheck
-    edge_cover: AxiomCheck
-
-    def all_checks(self) -> tuple:
-        return tuple(getattr(self, f.name) for f in fields(self))
-
-    @property
-    def ok(self) -> bool:
-        return all(c.ok for c in self.all_checks())
-
-    def require_ok(self) -> None:
-        """Raise InputError naming the first failed check and its first failure."""
-        if not self.ok:
-            bad = next(c for c in self.all_checks() if not c.ok)
-            detail = f": {bad.failures[0]}" if bad.failures else ""
-            raise InputError(f"invalid strip-structure ({bad.name}{detail})")
-
-
 # ---------------------------------------------------------------------------
 # per-strip checks
 
-def strip_invariant_failures(s: Strip, g: Graph) -> list:
-    """All violated strip invariants, as human-readable strings.
+def strip_invariant_failures(s: Strip, g: Graph):
+    """Yield every violated strip invariant, as a human-readable string.
 
     Past the strip's own invariants, checks that g_map is an injection into
-    the host g that carries J minus Z edge-exactly onto its image.
+    the host g that carries J minus Z edge-exactly onto its image.  A fault
+    that later invariants cannot be read past (a non-integer vertex id, a Z
+    vertex outside J, g_map keys that are not the interior, an image outside
+    the host) is the last one yielded.
     """
-    out = []
     j = s.graph
+    bad_ids = [x for x in (*s.z, *s.g_map, *s.g_map.values()) if type(x) is not int]
+    if bad_ids:
+        yield f"vertex ids must be integers, not {bad_ids[0]!r}"
+        return
     bad_z = sorted(z for z in s.z if not 0 <= z < j.n)
     if bad_z:
-        out.append(f"z vertices {bad_z} outside J")
-        return out
-    for a in sorted(s.z):
-        for b in sorted(s.z):
-            if a < b and j.has_edge(a, b):
-                out.append(f"Z not independent: {a} and {b} adjacent in J")
+        yield f"z vertices {bad_z} outside J"
+        return
+    for a, b in combinations(sorted(s.z), 2):
+        if j.has_edge(a, b):
+            yield f"Z not independent: {a} and {b} adjacent in J"
     interior = s.interior()
     if not interior:
-        out.append("strip has no interior vertices")
+        yield "strip has no interior vertices"
     for z in sorted(s.z):
         if not j.neighbors(z):
-            out.append(f"boundary of z={z} is empty")
-        nb = sorted(j.neighbors(z) - s.z)
-        for i, a in enumerate(nb):
-            for b in nb[i + 1:]:
-                if not j.has_edge(a, b):
-                    out.append(f"boundary of z={z} not a clique: {a},{b} non-adjacent")
+            yield f"boundary of z={z} is empty"
+        for a, b in combinations(sorted(j.neighbors(z) - s.z), 2):
+            if not j.has_edge(a, b):
+                yield f"boundary of z={z} not a clique: {a},{b} non-adjacent"
     if set(s.g_map) != set(interior):
-        out.append(
-            f"g_map keys {sorted(s.g_map)} differ from interior {sorted(interior)}"
-        )
-        return out
+        yield f"g_map keys {sorted(s.g_map)} differ from interior {sorted(interior)}"
+        return
     if len(set(s.g_map.values())) != len(s.g_map):
-        out.append("g_map is not injective")
+        yield "g_map is not injective"
     bad = sorted(v for v in s.g_map.values() if not 0 <= v < g.n)
     if bad:
-        out.append(f"g_map images {bad} outside the host")
-        return out
+        yield f"g_map images {bad} outside the host"
+        return
     # a pair can differ only where J or the host has an edge, so compare
     # neighbour sets, the host's pulled back through the inverse of g_map
     inv: dict = {}
@@ -183,11 +152,8 @@ def strip_invariant_failures(s: Strip, g: Graph) -> list:
         in_j = {b for b in j.neighbors(a) if b > a and b in s.g_map}
         in_g = {b for v in g.neighbors(s.g_map[a]) & image for b in inv[v] if b > a}
         for b in sorted(in_j ^ in_g):
-            out.append(
-                f"g_map not edge-preserving on J pair ({a},{b}) -> "
-                f"({s.g_map[a]},{s.g_map[b]})"
-            )
-    return out
+            yield (f"g_map not edge-preserving on J pair ({a},{b}) -> "
+                   f"({s.g_map[a]},{s.g_map[b]})")
 
 
 def classify_strip(s: Strip) -> str:
@@ -215,142 +181,107 @@ def strip_image(ss: StripStructure, eid) -> frozenset:
     return frozenset(ss.strips[eid].g_map.values())
 
 
-def edge_boundary(ss: StripStructure, eid, r) -> frozenset:
-    """Host image of the boundary the strip at eid presents to strip-vertex r."""
-    s = ss.strips[eid]
-    z = ss.z_assign[eid].get(r)
-    if z is None or not 0 <= z < s.graph.n or z not in s.z:
-        return frozenset()
-    return frozenset(s.g_map[j] for j in s.graph.neighbors(z) if j in s.g_map)
-
-
 def boundary_clique(ss: StripStructure, r) -> frozenset:
-    """C(r): the union of the boundaries facing r, over all edges at r."""
+    """C(r): the host images of the boundaries facing r, over all edges at r."""
     out = set()
     for eid, members in ss.edges:
         if r in members:
-            out |= edge_boundary(ss, eid, r)
+            s = ss.strips[eid]
+            out.update(s.g_map[j] for j in s.graph.neighbors(ss.z_assign[eid][r]))
     return frozenset(out)
 
 
 # ---------------------------------------------------------------------------
 # validation
 
-def _id_failures(ss: StripStructure) -> list:
-    """Malformed ids: the faults the axiom sections cannot index past."""
-    out = []
+def _invalid(check: str, fault: str) -> InputError:
+    return InputError(f"invalid strip-structure ({check}: {fault})")
+
+
+def validate_strip_structure(g: Graph, ss: StripStructure) -> None:
+    """Raise InputError naming the first fault of a structure a caller supplies.
+
+    The checks run in order, and each trusts the ones before it: the ids,
+    the per-strip invariants, the five gluing axioms, and last the rule that
+    every strip is a spot or a stripe, which both the pipeline and the
+    kernel need.  Within a check, edges, host vertices and host edges are
+    read in the structure's and the host's order.
+    """
     rs = set(ss.r_vertices)
     if len(rs) != len(ss.r_vertices):
-        out.append("duplicate strip-vertex ids")
+        raise _invalid("ids", "duplicate strip-vertex ids")
     seen = set()
     for eid, ms in ss.edges:
         if eid in seen:
-            out.append(f"duplicate strip-edge id {eid}")
+            raise _invalid("ids", f"duplicate strip-edge id {eid}")
         seen.add(eid)
         if len(ms) > 2 or len(set(ms)) != len(ms):
-            out.append(f"edge {eid}: members must be 0..2 distinct ids")
-        out += [f"edge {eid}: unknown strip-vertex {r}" for r in ms if r not in rs]
+            raise _invalid("ids", f"edge {eid}: members must be 0..2 distinct ids")
+        for r in ms:
+            if r not in rs:
+                raise _invalid("ids", f"edge {eid}: unknown strip-vertex {r}")
     if not seen:
-        out.append("a strip structure needs at least one edge")
+        raise _invalid("ids", "a strip structure needs at least one edge")
     if set(ss.strips) != seen or set(ss.z_assign) != seen:
-        out.append("strips and z_assign must be keyed by the edge ids")
-    return out
+        raise _invalid("ids", "strips and z_assign must be keyed by the edge ids")
 
-
-def validate_strip_structure(g: Graph, ss: StripStructure) -> StructureReport:
-    """Check the ids, then the five gluing axioms plus the per-strip invariants.
-
-    Purely diagnostic: every section reports pass/fail with concrete
-    counterexamples, nothing raises.  The axiom sections index ``strips`` and
-    ``z_assign`` by edge id, so malformed ids fail them all unchecked; past
-    the ids, one broken strip cannot crash the later sections.
-    """
-    def check(name, fails):
-        return AxiomCheck(name, not fails, tuple(fails))
-
-    names = ("strip invariants", "interiors partition the host", "strip graphs claw-free",
-             "one z per member", "C(r) cliques", "host edges covered")
-    ids = check("ids", _id_failures(ss))
-    if not ids.ok:
-        skipped = ["not checked: the ids are malformed"]
-        return StructureReport(ids, *(check(n, skipped) for n in names))
-
-    strip_fails = []
     for eid, _ in ss.edges:
-        for msg in strip_invariant_failures(ss.strips[eid], g):
-            strip_fails.append(f"strip {eid}: {msg}")
+        fault = next(strip_invariant_failures(ss.strips[eid], g), None)
+        if fault is not None:
+            raise _invalid("strip invariants", f"strip {eid}: {fault}")
 
     # axiom 1: interiors partition the host
-    part_fails = []
     owners = {}
     for eid, _ in ss.edges:
         for v in strip_image(ss, eid):
-            if not 0 <= v < g.n:
-                continue  # reported by the strip invariants
             owners.setdefault(v, []).append(eid)
     for v in range(g.n):
-        es = owners.get(v, [])
-        if not es:
-            part_fails.append(f"host vertex {v} lies in no strip")
-        elif len(es) > 1:
-            part_fails.append(f"host vertex {v} lies in strips {es}")
+        es = owners.get(v)
+        if es is None or len(es) > 1:
+            where = f"in strips {es}" if es else "in no strip"
+            raise _invalid("interiors partition the host", f"host vertex {v} lies {where}")
 
     # axiom 2: each J claw-free
-    claw_fails = []
     for eid, _ in ss.edges:
         w = find_star(ss.strips[eid].graph, 3)
         if w is not None:
-            claw_fails.append(
-                f"strip {eid}: claw at J center {w[0]} with legs {w[1:]}"
-            )
+            raise _invalid("strip graphs claw-free",
+                           f"strip {eid}: claw at J center {w[0]} with legs {w[1:]}")
 
     # axiom 3: z_assign is a bijection members <-> Z for every edge
-    z_fails = []
     for eid, members in ss.edges:
         s = ss.strips[eid]
         assign = ss.z_assign[eid]
         if set(assign) != set(members):
-            z_fails.append(
-                f"edge {eid}: z assigned for {sorted(assign)} "
-                f"but members are {list(members)}"
-            )
-            continue
+            raise _invalid("one z per member", f"edge {eid}: z assigned for {sorted(assign)} "
+                                               f"but members are {list(members)}")
         vals = [assign[r] for r in members]
         if len(set(vals)) != len(vals):
-            z_fails.append(f"edge {eid}: two members share one z")
-        missing = [z for z in vals if z not in s.z]
+            raise _invalid("one z per member", f"edge {eid}: two members share one z")
+        missing = [z for z in vals if type(z) is not int or z not in s.z]
         if missing:
-            z_fails.append(f"edge {eid}: assigned vertices {missing} not in Z")
-        elif len(s.z) != len(members):
-            z_fails.append(
-                f"edge {eid}: |Z| = {len(s.z)} but edge has {len(members)} members"
-            )
+            raise _invalid("one z per member", f"edge {eid}: assigned vertices {missing} not in Z")
+        if len(s.z) != len(members):
+            raise _invalid("one z per member", f"edge {eid}: |Z| = {len(s.z)} but edge has "
+                                               f"{len(members)} members")
 
     # axiom 4: every C(r) induces a clique
-    clique_fails = []
-    cliques = {r: sorted(boundary_clique(ss, r)) for r in ss.r_vertices}
-    for r in ss.r_vertices:
-        cl = cliques[r]
-        for i, u in enumerate(cl):
-            for v in cl[i + 1:]:
-                if not g.has_edge(u, v):
-                    clique_fails.append(
-                        f"C({r}) is not a clique: {u} and {v} non-adjacent"
-                    )
+    cliques = {r: boundary_clique(ss, r) for r in ss.r_vertices}
+    for r, cl in cliques.items():
+        for u, v in combinations(sorted(cl), 2):
+            if not g.has_edge(u, v):
+                raise _invalid("C(r) cliques", f"C({r}) is not a clique: {u} and {v} non-adjacent")
 
     # axiom 5: every host edge inside a strip or inside a C(r)
-    cover_fails = []
-    images = {eid: strip_image(ss, eid) for eid, _ in ss.edges}
-    clique_sets = {r: set(cl) for r, cl in cliques.items()}
+    pieces = [strip_image(ss, eid) for eid, _ in ss.edges] + list(cliques.values())
     for u, v in g.edges:
-        if any(u in img and v in img for img in images.values()):
-            continue
-        if any(u in cl and v in cl for cl in clique_sets.values()):
-            continue
-        cover_fails.append(f"edge ({u},{v}) lies in no strip and no C(r)")
+        if not any(u in p and v in p for p in pieces):
+            raise _invalid("host edges covered", f"edge ({u},{v}) lies in no strip and no C(r)")
 
-    fails = (strip_fails, part_fails, claw_fails, z_fails, clique_fails, cover_fails)
-    return StructureReport(ids, *map(check, names, fails))
+    # last: every strip a spot or a stripe
+    for eid, kind in ss.kinds.items():
+        if kind == "neither":
+            raise _invalid("spots and stripes", f"strip-edge {eid} is neither a spot nor a stripe")
 
 
 # ---------------------------------------------------------------------------

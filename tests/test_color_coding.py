@@ -488,7 +488,7 @@ def blank_drawn(f, ss, base):
 
 def test_blank_hand_trace_on_two_stripes():
     g, ss = two_stripe_p4()
-    assert validate_strip_structure(g, ss).ok
+    validate_strip_structure(g, ss)
     out = blank_reference(natural_p4_coloring(), ss, p4_base())
     assert out is not None
     f2, surj = out
@@ -832,7 +832,7 @@ def test_driver_deterministic(k2):
 
 def test_driver_hand_structure_on_a_cycle(k2, k3):
     g, ss = c11_two_stripes()
-    assert validate_strip_structure(g, ss).ok
+    validate_strip_structure(g, ss)
     for h, k in ((k2, 1), (k2, 2), (k3, 1)):
         want = find_igm(g, h, k)
         got = solve_igm_claw_free(g, h, k, ss=ss)

@@ -425,7 +425,7 @@ def test_the_loop_thins_a_pair_of_stripes_to_the_stock(k2):
     ]
     for stripes, spots, kept in cases:
         g, ss = parallel_stripes_host([(stripes, spots), (4, 0)])
-        assert validate_strip_structure(g, ss).ok
+        validate_strip_structure(g, ss)
         with recording() as notes:
             br = bound_strip_graph(g, k2, 10, ss=ss)
         assert notes[0] == "reduction step thinned the strips between 0 and 1"
@@ -438,7 +438,7 @@ def test_the_loop_thins_a_pair_of_stripes_to_the_stock(k2):
         # a deleted stripe takes its three vertices from the host, a spot one
         gone = [eid for eid in range(stripes + spots) if eid not in kept]
         assert g.n - br.graph.n == sum(3 if eid < stripes else 1 for eid in gone)
-        assert validate_strip_structure(br.graph, br.ss).ok
+        validate_strip_structure(br.graph, br.ss)
 
 
 def test_reduction_requires_an_overloaded_pair(k2):
@@ -454,13 +454,20 @@ def test_reduction_requires_an_overloaded_pair(k2):
 # ---------------------------------------------------------------------------
 # the bounding loop
 
+# what kernelize raises for the two-stripe P4 structure on the 4-cycle,
+# whose closing edge lies in no strip and no C(r)
+P4_ON_C4 = ("invalid strip-structure (host edges covered: "
+            "edge (0,3) lies in no strip and no C(r))")
+
+
 def test_bound_validates_its_arguments(k2):
     # kernelize checks what the bounding loop receives, once, before it runs
     g, ss = two_stripe_p4()
     with pytest.raises(InputError):
         kernelize(g, k2, -1)
-    with pytest.raises(InputError):
+    with pytest.raises(InputError) as exc:
         kernelize(cycle_graph(4), k2, 2, ss=ss)
+    assert str(exc.value) == P4_ON_C4
 
 
 def test_bound_decides_target_zero(k2):
@@ -626,7 +633,7 @@ def test_bound_falls_back_to_the_latest_valid_structure(k3):
     # graph, so the loop returns the latest state with a valid structure,
     # here the supplied one on the unpruned host, and kernelize encodes it
     g, ss = wheel_stripes_host()
-    assert validate_strip_structure(g, ss).ok
+    validate_strip_structure(g, ss)
     assert derive_strip_structure(g) is None
     answers = []
     for k in (2, 3, 4):
@@ -835,23 +842,28 @@ def test_build_rejects_boundaryless_strip_edges(k2):
         strips={0: Strip(graph=complete_graph(2), z=frozenset(), g_map={0: 0, 1: 1})},
         z_assign={0: {}},
     )
-    with pytest.raises(InputError):
+    with pytest.raises(InputError) as exc:
         kernelize(complete_graph(2), k2, 2, ss=ss)
+    assert str(exc.value) == "0-member strip-edges carry no boundary; peel their strips off first"
 
 
 def test_build_rejects_invalid_structures(k2):
     # kernelize validates a supplied structure, so the encoding can trust it
     g, ss = two_stripe_p4()
-    with pytest.raises(InputError):
+    with pytest.raises(InputError) as exc:
         kernelize(cycle_graph(4), k2, 2, ss=ss)
-    # a valid structure whose one strip is neither a spot nor a stripe: its
-    # vertex 1 sees both z's, and vertex 3 keeps it from being a spot
+    assert str(exc.value) == P4_ON_C4
+    # a structure that meets the gluing axioms, but whose one strip is
+    # neither a spot nor a stripe: its vertex 1 sees both z's, and vertex 3
+    # keeps it from being a spot.  The validator's last check refuses it.
     jg = Graph(4, [(0, 1), (1, 2), (1, 3), (0, 3)])
     odd = StripStructure((0, 1), ((0, (0, 1)),), {0: Strip(jg, frozenset({0, 2}), {1: 0, 3: 1})},
                          {0: {0: 0, 1: 2}})
-    assert validate_strip_structure(complete_graph(2), odd).ok
-    with pytest.raises(InputError, match="neither"):
-        kernelize(complete_graph(2), k2, 2, ss=odd)
+    for entry in (validate_strip_structure, lambda g, ss: kernelize(g, k2, 2, ss=ss)):
+        with pytest.raises(InputError) as exc:
+            entry(complete_graph(2), odd)
+        assert str(exc.value) == ("invalid strip-structure (spots and stripes: "
+                                  "strip-edge 0 is neither a spot nor a stripe)")
 
 
 def test_two_far_claims_on_one_clique_conflict(k2):
@@ -877,7 +889,7 @@ def test_build_matches_the_matching_oracle_on_hand_fixtures(k2, k3):
     g, ss = five_spot_triangle()
     cases += [(g, ss, hp, 2) for hp in (k2, k3)]
     for g, ss, hp, k in cases:
-        assert validate_strip_structure(g, ss).ok
+        validate_strip_structure(g, ss)
         inst = build_wis_instance(ss, hp, k)
         assert wis_answer(inst) == igm_exhaustive(g, hp.graph, k), (hp.h, k)
 

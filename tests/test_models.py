@@ -550,6 +550,13 @@ def test_arc_model_refuses_bools():
         ArcModel([], True)
 
 
+def test_cut_at_point_refuses_a_bool_point():
+    model = ArcModel([Arc(0, 0, 3), Arc(1, 2, 5)], 8)
+    with pytest.raises(InputError, match="cut point True must be an integer"):
+        cut_at_point(model, True)
+    assert cut_at_point(model, 1).kept_ids == (1,)
+
+
 def test_model_passes_make_no_per_pair_calls(monkeypatch):
     # realize and validation read the span table; the single-pair helpers
     # stay the definitions the tests check against, and nothing else

@@ -116,34 +116,46 @@ def fig_structure() -> StripStructure:
 # ---------------------------------------------------------------------------
 # structure construction
 
+K2 = Pattern.of(complete_graph(2))
+
+
+def assert_rejected(g: Graph, ss: StripStructure, message: str) -> None:
+    """The validator and both entries that take a structure raise InputError
+    with exactly ``message``; the claw-free entry refuses a host with a claw
+    before it reads the structure, so it is asked only on claw-free hosts."""
+    entries = [lambda: validate_strip_structure(g, ss), lambda: kernelize(g, K2, 1, ss=ss)]
+    if star_free(g, 3):
+        entries.append(lambda: solve_igm_claw_free(g, K2, 1, ss=ss))
+    for entry in entries:
+        with pytest.raises(InputError) as exc:
+            entry()
+        assert str(exc.value) == message
+
+
 _ONE_SPOT = dict(r_vertices=(0, 1), edges=((0, (0, 1)),), strips={0: spot(0)},
                  z_assign={0: {0: 1, 1: 2}})
 
 
+# the last two ids keep the short names these cases have always had
 @pytest.mark.parametrize("change, message", [
     ({"r_vertices": (0, 1, 1)}, "duplicate strip-vertex ids"),
     ({"edges": ((0, (0, 1)), (0, (1,)))}, "duplicate strip-edge id 0"),
     ({"edges": ((0, (1, 1)),)}, "edge 0: members must be 0..2 distinct ids"),
     ({"edges": ((0, (0, 2)),)}, "edge 0: unknown strip-vertex 2"),
-    ({"edges": ()}, "at least one edge"),
-    ({"z_assign": {1: {0: 1, 1: 2}}}, "keyed by the edge ids"),
+    pytest.param({"edges": ()}, "a strip structure needs at least one edge",
+                 id="change4-at least one edge"),
+    pytest.param({"z_assign": {1: {0: 1, 1: 2}}},
+                 "strips and z_assign must be keyed by the edge ids",
+                 id="change5-keyed by the edge ids"),
 ])
-def test_structure_construction_rejects_malformed_fields(change, message, k2):
+def test_structure_construction_rejects_malformed_fields(change, message):
     """The constructor only normalizes; a structure built with malformed ids
-    fails the ids section of ``validate_strip_structure``, whose axiom
-    sections are then skipped, and both entries that take a structure reject
-    it naming the fault."""
+    fails the ids check of ``validate_strip_structure``, and both entries
+    that take a structure reject it with the same message."""
     g = Graph(1)
-    assert validate_strip_structure(g, StripStructure(**_ONE_SPOT)).ok
+    validate_strip_structure(g, StripStructure(**_ONE_SPOT))
     ss = StripStructure(**{**_ONE_SPOT, **change})
-    report = validate_strip_structure(g, ss)
-    assert not report.ids.ok and message in report.ids.failures[0]
-    assert [c.failures for c in report.all_checks()[1:]] == [
-        ("not checked: the ids are malformed",)] * 6
-    for entry in (report.require_ok, lambda: solve_igm_claw_free(g, k2, 1, ss=ss),
-                  lambda: kernelize(g, k2, 1, ss=ss)):
-        with pytest.raises(InputError, match=f"ids: .*{message}"):
-            entry()
+    assert_rejected(g, ss, f"invalid strip-structure (ids: {message})")
 
 
 # ---------------------------------------------------------------------------
@@ -154,8 +166,7 @@ def test_trivial_structure_validates():
         ss = trivial_strip_structure(g)
         assert len(ss.edges) == 1 and ss.edges[0][1] == ()
         assert ss.r_vertices == ()
-        report = validate_strip_structure(g, ss)
-        assert report.ok
+        validate_strip_structure(g, ss)
         assert classify_strip(ss.strips[0]) == "stripe"
 
 
@@ -174,18 +185,16 @@ def test_trivial_structure_random_claw_free_hosts():
         if not star_free(g, 3):
             continue
         hits += 1
-        assert validate_strip_structure(g, trivial_strip_structure(g)).ok
+        validate_strip_structure(g, trivial_strip_structure(g))
     assert hits >= 25
 
 
 def test_trivial_structure_on_barbell(barbell_bridge):
-    assert validate_strip_structure(
-        barbell_bridge, trivial_strip_structure(barbell_bridge)
-    ).ok
+    validate_strip_structure(barbell_bridge, trivial_strip_structure(barbell_bridge))
 
 
 # ---------------------------------------------------------------------------
-# per-axiom diagnostics
+# per-axiom faults: the first fault of the first failing check is raised
 
 def test_partition_failure_names_missing_vertex():
     host = path_graph(3)
@@ -195,10 +204,8 @@ def test_partition_failure_names_missing_vertex():
         strips={0: Strip(graph=Graph(2, [(0, 1)]), z=frozenset(), g_map={0: 0, 1: 1})},
         z_assign={0: {}},
     )
-    report = validate_strip_structure(host, ss)
-    assert not report.ok
-    assert not report.partition.ok
-    assert any("vertex 2" in f for f in report.partition.failures)
+    assert_rejected(host, ss, "invalid strip-structure (interiors partition the host: "
+                              "host vertex 2 lies in no strip)")
 
 
 def test_partition_failure_names_double_cover():
@@ -211,9 +218,8 @@ def test_partition_failure_names_double_cover():
         strips={0: one, 1: dup},
         z_assign={0: {}, 1: {}},
     )
-    report = validate_strip_structure(g, ss)
-    assert not report.partition.ok
-    assert any("vertex 0" in f and "[0, 1]" in f for f in report.partition.failures)
+    assert_rejected(g, ss, "invalid strip-structure (interiors partition the host: "
+                           "host vertex 0 lies in strips [0, 1])")
 
 
 def test_claw_inside_strip_is_caught():
@@ -224,10 +230,8 @@ def test_claw_inside_strip_is_caught():
         strips={0: Strip(graph=claw, z=frozenset(), g_map={v: v for v in range(4)})},
         z_assign={0: {}},
     )
-    report = validate_strip_structure(claw, ss)
-    assert not report.claw_free.ok
-    assert "claw" in report.claw_free.failures[0]
-    assert report.partition.ok and report.edge_cover.ok
+    assert_rejected(claw, ss, "invalid strip-structure (strip graphs claw-free: "
+                              "strip 0: claw at J center 0 with legs (1, 2, 3))")
 
 
 def test_missing_z_assignment_is_caught():
@@ -238,26 +242,28 @@ def test_missing_z_assignment_is_caught():
         strips={0: Strip(graph=Graph(2, [(0, 1)]), z=frozenset({1}), g_map={0: 0})},
         z_assign={0: {}},
     )
-    report = validate_strip_structure(g, ss)
-    assert not report.z_assignment.ok
-    assert report.boundary_cliques.ok and report.partition.ok
+    assert_rejected(g, ss, "invalid strip-structure (one z per member: "
+                           "edge 0: z assigned for [] but members are [7])")
 
 
-def test_boundary_clique_violation_is_caught():
-    host = path_graph(3)
+def _two_boundaries_at(r: int, z_assign: dict) -> StripStructure:
+    # host vertex 0 faces r alone; the path 1-2 faces it through vertex 2
     left = Strip(graph=Graph(2, [(0, 1)]), z=frozenset({1}), g_map={0: 0})
     right = Strip(
         graph=Graph(3, [(0, 1), (2, 0)]), z=frozenset({2}), g_map={0: 2, 1: 1}
     )
-    ss = StripStructure(
-        r_vertices=(5,),
-        edges=((0, (5,)), (1, (5,))),
+    return StripStructure(
+        r_vertices=(r,),
+        edges=((0, (r,)), (1, (r,))),
         strips={0: left, 1: right},
-        z_assign={0: {5: 1}, 1: {5: 2}},
+        z_assign=z_assign,
     )
-    report = validate_strip_structure(host, ss)
-    assert not report.boundary_cliques.ok
-    assert any("0 and 2 non-adjacent" in f for f in report.boundary_cliques.failures)
+
+
+def test_boundary_clique_violation_is_caught():
+    ss = _two_boundaries_at(5, {0: {5: 1}, 1: {5: 2}})
+    assert_rejected(path_graph(3), ss, "invalid strip-structure (C(r) cliques: "
+                                       "C(5) is not a clique: 0 and 2 non-adjacent)")
 
 
 def test_uncovered_edge_is_caught():
@@ -270,10 +276,40 @@ def test_uncovered_edge_is_caught():
         strips={0: a, 1: b},
         z_assign={0: {}, 1: {}},
     )
-    report = validate_strip_structure(host, ss)
-    assert not report.edge_cover.ok
-    assert "(0,1)" in report.edge_cover.failures[0]
-    assert report.partition.ok and report.boundary_cliques.ok
+    assert_rejected(host, ss, "invalid strip-structure (host edges covered: "
+                              "edge (0,1) lies in no strip and no C(r))")
+
+
+def test_the_earlier_check_is_raised_when_two_fail():
+    """Edge 0 has no z for its member, and host edge (0,1) lies in no strip
+    and no C(5): the z-assignment fault is raised, before C(5) is read."""
+    ss = _two_boundaries_at(5, {0: {}, 1: {5: 2}})
+    assert_rejected(path_graph(3), ss, "invalid strip-structure (one z per member: "
+                                       "edge 0: z assigned for [] but members are [5])")
+
+
+@pytest.mark.parametrize("strip, fault", [
+    (Strip(Graph(2), frozenset(), {0: 0.0, 1: 1.0}),
+     "strip invariants: strip 0: vertex ids must be integers, not 0.0"),
+    (Strip(Graph(2), frozenset(), {0: "0", 1: 1}),
+     "strip invariants: strip 0: vertex ids must be integers, not '0'"),
+    (Strip(Graph(2), frozenset(), {False: True, True: False}),
+     "strip invariants: strip 0: vertex ids must be integers, not False"),
+])
+def test_non_integer_vertex_ids_are_rejected(strip, fault):
+    ss = StripStructure(r_vertices=(), edges=((0, ()),), strips={0: strip}, z_assign={0: {}})
+    assert_rejected(Graph(2), ss, f"invalid strip-structure ({fault})")
+
+
+@pytest.mark.parametrize("z, z_for_r, fault", [
+    (1.0, 1, "strip invariants: strip 0: vertex ids must be integers, not 1.0"),
+    (1, 1.0, "one z per member: edge 0: assigned vertices [1.0] not in Z"),
+])
+def test_non_integer_z_ids_are_rejected(z, z_for_r, fault):
+    strip = Strip(Graph(2, [(0, 1)]), frozenset({z}), {0: 0})
+    ss = StripStructure(r_vertices=(7,), edges=((0, (7,)),), strips={0: strip},
+                        z_assign={0: {7: z_for_r}})
+    assert_rejected(Graph(1), ss, f"invalid strip-structure ({fault})")
 
 
 def test_empty_hyperedge_warning_when_mixed():
@@ -289,15 +325,14 @@ def test_empty_hyperedge_warning_when_mixed():
         },
         z_assign={0: {}, 1: {9: 1}},
     )
-    report = validate_strip_structure(g, ss)
-    assert report.ok
+    validate_strip_structure(g, ss)
 
 
 def test_strip_invariant_failures_direct():
     # each strip is checked against a host its g_map carries faithfully, so
     # only the strip's own fault is reported
     bad_z = Strip(graph=Graph(2, [(0, 1)]), z=frozenset({0, 1}), g_map={})
-    msgs = strip_invariant_failures(bad_z, Graph(0))
+    msgs = list(strip_invariant_failures(bad_z, Graph(0)))
     assert any("not independent" in m for m in msgs)
     assert any("no interior" in m for m in msgs)
 
@@ -315,7 +350,7 @@ def test_strip_invariant_failures_direct():
 
     twisted = Strip(graph=Graph(2, [(0, 1)]), z=frozenset(), g_map={0: 0, 1: 2})
     assert any("edge-preserving" in m for m in strip_invariant_failures(twisted, path_graph(3)))
-    assert strip_invariant_failures(twisted, Graph(3, [(0, 2)])) == []
+    assert list(strip_invariant_failures(twisted, Graph(3, [(0, 2)]))) == []
 
 
 # ---------------------------------------------------------------------------
@@ -378,9 +413,7 @@ def test_fig_host_is_claw_free():
 
 
 def test_fig_structure_validates():
-    report = validate_strip_structure(fig_host(), fig_structure())
-    for check in report.all_checks():
-        assert check.ok, (check.name, check.failures)
+    validate_strip_structure(fig_host(), fig_structure())
 
 
 def test_fig_strip_classification():
@@ -457,7 +490,7 @@ def test_line_graph_structure_of_path():
     assert sizes == [1, 2, 1]
     assert classify_strip(ss.strips[1]) == "spot"
     assert classify_strip(ss.strips[0]) == "stripe"
-    assert validate_strip_structure(p3, ss).ok
+    validate_strip_structure(p3, ss)
     assert all(classify_strip(s) in ("spot", "stripe") for s in ss.strips.values())
 
 
@@ -468,7 +501,7 @@ def test_line_graph_structure_of_triangle():
     assert len(ss.r_vertices) == 3
     assert sorted(ms for _, ms in ss.edges) == [(0, 1), (0, 2), (1, 2)]
     assert all(classify_strip(s) == "spot" for s in ss.strips.values())
-    assert validate_strip_structure(k3, ss).ok
+    validate_strip_structure(k3, ss)
 
 
 def test_line_graph_structure_absent_for_star():
@@ -481,7 +514,7 @@ def test_line_graph_structure_random_sweep():
         g, _pre = random_line_graph(rng, max_edges=8)
         ss = line_graph_strip_structure(g)
         assert ss is not None
-        assert validate_strip_structure(g, ss).ok
+        validate_strip_structure(g, ss)
         assert all(classify_strip(s) in ("spot", "stripe") for s in ss.strips.values())
         images = [strip_image(ss, eid) for eid, _ in ss.edges]
         assert sorted(v for img in images for v in img) == list(range(g.n))
@@ -514,8 +547,8 @@ def test_conformance_rejects_three_boundary_stripe():
         strips={0: s},
         z_assign={0: {0: 3, 1: 4}},
     )
-    with pytest.raises(InputError, match="3 but edge has 2 members"):
-        solve_igm_claw_free(complete_graph(3), K1, 1, ss=ss)
+    assert_rejected(complete_graph(3), ss, "invalid strip-structure (one z per member: "
+                                           "edge 0: |Z| = 3 but edge has 2 members)")
 
 
 def test_conformance_rejects_large_alpha_under_an_alpha4_claim():
