@@ -85,7 +85,7 @@ class _ChainTable:
         c2 = 2 * model.arcs.circumference
         # R is the rightmost arc's end; c2, past every R, when there is none
         ends = [c2 if lr is None else 2 * arcs[lr[1]].t
-                for lr in union_ends(model.arcs, occs, over)]
+                for _, lr in union_ends(model.arcs, [o.vertices for o in occs], over)]
         order = sorted(range(len(occs)), key=ends.__getitem__)  # stable: (R, index)
         position = [0] * len(occs)
         through = [0] * len(arcs)

@@ -15,9 +15,10 @@ pattern.  ``brute_force_mis`` asks the one independent-set search,
 One depth-first search over the pattern's vertices, drawing each image from
 the host's adjacency masks and a domain mask per step, serves enumeration
 (twin pattern vertices mapped in increasing order, so each occurrence is
-reached directly; see ``enumerate_occurrences``), the first occurrence
-(``find_occurrence``) and the claw-free solver's token placements
-(``induced_maps``).
+reached directly; see ``enumerate_occurrences``), the bare maps that the
+interval and long-arc solvers sort into span classes (``occurrence_maps``),
+the first occurrence (``find_occurrence``) and the claw-free solver's token
+placements (``induced_maps``).
 
 The searches read adjacency as integer bitmasks (``_neighbor_masks``: bit w
 of ``nbr[v]`` is set iff vw is an edge), built per call and never stored on
@@ -512,7 +513,7 @@ def enumerate_occurrences(g: Graph, h: Pattern) -> list[Occurrence]:
       increasing, so the maps already come out in that order.
     """
     plan = h._plan
-    maps = _maps(plan.steps, _neighbor_masks(g), ((1 << g.n) - 1,) * h.h)
+    maps = occurrence_maps(g, h)
     if not plan.twin_generated:
         best: dict[tuple[int, ...], tuple[int, ...]] = {}
         for t in maps:
@@ -523,6 +524,16 @@ def enumerate_occurrences(g: Graph, h: Pattern) -> list[Occurrence]:
     elif not plan.all_twins:
         maps.sort(key=sorted)
     return [Occurrence(t) for t in maps]
+
+
+def occurrence_maps(g: Graph, h: Pattern) -> list[tuple[int, ...]]:
+    """The maps of the occurrence search of h into g, in search order:
+    every map that meets the twin bounds, so one or more per vertex set, and
+    among those of one set its canonical witness, the smallest (see
+    ``enumerate_occurrences``, which puts them in canonical order).  A caller
+    that only needs one representative per class of sets reads these maps
+    directly and builds no ``Occurrence`` per map."""
+    return _maps(h._plan.steps, _neighbor_masks(g), ((1 << g.n) - 1,) * h.h)
 
 
 class _SearchPlan(NamedTuple):

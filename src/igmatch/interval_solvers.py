@@ -4,12 +4,20 @@ The proper-interval solver reduces the problem to maximum independent set on
 an auxiliary interval graph: every occurrence of the (connected) pattern H is
 represented by one interval spanning from its leftmost interval's left
 endpoint to its rightmost interval's right endpoint, and two occurrences can
-coexist in an induced matching exactly when those spans are disjoint.
+coexist in an induced matching exactly when those spans are disjoint.  So
+occurrences with one (leftmost, rightmost) pair form a class, and one
+representative stands for all of it.
 
-For long proper circular-arc hosts the solver enumerates the host's
-occurrences and sorts them into those classes once, in one table per host.
-Each class has a union arc U, from its leftmost arc's start to its
-rightmost arc's end, and two classes coexist iff their U's are disjoint.
+Both solvers build that class table once per host, straight from the
+occurrence search's maps (``graphs.occurrence_maps``): each map gets its
+vertex mask and class key (``models.union_ends``), and it replaces its
+class's representative only when it comes first in canonical order
+(``_span_classes``).  No ``Occurrence`` is built per map, only one per
+class a witness picks.
+
+On a long proper circular-arc host each class has a union arc U, from its
+leftmost arc's start to its rightmost arc's end, and two classes coexist
+iff their U's are disjoint.
 At most one member of an induced matching lies over any point, so the
 largest matching is the largest set of pairwise disjoint U's on the
 circle, and some cut keeps all of it (the classic cut argument of
@@ -43,8 +51,8 @@ from .graphs import (
     Matching,
     Occurrence,
     Pattern,
-    enumerate_occurrences,
     find_occurrence,
+    occurrence_maps,
     revalidated,
 )
 from .models import (
@@ -121,34 +129,51 @@ def solve_igm_proper_interval(model: IntervalModel, h: Pattern, k: int) -> Match
     if k == 0:
         return Matching(())
     g = realize(model)
-    lefts = [it.l for it in model.items]
-    rights = [it.r for it in model.items]
-    classes = _classes(((min(occ.vertices, key=lefts.__getitem__),
-                         max(occ.vertices, key=rights.__getitem__)), occ)
-                        for occ in enumerate_occurrences(g, h))
-    aux = [(lefts[lm], rights[rm]) for (lm, rm), _ in classes]
+    items = model.items
+    classes = _span_classes(model, occurrence_maps(g, h))
+    aux = [(items[lm].l, items[rm].r) for (lm, rm), _ in classes]
     if _packing(aux) < k:
         return None
     return revalidated(_interval_step(classes, aux, k), g, h, "auxiliary solution")
 
 
-def _classes(pairs) -> list:
-    """The first (key, item) per key of ``pairs``, in key order: occurrences with
-    one (leftmost, rightmost) key are interchangeable, so the first stands for all."""
-    first: dict = {}
-    for key, item in pairs:
-        first.setdefault(key, item)
-    return sorted(first.items())
+def _span_classes(model, maps, over=None) -> list:
+    """(key, (vertex mask, representative map)) per class of ``maps``, in
+    key order; ``model`` is an interval or arc model, ``over`` an arc
+    model's ``arc_cover``.
+
+    A map's class key is its ``union_ends``; maps whose arcs cover the circle
+    get no class.  Occurrences with one key are interchangeable, and the
+    representative is the one first in ``enumerate_occurrences``' canonical
+    order: the smallest sorted vertex set, and of that set's maps the
+    smallest.  Of two distinct vertex sets of one size, the one holding the
+    lowest bit of the XOR of their masks is the smaller: below that bit the
+    sets agree, at it one of them has a vertex the other lacks, and the
+    other's next vertex lies above it.  Each map is kept or passed over as
+    it comes, so no list of occurrences is built or sorted.
+    """
+    best: dict = {}
+    for t, (mask, key) in zip(maps, union_ends(model, maps, over)):
+        if key is None:
+            continue
+        held = best.get(key)
+        if held is not None:
+            diff = held[0] ^ mask
+            if not (mask & diff & -diff if diff else t < held[1]):
+                continue
+        best[key] = (mask, t)
+    return sorted(best.items())
 
 
 def _interval_step(classes, aux, k: int) -> Matching:
-    """An induced matching of k class representatives, where ``aux[i]`` is
-    class i's interval (l, r), from its leftmost vertex's left end to its
-    rightmost vertex's right end.  The caller has seen the optimum reach k,
-    so only the witness is rebuilt."""
+    """An induced matching of k class representatives, where ``classes[i]``
+    is a ``_span_classes`` entry and ``aux[i]`` its interval (l, r), from
+    its leftmost vertex's left end to its rightmost vertex's right end.  The
+    caller has seen the optimum reach k, so only the witness is rebuilt, and
+    only its k occurrences are built."""
     _, witness = interval_wis(aux)
-    picked = (classes[i][1] for i in witness[:k])
-    return Matching(tuple(sorted(picked, key=lambda o: o.vertices)))
+    picked = sorted(classes[i][1][1] for i in witness[:k])
+    return Matching(tuple(map(Occurrence, picked)))
 
 
 def _dedup_points(model: ArcModel, over) -> list[tuple[int, int]]:
@@ -168,23 +193,23 @@ def _dedup_points(model: ArcModel, over) -> list[tuple[int, int]]:
 class _ArcTable(NamedTuple):
     """The classes of one host's occurrences, read by every cut.
 
-    ``classes`` holds (key, (vertex mask, representative)) in key order;
-    ``sweep`` holds (2t of the rightmost arc, 2s of the leftmost arc, vertex
-    mask) per class, sorted by that doubled right end.
+    ``classes`` holds ``_span_classes``' (key, (vertex mask, representative
+    map)) in key order; ``sweep`` holds (2t of the rightmost arc, 2s of the
+    leftmost arc, vertex mask) per class, sorted by that doubled right end.
     """
 
     classes: list
     sweep: list
 
 
-def _arc_table(model: ArcModel, occs: list[Occurrence], over) -> _ArcTable:
-    """The class table of ``occs``, built once per host; ``over`` is the
-    host's ``arc_cover``.
+def _arc_table(model: ArcModel, maps, over) -> _ArcTable:
+    """The class table of the occurrence search's ``maps``, built once per
+    host; ``over`` is the host's ``arc_cover``.
 
     An occurrence's class key is its ``union_ends``, shared by every cut
-    that keeps it (first in vertex order, as min and max break ties on a
-    line).  A cut keeps it iff the point lies off its arcs, so a class is
-    kept or dropped whole, and arcs that cover the circle get no class.
+    that keeps it.  A cut keeps it iff the point lies off its arcs, so a
+    class is kept or dropped whole, and arcs that cover the circle get no
+    class.
     ``cut_at_point`` numbers the kept arcs in ascending id order, so sorting
     classes by old ids equals sorting them by new ids, and every witness is
     the one a per-cut renumbering gives.
@@ -195,8 +220,7 @@ def _arc_table(model: ArcModel, occs: list[Occurrence], over) -> _ArcTable:
     rotation of that order that starts at the first e above p2.
     """
     arcs = model.arcs
-    firsts = _classes((ends, occ) for ends, occ in zip(union_ends(model, occs, over), occs) if ends)
-    classes = [(key, (sum(map((1).__lshift__, occ.vertices)), occ)) for key, occ in firsts]
+    classes = _span_classes(model, maps, over)
     sweep = sorted((2 * arcs[rm].t, 2 * arcs[lm].s, mask) for (lm, rm), (mask, _) in classes)
     return _ArcTable(classes, sweep)
 
@@ -281,7 +305,7 @@ def _cut_solve(model: ArcModel, k: int, p2: int, removed: int, table: _ArcTable
     else:
         return None
     cut = cut_at_point(model, p2)
-    alive = [(key, rep) for key, (mask, rep) in table.classes if not mask & removed]
+    alive = [(key, held) for key, held in table.classes if not held[0] & removed]
     spans = dict(zip(cut.kept_ids, cut.intervals.items))
     return _interval_step(alive, [(spans[lm].l, spans[rm].r) for (lm, rm), _ in alive], k)
 
@@ -289,7 +313,8 @@ def _cut_solve(model: ArcModel, k: int, p2: int, removed: int, table: _ArcTable
 def solve_igm_long_proper_ca(model: ArcModel, h: Pattern, k: int) -> Matching | None:
     """Induced H-matching of size k on a long proper circular-arc model.
 
-    Enumerates the host's occurrences and builds their class table once.
+    Builds the class table of the host's occurrences once, from the
+    occurrence search's maps.
     For k >= 2, returns None when the most pairwise disjoint class unions
     on the circle (``_circular_packing``) fall short of k.  Otherwise cuts
     the circle at every containment-equivalence representative and solves
@@ -309,7 +334,7 @@ def solve_igm_long_proper_ca(model: ArcModel, h: Pattern, k: int) -> Matching | 
         return Matching(())
     g = realize(model)
     over = arc_cover(model)
-    table = _arc_table(model, enumerate_occurrences(g, h), over)
+    table = _arc_table(model, occurrence_maps(g, h), over)
     if k >= 2 and _circular_packing(table, 2 * model.circumference, k) < k:
         return None
     tries = (_cut_solve(model, k, p2, removed, table)

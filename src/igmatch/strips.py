@@ -253,7 +253,11 @@ def validate_strip_structure(g: Graph, ss: StripStructure) -> None:
         s = ss.strips[eid]
         assign = ss.z_assign[eid]
         if set(assign) != set(members):
-            raise _invalid("one z per member", f"edge {eid}: z assigned for {sorted(assign)} "
+            try:
+                keys = sorted(assign)
+            except TypeError:  # keys of types that do not compare
+                keys = sorted(assign, key=repr)
+            raise _invalid("one z per member", f"edge {eid}: z assigned for {keys} "
                                                f"but members are {list(members)}")
         vals = [assign[r] for r in members]
         if len(set(vals)) != len(vals):

@@ -20,7 +20,9 @@ import os
 import random
 import sys
 
+import igmatch.graphs as graphs
 import igmatch.interval_solvers as interval_solvers
+from igmatch.graphs import Occurrence
 
 HERE = os.path.dirname(os.path.abspath(__file__))
 FIXTURE = os.path.join(HERE, "arcs_witnesses.json")
@@ -80,6 +82,22 @@ def test_long_arc_no_instance_builds_no_occurrence_per_cut(monkeypatch):
     case = next(c for c in _arcs_cases(301) if c.label == "long-arc-P3" and not c.expected)
     counts = _count_calls(monkeypatch, case, ("Occurrence", "_cut_solve", "cut_at_point"))
     assert counts == {"Occurrence": 0, "_cut_solve": 0, "cut_at_point": 0}
+
+
+def test_yes_instances_build_an_occurrence_per_witness_member_only(monkeypatch):
+    # the class tables hold the occurrence search's maps, so the first
+    # seed-301 yes-instance of each family builds its k witness occurrences
+    # per solve and no other, where one per occurrence of the host built 264
+    # (long-arc P3) and 134 (interval P3)
+    searched = []
+    monkeypatch.setattr(graphs, "Occurrence", lambda *a: searched.append(a) or Occurrence(*a))
+    built = {}
+    for label in ("long-arc-P3", "long-arc-K2", "interval-P3"):
+        case = next(c for c in _arcs_cases(301) if c.label == label and c.expected)
+        k = case.solve(None).size()
+        built[label] = (k, _count_calls(monkeypatch, case, ("Occurrence",))["Occurrence"])
+    assert built == {"long-arc-P3": (1, 2), "long-arc-K2": (3, 6), "interval-P3": (8, 16)}
+    assert not searched
 
 
 def test_long_arc_yes_instance_builds_one_cut_model(monkeypatch):

@@ -4,15 +4,18 @@ import random
 import sys
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import igmatch.interval_solvers as interval_solvers
 from igmatch.errors import InputError, InternalError
 from igmatch.graphs import (
     Graph,
     Pattern,
+    complete_graph,
     cycle_graph,
     enumerate_occurrences,
     find_igm,
+    occurrence_maps,
     path_graph,
 )
 from igmatch.interval_solvers import (
@@ -20,6 +23,7 @@ from igmatch.interval_solvers import (
     _circular_packing,
     _cut_solve,
     _dedup_points,
+    _span_classes,
     interval_wis,
     solve_igm_long_proper_ca,
     solve_igm_proper_interval,
@@ -32,6 +36,7 @@ from igmatch.models import (
     arc_cover,
     cut_at_point,
     equivalence_points_doubled,
+    point_in_arc,
     realize,
 )
 
@@ -224,7 +229,7 @@ def test_ca_single_wrapping_occurrence_needs_fallback():
     occs = enumerate_occurrences(realize(C6_ARCS), h)
     assert [sorted(o.vertices) for o in occs] == [list(range(6))]
     over = arc_cover(C6_ARCS)
-    table = _arc_table(C6_ARCS, occs, over)
+    table = _arc_table(C6_ARCS, occurrence_maps(realize(C6_ARCS), h), over)
     assert table == ([], [])
     for p2, removed in _dedup_points(C6_ARCS, over):
         kept = cut_at_point(C6_ARCS, p2).kept_ids
@@ -305,6 +310,85 @@ def test_long_arc_table_matches_the_per_cut_reference():
     assert solved == 152
 
 
+# ---------------------------------------------------------------------------
+# the class table, built from the occurrence search's maps
+
+CLASS_PATTERNS = [Pattern.of(complete_graph(2)), Pattern.of(path_graph(3)),
+                  Pattern.of(complete_graph(3)), Pattern.of(path_graph(4))]
+
+
+def _span_key(model, vs):
+    """(leftmost, rightmost) item of an occurrence, or None when its arcs
+    cover the circle: on a line the item starting first and the one ending
+    last, and on a circle the same, read clockwise from a doubled point no
+    arc of the occurrence holds."""
+    if isinstance(model, IntervalModel):
+        return (min(vs, key=lambda v: model.items[v].l), max(vs, key=lambda v: model.items[v].r))
+    c2 = 2 * model.circumference
+    bare = next((p for p in range(c2) if not any(point_in_arc(model, v, p) for v in vs)), None)
+    if bare is None:
+        return None
+    return (min(vs, key=lambda v: (2 * model.arcs[v].s - bare) % c2),
+            max(vs, key=lambda v: (2 * model.arcs[v].t - bare) % c2))
+
+
+def _check_class_table(model, h):
+    """The table built from the search's maps against the first occurrence
+    per key in ``enumerate_occurrences``' canonical order; returns how many
+    representatives share their vertex set with another map."""
+    g = realize(model)
+    want = {}
+    for occ in enumerate_occurrences(g, h):
+        key = _span_key(model, occ.vertices)
+        if key is not None:
+            want.setdefault(key, occ.vertices)
+    maps = occurrence_maps(g, h)
+    over = arc_cover(model) if isinstance(model, ArcModel) else None
+    got = _span_classes(model, maps, over)
+    assert [(key, rep) for key, (_, rep) in got] == sorted(want.items()), (model, h.graph.edges)
+    assert all(mask == sum(1 << v for v in rep) for _, (mask, rep) in got)
+    sets = [frozenset(t) for t in maps]
+    return sum(sets.count(frozenset(rep)) > 1 for _, (_, rep) in got)
+
+
+def _relabelled_intervals(rng, model):
+    ids = rng.sample(range(len(model)), len(model))
+    return IntervalModel([Interval(ids[it.id], it.l, it.r) for it in model.items])
+
+
+def test_class_table_matches_the_canonical_first_occurrences():
+    # seeded benchmark models, relabelled so the search's map order and the
+    # canonical order part; P4's twin swaps do not generate its automorphisms,
+    # so each of its vertex sets has two maps and the smaller must represent it
+    rng = random.Random(4040)
+    models = []
+    for n in (6, 12, 20, 30, 48):
+        models.append(_relabelled_intervals(rng, gen.proper_interval_model(rng, n)))
+        arc_n = min(n, 30)
+        models.append(_relabelled(rng, gen.long_proper_arc_model(
+            rng, arc_n, length=rng.randint(2, min(15, arc_n - 1)))))
+    models.append(C6_ARCS)
+    tied = sum(_check_class_table(m, h) for m in models for h in CLASS_PATTERNS)
+    assert not CLASS_PATTERNS[3]._plan.twin_generated
+    assert tied == 533
+
+
+@settings(max_examples=40, derandomize=True, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), n=st.integers(1, 12))
+def test_class_table_matches_on_the_cross_solver_models(seed, n):
+    # the cross-solver tests' models: a proper interval model, its lift to
+    # arcs on a circle one point longer than its rightmost end, and a random
+    # long proper arc model
+    rng = random.Random(seed)
+    model = gen.proper_interval_model(rng, n)
+    lifted = ArcModel([Arc(iv.id, iv.l, iv.r) for iv in model.items],
+                      max(iv.r for iv in model.items) + 1)
+    arcs = random_long_proper_arc_model(rng, min(n, 10))
+    for m in (model, lifted, arcs, _relabelled_intervals(rng, model)):
+        for h in CLASS_PATTERNS:
+            _check_class_table(m, h)
+
+
 def _sweep_models():
     # constructive long proper models, n = 6..30, three seeds each; the
     # starts run round the whole circle, so the last arcs wrap past 0
@@ -357,7 +441,7 @@ def test_cut_count_matches_best_weight_at_every_cut(monkeypatch):
         g = realize(model)
         points = _dedup_points(model, over)
         for h in patterns:
-            table = _arc_table(model, enumerate_occurrences(g, h), over)
+            table = _arc_table(model, occurrence_maps(g, h), over)
             for p2, removed in points:
                 cut = cut_at_point(model, p2)
                 spans = dict(zip(cut.kept_ids, cut.intervals.items))
@@ -401,7 +485,7 @@ def _check_circular_count(models, patterns):
         points = _dedup_points(model, over)
         for h in patterns:
             occs = enumerate_occurrences(g, h)
-            table = _arc_table(model, occs, over)
+            table = _arc_table(model, occurrence_maps(g, h), over)
             best = _best_cut_count(model, table, points)
             for k in sorted({1, 2, best, best + 1}):
                 assert _circular_packing(table, 2 * model.circumference, k) == min(best, k), \
@@ -437,8 +521,8 @@ def test_cut_sweep_rejects_a_class_over_the_cut_point():
     # a removed mask that misses the arcs over p2 leaves the class {0, 1}
     # alive across the cut, with its cut start past its cut end
     model = amodel(20, (0, 3), (1, 4), (10, 13), (11, 14))
-    occs = enumerate_occurrences(realize(model), Pattern.of(path_graph(2)))
-    table = _arc_table(model, occs, arc_cover(model))
+    maps = occurrence_maps(realize(model), Pattern.of(path_graph(2)))
+    table = _arc_table(model, maps, arc_cover(model))
     assert _cut_solve(model, 2, 4, 0b0011, table) is None
     with pytest.raises(InternalError, match="wraps past cut point 4"):
         _cut_solve(model, 2, 4, 0, table)

@@ -5,6 +5,7 @@ import sys
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from igmatch import models
 from igmatch.errors import InputError
@@ -482,6 +483,50 @@ def test_models_match_the_all_pairs_reference():
                     FuzzyArcModel(m.arcs, rest)
     assert min(seen["wrapping"], seen["duplicate"], seen["shared"]) > 500, seen
     assert seen["resolved"] == seen["proper"] == seen["long"] == {True, False}
+
+
+def _pair_kinds_reference(model):
+    kinds = {"multi": [], "single-point": []}
+    for i, j in itertools.combinations(range(len(model.arcs)), 2):
+        kind = intersection_kind(model, i, j)
+        if kind != "empty":
+            kinds[kind].append((i, j))
+    return kinds["multi"], kinds["single-point"]
+
+
+def test_pair_sweep_matches_the_all_pairs_kinds():
+    # the start-order sweep against intersection_kind on every pair, on the
+    # small random models above, where arcs wrap past 0, copy each other and
+    # share ends, and on the benchmark's long proper and fuzzy models
+    gen = _bench_gen()
+    rng = random.Random(4141)
+    seen = {"wrapping": 0, "shared": 0, "single": 0}
+    drawn = [_random_differential_model(rng, "arc") for _ in range(1500)]
+    for n in (8, 20, 40):
+        drawn.append(gen.long_proper_arc_model(rng, n, length=rng.randint(2, min(15, n - 1))))
+        drawn.append(gen.fuzzy_arc_model(rng, n, max(2, n // 2 + 2)).arcs)
+    for m in drawn:
+        got = models._pair_kinds(m)
+        assert got == _pair_kinds_reference(m), (m.circumference, m.arcs)
+        ends = [(a.s, a.t) for a in m.arcs]
+        seen["wrapping"] += any(t < s for s, t in ends)
+        points = [v for pair in ends for v in pair]
+        seen["shared"] += len(set(points)) < len(points)
+        seen["single"] += bool(got[1])
+    assert min(seen.values()) > 500, seen
+
+
+@st.composite
+def _arc_models(draw):
+    c = draw(st.integers(2, 24))
+    ends = draw(st.lists(st.tuples(st.integers(0, c - 1), st.integers(1, c - 1)), max_size=12))
+    return arcs(c, *((s, (s + d) % c) for s, d in ends))
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(model=_arc_models())
+def test_pair_sweep_matches_the_all_pairs_kinds_on_drawn_models(model):
+    assert models._pair_kinds(model) == _pair_kinds_reference(model)
 
 
 def _bench_gen():

@@ -246,6 +246,18 @@ def test_missing_z_assignment_is_caught():
                            "edge 0: z assigned for [] but members are [7])")
 
 
+def test_z_assignment_keys_that_do_not_compare_are_rejected():
+    # the keys are listed in the message, by repr when they do not sort
+    ss = StripStructure(
+        r_vertices=(7,),
+        edges=((0, (7,)),),
+        strips={0: Strip(graph=Graph(2, [(0, 1)]), z=frozenset({1}), g_map={0: 0})},
+        z_assign={0: {'a': 1, 7: 1}},
+    )
+    assert_rejected(Graph(1), ss, "invalid strip-structure (one z per member: "
+                                  "edge 0: z assigned for ['a', 7] but members are [7])")
+
+
 def _two_boundaries_at(r: int, z_assign: dict) -> StripStructure:
     # host vertex 0 faces r alone; the path 1-2 faces it through vertex 2
     left = Strip(graph=Graph(2, [(0, 1)]), z=frozenset({1}), g_map={0: 0})
