@@ -10,10 +10,11 @@ representative stands for all of it.
 
 Both solvers build that class table once per host, straight from the
 occurrence search's maps (``graphs.occurrence_maps``): each map gets its
-vertex mask and class key (``models.union_ends``), and it replaces its
-class's representative only when it comes first in canonical order
-(``_span_classes``).  No ``Occurrence`` is built per map, only one per
-class a witness picks.
+vertex mask and class key, and it replaces its class's representative only
+when it comes first in canonical order (``_span_classes``).  On a line the
+key is the item that starts first and the one that ends last; on a circle
+it is ``models.union_ends``.  No ``Occurrence`` is built per map, only one
+per class a witness picks.
 
 On a long proper circular-arc host each class has a union arc U, from its
 leftmost arc's start to its rightmost arc's end, and two classes coexist
@@ -129,31 +130,35 @@ def solve_igm_proper_interval(model: IntervalModel, h: Pattern, k: int) -> Match
     if k == 0:
         return Matching(())
     g = realize(model)
-    items = model.items
-    classes = _span_classes(model, occurrence_maps(g, h))
-    aux = [(items[lm].l, items[rm].r) for (lm, rm), _ in classes]
+    lefts = [it.l for it in model.items]
+    rights = [it.r for it in model.items]
+    maps = occurrence_maps(g, h)
+    # on a line the class key is the item that starts first and the one that ends last
+    keyed = ((sum(map((1).__lshift__, t)),
+              (min(t, key=lefts.__getitem__), max(t, key=rights.__getitem__))) for t in maps)
+    classes = _span_classes(maps, keyed)
+    aux = [(lefts[lm], rights[rm]) for (lm, rm), _ in classes]
     if _packing(aux) < k:
         return None
     return revalidated(_interval_step(classes, aux, k), g, h, "auxiliary solution")
 
 
-def _span_classes(model, maps, over=None) -> list:
+def _span_classes(maps, keyed) -> list:
     """(key, (vertex mask, representative map)) per class of ``maps``, in
-    key order; ``model`` is an interval or arc model, ``over`` an arc
-    model's ``arc_cover``.
+    key order; ``keyed`` gives each map's (vertex mask, class key), and a
+    key of None, for arcs that cover the circle, puts the map in no class.
 
-    A map's class key is its ``union_ends``; maps whose arcs cover the circle
-    get no class.  Occurrences with one key are interchangeable, and the
-    representative is the one first in ``enumerate_occurrences``' canonical
-    order: the smallest sorted vertex set, and of that set's maps the
-    smallest.  Of two distinct vertex sets of one size, the one holding the
-    lowest bit of the XOR of their masks is the smaller: below that bit the
-    sets agree, at it one of them has a vertex the other lacks, and the
-    other's next vertex lies above it.  Each map is kept or passed over as
-    it comes, so no list of occurrences is built or sorted.
+    Occurrences with one key are interchangeable, and the representative is
+    the one first in ``enumerate_occurrences``' canonical order: the
+    smallest sorted vertex set, and of that set's maps the smallest.  Of
+    two distinct vertex sets of one size, the one holding the lowest bit of
+    the XOR of their masks is the smaller: below that bit the sets agree,
+    at it one of them has a vertex the other lacks, and the other's next
+    vertex lies above it.  Each map is kept or passed over as it comes, so
+    no list of occurrences is built or sorted.
     """
     best: dict = {}
-    for t, (mask, key) in zip(maps, union_ends(model, maps, over)):
+    for t, (mask, key) in zip(maps, keyed):
         if key is None:
             continue
         held = best.get(key)
@@ -220,7 +225,7 @@ def _arc_table(model: ArcModel, maps, over) -> _ArcTable:
     rotation of that order that starts at the first e above p2.
     """
     arcs = model.arcs
-    classes = _span_classes(model, maps, over)
+    classes = _span_classes(maps, union_ends(model, maps, over))
     sweep = sorted((2 * arcs[rm].t, 2 * arcs[lm].s, mask) for (lm, rm), (mask, _) in classes)
     return _ArcTable(classes, sweep)
 

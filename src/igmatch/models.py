@@ -12,18 +12,16 @@ Whole-model passes (``realize``, ``validate_arc_model``, the fuzzy resolution
 check, ``arc_cover``, ``cut_at_point``) read one span table, ``arc_spans``:
 (2s, clockwise doubled length) per arc.  The point p2 lies on an arc iff its
 clockwise offset (p2 - 2s) mod 2C is at most that length, one modular
-compare, so these passes make no call per pair, and ``realize`` finds the
-meeting arcs by a sweep over the starts, as it finds meeting intervals.
-Which arcs lie over a point is asked of one sweep, ``arc_cover``.  Which
-items begin and end the union of an occurrence's items is asked of
-``union_ends``, the one key rule of the interval, long-arc and fuzzy
-solvers, which reads the occurrence search's maps as vertex tuples.  Both
-are unexported.  ``point_in_arc`` and ``intersection_kind``
-stay the single-pair definitions; ``intersection_kind`` is exported, as a
-caller needs it to list a fuzzy model's one-point pairs.  The single-pair
-containment and coverage references have left for the tests' oracles, and
-the validators compute the two flags a solver reads, ``proper`` and
-``long``, and nothing else.
+compare, so these passes make no call per pair.  Which arcs lie over a
+point is asked of one sweep, ``arc_cover``.  Which arcs begin and end the
+union of an occurrence's arcs is asked of ``union_ends``, the key rule of
+the long-arc and fuzzy solvers, which reads the occurrence search's maps
+as vertex tuples.  Both are unexported.  ``point_in_arc`` and
+``intersection_kind`` stay the single-pair definitions; ``intersection_kind``
+is exported, as a caller needs it to list a fuzzy model's one-point pairs.
+The single-pair containment and coverage references have left for the
+tests' oracles, and the validators compute the two flags a solver reads,
+``proper`` and ``long``, and nothing else.
 
 An arc (s, t) on a circle of circumference C is the closed set of points
 traversed clockwise (increasing coordinates, wrapping at C) from s to t.
@@ -32,7 +30,7 @@ Single-point arcs and full-circle arcs are not representable and rejected.
 
 from __future__ import annotations
 
-from bisect import bisect_left, bisect_right
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from itertools import accumulate
 from operator import xor
@@ -267,36 +265,20 @@ def arc_cover(model: ArcModel):
     return over
 
 
-def union_ends(model, tuples, over=None) -> list:
-    """(vertex mask, (leftmost item, rightmost item) or None) of each vertex
-    tuple, an occurrence's map, of an interval or arc model; ``over`` is an
-    arc model's ``arc_cover``.
+def union_ends(model: ArcModel, tuples, over) -> list:
+    """(vertex mask, (leftmost arc, rightmost arc) or None) of each vertex
+    tuple, an occurrence's map; ``over`` is the model's ``arc_cover``.
 
-    The key rule reads two masks per item: ``before[v]``, the items over
-    the point just before v's start, and ``past[v]``, those over the point
-    just past v's end.  On an interval model these are v's neighbours that
-    start earlier and those that end later.  The items of a connected
-    occurrence that leave a point bare unite into one arc U, which starts
-    at an item with no item of the occurrence just before its start and
-    ends at one with none just past its end; the first such items in vertex
-    order are the leftmost and rightmost.  In a proper model no two items
-    share a start or an end, so each is the only one: on a line, the item
-    that starts first and the one that ends last.  A cut at any point off U
-    leaves U whole and in order, so every such cut has the same ends.  Arcs
-    that cover the circle have neither end, and every cut meets them.
+    The arcs of a connected occurrence that leave a point bare unite into
+    one arc U, which starts at an arc with no arc of the occurrence just
+    before its start and ends at one with none just past its end; the
+    first such arcs in vertex order are the leftmost and rightmost.  A cut
+    at any point off U leaves U whole and in order, so every such cut has
+    the same ends.  Arcs that cover the circle have neither end, and every
+    cut meets them.
     """
-    if isinstance(model, IntervalModel):
-        before, past = [0] * len(model), [0] * len(model)
-        for a, b in _overlaps(model):
-            if a.l < b.l:
-                before[b.id] |= 1 << a.id
-            if a.r < b.r:
-                past[a.id] |= 1 << b.id
-            elif b.r < a.r:
-                past[b.id] |= 1 << a.id
-    else:
-        before = [over(2 * a.s - 1) for a in model.arcs]
-        past = [over(2 * a.t + 1) for a in model.arcs]
+    before = [over(2 * a.s - 1) for a in model.arcs]
+    past = [over(2 * a.t + 1) for a in model.arcs]
     out = []
     for vs in tuples:
         mask = 0
@@ -315,39 +297,25 @@ def union_ends(model, tuples, over=None) -> list:
 
 
 def _pair_kinds(model: ArcModel) -> tuple[list, list]:
-    """The pairs i < j that ``intersection_kind`` calls multi, and
-    single-point, each list in ascending order.
+    """The pairs i < j that ``intersection_kind`` calls multi, and single-point.
 
-    Every piece of an intersection starts at one of the two starts, so two
-    arcs meet iff one's start lies on the other.  With the starts sorted,
-    the starts on arc i are one bisected run (two when i wraps), so a sweep
-    finds each meeting pair, and no pass over all pairs is made.  Offset e
-    puts i's start on a j found there iff e <= lj; then each start lies on
-    the other arc, which makes two pieces, or one longer one if the starts
-    coincide, and the pair, found from both arcs, is kept from the smaller.
-    Otherwise j's start alone lies in both arcs, a single point iff it sits
-    at i's end, so that the point just past it misses i.
+    Offset d puts j's start on arc i iff d <= li, and e puts i's start on j
+    iff e <= lj.  Both starts in both arcs make two pieces, or one longer one
+    if they coincide; a start in one only is a single point iff it sits at
+    the other arc's end, so that the point just past it misses that arc.
     """
     c2 = 2 * model.circumference
     spans = arc_spans(model)
-    order = sorted(range(len(spans)), key=spans.__getitem__)
-    starts = [spans[j][0] for j in order]
     multi, single = [], []
     for i, (si, li) in enumerate(spans):
-        on = order[bisect_left(starts, si):bisect_right(starts, si + li)]
-        if si + li >= c2:
-            on += order[:bisect_right(starts, si + li - c2)]
-        for j in on:
+        for j in range(i + 1, len(spans)):
             sj, lj = spans[j]
-            if (si - sj) % c2 <= lj:  # i itself lands here too, and is skipped
-                if i < j:
-                    multi.append((i, j))
-            elif (sj - si) % c2 < li:
-                multi.append((i, j) if i < j else (j, i))
-            else:
-                single.append((i, j) if i < j else (j, i))
-    multi.sort()
-    single.sort()
+            d = (sj - si) % c2
+            e = (si - sj) % c2
+            if d <= li:
+                (single if e > lj and d == li else multi).append((i, j))
+            elif e <= lj:
+                (single if e == lj else multi).append((i, j))
     return multi, single
 
 

@@ -2,6 +2,7 @@ import itertools
 import os
 import random
 import sys
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -332,6 +333,22 @@ def _span_key(model, vs):
             max(vs, key=lambda v: (2 * model.arcs[v].t - bare) % c2))
 
 
+def _class_table(model, h, maps):
+    """The class table the solver builds: an arc model's ``_arc_table``, and
+    for an interval model the one ``solve_igm_proper_interval`` hands on."""
+    if isinstance(model, ArcModel):
+        return _arc_table(model, maps, arc_cover(model)).classes
+    built = []
+
+    def spy(maps, keyed):
+        built.append(_span_classes(maps, keyed))
+        return built[-1]
+
+    with mock.patch.object(interval_solvers, "_span_classes", spy):
+        solve_igm_proper_interval(model, h, 1)
+    return built[0]
+
+
 def _check_class_table(model, h):
     """The table built from the search's maps against the first occurrence
     per key in ``enumerate_occurrences``' canonical order; returns how many
@@ -343,8 +360,7 @@ def _check_class_table(model, h):
         if key is not None:
             want.setdefault(key, occ.vertices)
     maps = occurrence_maps(g, h)
-    over = arc_cover(model) if isinstance(model, ArcModel) else None
-    got = _span_classes(model, maps, over)
+    got = _class_table(model, h, maps)
     assert [(key, rep) for key, (_, rep) in got] == sorted(want.items()), (model, h.graph.edges)
     assert all(mask == sum(1 << v for v in rep) for _, (mask, rep) in got)
     sets = [frozenset(t) for t in maps]

@@ -494,10 +494,11 @@ def _pair_kinds_reference(model):
     return kinds["multi"], kinds["single-point"]
 
 
-def test_pair_sweep_matches_the_all_pairs_kinds():
-    # the start-order sweep against intersection_kind on every pair, on the
-    # small random models above, where arcs wrap past 0, copy each other and
-    # share ends, and on the benchmark's long proper and fuzzy models
+def test_pair_kinds_match_intersection_kind():
+    # the multi and single-point lists the fuzzy resolutions key on, against
+    # intersection_kind on every pair, on the small random models above, where
+    # arcs wrap past 0, copy each other and share ends, and on the benchmark's
+    # long proper and fuzzy models
     gen = _bench_gen()
     rng = random.Random(4141)
     seen = {"wrapping": 0, "shared": 0, "single": 0}
@@ -525,7 +526,7 @@ def _arc_models(draw):
 
 @settings(max_examples=200, derandomize=True, deadline=None)
 @given(model=_arc_models())
-def test_pair_sweep_matches_the_all_pairs_kinds_on_drawn_models(model):
+def test_pair_kinds_match_intersection_kind_on_drawn_models(model):
     assert models._pair_kinds(model) == _pair_kinds_reference(model)
 
 
