@@ -728,7 +728,7 @@ def _realize_edge(ss, eid, fe: BaseEdge, align, h, cert):
     J = s.graph
     za = ss.z_assign[eid]
     members = tuple(sorted(za))
-    bnd = {r: frozenset(J.neighbors(za[r])) for r in members}
+    bnd = {r: J.neighbors(za[r]) for r in members}
     body = set(s.interior())
     strict = body - set().union(*bnd.values()) if bnd else set(body)
     tokens_at = {r: fe.boundaries[fe.members.index(align[r])] for r in members}

@@ -20,15 +20,17 @@ interval and long-arc solvers sort into span classes (``occurrence_maps``),
 the first occurrence (``find_occurrence``) and the claw-free solver's token
 placements (``induced_maps``).
 
-The searches read adjacency as integer bitmasks (``_neighbor_masks``: bit w
-of ``nbr[v]`` is set iff vw is an edge), built per call and never stored on
-the ``Graph``.  Line-graph recognition builds them once per host and shares
-them between its claw test, its twin classes and its final L(M) = g check.
-Its cover search keeps the order of the list-based search it replaced
-(first uncovered edge of ``g.edges``, then the cliques through it largest
-first, ties by sorted tuple) but builds each clique only when it tries it;
-on the benchmark's ``clawfree`` and ``kernel`` hosts every step takes the
-first clique it builds, so the search never backtracks there.
+A ``Graph`` stores its adjacency once, as integer bitmasks (``_nbr``: bit w
+of ``_nbr[v]`` is set iff vw is an edge), built by the constructor.  The
+searches here read those masks directly, and no other module reads them:
+the accessors (``neighbors``, ``has_edge`` and the like) turn them into sets
+and booleans.  Line-graph recognition shares one host's masks between its
+claw test, its twin classes and its final L(M) = g check.  Its cover search
+keeps the order of the list-based search it replaced (first uncovered edge
+of ``g.edges``, then the cliques through it largest first, ties by sorted
+tuple) but builds each clique only when it tries it; on the benchmark's
+``clawfree`` and ``kernel`` hosts every step takes the first clique it
+builds, so the search never backtracks there.
 
 Conventions
 -----------
@@ -80,10 +82,12 @@ class Graph:
     """A simple undirected graph on vertices ``0..n-1``.
 
     Duplicate edges and self-loops are rejected.  Instances are immutable
-    and hashable; equality is structural (same n, same edge set).
+    and hashable; equality is structural (same n, same edge set).  Stored:
+    the sorted edge tuple and one adjacency, the masks ``_nbr`` (bit w of
+    ``_nbr[v]`` set iff vw is an edge), which the accessors turn into sets.
     """
 
-    __slots__ = ("n", "_adj", "_edges")
+    __slots__ = ("n", "_nbr", "_edges")
 
     def __init__(self, n: int, edges=()):
         if type(n) is not int or n < 0:
@@ -97,12 +101,12 @@ class Graph:
         except (TypeError, ValueError):
             _raise_first_fault(n, edges)
             raise  # not reached: some edge is at fault
-        adj = [set() for _ in range(n)]
+        nbr = [0] * n
         for u, v in norm:
-            adj[u].add(v)
-            adj[v].add(u)
+            nbr[u] |= 1 << v
+            nbr[v] |= 1 << u
         self.n = n
-        self._adj = tuple(map(frozenset, adj))
+        self._nbr = tuple(nbr)
         self._edges = tuple(sorted(norm))
 
     @property
@@ -110,22 +114,24 @@ class Graph:
         return self._edges
 
     def neighbors(self, v: int) -> frozenset:
-        return self._adj[v]
+        return frozenset(_bits(self._nbr[v]))
 
     def closed_neighborhood(self, v: int) -> frozenset:
-        return self._adj[v] | {v}
+        return frozenset(_bits(self._nbr[v] | 1 << v))
 
     def closed_neighborhood_of_set(self, vs) -> set:
         out = set(vs)
-        for v in vs:
-            out |= self._adj[v]
+        reach = 0
+        for v in out:
+            reach |= self._nbr[v]
+        out.update(_bits(reach))
         return out
 
     def degree(self, v: int) -> int:
-        return len(self._adj[v])
+        return self._nbr[v].bit_count()
 
     def has_edge(self, u: int, v: int) -> bool:
-        return v in self._adj[u]
+        return self._nbr[u] >> v & 1 == 1
 
     def induced(self, vertices) -> "Graph":
         """Induced subgraph; new vertex i is ``vertices[i]`` of self."""
@@ -147,21 +153,20 @@ class Graph:
         return self.induced(kept), kept
 
     def components(self) -> list[list[int]]:
-        seen = [False] * self.n
+        """Vertex sets of the connected components, each sorted, ordered by
+        their smallest vertex."""
         comps = []
-        for s in range(self.n):
-            if seen[s]:
-                continue
-            stack, comp = [s], []
-            seen[s] = True
-            while stack:
-                v = stack.pop()
-                comp.append(v)
-                for w in self._adj[v]:
-                    if not seen[w]:
-                        seen[w] = True
-                        stack.append(w)
-            comps.append(sorted(comp))
+        left = (1 << self.n) - 1
+        while left:
+            comp = frontier = left & -left
+            while frontier:
+                reach = 0
+                for v in _bits(frontier):
+                    reach |= self._nbr[v]
+                frontier = reach & ~comp
+                comp |= frontier
+            left &= ~comp
+            comps.append(_bits(comp))
         return comps
 
     def is_connected(self) -> bool:
@@ -300,6 +305,9 @@ class Occurrence:
 
     def check(self, g: Graph, h: Pattern) -> None:
         vs = self.vertices
+        if not all(type(v) is int and 0 <= v < g.n for v in vs):
+            raise InputError(
+                f"occurrence {vs} has a vertex that is not an integer in 0..{g.n - 1}")
         if len(vs) != h.h or len(set(vs)) != len(vs):
             raise InputError(f"occurrence {vs} is not injective on {h.h} vertices")
         for i in range(h.h):
@@ -346,26 +354,14 @@ def revalidated(found, g: Graph, h: Pattern, what: str):
 
 def compatible(a: Occurrence, b: Occurrence, g: Graph) -> bool:
     """True iff a and b share no vertex and no edge of g joins them."""
-    sa, sb = set(a.vertices), set(b.vertices)
-    if sa & sb:
-        return False
-    for u in sa:
-        if g.neighbors(u) & sb:
-            return False
-    return True
+    near = 0
+    for u in a.vertices:
+        near |= g._nbr[u] | 1 << u
+    return not any(near >> v & 1 for v in b.vertices)
 
 
 # ---------------------------------------------------------------------------
 # predicates
-
-def _neighbor_masks(g: Graph) -> list[int]:
-    """Adjacency as bitmasks: bit w of ``nbr[v]`` is set iff vw is an edge."""
-    nbr = [0] * g.n
-    for u, v in g.edges:
-        nbr[u] |= 1 << v
-        nbr[v] |= 1 << u
-    return nbr
-
 
 def _bits(mask: int) -> list[int]:
     """The set bits of a mask, ascending."""
@@ -377,7 +373,7 @@ def _bits(mask: int) -> list[int]:
     return out
 
 
-def _lex_cliques(nbr: list[int], cand: int, size: int):
+def _lex_cliques(nbr: tuple[int, ...], cand: int, size: int):
     """Masks of the cliques of ``size`` vertices inside ``cand``, in the
     order ``itertools.combinations`` lists the vertex tuples.
 
@@ -416,13 +412,13 @@ def find_star(g: Graph, t: int) -> tuple | None:
     """
     if t < 1:
         raise InputError("t must be positive")
-    return _star(_neighbor_masks(g), t)
+    return _star(g._nbr, t)
 
 
-def _star(nbr: list[int], t: int) -> tuple | None:
+def _star(nbr: tuple[int, ...], t: int) -> tuple | None:
     """``find_star`` on adjacency masks: the legs are the first independent
     t-set of the center's neighbours in combination order."""
-    co = [~nb for nb in nbr]
+    co = tuple(~nb for nb in nbr)
     for v, nb in enumerate(nbr):
         legs = next(_lex_cliques(co, nb, t), None)
         if legs is not None:
@@ -454,17 +450,12 @@ def find_occurrence(g: Graph, h: Pattern, within=None) -> Occurrence | None:
     first map phi had phi(a) > phi(b), then phi o (a b), an induced map into
     the same domain since the swap is an automorphism, would agree with phi
     on the steps before a and be smaller at a.  So the first map meets every
-    bound, and it is the first map of the same search without them.  Only
-    the adjacency masks of ``within`` are built.
+    bound, and it is the first map of the same search without them.
     """
     hosts = range(g.n) if within is None else set(within)
     if len(hosts) < h.h:
         return None
-    nbr, domain = [0] * g.n, 0
-    for v in hosts:
-        domain |= 1 << v
-        nbr[v] = sum(1 << w for w in g.neighbors(v))
-    found = _maps(h._plan.steps, nbr, (domain,) * h.h, 1)
+    found = _maps(h._plan.steps, g._nbr, (sum(1 << v for v in hosts),) * h.h, 1)
     return Occurrence(found[0]) if found else None
 
 
@@ -472,8 +463,8 @@ def induced_maps(g: Graph, hg: Graph, domains) -> list[tuple[int, ...]]:
     """Every induced map of ``hg`` into ``g`` that sends vertex i into
     ``domains[i]``, lexicographically: the occurrence search in label order,
     with no twin bounds, since the domains of twins may differ."""
-    steps = _steps(_neighbor_masks(hg), range(hg.n), [[False] * hg.n] * hg.n)
-    return _maps(steps, _neighbor_masks(g), [sum(1 << v for v in set(d)) for d in domains])
+    steps = _steps(hg._nbr, range(hg.n), [[False] * hg.n] * hg.n)
+    return _maps(steps, g._nbr, [sum(1 << v for v in set(d)) for d in domains])
 
 
 def enumerate_occurrences(g: Graph, h: Pattern) -> list[Occurrence]:
@@ -533,7 +524,7 @@ def occurrence_maps(g: Graph, h: Pattern) -> list[tuple[int, ...]]:
     ``enumerate_occurrences``, which puts them in canonical order).  A caller
     that only needs one representative per class of sets reads these maps
     directly and builds no ``Occurrence`` per map."""
-    return _maps(h._plan.steps, _neighbor_masks(g), ((1 << g.n) - 1,) * h.h)
+    return _maps(h._plan.steps, g._nbr, ((1 << g.n) - 1,) * h.h)
 
 
 class _SearchPlan(NamedTuple):
@@ -557,7 +548,7 @@ def _search_plan(hg: Graph) -> _SearchPlan:
     above it into the same candidate mask (a plan's steps share one domain),
     so a step stops when its mask has no room left for them.
     """
-    n, nbr = hg.n, _neighbor_masks(hg)
+    n, nbr = hg.n, hg._nbr
     twin = [[a != b and nbr[a] & ~(1 << b) == nbr[b] & ~(1 << a) for b in range(n)]
             for a in range(n)]
     order: list[int] = []
@@ -572,7 +563,7 @@ def _search_plan(hg: Graph) -> _SearchPlan:
                        all(twin[a][b] for a, b in itertools.combinations(range(n), 2)))
 
 
-def _steps(nbr: list[int], order, twin) -> tuple:
+def _steps(nbr: tuple[int, ...], order, twin) -> tuple:
     """One ``_SearchPlan`` step per vertex of ``order``, for the pattern with
     adjacency masks ``nbr`` and twin table ``twin``."""
     steps = []
@@ -586,7 +577,7 @@ def _steps(nbr: list[int], order, twin) -> tuple:
     return tuple(steps)
 
 
-def _maps(steps: tuple, nbr: list[int], domains, limit=math.inf) -> list[tuple[int, ...]]:
+def _maps(steps: tuple, nbr: tuple[int, ...], domains, limit=math.inf) -> list[tuple[int, ...]]:
     """The first ``limit`` maps, in search order, of the pattern into the
     host with adjacency masks ``nbr`` that send step i's vertex into the mask
     ``domains[i]`` and meet the plan's twin bounds.  A pattern with no
@@ -603,7 +594,7 @@ def _maps(steps: tuple, nbr: list[int], domains, limit=math.inf) -> list[tuple[i
     return out[:limit] if len(out) > limit else out
 
 
-def _grow(steps: tuple, nbr: list[int], domains, phi: list[int], free: int, i: int,
+def _grow(steps: tuple, nbr: tuple[int, ...], domains, phi: list[int], free: int, i: int,
           out: list, limit: float) -> None:
     """Extend the map ``phi`` of the first ``i`` steps, whose images are
     the vertices missing from ``free``, through every candidate of step i.
@@ -645,12 +636,13 @@ def brute_force_mis(g: Graph) -> tuple[int, tuple[int, ...]]:
     """
     if g.n > MIS_CAP_DEFAULT:
         raise SizeCapError("brute_force_mis", g.n, MIS_CAP_DEFAULT)
-    left = set(range(g.n))
+    nbr = g._nbr
+    left = (1 << g.n) - 1
     greedy = []
     while left:
-        v = min(left, key=lambda u: (len(g.neighbors(u) & left), u))
+        v = min(_bits(left), key=lambda u: ((nbr[u] & left).bit_count(), u))
         greedy.append(v)
-        left -= g.closed_neighborhood(v)
+        left &= ~(nbr[v] | 1 << v)
     witness = tuple(sorted(greedy))
     while True:
         found, bigger = brute_force_wis(g, [1] * g.n, len(witness) + 1, 0)
@@ -679,7 +671,7 @@ def _occurrence_masks(g: Graph, occs: list[Occurrence]):
     near = [0] * g.n  # read only at vertices of occurrences
     for v, m in enumerate(through):
         if m:
-            for w in g.neighbors(v):
+            for w in _bits(g._nbr[v]):
                 m |= through[w]
             near[v] = m
     conflict = []
@@ -772,19 +764,19 @@ def find_igm(g: Graph, h: Pattern, k: int) -> Matching | None:
 
 def _greedy_clique_partition(g: Graph) -> list[list[int]]:
     """Deterministic greedy partition of V(g) into cliques."""
-    unassigned = set(range(g.n))
+    nbr = g._nbr
+    unassigned = (1 << g.n) - 1
     parts = []
     while unassigned:
-        v = min(unassigned)
-        clique = [v]
-        cand = g.neighbors(v) & unassigned
+        # the lowest unassigned vertex, then the lowest candidate each time
+        clique = unassigned & -unassigned
+        cand = nbr[clique.bit_length() - 1] & unassigned
         while cand:
-            w = min(cand)
-            clique.append(w)
-            cand = cand & g.neighbors(w)
-        for w in clique:
-            unassigned.discard(w)
-        parts.append(sorted(clique))
+            low = cand & -cand
+            clique |= low
+            cand &= nbr[low.bit_length() - 1]
+        unassigned &= ~clique
+        parts.append(_bits(clique))
     return parts
 
 
@@ -900,7 +892,7 @@ def brute_force_wis(g: Graph, weights, k_card: int,
     cliques = _greedy_clique_partition(g)
     heaviest_first = [sorted(c, key=lambda v: -weights[v]) for c in cliques]
     m = len(cliques)
-    nbr = _neighbor_masks(g)
+    nbr = g._nbr
     tables = None  # built when propagation first runs
     # one entry per node on the branch whose picks are not all tried:
     # [clique index, blocked, size, weight, next position in the clique,
@@ -963,7 +955,7 @@ def brute_force_wis(g: Graph, weights, k_card: int,
 # ---------------------------------------------------------------------------
 # twins and line graphs
 
-def _twin_classes(nbr: list[int]) -> list[list[int]]:
+def _twin_classes(nbr: tuple[int, ...]) -> list[list[int]]:
     """Partition into true-twin classes (equal closed neighborhoods), from
     the adjacency masks; classes and their members come in ascending order.
 
@@ -987,7 +979,7 @@ def line_graph(m: Multigraph) -> Graph:
     return Graph(len(m.edges), es)
 
 
-def _cliques_through(nbr: list[int], u: int, v: int, avoid: int):
+def _cliques_through(nbr: tuple[int, ...], u: int, v: int, avoid: int):
     """Masks of the cliques through the edge uv that miss ``avoid``, largest
     first, ties by sorted tuple, built one at a time.
 
@@ -1020,7 +1012,7 @@ def _krausz_cover(g: Graph) -> list[frozenset] | None:
     and in two chosen cliques as two masks.  The picks are driven from an
     explicit stack, so the depth is not bounded by Python's recursion limit.
     """
-    nbr = _neighbor_masks(g)
+    nbr = g._nbr
     edges = g.edges
     covered = [0] * g.n  # bit b of covered[a]: the pair ab lies in a chosen clique
     once = full = 0  # vertices in at least one, and in two, chosen cliques
@@ -1083,9 +1075,8 @@ def recognize_line_graph(g: Graph) -> Multigraph | None:
     most two cliques on the reduced graph, then re-expands the contracted
     classes by duplicating their edges.
 
-    The host is read once into integer adjacency masks (bit w of ``nbr[v]``
-    for the edge vw), which the claw test, the twin classes (closed
-    neighbourhood masks as keys) and the final L(M) = g check share.  The
+    The claw test, the twin classes (closed neighbourhood masks as keys) and
+    the final L(M) = g check all read the host's stored adjacency masks.  The
     claw test picks legs depth first over ``nbr[v] & ~nbr[leg]``, lowest bit
     first, and returns the witness ``find_star`` returns.  The cover search
     (``_krausz_cover``) keeps its order: first uncovered edge of
@@ -1109,7 +1100,7 @@ def recognize_line_graph(g: Graph) -> Multigraph | None:
         raise InputError("recognition requires a nonempty graph")
     if not g.is_connected():
         raise InputError("recognition requires a connected graph")
-    nbr = _neighbor_masks(g)
+    nbr = g._nbr
     if _star(nbr, 3) is not None:
         return None
     if g.n == 3 and len(g.edges) == 3:
@@ -1134,7 +1125,7 @@ def recognize_line_graph(g: Graph) -> Multigraph | None:
     return m
 
 
-def _check_identity_preimage(nbr: list[int], m: Multigraph) -> None:
+def _check_identity_preimage(nbr: tuple[int, ...], m: Multigraph) -> None:
     """Raise unless L(M) is the host with adjacency masks ``nbr``: one edge
     of M per host vertex, and the edges other than i that meet edge i are
     exactly the host neighbours of vertex i."""

@@ -16,7 +16,6 @@ from igmatch.graphs import (
     OutOfBudget,
     Pattern,
     _greedy_clique_partition,
-    _neighbor_masks,
     _occurrence_masks,
     _twin_classes,
     brute_force_mis,
@@ -143,6 +142,53 @@ def test_components_and_induced():
     h, kept = g.without({1})
     assert kept == [0, 2, 3, 4]
     assert h.edges == ((2, 3),)
+
+
+def test_accessors_agree_with_the_edge_tuple():
+    """Every accessor equals a recompute from ``edges`` alone, on random
+    graphs given their edges in shuffled order and orientation."""
+    rng = random.Random(4101)
+    for _ in range(200):
+        n = rng.randint(0, 12)
+        p = rng.random()
+        pairs = [e for e in itertools.combinations(range(n), 2) if rng.random() < p]
+        given = [(v, u) if rng.random() < 0.5 else (u, v) for u, v in pairs]
+        rng.shuffle(given)
+        g = Graph(n, given)
+        assert g.edges == tuple(pairs)
+        edge_set = set(g.edges)
+        adj = {v: {w for e in g.edges if v in e for w in e if w != v} for v in range(n)}
+        for v in range(n):
+            assert type(g.neighbors(v)) is frozenset and g.neighbors(v) == adj[v]
+            assert type(g.closed_neighborhood(v)) is frozenset
+            assert g.closed_neighborhood(v) == adj[v] | {v}
+            assert g.degree(v) == len(adj[v])
+        for u in range(n):
+            for v in range(n):
+                assert g.has_edge(u, v) is ((min(u, v), max(u, v)) in edge_set)
+        subset = [v for v in range(n) if rng.random() < 0.5]
+        got = g.closed_neighborhood_of_set(subset)
+        assert type(got) is set and got == set(subset).union(*(adj[v] for v in subset))
+        # components: connected sets, each sorted, ordered by least vertex
+        comp_of = list(range(n))
+        for u, v in g.edges:
+            old, new = comp_of[v], comp_of[u]
+            comp_of = [new if c == old else c for c in comp_of]
+        comps = {}
+        for v in range(n):
+            comps.setdefault(comp_of[v], []).append(v)
+        assert g.components() == sorted(comps.values())
+        assert g.is_connected() == (len(comps) == 1)
+        vs = [v for v in range(n) if rng.random() < 0.7]
+        rng.shuffle(vs)
+        pos = {v: i for i, v in enumerate(vs)}
+        sub = g.induced(vs)
+        assert sub.n == len(vs)
+        assert sub.edges == tuple(sorted((min(pos[u], pos[v]), max(pos[u], pos[v]))
+                                         for u, v in g.edges if u in pos and v in pos))
+        removed = set(range(n)) - set(vs)
+        rest, kept = g.without(removed)
+        assert kept == sorted(vs) and rest == g.induced(kept)
 
 
 def test_star_free():
@@ -305,7 +351,7 @@ def test_the_search_reaches_one_map_per_twin_orbit():
              random_graph(random.Random(29), 14, 0.4)]
     reached = []
     for g in hosts:
-        nbr = _neighbor_masks(g)
+        nbr = g._nbr
         for hg in (complete_graph(2), complete_graph(3), path_graph(3), star_graph(3),
                    path_graph(4), cycle_graph(4)):
             h = Pattern.of(hg)
@@ -325,6 +371,14 @@ def test_occurrence_check_rejects_non_induced(k2):
     p2_free = Pattern.of(Graph(2))
     with pytest.raises(InputError):
         Occurrence((0, 1)).check(g, p2_free)
+    # a vertex outside 0..n-1, or a bool, is refused before any adjacency test
+    p3 = path_graph(3)
+    with pytest.raises(InputError, match="not an integer in"):
+        Matching((Occurrence((-1, 1)),)).check(p3, k2)
+    with pytest.raises(InputError, match="not an integer in"):
+        Occurrence((True, 2)).check(p3, k2)
+    with pytest.raises(InputError, match="not an integer in"):
+        Occurrence((5, 0)).check(p3, k2)
 
 
 def test_compatible_and_matching_check(k2):
@@ -490,10 +544,10 @@ def test_greedy_clique_partition_is_partition():
 
 def test_twin_classes():
     # K4 collapses to one class, a path has no nontrivial twins
-    assert _twin_classes(_neighbor_masks(complete_graph(4))) == [[0, 1, 2, 3]]
-    assert _twin_classes(_neighbor_masks(path_graph(4))) == [[0], [1], [2], [3]]
+    assert _twin_classes(complete_graph(4)._nbr) == [[0, 1, 2, 3]]
+    assert _twin_classes(path_graph(4)._nbr) == [[0], [1], [2], [3]]
     g = Graph(4, [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3)])  # 0,1 are true twins
-    assert [c for c in _twin_classes(_neighbor_masks(g)) if len(c) > 1] == [[0, 1]]
+    assert [c for c in _twin_classes(g._nbr) if len(c) > 1] == [[0, 1]]
 
 
 def test_line_graph_known_shapes():
@@ -575,7 +629,7 @@ def test_cover_search_fails_on_a_graph_whenever_on_its_twin_reduction():
     for g in _twin_blowups(random.Random(1206), 600):
         if not star_free(g, 3):
             continue
-        reduced = g.induced([c[0] for c in _twin_classes(_neighbor_masks(g))])
+        reduced = g.induced([c[0] for c in _twin_classes(g._nbr)])
         if graphs._krausz_cover(reduced) is None:
             assert graphs._krausz_cover(g) is None
             failed += 1
@@ -621,7 +675,7 @@ def test_recognition_matches_the_list_based_reference(monkeypatch):
     other_hosts += [random_graph(rng, rng.randint(0, 8), rng.random()) for _ in range(100)]
     outcomes = []
     for g in bench_hosts + multigraph_hosts + twin_hosts + other_hosts:
-        nbr = _neighbor_masks(g)
+        nbr = g._nbr
         for t in (1, 2, 3, 4):
             assert find_star(g, t) == find_star_reference(g, t)
         classes = _twin_classes(nbr)
@@ -661,7 +715,7 @@ def test_identity_check_matches_rebuilding_the_line_graph():
     raised = 0
     for _ in range(120):
         g, _m = random_line_graph(rng, max_edges=10)
-        nbr = _neighbor_masks(g)
+        nbr = g._nbr
         m = recognize_line_graph(g)
         graphs._check_identity_preimage(nbr, m)
         wrong = [Multigraph(m.n + 2, m.edges + ((m.n, m.n + 1),))]
@@ -689,7 +743,7 @@ def test_clique_stream_is_every_clique_through_the_edge_in_order():
     seen = 0
     for _ in range(150):
         g = random_graph(rng, rng.randint(2, 11), 0.4 + 0.6 * rng.random())
-        nbr = _neighbor_masks(g)
+        nbr = g._nbr
         for u, v in g.edges:
             every = all_cliques_containing_edge_reference(g, u, v)
             assert [frozenset(graphs._bits(c)) for c in graphs._cliques_through(nbr, u, v, 0)] == every

@@ -523,6 +523,28 @@ def test_bound_reduces_with_a_certified_ceiling(k2):
     assert any("bounded" in n for n in notes)
 
 
+def test_kernel_size_does_not_grow_with_the_host(k2, monkeypatch):
+    """The polynomial kernel as a count ladder: the C5 sunlet with 5 to 80
+    parallel copies of one cycle edge (line graphs of 15 to 90 vertices)
+    kernelizes, for K2 and k = 3, to one 70-vertex, 469-edge WIS instance,
+    and every bounded strip graph met on the way is within the certified
+    ceiling.  The parallel-strip reduction step is what keeps it constant."""
+    bounded = []
+    bound = kernel.bound_strip_graph
+
+    def recorded(*args, **kwargs):
+        bounded.append(bound(*args, **kwargs))
+        return bounded[-1]
+
+    monkeypatch.setattr(kernel, "bound_strip_graph", recorded)
+    for extra in (5, 10, 20, 40, 80):
+        wis = kernelize(sunlet_bundle(extra), k2, 3)
+        assert (wis.graph.n, len(wis.graph.edges)) == (70, 469), extra
+    reduced = [br for br in bounded if br.status == "reduced"]
+    assert len(reduced) == 5
+    assert all(len(br.ss.edges) <= _strip_edge_ceiling(2, br.k) for br in reduced)
+
+
 def test_bound_partial_when_no_structure_exists(k2):
     with recording() as notes:
         br = bound_strip_graph(wheel_plus_path(), k2, 7)
