@@ -41,6 +41,7 @@ from dataclasses import dataclass
 
 from .errors import InputError, InternalError, SizeCapError
 from .graphs import (
+    MIS_CAP_DEFAULT,
     Graph,
     Matching,
     Occurrence,
@@ -611,59 +612,33 @@ class StripAssignment:
 
 
 def _checked_certificates(ss: StripStructure, certificates) -> dict:
-    """The per-strip certificates as a dict, each checked against its strip."""
+    """The per-strip certificates as a dict, each a fuzzy arc model that
+    realizes the interior of its strip: arc i stands for the i-th interior
+    vertex of J in increasing order, and the realized graph must reproduce
+    the interior edge for edge."""
+    if certificates is not None and not isinstance(certificates, dict):
+        raise InputError("certificates must map strip-edge ids to fuzzy arc models")
     certs = dict(certificates or {})
     for eid, cert in certs.items():
         if eid not in ss.strips:
             raise InputError(f"certificate for unknown strip-edge {eid}")
-        if isinstance(cert, FuzzyArcModel):
-            _require_fitting(ss, eid, cert)
-        elif cert == "alpha4":
-            _require_alpha4(ss, eid)
-        else:
+        if not isinstance(cert, FuzzyArcModel):
+            raise InputError(f"certificate for strip-edge {eid} must be a fuzzy arc model")
+        s = ss.strips[eid]
+        interior = s.interior()
+        if len(cert.arcs.arcs) != len(interior):
             raise InputError(
-                f"certificate for strip-edge {eid} must be a fuzzy arc model or 'alpha4'"
+                f"certificate for strip-edge {eid} has {len(cert.arcs.arcs)} arcs"
+                f" for {len(interior)} interior vertices"
+            )
+        differ = set(realize(cert).edges) ^ set(s.graph.induced(interior).edges)
+        if differ:
+            a, b = min(differ)
+            raise InputError(
+                f"certificate for strip-edge {eid}: arcs ({a},{b}) disagree"
+                f" with J pair ({interior[a]},{interior[b]})"
             )
     return certs
-
-
-def _require_fitting(ss: StripStructure, eid, cert: FuzzyArcModel) -> None:
-    """A fuzzy certificate must realize the interior of its strip.
-
-    Arc i of the model stands for the i-th interior vertex of J in
-    increasing order; the realized graph must reproduce the interior
-    edge-for-edge.
-    """
-    s = ss.strips[eid]
-    interior = s.interior()
-    if len(cert.arcs.arcs) != len(interior):
-        raise InputError(
-            f"certificate for strip-edge {eid} has {len(cert.arcs.arcs)} arcs"
-            f" for {len(interior)} interior vertices"
-        )
-    realized = realize(cert)
-    for a in range(realized.n):
-        for b in range(a + 1, realized.n):
-            if realized.has_edge(a, b) != s.graph.has_edge(interior[a], interior[b]):
-                raise InputError(
-                    f"certificate for strip-edge {eid}: arcs ({a},{b}) disagree"
-                    f" with J pair ({interior[a]},{interior[b]})"
-                )
-
-
-def _require_alpha4(ss: StripStructure, eid) -> None:
-    """An "alpha4" claim must hold: no five independent interior vertices.
-
-    A strip interior above the ``brute_force_wis`` cap raises a size-cap error.
-    """
-    s = ss.strips[eid]
-    body = s.graph.induced(s.interior())
-    found, _w = brute_force_wis(body, [1] * body.n, ALPHA_BOUND + 1, 0)
-    if found:
-        raise InputError(
-            f"certificate for strip-edge {eid}: 'alpha4' claimed, but the interior"
-            f" has {ALPHA_BOUND + 1} independent vertices"
-        )
 
 
 def _sub_fuzzy_model(fam: FuzzyArcModel, positions) -> FuzzyArcModel:
@@ -701,10 +676,9 @@ def _max_interior_matching(sub: Graph, kept, h: Pattern, s, cert) -> tuple:
     occs = enumerate_occurrences(sub, h)
     if not occs:
         return (), False
-    # one search either way; it counts as exhaustive only when neither an
-    # "alpha4" claim nor a tested independence number of at most 4 caps the
-    # packing at four copies
-    exhaustive = cert != "alpha4" and brute_force_wis(sub, [1] * sub.n, ALPHA_BOUND + 1, 0)[0]
+    # one search either way; it counts as exhaustive only when a tested
+    # independence number of at most 4 does not cap the packing at four copies
+    exhaustive = brute_force_wis(sub, [1] * sub.n, ALPHA_BOUND + 1, 0)[0]
     return tuple(packing(sub, occs, None)), exhaustive
 
 
@@ -783,9 +757,10 @@ def solve_strip_interiors(ss: StripStructure, base: Base, surj: BaseSurjection, 
     consistent placement are dropped, as if blanked.  Returns the surviving
     assignments and k', the total number of packed interior occurrences.
 
-    ``certs`` maps strip-edges to certificates that ``solve_igm_claw_free``
-    has already checked at entry (``_checked_certificates``); they are
-    trusted here, not checked again per surjection.
+    ``certs`` maps strip-edges to fuzzy arc models that
+    ``solve_igm_claw_free`` has already fitted to their strips at entry
+    (``_checked_certificates``); they are trusted here, not checked again
+    per surjection.
     """
     out: dict = {}
     kp = 0
@@ -1097,16 +1072,18 @@ def _route(g0, h, cert, cfg: _RunConfig):
     """Settle how one chunk is solved: the host, a component, or a strip body.
 
     ``cert`` is what is known about the chunk: nothing (None), a fuzzy arc
-    model realizing it or the claim "alpha4" (both checked at entry), or a
-    validated (strip-structure, certificates) pair.  Returns ``solve(kk)``,
-    which finds kk >= 1 copies or returns None; the work that does not
-    depend on kk is done once per chunk, not once per call.  The first step
-    that applies decides:
+    model realizing it (checked at entry), or a validated (strip-structure,
+    certificates) pair.  Returns ``solve(kk)``, which finds kk >= 1 copies
+    or returns None; the work that does not depend on kk is done once per
+    chunk, not once per call.  The first step that applies decides:
 
       1. fewer vertices than the pattern: no matching;
       2. a fuzzy model: the fuzzy arc solver; an independence number alpha
-         of at most 4 (an "alpha4" claim is alpha = ``ALPHA_BOUND``): the
-         chunk's packing search, and kk above alpha: no matching;
+         of at most 4: the chunk's packing search, and kk above alpha: no
+         matching.  A chunk above ``MIS_CAP_DEFAULT`` vertices is first asked
+         only for five independent vertices; a "no" takes this step with
+         alpha = ``ALPHA_BOUND`` (the search is exact, so the bound suffices)
+         and a "yes" reaches ``brute_force_mis``, which raises;
       3. kk above alpha, or the chunk's packing search proves, within
          ``_REFUTE_BUDGET`` nodes, that no kk occurrences pack: no matching;
       4. a supplied structure: the pipeline over it;
@@ -1134,7 +1111,8 @@ def _route(g0, h, cert, cfg: _RunConfig):
         return lambda kk: None
     if isinstance(cert, FuzzyArcModel):
         return lambda kk: solve_igm_fuzzy_ca(cert, h, kk)
-    alpha = ALPHA_BOUND if cert == "alpha4" else brute_force_mis(g0)[0]
+    no_five = g0.n > MIS_CAP_DEFAULT and not brute_force_wis(g0, [1] * g0.n, ALPHA_BOUND + 1, 0)[0]
+    alpha = ALPHA_BOUND if no_five else brute_force_mis(g0)[0]
     answers = {}  # kk -> the finished search's matching or None
 
     @functools.cache
@@ -1190,15 +1168,17 @@ def solve_igm_claw_free(
     A supplied ``ss`` must be a strip structure of ``g`` whose strips are
     spots or stripes; ``validate_strip_structure`` checks it up front, and
     its optional per-strip ``certificates`` are checked with it, so an
-    invalid structure, a fuzzy model that does not realize the strip
-    interior it certifies, or an "alpha4" claim on a strip interior with
-    five independent vertices, raises on every host and every k, whether or
-    not the search would reach it.  A host given as a fuzzy
+    invalid structure, or a certificate that is not a fuzzy arc model
+    realizing the interior of its strip, raises on every host and every k,
+    whether or not the search would reach it.  A host given as a fuzzy
     circular-arc model goes to ``solve_igm_fuzzy_ca`` instead, the entry for
     that question.  Then the first rule that applies decides: k = 0 gives
     the empty matching, a host smaller than h gives None; a host with
     independence number at most 4 goes to an exact packing search over the
-    host's occurrences.  Otherwise k above the independence number gives
+    host's occurrences.  The independence number is computed exactly on
+    hosts of up to ``MIS_CAP_DEFAULT`` vertices; above that, only "five
+    independent vertices?" is asked, and a host that has them raises
+    ``SizeCapError``.  Otherwise k above the independence number gives
     None, and so does a k for which that search, run within a fixed node
     budget, finds no k pairwise disjoint, non-adjacent copies.  For any other
     k the base-times-coloring pipeline runs over ``ss`` when given; its

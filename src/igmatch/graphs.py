@@ -136,6 +136,8 @@ class Graph:
     def induced(self, vertices) -> "Graph":
         """Induced subgraph; new vertex i is ``vertices[i]`` of self."""
         vs = list(vertices)
+        if not all(type(v) is int and 0 <= v < self.n for v in vs):
+            raise InputError(f"induced() takes vertices that are integers in 0..{self.n - 1}")
         if len(set(vs)) != len(vs):
             raise InputError("induced() requires distinct vertices")
         pos = {v: i for i, v in enumerate(vs)}
@@ -632,7 +634,9 @@ def brute_force_mis(g: Graph) -> tuple[int, tuple[int, ...]]:
     A greedy maximal independent set (fewest remaining neighbours first,
     ties by id) is the first witness; ``brute_force_wis`` is then asked for
     one vertex more until it answers no.  Refuses graphs above
-    ``MIS_CAP_DEFAULT``.
+    ``MIS_CAP_DEFAULT``; above it the claw-free router asks ``brute_force_wis``
+    only whether five independent vertices exist, and calls this only when
+    they do.
     """
     if g.n > MIS_CAP_DEFAULT:
         raise SizeCapError("brute_force_mis", g.n, MIS_CAP_DEFAULT)

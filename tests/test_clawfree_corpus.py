@@ -15,10 +15,12 @@ The workload's hosts are line graphs, whose strips have one-vertex
 interiors.  ``clawfree_subdivided_witnesses.json`` pins, the same way, the
 solves of K2, P3 and K3 at k = 1 over seeded subdivided structures
 (``randgen.random_subdivided_structure`` with edges cut into 4 to 7 host
-vertices), whose stripes have path interiors: with no certificates, with a
-true "alpha4" claim on every strip and with a path fuzzy arc model on every
-stripe.  It was recorded before the solver took the kind of each strip from
-the structure and checked certificates only at entry.
+vertices), whose stripes have path interiors: with no certificates and with
+a path fuzzy arc model on every stripe.  It was recorded before the solver
+took the kind of each strip from the structure and checked certificates
+only at entry.  Its rows for a third set, a true "alpha4" claim on every
+strip, were dropped with that kind of certificate; each equalled the row
+without certificates.
 
 Rewrite the files only for an intended witness change:
 
@@ -84,7 +86,6 @@ def _subdivided_rows():
         g, ss = random_subdivided_structure(rng, n, rng.randint(n, n + 2), cut=(4, 7))
         certificate_sets = {
             "none": None,
-            "alpha4": {eid: "alpha4" for eid, _ in ss.edges},
             "paths": {eid: _path_certificate(len(ss.strips[eid].interior()))
                       for eid, _ in ss.edges if classify_strip(ss.strips[eid]) == "stripe"},
         }
@@ -136,26 +137,27 @@ def test_subdivided_witnesses_are_pinned(monkeypatch):
 
     monkeypatch.setattr(cc, "solve_strip_interiors", counted)
     got = list(_subdivided_rows())
-    assert len(got) == len(pinned) == 9 * SUBDIVIDED
+    assert len(got) == len(pinned) == 6 * SUBDIVIDED
     for g, w in zip(got, pinned):
         assert g == w
-    # the solves pack stripe interiors, not only realize boundary tokens
-    assert sum(packed) >= 25
+    # the solves pack stripe interiors, not only realize boundary tokens (22
+    # interior-solver calls pack a copy; 11 more came from the dropped rows)
+    assert sum(packed) >= 16
 
 
 def test_subdivided_interiors_are_packed_by_one_search(monkeypatch):
-    """Over the 144 subdivided solves, each residual interior that holds a
-    copy is packed by one largest-packing search, 22 in all; the descending
-    ``find_igm`` ladder it replaced made 26 calls here.  The 27 exact
+    """Over the 96 subdivided solves, each residual interior that holds a
+    copy is packed by one largest-packing search, 11 in all.  The 18 exact
     searches are the router's on chunks of independence number at most 4,
-    and the 117 budgeted ones its refutations; ``find_igm``, ``max_igm``
-    and ``packing_refuted``, which ran the three kinds before ``packing``
-    did, were called 27, 22 and 117 times.  The router tests
-    each chunk's independence number once (144 calls).  The interior
-    packing asks only the bounded question "five independent vertices?",
-    and only to decide the exhaustive-packing note: 11 questions, beside
-    the 207 that check the "alpha4" claims (it computed the independence
-    number, 11 of 155 ``brute_force_mis`` calls here)."""
+    and the 78 budgeted ones its refutations.  The router tests each
+    chunk's independence number once (96 calls).  The interior packing asks
+    only the bounded question "five independent vertices?", and only to
+    decide the exhaustive-packing note: 11 questions.  On the 144 solves the
+    corpus held before its "alpha4" rows were dropped, the descending
+    ``find_igm`` ladder that the largest-packing search replaced made 26
+    calls where it makes 22, and ``find_igm``, ``max_igm`` and
+    ``packing_refuted``, which ran the three kinds before ``packing`` did,
+    were called 27, 22 and 117 times."""
     real = cc.packing
     kinds = []
 
@@ -166,9 +168,9 @@ def test_subdivided_interiors_are_packed_by_one_search(monkeypatch):
     monkeypatch.setattr(cc, "packing", counted)
     tested = _counting(monkeypatch, "brute_force_mis")
     asked = _counting(monkeypatch, "brute_force_wis")
-    assert len(list(_subdivided_rows())) == 144
-    assert collections.Counter(kinds) == {"exact": 27, "largest": 22, "budgeted": 117}
-    assert (len(tested), len(asked)) == (144, 218)
+    assert len(list(_subdivided_rows())) == 96
+    assert collections.Counter(kinds) == {"exact": 18, "largest": 11, "budgeted": 78}
+    assert (len(tested), len(asked)) == (96, 11)
 
 
 def test_clawfree_workload_witnesses_are_pinned():

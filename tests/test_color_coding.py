@@ -44,7 +44,7 @@ from igmatch.color_coding import (
     solve_igm_claw_free,
     solve_strip_interiors,
 )
-from igmatch import strips
+from igmatch import graphs, strips
 from igmatch.trace import recording
 from oracles import (
     ElementColoring,
@@ -1021,6 +1021,33 @@ def test_driver_tests_independence_once_per_chunk(monkeypatch, k2):
     assert len(calls) == 1
 
 
+def test_driver_answers_small_alpha_hosts_above_the_mis_cap(monkeypatch, k2):
+    """Above ``MIS_CAP_DEFAULT`` vertices the router asks only for five
+    independent vertices.  Hosts without them go to the exact packing
+    search (these raised ``SizeCapError`` from ``brute_force_mis``).  A host
+    with them still raises, so does a host above the query's own cap, and a
+    host at the MIS cap is asked nothing more."""
+    asked = _counting(monkeypatch, "brute_force_wis")
+    got = solve_igm_claw_free(complete_graph(31), k2, 1)
+    assert [o.vertices for o in got.occurrences] == [(0, 1)]
+    assert solve_igm_claw_free(complete_graph(31), k2, 2) is None
+    two = disjoint_union(complete_graph(16), complete_graph(16))
+    for ss in (None, trivial_strip_structure(two)):
+        got = solve_igm_claw_free(two, k2, 2, ss=ss)
+        assert [o.vertices for o in got.occurrences] == [(0, 1), (16, 17)]
+        assert solve_igm_claw_free(two, k2, 3, ss=ss) is None
+    assert len(asked) == 6
+    with pytest.raises(SizeCapError, match="brute_force_mis"):
+        solve_igm_claw_free(path_graph(31), k2, 3)
+    monkeypatch.setattr(graphs, "WIS_CAP_DEFAULT", 31)
+    with pytest.raises(SizeCapError, match="brute_force_wis: size 32"):
+        solve_igm_claw_free(two, k2, 1)
+    monkeypatch.undo()
+    asked = _counting(monkeypatch, "brute_force_wis")
+    assert solve_igm_claw_free(complete_graph(30), k2, 1) is not None
+    assert asked == []
+
+
 def test_driver_refutes_a_no_instance_before_the_pipeline(monkeypatch, k2):
     """K2, k = 3 on the line graph of the C5 sunlet (independence number 5)
     has no matching.  The pipeline proved it by running out of surjections
@@ -1081,6 +1108,29 @@ def test_driver_settles_each_chunk_once(monkeypatch, k2):
     assert len(calls) == 2 + 5
 
 
+def test_driver_solves_free_strip_edges_beside_attached_ones(monkeypatch, k2, p3):
+    """A supplied structure holding a strip-edge without strip-vertices
+    beside strip-edges with members: the free body is solved as a piece of
+    its own, and the pipeline runs over the structure without it."""
+    m = Multigraph(6, [(i, (i + 1) % 6) for i in range(6)] + [(0, 3)])
+    lg = line_graph(m)
+    lss = line_graph_strip_structure(lg)
+    g = disjoint_union(lg, path_graph(5))
+    eid = max(e for e, _ in lss.edges) + 1
+    path = Strip(graph=path_graph(5), z=frozenset(), g_map={i: lg.n + i for i in range(5)})
+    ss = StripStructure(lss.r_vertices, lss.edges + ((eid, ()),),
+                        {**lss.strips, eid: path}, {**lss.z_assign, eid: {}})
+    validate_strip_structure(g, ss)
+    assembled = _counting(monkeypatch, "_assembled")
+    for h in (k2, p3):
+        for k in range(1, 6):
+            got = solve_igm_claw_free(g, h, k, ss=ss)
+            assert (got is None) == (find_igm(g, h, k) is None), (h, k)
+            if got is not None:
+                got.check(g, h)
+    assert assembled and all(args[3].edges == lss.edges for args in assembled)
+
+
 def test_driver_checks_fuzzy_models_at_entry(k2):
     # two disjoint arcs realize two isolated vertices, not an edge
     two_arcs = FuzzyArcModel(ArcModel((Arc(0, 0, 10), Arc(1, 20, 30)), 100), {})
@@ -1102,13 +1152,16 @@ def test_driver_checks_fuzzy_models_at_entry(k2):
 
 
 def test_driver_rejects_bad_certificates_at_entry(k2):
-    # the interior solver trusts its certificates, so the entry rejects one
-    # for an unknown strip-edge, a value that is neither a model nor
-    # "alpha4", and a model that misfits its strip
+    # the interior solver trusts its certificates, so the entry rejects a
+    # set that is not a dict, one for an unknown strip-edge, a value that is
+    # not a fuzzy arc model (the retired "alpha4" claim among them), and a
+    # model that misfits its strip
     g, ss = path_graph(6), path6_stripe()
     stub = FuzzyArcModel(ArcModel((Arc(0, 0, 5),), 100), {})
-    for certs, message in (({5: "alpha4"}, "unknown strip-edge 5"),
-                           ({0: "bogus"}, "fuzzy arc model or 'alpha4'"),
+    for certs, message in (([(0, stub)], "must map strip-edge ids"),
+                           ({5: stub}, "unknown strip-edge 5"),
+                           ({0: "bogus"}, "must be a fuzzy arc model"),
+                           ({0: "alpha4"}, "must be a fuzzy arc model"),
                            ({0: stub}, "has 1 arcs for 6 interior vertices")):
         with pytest.raises(InputError, match=message):
             solve_igm_claw_free(g, k2, 1, ss=ss, certificates=certs)
@@ -1152,12 +1205,12 @@ def test_driver_notes_exhaustive_interior_packing_once_per_strip_edge(k2, p3):
 
 def test_driver_fits_each_certificate_once(monkeypatch, k2):
     # fitting once per surjection made 32 fits here
-    calls = _counting(monkeypatch, "_require_fitting")
+    calls = _counting(monkeypatch, "realize")
     c11, c11ss = c11_two_stripes()
     certs = {0: _path_certificate(6), 1: _path_certificate(5)}
     got = solve_igm_claw_free(c11, k2, 3, ss=c11ss, certificates=certs)
     assert got == solve_igm_claw_free(c11, k2, 3, ss=c11ss) is not None
-    assert sorted(args[1] for args in calls) == [0, 1]
+    assert [args[0] for args in calls] == [certs[0], certs[1]]
 
 
 def test_random_coloring_classifies_each_strip_once(monkeypatch, k2):
@@ -1175,17 +1228,6 @@ def test_random_coloring_classifies_each_strip_once(monkeypatch, k2):
     c11, c11ss = c11_two_stripes()
     solve_igm_claw_free(c11, k2, 2, ss=c11ss, coloring="random", trials=200, seed=5)
     assert sorted(classified) == sorted(id(s) for s in c11ss.strips.values())
-
-
-def test_driver_true_alpha4_claims_change_no_witness(k2, p3):
-    # both stripes of C11 have bodies of independence number 3; the claim
-    # replaces the per-residue independence test when packing interiors
-    c11, c11ss = c11_two_stripes()
-    claims = {0: "alpha4", 1: "alpha4"}
-    for h, k in ((k2, 1), (k2, 2), (p3, 1)):
-        want = solve_igm_claw_free(c11, h, k, ss=c11ss)
-        assert want is not None
-        assert solve_igm_claw_free(c11, h, k, ss=c11ss, certificates=claims) == want
 
 
 # ---------------------------------------------------------------------------

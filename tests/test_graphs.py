@@ -144,6 +144,28 @@ def test_components_and_induced():
     assert h.edges == ((2, 3),)
 
 
+def test_induced_refuses_vertices_outside_the_host():
+    # 99 stood for nothing, and True was read as vertex 1
+    g = path_graph(4)
+    for vs in ([0, 99], [-1, 0], [True, 2], [0, 1.0]):
+        with pytest.raises(InputError, match=r"integers in 0\.\.3"):
+            g.induced(vs)
+    with pytest.raises(InputError, match="distinct"):
+        g.induced([1, 1])
+
+
+def test_constructors_and_searches_refuse_bad_arguments():
+    with pytest.raises(InputError, match="at least 3 vertices"):
+        cycle_graph(2)
+    with pytest.raises(InputError, match="t must be positive"):
+        find_star(path_graph(3), 0)
+    g = path_graph(3)
+    with pytest.raises(InputError, match="one weight per vertex"):
+        brute_force_wis(g, [1, 1], 1, 0)
+    with pytest.raises(InputError, match="nonnegative"):
+        brute_force_wis(g, [1, -1, 1], 1, 0)
+
+
 def test_accessors_agree_with_the_edge_tuple():
     """Every accessor equals a recompute from ``edges`` alone, on random
     graphs given their edges in shuffled order and orientation."""

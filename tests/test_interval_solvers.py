@@ -165,6 +165,14 @@ def test_proper_interval_rejects_improper_model():
         solve_igm_proper_interval(model, Pattern.of(path_graph(2)), 1)
 
 
+def test_long_proper_arcs_reject_a_model_that_is_not_both():
+    contained = ArcModel([Arc(0, 0, 10), Arc(1, 2, 3)], 20)
+    covering = ArcModel([Arc(0, 0, 12), Arc(1, 10, 2)], 20)
+    for model in (contained, covering):
+        with pytest.raises(InputError, match="must be proper and long"):
+            solve_igm_long_proper_ca(model, Pattern.of(path_graph(2)), 1)
+
+
 def test_proper_interval_matches_oracle():
     rng = random.Random(23)
     patterns = [

@@ -285,6 +285,10 @@ def test_entry_points_reject_unusable_patterns(p3, k1, k2):
         for supplied in (None, ss):
             with pytest.raises(InputError):
                 kernelize(g, hp, 2, ss=supplied)
+    two_k2 = Pattern.of(Graph(4, [(0, 1), (2, 3)]))
+    for supplied in (None, ss):
+        with pytest.raises(InputError, match="needs a connected pattern"):
+            kernelize(g, two_k2, 2, ss=supplied)
 
 
 # ---------------------------------------------------------------------------

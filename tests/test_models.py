@@ -241,6 +241,13 @@ def test_fuzzy_resolution_bookkeeping():
     far = arcs(8, (0, 2), (4, 6))
     with pytest.raises(InputError):
         FuzzyArcModel(far, {(0, 1): True})
+    with pytest.raises(InputError, match=r"pair \(1,1\) with i = j"):
+        FuzzyArcModel(base, {(0, 1): True, (1, 1): True})
+
+
+def test_realize_refuses_an_unknown_model_type():
+    with pytest.raises(InputError, match="cannot realize Graph"):
+        realize(path_graph(2))
 
 
 def test_equivalence_points_single_arc():

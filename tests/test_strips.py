@@ -2,9 +2,8 @@ import random
 
 import pytest
 
-from igmatch import graphs
 from igmatch.color_coding import solve_igm_claw_free
-from igmatch.errors import InputError, SizeCapError
+from igmatch.errors import InputError
 from igmatch.graphs import (
     Graph,
     Matching,
@@ -292,6 +291,12 @@ def test_uncovered_edge_is_caught():
                               "edge (0,1) lies in no strip and no C(r))")
 
 
+def test_two_members_sharing_one_z_are_caught():
+    ss = StripStructure(**{**_ONE_SPOT, "z_assign": {0: {0: 1, 1: 1}}})
+    assert_rejected(Graph(1), ss, "invalid strip-structure (one z per member: "
+                                  "edge 0: two members share one z)")
+
+
 def test_the_earlier_check_is_raised_when_two_fail():
     """Edge 0 has no z for its member, and host edge (0,1) lies in no strip
     and no C(5): the z-assignment fault is raised, before C(5) is read."""
@@ -363,6 +368,23 @@ def test_strip_invariant_failures_direct():
     twisted = Strip(graph=Graph(2, [(0, 1)]), z=frozenset(), g_map={0: 0, 1: 2})
     assert any("edge-preserving" in m for m in strip_invariant_failures(twisted, path_graph(3)))
     assert list(strip_invariant_failures(twisted, Graph(3, [(0, 2)]))) == []
+
+
+@pytest.mark.parametrize("strip, faults", [
+    (Strip(Graph(2), frozenset(), {0: 0.0, 1: 1.0}),
+     ["vertex ids must be integers, not 0.0"]),
+    (Strip(Graph(2, [(0, 1)]), frozenset({5}), {0: 0, 1: 1}),
+     ["z vertices [5] outside J"]),
+    (Strip(Graph(3, [(0, 1)]), frozenset({1, 2}), {0: 0, 1: 0}),
+     ["boundary of z=2 is empty", "g_map keys [0, 1] differ from interior [0]"]),
+    (Strip(Graph(2), frozenset(), {0: 5, 1: 5}),
+     ["g_map is not injective", "g_map images [5, 5] outside the host"]),
+])
+def test_strip_invariant_failures_stop_at_a_fault_they_cannot_read_past(strip, faults):
+    # the validator reads only the first fault; the generator, run to its
+    # end, yields nothing after a stop-fault (here a non-injective map whose
+    # keys or images are wrong, or ids that are not vertices)
+    assert list(strip_invariant_failures(strip, Graph(2))) == faults
 
 
 # ---------------------------------------------------------------------------
@@ -563,17 +585,18 @@ def test_conformance_rejects_three_boundary_stripe():
                                            "edge 0: |Z| = 3 but edge has 2 members)")
 
 
-def test_conformance_rejects_large_alpha_under_an_alpha4_claim():
+def test_conformance_rejects_an_alpha4_claim():
     # a one-boundary strip with five isolated interior vertices, and the
-    # whole of a six-vertex edgeless host, where the unchecked claim used to
-    # cap the answer at 4 copies
+    # whole of a six-vertex edgeless host, where the unchecked claim once
+    # capped the answer at 4 copies: a certificate is a fuzzy arc model, so
+    # the claim is refused at entry, and the host's own test finds 5 copies
     j = Graph(6, [(5, 0)])
     s = Strip(graph=j, z=frozenset({5}), g_map={i: i for i in range(5)})
     g6 = Graph(6, [])
     for g, ss in ((Graph(5, []), _one_edge_structure(s, members=(9,))),
                   (g6, trivial_strip_structure(g6))):
         for k in (0, 5):
-            with pytest.raises(InputError, match="'alpha4' claimed"):
+            with pytest.raises(InputError, match="must be a fuzzy arc model"):
                 solve_igm_claw_free(g, K1, k, ss=ss, certificates={0: "alpha4"})
     five = solve_igm_claw_free(g6, K1, 5, ss=trivial_strip_structure(g6))
     assert len(five.occurrences) == 5
@@ -599,21 +622,6 @@ def test_conformance_rejects_inconsistent_fuzzy_certificate():
     short = fam_of(12, (0, 3), (2, 5), (4, 7))
     with pytest.raises(InputError, match="3 arcs for 4 interior vertices"):
         solve_igm_claw_free(cycle_graph(4), K1, 1, ss=ss, certificates={0: short})
-
-
-def test_conformance_alpha4_claim_on_oversized_strip(monkeypatch):
-    # 32 isolated interior vertices: past the brute_force_mis cap, but the
-    # bounded query still refutes the claim; past its own cap it raises
-    j = Graph(33, [(32, 0)])
-    s = Strip(graph=j, z=frozenset({32}), g_map={i: i for i in range(32)})
-    ss = _one_edge_structure(s, members=(9,))
-    g = Graph(32, [])
-    with pytest.raises(InputError, match="'alpha4' claimed"):
-        solve_igm_claw_free(g, K1, 1, ss=ss, certificates={0: "alpha4"})
-
-    monkeypatch.setattr(graphs, "WIS_CAP_DEFAULT", 31)
-    with pytest.raises(SizeCapError):
-        solve_igm_claw_free(g, K1, 1, ss=ss, certificates={0: "alpha4"})
 
 
 def test_conformance_rejects_bad_certificate_inputs():
