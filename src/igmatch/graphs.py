@@ -21,16 +21,18 @@ the first occurrence (``find_occurrence``) and the claw-free solver's token
 placements (``induced_maps``).
 
 A ``Graph`` stores its adjacency once, as integer bitmasks (``_nbr``: bit w
-of ``_nbr[v]`` is set iff vw is an edge), built by the constructor.  The
-searches here read those masks directly, and no other module reads them:
-the accessors (``neighbors``, ``has_edge`` and the like) turn them into sets
-and booleans.  Line-graph recognition shares one host's masks between its
-claw test, its twin classes and its final L(M) = g check.  Its cover search
-keeps the order of the list-based search it replaced (first uncovered edge
-of ``g.edges``, then the cliques through it largest first, ties by sorted
-tuple) but builds each clique only when it tries it; on the benchmark's
-``clawfree`` and ``kernel`` hosts every step takes the first clique it
-builds, so the search never backtracks there.
+of ``_nbr[v]`` is set iff vw is an edge), built by the constructor, or taken
+unchecked by the private ``Graph._from_masks``, which only the kernel's
+encoding calls, on masks it built itself.  The searches here read the masks
+directly, and no other module reads them: the accessors (``neighbors``,
+``has_edge`` and the like) turn them into sets and booleans.  Line-graph
+recognition shares one host's masks between its claw test, its twin classes
+and its final L(M) = g check.  Its cover search keeps the order of the
+list-based search it replaced (first uncovered edge of ``g.edges``, then the
+cliques through it largest first, ties by sorted tuple) but builds each
+clique only when it tries it; on the benchmark's ``clawfree`` and ``kernel``
+hosts every step takes the first clique it builds, so the search never
+backtracks there.
 
 Conventions
 -----------
@@ -108,6 +110,21 @@ class Graph:
         self.n = n
         self._nbr = tuple(nbr)
         self._edges = tuple(sorted(norm))
+
+    @classmethod
+    def _from_masks(cls, nbr) -> "Graph":
+        """The graph of symmetric, loop-free masks, taken unchecked."""
+        g = cls.__new__(cls)
+        g.n, g._nbr = len(nbr), tuple(nbr)
+        edges = []
+        for u, m in enumerate(g._nbr):
+            m >>= u  # bit j now stands for vertex u + j
+            while m:
+                low = m & -m
+                edges.append((u, u + low.bit_length() - 1))
+                m ^= low
+        g._edges = tuple(edges)
+        return g
 
     @property
     def edges(self) -> tuple[tuple[int, int], ...]:
@@ -845,7 +862,7 @@ def brute_force_wis(g: Graph, weights, k_card: int,
     Exact branch and bound over a greedy clique partition: clique by clique,
     take one of its unblocked vertices (in clique order) or none.  Weights
     must be nonnegative (so any partial independent set extends without
-    loss).  Returns (answer, witness or None).
+    loss) and k_card an int.  Returns (answer, witness or None).
 
     The bound is a forward check (Haralick and Elliott, 1980): at each node,
     the cliques still to come that keep a vertex outside the blocked set
@@ -872,6 +889,12 @@ def brute_force_wis(g: Graph, weights, k_card: int,
     shrank; below a closed node, a child starts from the vertices its pick
     newly blocked.
 
+    The weight twin: a node is *weight-tight* when its weight plus its gain
+    (the open cliques' heaviest free weights, summed) is k_weight, gain > 0.
+    That slack never grows either, so a solution below takes from each open
+    clique a vertex of exactly its heaviest free weight; the lighter ones are
+    blocked and join a propagation's start, and the first witness stays.
+
     The propagation waits until the forward check has cut as many nodes as
     there are cliques, so a search that succeeds at once pays nothing for
     it.  The kernel's "at least five independent vertices?" questions are
@@ -889,8 +912,10 @@ def brute_force_wis(g: Graph, weights, k_card: int,
     weights = list(weights)
     if len(weights) != g.n:
         raise InputError("one weight per vertex required")
-    if any(w < 0 for w in weights):
-        raise InputError("weights must be nonnegative")
+    if any(not w >= 0 for w in weights):
+        raise InputError("weights must be nonnegative and not NaN")
+    if type(k_card) is not int or k_weight != k_weight:
+        raise InputError("k_card must be an int and k_weight not NaN")
     if k_card <= 0 and k_weight <= 0:
         return True, ()
     cliques = _greedy_clique_partition(g)
@@ -921,6 +946,18 @@ def brute_force_wis(g: Graph, weights, k_card: int,
             dead_ends += 1
             blocked = None
         else:
+            if gain and weight + gain == k_weight:
+                lighter = 0
+                for i in range(idx, m):
+                    top = -1
+                    for v in heaviest_first[i]:
+                        if not blocked >> v & 1:
+                            if top < 0:
+                                top = weights[v]
+                            elif weights[v] < top:
+                                lighter |= 1 << v
+                blocked |= lighter
+                fresh = None if fresh is None else fresh | lighter
             closed = size + open_cliques == k_card and dead_ends >= m
             if closed:
                 if tables is None:

@@ -455,12 +455,14 @@ def build_wis_instance(ss: StripStructure, h: Pattern, k: int) -> WisInstance:
     flavour).  A stripe gets one vertex per satisfiable behaviour, weighted
     from its behaviour table, which one pass over the strip builds
     (``_stripe_table``): the strip's copies are enumerated once and each
-    distinct reservation is packed once.  The clique of a strip-vertex x
-    enumerates how the single copy that may touch C(x) does so: a demand
-    distribution over the edges at x (type Ia), a stick-out through one
-    stripe (type Ib, which obeys the Ia rules as demand -1 on its own stripe
-    and 0 on every other edge at x), or a copy occupying the cliques of a
-    group of strip-vertices with one role vertex in each:
+    distinct reservation is packed once.  It reads only the strip's graph,
+    z's and orientation, so a build shares one table per such shape.  The
+    clique of a strip-vertex x enumerates how the single copy that may touch
+    C(x) does so: a demand distribution over the edges at x (type Ia), a
+    stick-out through one stripe (type Ib, which obeys the Ia rules as
+    demand -1 on its own stripe and 0 on every other edge at x), or a copy
+    occupying the cliques of a group of strip-vertices with one role vertex
+    in each:
 
         type  group   the copy                 spot side kept  own-stripe profiles kept
         IIa   pair    spans C(x) and C(y)      "both"          flavour "C", a, b >= 1
@@ -504,6 +506,7 @@ def build_wis_instance(ss: StripStructure, h: Pattern, k: int) -> WisInstance:
     spot_v = {}    # eid -> {member: vid, "both": vid, "none": vid}
     prof = {}      # eid -> {key: vid}; key (a,) or (a, b, flavour), in member order
     edge_clique = {}
+    shapes = {}    # (graph, z, flip) -> behaviour table
     for eid, ms in ss.edges:
         s = ss.strips[eid]
         if kinds[eid] == "spot":
@@ -520,8 +523,11 @@ def build_wis_instance(ss: StripStructure, h: Pattern, k: int) -> WisInstance:
         # the table keys its z's in ascending order; flip when ms[0] faces
         # the larger z, so that keys follow the member order
         flip = ss.z_assign[eid][ms[0]] != min(s.z)
+        shape = (s.graph, s.z, flip)
+        if shape not in shapes:
+            shapes[shape] = _stripe_table(s, h, flip)
         table = {}
-        for key, w in _stripe_table(s, h, flip).items():
+        for key, w in shapes[shape].items():
             if w >= k:
                 return _trivial_yes_wis(
                     k, f"strip-edge {eid!r} alone holds {w} disjoint copies"
@@ -591,16 +597,18 @@ def build_wis_instance(ss: StripStructure, h: Pattern, k: int) -> WisInstance:
             occupy("triple", tri, "t" + ".".join(map(str, tri)), 1, "both", None, ())
 
     # ------------------------------------------------------------------ pass 2
-    eset = set()
+    nbr = [0] * len(tags)  # consistency edges, as one adjacency mask per vertex
 
     def connect(a: int, b: int) -> None:
         if a == b:
             raise InternalError("self-loop in the consistency graph")
-        eset.add((a, b) if a < b else (b, a))
+        nbr[a] |= 1 << b
+        nbr[b] |= 1 << a
 
     for vids in [*edge_clique.values(), *r_clique.values()]:
-        for a, b in itertools.combinations(vids, 2):
-            connect(a, b)
+        clique = sum(1 << v for v in vids)
+        for v in vids:
+            nbr[v] |= clique ^ 1 << v
 
     # types Ia and Ib: the one copy that may touch C(x), with its demand over
     # the edges at x; an Ib stick-out through stripe e is the Ia rule with
@@ -695,7 +703,7 @@ def build_wis_instance(ss: StripStructure, h: Pattern, k: int) -> WisInstance:
 
     if weights and max(weights) > k - 1:
         raise InternalError("selection weight above k - 1 survived the cap")
-    graph = Graph(len(tags), sorted(eset))
+    graph = Graph._from_masks(nbr)
     cliques = tuple(tuple(edge_clique[eid]) for eid, _ in ss.edges)
     cliques += tuple(tuple(r_clique[r]) for r in ss.r_vertices)
     k_card = len(ss.r_vertices) + len(ss.edges)

@@ -166,6 +166,21 @@ def test_constructors_and_searches_refuse_bad_arguments():
         brute_force_wis(g, [1, -1, 1], 1, 0)
 
 
+def test_wis_refuses_targets_and_weights_it_cannot_compare():
+    """A bool k_card is not read as 0 or 1, a string k_card is refused
+    before any comparison, and a NaN target or weight is refused before the
+    search, which would otherwise run past its last clique."""
+    g = path_graph(4)
+    for k_card in (True, False, "2", 2.0, None):
+        with pytest.raises(InputError, match="k_card must be an int"):
+            brute_force_wis(g, [1] * 4, k_card, 0)
+    with pytest.raises(InputError, match="k_weight not NaN"):
+        brute_force_wis(g, [1] * 4, 2, float("nan"))
+    with pytest.raises(InputError, match="nonnegative and not NaN"):
+        brute_force_wis(g, [1, float("nan"), 1, 1], 2, 0)
+    assert brute_force_wis(g, [1] * 4, 2, 2.0) == (True, (0, 2))
+
+
 def test_accessors_agree_with_the_edge_tuple():
     """Every accessor equals a recompute from ``edges`` alone, on random
     graphs given their edges in shuffled order and orientation."""

@@ -36,7 +36,14 @@ from igmatch.kernel import (
 from igmatch.strips import Strip, StripStructure, classify_strip, validate_strip_structure
 
 from igmatch.trace import recording
-from oracles import igm_exhaustive, occurrences_exhaustive, wis_reference
+from oracles import (
+    igm_exhaustive,
+    independent_sets,
+    occurrences_exhaustive,
+    wis_exhaustive,
+    wis_forward_check_reference,
+    wis_reference,
+)
 from randgen import random_connected_multigraph, random_graph, random_line_graph
 from test_color_coding import c11_two_stripes, two_stripe_p4
 
@@ -549,6 +556,21 @@ def test_kernel_size_does_not_grow_with_the_host(k2, monkeypatch):
     assert all(len(br.ss.edges) <= _strip_edge_ceiling(2, br.k) for br in reduced)
 
 
+def test_spider_kernels_stay_trivial_as_the_legs_grow(k2):
+    """The same ladder on the leg count: the line graph of a hub with d
+    two-edge legs (the benchmark's spider) has one K2 at most, as every
+    copy holds a hub edge and the hub edges form a clique.  For d = 6 to 48
+    (12 to 96 host vertices), bounding settles K2 at k = 1 (yes) and k = 2
+    (no), so the kernel is the one-vertex trivial instance whatever d."""
+    for d in (6, 12, 24, 48):
+        legs = [e for i in range(d) for e in ((0, 1 + 2 * i), (1 + 2 * i, 2 + 2 * i))]
+        g = line_graph(Multigraph(1 + 2 * d, legs))
+        assert find_igm(g, k2, 1) is not None and find_igm(g, k2, 2) is None
+        for k, tag in ((1, "trivial:yes"), (2, "trivial:no")):
+            wis = kernelize(g, k2, k)
+            assert (wis.graph.n, wis.tags) == (1, (tag,)), (d, k)
+
+
 def test_bound_partial_when_no_structure_exists(k2):
     with recording() as notes:
         br = bound_strip_graph(wheel_plus_path(), k2, 7)
@@ -947,16 +969,17 @@ def test_full_cardinality_selections_pick_one_per_clique(k2):
         assert len(picked & set(clique)) == 1
 
 
-def _planted_selection_question(rng):
-    """1-7 cliques of 1-4 consecutive vertices with random cross edges, and
-    a cardinality target of one vertex per clique, one less, or random."""
-    sizes = [rng.randint(1, 4) for _ in range(rng.randint(1, 7))]
+def _planted_selection_question(rng, cliques=7, size=4, top=2):
+    """1-``cliques`` cliques of 1-``size`` consecutive vertices with random
+    cross edges, weights in 0..``top``, and a cardinality target of one
+    vertex per clique, one less, or random."""
+    sizes = [rng.randint(1, size) for _ in range(rng.randint(1, cliques))]
     starts = list(itertools.accumulate(sizes, initial=0))
     n, m = starts[-1], len(sizes)
     edges = {e for a, b in zip(starts, starts[1:]) for e in itertools.combinations(range(a, b), 2)}
     p = rng.uniform(0.2, 0.5)
     edges |= {e for e in itertools.combinations(range(n), 2) if rng.random() < p}
-    weights = [rng.randint(0, 2) for _ in range(n)]
+    weights = [rng.randint(0, top) for _ in range(n)]
     k_card = rng.choice((m, m - 1, rng.randint(0, m)))
     return Graph(n, sorted(edges)), weights, k_card, rng.randint(0, m)
 
@@ -1020,6 +1043,29 @@ def test_wis_witnesses_match_the_static_bound_reference(k2, k3):
     for g, weights, k_card, k_weight in questions:
         want = wis_reference(g, weights, k_card, k_weight)
         assert brute_force_wis(g, weights, k_card, k_weight) == want, (g.n, k_card, k_weight)
+
+
+def test_weight_tight_searches_match_the_exhaustive_and_forward_check_searches():
+    """Planted selection cliques with 0/1 weights, asked for the best weight
+    of an independent set of the target size and for one more: the second
+    is the kernel's no-instance shape, where the weight-tight rule blocks
+    the 0-weight vertices of every open clique that still holds a 1 (365
+    of the 712 searches reach such a node).  Same answer as the exhaustive
+    search, and same witness as the forward-check search."""
+    rng = random.Random(4243)
+    asked = 0
+    for _ in range(400):
+        g, weights, k_card, _ = _planted_selection_question(rng, cliques=4, size=3, top=1)
+        best = max((sum(weights[v] for v in s) for s in independent_sets(g) if len(s) >= k_card),
+                   default=None)
+        if best is None:
+            continue
+        for k_weight in (best, best + 1):
+            got = brute_force_wis(g, weights, k_card, k_weight)
+            assert got[0] == wis_exhaustive(g, weights, k_card, k_weight) == (k_weight == best)
+            assert got == wis_forward_check_reference(g, weights, k_card, k_weight)
+            asked += 1
+    assert asked == 712
 
 
 def wis_size_ceiling(ss: StripStructure, h: int) -> int:

@@ -20,11 +20,16 @@ digest.  The builds are:
   changed.
 
 ``kernel_instances.json`` was recorded before the encoding kept one profile
-table per stripe and one loop over spanning copies, and before that table
-was filled in one pass over its strip (``kernel._stripe_table``), which
-enumerates the strip's copies once instead of once per key.  A second test
-counts those enumerations on the subdivided builds.  Rewrite the file only
-for an intended change to the encoding:
+table per stripe and one loop over spanning copies, before that table was
+filled in one pass over its strip (``kernel._stripe_table``), which
+enumerates the strip's copies once instead of once per key, before a build
+shared one table among its stripes of one shape (graph, z's and
+orientation), and before the consistency graph was built from adjacency
+masks.  Other tests count those enumerations on the subdivided builds (one
+per stripe shape per build), check each mask-built graph against the
+checked constructor, and pin how often the final WIS solves of the
+benchmark's encodings propagate.  Rewrite the file only for an intended
+change to the encoding:
 
     PYTHONPATH=src python tests/test_kernel_corpus.py
 """
@@ -42,7 +47,7 @@ from igmatch.graphs import Graph, Pattern, complete_graph, path_graph
 from igmatch.strips import Strip, StripStructure, classify_strip
 from igmatch.trace import recording
 
-from oracles import wis_forward_check_reference
+from oracles import igm_exhaustive, wis_forward_check_reference
 from randgen import random_line_graph, random_subdivided_structure
 from test_color_coding import c11_two_stripes, two_stripe_p4
 from test_kernel import (
@@ -81,6 +86,44 @@ def lopsided_stripe_pair():
         z_assign={0: {0: 5, 1: 0}, 1: {0: 0, 1: 2}},
     )
     return g, ss
+
+
+def test_a_shared_stripe_table_is_read_in_each_stripe_orientation():
+    """Two copies of the lopsided stripe, parallel to one spot, face r0 from
+    opposite ends.  Their strips are one graph with one z, so a build fills
+    one table for both ends' orientations and must read it flipped for one
+    of them.  The encoding equals that of the same structure with the
+    second stripe relabelled (v -> 5 - v), which shares no table, and its
+    answer is the host's."""
+    jg = Graph(6, [(0, 1), (1, 2), (2, 3), (2, 4), (3, 4), (3, 5)])
+    first, second = {1: 0, 2: 1, 3: 2, 4: 3}, {1: 4, 2: 5, 3: 6, 4: 7}
+    inner = [(1, 2), (2, 3), (2, 4), (3, 4)]
+    edges = [(m[u], m[v]) for m in (first, second) for u, v in inner]
+    # C(r0) = {2, 4, 8} and C(r1) = {0, 6, 8}, host 8 being the spot
+    edges += [(2, 4), (2, 8), (4, 8), (0, 6), (0, 8), (6, 8)]
+    g = Graph(9, edges)
+
+    def structure(j2, z_at_r0, g_map):
+        return StripStructure(
+            r_vertices=(0, 1),
+            edges=((0, (0, 1)), (1, (0, 1)), (2, (0, 1))),
+            strips={0: Strip(jg, frozenset({0, 5}), first),
+                    1: Strip(path_graph(3), frozenset({0, 2}), {1: 8}),
+                    2: Strip(j2, frozenset({0, 5}), g_map)},
+            z_assign={0: {0: 5, 1: 0}, 1: {0: 0, 1: 2}, 2: {0: z_at_r0, 1: 5 - z_at_r0}},
+        )
+
+    shared = structure(jg, 0, second)
+    relabelled = structure(Graph(6, [(5 - u, 5 - v) for u, v in jg.edges]), 5,
+                           {5 - j: v for j, v in second.items()})
+    for ss in (shared, relabelled):
+        strips.validate_strip_structure(g, ss)
+    for h in (2, 3):
+        for k in (2, 3):
+            inst = kernel.build_wis_instance(shared, PATTERNS[h], k)
+            assert inst == kernel.build_wis_instance(relabelled, PATTERNS[h], k), (h, k)
+            answer = graphs.brute_force_wis(inst.graph, inst.weights, inst.k_card, inst.k_weight)
+            assert answer[0] == igm_exhaustive(g, PATTERNS[h].graph, k), (h, k)
 
 
 def _hand_builds():
@@ -258,6 +301,30 @@ def test_subdivided_and_workload_encodings_match_the_wis_reference():
     assert solved == 120 + 38
 
 
+def test_encodings_build_the_graph_the_checked_constructor_builds():
+    """The encoding writes its consistency edges as adjacency masks and
+    builds its graph from them unchecked; the public constructor, given the
+    edges derived from those masks, builds the same graph."""
+    for label, inst, _ in _built_instances():
+        checked = Graph(inst.graph.n, inst.graph.edges)
+        assert inst.graph == checked, label
+        assert hash(inst.graph) == hash(checked), label
+        assert inst.graph._nbr == checked._nbr, label
+
+
+def test_workload_solves_propagate_a_pinned_number_of_times(monkeypatch):
+    """The final WIS solves of the benchmark's 38 encodings, all of them
+    no-instances, close their blocked sets 842 times in all.  The
+    weight-tight rule of ``brute_force_wis`` cuts that from 1,091: it blocks
+    vertices too light to reach the target, so fewer nodes are searched."""
+    questions = [(inst.graph, inst.weights, inst.k_card, inst.k_weight)
+                 for label, inst, _ in _built_instances() if label.startswith("workload")]
+    propagated = _counted(monkeypatch, graphs, "_propagate")
+    answers = [graphs.brute_force_wis(*q)[0] for q in questions]
+    assert len(answers) == 38 and not any(answers)
+    assert len(propagated) == 842
+
+
 def _counted(monkeypatch, module, name) -> list:
     """Count the calls of ``module.name`` through every igmatch binding of it."""
     real = getattr(module, name)
@@ -282,16 +349,24 @@ def test_subdivided_builds_table_each_stripe_once(monkeypatch):
     builds = list(_subdivided_builds())
     stripes = sum(classify_strip(ss.strips[eid]) == "stripe"
                   for _, _, ss, _, _ in builds for eid, _ in ss.edges)
+    # a build tables each stripe shape once: the strip's graph and z, and
+    # whether its first member faces the larger z
+    shapes = sum(len({(ss.strips[eid].graph, ss.strips[eid].z,
+                       ss.z_assign[eid][ms[0]] != min(ss.strips[eid].z))
+                      for eid, ms in ss.edges if classify_strip(ss.strips[eid]) == "stripe"})
+                 for _, _, ss, _, _ in builds)
     enumerated = _counted(monkeypatch, graphs, "enumerate_occurrences")
     packed = _counted(monkeypatch, graphs, "packing")
     for _, _, ss, hp, k in builds:
         kernel.build_wis_instance(ss, hp, k)
-    # one enumeration per stripe table, and one classification per strip of
+    # one enumeration per stripe shape, and one classification per strip of
     # each of the 40 structures, which three builds share; the per-key
     # weights of the earlier encoding made 11,868 enumerations, 13,986
-    # classifications and 6,031 packings on these builds, and classifying
-    # again per strip-vertex made 2,118 classifications
-    assert len(enumerated) == stripes == 393
+    # classifications and 6,031 packings on these builds, classifying again
+    # per strip-vertex made 2,118 classifications, and one table per stripe
+    # made 393 enumerations, one for each of the 393 stripes
+    assert stripes == 393
+    assert len(enumerated) == shapes == 300
     assert len(classified) == 240
     assert len(packed) < 6031
 
