@@ -246,6 +246,8 @@ def solve_igm_fuzzy_ca(model: FuzzyArcModel, h: Pattern, k: int) -> Matching | N
     order; the dynamic program layers the rest left to right over the
     cut-open residual model.  Exact for connected patterns.
     """
+    if not isinstance(model, FuzzyArcModel):
+        raise InputError(f"expected a FuzzyArcModel, got {type(model).__name__}")
     if not h.is_connected:
         raise InputError("pattern must be connected for the fuzzy solver")
     if type(k) is not int or k < 0:

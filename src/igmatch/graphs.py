@@ -21,18 +21,18 @@ the first occurrence (``find_occurrence``) and the claw-free solver's token
 placements (``induced_maps``).
 
 A ``Graph`` stores its adjacency once, as integer bitmasks (``_nbr``: bit w
-of ``_nbr[v]`` is set iff vw is an edge), built by the constructor, or taken
-unchecked by the private ``Graph._from_masks``, which only the kernel's
-encoding calls, on masks it built itself.  The searches here read the masks
-directly, and no other module reads them: the accessors (``neighbors``,
-``has_edge`` and the like) turn them into sets and booleans.  Line-graph
-recognition shares one host's masks between its claw test, its twin classes
-and its final L(M) = g check.  Its cover search keeps the order of the
-list-based search it replaced (first uncovered edge of ``g.edges``, then the
-cliques through it largest first, ties by sorted tuple) but builds each
-clique only when it tries it; on the benchmark's ``clawfree`` and ``kernel``
-hosts every step takes the first clique it builds, so the search never
-backtracks there.
+of ``_nbr[v]`` is set iff vw is an edge), and derives ``edges`` from them.
+The public constructor checks each edge; every graph the package derives is
+built from masks unchecked (``Graph._from_masks``): ``induced`` remaps them,
+``disjoint_union`` shifts them, ``line_graph`` ORs incidence masks, and
+``models.realize`` hands its pair sweeps to ``Graph._from_pairs``.  Only the
+kernel's encoding writes masks outside this module, and none reads them.
+Line-graph recognition reads one host's masks for its claw test and twin
+classes and checks L(M) = g with ``line_graph``.  Its cover search keeps the
+order of the list-based search it replaced (first uncovered edge of
+``g.edges``, then the cliques through it largest first, ties by sorted
+tuple) but builds each clique only when it tries it; on the benchmark's
+``clawfree`` and ``kernel`` hosts it never backtracks.
 
 Conventions
 -----------
@@ -85,50 +85,54 @@ class Graph:
 
     Duplicate edges and self-loops are rejected.  Instances are immutable
     and hashable; equality is structural (same n, same edge set).  Stored:
-    the sorted edge tuple and one adjacency, the masks ``_nbr`` (bit w of
-    ``_nbr[v]`` set iff vw is an edge), which the accessors turn into sets.
+    ``n`` and the masks ``_nbr`` only (bit w of ``_nbr[v]`` set iff vw is an
+    edge), written by this module and the kernel's encoding alone; the
+    accessors and ``edges`` are read off them.
     """
 
-    __slots__ = ("n", "_nbr", "_edges")
+    __slots__ = ("n", "_nbr")
 
     def __init__(self, n: int, edges=()):
         if type(n) is not int or n < 0:
             raise InputError(f"vertex count must be a nonnegative integer, got {n!r}")
-        edges = list(edges)
-        try:
-            norm = [(u, v) if u < v else (v, u) for u, v in edges]
-            if len(set(norm)) < len(norm) or not all(
-                    type(u) is type(v) is int and 0 <= u < v < n for u, v in norm):
-                raise ValueError
-        except (TypeError, ValueError):
-            _raise_first_fault(n, edges)
-            raise  # not reached: some edge is at fault
         nbr = [0] * n
-        for u, v in norm:
+        for e in edges:
+            u, v = _edge(e, n)
+            if nbr[u] >> v & 1:
+                raise InputError(f"duplicate edge {(u, v)!r}")
             nbr[u] |= 1 << v
             nbr[v] |= 1 << u
         self.n = n
         self._nbr = tuple(nbr)
-        self._edges = tuple(sorted(norm))
 
     @classmethod
     def _from_masks(cls, nbr) -> "Graph":
         """The graph of symmetric, loop-free masks, taken unchecked."""
         g = cls.__new__(cls)
         g.n, g._nbr = len(nbr), tuple(nbr)
+        return g
+
+    @classmethod
+    def _from_pairs(cls, n: int, pairs) -> "Graph":
+        """The graph on n vertices whose edges are ``pairs``: distinct pairs
+        of distinct vertices, taken unchecked."""
+        nbr = [0] * n
+        for u, v in pairs:
+            nbr[u] |= 1 << v
+            nbr[v] |= 1 << u
+        return cls._from_masks(nbr)
+
+    @property
+    def edges(self) -> tuple[tuple[int, int], ...]:
+        """The edges (u, v), u < v, in sorted order, read off the masks."""
         edges = []
-        for u, m in enumerate(g._nbr):
+        for u, m in enumerate(self._nbr):
             m >>= u  # bit j now stands for vertex u + j
             while m:
                 low = m & -m
                 edges.append((u, u + low.bit_length() - 1))
                 m ^= low
-        g._edges = tuple(edges)
-        return g
-
-    @property
-    def edges(self) -> tuple[tuple[int, int], ...]:
-        return self._edges
+        return tuple(edges)
 
     def neighbors(self, v: int) -> frozenset:
         return frozenset(_bits(self._nbr[v]))
@@ -157,13 +161,18 @@ class Graph:
             raise InputError(f"induced() takes vertices that are integers in 0..{self.n - 1}")
         if len(set(vs)) != len(vs):
             raise InputError("induced() requires distinct vertices")
-        pos = {v: i for i, v in enumerate(vs)}
-        es = [
-            (pos[u], pos[v])
-            for u, v in self._edges
-            if u in pos and v in pos
-        ]
-        return Graph(len(vs), es)
+        bit = [0] * self.n  # old vertex -> the bit of its new id, 0 if dropped
+        for i, v in enumerate(vs):
+            bit[v] = 1 << i
+        nbr = []
+        for v in vs:
+            m, new = self._nbr[v], 0
+            while m:
+                low = m & -m
+                new |= bit[low.bit_length() - 1]
+                m ^= low
+            nbr.append(new)
+        return Graph._from_masks(nbr)
 
     def without(self, removed) -> tuple["Graph", list[int]]:
         """Delete a vertex set; returns (subgraph, kept old ids in order)."""
@@ -194,17 +203,13 @@ class Graph:
         return len(self.components()) == 1
 
     def __eq__(self, other):
-        return (
-            isinstance(other, Graph)
-            and self.n == other.n
-            and self._edges == other._edges
-        )
+        return isinstance(other, Graph) and self._nbr == other._nbr
 
     def __hash__(self):
-        return hash((self.n, self._edges))
+        return hash(self._nbr)
 
     def __repr__(self):
-        return f"Graph(n={self.n}, m={len(self._edges)})"
+        return f"Graph(n={self.n}, m={len(self.edges)})"
 
 
 def _edge(e, n: int) -> tuple[int, int]:
@@ -220,16 +225,6 @@ def _edge(e, n: int) -> tuple[int, int]:
     if u == v:
         raise InputError(f"self-loop at vertex {u} not allowed")
     return (u, v) if u < v else (v, u)
-
-
-def _raise_first_fault(n: int, edges: list) -> None:
-    """Raise for the first edge, in input order, that ``_edge`` refuses or that repeats."""
-    seen = set()
-    for e in edges:
-        key = _edge(e, n)
-        if key in seen:
-            raise InputError(f"duplicate edge {key!r}")
-        seen.add(key)
 
 
 class Multigraph:
@@ -281,8 +276,7 @@ def star_graph(leaves: int) -> Graph:
 
 
 def disjoint_union(a: Graph, b: Graph) -> Graph:
-    es = list(a.edges) + [(u + a.n, v + a.n) for u, v in b.edges]
-    return Graph(a.n + b.n, es)
+    return Graph._from_masks(a._nbr + tuple(m << a.n for m in b._nbr))
 
 
 # ---------------------------------------------------------------------------
@@ -861,8 +855,9 @@ def brute_force_wis(g: Graph, weights, k_card: int,
 
     Exact branch and bound over a greedy clique partition: clique by clique,
     take one of its unblocked vertices (in clique order) or none.  Weights
-    must be nonnegative (so any partial independent set extends without
-    loss) and k_card an int.  Returns (answer, witness or None).
+    must be nonnegative ints or floats (so any partial independent set
+    extends without loss), k_card an int and k_weight an int or a float;
+    a bool is neither.  Returns (answer, witness or None).
 
     The bound is a forward check (Haralick and Elliott, 1980): at each node,
     the cliques still to come that keep a vertex outside the blocked set
@@ -912,10 +907,12 @@ def brute_force_wis(g: Graph, weights, k_card: int,
     weights = list(weights)
     if len(weights) != g.n:
         raise InputError("one weight per vertex required")
-    if any(not w >= 0 for w in weights):
-        raise InputError("weights must be nonnegative and not NaN")
+    if any(type(w) not in (int, float) or not w >= 0 for w in weights):
+        raise InputError("weights must be ints or floats, nonnegative and not NaN")
     if type(k_card) is not int or k_weight != k_weight:
         raise InputError("k_card must be an int and k_weight not NaN")
+    if type(k_weight) not in (int, float):
+        raise InputError(f"k_weight must be an int or a float, got {k_weight!r}")
     if k_card <= 0 and k_weight <= 0:
         return True, ()
     cliques = _greedy_clique_partition(g)
@@ -1010,14 +1007,15 @@ def _twin_classes(nbr: tuple[int, ...]) -> list[list[int]]:
 
 
 def line_graph(m: Multigraph) -> Graph:
-    """Line graph of a multigraph: vertex i is edge i, adjacency = shared endpoint."""
-    es = []
+    """Line graph of a multigraph: vertex i is edge i, adjacency = shared endpoint.
+
+    Vertex i's mask is the edges at its two ends, less i itself.
+    """
+    inc = [0] * m.n  # bit i of inc[a]: edge i ends at a
     for i, (a, b) in enumerate(m.edges):
-        for j in range(i + 1, len(m.edges)):
-            c, d = m.edges[j]
-            if a in (c, d) or b in (c, d):
-                es.append((i, j))
-    return Graph(len(m.edges), es)
+        inc[a] |= 1 << i
+        inc[b] |= 1 << i
+    return Graph._from_masks([(inc[a] | inc[b]) & ~(1 << i) for i, (a, b) in enumerate(m.edges)])
 
 
 def _cliques_through(nbr: tuple[int, ...], u: int, v: int, avoid: int):
@@ -1048,42 +1046,43 @@ def _krausz_cover(g: Graph) -> list[frozenset] | None:
     the cliques through it with no vertex already in two chosen cliques,
     largest first, ties by sorted tuple (``_cliques_through``), backtracking
     when an edge has no such clique left.  Each step builds only the clique
-    it takes next, resumes the edge scan where the last step stopped, and
+    it takes next, resumes the edge scan at the vertex where the last step
+    stopped (its lowest uncovered higher neighbour is the next edge), and
     keeps the covered pairs as one mask per vertex and the vertices in one
     and in two chosen cliques as two masks.  The picks are driven from an
     explicit stack, so the depth is not bounded by Python's recursion limit.
     """
     nbr = g._nbr
-    edges = g.edges
     covered = [0] * g.n  # bit b of covered[a]: the pair ab lies in a chosen clique
     once = full = 0  # vertices in at least one, and in two, chosen cliques
-    # one entry per chosen clique: its edge index, the stream it came from,
-    # the clique, and what it changed, to undo it on backtracking
+    # one entry per chosen clique: the lower end of its edge, the stream it
+    # came from, the clique, and what it changed, to undo it on backtracking
     stack: list[tuple] = []
-    i, stream = 0, None
+    u, stream = 0, None
     while True:
         if stream is None:
-            while i < len(edges) and covered[edges[i][0]] >> edges[i][1] & 1:
-                i += 1
-            if i == len(edges):
+            while u < g.n and not (nbr[u] & ~covered[u]) >> u:
+                u += 1
+            if u == g.n:
                 return [frozenset(_bits(entry[2])) for entry in stack]
-            u, v = edges[i]
+            up = (nbr[u] & ~covered[u]) >> u
+            v = u + (up & -up).bit_length() - 1
             stream = iter(()) if (full >> u | full >> v) & 1 else _cliques_through(nbr, u, v, full)
         clique = next(stream, None)
         if clique is None:
             if not stack:
                 return None
-            i, stream, _, members, before, once, full = stack.pop()
+            u, stream, _, members, before, once, full = stack.pop()
             for w, was in zip(members, before):
                 covered[w] = was
             continue
         members = _bits(clique)
-        stack.append((i, stream, clique, members, [covered[w] for w in members], once, full))
+        stack.append((u, stream, clique, members, [covered[w] for w in members], once, full))
         for w in members:
             covered[w] |= clique
         full |= once & clique
         once |= clique
-        i, stream = i + 1, None
+        stream = None
 
 
 def _preimage_from_cover(g: Graph, cover: list[frozenset]) -> Multigraph:
@@ -1116,17 +1115,16 @@ def recognize_line_graph(g: Graph) -> Multigraph | None:
     most two cliques on the reduced graph, then re-expands the contracted
     classes by duplicating their edges.
 
-    The claw test, the twin classes (closed neighbourhood masks as keys) and
-    the final L(M) = g check all read the host's stored adjacency masks.  The
-    claw test picks legs depth first over ``nbr[v] & ~nbr[leg]``, lowest bit
-    first, and returns the witness ``find_star`` returns.  The cover search
+    The claw test and the twin classes (closed neighbourhood masks as keys)
+    read the host's stored adjacency masks.  The claw test picks legs depth
+    first over ``nbr[v] & ~nbr[leg]``, lowest bit first, and returns the
+    witness ``find_star`` returns.  The cover search
     (``_krausz_cover``) keeps its order: first uncovered edge of
     ``g.edges``, then cliques through it largest first, ties by sorted
     tuple; it builds each candidate clique only when it tries it.  On the
     benchmark's ``clawfree`` and ``kernel`` hosts it never backtracks: every
-    step takes the first clique it builds.  The L(M) = g check compares,
-    for every g-vertex i, the edges of M meeting edge i with the
-    neighbourhood mask of i.
+    step takes the first clique it builds.  The final L(M) = g check
+    compares ``line_graph(M)`` with g.
 
     A failed search on the reduced graph rejects g with no second search:
     ``_krausz_cover`` backtracks over every clique, so the reduced graph is
@@ -1146,35 +1144,20 @@ def recognize_line_graph(g: Graph) -> Multigraph | None:
         return None
     if g.n == 3 and len(g.edges) == 3:
         m = Multigraph(3, [(0, 1), (1, 2), (0, 2)])
-        _check_identity_preimage(nbr, m)
-        return m
-    classes = _twin_classes(nbr)
-    reps = [c[0] for c in classes]
-    class_of = [0] * g.n
-    for ci, c in enumerate(classes):
-        for v in c:
-            class_of[v] = ci
-    reduced = g.induced(reps)
-    cover = _krausz_cover(reduced)
-    if cover is None:
-        return None
-    m_red = _preimage_from_cover(reduced, cover)
-    # expand: g-vertex v gets a parallel copy of its class representative's edge
-    edges = [m_red.edges[class_of[v]] for v in range(g.n)]
-    m = Multigraph(m_red.n, edges)
-    _check_identity_preimage(nbr, m)
-    return m
-
-
-def _check_identity_preimage(nbr: tuple[int, ...], m: Multigraph) -> None:
-    """Raise unless L(M) is the host with adjacency masks ``nbr``: one edge
-    of M per host vertex, and the edges other than i that meet edge i are
-    exactly the host neighbours of vertex i."""
-    inc = [0] * m.n  # bit i of inc[a]: edge i of M ends at a
-    for i, (a, b) in enumerate(m.edges):
-        inc[a] |= 1 << i
-        inc[b] |= 1 << i
-    if len(m.edges) != len(nbr) or any(
-        (inc[a] | inc[b]) & ~(1 << i) != nb for i, ((a, b), nb) in enumerate(zip(m.edges, nbr))
-    ):
+    else:
+        classes = _twin_classes(nbr)
+        reps = [c[0] for c in classes]
+        class_of = [0] * g.n
+        for ci, c in enumerate(classes):
+            for v in c:
+                class_of[v] = ci
+        reduced = g.induced(reps)
+        cover = _krausz_cover(reduced)
+        if cover is None:
+            return None
+        m_red = _preimage_from_cover(reduced, cover)
+        # expand: g-vertex v gets a parallel copy of its class representative's edge
+        m = Multigraph(m_red.n, [m_red.edges[class_of[v]] for v in range(g.n)])
+    if line_graph(m) != g:
         raise InternalError("pre-image construction does not reproduce the host")
+    return m

@@ -140,8 +140,15 @@ class FuzzyArcModel:
     resolutions: dict = field(default_factory=dict)
 
     def __post_init__(self):
+        if not isinstance(self.arcs, ArcModel):
+            raise InputError(f"FuzzyArcModel takes an ArcModel, got {type(self.arcs).__name__}")
+        if not isinstance(self.resolutions, dict):
+            raise InputError(f"fuzzy resolutions must be a dict, got {type(self.resolutions).__name__}")
         norm = {}
-        for (i, j), bit in self.resolutions.items():
+        for pair, bit in self.resolutions.items():
+            i, j = pair if type(pair) is tuple and len(pair) == 2 else (None, None)
+            if not type(i) is type(j) is int:
+                raise InputError(f"fuzzy resolution key {pair!r} is not an (i, j) pair of arc ids")
             if i == j:
                 raise InputError(f"fuzzy resolution for pair ({i},{j}) with i = j")
             key = (min(i, j), max(i, j))
@@ -331,16 +338,17 @@ def realize(model) -> Graph:
     """Intersection graph of a model; vertex v is the item with id v.
 
     For fuzzy models, one-point intersections become edges exactly when the
-    resolution says so.
+    resolution says so.  The sweeps list each pair once, unchecked.
     """
     if isinstance(model, IntervalModel):
-        return Graph(len(model), [(a.id, b.id) for a, b in _overlaps(model)])
+        return Graph._from_pairs(len(model), [(a.id, b.id) for a, b in _overlaps(model)])
     if isinstance(model, ArcModel):
         multi, single = _pair_kinds(model)
-        return Graph(len(model), multi + single)
+        return Graph._from_pairs(len(model), multi + single)
     if isinstance(model, FuzzyArcModel):
         multi, single = _pair_kinds(model.arcs)
-        return Graph(len(model.arcs), multi + [p for p in single if model.resolutions[p]])
+        kept = [p for p in single if model.resolutions[p]]
+        return Graph._from_pairs(len(model.arcs), multi + kept)
     raise InputError(f"cannot realize {type(model).__name__}")
 
 
@@ -354,6 +362,8 @@ def validate_interval_model(model: IntervalModel) -> ModelReport:
     Of two overlapping intervals a, b with a.l <= b.l, one holds the other
     iff b ends by a's end or both start together.
     """
+    if not isinstance(model, IntervalModel):
+        raise InputError(f"expected an IntervalModel, got {type(model).__name__}")
     proper = not any(b.r <= a.r or a.l == b.l for a, b in _overlaps(model))
     return ModelReport(proper=proper, long=True)
 
@@ -384,6 +394,8 @@ def validate_arc_model(model: ArcModel) -> ModelReport:
     farthest reach of the arcs starting by p + 2C is that of the arcs
     through it.
     """
+    if not isinstance(model, ArcModel):
+        raise InputError(f"expected an ArcModel, got {type(model).__name__}")
     c2 = 2 * model.circumference
     spans = sorted(arc_spans(model))
     line = spans + [(s + c2, l) for s, l in spans]

@@ -164,9 +164,9 @@ def classify_strip(s: Strip) -> str:
     exclusive: the spot's middle vertex sees both its z's.
     """
     j = s.graph
-    if j.n == 3 and len(s.z) == 2 and len(j.edges) == 2:
-        (w,) = [v for v in range(3) if v not in s.z]
-        if all(j.has_edge(w, z) for z in s.z):
+    if j.n == 3 and len(s.z) == 2 and not j.has_edge(*s.z):
+        (w,) = {0, 1, 2} - s.z
+        if j.degree(w) == 2:
             return "spot"
     if all(len(j.neighbors(v) & s.z) <= 1 for v in range(j.n)):
         return "stripe"

@@ -69,7 +69,6 @@ from igmatch.graphs import (
     _preimage_from_cover,
     enumerate_occurrences,
     find_occurrence,
-    line_graph,
 )
 from igmatch.models import (
     ArcModel,
@@ -1415,7 +1414,9 @@ def krausz_cover_reference(g) -> list[frozenset] | None:
 
 def preimage_reproduces_reference(g, m) -> bool:
     """Is L(M) = g, by building the line graph pair by pair?"""
-    return line_graph(m) == g
+    es = m.edges
+    return Graph(len(es), [(i, j) for i, j in itertools.combinations(range(len(es)), 2)
+                           if set(es[i]) & set(es[j])]) == g
 
 
 def recognize_line_graph_reference(g):

@@ -5,6 +5,7 @@ import random
 import sys
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from igmatch import graphs
 from igmatch.errors import InputError, InternalError, SizeCapError
@@ -35,6 +36,7 @@ from igmatch.graphs import (
     star_free,
     star_graph,
 )
+from igmatch.models import Arc, ArcModel, FuzzyArcModel, Interval, IntervalModel, realize
 from oracles import (
     all_cliques_containing_edge_reference,
     all_pairs_occurrence_masks,
@@ -181,6 +183,19 @@ def test_wis_refuses_targets_and_weights_it_cannot_compare():
     assert brute_force_wis(g, [1] * 4, 2, 2.0) == (True, (0, 2))
 
 
+def test_wis_refuses_a_weight_or_weight_target_that_is_no_number():
+    """A string or None k_weight raised TypeError from inside the search, a
+    string weight did too, and a bool target or weight counted as 1."""
+    g = path_graph(4)
+    for k_weight in ("3", None, True, False, [2]):
+        with pytest.raises(InputError, match="k_weight must be an int or a float"):
+            brute_force_wis(g, [1] * 4, 2, k_weight)
+    for odd in ("1", True, None, (1,)):
+        with pytest.raises(InputError, match="weights must be ints or floats"):
+            brute_force_wis(g, [1, odd, 1, 1], 2, 0)
+    assert brute_force_wis(g, [1, 2.5, 1, 1], 1, 2.5) == (True, (1,))
+
+
 def test_accessors_agree_with_the_edge_tuple():
     """Every accessor equals a recompute from ``edges`` alone, on random
     graphs given their edges in shuffled order and orientation."""
@@ -226,6 +241,100 @@ def test_accessors_agree_with_the_edge_tuple():
         removed = set(range(n)) - set(vs)
         rest, kept = g.without(removed)
         assert kept == sorted(vs) and rest == g.induced(kept)
+
+
+def _assert_same_graph(got, want):
+    """``got``, built from masks, equals ``want``, built by the public
+    constructor, in ``==``, ``hash``, ``edges`` and every accessor."""
+    assert got == want and want == got and hash(got) == hash(want)
+    assert got.n == want.n and got.edges == want.edges and repr(got) == repr(want)
+    for v in range(want.n):
+        assert got.neighbors(v) == want.neighbors(v)
+        assert got.closed_neighborhood(v) == want.closed_neighborhood(v)
+        assert got.degree(v) == want.degree(v)
+        assert all(got.has_edge(v, w) == want.has_edge(v, w) for w in range(want.n))
+    assert got.closed_neighborhood_of_set(range(0, want.n, 2)) == want.closed_neighborhood_of_set(
+        range(0, want.n, 2))
+    assert got.components() == want.components() and got.is_connected() == want.is_connected()
+
+
+@st.composite
+def _edge_lists(draw, max_n=9):
+    n = draw(st.integers(0, max_n))
+    pairs = list(itertools.combinations(range(n), 2))
+    return n, [e for e, keep in zip(pairs, draw(st.lists(st.booleans(), min_size=len(pairs),
+                                                         max_size=len(pairs)))) if keep]
+
+
+@settings(max_examples=150, derandomize=True, deadline=None)
+@given(drawn=_edge_lists(), other=_edge_lists(max_n=5), data=st.data())
+def test_graphs_built_from_masks_equal_the_checked_build(drawn, other, data):
+    """``induced``, ``without``, ``disjoint_union`` and ``line_graph`` write
+    masks unchecked; each must equal the public constructor's graph on an
+    edge list worked out from the drawn edges alone."""
+    n, edges = drawn
+    g = Graph(n, edges)
+    on = set(edges)
+    vs = data.draw(st.permutations(range(n)))[:data.draw(st.integers(0, n))]
+    _assert_same_graph(g.induced(vs), Graph(len(vs), [
+        (i, j) for i, j in itertools.combinations(range(len(vs)), 2)
+        if (min(vs[i], vs[j]), max(vs[i], vs[j])) in on]))
+    rest, kept = g.without(set(range(n)) - set(vs))
+    assert kept == sorted(vs)
+    _assert_same_graph(rest, Graph(len(kept), [
+        (i, j) for i, j in itertools.combinations(range(len(kept)), 2) if (kept[i], kept[j]) in on]))
+    m, b_edges = other
+    _assert_same_graph(disjoint_union(g, Graph(m, b_edges)),
+                       Graph(n + m, edges + [(u + n, v + n) for u, v in b_edges]))
+    # a multigraph on the same vertices: the drawn edges, some twice
+    if n >= 2:
+        twice = data.draw(st.lists(st.sampled_from(edges), max_size=4)) if edges else []
+        mg = Multigraph(n, edges + twice)
+        _assert_same_graph(line_graph(mg), Graph(len(mg.edges), [
+            (i, j) for i, j in itertools.combinations(range(len(mg.edges)), 2)
+            if set(mg.edges[i]) & set(mg.edges[j])]))
+
+
+@st.composite
+def _models(draw):
+    kind = draw(st.sampled_from(["interval", "arc", "fuzzy"]))
+    if kind == "interval":
+        spans = draw(st.lists(st.tuples(st.integers(0, 12), st.integers(1, 6)), max_size=9))
+        return IntervalModel([Interval(i, l, l + d) for i, (l, d) in enumerate(spans)])
+    c = draw(st.integers(2, 16))
+    ends = draw(st.lists(st.tuples(st.integers(0, c - 1), st.integers(1, c - 1)), max_size=9))
+    arcs = ArcModel([Arc(i, s, (s + d) % c) for i, (s, d) in enumerate(ends)], c)
+    if kind == "arc":
+        return arcs
+    single = [p for p, common in _arc_meets(arcs).items() if common == 1]
+    return FuzzyArcModel(arcs, {p: draw(st.booleans()) for p in single})
+
+
+def _arc_meets(arcs):
+    """(i, j) -> how many doubled points of the circle arcs i and j share,
+    counted point by point."""
+    c2 = 2 * arcs.circumference
+    points = [{(2 * a.s + d) % c2 for d in range((2 * a.t - 2 * a.s) % c2 + 1)} for a in arcs.arcs]
+    return {(i, j): len(points[i] & points[j])
+            for i, j in itertools.combinations(range(len(points)), 2)}
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(model=_models())
+def test_realize_built_from_masks_equals_the_checked_build(model):
+    """``realize`` hands its pair sweeps to the unchecked pair path; it must
+    equal the public constructor's graph on the pairs that meet, counted
+    point by point in doubled coordinates."""
+    if isinstance(model, IntervalModel):
+        items = model.items
+        pairs = [(i, j) for i, j in itertools.combinations(range(len(items)), 2)
+                 if max(items[i].l, items[j].l) <= min(items[i].r, items[j].r)]
+        _assert_same_graph(realize(model), Graph(len(items), pairs))
+        return
+    arcs = model.arcs if isinstance(model, FuzzyArcModel) else model
+    pairs = [p for p, common in _arc_meets(arcs).items()
+             if common > 1 or common == 1 and (arcs is model or model.resolutions[p])]
+    _assert_same_graph(realize(model), Graph(len(arcs), pairs))
 
 
 def test_star_free():
@@ -745,16 +854,16 @@ def test_recognition_matches_the_list_based_reference(monkeypatch):
 
 
 def test_identity_check_matches_rebuilding_the_line_graph():
-    """``_check_identity_preimage`` raises exactly when L(M) differs from
-    the host: on each pre-image with one edge moved or dropped, for every
-    edge index, and with an extra edge that meets no other."""
+    """``line_graph(M) == g``, the check ``recognize_line_graph`` ends with,
+    holds exactly when the line graph rebuilt pair by pair is the host: on
+    each pre-image with one edge moved or dropped, for every edge index, and
+    with an extra edge that meets no other."""
     rng = random.Random(2407)
-    raised = 0
+    differ = 0
     for _ in range(120):
         g, _m = random_line_graph(rng, max_edges=10)
-        nbr = g._nbr
         m = recognize_line_graph(g)
-        graphs._check_identity_preimage(nbr, m)
+        assert line_graph(m) == g and preimage_reproduces_reference(g, m)
         wrong = [Multigraph(m.n + 2, m.edges + ((m.n, m.n + 1),))]
         for i, (a, b) in enumerate(m.edges):
             c = rng.choice([x for x in range(m.n + 1) if x not in (a, b)])
@@ -762,14 +871,9 @@ def test_identity_check_matches_rebuilding_the_line_graph():
                       Multigraph(m.n, m.edges[:i] + m.edges[i + 1:])]
         for cand in wrong:
             same = preimage_reproduces_reference(g, cand)
-            try:
-                graphs._check_identity_preimage(nbr, cand)
-            except InternalError:
-                assert not same
-                raised += 1
-            else:
-                assert same
-    assert raised >= 500
+            assert (line_graph(cand) == g) is same
+            differ += not same
+    assert differ >= 500
 
 
 def test_clique_stream_is_every_clique_through_the_edge_in_order():

@@ -60,6 +60,7 @@ from randgen import (
 sys.path.append(os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
                              "perfbench"))
 import gen  # noqa: E402  (the benchmark's constructive model generators)
+import oracle  # noqa: E402  (the benchmark's independent optima)
 
 
 def imodel(*pairs):
@@ -550,6 +551,97 @@ def test_cut_sweep_rejects_a_class_over_the_cut_point():
     assert _cut_solve(model, 2, 4, 0b0011, table) is None
     with pytest.raises(InternalError, match="wraps past cut point 4"):
         _cut_solve(model, 2, 4, 0, table)
+
+
+def _ladder_pairs(kind, model, g, hn, he):
+    """The distinct (leftmost, rightmost) items of the pattern's copies,
+    worked out per copy from the model's coordinates."""
+    pairs = set()
+    for o in oracle.occurrence_sets(g, hn, he):
+        if kind == "interval":
+            items = [model.items[v] for v in o]
+            pairs.add((min(items, key=lambda it: it.l).id, max(items, key=lambda it: it.r).id))
+            continue
+        c = model.circumference
+        arcs = [model.arcs[v] for v in o]
+
+        def reach(a, b):  # clockwise from a's start to b's end, round b's start
+            return (b.s - a.s) % c + (b.t - b.s) % c
+
+        # the union starts at the start with the shortest clockwise reach
+        first = min(arcs, key=lambda a: max(reach(a, b) for b in arcs))
+        pairs.add((first.id, max(arcs, key=lambda b: reach(first, b)).id))
+    return len(pairs)
+
+
+def test_arc_ladders_keep_one_class_per_end_pair_and_sweep_no_refuted_cut(monkeypatch):
+    # doubling ladders of the benchmark's proper interval and long proper
+    # arc models, K2 and P3 at k = opt and k = opt + 1, opt from the
+    # benchmark's oracle: every solve keeps one class per (leftmost,
+    # rightmost) pair, a long-arc solve tries at most one cut per distinct
+    # cut point, and a refuted k >= 2 tries none.  The arcs take the
+    # intervals' length, 8, not the default 15, whose P3 copies at n = 160
+    # keep the oracle's all-pairs circular schedule busy for a second
+    counts = {"classes": [], "cuts": 0, "points": []}
+
+    def classes(*args, _fn=interval_solvers._span_classes):
+        out = _fn(*args)
+        counts["classes"].append(len(out))
+        return out
+
+    def cut_solve(*args, _fn=interval_solvers._cut_solve):
+        counts["cuts"] += 1
+        return _fn(*args)
+
+    def points(*args, _fn=interval_solvers._dedup_points):
+        out = _fn(*args)
+        counts["points"].append(len(out))
+        return out
+
+    monkeypatch.setattr(interval_solvers, "_span_classes", classes)
+    monkeypatch.setattr(interval_solvers, "_cut_solve", cut_solve)
+    monkeypatch.setattr(interval_solvers, "_dedup_points", points)
+    patterns = {"K2": (Pattern.of(complete_graph(2)), 2, 1), "P3": (Pattern.of(path_graph(3)), 3, 2)}
+    got = {}
+    for n in (20, 40, 80, 160):
+        ladders = {
+            "interval": (gen.proper_interval_model(random.Random(n), n), solve_igm_proper_interval,
+                         oracle.interval_optimum),
+            "long-arc": (gen.long_proper_arc_model(random.Random(n), n, length=8),
+                         solve_igm_long_proper_ca, oracle.arc_optimum),
+        }
+        for kind, (model, solve, optimum) in ladders.items():
+            g = realize(model)
+            for name, (h, hn, he) in patterns.items():
+                opt = optimum(model, hn, he)
+                pairs = _ladder_pairs(kind, model, g, hn, he)
+                row = [opt, pairs]
+                for k in (opt, opt + 1):
+                    counts.update(classes=[], cuts=0, points=[])
+                    assert (solve(model, h, k) is not None) == (k == opt)
+                    assert counts["classes"] == [pairs]
+                    if kind == "long-arc":
+                        # (cuts tried, distinct cut points)
+                        row.append((counts["cuts"], sum(counts["points"])))
+                        assert counts["cuts"] <= sum(counts["points"])
+                got[kind, n, name] = tuple(row)
+    # (opt, classes, then per long-arc solve at opt and opt + 1 the cuts
+    # tried and the cut points); the classes grow linearly with n, and a
+    # refuted opt + 1 >= 2 sweeps no cut
+    assert got == {
+        ("interval", 20, "K2"): (5, 37), ("interval", 20, "P3"): (3, 33),
+        ("long-arc", 20, "K2"): (5, 48, (2, 40), (0, 0)),
+        ("long-arc", 20, "P3"): (2, 51, (1, 40), (0, 0)),
+        ("interval", 40, "K2"): (10, 77), ("interval", 40, "P3"): (7, 73),
+        ("long-arc", 40, "K2"): (9, 94, (1, 80), (0, 0)),
+        ("long-arc", 40, "P3"): (5, 91, (1, 80), (0, 0)),
+        ("interval", 80, "K2"): (20, 157), ("interval", 80, "P3"): (13, 153),
+        ("long-arc", 80, "K2"): (19, 189, (1, 160), (0, 0)),
+        ("long-arc", 80, "P3"): (11, 185, (1, 160), (0, 0)),
+        ("interval", 160, "K2"): (40, 317), ("interval", 160, "P3"): (27, 313),
+        ("long-arc", 160, "K2"): (36, 374, (1, 320), (0, 0)),
+        ("long-arc", 160, "P3"): (23, 357, (1, 320), (0, 0)),
+    }
 
 
 # ---------------------------------------------------------------------------

@@ -35,6 +35,8 @@ from igmatch.models import (
     IntervalModel,
     intersection_kind,
     realize,
+    validate_arc_model,
+    validate_interval_model,
 )
 
 
@@ -166,6 +168,35 @@ def test_no_module_imports_a_private_name_of_a_sibling():
     assert not found, f"private names imported across modules: {found}"
 
 
+def test_only_graphs_touches_a_graphs_masks():
+    # a Graph stores its adjacency masks only, so whatever reads or writes
+    # them decides the representation: graphs.py alone reads _nbr, the
+    # kernel's encoding alone hands it masks, and realize alone hands it pairs
+    allowed = {"_nbr": set(), "_from_masks": {("kernel", "build_wis_instance")},
+               "_from_pairs": {("models", "realize")}}
+    found, used = [], set()
+
+    def visit(node, module, func):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)) and func is None:
+                visit(child, module, child.name)
+                continue
+            if isinstance(child, ast.Attribute) and child.attr in allowed:
+                if (module, func) in allowed[child.attr]:
+                    used.add((child.attr, module, func))
+                else:
+                    found.append((child.attr, module, func))
+            visit(child, module, func)
+
+    for info in pkgutil.iter_modules(igmatch.__path__):
+        if info.name != "graphs":
+            path = pathlib.Path(igmatch.__path__[0]) / f"{info.name}.py"
+            visit(ast.parse(path.read_text()), info.name, None)
+    assert not found, f"mask access outside graphs.py: {found}"
+    assert used == {("_from_masks", "kernel", "build_wis_instance"),
+                    ("_from_pairs", "models", "realize")}
+
+
 def test_no_module_imports_a_name_it_never_uses():
     # an import a refactor leaves behind still runs and still ties the module
     # to the name; a name counts as used when the module reads it or lists it
@@ -278,6 +309,34 @@ def test_every_entry_rejects_a_k_that_is_not_an_integer():
         for k in (1.5, 2.0, "2", True, False):
             with pytest.raises(InputError, match="k must be a nonnegative integer"):
                 entry(k)
+
+
+def test_every_model_entry_rejects_a_model_of_the_wrong_type():
+    # the fuzzy solver answered k = 1 on a plain arc or interval model and
+    # raised AttributeError at k = 2; the other entries and FuzzyArcModel
+    # raised AttributeError or TypeError from inside
+    k2 = Pattern.of(complete_graph(2))
+    intervals = IntervalModel([Interval(i, 2 * i, 2 * i + 3) for i in range(8)])
+    long_arcs = ArcModel([Arc(i, 2 * i, (2 * i + 3) % 24) for i in range(12)], 24)
+    fuzzy = _fuzzy_touching_arcs()
+    entries = [
+        ("IntervalModel", lambda m: solve_igm_proper_interval(m, k2, 1), (long_arcs, fuzzy)),
+        ("IntervalModel", validate_interval_model, (long_arcs, fuzzy)),
+        ("ArcModel", lambda m: solve_igm_long_proper_ca(m, k2, 1), (intervals, fuzzy)),
+        ("ArcModel", validate_arc_model, (intervals, fuzzy)),
+        ("ArcModel", lambda m: FuzzyArcModel(m, {}), (intervals, fuzzy)),
+        ("FuzzyArcModel", lambda m: solve_igm_fuzzy_ca(m, k2, 1), (intervals, long_arcs)),
+        ("FuzzyArcModel", lambda m: solve_igm_fuzzy_ca(m, k2, 2), (intervals, long_arcs)),
+    ]
+    for name, entry, wrong in entries:
+        for model in wrong + (None, "model"):
+            with pytest.raises(InputError, match=rf"an? {name}, got {type(model).__name__}"):
+                entry(model)
+    for resolutions, taken in (({0: True}, r"\(i, j\) pair"), ({(0, 1.0): True}, r"\(i, j\) pair"),
+                               ({(0, True): True}, r"\(i, j\) pair"), ([((0, 1), True)], "dict")):
+        with pytest.raises(InputError, match=taken):
+            FuzzyArcModel(fuzzy.arcs, resolutions)
+    assert solve_igm_fuzzy_ca(fuzzy, k2, 2) is not None
 
 
 def test_every_entry_that_refuses_a_disconnected_pattern_names_find_igm():
