@@ -39,7 +39,7 @@ import math
 import random
 from dataclasses import dataclass
 
-from .errors import InputError, InternalError, SizeCapError
+from .errors import InputError, InternalError, SizeCapError, expect_type
 from .graphs import (
     MIS_CAP_DEFAULT,
     Graph,
@@ -631,9 +631,9 @@ def _checked_certificates(ss: StripStructure, certificates) -> dict:
                 f"certificate for strip-edge {eid} has {len(cert.arcs.arcs)} arcs"
                 f" for {len(interior)} interior vertices"
             )
-        differ = set(realize(cert).edges) ^ set(s.graph.induced(interior).edges)
-        if differ:
-            a, b = min(differ)
+        got, want = realize(cert), s.graph.induced(interior)
+        if got != want:
+            a, b = min(set(got.edges) ^ set(want.edges))
             raise InputError(
                 f"certificate for strip-edge {eid}: arcs ({a},{b}) disagree"
                 f" with J pair ({interior[a]},{interior[b]})"
@@ -688,8 +688,8 @@ def _token_placements(J: Graph, h: Pattern, tokens: list, domains: list) -> list
     tokens share a group and are joined in H, in lexicographic order: the
     induced maps of the token graph with those adjacencies."""
     pairs = itertools.combinations(enumerate(tokens), 2)
-    tg = Graph(len(tokens), [(i, j) for (i, (ga, a)), (j, (gb, b)) in pairs
-                             if ga == gb and h.graph.has_edge(a, b)])
+    tg = Graph._from_pairs(len(tokens), [(i, j) for (i, (ga, a)), (j, (gb, b)) in pairs
+                                         if ga == gb and h.graph.has_edge(a, b)])
     return [dict(zip(tokens, phi)) for phi in induced_maps(J, tg, domains)]
 
 
@@ -864,24 +864,6 @@ def _alignment_options(f_members, e_members):
     return [((b1, r1), (b2, r2)), ((b1, r2), (b2, r1))]
 
 
-def _components(steps) -> list:
-    """The (shape, members) steps of each connected part of a base, in order."""
-    root: dict = {}
-
-    def find(b):
-        while root.setdefault(b, b) != b:
-            b = root[b]
-        return b
-
-    for _shape, fm in steps:
-        for b in fm[1:]:
-            root[find(b)] = find(fm[0])
-    parts: dict = {}
-    for step in steps:
-        parts.setdefault(find(step[1][0]), []).append(step)
-    return list(parts.values())
-
-
 def _maps(steps, members: dict, index: _StripIndex):
     """An iterator of (vmap, emap), one per injective map of the (shape,
     members) steps in order; emap is keyed by step position."""
@@ -941,7 +923,8 @@ def _embeddings(base: Base, ss: StripStructure, index: _StripIndex):
     changes the output.  A base with more edges of one shape on one member
     tuple than ``index.most`` allows has no map, since an injective map sends
     them to as many strip-edges on one member tuple.  Nor has a base with a
-    connected part that has no map of its own, since a map of the base
+    connected part (a component of the graph its two-member edges span on the
+    base vertices) that has no map of its own, since a map of the base
     restricts to one of each part; this saves searching that part again under
     every placement of the parts before it.
     """
@@ -950,8 +933,9 @@ def _embeddings(base: Base, ss: StripStructure, index: _StripIndex):
     if any(c > index.most.get(shape, 0) for (shape, _m), c in on_tuple.items()):
         return
     members = dict(ss.edges)
-    parts = _components(steps)
-    if len(parts) > 1 and any(next(_maps(p, members, index), None) is None for p in parts):
+    comps = Graph(base.n_vertices, {fm for _shape, fm in steps if len(fm) == 2}).components()
+    parts = ([step for step in steps if step[1][0] in comp] for comp in comps)
+    if len(comps) > 1 and any(next(_maps(p, members, index), None) is None for p in parts):
         return
     yield from _maps(steps, members, index)
 
@@ -1203,6 +1187,8 @@ def solve_igm_claw_free(
     raise ``SizeCapError`` for it.  Any matching the pipeline assembles has
     been re-validated against the host.
     """
+    expect_type(g, Graph)
+    expect_type(h, Pattern)
     if type(k) is not int or k < 0:
         raise InputError("k must be a nonnegative integer")
     if not h.is_connected:
@@ -1211,8 +1197,11 @@ def solve_igm_claw_free(
         raise InputError("host graph is not claw-free")
     if coloring not in ("exhaustive", "random"):
         raise InputError(f"unknown coloring mode {coloring!r}")
-    if coloring == "random" and (trials is None or trials < 0):
-        raise InputError("random coloring mode needs a non-negative trial count")
+    if coloring == "random" and (type(trials) is not int or trials < 0):
+        raise InputError(
+            f"random coloring mode needs a non-negative trial count, an int, got {trials!r}")
+    if coloring == "random" and seed is not None and type(seed) is not int:
+        raise InputError(f"random coloring mode needs an int or None seed, got {seed!r}")
     cert = None
     if ss is not None:
         validate_strip_structure(g, ss)

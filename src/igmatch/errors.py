@@ -27,3 +27,11 @@ class SizeCapError(InputError):
 
 class InternalError(AssertionError):
     """A consistency check inside an algorithm failed; indicates a bug."""
+
+
+def expect_type(value, cls: type) -> None:
+    """Raise InputError naming ``cls`` unless ``value`` is one: the entries'
+    one check of an argument's type."""
+    if not isinstance(value, cls):
+        article = "an" if cls.__name__[0] in "AEIOU" else "a"
+        raise InputError(f"expected {article} {cls.__name__}, got {type(value).__name__}")

@@ -41,7 +41,7 @@ from __future__ import annotations
 
 from bisect import bisect_right
 
-from .errors import InputError, InternalError
+from .errors import InputError, InternalError, expect_type
 from .graphs import (
     Graph,
     Matching,
@@ -246,8 +246,8 @@ def solve_igm_fuzzy_ca(model: FuzzyArcModel, h: Pattern, k: int) -> Matching | N
     order; the dynamic program layers the rest left to right over the
     cut-open residual model.  Exact for connected patterns.
     """
-    if not isinstance(model, FuzzyArcModel):
-        raise InputError(f"expected a FuzzyArcModel, got {type(model).__name__}")
+    expect_type(model, FuzzyArcModel)
+    expect_type(h, Pattern)
     if not h.is_connected:
         raise InputError("pattern must be connected for the fuzzy solver")
     if type(k) is not int or k < 0:
@@ -284,6 +284,8 @@ def solve_igm_small_alpha(g: Graph, h: Pattern, k: int) -> Matching | None:
     router runs its own packing search over the chunk's occurrences, and the
     kernel's bounding loop calls ``find_igm``.
     """
+    expect_type(g, Graph)
+    expect_type(h, Pattern)
     if type(k) is not int or k < 0:
         raise InputError("k must be a nonnegative integer")
     found, _ = brute_force_wis(g, [1] * g.n, ALPHA_BOUND + 1, 0)

@@ -25,10 +25,13 @@ of ``_nbr[v]`` is set iff vw is an edge), and derives ``edges`` from them.
 The public constructor checks each edge; every graph the package derives is
 built from masks unchecked (``Graph._from_masks``): ``induced`` remaps them,
 ``disjoint_union`` shifts them, ``line_graph`` ORs incidence masks, and
-``models.realize`` hands its pair sweeps to ``Graph._from_pairs``.  Only the
-kernel's encoding writes masks outside this module, and none reads them.
-Line-graph recognition reads one host's masks for its claw test and twin
-classes and checks L(M) = g with ``line_graph``.  Its cover search keeps the
+``models.realize`` and the claw-free solver's token graph hand their pairs
+to ``Graph._from_pairs``.  Only the kernel's encoding writes masks outside
+this module, and none reads them.
+Line-graph recognition takes any nonempty host, reads its masks for the claw
+test and twin classes, searches for a cover one component at a time
+(``Graph.components``, the package's one component splitter) and checks
+L(M) = g with ``line_graph``.  Per component, the cover search keeps the
 order of the list-based search it replaced (first uncovered edge of
 ``g.edges``, then the cliques through it largest first, ties by sorted
 tuple) but builds each clique only when it tries it; on the benchmark's
@@ -56,7 +59,7 @@ import math
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
-from .errors import InputError, InternalError, SizeCapError
+from .errors import InputError, InternalError, SizeCapError, expect_type
 
 # the input and answer types, their constructors, and the exact WIS and matching searches
 __all__ = [
@@ -294,6 +297,7 @@ class Pattern:
 
     def __post_init__(self):
         g = self.graph
+        expect_type(g, Graph)
         if g.n == 0:
             raise InputError("pattern must have at least one vertex")
         object.__setattr__(self, "h", g.n)
@@ -769,6 +773,8 @@ def packing(g: Graph, occs: list[Occurrence], goal: int | None, require_touch=()
 def find_igm(g: Graph, h: Pattern, k: int) -> Matching | None:
     """First induced matching of size k in canonical order, or None: the
     packing search over every occurrence of h in g."""
+    expect_type(g, Graph)
+    expect_type(h, Pattern)
     if type(k) is not int or k < 0:
         raise InputError("k must be a nonnegative integer")
     if k == 0:
@@ -902,6 +908,7 @@ def brute_force_wis(g: Graph, weights, k_card: int,
     is not bounded by Python's recursion limit.  Refuses graphs above
     ``WIS_CAP_DEFAULT``.
     """
+    expect_type(g, Graph)
     if g.n > WIS_CAP_DEFAULT:
         raise SizeCapError("brute_force_wis", g.n, WIS_CAP_DEFAULT)
     weights = list(weights)
@@ -1042,47 +1049,56 @@ def _krausz_cover(g: Graph) -> list[frozenset] | None:
     Such a cover exists iff g is the line graph of a multigraph without
     self-loops; it directly encodes a pre-image.
 
-    The search takes the first uncovered edge in ``g.edges`` order and tries
-    the cliques through it with no vertex already in two chosen cliques,
-    largest first, ties by sorted tuple (``_cliques_through``), backtracking
-    when an edge has no such clique left.  Each step builds only the clique
-    it takes next, resumes the edge scan at the vertex where the last step
-    stopped (its lowest uncovered higher neighbour is the next edge), and
-    keeps the covered pairs as one mask per vertex and the vertices in one
-    and in two chosen cliques as two masks.  The picks are driven from an
-    explicit stack, so the depth is not bounded by Python's recursion limit.
+    Components are searched one at a time, in ``Graph.components`` order,
+    and their covers concatenated, so a component without a cover ends the
+    search with no backtracking through the choices made in earlier ones.
+    Within one, the search takes the first uncovered edge in ``g.edges``
+    order and tries the cliques through it with no vertex already in two
+    chosen cliques, largest first, ties by sorted tuple
+    (``_cliques_through``), backtracking when an edge has no such clique
+    left.  Each step builds only the clique it takes next, resumes the edge
+    scan at the vertex where the last step stopped (its lowest uncovered
+    higher neighbour is the next edge), and keeps the covered pairs as one
+    mask per vertex and the vertices in one and in two chosen cliques as two
+    masks.  The picks are driven from an explicit stack, so the depth is not
+    bounded by Python's recursion limit.
     """
     nbr = g._nbr
     covered = [0] * g.n  # bit b of covered[a]: the pair ab lies in a chosen clique
-    once = full = 0  # vertices in at least one, and in two, chosen cliques
-    # one entry per chosen clique: the lower end of its edge, the stream it
-    # came from, the clique, and what it changed, to undo it on backtracking
-    stack: list[tuple] = []
-    u, stream = 0, None
-    while True:
-        if stream is None:
-            while u < g.n and not (nbr[u] & ~covered[u]) >> u:
-                u += 1
-            if u == g.n:
-                return [frozenset(_bits(entry[2])) for entry in stack]
-            up = (nbr[u] & ~covered[u]) >> u
-            v = u + (up & -up).bit_length() - 1
-            stream = iter(()) if (full >> u | full >> v) & 1 else _cliques_through(nbr, u, v, full)
-        clique = next(stream, None)
-        if clique is None:
-            if not stack:
-                return None
-            u, stream, _, members, before, once, full = stack.pop()
-            for w, was in zip(members, before):
-                covered[w] = was
-            continue
-        members = _bits(clique)
-        stack.append((u, stream, clique, members, [covered[w] for w in members], once, full))
-        for w in members:
-            covered[w] |= clique
-        full |= once & clique
-        once |= clique
-        stream = None
+    cover = []
+    for vs in g.components():
+        once = full = 0  # vertices in at least one, and in two, chosen cliques
+        # one entry per chosen clique: the lower end's position in vs, the stream
+        # it came from, the clique, and what it changed, to undo it on backtracking
+        stack: list[tuple] = []
+        i, stream = 0, None
+        while True:
+            if stream is None:
+                while i < len(vs) and not (nbr[vs[i]] & ~covered[vs[i]]) >> vs[i]:
+                    i += 1
+                if i == len(vs):
+                    break
+                u = vs[i]
+                up = (nbr[u] & ~covered[u]) >> u
+                v = u + (up & -up).bit_length() - 1
+                stream = iter(()) if (full >> u | full >> v) & 1 else _cliques_through(nbr, u, v, full)
+            clique = next(stream, None)
+            if clique is None:
+                if not stack:
+                    return None
+                i, stream, _, members, before, once, full = stack.pop()
+                for w, was in zip(members, before):
+                    covered[w] = was
+                continue
+            members = _bits(clique)
+            stack.append((i, stream, clique, members, [covered[w] for w in members], once, full))
+            for w in members:
+                covered[w] |= clique
+            full |= once & clique
+            once |= clique
+            stream = None
+        cover += [frozenset(_bits(entry[2])) for entry in stack]
+    return cover
 
 
 def _preimage_from_cover(g: Graph, cover: list[frozenset]) -> Multigraph:
@@ -1107,38 +1123,34 @@ def _preimage_from_cover(g: Graph, cover: list[frozenset]) -> Multigraph:
 
 
 def recognize_line_graph(g: Graph) -> Multigraph | None:
-    """Recognize g as the line graph of a multigraph without self-loops.
+    """Recognize any nonempty g as the line graph of a multigraph without self-loops.
 
     Returns a pre-image M with ``M.edges[i]`` corresponding to g-vertex i,
     or None when g is not such a line graph.  The pipeline contracts true
     twin classes first, searches for a clique cover with every vertex in at
-    most two cliques on the reduced graph, then re-expands the contracted
-    classes by duplicating their edges.
+    most two cliques on the reduced graph, one component at a time
+    (``_krausz_cover``), then re-expands the contracted classes by
+    duplicating their edges.
 
     The claw test and the twin classes (closed neighbourhood masks as keys)
     read the host's stored adjacency masks.  The claw test picks legs depth
     first over ``nbr[v] & ~nbr[leg]``, lowest bit first, and returns the
-    witness ``find_star`` returns.  The cover search
-    (``_krausz_cover``) keeps its order: first uncovered edge of
-    ``g.edges``, then cliques through it largest first, ties by sorted
-    tuple; it builds each candidate clique only when it tries it.  On the
-    benchmark's ``clawfree`` and ``kernel`` hosts it never backtracks: every
-    step takes the first clique it builds.  The final L(M) = g check
-    compares ``line_graph(M)`` with g.
+    witness ``find_star`` returns.  On the benchmark's ``clawfree`` and
+    ``kernel`` hosts the cover search never backtracks: every step takes
+    the first clique it builds.  The final L(M) = g check compares
+    ``line_graph(M)`` with g.
 
     A failed search on the reduced graph rejects g with no second search:
-    ``_krausz_cover`` backtracks over every clique, so the reduced graph is
-    no such line graph, and neither is g, since an induced subgraph of a
-    line graph of a multigraph is again one and the reduced graph is an
-    induced subgraph of g.
+    ``_krausz_cover`` backtracks over every clique of the component it
+    fails on, so the reduced graph is no such line graph, and neither is g,
+    since an induced subgraph of a line graph of a multigraph is again one
+    and the reduced graph is an induced subgraph of g.
 
-    A triangle host has two pre-images, K3 and the 3-star; K3 is the one
-    returned.
+    Of a triangle's pre-images, a host that is one triangle gets K3, and a
+    triangle component of a larger host, one twin class, three parallel edges.
     """
     if g.n == 0:
         raise InputError("recognition requires a nonempty graph")
-    if not g.is_connected():
-        raise InputError("recognition requires a connected graph")
     nbr = g._nbr
     if _star(nbr, 3) is not None:
         return None

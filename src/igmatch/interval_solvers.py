@@ -47,7 +47,7 @@ from math import inf
 from operator import itemgetter
 from typing import NamedTuple
 
-from .errors import InputError, InternalError
+from .errors import InputError, InternalError, expect_type
 from .graphs import (
     Matching,
     Occurrence,
@@ -121,6 +121,7 @@ def solve_igm_proper_interval(model: IntervalModel, h: Pattern, k: int) -> Match
     Returns a size-k matching or None.  Requires a connected pattern and a
     proper model.
     """
+    expect_type(h, Pattern)
     if not h.is_connected:
         raise InputError("pattern must be connected; graphs.find_igm answers a disconnected one")
     if not validate_interval_model(model).proper:
@@ -331,6 +332,7 @@ def solve_igm_long_proper_ca(model: ArcModel, h: Pattern, k: int) -> Matching | 
     rep = validate_arc_model(model)
     if not (rep.proper and rep.long):
         raise InputError("arc model must be proper and long")
+    expect_type(h, Pattern)
     if not h.is_connected:
         raise InputError("pattern must be connected; graphs.find_igm answers a disconnected one")
     if type(k) is not int or k < 0:

@@ -23,7 +23,7 @@ layer.
 import itertools
 from dataclasses import dataclass
 
-from .errors import InputError, InternalError
+from .errors import InputError, InternalError, expect_type
 from .fuzzy_solver import ALPHA_BOUND
 from .graphs import (
     Graph,
@@ -137,37 +137,10 @@ def _delete_strips(g: Graph, ss: StripStructure, drop) -> tuple[Graph, StripStru
 # structure derivation
 
 def derive_strip_structure(g: Graph) -> StripStructure | None:
-    """Line-graph strip structure of each component, glued into one.
-
-    Returns None when some component is not a line graph.  Strip-vertex and
-    strip-edge ids are renumbered consecutively across components.
-
-    Like its parts, the glued structure is valid by construction: new ids
-    keep the parts apart, their strips are disjoint, and no host edge joins
-    two components, so each lies in a strip or a C(r) of its own part.
-    """
-    if g.n == 0:
-        return None
-    comps = g.components()
-    if len(comps) == 1:
-        return line_graph_strip_structure(g)
-    r_vertices, edges, strips, z_assign = [], [], {}, {}
-    r_base = e_base = 0
-    for comp in comps:
-        part = line_graph_strip_structure(g.induced(comp))
-        if part is None:
-            return None
-        rmap = {r: r_base + i for i, r in enumerate(part.r_vertices)}
-        for local_eid, ms in part.edges:
-            eid = e_base + local_eid
-            s = part.strips[local_eid]
-            edges.append((eid, tuple(sorted(rmap[m] for m in ms))))
-            strips[eid] = Strip(s.graph, s.z, {jv: comp[hv] for jv, hv in s.g_map.items()})
-            z_assign[eid] = {rmap[r]: z for r, z in part.z_assign[local_eid].items()}
-        r_vertices.extend(rmap.values())
-        r_base += len(rmap)
-        e_base += len(part.edges)
-    return StripStructure(tuple(r_vertices), tuple(edges), strips, z_assign)
+    """The line-graph strip structure of a nonempty host, connected or not
+    (``line_graph_strip_structure``); None when the host is empty or no
+    line graph.  Valid by construction, as that function's docstring says."""
+    return line_graph_strip_structure(g) if g.n else None
 
 
 # ---------------------------------------------------------------------------
@@ -730,6 +703,8 @@ def kernelize(g: Graph, h: Pattern, k: int,
     (which also asks that every strip be a spot or a stripe) and have a
     member on every strip-edge.
     """
+    expect_type(g, Graph)
+    expect_type(h, Pattern)
     if not h.is_connected:
         raise InputError("kernelization needs a connected pattern")
     if not h.is_complete:

@@ -35,7 +35,7 @@ from dataclasses import dataclass, field
 from itertools import accumulate
 from operator import xor
 
-from .errors import InputError, InternalError
+from .errors import InputError, InternalError, expect_type
 from .graphs import Graph
 
 # the model types, the host a model realizes, and the checks that pick an arc solver
@@ -140,10 +140,8 @@ class FuzzyArcModel:
     resolutions: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        if not isinstance(self.arcs, ArcModel):
-            raise InputError(f"FuzzyArcModel takes an ArcModel, got {type(self.arcs).__name__}")
-        if not isinstance(self.resolutions, dict):
-            raise InputError(f"fuzzy resolutions must be a dict, got {type(self.resolutions).__name__}")
+        expect_type(self.arcs, ArcModel)
+        expect_type(self.resolutions, dict)
         norm = {}
         for pair, bit in self.resolutions.items():
             i, j = pair if type(pair) is tuple and len(pair) == 2 else (None, None)
@@ -362,8 +360,7 @@ def validate_interval_model(model: IntervalModel) -> ModelReport:
     Of two overlapping intervals a, b with a.l <= b.l, one holds the other
     iff b ends by a's end or both start together.
     """
-    if not isinstance(model, IntervalModel):
-        raise InputError(f"expected an IntervalModel, got {type(model).__name__}")
+    expect_type(model, IntervalModel)
     proper = not any(b.r <= a.r or a.l == b.l for a, b in _overlaps(model))
     return ModelReport(proper=proper, long=True)
 
@@ -394,8 +391,7 @@ def validate_arc_model(model: ArcModel) -> ModelReport:
     farthest reach of the arcs starting by p + 2C is that of the arcs
     through it.
     """
-    if not isinstance(model, ArcModel):
-        raise InputError(f"expected an ArcModel, got {type(model).__name__}")
+    expect_type(model, ArcModel)
     c2 = 2 * model.circumference
     spans = sorted(arc_spans(model))
     line = spans + [(s + c2, l) for s, l in spans]

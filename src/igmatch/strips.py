@@ -21,17 +21,17 @@ per-strip invariants, the axioms one by one, and last that every strip is a
 spot or a stripe, as the claw-free pipeline and the kernel both need; it
 raises InputError naming the first fault it meets.  Two constructions are
 provided: the trivial structure (the whole host as a single boundary-less
-strip) and the line-graph structure (one single-vertex strip per pre-image
-edge).  Both are valid by construction (their docstrings say why), as are
-the structures the package derives from a valid one, so nothing re-checks
-them.
+strip) and the line-graph structure of any line graph, connected or not
+(one single-vertex strip per pre-image edge).  Both are valid by
+construction (their docstrings say why), as are the structures the package
+derives from a valid one, so nothing re-checks them.
 """
 
 import functools
 from dataclasses import dataclass
 from itertools import combinations
 
-from .errors import InputError
+from .errors import InputError, expect_type
 from .graphs import Graph, find_star, recognize_line_graph, star_free
 
 # the structure types, their constructions, and the check a supplied structure must pass
@@ -207,6 +207,8 @@ def validate_strip_structure(g: Graph, ss: StripStructure) -> None:
     kernel need.  Within a check, edges, host vertices and host edges are
     read in the structure's and the host's order.
     """
+    expect_type(g, Graph)
+    expect_type(ss, StripStructure)
     rs = set(ss.r_vertices)
     if len(rs) != len(ss.r_vertices):
         raise _invalid("ids", "duplicate strip-vertex ids")
@@ -297,6 +299,7 @@ def trivial_strip_structure(g: Graph) -> StripStructure:
     The single edge has no strip-vertices; its strip is (G, empty Z) under
     the identity map.  Valid for every nonempty claw-free host.
     """
+    expect_type(g, Graph)
     if g.n == 0:
         raise InputError("host must be nonempty")
     if not star_free(g, 3):
@@ -317,7 +320,7 @@ _EDGE_STRIPS = [(Graph(1 + m, [(0, 1 + t) for t in range(m)]), frozenset(range(1
 
 
 def line_graph_strip_structure(g: Graph) -> StripStructure | None:
-    """Decompose a connected line graph along its pre-image.
+    """Decompose any nonempty line graph, connected or not, along its pre-image.
 
     Pre-image vertices of degree at least two become strip-vertices; every
     pre-image edge becomes a strip-edge whose strip is the single host
@@ -333,6 +336,7 @@ def line_graph_strip_structure(g: Graph) -> StripStructure | None:
     vertex with one z per non-pendant end, a star with no claw, so the
     z-assignment and the strip invariants hold.
     """
+    expect_type(g, Graph)
     m = recognize_line_graph(g)
     if m is None:
         return None

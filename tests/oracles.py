@@ -1372,9 +1372,22 @@ def all_cliques_containing_edge_reference(g, u: int, v: int) -> list[frozenset]:
 
 
 def krausz_cover_reference(g) -> list[frozenset] | None:
-    """Cliques covering every edge, each vertex in at most two, by
-    backtracking: the first uncovered edge in ``g.edges`` order, then every
-    clique through it largest first, ties by sorted tuple."""
+    """Cliques covering every edge, each vertex in at most two: the covers
+    of the components in ``Graph.components`` order, concatenated, or None
+    at the first component without one."""
+    cover = []
+    for comp in g.components():
+        part = _component_cover_reference(g.induced(comp))
+        if part is None:
+            return None
+        cover += [frozenset(comp[v] for v in clique) for clique in part]
+    return cover
+
+
+def _component_cover_reference(g) -> list[frozenset] | None:
+    """The cover of one component by backtracking: the first uncovered edge
+    in ``g.edges`` order, then every clique through it largest first, ties by
+    sorted tuple."""
     edges = list(g.edges)
     if not edges:
         return []
@@ -1424,8 +1437,6 @@ def recognize_line_graph_reference(g):
     cover search and L(M) = g check: the pre-image, or None."""
     if g.n == 0:
         raise InputError("recognition requires a nonempty graph")
-    if not g.is_connected():
-        raise InputError("recognition requires a connected graph")
     if find_star_reference(g, 3) is not None:
         return None
     if g.n == 3 and len(g.edges) == 3:

@@ -2,7 +2,9 @@ import dataclasses
 import functools
 import hashlib
 import itertools
+import os
 import random
+import sys
 from collections import Counter
 
 import pytest
@@ -1067,6 +1069,38 @@ def test_driver_refutes_a_no_instance_before_the_pipeline(monkeypatch, k2):
     got = solve_igm_claw_free(lg, k2, 2)
     assert [o.vertices for o in got.occurrences] == [(0, 1), (3, 8)]
     assert len(shaped) == 1 and len(derived) == 1
+
+
+def test_base_stream_read_does_not_grow_with_the_host(monkeypatch, k2, p3):
+    """The claw-free count ladder: line graphs of ``perfbench/gen.py`` cyclic
+    pre-images with two chords, on 12, 18, 24 and 30 host vertices (30 is
+    ``MIS_CAP_DEFAULT``; above it a host with five independent vertices
+    raises ``SizeCapError``).  Every strip is a spot, and ``_pipeline`` caps
+    the spot count at hk before it keys ``_SHAPED_CACHE``, so each solve
+    draws from the same stream on every rung and reads as many bases of it:
+    the base work of a fixed (H, k) does not depend on n."""
+    bench = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "perfbench")
+    if bench not in sys.path:
+        sys.path.append(bench)
+    import gen
+
+    real = cc._shaped_bases
+    reads = []
+
+    def counted(h, k, shapes):
+        reads.append([(h, k, shapes), 0])
+        for base in real(h, k, shapes):
+            reads[-1][1] += 1
+            yield base
+
+    monkeypatch.setattr(cc, "_shaped_bases", counted)
+    for n in (12, 18, 24, 30):
+        g = line_graph(gen.cyclic_preimage(random.Random(n), n - 2, 2))
+        assert g.n == n
+        for h, k, read in ((k2, 2, 3), (p3, 2, 1), (k2, 3, 4)):
+            reads.clear()
+            assert solve_igm_claw_free(g, h, k) is not None
+            assert reads == [[(h, k, ((("spot", 2), h.h * k),)), read]]
 
 
 def test_driver_validates_a_supplied_structure_once(monkeypatch, k2):

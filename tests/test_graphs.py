@@ -75,8 +75,8 @@ def test_graph_construction_and_rejection():
 
 
 def test_graph_rejects_the_first_faulty_edge_in_input_order():
-    # the whole list is checked at once; the message still names the first
-    # edge at fault, walking the input in order
+    # the constructor walks the edges in input order and raises at the first
+    # one at fault, so the message names that edge and no later one
     cases = [
         (3, [(0, 1), (1, 1), (0, 5), (1, 0)], "self-loop at vertex 1 not allowed"),
         (3, [(0, 1), (1, 0), (2, 2), (0, 7)], "duplicate edge (0, 1)"),
@@ -734,6 +734,32 @@ def test_recognize_line_graph_rejects_claw_and_wheel():
     assert recognize_line_graph(w5) is None
 
 
+def test_cover_search_on_a_disconnected_host_does_not_backtrack_into_earlier_components(monkeypatch):
+    # L(broom_d) + W5: the line graph of the star K1,d with a pendant edge at
+    # each leaf, then the 5-wheel, claw-free but no line graph.  Searched one
+    # component at a time, the broom takes d + 1 clique streams and the wheel
+    # the same 13 at every d; a search over the whole host backtracks through
+    # the broom's choices when the wheel fails (21, 35, 85 and 279 streams)
+    w5 = Graph(6, [(i, (i + 1) % 5) for i in range(5)] + [(5, i) for i in range(5)])
+    streams = []
+    real = graphs._cliques_through
+
+    def counted(*args):
+        streams.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(graphs, "_cliques_through", counted)
+    opened = []
+    for d in (4, 6, 8, 10):
+        broom = Multigraph(2 * d + 1, [(0, i) for i in range(1, d + 1)]
+                           + [(i, d + i) for i in range(1, d + 1)])
+        g = disjoint_union(line_graph(broom), w5)
+        streams.clear()
+        assert recognize_line_graph(g) is None
+        opened.append(len(streams))
+    assert opened == [18, 20, 22, 24]
+
+
 def test_recognize_line_graph_searches_for_a_cover_once(monkeypatch):
     # a failed cover search on the twin-reduced graph rejects the host; a
     # fallback that searched the whole host again made two calls for each
@@ -849,8 +875,9 @@ def test_recognition_matches_the_list_based_reference(monkeypatch):
     assert all(m is not None for m in map(recognize_line_graph, bench_hosts))
     assert len(built) >= 1000 and set(built) == {1}
     assert any(len(set(m.edges)) < len(m.edges) for m in map(recognize_line_graph, multigraph_hosts))
-    # pre-images, rejections and refusals of disconnected hosts are all met
-    assert all(outcomes.count(o) >= 20 for o in ("pre-image", None, "InputError"))
+    # pre-images and rejections are both met, and so are disconnected hosts
+    assert all(outcomes.count(o) >= 20 for o in ("pre-image", None))
+    assert sum(len(g.components()) > 1 for g in other_hosts) >= 20
 
 
 def test_identity_check_matches_rebuilding_the_line_graph():

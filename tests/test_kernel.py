@@ -16,6 +16,7 @@ from igmatch.graphs import (
     brute_force_wis,
     complete_graph,
     cycle_graph,
+    disjoint_union,
     find_igm,
     line_graph,
     path_graph,
@@ -33,7 +34,13 @@ from igmatch.kernel import (
     derive_strip_structure,
     kernelize,
 )
-from igmatch.strips import Strip, StripStructure, classify_strip, validate_strip_structure
+from igmatch.strips import (
+    Strip,
+    StripStructure,
+    classify_strip,
+    line_graph_strip_structure,
+    validate_strip_structure,
+)
 
 from igmatch.trace import recording
 from oracles import (
@@ -674,6 +681,33 @@ def wheel_stripes_host():
     edges.update(itertools.combinations(sorted(c0), 2))
     ss = StripStructure((0,), ((0, (0,)), (1, (0,)), (2, (0,))), strips, z_assign)
     return Graph(14, sorted(edges)), ss
+
+
+def test_disjoint_unions_of_line_graphs_get_one_structure_and_exact_answers(k2, k3):
+    # recognition takes a disconnected host, so a union of two or three line
+    # graphs, its vertices shuffled so that the components interleave, gets
+    # its structure from one call; kernelize on that structure, and its
+    # encoding without bounding, answer as the exact search does
+    rng = random.Random(4501)
+    answers = 0
+    for i in range(200):
+        parts = [random_line_graph(rng, max_edges=6)[0] for _ in range(rng.randint(2, 3))]
+        g = parts[0]
+        for part in parts[1:]:
+            g = disjoint_union(g, part)
+        order = list(range(g.n))
+        rng.shuffle(order)
+        g = g.induced(order)
+        ss = line_graph_strip_structure(g)
+        validate_strip_structure(g, ss)
+        assert derive_strip_structure(g) == ss
+        if i % 10 < 3:
+            for h, k in itertools.product((k2, k3), (2, 3)):
+                want = find_igm(g, h, k) is not None
+                assert wis_answer(kernelize(g, h, k, ss=ss)) == want
+                assert wis_answer(build_wis_instance(ss, h, k)) == want
+                answers += 1
+    assert answers == 240
 
 
 def test_bound_falls_back_to_the_latest_valid_structure(k3):

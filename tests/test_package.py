@@ -6,6 +6,7 @@ import importlib
 import inspect
 import pathlib
 import pkgutil
+import re
 import sys
 
 import pytest
@@ -15,6 +16,7 @@ from igmatch.color_coding import solve_igm_claw_free
 from igmatch.errors import InputError
 from igmatch.fuzzy_solver import solve_igm_fuzzy_ca, solve_igm_small_alpha
 from igmatch.graphs import (
+    Graph,
     Multigraph,
     Pattern,
     brute_force_wis,
@@ -38,6 +40,7 @@ from igmatch.models import (
     validate_arc_model,
     validate_interval_model,
 )
+from igmatch.strips import line_graph_strip_structure, trivial_strip_structure, validate_strip_structure
 
 
 def test_every_export_resolves():
@@ -171,9 +174,10 @@ def test_no_module_imports_a_private_name_of_a_sibling():
 def test_only_graphs_touches_a_graphs_masks():
     # a Graph stores its adjacency masks only, so whatever reads or writes
     # them decides the representation: graphs.py alone reads _nbr, the
-    # kernel's encoding alone hands it masks, and realize alone hands it pairs
+    # kernel's encoding alone hands it masks, and realize and the claw-free
+    # solver's token graph alone hand it pairs
     allowed = {"_nbr": set(), "_from_masks": {("kernel", "build_wis_instance")},
-               "_from_pairs": {("models", "realize")}}
+               "_from_pairs": {("models", "realize"), ("color_coding", "_token_placements")}}
     found, used = [], set()
 
     def visit(node, module, func):
@@ -194,7 +198,8 @@ def test_only_graphs_touches_a_graphs_masks():
             visit(ast.parse(path.read_text()), info.name, None)
     assert not found, f"mask access outside graphs.py: {found}"
     assert used == {("_from_masks", "kernel", "build_wis_instance"),
-                    ("_from_pairs", "models", "realize")}
+                    ("_from_pairs", "models", "realize"),
+                    ("_from_pairs", "color_coding", "_token_placements")}
 
 
 def test_no_module_imports_a_name_it_never_uses():
@@ -337,6 +342,52 @@ def test_every_model_entry_rejects_a_model_of_the_wrong_type():
         with pytest.raises(InputError, match=taken):
             FuzzyArcModel(fuzzy.arcs, resolutions)
     assert solve_igm_fuzzy_ca(fuzzy, k2, 2) is not None
+
+
+def test_every_entry_rejects_an_argument_of_the_wrong_type():
+    # a Graph passed as the pattern, a host that is no Graph or a structure
+    # that is no StripStructure raised AttributeError from inside, and random
+    # mode took a float or bool trial count and a list seed to the middle of
+    # the search, or ran True as one trial
+    k2, g = Pattern.of(complete_graph(2)), cycle_graph(12)
+    intervals = IntervalModel([Interval(i, 2 * i, 2 * i + 3) for i in range(8)])
+    long_arcs = ArcModel([Arc(i, 2 * i, (2 * i + 3) % 24) for i in range(12)], 24)
+    ss = line_graph_strip_structure(g)
+    wrong_values = {"a Graph": (k2, [1], None), "a Pattern": (complete_graph(2), "x"),
+                    "a StripStructure": ("x", g)}
+    entries = [
+        ("a Graph", lambda x: solve_igm_claw_free(x, k2, 2)),
+        ("a Pattern", lambda x: solve_igm_claw_free(g, x, 2)),
+        ("a StripStructure", lambda x: solve_igm_claw_free(g, k2, 2, ss=x)),
+        ("a Graph", lambda x: kernelize(x, k2, 2)),
+        ("a Pattern", lambda x: kernelize(g, x, 2)),
+        ("a StripStructure", lambda x: kernelize(g, k2, 2, ss=x)),
+        ("a Graph", lambda x: find_igm(x, k2, 2)),
+        ("a Pattern", lambda x: find_igm(g, x, 2)),
+        ("a Graph", lambda x: solve_igm_small_alpha(x, k2, 2)),
+        ("a Pattern", lambda x: solve_igm_small_alpha(cycle_graph(9), x, 2)),
+        ("a Pattern", lambda x: solve_igm_proper_interval(intervals, x, 2)),
+        ("a Pattern", lambda x: solve_igm_long_proper_ca(long_arcs, x, 2)),
+        ("a Pattern", lambda x: solve_igm_fuzzy_ca(_fuzzy_touching_arcs(), x, 2)),
+        ("a Graph", lambda x: brute_force_wis(x, [], 1, 0)),
+        ("a Graph", lambda x: validate_strip_structure(x, ss)),
+        ("a StripStructure", lambda x: validate_strip_structure(g, x)),
+        ("a Graph", trivial_strip_structure),
+        ("a Graph", line_graph_strip_structure),
+        ("a Graph", Pattern),
+    ]
+    for name, entry in entries:
+        for wrong in wrong_values[name]:
+            with pytest.raises(InputError, match=rf"expected {name}, got {type(wrong).__name__}"):
+                entry(wrong)
+    for trials in ("5", 2.5, True, None, -1):
+        with pytest.raises(InputError, match=rf"non-negative trial count, an int, got {trials!r}"):
+            solve_igm_claw_free(g, k2, 2, coloring="random", trials=trials)
+    for seed in ([1], 1.0, True, "1"):
+        with pytest.raises(InputError, match=rf"an int or None seed, got {re.escape(repr(seed))}"):
+            solve_igm_claw_free(g, k2, 2, coloring="random", trials=5, seed=seed)
+    for seed in (None, 7):  # accepted, whatever the draws find
+        solve_igm_claw_free(g, k2, 2, ss=ss, coloring="random", trials=3, seed=seed)
 
 
 def test_every_entry_that_refuses_a_disconnected_pattern_names_find_igm():
