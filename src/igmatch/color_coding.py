@@ -391,8 +391,8 @@ def _base_stream(h: Pattern, k: int, budget: dict):
 
     The oracle test ``test_streamed_bases_keep_the_base_invariants`` checks
     both conditions, with the rest of the base invariants, on every pinned
-    base, and ``test_base_stream_matches_the_brute_force_key`` against a
-    stream that tests condition 1 on each whole glued base.
+    base, and the pinned streams are those of a generator that tested
+    condition 1 on each whole glued base.
 
     ``budget`` caps the edges of each (kind, member count) shape, as in
     ``_token_plans``; since every edge carries a token, a budget of hk per
@@ -401,10 +401,9 @@ def _base_stream(h: Pattern, k: int, budget: dict):
     bases are isomorphic when a group relabeling and a renaming of vertices
     turn one into the other.  The stream is therefore deterministic and
     duplicate-free; ``test_base_streams_are_pinned`` holds the digests of
-    nine streams, base by base in stream order, and
-    ``test_base_stream_matches_the_brute_force_key`` checks it against the
-    plain generator with a brute-force key.  Two shortcuts keep the same
-    bases in the same order, with the same vertex numbering:
+    nine streams, base by base in stream order, which are also those of the
+    plain generator over every gluing with a brute-force key.  Two shortcuts
+    keep the same bases in the same order, with the same vertex numbering:
 
     - Each swap-symmetric edge is glued once.  A gluing is a restricted
       growth string over the endpoints (an endpoint joins an earlier block

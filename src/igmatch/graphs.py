@@ -279,6 +279,8 @@ def star_graph(leaves: int) -> Graph:
 
 
 def disjoint_union(a: Graph, b: Graph) -> Graph:
+    expect_type(a, Graph)
+    expect_type(b, Graph)
     return Graph._from_masks(a._nbr + tuple(m << a.n for m in b._nbr))
 
 
@@ -641,7 +643,7 @@ def _grow(steps: tuple, nbr: tuple[int, ...], domains, phi: list[int], free: int
 
 
 # ---------------------------------------------------------------------------
-# exact brute-force searches, called by the solvers and used as test oracles
+# exact brute-force searches, called by the solvers
 
 def brute_force_mis(g: Graph) -> tuple[int, tuple[int, ...]]:
     """Exact maximum independent set: (alpha, witness), the witness sorted.
@@ -1018,6 +1020,7 @@ def line_graph(m: Multigraph) -> Graph:
 
     Vertex i's mask is the edges at its two ends, less i itself.
     """
+    expect_type(m, Multigraph)
     inc = [0] * m.n  # bit i of inc[a]: edge i ends at a
     for i, (a, b) in enumerate(m.edges):
         inc[a] |= 1 << i

@@ -222,6 +222,7 @@ def intersection_kind(model: ArcModel, i: int, j: int) -> str:
     starts that lie in both arcs are the candidate pieces; a piece has
     positive length iff the point just past its start lies in both too.
     """
+    expect_type(model, ArcModel)
 
     def in_both(p2: int) -> bool:
         return point_in_arc(model, i, p2) and point_in_arc(model, j, p2)

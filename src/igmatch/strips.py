@@ -178,11 +178,13 @@ def classify_strip(s: Strip) -> str:
 
 def strip_image(ss: StripStructure, eid) -> frozenset:
     """Host vertices standing in for the strip's interior."""
+    expect_type(ss, StripStructure)
     return frozenset(ss.strips[eid].g_map.values())
 
 
 def boundary_clique(ss: StripStructure, r) -> frozenset:
     """C(r): the host images of the boundaries facing r, over all edges at r."""
+    expect_type(ss, StripStructure)
     out = set()
     for eid, members in ss.edges:
         if r in members:

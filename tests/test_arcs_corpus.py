@@ -11,18 +11,19 @@ one cut model.
 The file was recorded before the arc solvers stopped re-enumerating
 occurrences per cut.  Rewrite it only for an intended witness change:
 
-    PYTHONPATH=src python tests/test_arcs_corpus.py
+    PYTHONPATH=src:perfbench python tests/test_arcs_corpus.py
 """
 
 import functools
 import json
 import os
 import random
-import sys
 
 import igmatch.graphs as graphs
 import igmatch.interval_solvers as interval_solvers
 from igmatch.graphs import Occurrence
+
+import workloads
 
 HERE = os.path.dirname(os.path.abspath(__file__))
 FIXTURE = os.path.join(HERE, "arcs_witnesses.json")
@@ -31,11 +32,6 @@ SEEDS = (301, 302, 303)
 
 @functools.lru_cache(maxsize=None)
 def _arcs_cases(seed):
-    bench = os.path.join(os.path.dirname(HERE), "perfbench")
-    if bench not in sys.path:
-        sys.path.append(bench)
-    import workloads
-
     return workloads.arcs(random.Random(seed))
 
 

@@ -24,7 +24,7 @@ without certificates.
 
 Rewrite the files only for an intended witness change:
 
-    PYTHONPATH=src python tests/test_clawfree_corpus.py
+    PYTHONPATH=src:perfbench python tests/test_clawfree_corpus.py
 """
 
 import collections
@@ -32,13 +32,13 @@ import json
 import math
 import os
 import random
-import sys
 
 import igmatch.color_coding as cc
 from igmatch.errors import SizeCapError
 from igmatch.graphs import OutOfBudget, Pattern, complete_graph, path_graph
 from igmatch.strips import classify_strip, line_graph_strip_structure, validate_strip_structure
 
+import workloads
 from randgen import random_subdivided_structure
 from test_color_coding import _counting, _path_certificate
 
@@ -50,17 +50,8 @@ SUBDIVIDED_SEED = 1206
 SUBDIVIDED = 16
 
 
-def _workloads():
-    bench = os.path.join(os.path.dirname(HERE), "perfbench")
-    if bench not in sys.path:
-        sys.path.append(bench)
-    import workloads
-
-    return workloads
-
-
 def _clawfree_cases(seed):
-    return _workloads().clawfree(random.Random(seed))
+    return workloads.clawfree(random.Random(seed))
 
 
 def _witnesses(seed):
@@ -97,7 +88,6 @@ def _subdivided_rows():
 
 def workload_hosts(monkeypatch, *seeds) -> list:
     """The hosts the workload draws for ``seeds``, in order."""
-    workloads = _workloads()
     hosts = []
     real = workloads.line_graph
 
@@ -190,7 +180,6 @@ def test_the_pipeline_answers_no_on_the_k3_no_instances(monkeypatch):
     packing search, so the pipeline no longer meets them through the entry.
     Run directly over each host's line-graph structure, it still answers
     None on all 45 of the corpus seeds."""
-    workloads = _workloads()
     calls = []
     monkeypatch.setattr(workloads, "solve_igm_claw_free",
                         lambda g, h, k, **kwargs: calls.append((g, h, k)))

@@ -26,9 +26,7 @@ models placed side by side have the sum of the two optima, on a line and,
 as long proper arcs in disjoint sectors of one circle, on a circle.
 """
 
-import os
 import random
-import sys
 
 from hypothesis import given, settings, strategies as st
 
@@ -59,6 +57,8 @@ from igmatch.models import (
     validate_arc_model,
 )
 from igmatch.strips import line_graph_strip_structure, trivial_strip_structure
+
+from gen import proper_interval_model
 from randgen import (
     random_connected_multigraph,
     random_long_proper_arc_model,
@@ -66,9 +66,6 @@ from randgen import (
     random_subdivided_structure,
 )
 
-sys.path.insert(0, os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
-                                "perfbench"))
-from gen import proper_interval_model  # noqa: E402
 
 K2 = Pattern.of(complete_graph(2))
 P3 = Pattern.of(path_graph(3))

@@ -1,6 +1,4 @@
-import os
 import random
-import sys
 
 import pytest
 
@@ -22,12 +20,9 @@ from igmatch.graphs import (
 )
 from igmatch.models import Arc, ArcModel, FuzzyArcModel, realize
 
-from oracles import (
-    fuzzy_dp_profile,
-    igm_exhaustive,
-    max_igm_exhaustive,
-    residual_chain_reference,
-)
+import gen
+from oracles import fuzzy_dp_profile, igm_exhaustive, max_igm_exhaustive
+from pinned import assert_pinned
 from randgen import random_fuzzy_arc_model
 
 
@@ -41,15 +36,6 @@ K2 = Pattern.of(path_graph(2))
 P3 = Pattern.of(path_graph(3))
 K3 = Pattern.of(cycle_graph(3))
 P4 = Pattern.of(path_graph(4))
-
-
-def _bench_gen():
-    bench = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "perfbench")
-    if bench not in sys.path:
-        sys.path.append(bench)
-    import gen
-
-    return gen
 
 
 def test_compatible_examples_on_p5():
@@ -168,12 +154,14 @@ def test_fuzzy_profile_maximum_is_the_optimum():
 
 def test_residual_chain_matches_the_reference_star_by_star():
     # the per-solve table and per-star sweep give every star the (length,
-    # chain) of the per-star program, early stops included; the reference
-    # is cubic in the occurrence count, so larger occurrence lists are left
-    # to the pinned corpus and the solve-level tests
-    gen = _bench_gen()
+    # chain) of the earlier per-star program, which cut, sorted and grouped
+    # the survivors again for each star, early stops included; pinned by
+    # digest per trial.  That program was cubic in the occurrence count, so
+    # larger occurrence lists are left to the pinned corpus and the
+    # solve-level tests
     rng = random.Random(113)
     stars = sizes = 0
+    chains = {}
     for trial in range(24):
         n = 4 + trial * 26 // 23
         if trial % 2:
@@ -191,28 +179,35 @@ def test_residual_chain_matches_the_reference_star_by_star():
                 # a chain holds fewer occurrences than there are, so the
                 # last stop is never reached
                 for stop_at in (2, 3, 4, len(occs)):
-                    want = residual_chain_reference(model, occs, conflict, star, stop_at)
-                    got = fuzzy_solver._residual_chain(table, star, stop_at)
-                    assert got == want, (trial, h.graph.edges, star, stop_at)
+                    length, chain = got = fuzzy_solver._residual_chain(table, star, stop_at)
+                    assert length == len(chain)
+                    assert not any(conflict[i] & (1 << j) for i in (star, *chain) for j in chain)
+                    chains.setdefault(f"trial {trial}", []).append(got)
                 stars += 1
             sizes = max(sizes, n)
-    assert stars > 3000 and sizes == 30
+    assert (stars, sizes, sum(map(len, chains.values()))) == (3291, 30, 13164)
+    assert_pinned("test_residual_chain_matches_the_reference_star_by_star", chains)
 
 
-def _check_fuzzy_count(models, patterns, star_length):
+def _check_fuzzy_count(models, patterns):
     # the count that refutes a no-instance before the star loop equals one
     # plus the best star's chain, capped at k, and 0 with no occurrence; the
     # star chains it keeps are the witness loop's own; on a small host it
-    # is the largest induced matching
+    # is the largest induced matching.  Also returns each model's star chain
+    # lengths, per pattern
     checked = exhaustive = 0
+    lengths = []
     for model in models:
         g = realize(model)
+        lengths.append([])
         for h in patterns:
             occs = enumerate_occurrences(g, h)
-            _, conflict = _occurrence_masks(g, occs)
             table = fuzzy_solver._ChainTable(model, g, occs)
-            best = max((1 + star_length(model, table, occs, conflict, star)
-                        for star in range(len(occs))), default=0)
+            # a chain holds fewer occurrences than there are, so it never stops early
+            star_lengths = [fuzzy_solver._residual_chain(table, star, len(occs))[0]
+                            for star in range(len(occs))]
+            lengths[-1].append(star_lengths)
+            best = max((1 + length for length in star_lengths), default=0)
             for k in sorted({1, 2, best, best + 1}):
                 swept = {}
                 assert fuzzy_solver._most_compatible(table, k, swept) == min(best, k), \
@@ -223,57 +218,51 @@ def _check_fuzzy_count(models, patterns, star_length):
                 assert best == max_igm_exhaustive(g, h.graph)
                 exhaustive += 1
             checked += 1
-    return checked, exhaustive
-
-
-def _reference_length(model, table, occs, conflict, star):
-    return residual_chain_reference(model, occs, conflict, star, None)[0]
-
-
-def _solver_length(model, table, occs, conflict, star):
-    # the per-star sweep, pinned to the reference star by star above
-    return fuzzy_solver._residual_chain(table, star, len(occs))[0]
+    return checked, exhaustive, lengths
 
 
 def test_fuzzy_count_is_the_best_star():
-    gen = _bench_gen()
+    # the star chain lengths are the earlier per-star program's, pinned by
+    # digest per model
     rng = random.Random(131)
     models = [random_fuzzy_arc_model(rng, n, max(4, n // 2 + 2)) for n in range(2, 12)]
     models += [gen.fuzzy_arc_model(random.Random(seed), 20, 12) for seed in (301, 302)]
-    assert _check_fuzzy_count(models, (K2, P3, P4), _reference_length) == (36, 20)
+    checked, exhaustive, lengths = _check_fuzzy_count(models, (K2, P3, P4))
+    assert (checked, exhaustive) == (36, 20)
     n40 = gen.fuzzy_arc_model(random.Random(301), 40, 24)
-    assert _check_fuzzy_count([n40], (K2,), _reference_length) == (1, 0)
+    checked, exhaustive, (n40_lengths,) = _check_fuzzy_count([n40], (K2,))
+    assert (checked, exhaustive) == (1, 0)
+    found = {f"model {i}": model_lengths for i, model_lengths in enumerate(lengths)}
+    assert_pinned("test_fuzzy_count_is_the_best_star", {**found, "n40": n40_lengths})
 
 
 @pytest.mark.slow
 def test_fuzzy_count_is_the_best_star_on_large_models():
-    gen = _bench_gen()
     n40 = gen.fuzzy_arc_model(random.Random(302), 40, 24)
-    assert _check_fuzzy_count([n40], (P3,), _reference_length) == (1, 0)
+    checked, exhaustive, (n40_lengths,) = _check_fuzzy_count([n40], (P3,))
+    assert (checked, exhaustive) == (1, 0)
+    assert_pinned("test_fuzzy_count_is_the_best_star_on_large_models", {"n40": n40_lengths})
     n80 = [gen.fuzzy_arc_model(random.Random(seed), 80, 40) for seed in (7, 301)]
-    assert _check_fuzzy_count(n80, (K2,), _solver_length) == (2, 0)
+    assert _check_fuzzy_count(n80, (K2,))[:2] == (2, 0)
 
 
 def test_wrap_check_names_the_reference_arc():
     # with the star's conflicts dropped, survivors have arcs over the cut;
-    # both programs blame the same arc of the same occurrence
+    # the sweep blames the arc and occurrence the earlier per-star program
+    # blamed (pinned by digest)
     model = random_fuzzy_arc_model(random.Random(127), 12, 8)
     g = realize(model)
     occs = enumerate_occurrences(g, P3)
-    _, conflict = _occurrence_masks(g, occs)
     table = fuzzy_solver._ChainTable(model, g, occs)
     full = (1 << len(occs)) - 1
-    raised = 0
+    raised = []
     for star in range(len(occs)):
         table.free[table.position[star]] = full
-        with pytest.raises(InternalError, match="wraps the cut point") as want:
-            residual_chain_reference(model, occs, conflict[:star] + [0] + conflict[star + 1:],
-                                     star, None)
-        with pytest.raises(InternalError) as got:
+        with pytest.raises(InternalError, match="wraps the cut point") as got:
             fuzzy_solver._residual_chain(table, star, len(occs))
-        assert str(got.value) == str(want.value)
-        raised += 1
-    assert raised > 10
+        raised.append(got.value)
+    assert len(raised) == 23
+    assert_pinned("test_wrap_check_names_the_reference_arc", {"seed 127": raised})
 
 
 def test_fuzzy_no_instance_builds_one_table(monkeypatch):
@@ -281,7 +270,7 @@ def test_fuzzy_no_instance_builds_one_table(monkeypatch):
     # conflict masks are built once per solve, and only the 143
     # occurrences over the count's cut point, the fewest over any odd
     # point past an arc end, are the star of a sweep
-    model = _bench_gen().fuzzy_arc_model(random.Random(7), 80, 40)
+    model = gen.fuzzy_arc_model(random.Random(7), 80, 40)
     counts = dict.fromkeys(("_ChainTable", "_occurrence_masks", "_residual_chain"), 0)
     for name in counts:
         def counted(*args, _name=name, _fn=getattr(fuzzy_solver, name), **kwargs):

@@ -1,6 +1,5 @@
 import contextlib
 import itertools
-import os
 import random
 import sys
 
@@ -37,27 +36,19 @@ from igmatch.graphs import (
     star_graph,
 )
 from igmatch.models import Arc, ArcModel, FuzzyArcModel, Interval, IntervalModel, realize
+
+import gen
+import workloads
 from oracles import (
-    all_cliques_containing_edge_reference,
-    all_pairs_occurrence_masks,
-    find_igm_reference,
-    find_occurrence_reference,
-    find_star_reference,
     igm_exhaustive,
     is_isomorphic,
     is_line_graph_exhaustive,
-    krausz_cover_reference,
     max_igm_exhaustive,
-    max_igm_reference,
     mis_exhaustive,
-    mis_reference,
     occurrences_exhaustive,
-    preimage_reproduces_reference,
-    recognize_line_graph_reference,
-    subset_scan_occurrences,
-    twin_classes_reference,
     wis_exhaustive,
 )
+from pinned import assert_pinned
 from randgen import random_connected_graph, random_connected_multigraph, random_graph, random_line_graph
 
 
@@ -371,32 +362,34 @@ def test_mis_cap(monkeypatch):
 
 
 def test_mis_matches_the_bitmask_reference():
-    # the ladder of WIS questions against the earlier bitmask search: seeded
-    # random graphs up to the 30-vertex cap, and the benchmark's claw-free
-    # line graphs of cyclic, path and tree pre-images within the cap
-    bench = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "perfbench")
-    if bench not in sys.path:
-        sys.path.append(bench)
-    import gen
-
+    # the ladder of WIS questions gives the alpha the earlier bitmask search
+    # gave (pinned by digest): seeded random graphs up to the 30-vertex cap,
+    # and the benchmark's claw-free line graphs of cyclic, path and tree
+    # pre-images within the cap
     rng = random.Random(1207)
-    hosts = [random_graph(rng, n, rng.random()) for n in range(12, 31) for _ in range(2)]
+    hosts = {"random": [random_graph(rng, n, rng.random()) for n in range(12, 31) for _ in range(2)]}
     for seed in range(8):
         r = random.Random(seed)
-        hosts += [line_graph(gen.cyclic_preimage(r, 11, 2)),
-                  line_graph(gen.path_preimage(r, r.randint(20, 30))),
-                  line_graph(gen.tree_preimage(r, r.randint(20, 30)))]
-    assert max(g.n for g in hosts) == 30
-    for g in hosts:
-        alpha, witness = brute_force_mis(g)
-        assert alpha == mis_reference(g)[0] == len(witness)
-        assert list(witness) == sorted(witness)
-        assert all(not g.has_edge(u, v) for u in witness for v in witness if u < v)
+        hosts[f"seed {seed}"] = [line_graph(gen.cyclic_preimage(r, 11, 2)),
+                                 line_graph(gen.path_preimage(r, r.randint(20, 30))),
+                                 line_graph(gen.tree_preimage(r, r.randint(20, 30)))]
+    assert max(g.n for gs in hosts.values() for g in gs) == 30
+    assert sum(map(len, hosts.values())) == 62
+    alphas = {}
+    for name, gs in hosts.items():
+        for g in gs:
+            alpha, witness = brute_force_mis(g)
+            assert alpha == len(witness)
+            assert list(witness) == sorted(witness)
+            assert all(not g.has_edge(u, v) for u in witness for v in witness if u < v)
+            alphas.setdefault(name, []).append(alpha)
+    assert_pinned("test_mis_matches_the_bitmask_reference", alphas)
 
 
 def test_find_occurrence_agrees_with_exhaustive():
     # the first witness is the set-based search's, which the mask search with
-    # its twin bounds replaced: every labelled pattern up to 4 vertices, P4,
+    # its twin bounds replaced (pinned by digest, one per pattern size or
+    # named pattern): every labelled pattern up to 4 vertices, P4,
     # C4, C5 and the bundles 2P3 and 3K2, each over the whole host and over a
     # random vertex subset; existence is also checked exhaustively on small cases
     k2 = complete_graph(2)
@@ -410,15 +403,18 @@ def test_find_occurrence_agrees_with_exhaustive():
         path_graph(4), cycle_graph(4), cycle_graph(5),
         disjoint_union(path_graph(3), path_graph(3)),
         disjoint_union(k2, disjoint_union(k2, k2))]]
+    names = [f"labelled {hg.n}" for hg in graphs_up_to_4] + ["P4", "C4", "C5", "2P3", "3K2"]
     rng = random.Random(5)
-    found = 0
+    found = cases = 0
+    witnesses = {}
     for _ in range(40):
         g = random_graph(rng, rng.randint(0, 12), rng.random())
         within = [v for v in range(g.n) if rng.random() < 0.7]
-        for h in patterns:
+        for name, h in zip(names, patterns):
             for w in (None, within):
                 occ = find_occurrence(g, h, within=w)
-                assert occ == find_occurrence_reference(g, h, within=w), (g.edges, h.graph.edges, w)
+                witnesses.setdefault(name, []).append(occ)
+                cases += 1
                 if occ is not None:
                     occ.check(g, h)
                     assert w is None or set(occ.vertices) <= set(w)
@@ -426,7 +422,8 @@ def test_find_occurrence_agrees_with_exhaustive():
             if g.n <= 8 and h.h <= 3:
                 exists = bool(occurrences_exhaustive(g, h.graph))
                 assert (find_occurrence(g, h) is not None) == exists
-    assert found > 500
+    assert (cases, found) == (6400, 1991)
+    assert_pinned("test_find_occurrence_agrees_with_exhaustive", witnesses)
 
 
 def test_find_occurrence_within(p3):
@@ -448,9 +445,10 @@ def test_enumerate_occurrences_vertex_sets(p3):
 
 def test_enumerate_occurrences_and_masks_match_the_subset_scan():
     # one search serves every pattern; the order, the maps and the conflict
-    # masks must be the subset scan's (an isolated pattern vertex only
-    # conflicts through itself).  The patterns cover a search order that is
-    # not label order (P3 centred at 2, a star centred at 3), automorphisms
+    # masks must be those of the scan over all C(n, h) subsets and the
+    # all-pairs mask test, pinned by digest per pattern (an isolated pattern
+    # vertex only conflicts through itself).  The patterns cover a search
+    # order that is not label order (P3 centred at 2, a star centred at 3), automorphisms
     # beyond twin swaps (P4, C4, C5, the bull, 2K2), patterns whose pairs are
     # all twins (K_h, the edgeless graph on 3 vertices) and disconnected ones
     patterns = [
@@ -467,17 +465,17 @@ def test_enumerate_occurrences_and_masks_match_the_subset_scan():
     ]
     rng = random.Random(606)
     found = 0
+    outputs = {}
     for n in range(15):
         for _ in range(4):
             g = random_graph(rng, n, rng.random())
             for hg in patterns:
-                h = Pattern.of(hg)
-                occs = enumerate_occurrences(g, h)
-                assert [o.vertices for o in occs] == subset_scan_occurrences(g, hg), (
-                    g.edges, hg.edges)
-                assert _occurrence_masks(g, occs) == all_pairs_occurrence_masks(g, occs)
+                occs = enumerate_occurrences(g, Pattern.of(hg))
+                outputs.setdefault(f"{hg.n}:{hg.edges}", []).append(
+                    ([o.vertices for o in occs], _occurrence_masks(g, occs)))
                 found += len(occs)
-    assert found > 1000
+    assert sum(map(len, outputs.values())) == 960 and found == 14688
+    assert_pinned("test_enumerate_occurrences_and_masks_match_the_subset_scan", outputs)
 
 
 def test_the_search_reaches_one_map_per_twin_orbit():
@@ -485,13 +483,6 @@ def test_the_search_reaches_one_map_per_twin_orbit():
     # generate: one per occurrence when they generate Aut(H) (K2, K3, P3,
     # K_{1,3}), |Aut(H)| / |twin group| per occurrence otherwise (2 for P4,
     # whose twin group is trivial, and 8 / 4 for C4), so a lost bound adds maps
-    bench = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "perfbench")
-    if bench not in sys.path:
-        sys.path.append(bench)
-    import gen
-
-    from igmatch.models import realize
-
     hosts = [complete_graph(8),
              realize(gen.long_proper_arc_model(random.Random(301), 20)),
              random_graph(random.Random(29), 14, 0.4)]
@@ -632,26 +623,27 @@ def test_packing_searches_return_the_reference_witnesses(k1, k2, p3, k3):
     """``find_igm`` and the largest-packing search are one search,
     ``packing``; each still returns the witness of its own earlier search,
     and the largest packing is the first success of a descending
-    ``find_igm`` ladder.  Touch sets may be empty or name vertices outside
-    the host; half the largest-packing cases pass a sub-list of the
+    ``find_igm`` ladder of the earlier search (all three pinned by digest,
+    per pattern).  Touch sets may be empty or name vertices outside the
+    host; half the largest-packing cases pass a sub-list of the
     occurrences, as the kernel's stripe tables do."""
+    names = {k1: "K1", k2: "K2", p3: "P3", k3: "K3"}
     rng = random.Random(1207)
+    witnesses = {}
     for _ in range(3000):
         g = random_graph(rng, rng.randint(0, 12), rng.uniform(0.1, 0.6))
         h = rng.choice((k1, k2, p3, k3))
         k = rng.randint(0, 4)
         touch = [frozenset(rng.sample(range(g.n + 2), rng.randint(0, min(3, g.n + 2))))
                  for _ in range(rng.randint(0, 3))]
-        assert find_igm(g, h, k) == find_igm_reference(g, h, k)
+        first = find_igm(g, h, k)
         occs = enumerate_occurrences(g, h)
         if rng.random() < 0.5:
             occs = [o for o in occs if rng.random() < 0.7]
-        assert (packing(g, occs, None, touch)
-                == max_igm_reference(g, h, require_touch=touch, occurrences=occs))
-        ladder = (find_igm_reference(g, h, kk, occurrences=occs)
-                  for kk in range(g.n // h.h, 0, -1))
-        first = next((m for m in ladder if m is not None), Matching(()))
-        assert packing(g, occs, None) == list(first.occurrences)
+        witnesses.setdefault(names[h], []).append(
+            (first, packing(g, occs, None, touch), packing(g, occs, None)))
+    assert sum(map(len, witnesses.values())) == 3000
+    assert_pinned("test_packing_searches_return_the_reference_witnesses", witnesses)
 
 
 def test_wis_matches_exhaustive():
@@ -820,15 +812,11 @@ def _outcome(recognize, g):
 
 def test_recognition_matches_the_list_based_reference(monkeypatch):
     """The bitmask claw test, twin classes, cover search and L(M) = g check
-    give what the list-based versions they replaced give: the same claw
-    witness for t = 1..4, the same twin classes, the same cover in the same
-    order on a claw-free host and on its twin reduction, and the same
-    pre-image, None or error from ``recognize_line_graph``."""
-    bench = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "perfbench")
-    if bench not in sys.path:
-        sys.path.append(bench)
-    import workloads
-
+    give what the list-based versions they replaced gave, pinned by digest
+    per host family and step: the same claw witness for t = 1..4, the same
+    twin classes, the same cover in the same order on a claw-free host and
+    on its twin reduction, and the same pre-image, None or error from
+    ``recognize_line_graph``."""
     bench_hosts = []
     real = workloads.line_graph
 
@@ -845,21 +833,25 @@ def test_recognition_matches_the_list_based_reference(monkeypatch):
     twin_hosts = list(_twin_blowups(random.Random(1206), 600))
     other_hosts = [random_connected_graph(rng, rng.randint(1, 10), rng.random()) for _ in range(300)]
     other_hosts += [random_graph(rng, rng.randint(0, 8), rng.random()) for _ in range(100)]
+    families = {"bench": bench_hosts, "multigraph": multigraph_hosts, "twin": twin_hosts,
+                "other": other_hosts}
+    assert [len(hosts) for hosts in families.values()] == [253, 300, 600, 400]
     outcomes = []
-    for g in bench_hosts + multigraph_hosts + twin_hosts + other_hosts:
-        nbr = g._nbr
-        for t in (1, 2, 3, 4):
-            assert find_star(g, t) == find_star_reference(g, t)
-        classes = _twin_classes(nbr)
-        assert classes == twin_classes_reference(g)
-        if star_free(g, 3):  # recognition searches for a cover only then
-            assert graphs._krausz_cover(g) == krausz_cover_reference(g)
-            reduced = g.induced([c[0] for c in classes])
-            assert graphs._krausz_cover(reduced) == krausz_cover_reference(reduced)
-        got = _outcome(recognize_line_graph, g)
-        assert got == _outcome(recognize_line_graph_reference, g)
-        outcomes.append(got if got is None or isinstance(got, str) else "pre-image")
-    assert len(bench_hosts) >= 2 * (24 + 90)
+    steps = {}
+    for name, hosts in families.items():
+        for g in hosts:
+            steps.setdefault(f"{name} stars", []).append([find_star(g, t) for t in (1, 2, 3, 4)])
+            classes = _twin_classes(g._nbr)
+            steps.setdefault(f"{name} twin classes", []).append(classes)
+            if star_free(g, 3):  # recognition searches for a cover only then
+                reduced = g.induced([c[0] for c in classes])
+                steps.setdefault(f"{name} covers", []).append(
+                    (graphs._krausz_cover(g), graphs._krausz_cover(reduced)))
+            got = _outcome(recognize_line_graph, g)
+            steps.setdefault(f"{name} recognition", []).append(got)
+            outcomes.append(got if got is None or isinstance(got, str) else "pre-image")
+    assert [len(steps[f"{name} covers"]) for name in families] == [253, 300, 446, 286]
+    assert_pinned("test_recognition_matches_the_list_based_reference", steps)
     # on the benchmark hosts every step of the cover search takes the first
     # clique it builds, so it builds no other and never backtracks
     built = []
@@ -882,44 +874,53 @@ def test_recognition_matches_the_list_based_reference(monkeypatch):
 
 def test_identity_check_matches_rebuilding_the_line_graph():
     """``line_graph(M) == g``, the check ``recognize_line_graph`` ends with,
-    holds exactly when the line graph rebuilt pair by pair is the host: on
-    each pre-image with one edge moved or dropped, for every edge index, and
-    with an extra edge that meets no other."""
+    holds exactly when the line graph rebuilt pair by pair is the host
+    (pinned by digest per host order): on the recognized pre-image, and on
+    it with one edge moved or dropped, for every edge index, and with an
+    extra edge that meets no other."""
     rng = random.Random(2407)
-    differ = 0
+    differ = cases = 0
+    verdicts = {}
     for _ in range(120):
         g, _m = random_line_graph(rng, max_edges=10)
         m = recognize_line_graph(g)
-        assert line_graph(m) == g and preimage_reproduces_reference(g, m)
+        out = verdicts.setdefault(f"{g.n} vertices", [])
+        out.append(line_graph(m) == g)
         wrong = [Multigraph(m.n + 2, m.edges + ((m.n, m.n + 1),))]
         for i, (a, b) in enumerate(m.edges):
             c = rng.choice([x for x in range(m.n + 1) if x not in (a, b)])
             wrong += [Multigraph(m.n + 1, m.edges[:i] + ((a, c),) + m.edges[i + 1:]),
                       Multigraph(m.n, m.edges[:i] + m.edges[i + 1:])]
         for cand in wrong:
-            same = preimage_reproduces_reference(g, cand)
-            assert (line_graph(cand) == g) is same
+            same = line_graph(cand) == g
+            out.append(same)
             differ += not same
-    assert differ >= 500
+            cases += 1
+    assert (cases, differ) == (1500, 1144)
+    assert_pinned("test_identity_check_matches_rebuilding_the_line_graph", verdicts)
 
 
 def test_clique_stream_is_every_clique_through_the_edge_in_order():
     """The stream ``_krausz_cover`` reads is the sorted list of all cliques
-    through the edge (largest first, ties by sorted tuple), and with an
-    avoided set it is that list without the cliques meeting the set."""
+    through the edge (largest first, ties by sorted tuple; pinned by digest
+    per host order), and with an avoided set it is that list without the
+    cliques meeting the set."""
     rng = random.Random(2408)
     seen = 0
+    streams = {}
     for _ in range(150):
         g = random_graph(rng, rng.randint(2, 11), 0.4 + 0.6 * rng.random())
         nbr = g._nbr
         for u, v in g.edges:
-            every = all_cliques_containing_edge_reference(g, u, v)
-            assert [frozenset(graphs._bits(c)) for c in graphs._cliques_through(nbr, u, v, 0)] == every
+            every = [frozenset(graphs._bits(c)) for c in graphs._cliques_through(nbr, u, v, 0)]
+            assert every == sorted(every, key=lambda c: (-len(c), sorted(c)))
+            streams.setdefault(f"{g.n} vertices", []).append(every)
             avoid = sum(1 << w for w in range(g.n) if w not in (u, v) and rng.random() < 0.3)
             assert [frozenset(graphs._bits(c)) for c in graphs._cliques_through(nbr, u, v, avoid)] \
                 == [c for c in every if not any(avoid >> w & 1 for w in c)]
             seen += len(every)
-    assert seen >= 5000
+    assert (sum(map(len, streams.values())), seen) == (2182, 39044)
+    assert_pinned("test_clique_stream_is_every_clique_through_the_edge_in_order", streams)
 
 
 def test_recognition_of_long_paths_and_wide_hubs():

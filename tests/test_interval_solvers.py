@@ -1,7 +1,5 @@
 import itertools
-import os
 import random
-import sys
 from unittest import mock
 
 import pytest
@@ -41,26 +39,22 @@ from igmatch.models import (
     realize,
 )
 
+import gen  # the benchmark's constructive model generators
+import oracle  # the benchmark's independent optima
 from oracles import (
     _best_weight_reference,
     _occ_sets_compatible,
     arc_cover_reference,
     igm_exhaustive,
-    interval_wis_reference,
-    long_arc_reference,
     max_igm_exhaustive,
     occurrences_exhaustive,
 )
+from pinned import assert_pinned
 from randgen import (
     random_fuzzy_arc_model,
     random_long_proper_arc_model,
     random_proper_interval_model,
 )
-
-sys.path.append(os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
-                             "perfbench"))
-import gen  # noqa: E402  (the benchmark's constructive model generators)
-import oracle  # noqa: E402  (the benchmark's independent optima)
 
 
 def imodel(*pairs):
@@ -124,17 +118,21 @@ def test_wis_matches_brute_force():
 
 
 def test_wis_witness_matches_the_scan_reference():
-    # ties (shared endpoints, equal intervals) are where the
-    # lexicographically smallest witness is decided
+    # the witness is the one the earlier rebuild, which scanned every chosen
+    # interval, returned (pinned by digest per interval count); ties (shared
+    # endpoints, equal intervals) are where the lexicographically smallest
+    # witness is decided
     rng = random.Random(1206)
+    answers = {}
     for _ in range(1500):
         n = rng.randint(0, 12)
         spans = []
         for _ in range(n):
             l = rng.randint(0, 12)
             spans.append((l, l + rng.randint(0, 4)))
-        _, size, witness = interval_wis_reference([(l, r, 1) for l, r in spans])
-        assert interval_wis(spans) == (size, witness), spans
+        answers.setdefault(f"{n} intervals", []).append(interval_wis(spans))
+    assert sum(map(len, answers.values())) == 1500
+    assert_pinned("test_wis_witness_matches_the_scan_reference", answers)
 
 
 # ---------------------------------------------------------------------------
@@ -297,27 +295,34 @@ def test_ca_cut_completeness_at_oracle_maximum():
 
 
 def test_long_arc_table_matches_the_per_cut_reference():
-    # constructive long proper models; k runs from 1 to one past the optimum,
-    # so every yes-instance witness and every full no-instance sweep compares
+    # the witnesses of the earlier solver, which rebuilt the (leftmost,
+    # rightmost) classes of each cut from scratch, pinned by digest per model;
+    # constructive long proper models, and k runs from 1 to one past the
+    # optimum, so every yes-instance witness and every full no-instance sweep
+    # compares
     patterns = [Pattern.of(Graph(1, [])), Pattern.of(path_graph(2)), Pattern.of(path_graph(3)),
                 Pattern.of(cycle_graph(3)), Pattern.of(path_graph(4))]
     # the C6 occurrence wraps the circle, so every cut destroys it
-    cases = [(C6_ARCS, Pattern.of(cycle_graph(6)))]
+    cases = [("C6", C6_ARCS, Pattern.of(cycle_graph(6)))]
     for seed, n in enumerate((6, 6, 7, 8, 9, 10, 12, 14, 16, 18, 20, 30)):
         rng = random.Random(seed)
         model = gen.long_proper_arc_model(rng, n, length=rng.randint(2, min(15, n - 1)))
-        cases += [(model, h) for h in patterns]
+        cases += [(f"seed {seed}", model, h) for h in patterns]
     solved = 0
-    for model, h in cases:
+    witnesses = {}
+    for name, model, h in cases:
         k = 1
         while True:
             got = solve_igm_long_proper_ca(model, h, k)
-            assert got == long_arc_reference(model, h, k), (model.arcs, h.graph.edges, k)
+            witnesses.setdefault(name, []).append(got)
             if got is None:
                 break
+            got.check(realize(model), h)
+            assert got.size() == k
             solved += 1
             k += 1
-    assert solved == 152
+    assert solved == 152 and sum(map(len, witnesses.values())) == 213
+    assert_pinned("test_long_arc_table_matches_the_per_cut_reference", witnesses)
 
 
 # ---------------------------------------------------------------------------

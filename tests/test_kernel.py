@@ -48,9 +48,8 @@ from oracles import (
     independent_sets,
     occurrences_exhaustive,
     wis_exhaustive,
-    wis_forward_check_reference,
-    wis_reference,
 )
+from pinned import assert_pinned
 from randgen import random_connected_multigraph, random_graph, random_line_graph
 from test_color_coding import c11_two_stripes, two_stripe_p4
 
@@ -1019,20 +1018,23 @@ def _planted_selection_question(rng, cliques=7, size=4, top=2):
 
 
 def test_wis_witnesses_match_the_static_bound_reference(k2, k3):
-    """Same answer and same witness as the static-bound search, on random
-    weighted graphs, on planted selection cliques and on every
-    selection-clique encoding of the fixtures."""
-    questions = []
+    """Same answer and same witness as the search with static bounds only
+    (one vertex, or the heaviest vertex, of every remaining clique), pinned
+    by digest per family: random weighted graphs, planted selection cliques,
+    the selection-clique encodings of the fixtures and of random line
+    graphs, and the benchmark-sized encodings."""
+    questions = {}
     rng = random.Random(2024)
+    questions["random"] = []
     for _ in range(1000):
         g = random_graph(rng, rng.randint(0, 16), rng.uniform(0.05, 0.9))
         weights = [rng.randint(0, 6) for _ in range(g.n)]
-        questions.append((g, weights, rng.randint(0, 7), rng.randint(0, 25)))
+        questions["random"].append((g, weights, rng.randint(0, 7), rng.randint(0, 25)))
     # planted cliques, 813 of them tight at the root (one vertex from every
     # clique of the partition), which random graphs rarely are; 144 of
     # these searches propagate
     rng = random.Random(7031)
-    questions += [_planted_selection_question(rng) for _ in range(2000)]
+    questions["planted"] = [_planted_selection_question(rng) for _ in range(2000)]
     # the encodings the tests above build from the hand fixtures ...
     g = two_far_claims_host()
     builds = [(*two_stripe_p4(), hp, k) for hp in (k2, k3) for k in (2, 3)]
@@ -1041,6 +1043,7 @@ def test_wis_witnesses_match_the_static_bound_reference(k2, k3):
     builds += [(*five_spot_triangle(), hp, 2) for hp in (k2, k3)]
     builds += [(*stripes_and_spots_pair(), k2, 2), (g, derive_strip_structure(g), k2, 2)]
     # ... and from the random line graphs
+    line_builds = []
     rng = random.Random(991)
     seen = 0
     while seen < 15:
@@ -1051,32 +1054,36 @@ def test_wis_witnesses_match_the_static_bound_reference(k2, k3):
         if ss is None:
             continue
         seen += 1
-        builds += [(g, ss, hp, k) for hp in (k2, k3) for k in (2, 3)]
-    for g, ss, hp, k in builds:
-        inst = build_wis_instance(ss, hp, k)
-        questions.append((inst.graph, inst.weights, inst.k_card, inst.k_weight))
+        line_builds += [(g, ss, hp, k) for hp in (k2, k3) for k in (2, 3)]
+    for name, family in (("fixture encodings", builds), ("line-graph encodings", line_builds)):
+        questions[name] = []
+        for g, ss, hp, k in family:
+            inst = build_wis_instance(ss, hp, k)
+            questions[name].append((inst.graph, inst.weights, inst.k_card, inst.k_weight))
     # the benchmark-sized encoding: K2 on the C5 sunlet at its optimum 2 (yes)
     # and one past it (no), 60 vertices in 15 selection cliques each
     g = sunlet_line_graph(5)
     ss = derive_strip_structure(g)
+    questions["sunlet"] = []
     for k in (2, 3):
         inst = build_wis_instance(ss, k2, k)
         assert inst.graph.n == 60 and inst.k_card == 15
         assert wis_answer(inst) == igm_exhaustive(g, k2.graph, k) == (k == 2)
-        questions.append((inst.graph, inst.weights, inst.k_card, inst.k_weight))
+        questions["sunlet"].append((inst.graph, inst.weights, inst.k_card, inst.k_weight))
     # the benchmark's other encoded no-instances, one past the optimum, where
     # the search propagates: K3 on the C5 sunlet, and K2 on the sunlet with
     # five parallel copies of one cycle edge (the reduction step fires)
     edges = [(i, (i + 1) % 5) for i in range(5)] + [(i, 5 + i) for i in range(5)]
     bundle = line_graph(Multigraph(10, edges + [(0, 1)] * 5))
+    questions["propagating"] = []
     for g, hp, k, n in ((sunlet_line_graph(5), k3, 2, 60), (bundle, k2, 3, 70)):
         assert igm_exhaustive(g, hp.graph, k - 1) and not igm_exhaustive(g, hp.graph, k)
         inst = kernelize(g, hp, k)
         assert inst.graph.n == n and len(inst.cliques) == inst.k_card
-        questions.append((inst.graph, inst.weights, inst.k_card, inst.k_weight))
-    for g, weights, k_card, k_weight in questions:
-        want = wis_reference(g, weights, k_card, k_weight)
-        assert brute_force_wis(g, weights, k_card, k_weight) == want, (g.n, k_card, k_weight)
+        questions["propagating"].append((inst.graph, inst.weights, inst.k_card, inst.k_weight))
+    assert [len(q) for q in questions.values()] == [1000, 2000, 18, 60, 2, 2]
+    answers = {name: [brute_force_wis(*q) for q in qs] for name, qs in questions.items()}
+    assert_pinned("test_wis_witnesses_match_the_static_bound_reference", answers)
 
 
 def test_weight_tight_searches_match_the_exhaustive_and_forward_check_searches():
@@ -1085,9 +1092,11 @@ def test_weight_tight_searches_match_the_exhaustive_and_forward_check_searches()
     is the kernel's no-instance shape, where the weight-tight rule blocks
     the 0-weight vertices of every open clique that still holds a 1 (365
     of the 712 searches reach such a node).  Same answer as the exhaustive
-    search, and same witness as the forward-check search."""
+    search, and same witness as the search with the forward check and no
+    propagation (pinned by digest per target)."""
     rng = random.Random(4243)
     asked = 0
+    witnesses = {"best": [], "best + 1": []}
     for _ in range(400):
         g, weights, k_card, _ = _planted_selection_question(rng, cliques=4, size=3, top=1)
         best = max((sum(weights[v] for v in s) for s in independent_sets(g) if len(s) >= k_card),
@@ -1097,9 +1106,11 @@ def test_weight_tight_searches_match_the_exhaustive_and_forward_check_searches()
         for k_weight in (best, best + 1):
             got = brute_force_wis(g, weights, k_card, k_weight)
             assert got[0] == wis_exhaustive(g, weights, k_card, k_weight) == (k_weight == best)
-            assert got == wis_forward_check_reference(g, weights, k_card, k_weight)
+            witnesses["best" if k_weight == best else "best + 1"].append(got)
             asked += 1
     assert asked == 712
+    assert_pinned("test_weight_tight_searches_match_the_exhaustive_and_forward_check_searches",
+                  witnesses)
 
 
 def wis_size_ceiling(ss: StripStructure, h: int) -> int:

@@ -31,7 +31,7 @@ checked constructor, and pin how often the final WIS solves of the
 benchmark's encodings propagate.  Rewrite the file only for an intended
 change to the encoding:
 
-    PYTHONPATH=src python tests/test_kernel_corpus.py
+    PYTHONPATH=src:perfbench python tests/test_kernel_corpus.py
 """
 
 import functools
@@ -47,7 +47,9 @@ from igmatch.graphs import Graph, Pattern, complete_graph, path_graph
 from igmatch.strips import Strip, StripStructure, classify_strip
 from igmatch.trace import recording
 
-from oracles import igm_exhaustive, wis_forward_check_reference
+import workloads
+from oracles import igm_exhaustive
+from pinned import assert_pinned
 from randgen import random_line_graph, random_subdivided_structure
 from test_color_coding import c11_two_stripes, two_stripe_p4
 from test_kernel import (
@@ -166,11 +168,6 @@ class _Captured(Exception):
 
 def _workload_builds():
     """The build_wis_instance calls of the ``kernel`` workload, not run."""
-    bench = os.path.join(os.path.dirname(HERE), "perfbench")
-    if bench not in sys.path:
-        sys.path.append(bench)
-    import workloads
-
     class StopAtSolve:
         def add(self, *_):
             raise _Captured  # kernelize returned without an encoding
@@ -289,16 +286,19 @@ def test_kernel_encodings_are_pinned():
 
 
 def test_subdivided_and_workload_encodings_match_the_wis_reference():
-    """The WIS search gives the same answer and witness as the forward-check
-    search on the two-member-stripe encodings and on the benchmark's
-    encodings, whose no-instances are where it propagates."""
-    solved = 0
+    """The WIS search gives the same answer and witness as the search with
+    the forward check and no propagation, on the two-member-stripe encodings
+    and on the benchmark's encodings, whose no-instances are where it
+    propagates; pinned by digest per pattern of the subdivided encodings,
+    and for the benchmark's encodings as one group."""
+    witnesses = {}
     for label, inst, _ in _built_instances():
         if label.startswith(("sub", "workload")):
+            group = "workload" if label.startswith("workload") else "sub " + label.split("-")[1]
             question = (inst.graph, inst.weights, inst.k_card, inst.k_weight)
-            assert graphs.brute_force_wis(*question) == wis_forward_check_reference(*question), label
-            solved += 1
-    assert solved == 120 + 38
+            witnesses.setdefault(group, []).append(graphs.brute_force_wis(*question))
+    assert sum(map(len, witnesses.values())) == 120 + 38
+    assert_pinned("test_subdivided_and_workload_encodings_match_the_wis_reference", witnesses)
 
 
 def test_encodings_build_the_graph_the_checked_constructor_builds():

@@ -1,7 +1,5 @@
 import itertools
-import os
 import random
-import sys
 from fractions import Fraction
 
 import pytest
@@ -25,6 +23,8 @@ from igmatch.models import (
     validate_arc_model,
     validate_interval_model,
 )
+
+import gen
 from oracles import (
     arc_contains,
     covers_circle,
@@ -506,7 +506,6 @@ def test_pair_kinds_match_intersection_kind():
     # intersection_kind on every pair, on the small random models above, where
     # arcs wrap past 0, copy each other and share ends, and on the benchmark's
     # long proper and fuzzy models
-    gen = _bench_gen()
     rng = random.Random(4141)
     seen = {"wrapping": 0, "shared": 0, "single": 0}
     drawn = [_random_differential_model(rng, "arc") for _ in range(1500)]
@@ -537,21 +536,11 @@ def test_pair_kinds_match_intersection_kind_on_drawn_models(model):
     assert models._pair_kinds(model) == _pair_kinds_reference(model)
 
 
-def _bench_gen():
-    bench = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "perfbench")
-    if bench not in sys.path:
-        sys.path.append(bench)
-    import gen
-
-    return gen
-
-
 def test_arc_report_matches_the_references_on_perturbed_bench_models():
     # constructive long proper models, n = 6..24, with one arc moved, shrunk
     # or stretched, so that shared starts, nested successors and covering
     # pairs and triples all occur; properness is checked against every
     # ordered pair and longness against every pair and triple
-    gen = _bench_gen()
     rng = random.Random(2323)
     seen = {"shared": 0, "proper": set(), "long": set()}
     for trial in range(240):
@@ -613,7 +602,6 @@ def test_cut_at_point_refuses_a_bool_point():
 def test_model_passes_make_no_per_pair_calls(monkeypatch):
     # realize and validation read the span table; the single-pair helpers
     # stay the definitions the tests check against, and nothing else
-    gen = _bench_gen()
     calls = {}
     for name in ("point_in_arc", "intersection_kind"):
         def counted(*args, _f=getattr(models, name), _name=name):
@@ -637,7 +625,6 @@ def test_model_passes_make_no_per_pair_calls(monkeypatch):
 def test_enumeration_reads_the_pattern_once_per_call(monkeypatch):
     # the search reads the pattern through its plan, built once per pattern,
     # so the pattern's has_edge count does not grow with the host
-    gen = _bench_gen()
     h = Pattern.of(path_graph(3))
     counts = []
     plain = Graph.has_edge

@@ -40,7 +40,13 @@ from igmatch.models import (
     validate_arc_model,
     validate_interval_model,
 )
-from igmatch.strips import line_graph_strip_structure, trivial_strip_structure, validate_strip_structure
+from igmatch.strips import (
+    boundary_clique,
+    line_graph_strip_structure,
+    strip_image,
+    trivial_strip_structure,
+    validate_strip_structure,
+)
 
 
 def test_every_export_resolves():
@@ -169,6 +175,20 @@ def test_no_module_imports_a_private_name_of_a_sibling():
                 if a.name.startswith("_") and (source, a.name) not in allowed
             ]
     assert not found, f"private names imported across modules: {found}"
+
+
+def test_the_oracles_import_only_the_pinned_private_names():
+    # tests/oracles.py checks definitions; a copy of the package's own code
+    # kept there to pin its output would read the private helpers it was
+    # written over.  Only fuzzy_dp_profile imports any: it runs the
+    # package's own residual chain.  Pin an output by digest instead
+    # (tests/pinned.py)
+    tree = ast.parse((pathlib.Path(__file__).parent / "oracles.py").read_text())
+    found = {(node.module, a.name) for node in ast.walk(tree)
+             if isinstance(node, ast.ImportFrom) and (node.module or "").startswith("igmatch")
+             for a in node.names if a.name.startswith("_")}
+    assert found == {("igmatch.fuzzy_solver", "_ChainTable"),
+                     ("igmatch.fuzzy_solver", "_residual_chain")}
 
 
 def test_only_graphs_touches_a_graphs_masks():
@@ -346,7 +366,9 @@ def test_every_model_entry_rejects_a_model_of_the_wrong_type():
 
 def test_every_entry_rejects_an_argument_of_the_wrong_type():
     # a Graph passed as the pattern, a host that is no Graph or a structure
-    # that is no StripStructure raised AttributeError from inside, and random
+    # that is no StripStructure raised AttributeError from inside, and so did
+    # line_graph, disjoint_union, strip_image, boundary_clique and
+    # intersection_kind on an argument of the wrong type; random
     # mode took a float or bool trial count and a list seed to the middle of
     # the search, or ran True as one trial
     k2, g = Pattern.of(complete_graph(2)), cycle_graph(12)
@@ -354,7 +376,8 @@ def test_every_entry_rejects_an_argument_of_the_wrong_type():
     long_arcs = ArcModel([Arc(i, 2 * i, (2 * i + 3) % 24) for i in range(12)], 24)
     ss = line_graph_strip_structure(g)
     wrong_values = {"a Graph": (k2, [1], None), "a Pattern": (complete_graph(2), "x"),
-                    "a StripStructure": ("x", g)}
+                    "a StripStructure": ("x", g), "a Multigraph": ("x", g),
+                    "an ArcModel": ("x", intervals)}
     entries = [
         ("a Graph", lambda x: solve_igm_claw_free(x, k2, 2)),
         ("a Pattern", lambda x: solve_igm_claw_free(g, x, 2)),
@@ -375,6 +398,12 @@ def test_every_entry_rejects_an_argument_of_the_wrong_type():
         ("a Graph", trivial_strip_structure),
         ("a Graph", line_graph_strip_structure),
         ("a Graph", Pattern),
+        ("a Multigraph", line_graph),
+        ("a Graph", lambda x: disjoint_union(x, g)),
+        ("a Graph", lambda x: disjoint_union(g, x)),
+        ("a StripStructure", lambda x: strip_image(x, 0)),
+        ("a StripStructure", lambda x: boundary_clique(x, 0)),
+        ("an ArcModel", lambda x: intersection_kind(x, 0, 1)),
     ]
     for name, entry in entries:
         for wrong in wrong_values[name]:
