@@ -401,8 +401,9 @@ def _base_stream(h: Pattern, k: int, budget: dict):
     bases are isomorphic when a group relabeling and a renaming of vertices
     turn one into the other.  The stream is therefore deterministic and
     duplicate-free; ``test_base_streams_are_pinned`` holds the digests of
-    nine streams, base by base in stream order, which are also those of the
-    plain generator over every gluing with a brute-force key.  Two shortcuts
+    nine streams, base by base in stream order, and
+    ``test_base_stream_matches_the_brute_force_key`` those of the plain
+    generator over every gluing with a brute-force key.  Two shortcuts
     keep the same bases in the same order, with the same vertex numbering:
 
     - Each swap-symmetric edge is glued once.  A gluing is a restricted

@@ -295,6 +295,17 @@ def test_base_streams_are_pinned():
     assert got == list(PINNED_DIGESTS)
 
 
+def test_base_stream_matches_the_brute_force_key():
+    """The stream skips gluings and keys by orbit; the plain generator over
+    every gluing, deduplicated by a brute-force key (a minimum over group
+    relabelings, orders of equal edges and end flips), yielded the bases
+    whose digests are pinned, one per stream, in the same order."""
+    got = [streamed_bases(i)[1] for i in range(len(PINNED_STREAMS))]
+    assert [len(s) for s in got] == [3, 4, 1, 39, 145, 353, 50, 555, 21]
+    assert_pinned("test_base_stream_matches_the_brute_force_key",
+                  {f"stream {i}": bases for i, bases in enumerate(got)})
+
+
 def test_streamed_bases_keep_the_base_invariants():
     """Nothing checks a base when it is built; every pinned base must still
     be well formed, hold all hk tokens and pass both token conditions."""
