@@ -6,9 +6,9 @@ Each question has one entry:
 - clique patterns: ``kernel.kernelize``, then ``graphs.brute_force_wis`` on its instance
 - proper interval hosts: ``interval_solvers.solve_igm_proper_interval``
 - long proper circular-arc hosts: ``interval_solvers.solve_igm_long_proper_ca``
-- disconnected patterns on proper arcs: ``graphs.find_igm``
+- disconnected patterns on proper arcs, and hosts of independence number at
+  most 4 (k above 4 has no matching): ``graphs.find_igm``
 - fuzzy circular-arc hosts: ``fuzzy_solver.solve_igm_fuzzy_ca``
-- hosts of independence number at most 4: ``fuzzy_solver.solve_igm_small_alpha``
 """
 
 __version__ = "0.1.0"

@@ -41,13 +41,13 @@ from dataclasses import dataclass
 
 from .errors import InputError, InternalError, SizeCapError, expect_type
 from .graphs import (
+    ALPHA_BOUND,
     MIS_CAP_DEFAULT,
     Graph,
     Matching,
     Occurrence,
     OutOfBudget,
     Pattern,
-    brute_force_mis,
     brute_force_wis,
     enumerate_occurrences,
     find_occurrence,
@@ -57,7 +57,7 @@ from .graphs import (
     star_free,
 )
 from .models import Arc, ArcModel, FuzzyArcModel, realize
-from .fuzzy_solver import ALPHA_BOUND, solve_igm_fuzzy_ca
+from .fuzzy_solver import solve_igm_fuzzy_ca
 from .strips import StripStructure, line_graph_strip_structure, validate_strip_structure
 from .trace import note
 
@@ -1062,14 +1062,14 @@ def _route(g0, h, cert, cfg: _RunConfig):
     chunk, not once per call.  The first step that applies decides:
 
       1. fewer vertices than the pattern: no matching;
-      2. a fuzzy model: the fuzzy arc solver; an independence number alpha
-         of at most 4: the chunk's packing search, and kk above alpha: no
-         matching.  A chunk above ``MIS_CAP_DEFAULT`` vertices is first asked
-         only for five independent vertices; a "no" takes this step with
-         alpha = ``ALPHA_BOUND`` (the search is exact, so the bound suffices)
-         and a "yes" reaches ``brute_force_mis``, which raises;
-      3. kk above alpha, or the chunk's packing search proves, within
-         ``_REFUTE_BUDGET`` nodes, that no kk occurrences pack: no matching;
+      2. a fuzzy model: the fuzzy arc solver; no ``ALPHA_BOUND`` + 1
+         independent vertices: the chunk's packing search, and kk above
+         ``ALPHA_BOUND``: no matching (the search is exact, so the bound
+         suffices).  A chunk that has them and more than ``MIS_CAP_DEFAULT``
+         vertices raises ``SizeCapError``;
+      3. no kk independent vertices, or the chunk's packing search proves,
+         within ``_REFUTE_BUDGET`` nodes, that no kk occurrences pack: no
+         matching;
       4. a supplied structure: the pipeline over it;
       5. several components: each settled on its own, combined additively;
       6. a line graph: the pipeline over its strip-structure, trusted as built;
@@ -1079,24 +1079,28 @@ def _route(g0, h, cert, cfg: _RunConfig):
     the chunk's occurrences, one per vertex set, enumerated on its first
     call.  It keeps each count's finished answer, so step 7 reuses step 3's
     witness, and a search that runs out of budget raises ``OutOfBudget`` and
-    keeps nothing.  Step 3 is exact.  A matching
-    of size kk is a packing of kk occurrences (pairwise disjoint, with no
-    edge between two), and the search visits every packing its bounds do
-    not prove too small, so when it finishes without one, there is no
-    matching.  A search that reaches its node budget answers nothing: steps
-    4-7 run as they would without it, and nothing is noted.  Enumeration is
-    polynomial for a fixed pattern and the budget is a constant, so step 3
-    keeps the route's worst case fixed-parameter tractable.  Steps 4-7 are
-    settled on the first call that step 3 does not refute, so a refuted
-    count costs no structure work, and every count that is not refuted gets
-    the pipeline's witness, or the search's in step 7.
+    keeps nothing.  Step 3 is exact.  A matching of size kk is a packing of
+    kk occurrences (pairwise disjoint, with no edge between two), so it
+    holds kk independent vertices, and the search visits every packing its
+    bounds do not prove too small, so when it finishes without one, there is
+    no matching.  Steps 2 and 3 ask ``brute_force_wis`` at unit weight for
+    five independent vertices once per chunk, and for kk once per count
+    before the budgeted search, which can run out on a count above the
+    independence number.  A search that reaches its node budget answers
+    nothing: steps 4-7 run as they would without it, and nothing is noted.
+    Enumeration is polynomial for a fixed pattern and the budget is a
+    constant, so step 3 keeps the route's worst case fixed-parameter
+    tractable.  Steps 4-7 are settled on the first call that step 3 does not
+    refute, so a refuted count costs no structure work, and every count that
+    is not refuted gets the pipeline's witness, or the search's in step 7.
     """
     if g0.n < h.h:
         return lambda kk: None
     if isinstance(cert, FuzzyArcModel):
         return lambda kk: solve_igm_fuzzy_ca(cert, h, kk)
-    no_five = g0.n > MIS_CAP_DEFAULT and not brute_force_wis(g0, [1] * g0.n, ALPHA_BOUND + 1, 0)[0]
-    alpha = ALPHA_BOUND if no_five else brute_force_mis(g0)[0]
+    five = brute_force_wis(g0, [1] * g0.n, ALPHA_BOUND + 1, 0)[0]
+    if five and g0.n > MIS_CAP_DEFAULT:
+        raise SizeCapError("claw-free chunk with five independent vertices", g0.n, MIS_CAP_DEFAULT)
     answers = {}  # kk -> the finished search's matching or None
 
     @functools.cache
@@ -1109,8 +1113,8 @@ def _route(g0, h, cert, cfg: _RunConfig):
             answers[kk] = None if found is None else Matching(tuple(found))
         return answers[kk]
 
-    if alpha <= ALPHA_BOUND:
-        return lambda kk: None if kk > alpha else search(kk)
+    if not five:
+        return lambda kk: None if kk > ALPHA_BOUND else search(kk)
 
     @functools.cache
     def settle():
@@ -1128,7 +1132,7 @@ def _route(g0, h, cert, cfg: _RunConfig):
 
     def solve(kk):
         try:
-            if kk > alpha or search(kk, _REFUTE_BUDGET) is None:
+            if not brute_force_wis(g0, [1] * g0.n, kk, 0)[0] or search(kk, _REFUTE_BUDGET) is None:
                 return None
         except OutOfBudget:
             pass
@@ -1157,25 +1161,24 @@ def solve_igm_claw_free(
     whether or not the search would reach it.  A host given as a fuzzy
     circular-arc model goes to ``solve_igm_fuzzy_ca`` instead, the entry for
     that question.  Then the first rule that applies decides: k = 0 gives
-    the empty matching, a host smaller than h gives None; a host with
-    independence number at most 4 goes to an exact packing search over the
-    host's occurrences.  The independence number is computed exactly on
-    hosts of up to ``MIS_CAP_DEFAULT`` vertices; above that, only "five
-    independent vertices?" is asked, and a host that has them raises
-    ``SizeCapError``.  Otherwise k above the independence number gives
-    None, and so does a k for which that search, run within a fixed node
-    budget, finds no k pairwise disjoint, non-adjacent copies.  For any other
-    k the base-times-coloring pipeline runs over ``ss`` when given; its
-    strip-edges without strip-vertices are solved first, each body as a host
-    of its own.  Without ``ss``, a disconnected host is split into
-    components solved the same way and combined additively, a connected
-    line graph uses ``line_graph_strip_structure``, and any other host falls
-    back to the packing search run to its end, which keeps the answer the
-    budgeted search found; this is noted once to ``igmatch.trace``, as is each
-    strip-edge whose interior is packed exhaustively.  A piece of the host
-    that is asked for 1, 2, ... copies in turn settles its route once, not
-    once per count.  Pass ``ss=trivial_strip_structure(g)`` to wrap the
-    whole host in one strip.
+    the empty matching, a host smaller than h gives None; a host without
+    five independent vertices goes to an exact packing search over the
+    host's occurrences.  A host that has them and more than
+    ``MIS_CAP_DEFAULT`` vertices raises ``SizeCapError``.  Otherwise a host
+    without k independent vertices gives None (k copies need k pairwise
+    non-adjacent vertices), and so does a k for which that search, run
+    within a fixed node budget, finds no k pairwise disjoint, non-adjacent
+    copies.  For any other k the base-times-coloring pipeline runs over
+    ``ss`` when given; its strip-edges without strip-vertices are solved
+    first, each body as a host of its own.  Without ``ss``, a disconnected
+    host is split into components solved the same way and combined
+    additively, a connected line graph uses ``line_graph_strip_structure``,
+    and any other host falls back to the packing search run to its end,
+    which keeps the answer the budgeted search found; this is noted once to
+    ``igmatch.trace``, as is each strip-edge whose interior is packed
+    exhaustively.  A piece of the host that is asked for 1, 2, ... copies in
+    turn settles its route once, not once per count.  Pass
+    ``ss=trivial_strip_structure(g)`` to wrap the whole host in one strip.
 
     Exhaustive coloring mode is exact.  Random mode draws ``trials``
     colorings per base from ``random.Random(seed)``, as palette indices

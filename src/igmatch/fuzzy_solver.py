@@ -1,4 +1,4 @@
-"""Induced H-matching on fuzzy circular-arc models, plus a small-α fallback.
+"""Induced H-matching on fuzzy circular-arc models.
 
 The main solver fixes one occurrence H* (the star), deletes its closed
 neighborhood, cuts the circle open strictly inside H*'s first arc (a
@@ -46,22 +46,14 @@ from .graphs import (
     Graph,
     Matching,
     Pattern,
-    brute_force_wis,
     enumerate_occurrences,
-    find_igm,
     revalidated,
     _occurrence_masks,
 )
 from .models import FuzzyArcModel, arc_cover, realize, union_ends
 
-# the fuzzy-arc and small-independence entries, and the bound the latter needs
-__all__ = [
-    "ALPHA_BOUND",
-    "solve_igm_fuzzy_ca",
-    "solve_igm_small_alpha",
-]
-
-ALPHA_BOUND = 4
+# the fuzzy-arc entry
+__all__ = ["solve_igm_fuzzy_ca"]
 
 
 class _ChainTable:
@@ -271,28 +263,3 @@ def solve_igm_fuzzy_ca(model: FuzzyArcModel, h: Pattern, k: int) -> Matching | N
             matching = Matching(tuple(sorted(picked, key=lambda o: o.vertices)))
             return revalidated(matching, g, h, "fuzzy chain")
     return None
-
-
-def solve_igm_small_alpha(g: Graph, h: Pattern, k: int) -> Matching | None:
-    """Exhaustive induced H-matching solver for hosts of independence at most 4.
-
-    The independence number caps the matching size, so k above
-    ``ALPHA_BOUND`` is immediately absent and anything else is settled by
-    bounded search.  The bound is always checked, by asking
-    ``brute_force_wis`` for ``ALPHA_BOUND + 1`` independent vertices.  The
-    callers that already hold the bound skip that check: the claw-free
-    router runs its own packing search over the chunk's occurrences, and the
-    kernel's bounding loop calls ``find_igm``.
-    """
-    expect_type(g, Graph)
-    expect_type(h, Pattern)
-    if type(k) is not int or k < 0:
-        raise InputError("k must be a nonnegative integer")
-    found, _ = brute_force_wis(g, [1] * g.n, ALPHA_BOUND + 1, 0)
-    if found:
-        raise InputError(f"independence number exceeds the promised bound {ALPHA_BOUND}")
-    if k == 0:
-        return Matching(())
-    if k > ALPHA_BOUND:
-        return None
-    return find_igm(g, h, k)

@@ -1,17 +1,19 @@
 """Immutable simple graphs, multigraphs, and exact desk-scale subroutines.
 
 This module is the foundation for everything else: it supplies the graph
-types, the exact brute-force searches (maximum independent set,
-induced-matching search, weighted independent set) that the solvers call
-on small graphs and that their tests compare against, occurrence
-enumeration, induced-subgraph embedding, twin contraction, and line-graph
-construction/recognition for multigraphs without self-loops.  Every
+types, the exact brute-force searches (induced-matching search, weighted
+independent set) that the solvers call on small graphs and that their tests
+compare against, occurrence enumeration, induced-subgraph embedding, twin
+contraction, and line-graph construction/recognition for multigraphs
+without self-loops.  Every
 induced-matching question runs one packing search, ``packing``, which visits
 sets of occurrences as increasing index lists in lexicographic order and
 answers a given size, the largest size, or, within a node budget, nothing;
 ``find_igm`` is that search for a given size over every occurrence of a
-pattern.  ``brute_force_mis`` asks the one independent-set search,
-``brute_force_wis``, at unit weight.
+pattern.  No solver computes an independence number; they ask
+``brute_force_wis`` at unit weight for t independent vertices: t =
+``ALPHA_BOUND`` + 1 picks the small-α route (claw-free router and kernel),
+and t = k refutes k copies (router).
 One depth-first search over the pattern's vertices, drawing each image from
 the host's adjacency masks and a domain mask per step, serves enumeration
 (twin pattern vertices mapped in increasing order, so each occurrence is
@@ -79,6 +81,9 @@ __all__ = [
     "star_graph",
 ]
 
+# hosts without ALPHA_BOUND + 1 independent vertices skip the structure theorem,
+# and the claw-free router refuses hosts with them above MIS_CAP_DEFAULT vertices
+ALPHA_BOUND = 4
 MIS_CAP_DEFAULT = 30
 WIS_CAP_DEFAULT = 2000
 
@@ -644,33 +649,6 @@ def _grow(steps: tuple, nbr: tuple[int, ...], domains, phi: list[int], free: int
 
 # ---------------------------------------------------------------------------
 # exact brute-force searches, called by the solvers
-
-def brute_force_mis(g: Graph) -> tuple[int, tuple[int, ...]]:
-    """Exact maximum independent set: (alpha, witness), the witness sorted.
-
-    A greedy maximal independent set (fewest remaining neighbours first,
-    ties by id) is the first witness; ``brute_force_wis`` is then asked for
-    one vertex more until it answers no.  Refuses graphs above
-    ``MIS_CAP_DEFAULT``; above it the claw-free router asks ``brute_force_wis``
-    only whether five independent vertices exist, and calls this only when
-    they do.
-    """
-    if g.n > MIS_CAP_DEFAULT:
-        raise SizeCapError("brute_force_mis", g.n, MIS_CAP_DEFAULT)
-    nbr = g._nbr
-    left = (1 << g.n) - 1
-    greedy = []
-    while left:
-        v = min(_bits(left), key=lambda u: ((nbr[u] & left).bit_count(), u))
-        greedy.append(v)
-        left &= ~(nbr[v] | 1 << v)
-    witness = tuple(sorted(greedy))
-    while True:
-        found, bigger = brute_force_wis(g, [1] * g.n, len(witness) + 1, 0)
-        if not found:
-            return len(witness), witness
-        witness = bigger
-
 
 def _occurrence_masks(g: Graph, occs: list[Occurrence]):
     """Bitmask closed neighborhoods and conflict masks for occurrence DFS.

@@ -24,8 +24,8 @@ import itertools
 from dataclasses import dataclass
 
 from .errors import InputError, InternalError, expect_type
-from .fuzzy_solver import ALPHA_BOUND
 from .graphs import (
+    ALPHA_BOUND,
     Graph,
     Matching,
     Occurrence,

@@ -139,10 +139,12 @@ def test_subdivided_interiors_are_packed_by_one_search(monkeypatch):
     """Over the 96 subdivided solves, each residual interior that holds a
     copy is packed by one largest-packing search, 11 in all.  The 18 exact
     searches are the router's on chunks of independence number at most 4,
-    and the 78 budgeted ones its refutations.  The router tests each
-    chunk's independence number once (96 calls).  The interior packing asks
-    only the bounded question "five independent vertices?", and only to
-    decide the exhaustive-packing note: 11 questions.  On the 144 solves the
+    and the 78 budgeted ones its refutations.  The router asks each chunk
+    for five independent vertices once (96 questions), and a chunk that has
+    them for k independent vertices before each refutation (78 questions,
+    all k = 1).  The interior packing asks only "five independent
+    vertices?", and only to decide the exhaustive-packing note: 11
+    questions.  On the 144 solves the
     corpus held before its "alpha4" rows were dropped, the descending
     ``find_igm`` ladder that the largest-packing search replaced made 26
     calls where it makes 22, and ``find_igm``, ``max_igm`` and
@@ -156,11 +158,10 @@ def test_subdivided_interiors_are_packed_by_one_search(monkeypatch):
         return real(g, occs, goal, require_touch, budget)
 
     monkeypatch.setattr(cc, "packing", counted)
-    tested = _counting(monkeypatch, "brute_force_mis")
     asked = _counting(monkeypatch, "brute_force_wis")
     assert len(list(_subdivided_rows())) == 96
     assert collections.Counter(kinds) == {"exact": 18, "largest": 11, "budgeted": 78}
-    assert (len(tested), len(asked)) == (96, 11)
+    assert collections.Counter(args[2] for args in asked) == {5: 96 + 11, 1: 78}
 
 
 def test_clawfree_workload_witnesses_are_pinned():

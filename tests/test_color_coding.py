@@ -16,7 +16,7 @@ from igmatch.graphs import (
     Multigraph,
     Occurrence,
     Pattern,
-    brute_force_mis,
+    brute_force_wis,
     complete_graph,
     cycle_graph,
     disjoint_union,
@@ -60,6 +60,7 @@ from oracles import (
     coloring_family,
     covered_subgraph,
     literal_surjections,
+    mis_exhaustive,
     natural_coloring_reference,
     structure_elements,
 )
@@ -788,7 +789,7 @@ def test_driver_two_disjoint_triangles(k3):
 
 def test_driver_matches_oracle_on_a_long_path_line_graph(k2, k3, p3):
     g = path_graph(12)  # the line graph of a 13-path; independence number 6
-    assert brute_force_mis(g)[0] > 4
+    assert mis_exhaustive(g) > 4
     for h in (k2, p3, k3):
         for k in (1, 2):
             want = find_igm(g, h, k)
@@ -814,7 +815,7 @@ def test_driver_on_a_tree_line_graph_with_spots(k2, k3, p3):
     n = len(medges)
     host = Graph(n, [(i, j) for i in range(n) for j in range(i + 1, n)
                      if set(medges[i]) & set(medges[j])])
-    assert brute_force_mis(host)[0] > 4
+    assert mis_exhaustive(host) > 4
     ss = line_graph_strip_structure(host)
     assert ss is not None
     for h, k in ((k2, 2), (p3, 2), (k3, 1)):
@@ -860,7 +861,7 @@ def test_driver_trivial_source_peels_free_components(k2):
     g = disjoint_union(path_graph(2), path_graph(2))
     for _ in range(3):
         g = disjoint_union(g, path_graph(2))
-    assert g.n == 10 and brute_force_mis(g)[0] == 5
+    assert g.n == 10 and mis_exhaustive(g) == 5
     ss = trivial_strip_structure(g)
     m = solve_igm_claw_free(g, k2, 5, ss=ss)
     assert m is not None and len(m.occurrences) == 5
@@ -990,7 +991,7 @@ def test_driver_fallback_logs_one_deviation(monkeypatch, k2, k3):
     and one search per solve (a refutation and a separate fallback search
     made 2 and 2), with ``find_igm``'s witness."""
     g = _square_of_cycle(15)  # independence number 5, not a line graph
-    assert brute_force_mis(g)[0] == 5 and line_graph_strip_structure(g) is None
+    assert mis_exhaustive(g) == 5 and line_graph_strip_structure(g) is None
     enumerated = _counting(monkeypatch, "enumerate_occurrences")
     searched = _counting(monkeypatch, "packing")
     for h, k, want in ((k2, 2, [(0, 1), (4, 5)]), (k3, 2, [(0, 1, 2), (5, 6, 7)])):
@@ -1018,17 +1019,20 @@ def _counting(monkeypatch, name):
 
 
 def test_driver_tests_independence_once_per_chunk(monkeypatch, k2):
-    calls = _counting(monkeypatch, "brute_force_mis")
+    """The router asks a chunk for five independent vertices once and for kk
+    of them once per count; it computes no independence number."""
+    calls = _counting(monkeypatch, "brute_force_wis")
     assert solve_igm_claw_free(path_graph(12), k2, 2) is not None
-    assert len(calls) == 1
+    assert [args[2] for args in calls] == [5, 2]
 
 
 def test_driver_answers_small_alpha_hosts_above_the_mis_cap(monkeypatch, k2):
     """Above ``MIS_CAP_DEFAULT`` vertices the router asks only for five
     independent vertices.  Hosts without them go to the exact packing
-    search (these raised ``SizeCapError`` from ``brute_force_mis``).  A host
-    with them still raises, so does a host above the query's own cap, and a
-    host at the MIS cap is asked nothing more."""
+    search (these raised ``SizeCapError`` when the router computed the
+    independence number).  A host with them still raises, from the router,
+    so does a host above the query's own cap, and a host at the cap without
+    them is asked that one question too."""
     asked = _counting(monkeypatch, "brute_force_wis")
     got = solve_igm_claw_free(complete_graph(31), k2, 1)
     assert [o.vertices for o in got.occurrences] == [(0, 1)]
@@ -1039,7 +1043,7 @@ def test_driver_answers_small_alpha_hosts_above_the_mis_cap(monkeypatch, k2):
         assert [o.vertices for o in got.occurrences] == [(0, 1), (16, 17)]
         assert solve_igm_claw_free(two, k2, 3, ss=ss) is None
     assert len(asked) == 6
-    with pytest.raises(SizeCapError, match="brute_force_mis"):
+    with pytest.raises(SizeCapError, match="five independent vertices: size 31 exceeds cap 30"):
         solve_igm_claw_free(path_graph(31), k2, 3)
     monkeypatch.setattr(graphs, "WIS_CAP_DEFAULT", 31)
     with pytest.raises(SizeCapError, match="brute_force_wis: size 32"):
@@ -1047,7 +1051,7 @@ def test_driver_answers_small_alpha_hosts_above_the_mis_cap(monkeypatch, k2):
     monkeypatch.undo()
     asked = _counting(monkeypatch, "brute_force_wis")
     assert solve_igm_claw_free(complete_graph(30), k2, 1) is not None
-    assert asked == []
+    assert [args[2] for args in asked] == [5]
 
 
 def test_driver_refutes_a_no_instance_before_the_pipeline(monkeypatch, k2):
@@ -1058,7 +1062,7 @@ def test_driver_refutes_a_no_instance_before_the_pipeline(monkeypatch, k2):
     and no interior is packed."""
     lg = line_graph(Multigraph(10, [(i, (i + 1) % 5) for i in range(5)]
                                + [(i, 5 + i) for i in range(5)]))
-    assert brute_force_mis(lg)[0] == 5
+    assert mis_exhaustive(lg) == 5
     enumerated = _counting(monkeypatch, "enumerate_occurrences")
     shaped = _counting(monkeypatch, "_shaped_bases")
     packed = _counting(monkeypatch, "solve_strip_interiors")
@@ -1069,6 +1073,25 @@ def test_driver_refutes_a_no_instance_before_the_pipeline(monkeypatch, k2):
     got = solve_igm_claw_free(lg, k2, 2)
     assert [o.vertices for o in got.occurrences] == [(0, 1), (3, 8)]
     assert len(shaped) == 1 and len(derived) == 1
+
+
+def test_counts_above_the_independence_number_read_no_base_stream(monkeypatch, k2, p3):
+    """The line graph of this 14-vertex multigraph has 29 vertices and
+    independence number 7.  At K2, k = 8 and P3, k = 8 and 9 the budgeted
+    packing search runs out (over 95 and 270 occurrences), and the pipeline
+    would raise ``SizeCapError`` (hk > 6).  Asking for k independent vertices
+    first refutes each count, and no base stream is read."""
+    lg = line_graph(Multigraph(14, [
+        (0, 5), (8, 10), (8, 11), (7, 12), (3, 5), (1, 3), (3, 9), (0, 8), (1, 13), (4, 9),
+        (2, 4), (3, 7), (9, 12), (6, 11), (7, 12), (4, 10), (4, 11), (7, 13), (6, 8), (2, 7),
+        (8, 10), (1, 9), (3, 6), (6, 12), (6, 10), (5, 13), (4, 5), (2, 4), (2, 13)]))
+    assert lg.n == 29
+    assert brute_force_wis(lg, [1] * lg.n, 7, 0)[0]
+    assert not brute_force_wis(lg, [1] * lg.n, 8, 0)[0]
+    shaped = _counting(monkeypatch, "_shaped_bases")
+    for h, k in ((k2, 8), (p3, 8), (p3, 9)):
+        assert solve_igm_claw_free(lg, h, k) is None
+    assert shaped == []
 
 
 def test_base_stream_read_does_not_grow_with_the_host(monkeypatch, k2, p3):
@@ -1113,20 +1136,23 @@ def test_driver_validates_a_supplied_structure_once(monkeypatch, k2):
 
 
 def test_driver_settles_each_chunk_once(monkeypatch, k2):
-    """The ladder asks a chunk for 1, 2, ... copies; the independence test,
-    structure work and fallback note happen once per chunk, not per
-    rung (settling per rung made 4 calls and 3 notes, 5 calls, and 31
-    calls)."""
-    calls = _counting(monkeypatch, "brute_force_mis")
+    """The ladder asks a chunk for 1, 2, ... copies; the five-independent-
+    vertices question, structure work and fallback note happen once per
+    chunk, not per rung (settling per rung tested independence 4, 5 and 31
+    times, and made 3 notes).  Only "kk independent vertices?" is asked per
+    rung, of a chunk with five."""
+    calls = _counting(monkeypatch, "brute_force_wis")
     g = _square_of_cycle(15)
     with recording() as notes:
         got = solve_igm_claw_free(g, k2, 3, ss=trivial_strip_structure(g))
     assert [o.vertices for o in got.occurrences] == [(0, 1), (4, 5), (8, 9)]
-    assert len(calls) == 2 and len(notes) == 1
+    # the host, then its strip body; each asked for five, then the count
+    assert [args[2] for args in calls] == [5, 3, 5, 1, 2, 3] and len(notes) == 1
     del calls[:]
     got = solve_igm_claw_free(disjoint_union(path_graph(3), cycle_graph(11)), k2, 3)
     assert [o.vertices for o in got.occurrences] == [(0, 1), (3, 4), (6, 7)]
-    assert len(calls) == 3
+    # the host, then P3 (no five: no count asked) and C11
+    assert [args[2] for args in calls] == [5, 3, 5, 5, 1, 2]
     # a disconnected strip body on the ladder: each component settled once
     del calls[:]
     g = path_graph(2)
@@ -1134,7 +1160,8 @@ def test_driver_settles_each_chunk_once(monkeypatch, k2):
         g = disjoint_union(g, path_graph(2))
     got = solve_igm_claw_free(g, k2, 5, ss=trivial_strip_structure(g))
     assert [o.vertices for o in got.occurrences] == [(0, 1), (2, 3), (4, 5), (6, 7), (8, 9)]
-    assert len(calls) == 2 + 5
+    # the host and the body, then the body's rung kk before its kk-th component
+    assert [args[2] for args in calls] == [5, 5, 5] + [c for kk in range(1, 6) for c in (kk, 5)]
 
 
 def test_driver_solves_free_strip_edges_beside_attached_ones(monkeypatch, k2, p3):

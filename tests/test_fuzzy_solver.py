@@ -4,19 +4,20 @@ import pytest
 
 import igmatch.fuzzy_solver as fuzzy_solver
 from igmatch.errors import InputError, InternalError
-from igmatch.fuzzy_solver import ALPHA_BOUND, solve_igm_fuzzy_ca, solve_igm_small_alpha
+from igmatch.fuzzy_solver import solve_igm_fuzzy_ca
 from igmatch.graphs import (
     Graph,
     Occurrence,
     Pattern,
     _occurrence_masks,
+    brute_force_wis,
     compatible,
     complete_graph,
     cycle_graph,
     disjoint_union,
     enumerate_occurrences,
+    find_igm,
     path_graph,
-    star_graph,
 )
 from igmatch.models import Arc, ArcModel, FuzzyArcModel, realize
 
@@ -283,45 +284,26 @@ def test_fuzzy_no_instance_builds_one_table(monkeypatch):
 
 
 # ---------------------------------------------------------------------------
-# small-alpha solver
+# hosts of independence number at most 4: the packing search over every
+# occurrence (``find_igm``) answers them, checked against exhaustive search
 
 
 def test_small_alpha_k4_triangle():
     g = complete_graph(4)
-    assert solve_igm_small_alpha(g, K3, 1) is not None
-    assert solve_igm_small_alpha(g, K3, 2) is None
+    for k, want in ((1, True), (2, False)):
+        assert (find_igm(g, K3, k) is not None) == igm_exhaustive(g, K3.graph, k) == want
 
 
 def test_small_alpha_two_triangles():
     g = disjoint_union(cycle_graph(3), cycle_graph(3))
-    got = solve_igm_small_alpha(g, K3, 2)
-    assert got is not None
+    got = find_igm(g, K3, 2)
+    assert got is not None and igm_exhaustive(g, K3.graph, 2)
     assert sorted(sorted(o.vertices) for o in got.occurrences) == [[0, 1, 2], [3, 4, 5]]
 
 
 def test_small_alpha_k_above_bound_is_absent():
-    assert solve_igm_small_alpha(cycle_graph(5), K1, 5) is None
-
-
-def test_small_alpha_rejects_large_independence():
-    with pytest.raises(InputError):
-        solve_igm_small_alpha(star_graph(5), K1, 1)
-    # the bound is checked on every call, even where k alone would settle it
-    for k in (0, ALPHA_BOUND + 1):
-        with pytest.raises(InputError):
-            solve_igm_small_alpha(star_graph(5), K1, k)
-
-
-def test_small_alpha_check_is_bounded_not_capped():
-    # 31 vertices are past the maximum-independent-set cap; asking for five
-    # independent vertices is not
-    got = solve_igm_small_alpha(complete_graph(31), K2, 1)
-    assert got is not None and len(got.occurrences) == 1
-    five_cliques = complete_graph(27)
-    for _ in range(4):
-        five_cliques = disjoint_union(five_cliques, complete_graph(1))
-    with pytest.raises(InputError, match="promised bound 4"):
-        solve_igm_small_alpha(five_cliques, K2, 1)
+    assert find_igm(cycle_graph(5), K1, 5) is None
+    assert not igm_exhaustive(cycle_graph(5), K1.graph, 5)
 
 
 def test_small_alpha_matches_oracle_on_dense_graphs():
@@ -336,12 +318,10 @@ def test_small_alpha_matches_oracle_on_dense_graphs():
             if rng.random() < 0.75
         ]
         g = Graph(n, edges)
-        try:
-            got1 = solve_igm_small_alpha(g, K2, 1)
-        except InputError:
-            continue  # alpha above the bound, outside this solver's remit
+        if brute_force_wis(g, [1] * n, 5, 0)[0]:
+            continue  # five independent vertices: not a small-independence host
         tested += 1
         for k in (1, 2, 3):
-            got = solve_igm_small_alpha(g, K2, k)
+            got = find_igm(g, K2, k)
             assert (got is not None) == igm_exhaustive(g, K2.graph, k)
-    assert tested >= 10
+    assert tested == 40

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from igmatch import graphs
-from igmatch.errors import InputError, InternalError, SizeCapError
+from igmatch.errors import InputError, InternalError
 from igmatch.graphs import (
     Graph,
     Matching,
@@ -18,7 +18,6 @@ from igmatch.graphs import (
     _greedy_clique_partition,
     _occurrence_masks,
     _twin_classes,
-    brute_force_mis,
     brute_force_wis,
     compatible,
     complete_graph,
@@ -345,27 +344,28 @@ def test_star_free():
         assert star_free(line_graph(mg), 3)
 
 
+def _independent(g, vertices):
+    return all(not g.has_edge(u, v) for u, v in itertools.combinations(vertices, 2))
+
+
 def test_mis_matches_exhaustive_search():
+    # at unit weight, "t independent vertices?" is yes up to the independence
+    # number and no one above it
     rng = random.Random(101)
     for _ in range(40):
         g = random_graph(rng, rng.randint(0, 11), rng.random())
-        alpha, witness = brute_force_mis(g)
-        assert alpha == mis_exhaustive(g)
-        assert len(witness) == alpha
-        assert all(not g.has_edge(u, v) for u in witness for v in witness if u < v)
-
-
-def test_mis_cap(monkeypatch):
-    monkeypatch.setattr(graphs, "MIS_CAP_DEFAULT", 30)
-    with pytest.raises(SizeCapError):
-        brute_force_mis(Graph(31))
+        alpha = mis_exhaustive(g)
+        found, witness = brute_force_wis(g, [1] * g.n, alpha, 0)
+        assert found and len(witness) >= alpha and _independent(g, witness)
+        assert brute_force_wis(g, [1] * g.n, alpha + 1, 0) == (False, None)
 
 
 def test_mis_matches_the_bitmask_reference():
-    # the ladder of WIS questions gives the alpha the earlier bitmask search
-    # gave (pinned by digest): seeded random graphs up to the 30-vertex cap,
-    # and the benchmark's claw-free line graphs of cyclic, path and tree
-    # pre-images within the cap
+    # a ladder of unit-weight WIS questions, one more vertex each until the
+    # answer is no, gives the alpha the earlier bitmask search gave (pinned
+    # by digest): seeded random graphs up to 30 vertices, and the
+    # benchmark's claw-free line graphs of cyclic, path and tree pre-images
+    # of up to 30 vertices
     rng = random.Random(1207)
     hosts = {"random": [random_graph(rng, n, rng.random()) for n in range(12, 31) for _ in range(2)]}
     for seed in range(8):
@@ -378,10 +378,13 @@ def test_mis_matches_the_bitmask_reference():
     alphas = {}
     for name, gs in hosts.items():
         for g in gs:
-            alpha, witness = brute_force_mis(g)
-            assert alpha == len(witness)
-            assert list(witness) == sorted(witness)
-            assert all(not g.has_edge(u, v) for u in witness for v in witness if u < v)
+            alpha = 0
+            while True:
+                found, witness = brute_force_wis(g, [1] * g.n, alpha + 1, 0)
+                if not found:
+                    break
+                assert len(witness) > alpha and _independent(g, witness)
+                alpha += 1
             alphas.setdefault(name, []).append(alpha)
     assert_pinned("test_mis_matches_the_bitmask_reference", alphas)
 

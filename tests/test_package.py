@@ -14,7 +14,7 @@ import pytest
 import igmatch
 from igmatch.color_coding import solve_igm_claw_free
 from igmatch.errors import InputError
-from igmatch.fuzzy_solver import solve_igm_fuzzy_ca, solve_igm_small_alpha
+from igmatch.fuzzy_solver import solve_igm_fuzzy_ca
 from igmatch.graphs import (
     Graph,
     Multigraph,
@@ -71,8 +71,7 @@ def test_the_public_surface_is_pinned():
     assert surface == {
         "color_coding.HK_CAP_DEFAULT", "color_coding.solve_igm_claw_free",
         "errors.InputError", "errors.InternalError", "errors.SizeCapError",
-        "fuzzy_solver.ALPHA_BOUND", "fuzzy_solver.solve_igm_fuzzy_ca",
-        "fuzzy_solver.solve_igm_small_alpha",
+        "fuzzy_solver.solve_igm_fuzzy_ca",
         "graphs.Graph", "graphs.Matching", "graphs.Multigraph", "graphs.Occurrence",
         "graphs.Pattern", "graphs.WIS_CAP_DEFAULT", "graphs.brute_force_wis",
         "graphs.complete_graph", "graphs.cycle_graph", "graphs.disjoint_union",
@@ -112,7 +111,6 @@ def test_the_settable_surface_is_pinned():
         "color_coding.solve_igm_claw_free": "g h k ss= certificates= coloring= trials= seed=",
         "errors.SizeCapError": "what actual limit",
         "fuzzy_solver.solve_igm_fuzzy_ca": "model h k",
-        "fuzzy_solver.solve_igm_small_alpha": "g h k",
         "graphs.Graph": "n edges=",
         "graphs.Matching": "occurrences",
         "graphs.Multigraph": "n edges=",
@@ -326,7 +324,6 @@ def test_every_entry_rejects_a_k_that_is_not_an_integer():
         lambda k: solve_igm_proper_interval(intervals, p3, k),
         lambda k: solve_igm_long_proper_ca(long_arcs, p3, k),
         lambda k: solve_igm_fuzzy_ca(_fuzzy_touching_arcs(), k2, k),
-        lambda k: solve_igm_small_alpha(cycle_graph(9), k2, k),
         lambda k: find_igm(g, k2, k),
     ]
     for entry in entries:
@@ -387,8 +384,6 @@ def test_every_entry_rejects_an_argument_of_the_wrong_type():
         ("a StripStructure", lambda x: kernelize(g, k2, 2, ss=x)),
         ("a Graph", lambda x: find_igm(x, k2, 2)),
         ("a Pattern", lambda x: find_igm(g, x, 2)),
-        ("a Graph", lambda x: solve_igm_small_alpha(x, k2, 2)),
-        ("a Pattern", lambda x: solve_igm_small_alpha(cycle_graph(9), x, 2)),
         ("a Pattern", lambda x: solve_igm_proper_interval(intervals, x, 2)),
         ("a Pattern", lambda x: solve_igm_long_proper_ca(long_arcs, x, 2)),
         ("a Pattern", lambda x: solve_igm_fuzzy_ca(_fuzzy_touching_arcs(), x, 2)),
