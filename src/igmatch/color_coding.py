@@ -933,7 +933,8 @@ def _embeddings(base: Base, ss: StripStructure, index: _StripIndex):
     if any(c > index.most.get(shape, 0) for (shape, _m), c in on_tuple.items()):
         return
     members = dict(ss.edges)
-    comps = Graph(base.n_vertices, {fm for _shape, fm in steps if len(fm) == 2}).components()
+    pairs = {fm for _shape, fm in steps if len(fm) == 2}
+    comps = Graph._from_pairs(base.n_vertices, pairs).components()
     parts = ([step for step in steps if step[1][0] in comp] for comp in comps)
     if len(comps) > 1 and any(next(_maps(p, members, index), None) is None for p in parts):
         return
@@ -1067,9 +1068,9 @@ def _route(g0, h, cert, cfg: _RunConfig):
          ``ALPHA_BOUND``: no matching (the search is exact, so the bound
          suffices).  A chunk that has them and more than ``MIS_CAP_DEFAULT``
          vertices raises ``SizeCapError``;
-      3. no kk independent vertices, or the chunk's packing search proves,
-         within ``_REFUTE_BUDGET`` nodes, that no kk occurrences pack: no
-         matching;
+      3. no kk independent vertices (asked only for kk above five, as the
+         chunk has five), or the chunk's packing search proves, within
+         ``_REFUTE_BUDGET`` nodes, that no kk occurrences pack: no matching;
       4. a supplied structure: the pipeline over it;
       5. several components: each settled on its own, combined additively;
       6. a line graph: the pipeline over its strip-structure, trusted as built;
@@ -1084,8 +1085,8 @@ def _route(g0, h, cert, cfg: _RunConfig):
     holds kk independent vertices, and the search visits every packing its
     bounds do not prove too small, so when it finishes without one, there is
     no matching.  Steps 2 and 3 ask ``brute_force_wis`` at unit weight for
-    five independent vertices once per chunk, and for kk once per count
-    before the budgeted search, which can run out on a count above the
+    five independent vertices once per chunk, and for each count kk above
+    five before the budgeted search, which can run out on a count above the
     independence number.  A search that reaches its node budget answers
     nothing: steps 4-7 run as they would without it, and nothing is noted.
     Enumeration is polynomial for a fixed pattern and the budget is a
@@ -1132,7 +1133,8 @@ def _route(g0, h, cert, cfg: _RunConfig):
 
     def solve(kk):
         try:
-            if not brute_force_wis(g0, [1] * g0.n, kk, 0)[0] or search(kk, _REFUTE_BUDGET) is None:
+            if (kk > ALPHA_BOUND + 1 and not brute_force_wis(g0, [1] * g0.n, kk, 0)[0]
+                    or search(kk, _REFUTE_BUDGET) is None):
                 return None
         except OutOfBudget:
             pass
@@ -1165,20 +1167,21 @@ def solve_igm_claw_free(
     five independent vertices goes to an exact packing search over the
     host's occurrences.  A host that has them and more than
     ``MIS_CAP_DEFAULT`` vertices raises ``SizeCapError``.  Otherwise a host
-    without k independent vertices gives None (k copies need k pairwise
-    non-adjacent vertices), and so does a k for which that search, run
-    within a fixed node budget, finds no k pairwise disjoint, non-adjacent
-    copies.  For any other k the base-times-coloring pipeline runs over
-    ``ss`` when given; its strip-edges without strip-vertices are solved
-    first, each body as a host of its own.  Without ``ss``, a disconnected
-    host is split into components solved the same way and combined
-    additively, a connected line graph uses ``line_graph_strip_structure``,
-    and any other host falls back to the packing search run to its end,
-    which keeps the answer the budgeted search found; this is noted once to
-    ``igmatch.trace``, as is each strip-edge whose interior is packed
-    exhaustively.  A piece of the host that is asked for 1, 2, ... copies in
-    turn settles its route once, not once per count.  Pass
-    ``ss=trivial_strip_structure(g)`` to wrap the whole host in one strip.
+    without k independent vertices (asked for k above five) gives None (k
+    copies need k pairwise non-adjacent vertices), and so does a k for which
+    that search, run within a fixed node budget, finds no k pairwise
+    disjoint, non-adjacent copies.  For any other k the base-times-coloring
+    pipeline runs over ``ss`` when given; its strip-edges without
+    strip-vertices are solved first, each body as a host of its own.
+    Without ``ss``, a disconnected host is split into components solved the
+    same way and combined additively, a connected line graph uses
+    ``line_graph_strip_structure``, and any other host falls back to the
+    packing search run to its end, which keeps the answer the budgeted
+    search found; this is noted once to ``igmatch.trace``, as is each
+    strip-edge whose interior is packed exhaustively.  A piece of the host
+    that is asked for 1, 2, ... copies in turn settles its route once, not
+    once per count.  Pass ``ss=trivial_strip_structure(g)`` to wrap the
+    whole host in one strip.
 
     Exhaustive coloring mode is exact.  Random mode draws ``trials``
     colorings per base from ``random.Random(seed)``, as palette indices

@@ -13,7 +13,7 @@ answers a given size, the largest size, or, within a node budget, nothing;
 pattern.  No solver computes an independence number; they ask
 ``brute_force_wis`` at unit weight for t independent vertices: t =
 ``ALPHA_BOUND`` + 1 picks the small-α route (claw-free router and kernel),
-and t = k refutes k copies (router).
+and t = k refutes k copies (router, only for k above ``ALPHA_BOUND`` + 1).
 One depth-first search over the pattern's vertices, drawing each image from
 the host's adjacency masks and a domain mask per step, serves enumeration
 (twin pattern vertices mapped in increasing order, so each occurrence is
@@ -27,9 +27,9 @@ of ``_nbr[v]`` is set iff vw is an edge), and derives ``edges`` from them.
 The public constructor checks each edge; every graph the package derives is
 built from masks unchecked (``Graph._from_masks``): ``induced`` remaps them,
 ``disjoint_union`` shifts them, ``line_graph`` ORs incidence masks, and
-``models.realize`` and the claw-free solver's token graph hand their pairs
-to ``Graph._from_pairs``.  Only the kernel's encoding writes masks outside
-this module, and none reads them.
+``models.realize`` and the claw-free solver's token and base graphs hand
+their pairs to ``Graph._from_pairs``.  Only the kernel's encoding writes
+masks outside this module, and none reads them.
 Line-graph recognition takes any nonempty host, reads its masks for the claw
 test and twin classes, searches for a cover one component at a time
 (``Graph.components``, the package's one component splitter) and checks
@@ -763,8 +763,8 @@ def find_igm(g: Graph, h: Pattern, k: int) -> Matching | None:
     return None if found is None else Matching(tuple(found))
 
 
-def _greedy_clique_partition(g: Graph) -> list[list[int]]:
-    """Deterministic greedy partition of V(g) into cliques."""
+def _greedy_clique_partition(g: Graph) -> list[int]:
+    """Deterministic greedy partition of V(g) into cliques, as vertex masks."""
     nbr = g._nbr
     unassigned = (1 << g.n) - 1
     parts = []
@@ -777,21 +777,17 @@ def _greedy_clique_partition(g: Graph) -> list[list[int]]:
             clique |= low
             cand &= nbr[low.bit_length() - 1]
         unassigned &= ~clique
-        parts.append(_bits(clique))
+        parts.append(clique)
     return parts
 
 
-def _clique_tables(cliques, n: int) -> tuple:
-    """The vertex mask of each clique, the clique of each vertex, and the
-    vertices of cliques i.. (index i)."""
-    cmask = [sum(1 << v for v in c) for c in cliques]
+def _clique_tables(cliques, cmask, n: int) -> tuple:
+    """The clique masks as given, each vertex's clique, and the vertices of cliques i.. (at i)."""
     clique_of = [0] * n
     for i, c in enumerate(cliques):
         for v in c:
             clique_of[v] = i
-    suffix = [0] * (len(cliques) + 1)
-    for i in range(len(cliques) - 1, -1, -1):
-        suffix[i] = suffix[i + 1] | cmask[i]
+    suffix = [*itertools.accumulate(reversed(cmask), int.__or__, initial=0)][::-1]
     return cmask, clique_of, suffix
 
 
@@ -804,16 +800,19 @@ def _propagate(cliques, nbr, tables, idx: int, blocked: int, fresh: int | None) 
     """
     cmask, clique_of, suffix = tables
     live = suffix[idx]
-    # the cliques of these vertices are checked first
-    pending = live & ~blocked if fresh is None else live & fresh
     queue, queued = [], 0
-    while pending:
-        low = pending & -pending
-        c = clique_of[low.bit_length() - 1]
-        pending &= ~cmask[c]
-        queue.append(c)
-        queued |= 1 << c
-    while queue:
+    # the cliques of these vertices are checked first
+    seen = live & ~blocked if fresh is None else live & fresh
+    while True:
+        while seen:
+            low = seen & -seen
+            d = clique_of[low.bit_length() - 1]
+            seen &= ~cmask[d]
+            if not queued >> d & 1:
+                queued |= 1 << d
+                queue.append(d)
+        if not queue:
+            return blocked
         c = queue.pop()
         queued &= ~(1 << c)
         free = cmask[c] & ~blocked
@@ -825,14 +824,6 @@ def _propagate(cliques, nbr, tables, idx: int, blocked: int, fresh: int | None) 
                 seen &= nbr[x]
         seen &= ~blocked
         blocked |= seen
-        while seen:
-            low = seen & -seen
-            d = clique_of[low.bit_length() - 1]
-            seen &= ~cmask[d]
-            if not queued >> d & 1:
-                queued |= 1 << d
-                queue.append(d)
-    return blocked
 
 
 def brute_force_wis(g: Graph, weights, k_card: int,
@@ -852,7 +843,7 @@ def brute_force_wis(g: Graph, weights, k_card: int,
     k_card or k_weight.  Blocked sets only grow along a branch, so a cut
     subtree holds no solution; the search visits the remaining nodes in the
     same order as a search with any weaker sound bound, and so returns the
-    same first witness.
+    same first witness.  The weight bound is summed only below k_weight.
 
     A node is *tight* when its size plus its open cliques is exactly k_card.
     The slack ``size + open - k_card`` never grows along a branch (a pick
@@ -866,23 +857,20 @@ def brute_force_wis(g: Graph, weights, k_card: int,
     during search: Mackworth, 1977; Sabin and Freuder, 1994).  The removed
     vertices stay excluded in the whole subtree, so this too cuts only
     subtrees that hold no solution, and the first witness is the same.
-    Each step is one mask intersection per clique whose free vertices
-    shrank; below a closed node, a child starts from the vertices its pick
-    newly blocked.
+    Every tight node propagates, from the first on its branch (the root, on
+    the kernel's selection questions: k_card is their clique count), unless
+    it has just become tight with one open clique, where nothing can change;
+    each step is one mask intersection per clique whose free vertices
+    shrank.  A child of a closed node starts from the vertices its pick
+    newly blocked and is not recounted: it is tight unless that emptied an
+    open clique, which the propagation finds.  A closed node's skip child
+    leaves an open clique unused, so the node's last pick is its last branch.
 
     The weight twin: a node is *weight-tight* when its weight plus its gain
     (the open cliques' heaviest free weights, summed) is k_weight, gain > 0.
     That slack never grows either, so a solution below takes from each open
     clique a vertex of exactly its heaviest free weight; the lighter ones are
     blocked and join a propagation's start, and the first witness stays.
-
-    The propagation waits until the forward check has cut as many nodes as
-    there are cliques, so a search that succeeds at once pays nothing for
-    it.  The kernel's "at least five independent vertices?" questions are
-    such searches: on 10-15 vertices, nearly all yes and often tight at the
-    root.  Propagating from the first node made them slower, while the
-    selection-clique no-instances, which the gate lets through, search
-    long enough to gain.
 
     The picks are driven from an explicit stack, so the depth of the search
     is not bounded by Python's recursion limit.  Refuses graphs above
@@ -902,35 +890,42 @@ def brute_force_wis(g: Graph, weights, k_card: int,
         raise InputError(f"k_weight must be an int or a float, got {k_weight!r}")
     if k_card <= 0 and k_weight <= 0:
         return True, ()
-    cliques = _greedy_clique_partition(g)
-    heaviest_first = [sorted(c, key=lambda v: -weights[v]) for c in cliques]
+    cmask = _greedy_clique_partition(g)
+    cliques = [_bits(c) for c in cmask]
+    # with one weight throughout, the stable sort would keep clique order
+    heaviest_first = cliques if len(set(weights)) < 2 else [
+        sorted(c, key=lambda v: -weights[v]) for c in cliques]
     m = len(cliques)
     nbr = g._nbr
     tables = None  # built when propagation first runs
     # one entry per node on the branch whose picks are not all tried:
     # [clique index, blocked, size, weight, next position in the clique,
-    # whether blocked is closed under propagation]; chosen holds the
-    # current pick of each
+    # whether blocked is closed under propagation, picks above it in chosen]
     stack: list[list] = []
     chosen: list[int] = []
-    dead_ends = 0
-    # the node to evaluate; fresh is passed on to _propagate
-    idx, blocked, size, weight, fresh = 0, 0, 0, 0, None
+    # the node to evaluate, with fresh for _propagate and closed if its parent was closed
+    idx, blocked, size, weight, fresh, closed = 0, 0, 0, 0, None, False
     while True:
         if size >= k_card and weight >= k_weight:
             return True, tuple(sorted(chosen))
-        open_cliques, gain = 0, 0
-        for i in range(idx, m):
-            for v in heaviest_first[i]:
-                if not blocked >> v & 1:
-                    open_cliques += 1
-                    gain += weights[v]
-                    break
-        if size + open_cliques < k_card or weight + gain < k_weight:
-            dead_ends += 1
-            blocked = None
-        else:
-            if gain and weight + gain == k_weight:
+        if not closed:
+            slack, free = size - k_card, ~blocked
+            for i in range(idx, m):
+                if cmask[i] & free:
+                    slack += 1
+            if slack < 0:
+                blocked = None
+            closed = slack == 0
+        if blocked is not None and weight < k_weight:
+            gain = 0
+            for i in range(idx, m):
+                for v in heaviest_first[i]:
+                    if not blocked >> v & 1:
+                        gain += weights[v]
+                        break
+            if weight + gain < k_weight:
+                blocked = None
+            elif weight + gain == k_weight:
                 lighter = 0
                 for i in range(idx, m):
                     top = -1
@@ -942,29 +937,30 @@ def brute_force_wis(g: Graph, weights, k_card: int,
                                 lighter |= 1 << v
                 blocked |= lighter
                 fresh = None if fresh is None else fresh | lighter
-            closed = size + open_cliques == k_card and dead_ends >= m
-            if closed:
-                if tables is None:
-                    tables = _clique_tables(cliques, g.n)
-                blocked = _propagate(cliques, nbr, tables, idx, blocked, fresh)
+        if blocked is not None and closed and (fresh is not None or size + 1 < k_card):
+            if tables is None:
+                tables = _clique_tables(cliques, cmask, g.n)
+            blocked = _propagate(cliques, nbr, tables, idx, blocked, fresh)
         if blocked is not None:
-            top = [idx, blocked, size, weight, 0, closed]
+            top = [idx, blocked, size, weight, 0, closed, len(chosen)]
             stack.append(top)
             pos = 0
         elif stack:
             top = stack[-1]
-            idx, blocked, size, weight, pos, closed = top
-            chosen.pop()
+            idx, blocked, size, weight, pos, closed, above = top
+            del chosen[above:]
         else:
             return False, None
         clique = cliques[idx]
         end = len(clique)
         while pos < end and blocked >> clique[pos] & 1:
             pos += 1
-        idx += 1
         if pos < end:
             v = clique[pos]
             top[4] = pos + 1
+            # a closed node's skip child is one vertex short: its last pick ends it
+            if closed and not (cmask[idx] & ~blocked) >> v + 1:
+                stack.pop()
             chosen.append(v)
             taken = nbr[v] | 1 << v
             fresh = taken & ~blocked if closed else None
@@ -975,6 +971,7 @@ def brute_force_wis(g: Graph, weights, k_card: int,
             # the skip is the last branch of a node: it replaces the node
             stack.pop()
             fresh = 0 if closed else None
+        idx += 1
 
 
 # ---------------------------------------------------------------------------

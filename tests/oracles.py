@@ -592,28 +592,15 @@ def _proper_reference(n, contains) -> bool:
 
 
 def model_report_reference(model) -> ModelReport:
-    """The package's earlier ``validate_interval_model`` and
-    ``validate_arc_model``: containment by a callable tried on every ordered
-    pair, and the greedy longness walk on ``point_in_arc``."""
+    """``validate_interval_model`` and ``validate_arc_model`` by definition:
+    containment by a callable tried on every ordered pair, and longness by
+    ``long_by_pairs_and_triples``."""
     if isinstance(model, IntervalModel):
         items = model.items
         return ModelReport(_proper_reference(
             len(items), lambda i, j: items[i].l <= items[j].l and items[j].r <= items[i].r), True)
     assert isinstance(model, ArcModel)
-    c2 = 2 * model.circumference
-
-    def extension(p2):
-        return max((2 * a.t - p2) % c2 for a in model.arcs if point_in_arc(model, a.id, p2))
-
-    def closes(a):
-        reach = (2 * a.t - 2 * a.s) % c2
-        for _ in range(2):
-            reach += extension((2 * a.s + reach) % c2)
-            if reach >= c2:
-                return True
-        return False
-
     return ModelReport(
         _proper_reference(len(model.arcs), lambda i, j: arc_contains(model, i, j)),
-        not any(closes(a) for a in model.arcs),
+        long_by_pairs_and_triples(model),
     )

@@ -140,11 +140,11 @@ def test_subdivided_interiors_are_packed_by_one_search(monkeypatch):
     copy is packed by one largest-packing search, 11 in all.  The 18 exact
     searches are the router's on chunks of independence number at most 4,
     and the 78 budgeted ones its refutations.  The router asks each chunk
-    for five independent vertices once (96 questions), and a chunk that has
-    them for k independent vertices before each refutation (78 questions,
-    all k = 1).  The interior packing asks only "five independent
-    vertices?", and only to decide the exhaustive-packing note: 11
-    questions.  On the 144 solves the
+    for five independent vertices once (96 questions); a chunk that has
+    them has every k up to five, and every k here is 1, so no "k
+    independent vertices?" question precedes a refutation.  The interior
+    packing asks only "five independent vertices?", and only to decide the
+    exhaustive-packing note: 11 questions.  On the 144 solves the
     corpus held before its "alpha4" rows were dropped, the descending
     ``find_igm`` ladder that the largest-packing search replaced made 26
     calls where it makes 22, and ``find_igm``, ``max_igm`` and
@@ -161,7 +161,7 @@ def test_subdivided_interiors_are_packed_by_one_search(monkeypatch):
     asked = _counting(monkeypatch, "brute_force_wis")
     assert len(list(_subdivided_rows())) == 96
     assert collections.Counter(kinds) == {"exact": 18, "largest": 11, "budgeted": 78}
-    assert collections.Counter(args[2] for args in asked) == {5: 96 + 11, 1: 78}
+    assert collections.Counter(args[2] for args in asked) == {5: 96 + 11}
 
 
 def test_clawfree_workload_witnesses_are_pinned():

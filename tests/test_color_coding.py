@@ -1019,11 +1019,16 @@ def _counting(monkeypatch, name):
 
 
 def test_driver_tests_independence_once_per_chunk(monkeypatch, k2):
-    """The router asks a chunk for five independent vertices once and for kk
-    of them once per count; it computes no independence number."""
+    """The router asks a chunk for five independent vertices once, and for kk
+    of them only when kk is above five; it computes no independence
+    number."""
     calls = _counting(monkeypatch, "brute_force_wis")
     assert solve_igm_claw_free(path_graph(12), k2, 2) is not None
-    assert [args[2] for args in calls] == [5, 2]
+    assert [args[2] for args in calls] == [5]
+    # P12 has six independent vertices, not seven
+    del calls[:]
+    assert solve_igm_claw_free(path_graph(12), k2, 7) is None
+    assert [(args[2], args[0].n) for args in calls] == [(5, 12), (7, 12)]
 
 
 def test_driver_answers_small_alpha_hosts_above_the_mis_cap(monkeypatch, k2):
@@ -1140,19 +1145,19 @@ def test_driver_settles_each_chunk_once(monkeypatch, k2):
     vertices question, structure work and fallback note happen once per
     chunk, not per rung (settling per rung tested independence 4, 5 and 31
     times, and made 3 notes).  Only "kk independent vertices?" is asked per
-    rung, of a chunk with five."""
+    rung, of a chunk with five, and only for kk above five."""
     calls = _counting(monkeypatch, "brute_force_wis")
     g = _square_of_cycle(15)
     with recording() as notes:
         got = solve_igm_claw_free(g, k2, 3, ss=trivial_strip_structure(g))
     assert [o.vertices for o in got.occurrences] == [(0, 1), (4, 5), (8, 9)]
-    # the host, then its strip body; each asked for five, then the count
-    assert [args[2] for args in calls] == [5, 3, 5, 1, 2, 3] and len(notes) == 1
+    # the host, then its strip body; each asked for five only
+    assert [args[2] for args in calls] == [5, 5] and len(notes) == 1
     del calls[:]
     got = solve_igm_claw_free(disjoint_union(path_graph(3), cycle_graph(11)), k2, 3)
     assert [o.vertices for o in got.occurrences] == [(0, 1), (3, 4), (6, 7)]
-    # the host, then P3 (no five: no count asked) and C11
-    assert [args[2] for args in calls] == [5, 3, 5, 5, 1, 2]
+    # the host, then P3 (no five) and C11
+    assert [args[2] for args in calls] == [5, 5, 5]
     # a disconnected strip body on the ladder: each component settled once
     del calls[:]
     g = path_graph(2)
@@ -1160,8 +1165,8 @@ def test_driver_settles_each_chunk_once(monkeypatch, k2):
         g = disjoint_union(g, path_graph(2))
     got = solve_igm_claw_free(g, k2, 5, ss=trivial_strip_structure(g))
     assert [o.vertices for o in got.occurrences] == [(0, 1), (2, 3), (4, 5), (6, 7), (8, 9)]
-    # the host and the body, then the body's rung kk before its kk-th component
-    assert [args[2] for args in calls] == [5, 5, 5] + [c for kk in range(1, 6) for c in (kk, 5)]
+    # the host, the body and each of its five components, once each
+    assert [args[2] for args in calls] == [5] * 7
 
 
 def test_driver_solves_free_strip_edges_beside_attached_ones(monkeypatch, k2, p3):

@@ -40,6 +40,7 @@ import gen
 import workloads
 from oracles import (
     igm_exhaustive,
+    independent_sets,
     is_isomorphic,
     is_line_graph_exhaustive,
     max_igm_exhaustive,
@@ -665,6 +666,40 @@ def test_wis_matches_exhaustive():
             assert sum(weights[v] for v in witness) >= k_weight
 
 
+@st.composite
+def _planted_selection(draw):
+    """Cliques of consecutive vertices with drawn edges between them, and
+    weights that are all ints or all quarters (floats whose sums are exact)."""
+    sizes = draw(st.lists(st.integers(1, 3), min_size=1, max_size=5))
+    starts = list(itertools.accumulate(sizes, initial=0))
+    n = starts[-1]
+    within = {e for a, b in zip(starts, starts[1:]) for e in itertools.combinations(range(a, b), 2)}
+    across = [e for e in itertools.combinations(range(n), 2) if e not in within]
+    keep = draw(st.lists(st.booleans(), min_size=len(across), max_size=len(across)))
+    weight = draw(st.sampled_from((st.integers(0, 4), st.integers(0, 16).map(lambda q: q / 4))))
+    weights = draw(st.lists(weight, min_size=n, max_size=n))
+    return Graph(n, sorted(within | {e for e, k in zip(across, keep) if k})), weights
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(question=_planted_selection())
+def test_wis_searches_tight_at_the_root_match_exhaustive(question):
+    """Asked for one vertex per clique of the greedy partition, every clique
+    must give one, so the search propagates from its root; at the best
+    weight of such a set and one above it, it answers as the exhaustive
+    search does, with an independent witness that meets both targets."""
+    g, weights = question
+    k_card = len(_greedy_clique_partition(g))
+    best = max((sum(weights[v] for v in s) for s in independent_sets(g) if len(s) == k_card),
+               default=0)
+    for k_weight in (best, best + 1):
+        got, witness = brute_force_wis(g, weights, k_card, k_weight)
+        assert got == wis_exhaustive(g, weights, k_card, k_weight)
+        if got:
+            assert not any(g.has_edge(u, v) for u, v in itertools.combinations(witness, 2))
+            assert len(witness) >= k_card and sum(weights[v] for v in witness) >= k_weight
+
+
 def test_wis_search_depth_is_not_bounded_by_the_recursion_limit():
     # one search level per clique: 1,200 singleton cliques, inside the cap
     assert sys.getrecursionlimit() < 1200 <= graphs.WIS_CAP_DEFAULT
@@ -676,7 +711,7 @@ def test_greedy_clique_partition_is_partition():
     rng = random.Random(3)
     for _ in range(20):
         g = random_graph(rng, rng.randint(0, 12), rng.random())
-        parts = _greedy_clique_partition(g)
+        parts = [graphs._bits(c) for c in _greedy_clique_partition(g)]
         seen = [v for c in parts for v in c]
         assert sorted(seen) == list(range(g.n))
         for c in parts:

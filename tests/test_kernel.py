@@ -1031,7 +1031,7 @@ def test_wis_witnesses_match_the_static_bound_reference(k2, k3):
         weights = [rng.randint(0, 6) for _ in range(g.n)]
         questions["random"].append((g, weights, rng.randint(0, 7), rng.randint(0, 25)))
     # planted cliques, 813 of them tight at the root (one vertex from every
-    # clique of the partition), which random graphs rarely are; 144 of
+    # clique of the partition), which random graphs rarely are; 828 of
     # these searches propagate
     rng = random.Random(7031)
     questions["planted"] = [_planted_selection_question(rng) for _ in range(2000)]

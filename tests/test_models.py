@@ -562,7 +562,6 @@ def test_arc_report_matches_the_references_on_perturbed_bench_models():
         m = arcs(c, *ends)
         rep = validate_arc_model(m)
         assert rep == model_report_reference(m), (c, ends)
-        assert rep.long == long_by_pairs_and_triples(m), (c, ends)
         seen["shared"] += len({e[0] for e in ends}) < n
         seen["proper"].add(rep.proper)
         seen["long"].add(rep.long)

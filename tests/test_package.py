@@ -193,9 +193,10 @@ def test_only_graphs_touches_a_graphs_masks():
     # a Graph stores its adjacency masks only, so whatever reads or writes
     # them decides the representation: graphs.py alone reads _nbr, the
     # kernel's encoding alone hands it masks, and realize and the claw-free
-    # solver's token graph alone hand it pairs
+    # solver's token and base graphs alone hand it pairs
     allowed = {"_nbr": set(), "_from_masks": {("kernel", "build_wis_instance")},
-               "_from_pairs": {("models", "realize"), ("color_coding", "_token_placements")}}
+               "_from_pairs": {("models", "realize"), ("color_coding", "_token_placements"),
+                               ("color_coding", "_embeddings")}}
     found, used = [], set()
 
     def visit(node, module, func):
@@ -217,7 +218,8 @@ def test_only_graphs_touches_a_graphs_masks():
     assert not found, f"mask access outside graphs.py: {found}"
     assert used == {("_from_masks", "kernel", "build_wis_instance"),
                     ("_from_pairs", "models", "realize"),
-                    ("_from_pairs", "color_coding", "_token_placements")}
+                    ("_from_pairs", "color_coding", "_token_placements"),
+                    ("_from_pairs", "color_coding", "_embeddings")}
 
 
 def test_no_module_imports_a_name_it_never_uses():
