@@ -15,11 +15,12 @@ pattern.  No solver computes an independence number; they ask
 ``ALPHA_BOUND`` + 1 picks the small-α route (claw-free router and kernel),
 and t = k refutes k copies (router, only for k above ``ALPHA_BOUND`` + 1).
 One depth-first search over the pattern's vertices, drawing each image from
-the host's adjacency masks and a domain mask per step, serves enumeration
-(twin pattern vertices mapped in increasing order, so each occurrence is
-reached directly; see ``enumerate_occurrences``), the bare maps that the
-interval and long-arc solvers sort into span classes (``occurrence_maps``),
-the first occurrence (``find_occurrence``) and the claw-free solver's token
+the host's adjacency masks and a domain mask per step, and handing out
+each map's vertex mask with it, serves enumeration (twin pattern vertices
+mapped in increasing order, so each occurrence is reached directly; see
+``enumerate_occurrences``), the maps that the interval and long-arc
+solvers key into span classes by their masks (``occurrence_maps``), the
+first occurrence (``find_occurrence``) and the claw-free solver's token
 placements (``induced_maps``).
 
 A ``Graph`` stores its adjacency once, as integer bitmasks (``_nbr``: bit w
@@ -479,7 +480,7 @@ def find_occurrence(g: Graph, h: Pattern, within=None) -> Occurrence | None:
     hosts = range(g.n) if within is None else set(within)
     if len(hosts) < h.h:
         return None
-    found = _maps(h._plan.steps, g._nbr, (sum(1 << v for v in hosts),) * h.h, 1)
+    _, found = _maps(h._plan.steps, g._nbr, (sum(1 << v for v in hosts),) * h.h, 1)
     return Occurrence(found[0]) if found else None
 
 
@@ -488,7 +489,7 @@ def induced_maps(g: Graph, hg: Graph, domains) -> list[tuple[int, ...]]:
     ``domains[i]``, lexicographically: the occurrence search in label order,
     with no twin bounds, since the domains of twins may differ."""
     steps = _steps(hg._nbr, range(hg.n), [[False] * hg.n] * hg.n)
-    return _maps(steps, g._nbr, [sum(1 << v for v in set(d)) for d in domains])
+    return _maps(steps, g._nbr, [sum(1 << v for v in set(d)) for d in domains])[1]
 
 
 def enumerate_occurrences(g: Graph, h: Pattern) -> list[Occurrence]:
@@ -519,35 +520,35 @@ def enumerate_occurrences(g: Graph, h: Pattern) -> list[Occurrence]:
     * The maps that meet the bounds are one per coset of the group the twin
       swaps generate.  When those swaps generate Aut(H) (K_h, edgeless
       patterns, P3 and stars), exactly one map per image survives and is
-      kept as it is.  Otherwise (P4, C4, C5) the smallest map per image is
-      kept.  The plan decides this once per pattern by searching H in H and
-      stopping at the second map: only the identity survives exactly when
-      twin swaps generate Aut(H), so K_20 costs 20 steps, not 20! maps.
+      kept as it is.  Otherwise (P4, C4, C5) the smallest map per vertex
+      mask is kept.  The plan decides this once per pattern by searching H
+      in H and stopping at the second map: only the identity survives
+      exactly when twin swaps generate Aut(H), so K_20 costs 20 steps, not
+      20! maps.
     * The maps are then sorted by their sorted image.  When every pair is
       twin (K_h or edgeless), the search runs in label order and each map is
       increasing, so the maps already come out in that order.
     """
     plan = h._plan
-    maps = occurrence_maps(g, h)
+    masks, maps = occurrence_maps(g, h)
     if not plan.twin_generated:
-        best: dict[tuple[int, ...], tuple[int, ...]] = {}
-        for t in maps:
-            key = tuple(sorted(t))
-            if key not in best or t < best[key]:
-                best[key] = t
-        maps = [best[key] for key in sorted(best)]
+        best: dict[int, tuple[int, ...]] = {}  # vertex mask -> its smallest map
+        for mask, t in zip(masks, maps):
+            if mask not in best or t < best[mask]:
+                best[mask] = t
+        maps = sorted(best.values(), key=sorted)
     elif not plan.all_twins:
         maps.sort(key=sorted)
     return [Occurrence(t) for t in maps]
 
 
-def occurrence_maps(g: Graph, h: Pattern) -> list[tuple[int, ...]]:
-    """The maps of the occurrence search of h into g, in search order:
-    every map that meets the twin bounds, so one or more per vertex set, and
-    among those of one set its canonical witness, the smallest (see
-    ``enumerate_occurrences``, which puts them in canonical order).  A caller
-    that only needs one representative per class of sets reads these maps
-    directly and builds no ``Occurrence`` per map."""
+def occurrence_maps(g: Graph, h: Pattern) -> tuple[list[int], list[tuple[int, ...]]]:
+    """(vertex masks, maps) of the occurrence search of h into g, in search
+    order: every map that meets the twin bounds, so one or more per vertex
+    set, and among those of one set its canonical witness, the smallest (see
+    ``enumerate_occurrences``, which puts them in canonical order).  A
+    caller that only needs one representative per class of sets keys the
+    maps by the search's masks and builds no ``Occurrence``."""
     return _maps(h._plan.steps, g._nbr, ((1 << g.n) - 1,) * h.h)
 
 
@@ -583,7 +584,7 @@ def _search_plan(hg: Graph) -> _SearchPlan:
         order.append(v)
         placed |= 1 << v
     steps = _steps(nbr, order, twin)
-    return _SearchPlan(steps, len(_maps(steps, nbr, ((1 << n) - 1,) * n, 2)) == 1,
+    return _SearchPlan(steps, len(_maps(steps, nbr, ((1 << n) - 1,) * n, 2)[1]) == 1,
                        all(twin[a][b] for a, b in itertools.combinations(range(n), 2)))
 
 
@@ -601,27 +602,30 @@ def _steps(nbr: tuple[int, ...], order, twin) -> tuple:
     return tuple(steps)
 
 
-def _maps(steps: tuple, nbr: tuple[int, ...], domains, limit=math.inf) -> list[tuple[int, ...]]:
+def _maps(steps: tuple, nbr: tuple[int, ...], domains, limit=math.inf) -> tuple[list, list]:
     """The first ``limit`` maps, in search order, of the pattern into the
     host with adjacency masks ``nbr`` that send step i's vertex into the mask
-    ``domains[i]`` and meet the plan's twin bounds.  A pattern with no
-    vertices has the one empty map.
+    ``domains[i]`` and meet the plan's twin bounds, and their vertex masks,
+    as (masks, maps).  A pattern with no vertices has the one empty map.
 
     The search stops after the last-step mask that reaches ``limit``, and
     the surplus is cut here: a limit test per emitted map made enumeration
-    on long proper-arc hosts about a tenth slower (CPython 3.11).
+    on long proper-arc hosts about a tenth slower (CPython 3.11), and a
+    (mask, map) tuple per map, in place of two lists, about a fifth slower.
     """
     if not steps:
-        return [()]
+        return [0], [()]
+    masks: list[int] = []
     out: list[tuple[int, ...]] = []
-    _grow(steps, nbr, domains, [0] * len(steps), -1, 0, out, limit)
-    return out[:limit] if len(out) > limit else out
+    _grow(steps, nbr, domains, [0] * len(steps), -1, 0, out, masks, limit)
+    return (masks[:limit], out[:limit]) if len(out) > limit else (masks, out)
 
 
 def _grow(steps: tuple, nbr: tuple[int, ...], domains, phi: list[int], free: int, i: int,
-          out: list, limit: float) -> None:
+          out: list, masks: list, limit: float) -> None:
     """Extend the map ``phi`` of the first ``i`` steps, whose images are
-    the vertices missing from ``free``, through every candidate of step i.
+    the vertices missing from ``free``, through every candidate of step i,
+    the last step adding each map to ``out`` and its mask to ``masks``.
     Module level, so a call leaves no reference cycle."""
     v, adj, non, lower, later = steps[i]
     cand = domains[i] & free
@@ -632,17 +636,19 @@ def _grow(steps: tuple, nbr: tuple[int, ...], domains, phi: list[int], free: int
     if lower >= 0:
         cand &= -2 << phi[lower]
     if i + 1 == len(steps):
+        used = ~free
         while cand:
             low = cand & -cand
             cand ^= low
             phi[v] = low.bit_length() - 1
             out.append(tuple(phi))
+            masks.append(used | low)
         return
     while cand.bit_count() > later:
         low = cand & -cand
         cand ^= low
         phi[v] = low.bit_length() - 1
-        _grow(steps, nbr, domains, phi, free ^ low, i + 1, out, limit)
+        _grow(steps, nbr, domains, phi, free ^ low, i + 1, out, masks, limit)
         if len(out) >= limit:
             return
 

@@ -9,12 +9,12 @@ occurrences with one (leftmost, rightmost) pair form a class, and one
 representative stands for all of it.
 
 Both solvers build that class table once per host, straight from the
-occurrence search's maps (``graphs.occurrence_maps``): each map gets its
-vertex mask and class key, and it replaces its class's representative only
-when it comes first in canonical order (``_span_classes``).  On a line the
-key is the item that starts first and the one that ends last; on a circle
-it is ``models.union_ends``.  No ``Occurrence`` is built per map, only one
-per class a witness picks.
+occurrence search's vertex masks and maps (``graphs.occurrence_maps``):
+each map's class key is read off its mask, and the map replaces its
+class's representative only when it comes first in canonical order
+(``_span_classes``).  On a line the key is the item that starts first and
+the one that ends last; on a circle it is ``models.union_ends``.  No
+``Occurrence`` is built per map, only one per class a witness picks.
 
 On a long proper circular-arc host each class has a union arc U, from its
 leftmost arc's start to its rightmost arc's end, and two classes coexist
@@ -29,8 +29,8 @@ before any cut is swept.  Only then is the circle cut open at each
 containment-equivalence representative in turn.  A cut only counts: it
 walks the classes in the host's order of right ends, rotated to start past
 the cut point, skips the classes with an arc over the point, and runs the
-earliest-right-end greedy for disjoint intervals, the count the interval
-step makes with ``_packing``.  Only the first cut whose count reaches k is
+earliest-right-end greedy for disjoint intervals, the count
+``interval_wis`` makes.  Only the first cut whose count reaches k is
 built and solved by the interval step, which returns its witness.  The arcs
 over every representative come from the model's one cover sweep,
 ``models.arc_cover``.
@@ -41,10 +41,9 @@ occurrence search on the realized host settles it.
 
 from __future__ import annotations
 
-from bisect import bisect_right, insort
+from bisect import bisect_right
 from itertools import chain
 from math import inf
-from operator import itemgetter
 from typing import NamedTuple
 
 from .errors import InputError, InternalError, expect_type
@@ -75,16 +74,6 @@ __all__ = [
 ]
 
 
-def _packing(spans) -> int:
-    """The most pairwise disjoint closed intervals among ``spans``, (l, r)
-    pairs: the earliest-right-end greedy."""
-    count, last = 0, -inf
-    for l, r in sorted(spans, key=itemgetter(1)):
-        if l > last:
-            count, last = count + 1, r
-    return count
-
-
 def interval_wis(spans) -> tuple[int, tuple[int, ...]]:
     """A maximum set of pairwise disjoint closed intervals among ``spans``,
     (l, r) pairs.
@@ -93,23 +82,36 @@ def interval_wis(spans) -> tuple[int, tuple[int, ...]]:
     smallest index tuple among maximum sets: each index in turn is kept when
     it is disjoint from those kept so far and the later free intervals
     disjoint from it still pack up to the optimum.
+
+    The spans are sorted by right end once; the optimum and each index's
+    test are the earliest-right-end greedy over that order, O(m) per index.
+    A test may also count free spans of indices passed over, with the same
+    answer: were a maximum set to hold one, the smallest such index x would
+    have found the rest of that set, later than x and free, and been kept.
     """
-    kept: list[tuple[int, int]] = []  # the chosen (l, r); disjoint, so their ends ascend
-
-    def free(j: int) -> bool:  # the chosen span starting last by j's end ends before j
-        at = bisect_right(kept, (spans[j][1], inf))
-        return at == 0 or kept[at - 1][1] < spans[j][0]
-
-    opt = _packing(spans)
+    free = sorted((r, l, j) for j, (l, r) in enumerate(spans))
+    opt, last = 0, -inf
+    for r, l, _ in free:
+        if l > last:
+            opt, last = opt + 1, r
     chosen: list[int] = []
+    alive = set(range(len(spans)))  # the indices of the free spans
     for i, (l, r) in enumerate(spans):
-        if not free(i):
+        if i not in alive:
             continue
-        rest = [spans[j] for j in range(i + 1, len(spans))
-                if (spans[j][0] > r or spans[j][1] < l) and free(j)]
-        if len(chosen) + 1 + _packing(rest) == opt:
-            insort(kept, (l, r))
+        need, last = opt - len(chosen) - 1, -inf  # what the free spans off i must pack
+        if need:
+            for rj, lj, _ in free:
+                if lj > last and (rj < l or lj > r):
+                    need, last = need - 1, rj
+                    if not need:
+                        break
+        if not need:
             chosen.append(i)
+            if len(chosen) == opt:
+                break
+            free = [row for row in free if row[1] > r or row[0] < l]
+            alive = {j for _, _, j in free}
     if len(chosen) != opt:
         raise InternalError("witness reconstruction lost an interval")
     return opt, tuple(chosen)
@@ -120,6 +122,13 @@ def solve_igm_proper_interval(model: IntervalModel, h: Pattern, k: int) -> Match
 
     Returns a size-k matching or None.  Requires a connected pattern and a
     proper model.
+
+    An occurrence's class key is the item that starts first and the one
+    that ends last.  A proper model has distinct lefts, distinct rights and
+    one order by either end (of two intervals, the one starting first ends
+    first, or it holds the other), so the key is the first and last vertex
+    in left-end order, with no tie: the lowest and highest bit of the
+    vertex mask when the ids run in that order.
     """
     expect_type(h, Pattern)
     if not h.is_connected:
@@ -132,22 +141,21 @@ def solve_igm_proper_interval(model: IntervalModel, h: Pattern, k: int) -> Match
         return Matching(())
     g = realize(model)
     lefts = [it.l for it in model.items]
-    rights = [it.r for it in model.items]
-    maps = occurrence_maps(g, h)
-    # on a line the class key is the item that starts first and the one that ends last
-    keyed = ((sum(map((1).__lshift__, t)),
-              (min(t, key=lefts.__getitem__), max(t, key=rights.__getitem__))) for t in maps)
-    classes = _span_classes(maps, keyed)
-    aux = [(lefts[lm], rights[rm]) for (lm, rm), _ in classes]
-    if _packing(aux) < k:
-        return None
-    return revalidated(_interval_step(classes, aux, k), g, h, "auxiliary solution")
+    searched = masks, maps = occurrence_maps(g, h)
+    if lefts == sorted(lefts):  # ids in left order: a vertex mask is its left-end-rank mask
+        keys = [((m & -m).bit_length() - 1, m.bit_length() - 1) for m in masks]
+    else:
+        keys = [(min(t, key=lefts.__getitem__), max(t, key=lefts.__getitem__)) for t in maps]
+    classes = _span_classes(searched, keys)
+    found = _interval_step(classes, [(lefts[lm], model.items[rm].r) for (lm, rm), _ in classes], k)
+    return None if found is None else revalidated(found, g, h, "auxiliary solution")
 
 
-def _span_classes(maps, keyed) -> list:
-    """(key, (vertex mask, representative map)) per class of ``maps``, in
-    key order; ``keyed`` gives each map's (vertex mask, class key), and a
-    key of None, for arcs that cover the circle, puts the map in no class.
+def _span_classes(searched, keys) -> list:
+    """(key, (vertex mask, representative map)) per class of the maps of
+    ``searched``, the occurrence search's (masks, maps), in key order;
+    ``keys[i]`` is the class key of map i, and a key of None, for arcs that
+    cover the circle, puts the map in no class.
 
     Occurrences with one key are interchangeable, and the representative is
     the one first in ``enumerate_occurrences``' canonical order: the
@@ -159,7 +167,7 @@ def _span_classes(maps, keyed) -> list:
     no list of occurrences is built or sorted.
     """
     best: dict = {}
-    for t, (mask, key) in zip(maps, keyed):
+    for mask, t, key in zip(*searched, keys):
         if key is None:
             continue
         held = best.get(key)
@@ -171,13 +179,15 @@ def _span_classes(maps, keyed) -> list:
     return sorted(best.items())
 
 
-def _interval_step(classes, aux, k: int) -> Matching:
-    """An induced matching of k class representatives, where ``classes[i]``
-    is a ``_span_classes`` entry and ``aux[i]`` its interval (l, r), from
-    its leftmost vertex's left end to its rightmost vertex's right end.  The
-    caller has seen the optimum reach k, so only the witness is rebuilt, and
-    only its k occurrences are built."""
-    _, witness = interval_wis(aux)
+def _interval_step(classes, aux, k: int) -> Matching | None:
+    """An induced matching of k class representatives, or None below k,
+    where ``classes[i]`` is a ``_span_classes`` entry and ``aux[i]`` its
+    interval (l, r), from its leftmost vertex's left end to its rightmost
+    vertex's right end.  ``interval_wis`` counts the optimum, once, and
+    rebuilds the witness; only its k occurrences are built."""
+    size, witness = interval_wis(aux)
+    if size < k:
+        return None
     picked = sorted(classes[i][1][1] for i in witness[:k])
     return Matching(tuple(map(Occurrence, picked)))
 
@@ -208,14 +218,14 @@ class _ArcTable(NamedTuple):
     sweep: list
 
 
-def _arc_table(model: ArcModel, maps, over) -> _ArcTable:
-    """The class table of the occurrence search's ``maps``, built once per
-    host; ``over`` is the host's ``arc_cover``.
+def _arc_table(model: ArcModel, searched, over) -> _ArcTable:
+    """The class table of the occurrence search's (masks, maps)
+    ``searched``, built once per host; ``over`` is the host's ``arc_cover``.
 
-    An occurrence's class key is its ``union_ends``, shared by every cut
-    that keeps it.  A cut keeps it iff the point lies off its arcs, so a
-    class is kept or dropped whole, and arcs that cover the circle get no
-    class.
+    An occurrence's class key is its ``union_ends``, read off the search's
+    mask, and shared by every cut that keeps it.  A cut keeps it iff the
+    point lies off its arcs, so a class is kept or dropped whole, and arcs
+    that cover the circle get no class.
     ``cut_at_point`` numbers the kept arcs in ascending id order, so sorting
     classes by old ids equals sorting them by new ids, and every witness is
     the one a per-cut renumbering gives.
@@ -226,7 +236,7 @@ def _arc_table(model: ArcModel, maps, over) -> _ArcTable:
     rotation of that order that starts at the first e above p2.
     """
     arcs = model.arcs
-    classes = _span_classes(maps, union_ends(model, maps, over))
+    classes = _span_classes(searched, union_ends(model, searched, over))
     sweep = sorted((2 * arcs[rm].t, 2 * arcs[lm].s, mask) for (lm, rm), (mask, _) in classes)
     return _ArcTable(classes, sweep)
 
@@ -283,11 +293,11 @@ def _cut_solve(model: ArcModel, k: int, p2: int, removed: int, table: _ArcTable
     pairwise disjoint intervals by the earliest-right-end greedy, in the
     rotated host order (see ``_arc_table``): a greedy pick ends first among
     the intervals still free, so any optimum can trade its first such
-    interval for it.  That count is ``_packing``'s, so the sweep stops as
-    soon as it reaches k, and a cut whose count stays below k answers
-    None.  Only a cut that reaches k is built (``cut_at_point``), and the
-    interval step rebuilds its witness from the kept classes in key order
-    without testing the optimum again.  Cuts are tried in
+    interval for it.  That count is ``interval_wis``', so the sweep stops
+    as soon as it reaches k, and a cut whose count stays below k answers
+    None; so it never has the cut's full optimum, which ``interval_wis``
+    counts once as the interval step rebuilds the witness.  Only a cut that
+    reaches k is built (``cut_at_point``).  Cuts are tried in
     ``_dedup_points`` order, so the cut that answers, and its witness, are
     those of solving every cut's interval instance in full.
     """

@@ -16,7 +16,7 @@ compare, so these passes make no call per pair.  Which arcs lie over a
 point is asked of one sweep, ``arc_cover``.  Which arcs begin and end the
 union of an occurrence's arcs is asked of ``union_ends``, the key rule of
 the long-arc and fuzzy solvers, which reads the occurrence search's maps
-as vertex tuples.  Both are unexported.  ``point_in_arc`` and
+with their vertex masks.  Both are unexported.  ``point_in_arc`` and
 ``intersection_kind`` stay the single-pair definitions; ``intersection_kind``
 is exported, as a caller needs it to list a fuzzy model's one-point pairs.
 The single-pair containment and coverage references have left for the
@@ -271,34 +271,32 @@ def arc_cover(model: ArcModel):
     return over
 
 
-def union_ends(model: ArcModel, tuples, over) -> list:
-    """(vertex mask, (leftmost arc, rightmost arc) or None) of each vertex
-    tuple, an occurrence's map; ``over`` is the model's ``arc_cover``.
+def union_ends(model: ArcModel, searched, over) -> list:
+    """(leftmost arc, rightmost arc), or None, of each vertex tuple of
+    ``searched``, (vertex masks, vertex tuples) as the occurrence search
+    hands out its maps; ``over`` is the model's ``arc_cover``.
 
     The arcs of a connected occurrence that leave a point bare unite into
     one arc U, which starts at an arc with no arc of the occurrence just
     before its start and ends at one with none just past its end; the
-    first such arcs in vertex order are the leftmost and rightmost.  A cut
-    at any point off U leaves U whole and in order, so every such cut has
-    the same ends.  Arcs that cover the circle have neither end, and every
-    cut meets them.
+    first such arcs in vertex order, tested against the occurrence's mask,
+    are the leftmost and rightmost.  A cut at any point off U leaves U
+    whole and in order, so every such cut has the same ends.  Arcs that
+    cover the circle have neither end, and every cut meets them.
     """
     before = [over(2 * a.s - 1) for a in model.arcs]
     past = [over(2 * a.t + 1) for a in model.arcs]
     out = []
-    for vs in tuples:
-        mask = 0
-        for v in vs:
-            mask |= 1 << v
+    for mask, vs in zip(*searched):
         for lm in vs:
             if not before[lm] & mask:
                 for rm in vs:
                     if not past[rm] & mask:
-                        out.append((mask, (lm, rm)))
+                        out.append((lm, rm))
                         break
                 break
         else:
-            out.append((mask, None))
+            out.append(None)
     return out
 
 

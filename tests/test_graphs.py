@@ -496,7 +496,9 @@ def test_the_search_reaches_one_map_per_twin_orbit():
         for hg in (complete_graph(2), complete_graph(3), path_graph(3), star_graph(3),
                    path_graph(4), cycle_graph(4)):
             h = Pattern.of(hg)
-            maps = len(graphs._maps(h._plan.steps, nbr, ((1 << g.n) - 1,) * h.h))
+            masks, found = graphs._maps(h._plan.steps, nbr, ((1 << g.n) - 1,) * h.h)
+            assert masks == [sum(1 << v for v in t) for t in found]  # each map's own vertex mask
+            maps = len(found)
             occs = len(enumerate_occurrences(g, h))
             assert maps == occs * (1 if h._plan.twin_generated else 2), (g, hg.edges)
             reached.append(maps)

@@ -1,5 +1,7 @@
+import inspect
 import itertools
 import random
+import sys
 from unittest import mock
 
 import pytest
@@ -37,6 +39,7 @@ from igmatch.models import (
     equivalence_points_doubled,
     point_in_arc,
     realize,
+    validate_interval_model,
 )
 
 import gen  # the benchmark's constructive model generators
@@ -135,6 +138,35 @@ def test_wis_witness_matches_the_scan_reference():
     assert_pinned("test_wis_witness_matches_the_scan_reference", answers)
 
 
+def test_wis_witness_matches_the_scan_reference_at_workload_size():
+    # 40 to 160 intervals, pinned by digest per group as the earlier rebuild,
+    # which sorted once per index, returned them: the class tables the
+    # proper-interval solver hands the rebuild on the benchmark's interval
+    # models (K2 and P3), in class-key order, and random spans whose
+    # endpoints are drawn from few values, so many are shared
+    answers = {}
+    sizes = []
+    for n in (24, 48, 80):
+        model = gen.proper_interval_model(random.Random(n), n)
+        g = realize(model)
+        for name, h in zip(("K2", "P3"), CLASS_PATTERNS):
+            keys = sorted({_span_key(model, o.vertices) for o in enumerate_occurrences(g, h)})
+            spans = [(model.items[lm].l, model.items[rm].r) for lm, rm in keys]
+            sizes.append(len(spans))
+            answers[f"interval n={n} {name}"] = [interval_wis(spans)]
+    rng = random.Random(1207)
+    for m in (40, 80, 120, 160):
+        for _ in range(5):
+            spans = []
+            for _ in range(m):
+                l = rng.randrange(m // 2)
+                spans.append((l, l + rng.randrange(6)))
+            sizes.append(m)
+            answers.setdefault(f"random {m} intervals", []).append(interval_wis(spans))
+    assert min(sizes) >= 40 and max(sizes) <= 160
+    assert_pinned("test_wis_witness_matches_the_scan_reference_at_workload_size", answers)
+
+
 # ---------------------------------------------------------------------------
 # proper interval solver
 
@@ -202,6 +234,40 @@ def test_proper_interval_optimum_equals_oracle_maximum():
         while solve_igm_proper_interval(model, h, k + 1) is not None:
             k += 1
         assert k == opt
+
+
+def test_a_proper_model_orders_its_lefts_and_rights_alike():
+    # the proper-interval solver keys an occurrence by its first and last
+    # vertex in left-end order, which needs this of every model
+    # validate_interval_model calls proper: distinct lefts, distinct
+    # rights, and one order by either end; random intervals on a short
+    # line, so ends are often shared and many models are not proper
+    def orders(model):
+        ids = range(len(model))
+        return (sorted(ids, key=lambda v: model.items[v].l),
+                sorted(ids, key=lambda v: model.items[v].r))
+
+    rng = random.Random(1208)
+    proper = 0
+    for _ in range(600):
+        n = rng.randint(1, 8)
+        spans = []
+        for _ in range(n):
+            l = rng.randrange(16)
+            spans.append((l, l + rng.randint(1, 5)))
+        model = _relabelled_intervals(rng, imodel(*spans))
+        if not validate_interval_model(model).proper:
+            continue
+        proper += 1
+        lefts = [it.l for it in model.items]
+        rights = [it.r for it in model.items]
+        assert len(set(lefts)) == len(set(rights)) == n, spans
+        by_left, by_right = orders(model)
+        assert by_left == by_right, spans
+    assert proper == 220
+    nested = imodel((0, 10), (2, 3))
+    assert not validate_interval_model(nested).proper
+    assert orders(nested) == ([0, 1], [1, 0])
 
 
 # ---------------------------------------------------------------------------
@@ -347,15 +413,15 @@ def _span_key(model, vs):
             max(vs, key=lambda v: (2 * model.arcs[v].t - bare) % c2))
 
 
-def _class_table(model, h, maps):
+def _class_table(model, h, searched):
     """The class table the solver builds: an arc model's ``_arc_table``, and
     for an interval model the one ``solve_igm_proper_interval`` hands on."""
     if isinstance(model, ArcModel):
-        return _arc_table(model, maps, arc_cover(model)).classes
+        return _arc_table(model, searched, arc_cover(model)).classes
     built = []
 
-    def spy(maps, keyed):
-        built.append(_span_classes(maps, keyed))
+    def spy(searched, keys):
+        built.append(_span_classes(searched, keys))
         return built[-1]
 
     with mock.patch.object(interval_solvers, "_span_classes", spy):
@@ -373,11 +439,11 @@ def _check_class_table(model, h):
         key = _span_key(model, occ.vertices)
         if key is not None:
             want.setdefault(key, occ.vertices)
-    maps = occurrence_maps(g, h)
-    got = _class_table(model, h, maps)
+    searched = occurrence_maps(g, h)
+    got = _class_table(model, h, searched)
     assert [(key, rep) for key, (_, rep) in got] == sorted(want.items()), (model, h.graph.edges)
     assert all(mask == sum(1 << v for v in rep) for _, (mask, rep) in got)
-    sets = [frozenset(t) for t in maps]
+    sets = [frozenset(t) for t in searched[1]]
     return sum(sets.count(frozenset(rep)) > 1 for _, (_, rep) in got)
 
 
@@ -551,8 +617,8 @@ def test_cut_sweep_rejects_a_class_over_the_cut_point():
     # a removed mask that misses the arcs over p2 leaves the class {0, 1}
     # alive across the cut, with its cut start past its cut end
     model = amodel(20, (0, 3), (1, 4), (10, 13), (11, 14))
-    maps = occurrence_maps(realize(model), Pattern.of(path_graph(2)))
-    table = _arc_table(model, maps, arc_cover(model))
+    searched = occurrence_maps(realize(model), Pattern.of(path_graph(2)))
+    table = _arc_table(model, searched, arc_cover(model))
     assert _cut_solve(model, 2, 4, 0b0011, table) is None
     with pytest.raises(InternalError, match="wraps past cut point 4"):
         _cut_solve(model, 2, 4, 0, table)
@@ -586,8 +652,10 @@ def test_arc_ladders_keep_one_class_per_end_pair_and_sweep_no_refuted_cut(monkey
     # rightmost) pair, a long-arc solve tries at most one cut per distinct
     # cut point, and a refuted k >= 2 tries none.  The arcs take the
     # intervals' length, 8, not the default 15, whose P3 copies at n = 160
-    # keep the oracle's all-pairs circular schedule busy for a second
-    counts = {"classes": [], "cuts": 0, "points": []}
+    # keep the oracle's all-pairs circular schedule busy for a second.  The
+    # walk steps of _circular_packing are counted as line events of its
+    # step line, and each solve's are at most classes x k
+    counts = {"classes": [], "cuts": 0, "points": [], "steps": 0}
 
     def classes(*args, _fn=interval_solvers._span_classes):
         out = _fn(*args)
@@ -603,11 +671,33 @@ def test_arc_ladders_keep_one_class_per_end_pair_and_sweep_no_refuted_cut(monkey
         counts["points"].append(len(out))
         return out
 
+    circular = interval_solvers._circular_packing
+    lines, first = inspect.getsourcelines(circular)
+    step = first + 1 + next(i for i, line in enumerate(lines) if line.lstrip().startswith("while"))
+    assert lines[step - first].strip() == "count += 1"
+
+    def walk(frame, event, arg):
+        if frame.f_code is not circular.__code__:
+            return None
+        if event == "line" and frame.f_lineno == step:
+            counts["steps"] += 1
+        return walk
+
+    def circular_packing(*args):
+        tracer = sys.gettrace()
+        sys.settrace(walk)
+        try:
+            return circular(*args)
+        finally:
+            sys.settrace(tracer)
+
     monkeypatch.setattr(interval_solvers, "_span_classes", classes)
     monkeypatch.setattr(interval_solvers, "_cut_solve", cut_solve)
     monkeypatch.setattr(interval_solvers, "_dedup_points", points)
+    monkeypatch.setattr(interval_solvers, "_circular_packing", circular_packing)
     patterns = {"K2": (Pattern.of(complete_graph(2)), 2, 1), "P3": (Pattern.of(path_graph(3)), 3, 2)}
     got = {}
+    steps = {}
     for n in (20, 40, 80, 160):
         ladders = {
             "interval": (gen.proper_interval_model(random.Random(n), n), solve_igm_proper_interval,
@@ -622,13 +712,15 @@ def test_arc_ladders_keep_one_class_per_end_pair_and_sweep_no_refuted_cut(monkey
                 pairs = _ladder_pairs(kind, model, g, hn, he)
                 row = [opt, pairs]
                 for k in (opt, opt + 1):
-                    counts.update(classes=[], cuts=0, points=[])
+                    counts.update(classes=[], cuts=0, points=[], steps=0)
                     assert (solve(model, h, k) is not None) == (k == opt)
                     assert counts["classes"] == [pairs]
                     if kind == "long-arc":
                         # (cuts tried, distinct cut points)
                         row.append((counts["cuts"], sum(counts["points"])))
                         assert counts["cuts"] <= sum(counts["points"])
+                        steps.setdefault((n, name), []).append(counts["steps"])
+                        assert counts["steps"] <= pairs * k
                 got[kind, n, name] = tuple(row)
     # (opt, classes, then per long-arc solve at opt and opt + 1 the cuts
     # tried and the cut points); the classes grow linearly with n, and a
@@ -646,6 +738,15 @@ def test_arc_ladders_keep_one_class_per_end_pair_and_sweep_no_refuted_cut(monkey
         ("interval", 160, "K2"): (40, 317), ("interval", 160, "P3"): (27, 313),
         ("long-arc", 160, "K2"): (36, 374, (1, 320), (0, 0)),
         ("long-arc", 160, "P3"): (23, 357, (1, 320), (0, 0)),
+    }
+    # the walk steps per long-arc solve at opt and opt + 1: a yes-instance
+    # stops at its first walk that reaches k, and a refuted one walks from
+    # every class, about classes x opt steps
+    assert steps == {
+        (20, "K2"): [4, 154], (20, "P3"): [1, 51],
+        (40, "K2"): [8, 734], (40, "P3"): [4, 364],
+        (80, "K2"): [18, 3273], (80, "P3"): [10, 1850],
+        (160, "K2"): [35, 12947], (160, "P3"): [22, 7849],
     }
 
 
