@@ -34,7 +34,8 @@ coordinates R is even and the cut is odd, so no group of equal R straddles
 the cut (the argument needs only that the two differ).  An occurrence whose
 arcs cover the whole circle has no R, and no sweep visits it.  Which
 arcs lie over a point, for R and for the cut, is read from the model's one
-cover sweep, ``models.arc_cover``.
+cover sweep, ``models.arc_cover``.  The conflict and arc cover masks come
+from one call of ``graphs._occurrence_masks`` in (R, index) order.
 """
 
 from __future__ import annotations
@@ -60,12 +61,13 @@ class _ChainTable:
     """The per-solve half of the chain program.
 
     Positions number the occurrences in (R, index) order: ``order`` maps a
-    position to its occurrence index and ``position`` back, ``ends`` holds
-    the R of each position, and ``free[p]`` is the mask of the positions
-    compatible with position p (the complement of its conflict mask).
-    ``through`` holds each arc's mask of the occurrences with a vertex on
-    it, and ``over`` is the model's ``arc_cover``.  ``cut`` memoizes, per
-    cut point, what every sweep cut there shares.
+    position to its occurrence index and ``position`` back, and ``ends``
+    holds the R of each position.  ``graphs._occurrence_masks``, called once
+    on the vertex tuples in position order, gives ``through``, each arc's
+    (vertex's) mask of the positions on it, and the conflict masks, whose
+    complements are ``free[p]``, the positions compatible with p.  ``over``
+    is the model's ``arc_cover``, and ``cut`` memoizes, per cut point, what
+    every sweep cut there shares.
     """
 
     __slots__ = ("occs", "order", "position", "ends", "free", "through",
@@ -77,7 +79,7 @@ class _ChainTable:
         c2 = 2 * model.arcs.circumference
         # R is the rightmost arc's end; c2, past every R, when there is none
         tuples, masks = [o.vertices for o in occs], []
-        for vs in tuples:  # a loop: sum(map(...)) per occurrence took twice as long
+        for vs in tuples:  # for union_ends; sum(map(...)) per occurrence took twice as long
             mask = 0
             for v in vs:
                 mask |= 1 << v
@@ -85,13 +87,8 @@ class _ChainTable:
         ends = [c2 if lr is None else 2 * arcs[lr[1]].t
                 for lr in union_ends(model.arcs, (masks, tuples), over)]
         order = sorted(range(len(occs)), key=ends.__getitem__)  # stable: (R, index)
-        position = [0] * len(occs)
-        through = [0] * len(arcs)
-        for p, i in enumerate(order):
-            position[i] = p
-            for v in occs[i].vertices:
-                through[v] |= 1 << p
-        _, conflict = _occurrence_masks(g, [occs[i] for i in order])
+        position = sorted(range(len(occs)), key=order.__getitem__)  # order's inverse
+        through, conflict = _occurrence_masks(g, [tuples[i] for i in order])
         full = (1 << len(occs)) - 1
         self.occs = occs
         self.order = order

@@ -656,36 +656,36 @@ def _grow(steps: tuple, nbr: tuple[int, ...], domains, phi: list[int], free: int
 # ---------------------------------------------------------------------------
 # exact brute-force searches, called by the solvers
 
-def _occurrence_masks(g: Graph, occs: list[Occurrence]):
-    """Bitmask closed neighborhoods and conflict masks for occurrence DFS.
+def _occurrence_masks(g: Graph, tuples) -> tuple[list[int], list[int]]:
+    """The package's one conflict-mask builder: (through, conflict) of the
+    occurrences with vertex tuples ``tuples``, bit i for ``tuples[i]``.
 
-    Occurrence j conflicts with occurrence i iff a vertex of j lies in the
-    closed neighborhood of i.  The closed neighborhood of a vertex set is
-    the union of its members' closed neighborhoods, so with ``near[v]`` the
-    mask of the occurrences through N[v], i's conflict mask ORs ``near``
-    over i's vertices.
+    ``through[v]`` masks the occurrences that use vertex v, ``conflict[i]``
+    those other than i with a vertex in the closed neighborhood of i's
+    vertices, which is the union of their closed neighborhoods: so with
+    ``near[v]`` the mask of the occurrences through N[v], i's conflict mask
+    ORs ``near`` over i's vertices.
     """
     through = [0] * g.n
-    vmask = []
-    for i, o in enumerate(occs):
-        m = 0
-        for v in o.vertices:
-            m |= 1 << v
+    for i, vs in enumerate(tuples):
+        for v in vs:
             through[v] |= 1 << i
-        vmask.append(m)
     near = [0] * g.n  # read only at vertices of occurrences
     for v, m in enumerate(through):
         if m:
-            for w in _bits(g._nbr[v]):
-                m |= through[w]
+            rest = g._nbr[v]
+            while rest:  # an inline low-bit walk: a _bits list per vertex took 5-15% longer
+                low = rest & -rest
+                m |= through[low.bit_length() - 1]
+                rest ^= low
             near[v] = m
     conflict = []
-    for i, o in enumerate(occs):
+    for i, vs in enumerate(tuples):
         ci = 0
-        for v in o.vertices:
+        for v in vs:
             ci |= near[v]
         conflict.append(ci & ~(1 << i))
-    return vmask, conflict
+    return through, conflict
 
 
 class OutOfBudget(Exception):
@@ -701,8 +701,9 @@ def packing(g: Graph, occs: list[Occurrence], goal: int | None, require_touch=()
     A *packing* is an induced matching: pairwise disjoint occurrences with no
     edge of g between two.  ``occs`` are occurrences of one pattern in g, in
     canonical order, or a sub-list of them.  A touch set may be empty (it is
-    then ignored) or name vertices outside g.  With ``goal`` None and no
-    touch sets the answer is a list, maybe empty.
+    then ignored) or name vertices outside g: it is met by the occurrences
+    ``through`` (of ``_occurrence_masks``) holds at its vertices in g.  With
+    ``goal`` None and no touch sets the answer is a list, maybe empty.
 
     Packings are visited as increasing index lists in lexicographic order.  A
     branch is cut once it cannot reach the floor, ``goal`` or one more than
@@ -716,11 +717,10 @@ def packing(g: Graph, occs: list[Occurrence], goal: int | None, require_touch=()
     ``OutOfBudget``: its answer is unknown, neither a packing nor a proof
     that there is none.  An unbudgeted search always finishes.
     """
-    vmask, conflict = _occurrence_masks(g, occs)
+    through, conflict = _occurrence_masks(g, [o.vertices for o in occs])
     n = len(occs)
-    # each touch set as the mask of the occurrences meeting it
-    touch_masks = [sum(1 << v for v in set(s)) for s in require_touch]
-    meets = [sum(1 << i for i in range(n) if vmask[i] & tm) for tm in touch_masks if tm]
+    meets = [functools.reduce(int.__or__, [through[v] for v in s if 0 <= v < g.n], 0)
+             for s in map(set, require_touch) if s]
     floor = goal or 0
     best: list[int] | None = None
     chosen: list[int] = []
@@ -840,7 +840,10 @@ def brute_force_wis(g: Graph, weights, k_card: int,
     take one of its unblocked vertices (in clique order) or none.  Weights
     must be nonnegative ints or floats (so any partial independent set
     extends without loss), k_card an int and k_weight an int or a float;
-    a bool is neither.  Returns (answer, witness or None).
+    a bool is neither.  Returns (answer, witness or None).  Float sums are
+    compared in the search's own order (picks for the weight, cliques for
+    the gain bound), so a k_weight equal to the best weight summed in
+    another order can read no; the kernel's integer weights are exact.
 
     The bound is a forward check (Haralick and Elliott, 1980): at each node,
     the cliques still to come that keep a vertex outside the blocked set

@@ -7,7 +7,9 @@ solver and its oracle is meaningful:
 - First principles, on the Graph vertex and adjacency accessors only:
   ``independent_sets``, ``mis_exhaustive``, ``occurrences_exhaustive``,
   ``igm_exhaustive``, ``max_igm_exhaustive``, ``wis_exhaustive`` and
-  ``is_line_graph_exhaustive``; ``is_isomorphic``, which only tests need,
+  ``is_line_graph_exhaustive``; ``occurrence_masks_reference`` (which
+  occurrences pass through a vertex, and which two conflict, read off
+  ``has_edge``); ``is_isomorphic``, which only tests need,
   searches with the package's ``find_occurrence``.  ``arc_contains`` and
   ``covers_circle`` are the single-pair containment and coverage
   definitions on ``point_in_arc``.
@@ -15,8 +17,9 @@ solver and its oracle is meaningful:
   and ``model_report_reference`` (model realization and validation, every
   pair of items), ``long_by_pairs_and_triples`` (no two or three arcs
   cover the circle), ``arc_cover_reference`` (the arcs over a point, by a
-  scan of every arc) and ``_best_weight_reference`` (the best weight of
-  disjoint intervals).
+  scan of every arc), ``right_end_reference`` (where the union of an
+  occurrence's arcs ends, by a scan of every point) and
+  ``_best_weight_reference`` (the best weight of disjoint intervals).
 - What a streamed base promises: ``check_condition1`` and
   ``check_condition2`` (the two token conditions, on a whole base) and
   ``base_invariant_failures``.
@@ -87,6 +90,23 @@ def occurrences_exhaustive(g, hg) -> list[tuple[int, ...]]:
         if ok:
             out.append(perm)
     return out
+
+
+def occurrence_masks_reference(g, tuples) -> tuple[list[int], list[int]]:
+    """(through, conflict) of the occurrences with vertex tuples ``tuples``:
+    bit i of ``through[v]`` is set iff ``tuples[i]`` uses v, and bit j of
+    ``conflict[i]`` iff j != i and ``tuples[j]`` has a vertex in the closed
+    neighborhood of ``tuples[i]``, scanned over every vertex of g: the
+    occurrences through some vertex of that neighborhood, i left out."""
+    closed = [{u for u in range(g.n) if u == v or g.has_edge(u, v)} for v in range(g.n)]
+    through = [sum(1 << i for i, vs in enumerate(tuples) if v in vs) for v in range(g.n)]
+    conflict = []
+    for i, vs in enumerate(tuples):
+        hit = 0
+        for u in set().union(*(closed[v] for v in vs)):
+            hit |= through[u]
+        conflict.append(hit & ~(1 << i))
+    return through, conflict
 
 
 def arc_contains(model: ArcModel, i: int, j: int) -> bool:
@@ -565,6 +585,23 @@ def arc_cover_reference(model: ArcModel):
     c2 = 2 * model.circumference
     spans = arc_spans(model)
     return lambda p2: sum(1 << i for i, (s2, d2) in enumerate(spans) if (p2 - s2) % c2 <= d2)
+
+
+def right_end_reference(model: ArcModel, tuples) -> list[int]:
+    """Per vertex tuple of a connected occurrence, the doubled point where
+    the union of its arcs ends: the even point one of its arcs covers
+    whose next point none covers.  ``2 * model.circumference`` when they
+    cover the circle."""
+    c2 = 2 * model.circumference
+    cover = arc_cover_reference(model)
+    over = [cover(p2) for p2 in range(c2)]
+    out = []
+    for vs in tuples:
+        mask = sum(1 << v for v in vs)
+        ends = [p2 for p2 in range(0, c2, 2) if over[p2] & mask and not over[p2 + 1] & mask]
+        assert len(ends) <= 1, "a connected occurrence's arcs unite into one arc"
+        out.append(ends[0] if ends else c2)
+    return out
 
 
 def realize_reference(model):

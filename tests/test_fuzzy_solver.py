@@ -22,7 +22,13 @@ from igmatch.graphs import (
 from igmatch.models import Arc, ArcModel, FuzzyArcModel, realize
 
 import gen
-from oracles import fuzzy_dp_profile, igm_exhaustive, max_igm_exhaustive
+from oracles import (
+    fuzzy_dp_profile,
+    igm_exhaustive,
+    max_igm_exhaustive,
+    occurrence_masks_reference,
+    right_end_reference,
+)
 from pinned import assert_pinned
 from randgen import random_fuzzy_arc_model
 
@@ -174,7 +180,7 @@ def test_residual_chain_matches_the_reference_star_by_star():
             occs = enumerate_occurrences(g, h)
             if not occs or len(occs) > 150:
                 continue
-            _, conflict = _occurrence_masks(g, occs)
+            _, conflict = _occurrence_masks(g, [o.vertices for o in occs])
             table = fuzzy_solver._ChainTable(model, g, occs)
             for star in range(len(occs)):
                 # a chain holds fewer occurrences than there are, so the
@@ -188,6 +194,34 @@ def test_residual_chain_matches_the_reference_star_by_star():
             sizes = max(sizes, n)
     assert (stars, sizes, sum(map(len, chains.values()))) == (3291, 30, 13164)
     assert_pinned("test_residual_chain_matches_the_reference_star_by_star", chains)
+
+
+def test_chain_table_masks_match_the_has_edge_scan_in_position_order():
+    # the table hands the conflict-mask builder its tuples in (R, index)
+    # order, which the builder does not see: sorted by the R of a scan over
+    # every point of the circle, then by index, the occurrences must give
+    # the table's order, ends, arc cover masks (``through``) and ``free``
+    # masks (each conflict mask's complement, own bit kept) of the has_edge
+    # scan.  P4 at n = 80 has 40,436 occurrences, whose masks would take
+    # hundreds of megabytes, so it takes every fourth of them
+    checked = 0
+    for n, grid in ((20, 12), (40, 24), (80, 40)):
+        model = gen.fuzzy_arc_model(random.Random(n), n, grid)
+        g = realize(model)
+        for h in (K2, P3, K3, P4):
+            occs = enumerate_occurrences(g, h)[:: 4 if (n, h) == (80, P4) else 1]
+            tuples = [o.vertices for o in occs]
+            ends = right_end_reference(model.arcs, tuples)
+            order = sorted(range(len(occs)), key=lambda i: (ends[i], i))
+            through, conflict = occurrence_masks_reference(g, [tuples[i] for i in order])
+            table = fuzzy_solver._ChainTable(model, g, occs)
+            assert table.order == order
+            assert [table.position[i] for i in order] == list(range(len(occs)))
+            assert table.ends == [ends[i] for i in order]
+            assert table.through == through
+            assert table.free == [(1 << len(occs)) - 1 & ~c for c in conflict]
+            checked += len(occs)
+    assert checked == 25505
 
 
 def _check_fuzzy_count(models, patterns):

@@ -45,6 +45,7 @@ from oracles import (
     is_line_graph_exhaustive,
     max_igm_exhaustive,
     mis_exhaustive,
+    occurrence_masks_reference,
     occurrences_exhaustive,
     wis_exhaustive,
 )
@@ -475,11 +476,47 @@ def test_enumerate_occurrences_and_masks_match_the_subset_scan():
             g = random_graph(rng, n, rng.random())
             for hg in patterns:
                 occs = enumerate_occurrences(g, Pattern.of(hg))
+                tuples = [o.vertices for o in occs]
+                # the digests hold the builder's earlier (vertex masks, conflict) pair
+                vmask = [sum(1 << v for v in vs) for vs in tuples]
                 outputs.setdefault(f"{hg.n}:{hg.edges}", []).append(
-                    ([o.vertices for o in occs], _occurrence_masks(g, occs)))
+                    (tuples, (vmask, _occurrence_masks(g, tuples)[1])))
                 found += len(occs)
     assert sum(map(len, outputs.values())) == 960 and found == 14688
     assert_pinned("test_enumerate_occurrences_and_masks_match_the_subset_scan", outputs)
+
+
+def test_occurrence_masks_match_the_has_edge_scan():
+    # the one conflict-mask builder against a scan that reads the host only
+    # through has_edge; bit i stands for the caller's i-th tuple, so the
+    # occurrences go in canonical order, shuffled, as a sub-list and not at
+    # all, and every host gets up to two isolated vertices, which no
+    # occurrence uses.  On the first list of each host the scan itself is
+    # checked pair by pair against the definition of a conflict
+    rng = random.Random(5050)
+    patterns = [Pattern.of(hg) for hg in
+                (complete_graph(2), path_graph(3), complete_graph(3), path_graph(4))]
+    checked = occurrences = 0
+    for n in range(16):
+        for _ in range(3):
+            g = disjoint_union(random_graph(rng, n, rng.random()), Graph(rng.randint(0, 2)))
+            isolated = [v for v in range(g.n) if not g.degree(v)]
+            for h in patterns:
+                tuples = [o.vertices for o in enumerate_occurrences(g, h)]
+                shuffled = rng.sample(tuples, len(tuples))
+                for caller in (tuples, shuffled, shuffled[::2], []):
+                    through, conflict = got = _occurrence_masks(g, caller)
+                    assert got == occurrence_masks_reference(g, caller)
+                    assert len(through) == g.n and len(conflict) == len(caller)
+                    assert not any(through[v] for v in isolated)
+                    checked += 1
+                    occurrences += len(caller)
+                _, conflict = occurrence_masks_reference(g, tuples)
+                for i, vs in enumerate(tuples):
+                    for j, ws in enumerate(tuples):
+                        meets = i != j and any(u == w or g.has_edge(u, w) for u in vs for w in ws)
+                        assert conflict[i] >> j & 1 == meets
+    assert (checked, occurrences) == (768, 11908)
 
 
 def test_the_search_reaches_one_map_per_twin_orbit():
